@@ -11,9 +11,22 @@ so equal low-order bits no longer guarantee a collision.
 This module is the single source of truth for those index functions:
 the component predictors (:mod:`repro.bpu.bimodal`,
 :mod:`repro.bpu.gshare`), the vectorised block compiler
-(:mod:`repro.core.randomizer`) and the fuzzer's hypothesis simulators
-(:mod:`repro.fuzz.infer`) all call :func:`apply_hash`, so a modelled
-hash can never drift between the oracle and the inference engine.
+(:mod:`repro.core.randomizer`), the batch probe scan and calibration
+engines (:mod:`repro.core.batch_probe`,
+:mod:`repro.core.calibration_batch`) and the fuzzer's hypothesis
+simulators (:mod:`repro.fuzz.infer`) all call :func:`apply_hash`, so a
+modelled hash can never drift between the oracle and the inference
+engine.  The compiled kernels (:mod:`repro.kernels`) cannot call Python
+per branch; they take each hash as the integer :func:`kernel_shift`
+returns, and a registered hash without such an encoding raises rather
+than silently indexing by modulo.
+
+The hash applies to *probe/target and block-branch* PHT indices only.
+The pre-drawn system-noise model
+(:func:`repro.system.noise.apply_noise_draw`) indexes the bimodal PHT
+with a plain ``addresses % n`` on every preset and draws its gshare
+indices directly, and selector and branch-identification indices are
+plain modulo everywhere; the fast engines mirror exactly that split.
 
 Every hash works elementwise on both Python ints and numpy integer
 arrays, and reduces into ``range(n_entries)``.
@@ -36,6 +49,7 @@ __all__ = [
     "apply_hash",
     "fold_history",
     "history_fold_width",
+    "kernel_shift",
     "validate_hash",
 ]
 
@@ -79,6 +93,34 @@ def apply_hash(name: str, mixed, n_entries: int):
     has the same shape.
     """
     return INDEX_HASHES[validate_hash(name)](mixed, n_entries)
+
+
+#: How the compiled kernels encode each hash: table size -> XOR-fold
+#: shift ``s``.  A kernel computes ``x ^ (x >> s)`` when ``s > 0`` and
+#: then ``% n``, so ``0`` is plain modulo.  Every :data:`INDEX_HASHES`
+#: entry needs one (``tests/test_kernels.py`` checks both registries
+#: agree).
+_KERNEL_SHIFTS: Dict[str, Callable[[int], int]] = {
+    "mod": lambda n_entries: 0,
+    "fold": _fold_shift,
+}
+
+
+def kernel_shift(name: str, n_entries: int) -> int:
+    """The integer the kernel backends implement hash ``name`` with.
+
+    ``0`` for ``"mod"``; the fold distance ``floor(log2 n)`` for
+    ``"fold"``.  Raises ``NotImplementedError`` for a registered hash
+    that has no kernel encoding, so a new hash can never be replayed as
+    a modulo by mistake.
+    """
+    validate_hash(name)
+    if name not in _KERNEL_SHIFTS:
+        raise NotImplementedError(
+            f"index hash {name!r} has no kernel encoding; add it to "
+            "repro.bpu.hashes._KERNEL_SHIFTS and to every kernel backend"
+        )
+    return int(_KERNEL_SHIFTS[name](n_entries))
 
 
 def history_fold_width(n_entries: int) -> int:

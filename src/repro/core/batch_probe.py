@@ -58,7 +58,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.bpu.hashes import fold_history
+from repro.bpu.hashes import apply_hash, fold_history
 from repro.core.patterns import DecodedState, state_signatures
 from repro.core.support import batch_scan_supported
 from repro.cpu.core import PhysicalCore
@@ -73,8 +73,9 @@ __all__ = [
 # The support predicate (one shared home for every engine's gating
 # conditions, repro.core.support) is re-exported here because this
 # engine is its original owner and existing callers import it from
-# here.  Since the zoo landed it also covers the index-hash condition:
-# the inline `mixed % n` replay below is only exact for "mod" presets.
+# here.  It has no index-hash condition: unpartitioned PHT indices go
+# through the preset's repro.bpu.hashes entry, as the scalar
+# predictors' do, so the zoo's "fold" presets scan batched too.
 
 
 def _collect_hooks(
@@ -90,22 +91,21 @@ def _collect_hooks(
     sequence, so the pre-pass makes the identical calls in the identical
     order and records the outcome per (slot, address).
 
-    Returns ``(static, key, offset, size_bimodal, size_gshare)``, each of
-    shape ``(4, n_addresses)``; a ``None`` partition is encoded as the
-    whole table (offset 0, size ``n_entries``) so the index formula is
-    uniform.
+    Returns ``(static, key, confined, offset, size)``, each of shape
+    ``(4, n_addresses)``; ``confined`` marks executions under a
+    partition, whose ``offset``/``size`` then replace the preset's
+    index hash (as :meth:`~repro.bpu.partition.Partition.confine` does
+    in the scalar predictors).
     """
     n = len(addresses)
-    n_bimodal = core.predictor.bimodal.pht.n_entries
-    n_gshare = core.predictor.gshare.pht.n_entries
     static = np.zeros((4, n), dtype=bool)
     key = np.zeros((4, n), dtype=np.int64)
+    confined = np.zeros((4, n), dtype=bool)
     offset = np.zeros((4, n), dtype=np.int64)
-    size_bimodal = np.full((4, n), n_bimodal, dtype=np.int64)
-    size_gshare = np.full((4, n), n_gshare, dtype=np.int64)
+    size = np.ones((4, n), dtype=np.int64)
     stack = core.mitigations
     if len(stack) == 0:
-        return static, key, offset, size_bimodal, size_gshare
+        return static, key, confined, offset, size
     for i in range(n):
         address = int(addresses[i])
         for slot in range(4):
@@ -115,10 +115,28 @@ def _collect_hooks(
             key[slot, i] = stack.pht_key(spy)
             partition = stack.partition(spy)
             if partition is not None:
+                confined[slot, i] = True
                 offset[slot, i] = partition.offset
-                size_bimodal[slot, i] = partition.size
-                size_gshare[slot, i] = partition.size
-    return static, key, offset, size_bimodal, size_gshare
+                size[slot, i] = partition.size
+    return static, key, confined, offset, size
+
+
+def _pht_index(
+    mixed: np.ndarray,
+    hooks: Tuple[np.ndarray, ...],
+    slot: int,
+    index_hash: str,
+    n_entries: int,
+) -> np.ndarray:
+    """Per-address PHT index of one probe execution slot: the
+    partition's slice where one is in force, else the preset's hash."""
+    _, _, confined, offset, size = hooks
+    index = apply_hash(index_hash, mixed, n_entries)
+    if confined[slot].any():
+        index = np.where(
+            confined[slot], offset[slot] + mixed % size[slot], index
+        )
+    return index
 
 
 def _probe_variant(
@@ -143,7 +161,10 @@ def _probe_variant(
     bit = predictor.bit
     o = int(bool(outcome))
 
-    static_all, key_all, offset_all, size_b_all, size_g_all = hooks
+    static_all, key_all = hooks[0], hooks[1]
+    hash_b = predictor.bimodal.index_hash
+    hash_g = predictor.gshare.index_hash
+    n_b = bimodal.n_entries
     levels_b = bimodal.levels
     levels_g = gshare.levels
     step_b = bimodal.fsm.step_table
@@ -157,8 +178,8 @@ def _probe_variant(
     # -- branch 1 -----------------------------------------------------------
     st1 = static_all[slot1]
     key1 = key_all[slot1]
-    bi1 = offset_all[slot1] + ((addresses ^ key1) % size_b_all[slot1])
-    gi1 = offset_all[slot1] + ((addresses ^ hf ^ key1) % size_g_all[slot1])
+    bi1 = _pht_index(addresses ^ key1, hooks, slot1, hash_b, n_b)
+    gi1 = _pht_index(addresses ^ hf ^ key1, hooks, slot1, hash_g, n_g)
     lvl_b1 = levels_b[bi1]
     lvl_g1 = levels_g[gi1]
     bt1 = bimodal.fsm.predicts_array(lvl_b1)
@@ -191,8 +212,8 @@ def _probe_variant(
     # -- branch 2 -----------------------------------------------------------
     st2 = static_all[slot2]
     key2 = key_all[slot2]
-    bi2 = offset_all[slot2] + ((addresses ^ key2) % size_b_all[slot2])
-    gi2 = offset_all[slot2] + ((addresses ^ hf2 ^ key2) % size_g_all[slot2])
+    bi2 = _pht_index(addresses ^ key2, hooks, slot2, hash_b, n_b)
+    gi2 = _pht_index(addresses ^ hf2 ^ key2, hooks, slot2, hash_g, n_g)
     lvl_b2 = np.where(updated1 & (bi2 == bi1), stepped_b1, levels_b[bi2])
     lvl_g2 = np.where(updated1 & (gi2 == gi1), stepped_g1, levels_g[gi2])
     bt2 = bimodal.fsm.predicts_array(lvl_b2)

@@ -380,11 +380,10 @@ def assess_block_batch(
     callers may mix the two engines freely.  When a mitigation perturbs
     the observation itself (a stochastic FSM, a noisy counter — the
     :func:`~repro.core.support.batch_scan_supported` predicate, same
-    contract as the §6.3 batch scan), the preset uses a non-modulo
-    index hash, or the core runs a custom
+    contract as the §6.3 batch scan) or the core runs a custom
     :class:`~repro.cpu.timing.TimingModel` subclass (whose draw pattern
     the replay could not mirror), this transparently runs the scalar
-    engine instead.
+    engine instead.  Every registered index hash runs batched.
 
     With a pre-drawn ``plan`` there is no stream to replay — the result
     is pinned to :func:`assess_block` with the same plan, the engine
@@ -504,10 +503,10 @@ def find_block(
         or checkpoint is not None
         or not (workers is None and n_workers == 1)
     )
-    # Every pooled assessment carries a plan, so only the mitigation and
-    # index-hash parts of the fallback predicate can disable the batch
-    # engine there; the serial path (no plan) also falls back on a
-    # custom timing model.
+    # Every pooled assessment carries a plan, so only the mitigation
+    # part of the fallback predicate can disable the batch engine
+    # there; the serial path (no plan) also falls back on a custom
+    # timing model.
     scalar_forced = fast and scalar_engine_forced(core, pooled=pooled)
     fallbacks_before = obs.scalar_fallback_counts().get("calibration_batch", 0)
     tracer = obs.TRACER

@@ -83,7 +83,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro import kernels
-from repro.bpu.hashes import fold_history
+from repro.bpu.hashes import apply_hash, fold_history
 from repro.core.calibration import BlockAssessment, TrialPlan, _dominant_counts
 from repro.core.randomizer import CompiledBlock
 from repro.cpu.core import PhysicalCore
@@ -242,20 +242,14 @@ def batch_assess(
     fsm_b = bimodal.fsm
     fsm_g = gshare.fsm
     n_b = bimodal.n_entries
-    n_g = gshare.n_entries
     d = fsm_b.n_levels
-    n_slots = d + 2
-    ghr_len = predictor.ghr.length
-    ghr_mask = (1 << ghr_len) - 1
     sel = predictor.selector
     bit = predictor.bit
     T = int(target_address)
     R = int(repetitions) if plan is None else plan.repetitions
     R2 = 2 * R
 
-    mitigations = core.mitigations
-    hooked = len(mitigations) > 0
-    ghr_start = int(predictor.ghr.value)
+    hooked = len(core.mitigations) > 0
     ghr_end = int(compiled.ghr_end)
 
     # -- phase 1: observation assembly --------------------------------------
@@ -281,7 +275,7 @@ def batch_assess(
         )
     else:
         static, outcomes, b_idx, g_idx, offsets, bulk = _closed_form(
-            plan, T, R, n_b, n_g, ghr_start, ghr_end, ghr_len
+            plan, T, predictor, ghr_end
         )
 
     # Per-repetition aggregates of the bulk noise stream.
@@ -457,6 +451,8 @@ def _stream_loop(core, spy, T, R, plan, noise, rng, ghr_end):
     fsm_b = bimodal.fsm
     n_b = bimodal.n_entries
     n_g = gshare.n_entries
+    hash_b = predictor.bimodal.index_hash
+    hash_g = predictor.gshare.index_hash
     d = fsm_b.n_levels
     n_slots = d + 2
     ghr_len = predictor.ghr.length
@@ -537,8 +533,8 @@ def _stream_loop(core, spy, T, R, plan, noise, rng, ghr_end):
                     row_b[j] = partition.confine(mixed)
                     row_g[j] = partition.confine(T ^ ghr_folded ^ key)
                 else:
-                    row_b[j] = mixed % n_b
-                    row_g[j] = (T ^ ghr_folded ^ key) % n_g
+                    row_b[j] = apply_hash(hash_b, mixed, n_b)
+                    row_g[j] = apply_hash(hash_g, T ^ ghr_folded ^ key, n_g)
                 ghr_val = ((ghr_val << 1) | int(outcomes[r, j])) & ghr_mask
             if replay:
                 cold = not warm
@@ -573,16 +569,23 @@ def _stream_loop(core, spy, T, R, plan, noise, rng, ghr_end):
     return static, outcomes, b_idx, g_idx, offsets, bulk
 
 
-def _closed_form(plan, T, R, n_b, n_g, ghr_start, ghr_end, ghr_len):
+def _closed_form(plan, T, predictor, ghr_end):
     """Loop-free phase-1 front-end for the unmitigated plan path.
 
-    Without mitigations every bimodal index is ``T % n_b`` and the GHR
-    value entering each slot is a closed-form function of the plan: the
+    Without mitigations every bimodal index is the preset's hash of
+    ``T`` and the GHR value entering each slot is a closed-form function
+    of the plan, starting from ``predictor``'s current history: the
     block application pins it to ``ghr_end``, the repetition's noise
     tail (if any) overwrites it, the probes shift in their outcomes, and
     the next repetition's scrambles shift in on top — the pre-scramble
     history never survives a repetition boundary.
     """
+    n_b = predictor.bimodal.pht.n_entries
+    n_g = predictor.gshare.pht.n_entries
+    hash_g = predictor.gshare.index_hash
+    ghr_start = int(predictor.ghr.value)
+    ghr_len = predictor.ghr.length
+    R = plan.repetitions
     R2 = 2 * R
     scrambles = plan.scrambles
     d = scrambles.shape[1]
@@ -593,7 +596,11 @@ def _closed_form(plan, T, R, n_b, n_g, ghr_start, ghr_end, ghr_len):
     outcomes[:, :d] = scrambles
     outcomes[:R, d:] = 1
     static = np.zeros((R2, n_slots), dtype=bool)
-    b_idx = np.full((R2, n_slots), T % n_b, dtype=np.int64)
+    b_idx = np.full(
+        (R2, n_slots),
+        apply_hash(predictor.bimodal.index_hash, T, n_b),
+        dtype=np.int64,
+    )
 
     offsets = plan.offsets
     gaps = offsets[1:] - offsets[:-1]
@@ -628,9 +635,14 @@ def _closed_form(plan, T, R, n_b, n_g, ghr_start, ghr_end, ghr_len):
         prefix[:, j] = (prefix[:, j - 1] << 1) | scrambles[:, j - 1]
     ghr_scramble = ((starts[:, None] << np.arange(d)) | prefix) & mask
 
+    def gshare_index(history):
+        return apply_hash(
+            hash_g, T ^ fold_history(history, ghr_len, n_g), n_g
+        )
+
     g_idx = np.zeros((R2, n_slots), dtype=np.int64)
-    g_idx[:, :d] = (T ^ fold_history(ghr_scramble, ghr_len, n_g)) % n_g
-    g_idx[:, d] = (T ^ fold_history(after_noise, ghr_len, n_g)) % n_g
+    g_idx[:, :d] = gshare_index(ghr_scramble)
+    g_idx[:, d] = gshare_index(after_noise)
     second = ((after_noise << 1) | outcomes[:, d]) & mask
-    g_idx[:, d + 1] = (T ^ fold_history(second, ghr_len, n_g)) % n_g
+    g_idx[:, d + 1] = gshare_index(second)
     return static, outcomes, b_idx, g_idx, offsets, plan.bulk

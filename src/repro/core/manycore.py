@@ -59,7 +59,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bpu.hashes import apply_hash
+from repro.bpu.hashes import apply_hash, kernel_shift
 from repro.core.calibration import (
     BlockAssessment,
     TrialPlan,
@@ -129,19 +129,6 @@ def group_batch_stats() -> Dict[str, int]:
 def reset_group_batch_stats() -> None:
     for key in _GROUP_STATS:
         _GROUP_STATS[key] = 0
-
-
-def _fast_mod(values: np.ndarray, n: int) -> np.ndarray:
-    """``values % n``, as a mask when ``n`` is a power of two.
-
-    The per-block summary reduces ~1e5 addresses per table; for the
-    power-of-two table sizes every preset uses, the bitwise AND is
-    several times cheaper than the integer modulo and exact for the
-    non-negative addresses the generator produces.
-    """
-    if n & (n - 1) == 0:
-        return values & (n - 1)
-    return values % n
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +575,12 @@ class _SharedStructure:
         self.R2 = R2
         self.n_b = bimodal.n_entries
         self.n_g = gshare.n_entries
+        # Block-branch PHT indices go through the preset's index hash,
+        # which the summary kernel takes as an integer encoding.
+        self.hash_b = predictor.bimodal.index_hash
+        self.hash_g = predictor.gshare.index_hash
+        self.shift_b = kernel_shift(self.hash_b, self.n_b)
+        self.shift_g = kernel_shift(self.hash_g, self.n_g)
         self.ghr_len = predictor.ghr.length
         self.target = T
         self.tb = predictor.bimodal.index(T, 0, None)
@@ -608,8 +601,7 @@ class _SharedStructure:
         # only consumed by repetitions with an empty noise gap, which the
         # support predicate excludes, so a placeholder is exact here.
         static, outcomes, b_idx, g_idx, offsets, bulk = _closed_form(
-            self.plan, T, R, self.n_b, self.n_g,
-            int(predictor.ghr.value), 0, self.ghr_len,
+            self.plan, T, predictor, 0
         )
         self.outcomes = outcomes
         gaps = offsets[1:] - offsets[:-1]
@@ -633,7 +625,9 @@ class _SharedStructure:
             ) & self.tag_mask
         self.noise_tag = noise_tag
 
-        # Phase-2 node plans (one per PHT).
+        # Phase-2 node plans (one per PHT).  Noise hits index the
+        # bimodal PHT by plain modulo on every preset, exactly as
+        # apply_noise_draw does; only probe and block indices are hashed.
         noise_epoch = epoch_of if total else np.empty(0, dtype=np.int64)
         self.plan_b = _NodePlan(
             self.monoid,
@@ -692,9 +686,9 @@ class _SharedStructure:
         sh.update(
             str(
                 (
-                    self.n_b, self.tb, self.n_g, self.ghr_len,
-                    self.n_sel, self.tsel, self.n_sets, self.tset,
-                    int(self.tag_mask), self.plan_g.n_tracked,
+                    self.n_b, self.hash_b, self.tb, self.n_g, self.hash_g,
+                    self.ghr_len, self.n_sel, self.tsel, self.n_sets,
+                    self.tset, int(self.tag_mask), self.plan_g.n_tracked,
                     int(self.monoid.IDENTITY), self.block_branches,
                     kernels.active_backend(),
                 )
@@ -727,8 +721,10 @@ class _SharedStructure:
             self._oid,
             self.monoid.compose_table,
             self.n_b,
+            self.shift_b,
             self.tb,
             self.n_g,
+            self.shift_g,
             self.plan_g.pos_table,
             self.ghr_len,
             self.n_sel,
@@ -998,9 +994,12 @@ def manycore_supported(
     """Why the manycore closed-form engine is inexact for ``core``.
 
     Returns ``None`` when supported, else the fallback reason —
-    ``"mitigation"``, ``"index_hash"`` or ``"unshared_structure"``; the
-    conditions live in the shared predicate home,
-    :func:`repro.core.support.manycore_fallback_reason`.
+    ``"mitigation"`` or ``"unshared_structure"``; the conditions live in
+    the shared predicate home,
+    :func:`repro.core.support.manycore_fallback_reason`.  The preset's
+    index hash is not among them: the engine hashes probe and block
+    indices through :mod:`repro.bpu.hashes`, so every zoo preset runs
+    here.
     """
     return manycore_fallback_reason(core, gaps, instance_shared=True)
 
@@ -1085,12 +1084,10 @@ class ManycoreCampaignPool:
         _GROUP_STATS["campaigns"] += 1
         template = self.core_factory()
         reason = manycore_supported(template)
-        if reason in ("mitigation", "index_hash"):
+        if reason == "mitigation":
             # Mitigation index/observation hooks must run inside the
             # caller's closure (they may be stateful across the whole
-            # trial), and a non-modulo preset's probe arithmetic is not
-            # this engine's; delegate wholesale either way — the trial
-            # closure's compiler is hash-aware.
+            # trial); delegate wholesale.
             self._mode = "fn"
             self._fallback_reason = reason
             return

@@ -105,8 +105,7 @@ def scan_states(
         raise ValueError(
             "batch scan is not exact for this core "
             f"({batch_scan_fallback_reason(core)}: an installed mitigation's "
-            "noisy counters / stochastic FSM, or a non-modulo index hash); "
-            "use method='auto'"
+            "noisy counters / stochastic FSM); use method='auto'"
         )
     if method == "reference" or not supported:
         fallbacks = 0

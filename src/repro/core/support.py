@@ -6,30 +6,27 @@ backend) is an *exactness-gated* fast path: it runs only when it can be
 bit-identical to the scalar reference, and falls back otherwise.  The
 gating conditions used to live as near-duplicated predicates inside each
 engine (ROADMAP item 3's "scattered special-case predicates"); this
-module is now the single home for them, so a new disqualifier — like the
-zoo's non-modulo ``index_hash`` — is added exactly once and every engine
-picks it up.
+module is now the single home for them, so a new disqualifier is added
+exactly once and every engine picks it up.
 
-Three independent conditions, composed per engine:
+Two independent conditions, composed per engine:
 
 * **observation hooks** — a mitigation overriding ``perturb_counter``
   (noisy counters) or ``update_outcome`` (stochastic FSM) makes the
   probe observation stochastic; no batch engine can replay it.
-* **index hash** — the batch probe/assess inner loops compute PHT
-  indices with the Intel ``mixed % n`` formula inline; a preset using a
-  different :mod:`repro.bpu.hashes` entry (the Arm-flavoured ``"fold"``)
-  must take the scalar path, whose indices go through the predictor
-  objects.  (The block *compiler* is hash-aware, so scalar trials on
-  fold presets keep their vectorised block application.)
 * **timing / plan** — the batch assessor samples the timing model
   analytically; a custom :class:`~repro.cpu.timing.TimingModel` subclass
   with its own draw pattern needs a pre-drawn trial plan to stay
   RNG-exact.
 
-The reason strings (``"mitigation"``, ``"index_hash"``,
-``"custom_timing"``, ``"unshared_structure"``) feed
-``repro.obs.record_scalar_fallback`` so operators can see *why* an
-engine degraded, not just that it did.
+The preset's PHT index hash is *not* a condition: every engine computes
+probe/target and block-branch indices through :mod:`repro.bpu.hashes`
+(numpy engines via ``apply_hash``, compiled kernels via
+``kernel_shift``), so the zoo's ``"fold"`` presets run every fast path.
+
+The reason strings (``"mitigation"``, ``"custom_timing"``,
+``"unshared_structure"``) feed ``repro.obs.record_scalar_fallback`` so
+operators can see *why* an engine degraded, not just that it did.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from repro.mitigations.base import Mitigation
 __all__ = [
     "OBSERVATION_HOOKS",
     "observation_hooks_clean",
-    "index_hash_batchable",
     "batch_scan_supported",
     "batch_scan_fallback_reason",
     "batch_assess_supported",
@@ -68,33 +64,22 @@ def observation_hooks_clean(core: PhysicalCore) -> bool:
     return True
 
 
-def index_hash_batchable(core: PhysicalCore) -> bool:
-    """Both component predictors use the inline-replayable ``"mod"`` hash."""
-    predictor = core.predictor
-    return (
-        predictor.bimodal.index_hash == "mod"
-        and predictor.gshare.index_hash == "mod"
-    )
-
-
 def batch_scan_supported(core: PhysicalCore) -> bool:
     """Whether the batch probe engine is exact for this core.
 
     True iff no installed mitigation overrides a hook that perturbs the
     probe *observation* (counter noise) or the training outcome
-    (stochastic FSM), and the preset's index hash is the modulo the
-    engine replays inline.  Index/suppression mitigation hooks are
-    handled exactly by the engine's pre-pass and do not disqualify.
+    (stochastic FSM).  Index/suppression mitigation hooks are handled
+    exactly by the engine's pre-pass and do not disqualify, and neither
+    does any registered index hash.
     """
-    return observation_hooks_clean(core) and index_hash_batchable(core)
+    return observation_hooks_clean(core)
 
 
 def batch_scan_fallback_reason(core: PhysicalCore) -> Optional[str]:
     """Why the batch probe engine would fall back (``None`` = it won't)."""
     if not observation_hooks_clean(core):
         return "mitigation"
-    if not index_hash_batchable(core):
-        return "index_hash"
     return None
 
 
@@ -146,9 +131,6 @@ def manycore_fallback_reason(
     * ``"mitigation"`` — any installed mitigation (index hooks would
       have to run per branch per instance; observation hooks fail
       :func:`observation_hooks_clean` as in the per-trial engines);
-    * ``"index_hash"`` — a non-modulo preset: the engine's probe and
-      noise index arithmetic is the Intel modulo, so zoo presets like
-      ``oryon_like`` delegate to the (hash-aware) trial closure;
     * ``"unshared_structure"`` — the two PHTs do not share one FSM
       (``instance_shared=True`` demands one shared *instance*, the
       shared-structure premise; ``False`` relaxes to spec equality, the
@@ -158,8 +140,6 @@ def manycore_fallback_reason(
     """
     if len(core.mitigations) > 0 or not observation_hooks_clean(core):
         return "mitigation"
-    if not index_hash_batchable(core):
-        return "index_hash"
     bimodal_fsm = core.predictor.bimodal.pht.fsm
     gshare_fsm = core.predictor.gshare.pht.fsm
     if instance_shared:

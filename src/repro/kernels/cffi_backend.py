@@ -40,8 +40,9 @@ int64_t repro_reduce_ids(const int64_t *ids, int64_t n,
 void repro_summarize_block(const int64_t *addresses,
                            const uint8_t *outcomes, int64_t n,
                            const int64_t *oid, const int64_t *ct,
-                           int64_t size, int64_t n_b, int64_t tb,
-                           int64_t n_g, const int64_t *pos_table,
+                           int64_t size, int64_t n_b, int64_t shift_b,
+                           int64_t tb, int64_t n_g, int64_t shift_g,
+                           const int64_t *pos_table,
                            int64_t ghr_mask, int64_t n_sel,
                            int64_t tsel, int64_t n_sets, int64_t tset,
                            int64_t tag_mask, int64_t identity,
@@ -99,6 +100,15 @@ static inline int64_t repro_mod(int64_t a, int64_t n)
     return a % n;
 }
 
+/* PHT index under a kernel hash encoding: XOR-fold by s first when
+ * s > 0 (repro.bpu.hashes.kernel_shift; 0 is plain modulo). */
+static inline int64_t repro_index(int64_t a, int64_t n, int64_t s)
+{
+    if (s > 0)
+        a ^= a >> s;
+    return repro_mod(a, n);
+}
+
 /* Circular-XOR fold of a (pre-masked) history value down to the
  * table's index width w = floor(log2(n_g)) — identity whenever the
  * history already fits in w bits (the loop then runs once). */
@@ -113,15 +123,18 @@ static inline int64_t repro_fold_hist(int64_t h, int64_t w,
     return f;
 }
 
-void repro_summarize_block(const int64_t *addresses,
-                           const uint8_t *outcomes, int64_t n,
-                           const int64_t *oid, const int64_t *ct,
-                           int64_t size, int64_t n_b, int64_t tb,
-                           int64_t n_g, const int64_t *pos_table,
-                           int64_t ghr_mask, int64_t n_sel,
-                           int64_t tsel, int64_t n_sets, int64_t tset,
-                           int64_t tag_mask, int64_t identity,
-                           int64_t *g_acc, int64_t *scalars)
+/* The summary loop, specialised by the caller on the hash shifts:
+ * always inlined, so the all-modulo call compiles to the plain modulo
+ * loop and the hash branch is taken once per block, not per branch. */
+static inline __attribute__((always_inline)) void
+repro_summarize_loop(const int64_t *addresses, const uint8_t *outcomes,
+                     int64_t n, const int64_t *oid, const int64_t *ct,
+                     int64_t size, int64_t n_b, int64_t shift_b,
+                     int64_t tb, int64_t n_g, int64_t shift_g,
+                     const int64_t *pos_table, int64_t ghr_mask,
+                     int64_t n_sel, int64_t tsel, int64_t n_sets,
+                     int64_t tset, int64_t tag_mask, int64_t identity,
+                     int64_t *g_acc, int64_t *scalars)
 {
     int64_t bim = identity, ghr = 0, touched = 0, block_tag = -1;
     int64_t fold_w = 0, ng_bits = n_g;
@@ -132,10 +145,10 @@ void repro_summarize_block(const int64_t *addresses,
     for (int64_t i = 0; i < n; i++) {
         int64_t a = addresses[i];
         int64_t o = oid[outcomes[i]];
-        if (repro_mod(a, n_b) == tb)
+        if (repro_index(a, n_b, shift_b) == tb)
             bim = ct[bim * size + o];
         int64_t folded = repro_fold_hist(ghr, fold_w, fold_mask);
-        int64_t p = pos_table[repro_mod(a ^ folded, n_g)];
+        int64_t p = pos_table[repro_index(a ^ folded, n_g, shift_g)];
         if (p >= 0)
             g_acc[p] = ct[g_acc[p] * size + o];
         ghr = ((ghr << 1) | (int64_t)outcomes[i]) & ghr_mask;
@@ -147,6 +160,29 @@ void repro_summarize_block(const int64_t *addresses,
     scalars[0] = bim;
     scalars[1] = touched;
     scalars[2] = block_tag;
+}
+
+void repro_summarize_block(const int64_t *addresses,
+                           const uint8_t *outcomes, int64_t n,
+                           const int64_t *oid, const int64_t *ct,
+                           int64_t size, int64_t n_b, int64_t shift_b,
+                           int64_t tb, int64_t n_g, int64_t shift_g,
+                           const int64_t *pos_table,
+                           int64_t ghr_mask, int64_t n_sel,
+                           int64_t tsel, int64_t n_sets, int64_t tset,
+                           int64_t tag_mask, int64_t identity,
+                           int64_t *g_acc, int64_t *scalars)
+{
+    if (shift_b == 0 && shift_g == 0)
+        repro_summarize_loop(addresses, outcomes, n, oid, ct, size, n_b,
+                             0, tb, n_g, 0, pos_table, ghr_mask, n_sel,
+                             tsel, n_sets, tset, tag_mask, identity,
+                             g_acc, scalars);
+    else
+        repro_summarize_loop(addresses, outcomes, n, oid, ct, size, n_b,
+                             shift_b, tb, n_g, shift_g, pos_table,
+                             ghr_mask, n_sel, tsel, n_sets, tset,
+                             tag_mask, identity, g_acc, scalars);
 }
 
 void repro_read_levels_ids(const int64_t *lift0, int64_t chunk,
@@ -316,9 +352,9 @@ def reduce_ids(ids, compose_table, identity=0):
 
 
 def summarize_block(
-    addresses, outcomes, outcome_ids, compose_table, n_b, tb, n_g,
-    pos_table, ghr_len, n_sel, tsel, n_sets, tset, tag_mask, n_tracked,
-    identity=0,
+    addresses, outcomes, outcome_ids, compose_table, n_b, shift_b, tb,
+    n_g, shift_g, pos_table, ghr_len, n_sel, tsel, n_sets, tset,
+    tag_mask, n_tracked, identity=0,
 ):
     addresses = _i64(addresses)
     outcomes_u8 = _u8(outcomes)
@@ -329,7 +365,8 @@ def summarize_block(
     scalars = np.empty(3, dtype=np.int64)
     _lib.repro_summarize_block(
         _p(addresses), _pu8(outcomes_u8), len(addresses), _p(oid),
-        _p(ct), ct.shape[1], int(n_b), int(tb), int(n_g), _p(pos_table),
+        _p(ct), ct.shape[1], int(n_b), int(shift_b), int(tb), int(n_g),
+        int(shift_g), _p(pos_table),
         (1 << int(ghr_len)) - 1, int(n_sel), int(tsel), int(n_sets),
         int(tset), int(tag_mask), int(identity), _p(g_acc), _p(scalars),
     )

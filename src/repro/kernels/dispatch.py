@@ -197,7 +197,7 @@ def warmup() -> str:
         np.array([8, 9], dtype=np.int64),
         np.array([True, False]),
         np.array([0, 1], dtype=np.int64),
-        ct, 2, 0, 2, np.array([0, -1], dtype=np.int64), 1,
+        ct, 2, 1, 0, 2, 1, np.array([0, -1], dtype=np.int64), 1,
         2, 0, 2, 0, 3, 1, 0,
     )
     nodes = np.array([0], dtype=np.int64)
@@ -242,15 +242,19 @@ def reduce_ids(ids, compose_table, identity=0):
 
 
 def summarize_block(
-    addresses, outcomes, outcome_ids, compose_table, n_b, tb, n_g,
-    pos_table, ghr_len, n_sel, tsel, n_sets, tset, tag_mask, n_tracked,
-    identity=0,
+    addresses, outcomes, outcome_ids, compose_table, n_b, shift_b, tb,
+    n_g, shift_g, pos_table, ghr_len, n_sel, tsel, n_sets, tset,
+    tag_mask, n_tracked, identity=0,
 ):
-    """Fused per-block campaign summary (GHR walk + both PHT folds)."""
+    """Fused per-block campaign summary (GHR walk + both PHT folds).
+
+    ``shift_b``/``shift_g`` are the two PHTs' index hashes as
+    :func:`repro.bpu.hashes.kernel_shift` encodes them.
+    """
     return _dispatch().summarize_block(
-        addresses, outcomes, outcome_ids, compose_table, n_b, tb, n_g,
-        pos_table, ghr_len, n_sel, tsel, n_sets, tset, tag_mask,
-        n_tracked, identity,
+        addresses, outcomes, outcome_ids, compose_table, n_b, shift_b, tb,
+        n_g, shift_g, pos_table, ghr_len, n_sel, tsel, n_sets, tset,
+        tag_mask, n_tracked, identity,
     )
 
 

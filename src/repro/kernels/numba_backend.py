@@ -37,9 +37,9 @@ def _build():
 
     @njit(cache=True)
     def _summarize_block(
-        addresses, outcomes, oid, ct, size, n_b, tb, n_g, pos_table,
-        ghr_mask, fold_w, fold_mask, n_sel, tsel, n_sets, tset,
-        tag_mask, identity, g_acc,
+        addresses, outcomes, oid, ct, size, n_b, shift_b, tb, n_g,
+        shift_g, pos_table, ghr_mask, fold_w, fold_mask, n_sel, tsel,
+        n_sets, tset, tag_mask, identity, g_acc,
     ):
         bim = identity
         ghr = np.int64(0)
@@ -48,7 +48,11 @@ def _build():
         for i in range(len(addresses)):
             a = addresses[i]
             o = oid[outcomes[i]]
-            if a % n_b == tb:
+            # Index hashes arrive as XOR-fold shifts (0 = plain modulo).
+            ab = a
+            if shift_b > 0:
+                ab = a ^ (a >> shift_b)
+            if ab % n_b == tb:
                 bim = ct[bim * size + o]
             # Fold the (masked) history down to index width before the
             # XOR — identity when the history already fits.
@@ -57,7 +61,10 @@ def _build():
             while h != 0:
                 folded ^= h & fold_mask
                 h >>= fold_w
-            p = pos_table[(a ^ folded) % n_g]
+            ag = a ^ folded
+            if shift_g > 0:
+                ag = ag ^ (ag >> shift_g)
+            p = pos_table[ag % n_g]
             if p >= 0:
                 g_acc[p] = ct[g_acc[p] * size + o]
             ghr = ((ghr << 1) | np.int64(outcomes[i])) & ghr_mask
@@ -153,16 +160,17 @@ def reduce_ids(ids, compose_table, identity=0):
 
 
 def summarize_block(
-    addresses, outcomes, outcome_ids, compose_table, n_b, tb, n_g,
-    pos_table, ghr_len, n_sel, tsel, n_sets, tset, tag_mask, n_tracked,
-    identity=0,
+    addresses, outcomes, outcome_ids, compose_table, n_b, shift_b, tb,
+    n_g, shift_g, pos_table, ghr_len, n_sel, tsel, n_sets, tset,
+    tag_mask, n_tracked, identity=0,
 ):
     ct = _i64(compose_table)
     g_acc = np.full(int(n_tracked), identity, dtype=np.int64)
     fold_w = max(1, int(n_g).bit_length() - 1)
     bim, touched, block_tag = _compiled["summarize_block"](
         _i64(addresses), _b(outcomes), _i64(outcome_ids), ct.ravel(),
-        ct.shape[1], np.int64(n_b), np.int64(tb), np.int64(n_g),
+        ct.shape[1], np.int64(n_b), np.int64(shift_b), np.int64(tb),
+        np.int64(n_g), np.int64(shift_g),
         _i64(pos_table), np.int64((1 << int(ghr_len)) - 1),
         np.int64(fold_w), np.int64((1 << fold_w) - 1),
         np.int64(n_sel), np.int64(tsel), np.int64(n_sets),

@@ -123,14 +123,25 @@ def _fast_mod(values: np.ndarray, n: int) -> np.ndarray:
     return values % n
 
 
+def _hashed(values: np.ndarray, n: int, shift: int) -> np.ndarray:
+    """PHT index under a kernel hash encoding
+    (:func:`repro.bpu.hashes.kernel_shift`): XOR-fold by ``shift`` when
+    it is non-zero, then the modulo."""
+    if shift:
+        values = values ^ (values >> shift)
+    return _fast_mod(values, n)
+
+
 def summarize_block(
     addresses: np.ndarray,
     outcomes: np.ndarray,
     outcome_ids: np.ndarray,
     compose_table: np.ndarray,
     n_b: int,
+    shift_b: int,
     tb: int,
     n_g: int,
+    shift_g: int,
     pos_table: np.ndarray,
     ghr_len: int,
     n_sel: int,
@@ -147,15 +158,18 @@ def summarize_block(
     bimodal entry's fold id, the fold id per tracked gshare entry,
     whether the block touches the target's selector entry, and the last
     identification tag written to the target's BIT set (-1 if none).
+    ``shift_b``/``shift_g`` encode each PHT's index hash
+    (:func:`repro.bpu.hashes.kernel_shift`); selector and BIT indices
+    are plain modulo.
     """
     outcomes = np.asarray(outcomes)
     step_ids = outcome_ids[outcomes.astype(np.int64)]
 
-    on_target = _fast_mod(addresses, n_b) == tb
+    on_target = _hashed(addresses, n_b, shift_b) == tb
     bim_id = reduce_ids(step_ids[on_target], compose_table, identity)
 
     trajectory = fold_history(_ghr_trajectory(outcomes, ghr_len), ghr_len, n_g)
-    g_indices = _fast_mod(addresses ^ trajectory, n_g).astype(np.int64)
+    g_indices = _hashed(addresses ^ trajectory, n_g, shift_g).astype(np.int64)
     pos = pos_table[g_indices]
     g_ids = fold_ids(pos, step_ids, compose_table, n_tracked, identity)
 

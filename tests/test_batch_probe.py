@@ -4,7 +4,8 @@ Two invariants are pinned here:
 
 * the vectorised batch scan (:mod:`repro.core.batch_probe`) returns
   exactly the state vector of the scalar probe/restore loop, on every
-  preset and under every fast-path-safe mitigation;
+  preset (the fold-hash ``oryon_like`` included) and under every
+  fast-path-safe mitigation;
 * delta (journal-replay) restores leave state identical to the seed's
   full-copy restores, including around external bulk writes, stale
   marks, journal overflow and cross-core snapshots.
@@ -13,9 +14,10 @@ Two invariants are pinned here:
 import numpy as np
 import pytest
 
-from repro.bpu.presets import haswell, sandy_bridge, skylake
-from repro.core.batch_probe import batch_scan_supported
+from repro.bpu.presets import haswell, oryon_like, sandy_bridge, skylake
+from repro.core.batch_probe import batch_probe_signatures, batch_scan_supported
 from repro.core.pht_map import scan_states, scan_states_reference
+from repro.core.prime_probe import probe_pair
 from repro.core.randomizer import RandomizationBlock
 from repro.cpu.core import PhysicalCore
 from repro.cpu.counters import CounterKind
@@ -28,12 +30,14 @@ from repro.mitigations import (
     StaticPredictionForSensitiveBranches,
     StochasticFSM,
 )
+from repro.resilience.checkpoint import rng_state_digest
 from repro.system.noise import inject_noise
 
 PRESETS = {
     "skylake": skylake,
     "haswell": haswell,
     "sandy_bridge": sandy_bridge,
+    "oryon_like": oryon_like,
 }
 
 SCAN_BASE = 0x4000
@@ -182,6 +186,46 @@ class TestBatchEqualsScalar:
         )
         with pytest.raises(ValueError):
             scan_states(core, spy, [SCAN_BASE], compiled, method="fast")
+
+
+class TestFoldPresetSignatures:
+    """``oryon_like`` (fold index hash): the raw per-execution hit flags
+    of :func:`batch_probe_signatures` equal scalar ``probe_pair`` runs
+    against the restored prepared state, and the batch call leaves the
+    core RNG where it found it."""
+
+    @pytest.mark.parametrize(
+        "mitigation_name", ["none", "partitioning", "pht_randomization"]
+    )
+    def test_signatures_match_scalar_probes(self, mitigation_name):
+        addresses = list(range(SCAN_BASE, SCAN_BASE + SCAN_LEN, 3))
+        prepared = []
+        for _ in range(2):
+            core = make_core("oryon_like")
+            spy = Process("spy")
+            install(core, spy, mitigation_name)
+            block = RandomizationBlock.generate(5, n_branches=3000)
+            block.compile(core, spy).apply(core, spy)
+            for address in addresses[::5]:
+                core.execute_branch(spy, address, True)
+            prepared.append((core, spy))
+
+        core, spy = prepared[0]
+        digest = rng_state_digest(core.rng)
+        batch = batch_probe_signatures(core, spy, addresses)
+        assert rng_state_digest(core.rng) == digest
+
+        core, spy = prepared[1]
+        mark = core.checkpoint()
+        scalar = [[], [], [], []]
+        for address in addresses:
+            for variant, outcome in ((0, True), (2, False)):
+                probe = probe_pair(core, spy, address, (outcome, outcome))
+                core.restore(mark)
+                scalar[variant].append(probe.first_hit)
+                scalar[variant + 1].append(probe.second_hit)
+        for got, expected in zip(batch, scalar):
+            assert got.tolist() == expected
 
 
 class TestFallback:

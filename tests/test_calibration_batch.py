@@ -6,7 +6,8 @@ Three invariants are pinned here:
   signature (``repetitions=``/``noise=``) is a bit-exact drop-in for
   :func:`assess_block`: same :class:`BlockAssessment`, same post-call
   core state, same RNG stream position, same mitigation hook state —
-  on every preset and under every fast-path-safe mitigation stack;
+  on every preset (the fold-hash ``oryon_like`` included) and under
+  every fast-path-safe mitigation stack;
 * **plan mode** — both engines produce identical assessments from the
   same pre-drawn :class:`TrialPlan`, and the batch engine leaves the
   core untouched (checkpoint-equal before/after);
@@ -17,7 +18,7 @@ Three invariants are pinned here:
 import numpy as np
 import pytest
 
-from repro.bpu.presets import haswell, sandy_bridge, skylake
+from repro.bpu.presets import haswell, oryon_like, sandy_bridge, skylake
 from repro.core.calibration import (
     assess_block,
     assess_block_batch,
@@ -39,13 +40,16 @@ from repro.mitigations import (
     StaticPredictionForSensitiveBranches,
     StochasticFSM,
 )
+from repro.obs import trace as obs
 from repro.parallel import fork_available
+from repro.resilience.checkpoint import rng_state_digest
 from repro.system.noise import NoiseModel
 
 PRESETS = {
     "skylake": skylake,
     "haswell": haswell,
     "sandy_bridge": sandy_bridge,
+    "oryon_like": oryon_like,
 }
 
 TARGET = 0x7F0000001234
@@ -120,7 +124,9 @@ class TestReplayDifferential:
     @pytest.mark.parametrize("stack_name", sorted(STACKS))
     def test_batch_is_bit_exact_drop_in(self, preset_name, stack_name):
         scalar = run_replay(assess_block, preset_name, stack_name)
+        obs.reset_scalar_fallbacks()
         batch = run_replay(assess_block_batch, preset_name, stack_name)
+        assert "calibration_batch" not in obs.scalar_fallback_counts()
         assert batch[0] == scalar[0]  # assessment
         assert eq(batch[1], scalar[1])  # full core state
         assert batch[2] == scalar[2]  # core RNG stream position
@@ -182,12 +188,16 @@ class TestPlanDifferential:
 
         core2, spy2, compiled2 = build(preset_name, "none", seed=11)
         before = core2.checkpoint(full=True)
+        digest = rng_state_digest(core2.rng)
         plan2 = draw_trial_plan(
             np.random.default_rng(42), core2, repetitions=30, noise=noise
         )
+        obs.reset_scalar_fallbacks()
         batch = assess_block_batch(core2, spy2, compiled2, TARGET, plan=plan2)
         after = core2.checkpoint(full=True)
 
+        assert "calibration_batch" not in obs.scalar_fallback_counts()
+        assert rng_state_digest(core2.rng) == digest
         assert batch == scalar
         # Plan-mode batch assessment is a pure function: the core is
         # left exactly as found.

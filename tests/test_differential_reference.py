@@ -7,15 +7,21 @@ hypothesis test drives both implementations with the same random branch
 sequences, asserting identical predictions and identical observable
 state at every step.  Any divergence between the clever and the obvious
 implementation is a bug in one of them.
+
+The reference spells out the zoo's model extensions too — the XOR-fold
+index hash, folded long history and each preset's FSM — without
+importing :mod:`repro.bpu.hashes`, and the suite runs on all six
+presets, so a bug shared by the production hash helpers and every fast
+engine built on them cannot pass unnoticed.
 """
 
-from typing import Dict, Optional
+from typing import Dict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bpu import haswell, skylake
 from repro.bpu.fsm import FSMSpec
+from repro.bpu.presets import PRESETS
 
 
 class ReferenceHybrid:
@@ -48,12 +54,22 @@ class ReferenceHybrid:
     def _bit_tag_bits(self) -> int:
         return 12  # BranchIdentificationTable default
 
+    def _index(self, mixed: int, n_entries: int) -> int:
+        """PHT index of a mixed address under the preset's hash, spelled
+        out: ``"mod"`` is ``x % n``; ``"fold"`` XORs in the next
+        ``floor(log2 n)`` bits first, ``(x ^ (x >> floor(log2 n))) % n``."""
+        if self.config.index_hash == "mod":
+            return mixed % n_entries
+        assert self.config.index_hash == "fold", self.config.index_hash
+        shift = n_entries.bit_length() - 1  # floor(log2 n)
+        return (mixed ^ (mixed >> shift)) % n_entries
+
     # -- the architecture, spelled out ----------------------------------------
 
     def execute(self, address: int, taken: bool) -> bool:
         """Execute one branch; returns the final predicted direction."""
         config = self.config
-        bimodal_index = address % config.bimodal_entries
+        bimodal_index = self._index(address, config.bimodal_entries)
         # Fold a long history to index width, spelled out independently
         # of repro.bpu.hashes.fold_history: XOR of index-width chunks.
         width = max(1, config.gshare_entries.bit_length() - 1)
@@ -61,7 +77,7 @@ class ReferenceHybrid:
         while remaining:
             folded ^= remaining & ((1 << width) - 1)
             remaining >>= width
-        gshare_index = (address ^ folded) % config.gshare_entries
+        gshare_index = self._index(address ^ folded, config.gshare_entries)
         selector_index = address % config.selector_entries
         bit_set = address % config.bit_sets
         bit_tag = (address // config.bit_sets) & (
@@ -127,7 +143,9 @@ def branch_sequences(draw):
     return [(addresses[i], taken) for i, taken in ops]
 
 
-@pytest.mark.parametrize("preset", [haswell, skylake])
+@pytest.mark.parametrize(
+    "preset", list(PRESETS.values()), ids=list(PRESETS)
+)
 class TestDifferential:
     @given(sequence=branch_sequences())
     @settings(max_examples=60, deadline=None)

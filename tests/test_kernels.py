@@ -1,11 +1,15 @@
 """Kernel backends and heterogeneous-group batching: differential suite.
 
-Two contracts are pinned here:
+Three contracts are pinned here:
 
 * **Backend bit-identity** — every available kernel backend (numpy,
   numba, cffi) returns bit-identical results for every op, on every
   shipped preset, and no op moves any RNG stream, so assessments *and*
   stream-position digests are backend-independent.
+* **Hash conformance** — for every registered index hash, every
+  backend's block summary equals a naive per-branch loop over
+  :func:`repro.bpu.hashes.apply_hash`, and a hash without a kernel
+  encoding fails loudly instead of being replayed as a modulo.
 * **Grouped == per-trial** — a mixed-structure campaign routed through
   the heterogeneous-group dispatcher equals the per-trial process
   reference payload for payload, including under checkpoint
@@ -18,7 +22,13 @@ import numpy as np
 import pytest
 
 from repro import kernels
-from repro.bpu.presets import haswell, sandy_bridge, skylake
+from repro.bpu.hashes import (
+    INDEX_HASHES,
+    apply_hash,
+    fold_history,
+    kernel_shift,
+)
+from repro.bpu.presets import haswell, oryon_like, sandy_bridge, skylake
 from repro.core.calibration import (
     assess_block_batch,
     stability_experiment,
@@ -42,7 +52,7 @@ from repro.system.noise import NoiseModel
 
 TARGET = 0x30_0006D
 
-ALL_PRESETS = [skylake, haswell, sandy_bridge]
+ALL_PRESETS = [skylake, haswell, sandy_bridge, oryon_like]
 
 #: Backends that can load in this interpreter; numpy is always first.
 BACKENDS = kernels.available_backends()
@@ -159,6 +169,103 @@ class TestOpDifferential:
                 assert bool(got[2]) == bool(ref[2])
                 assert int(got[3]) == int(ref[3])
             assert np.array_equal(reads, ref_reads)
+
+
+def _naive_summary(
+    hash_name, addresses, outcomes, oid, ct, n_b, tb, n_g, pos_table,
+    ghr_len, n_sel, tsel, n_sets, tset, tag_mask, n_tracked, identity,
+):
+    """The block summary one branch at a time, indices via apply_hash."""
+    bim = identity
+    g_acc = [identity] * n_tracked
+    ghr, touched, block_tag = 0, False, -1
+    for a, taken in zip(addresses.tolist(), outcomes.tolist()):
+        o = int(oid[int(taken)])
+        if apply_hash(hash_name, a, n_b) == tb:
+            bim = int(ct[bim, o])
+        folded = fold_history(ghr, ghr_len, n_g)
+        p = int(pos_table[apply_hash(hash_name, a ^ folded, n_g)])
+        if p >= 0:
+            g_acc[p] = int(ct[g_acc[p], o])
+        ghr = ((ghr << 1) | int(taken)) & ((1 << ghr_len) - 1)
+        if a % n_sel == tsel:
+            touched = True
+        if a % n_sets == tset:
+            block_tag = (a // n_sets) & tag_mask
+    return bim, g_acc, touched, block_tag
+
+
+class TestHashConformance:
+    """Kernel hash encodings == :func:`apply_hash`, on every backend."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("hash_name", sorted(INDEX_HASHES))
+    @pytest.mark.parametrize(
+        "n_b,n_g", [(1024, 512), (1000, 768)], ids=["pow2", "non_pow2"]
+    )
+    def test_summarize_matches_naive_loop(self, backend, hash_name, n_b, n_g):
+        monoid = skylake().fsm.transition_monoid()
+        ct = monoid.compose_table
+        oid = monoid.outcome_ids.astype(np.int64)
+        block = RandomizationBlock.generate(17, n_branches=3000)
+        rng = np.random.default_rng(5)
+        tracked = rng.choice(n_g, size=40, replace=False)
+        pos_table = np.full(n_g, -1, dtype=np.int64)
+        pos_table[tracked] = np.arange(len(tracked))
+        # A target entry the block actually hits under this hash.
+        tb = int(apply_hash(hash_name, int(block.addresses[123]), n_b))
+        n_sel, n_sets, tag_mask, ghr_len = 256, 128, 4095, 14
+        tsel = int(block.addresses[7]) % n_sel
+        tset = int(block.addresses[9]) % n_sets
+        expected = _naive_summary(
+            hash_name, block.addresses, block.outcomes, oid, ct, n_b, tb,
+            n_g, pos_table, ghr_len, n_sel, tsel, n_sets, tset, tag_mask,
+            len(tracked), monoid.IDENTITY,
+        )
+        assert kernels.set_backend(backend) == backend
+        bim, g_ids, touched, block_tag = kernels.summarize_block(
+            block.addresses, block.outcomes, oid, ct,
+            n_b, kernel_shift(hash_name, n_b), tb,
+            n_g, kernel_shift(hash_name, n_g), pos_table, ghr_len,
+            n_sel, tsel, n_sets, tset, tag_mask, len(tracked),
+            monoid.IDENTITY,
+        )
+        assert int(bim) == expected[0]
+        assert [int(v) for v in g_ids] == expected[1]
+        assert bool(touched) == expected[2]
+        assert int(block_tag) == expected[3]
+        # The fixture exercises the fold: some tracked entry and the
+        # target entry both see branches.
+        assert expected[0] != monoid.IDENTITY
+        assert any(v != monoid.IDENTITY for v in expected[1])
+
+    @pytest.mark.parametrize("n_entries", [512, 1000, 8192])
+    def test_every_registered_hash_has_a_kernel_encoding(self, n_entries):
+        mixed = np.random.default_rng(1).integers(0, 1 << 40, size=4096)
+        for name in INDEX_HASHES:
+            shift = kernel_shift(name, n_entries)
+            encoded = mixed ^ (mixed >> shift) if shift > 0 else mixed
+            assert np.array_equal(
+                encoded % n_entries, apply_hash(name, mixed, n_entries)
+            ), name
+
+    def test_unencoded_hash_fails_loudly(self, monkeypatch):
+        monkeypatch.setitem(
+            INDEX_HASHES, "xor3", lambda mixed, n: (mixed ^ (mixed >> 3)) % n
+        )
+        with pytest.raises(NotImplementedError, match="xor3"):
+            kernel_shift("xor3", 64)
+        # The manycore engine refuses the preset rather than silently
+        # summarising its blocks with a modulo.
+        config = dataclasses.replace(skylake().scaled(16), index_hash="xor3")
+        pool = ManycoreCampaignPool(
+            lambda: PhysicalCore(config, seed=7),
+            TARGET,
+            block_branches=500,
+            repetitions=4,
+        )
+        with pytest.raises(NotImplementedError, match="xor3"):
+            pool.map(lambda seed: None, [0])
 
 
 class TestEndToEndDifferential:

@@ -6,6 +6,8 @@ RNG positions) that the per-trial path produces, across presets, noise
 models, checkpoint interruptions, and every fallback branch.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,10 @@ from repro.core.calibration import (
 from repro.core.manycore import (
     ManycoreCampaignPool,
     ManycoreState,
+    _SharedStructure,
+    group_batch_stats,
     manycore_supported,
+    reset_group_batch_stats,
 )
 from repro.core.randomizer import RandomizationBlock
 from repro.cpu.core import PhysicalCore
@@ -40,6 +45,10 @@ from repro.resilience.checkpoint import rng_state_digest
 from repro.system.noise import NoiseModel
 
 TARGET = 0x30_0006D
+#: A target the ``oryon_like`` fold hash moves at scale 16 (512-entry
+#: tables, fold shift 9): ``(T >> 9) % 512 == 5``, so its probe indices
+#: differ from the modulo ones.  ``TARGET``'s are equal (``== 0``).
+FOLD_TARGET = 0x30_0A6D
 
 ALL_PRESETS = [
     skylake,
@@ -68,6 +77,8 @@ class TestDifferential:
 
     @pytest.mark.parametrize("preset", ALL_PRESETS)
     def test_all_presets(self, preset):
+        """Against the scalar engine, and with no engine falling back on
+        any preset — the fold-hash ``oryon_like`` included."""
         factory = small_factory(preset)
         kwargs = dict(
             n_blocks=10,
@@ -76,12 +87,51 @@ class TestDifferential:
             noise=NoiseModel.isolated(),
         )
         reference = stability_experiment(
-            factory, TARGET, backend="process", **kwargs
+            factory, FOLD_TARGET, backend="process", fast=False, **kwargs
         )
+        batch = stability_experiment(
+            factory, FOLD_TARGET, backend="process", **kwargs
+        )
+        reset_group_batch_stats()
         manycore = stability_experiment(
-            factory, TARGET, backend="manycore", **kwargs
+            factory, FOLD_TARGET, backend="manycore", **kwargs
         )
+        assert batch == reference
         assert manycore == reference
+        assert obs.scalar_fallback_counts() == {}
+        assert group_batch_stats()["shared"] == 10
+
+    def test_fold_preset_grouped_mode(self):
+        """A mixed-seed ``oryon_like`` factory runs grouped (seeds 7 and
+        3 form multi-member groups, 9 is a singleton) and equals the
+        scalar engine."""
+        config = oryon_like().scaled(16)
+        n = config.bimodal_entries
+        assert (FOLD_TARGET ^ (FOLD_TARGET >> 9)) % n != FOLD_TARGET % n
+
+        def make_factory():
+            seeds = iter([7, 3, 7, 3, 7, 9])
+            return lambda: PhysicalCore(config, seed=next(seeds))
+
+        kwargs = dict(
+            n_blocks=6,
+            block_branches=2000,
+            repetitions=8,
+            noise=NoiseModel.isolated(),
+            seed_start=20,
+        )
+        reference = stability_experiment(
+            make_factory(), FOLD_TARGET, backend="process", fast=False,
+            **kwargs,
+        )
+        reset_group_batch_stats()
+        grouped = stability_experiment(
+            make_factory(), FOLD_TARGET, backend="manycore", **kwargs
+        )
+        assert grouped == reference
+        assert obs.scalar_fallback_counts() == {"manycore": 1}
+        stats = group_batch_stats()
+        assert (stats["grouped"], stats["singleton_groups"]) == (5, 1)
 
     def test_untouched_selector_path(self):
         """Blocks too small to touch the target's chooser entry exercise
@@ -149,17 +199,20 @@ class TestRNGDiscipline:
     def test_shared_plan_digest_matches_scalar_stream(self):
         """Every scalar trial leaves its factory core's RNG at the same
         position; the pool's shared draw must land exactly there."""
-        factory = small_factory(skylake)
-        pool = ManycoreCampaignPool(
-            factory,
-            TARGET,
-            block_branches=2000,
-            repetitions=12,
-            noise=NoiseModel.isolated(),
-        )
-        core = factory()
-        draw_trial_plan(core.rng, core, repetitions=12, noise=NoiseModel.isolated())
-        assert pool.rng_digest == rng_state_digest(core.rng)
+        for preset in (skylake, oryon_like):
+            factory = small_factory(preset)
+            pool = ManycoreCampaignPool(
+                factory,
+                TARGET,
+                block_branches=2000,
+                repetitions=12,
+                noise=NoiseModel.isolated(),
+            )
+            core = factory()
+            draw_trial_plan(
+                core.rng, core, repetitions=12, noise=NoiseModel.isolated()
+            )
+            assert pool.rng_digest == rng_state_digest(core.rng)
 
     def test_nondeterministic_factory_groups_per_payload(self):
         """Distinct-seed cores form singleton groups: the pool replays
@@ -262,6 +315,33 @@ class TestFallbacks:
         )
         core.mitigations.install(StochasticFSM())
         assert manycore_supported(core) == "mitigation"
+
+
+class TestSummaryDigest:
+    def test_index_hash_keys_persisted_summaries(self):
+        """Persisted block summaries are keyed by ``summary_digest``.
+        Two geometries that differ only in ``index_hash`` summarise the
+        same block differently, so they must not share a key — even at
+        a target below the table size, where both hashes agree on every
+        probe index and hence on the target and tracked entries."""
+        target = 0x6D
+        structures = {}
+        for index_hash in ("mod", "fold"):
+            config = dataclasses.replace(
+                oryon_like().scaled(16), index_hash=index_hash
+            )
+            core = PhysicalCore(config, seed=7)
+            plan = draw_trial_plan(
+                core.rng, core, repetitions=6, noise=NoiseModel.isolated()
+            )
+            structures[index_hash] = _SharedStructure(
+                core, target, plan, rng_state_digest(core.rng), 2000
+            )
+        mod, fold = structures["mod"], structures["fold"]
+        assert mod.tb == fold.tb
+        assert np.array_equal(mod.plan_g.pos_table, fold.plan_g.pos_table)
+        assert mod.summarize(3)[1].tolist() != fold.summarize(3)[1].tolist()
+        assert mod.summary_digest != fold.summary_digest
 
 
 class TestCheckpointing:

@@ -1,10 +1,11 @@
 """Shared engine-support predicates (:mod:`repro.core.support`).
 
-Each vectorised engine gates itself on the same three condition
-families — observation hooks, index hash, timing/plan — through this
-one module, so the unit tests pin the predicates directly and then
+Each vectorised engine gates itself on the same two condition
+families — observation hooks and timing/plan — through this one
+module, so the unit tests pin the predicates directly and then
 cross-check that the engines' historical entry points still re-export
-them.
+them.  The preset's index hash is deliberately not a condition: every
+engine is hash-aware.
 """
 
 import numpy as np
@@ -16,7 +17,6 @@ from repro.core.support import (
     batch_assess_supported,
     batch_scan_fallback_reason,
     batch_scan_supported,
-    index_hash_batchable,
     manycore_fallback_reason,
     observation_hooks_clean,
     scalar_engine_forced,
@@ -63,17 +63,29 @@ class TestObservationHooks:
         assert batch_scan_fallback_reason(core) == "mitigation"
 
 
+def _no_fallback_anywhere(core) -> None:
+    assert batch_scan_supported(core)
+    assert batch_scan_fallback_reason(core) is None
+    assert batch_assess_supported(core)
+    assert batch_assess_fallback_reason(core) is None
+    assert not scalar_engine_forced(core, pooled=False)
+    assert not scalar_engine_forced(core, pooled=True)
+    assert manycore_fallback_reason(core) is None
+    assert manycore_fallback_reason(core, instance_shared=False) is None
+
+
 class TestIndexHash:
     def test_mod_presets_batchable(self):
         for name in ("skylake", "haswell", "sandy_bridge", "tage_like"):
-            assert index_hash_batchable(_core(PRESETS[name]))
+            core = _core(PRESETS[name])
+            assert core.predictor.bimodal.index_hash == "mod"
+            _no_fallback_anywhere(core)
 
-    def test_fold_preset_not_batchable(self):
+    def test_fold_preset_has_no_fallback_reason(self):
         core = _core(oryon_like)
-        assert not index_hash_batchable(core)
-        assert batch_scan_fallback_reason(core) == "index_hash"
-        assert batch_assess_fallback_reason(core) == "index_hash"
-        assert manycore_fallback_reason(core) == "index_hash"
+        assert core.predictor.bimodal.index_hash == "fold"
+        assert core.predictor.gshare.index_hash == "fold"
+        _no_fallback_anywhere(core)
 
 
 class TestTimingAndPlan:
