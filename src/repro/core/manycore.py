@@ -8,7 +8,7 @@ trials by stacking N cores' state and per-trial quantities into
 ``(N, ...)`` numpy arrays — a struct-of-arrays ("manycore") layout — and
 advancing the whole campaign with single array operations.
 
-Two layers:
+Three layers:
 
 * :class:`ManycoreState` — the general SoA container: PHT levels,
   selector counters, GHR values, identification/BTB tags, per-instance
@@ -37,6 +37,10 @@ Two layers:
   (same :class:`~repro.core.calibration.BlockAssessment` list, same
   factory-RNG stream position), which the differential suite pins.
 
+* :func:`assess_planned` — the same engine at N=1, for a trial that
+  brings its own core and pre-drawn plan (every service trial): one
+  structure per trial, and no block compile.
+
 Exactness boundary (mirrors the batch engine's, plus the shared-plan
 requirement): a campaign-wide mitigation or value-*unequal* FSM specs
 route every trial to the caller-supplied scalar trial function.  A
@@ -63,6 +67,7 @@ from repro.bpu.hashes import apply_hash, kernel_shift
 from repro.core.calibration import (
     BlockAssessment,
     TrialPlan,
+    _trace_assessment,
     assess_block_batch,
     draw_trial_plan,
 )
@@ -82,6 +87,7 @@ __all__ = [
     "ManycoreState",
     "ManycoreCampaignPool",
     "ManycoreFindPool",
+    "assess_planned",
     "group_batch_stats",
     "manycore_supported",
     "reset_group_batch_stats",
@@ -391,6 +397,53 @@ def _fold_tracked_ids(
     )
 
 
+def _power_table(
+    compose_table: np.ndarray, identity: int, k_max: int
+) -> np.ndarray:
+    """Dense ``POW[element, k]`` = ``element`` composed ``k`` times.
+
+    Filled by doubling rather than one column per step: with columns
+    ``0..m-1`` known, columns ``m..2m-2`` are ``POW[:, m-1] o POW[:,
+    1..m-1]`` — exact because powers of one element commute — so a
+    ``k_max`` of a few thousand takes ~log2(k_max) gathers.
+    """
+    size = len(compose_table)
+    pow_table = np.empty((size, k_max + 1), dtype=np.int64)
+    pow_table[:, 0] = identity
+    if k_max >= 1:
+        pow_table[:, 1] = np.arange(size)
+    m = 2
+    while m <= k_max:
+        hi = min(2 * m - 1, k_max + 1)
+        pow_table[:, m:hi] = compose_table[
+            pow_table[:, m - 1:m], pow_table[:, 1:hi - m + 1]
+        ]
+        m = hi
+    return pow_table
+
+
+def _node_order(
+    p: np.ndarray,
+    t: np.ndarray,
+    read: np.ndarray,
+    seq: np.ndarray,
+    p_span: int,
+    t_span: int,
+) -> np.ndarray:
+    """``np.lexsort((seq, read, t, p))`` through one fused int64 key.
+
+    ``p < p_span``, ``t < t_span``, ``read`` is 0/1 and ``seq`` is
+    non-negative, and no two nodes share all four keys, so the fused
+    keys are distinct and one plain ``argsort`` gives the identical
+    permutation several times faster.  Spans too large for int64 take
+    ``lexsort`` itself.
+    """
+    seq_span = int(seq.max()) + 1 if len(seq) else 1
+    if p_span * t_span * 2 * seq_span >= 2**62:
+        return np.lexsort((seq, read, t, p))
+    return np.argsort(((p * t_span + t) * 2 + read) * seq_span + seq)
+
+
 class _NodePlan:
     """The instance-independent half of phase 2, for one PHT.
 
@@ -431,7 +484,10 @@ class _NodePlan:
         self._maps_flat = monoid.maps.astype(np.int64).ravel()
         self._n_levels = monoid.n_levels
 
-        tracked = np.unique(idx)
+        # Sorted unique entries via a presence mask (idx < n_entries).
+        present = np.zeros(n_entries, dtype=bool)
+        present[idx.ravel()] = True
+        tracked = np.flatnonzero(present)
         self.n_tracked = len(tracked)
         pos_table = np.full(n_entries, -1, dtype=np.int64)
         pos_table[tracked] = np.arange(self.n_tracked)
@@ -451,13 +507,13 @@ class _NodePlan:
         np.maximum.at(last_read, read_pos, read_time)
         if len(noise_idx):
             npos = pos_table[noise_idx]
-            hit = npos >= 0
-            hit_pos = npos[hit]
-            hit_time = noise_epoch[hit] + 1
-            observable = hit_time <= last_read[hit_pos]
-            hit_pos = hit_pos[observable]
-            hit_time = hit_time[observable]
-            hit_out = noise_out[hit][observable].astype(np.int64)
+            hit = np.flatnonzero(npos >= 0)
+            # A hit lands at time epoch + 1; keep it iff that is no later
+            # than its entry's last read.
+            keep = hit[noise_epoch[hit] < last_read[npos[hit]]]
+            hit_pos = npos[keep]
+            hit_time = noise_epoch[keep] + 1
+            hit_out = noise_out[keep].astype(np.int64)
         else:
             hit_pos = hit_time = hit_out = np.empty(0, dtype=np.int64)
         n_hits = len(hit_pos)
@@ -472,7 +528,9 @@ class _NodePlan:
         node_slot = np.concatenate(
             [slot_flat, np.zeros(n_hits, dtype=np.int64)]
         )
-        order = np.lexsort((node_seq, node_read, node_t, node_p))
+        order = _node_order(
+            node_p, node_t, node_read, node_seq, self.n_tracked, R2 + 1
+        )
         p_sorted = node_p[order]
         t_sorted = node_t[order]
         self.n_nodes = len(order)
@@ -492,11 +550,7 @@ class _NodePlan:
         # ``POW[element, k]`` turns the whole lifting pass into one flat
         # gather per chunk.
         k_max = int(remaining.max()) if self.n_nodes else 0
-        pow_table = np.empty((size, k_max + 1), dtype=np.int64)
-        pow_table[:, 0] = monoid.IDENTITY
-        elements = np.arange(size)
-        for k in range(1, k_max + 1):
-            pow_table[:, k] = monoid.compose_table[pow_table[:, k - 1], elements]
+        pow_table = _power_table(monoid.compose_table, monoid.IDENTITY, k_max)
         self._pow_flat = pow_table.ravel()
         self._pow_k = k_max + 1
         self.p_sorted = p_sorted
@@ -544,6 +598,26 @@ class _NodePlan:
         return read_flat.reshape(chunk, R2, n_slots)
 
 
+def _summary_matches(value, **buffers: np.ndarray) -> bool:
+    """Whether a stored chunk summary fits the chunk's buffers exactly.
+
+    A stale or foreign value — not a dict, a missing array, or any array
+    of the wrong shape or dtype — reads as a store miss instead of
+    raising on assignment.
+    """
+    if not isinstance(value, dict):
+        return False
+    for name, buf in buffers.items():
+        arr = value.get(name)
+        if (
+            not isinstance(arr, np.ndarray)
+            or arr.shape != buf.shape
+            or arr.dtype != buf.dtype
+        ):
+            return False
+    return True
+
+
 class _SharedStructure:
     """Everything a stability campaign shares across its trials."""
 
@@ -552,7 +626,7 @@ class _SharedStructure:
         template: PhysicalCore,
         target_address: int,
         plan: TrialPlan,
-        rng_digest: str,
+        rng_digest: Optional[str],
         block_branches: int,
     ) -> None:
         predictor = template.predictor
@@ -665,8 +739,8 @@ class _SharedStructure:
         # campaign: plain-int lists beat per-repetition numpy scalar
         # indexing by an order of magnitude in the untouched-selector
         # loop.
-        self.drift_list = [int(v) for v in drift]
-        self.noise_list = [int(v) for v in noise_tag]
+        self.drift_list = drift.tolist()
+        self.noise_list = noise_tag.tolist()
         self._oid = self.monoid.outcome_ids.astype(np.int64)
 
         # Content digest of the summary computation: everything
@@ -873,11 +947,12 @@ class _SharedStructure:
                 seeds=tuple(int(s) for s in seeds),
             )
             found, value = store.get(cache_key)
-            if (
-                found
-                and isinstance(value, dict)
-                and value.get("lift_g") is not None
-                and value["lift_g"].shape == lift_g.shape
+            if found and _summary_matches(
+                value,
+                lift_b=lift_b,
+                lift_g=lift_g,
+                touched=touched,
+                block_tags=block_tags,
             ):
                 cached = value
         if cached is not None:
@@ -1002,6 +1077,56 @@ def manycore_supported(
     here.
     """
     return manycore_fallback_reason(core, gaps, instance_shared=True)
+
+
+def _assess_compiled(
+    core: PhysicalCore,
+    seed: int,
+    target_address: int,
+    plan: TrialPlan,
+    block_branches: int,
+    spy: Process,
+) -> BlockAssessment:
+    """The per-trial reference: generate -> compile -> plan-mode
+    :func:`~repro.core.calibration.assess_block_batch`."""
+    block = RandomizationBlock.generate(seed, n_branches=block_branches)
+    compiled = block.compile(core, spy)
+    return assess_block_batch(core, spy, compiled, target_address, plan=plan)
+
+
+def assess_planned(
+    core: PhysicalCore,
+    seed: int,
+    target_address: int,
+    plan: TrialPlan,
+    *,
+    block_branches: int,
+    spy: Process,
+) -> BlockAssessment:
+    """One trial with its own pre-drawn plan: the engine's N=1 case.
+
+    Bit-identical to generating block ``seed``, compiling it on ``core``
+    and running :func:`~repro.core.calibration.assess_block_batch` with
+    ``plan`` — but the block is never compiled: a
+    :class:`_SharedStructure` built from the fresh ``core`` and ``plan``
+    summarises the block in id space, and the core's state and RNG are
+    left untouched (an unmitigated compile draws nothing either).  When
+    :func:`manycore_supported` names a reason, that reference path runs
+    instead, counted as a ``"manycore"`` scalar fallback.
+    """
+    gaps = plan.offsets[1:] - plan.offsets[:-1]
+    reason = manycore_supported(core, gaps)
+    if reason is not None:
+        obs.record_scalar_fallback("manycore", reason)
+        return _assess_compiled(
+            core, seed, target_address, plan, block_branches, spy
+        )
+    shared = _SharedStructure(
+        core, target_address, plan, None, block_branches
+    )
+    assessment = shared.assess_chunk([seed], None)[0]
+    _trace_assessment("manycore", target_address, assessment)
+    return assessment
 
 
 class ManycoreCampaignPool:
@@ -1174,12 +1299,13 @@ class ManycoreCampaignPool:
         plan before generate/compile (as the grouping pass must, to
         signature payloads) is stream-equivalent to the reference order.
         """
-        block = RandomizationBlock.generate(
-            seed, n_branches=self.block_branches
-        )
-        compiled = block.compile(core, self._get_spy())
-        return assess_block_batch(
-            core, self._get_spy(), compiled, self.target_address, plan=plan
+        return _assess_compiled(
+            core,
+            seed,
+            self.target_address,
+            plan,
+            self.block_branches,
+            self._get_spy(),
         )
 
     def _structure_signature(

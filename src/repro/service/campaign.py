@@ -2,10 +2,10 @@
 
 A service campaign is the Figure-4 stability workload as a *pure
 function of a plain-data spec*: every trial builds a fresh core from the
-spec's preset, compiles its candidate block (through the process-wide
-LRU and, when configured, the persistent :mod:`repro.store` tier), and
-assesses it with a :class:`~repro.core.calibration.TrialPlan` drawn from
-an RNG spawned off the spec seed **keyed by the trial's global index**::
+spec's preset and assesses its candidate block on the manycore engine's
+N=1 case (:func:`~repro.core.manycore.assess_planned`) with a
+:class:`~repro.core.calibration.TrialPlan` drawn from an RNG spawned
+off the spec seed **keyed by the trial's global index**::
 
     np.random.SeedSequence(spec.seed, spawn_key=(index,))
 
@@ -34,8 +34,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.bpu.presets import PRESETS
-from repro.core.calibration import assess_block_batch, draw_trial_plan
-from repro.core.randomizer import RandomizationBlock
+from repro.core.calibration import draw_trial_plan
+from repro.core.manycore import assess_planned
 from repro.cpu.core import PhysicalCore
 from repro.cpu.process import Process
 from repro.resilience.checkpoint import rng_state_digest
@@ -250,18 +250,15 @@ def _stability_trial(
     """The Figure-4 stability trial: one block assessed on a fresh core.
 
     The scramble/noise randomness comes from the index-keyed spawned
-    stream, the core is rebuilt from the spec, and the compiled block is
-    content-cached; ``rng_digest`` pins the core generator's exact
+    stream, the core is rebuilt from the spec, and the block is assessed
+    without being compiled (the exact generate -> compile ->
+    ``assess_block_batch`` fallback runs only where the manycore engine
+    names a reason); ``rng_digest`` pins the core generator's exact
     post-trial stream position into the campaign digest.
     """
     if pre_trial is not None:
         pre_trial(index)
     core = spec.build_core()
-    spy = Process("service-spy")
-    block = RandomizationBlock.generate(
-        spec.seed_start + index, n_branches=spec.block_branches
-    )
-    compiled = block.compile(core, spy)
     child = np.random.SeedSequence(spec.seed, spawn_key=(index,))
     plan = draw_trial_plan(
         np.random.default_rng(child),
@@ -269,8 +266,13 @@ def _stability_trial(
         repetitions=spec.repetitions,
         noise=spec.noise_model(),
     )
-    assessment = assess_block_batch(
-        core, spy, compiled, spec.target_address, plan=plan
+    assessment = assess_planned(
+        core,
+        spec.seed_start + index,
+        spec.target_address,
+        plan,
+        block_branches=spec.block_branches,
+        spy=Process("service-spy"),
     )
     fsm = core.predictor.bimodal.pht.fsm
     return {

@@ -21,6 +21,7 @@ from repro.bpu.presets import (
 )
 from repro.core.calibration import (
     DecodedState,
+    assess_block_batch,
     draw_trial_plan,
     find_block,
     stability_experiment,
@@ -28,7 +29,10 @@ from repro.core.calibration import (
 from repro.core.manycore import (
     ManycoreCampaignPool,
     ManycoreState,
+    _node_order,
+    _power_table,
     _SharedStructure,
+    assess_planned,
     group_batch_stats,
     manycore_supported,
     reset_group_batch_stats,
@@ -42,6 +46,7 @@ from repro.mitigations.stochastic_fsm import StochasticFSM
 from repro.obs import trace as obs
 from repro.parallel import spawn_seeds
 from repro.resilience.checkpoint import rng_state_digest
+from repro.store import configure_store, store_key
 from repro.system.noise import NoiseModel
 
 TARGET = 0x30_0006D
@@ -342,6 +347,194 @@ class TestSummaryDigest:
         assert np.array_equal(mod.plan_g.pos_table, fold.plan_g.pos_table)
         assert mod.summarize(3)[1].tolist() != fold.summarize(3)[1].tolist()
         assert mod.summary_digest != fold.summary_digest
+
+
+class TestPowerTable:
+    """The doubled power table equals the one-step-at-a-time loop."""
+
+    #: Column counts around every doubling boundary (columns ``m..2m-2``
+    #: fill from column ``m-1``), plus a paper-scale ``2R + 1``.
+    K_MAX = (0, 1, 2, 3, 4, 5, 8, 9, 2 * 1000 + 1)
+
+    @pytest.mark.parametrize("preset", ALL_PRESETS)
+    def test_matches_naive_loop(self, preset):
+        core = PhysicalCore(preset().scaled(16), seed=0)
+        monoid = core.predictor.bimodal.pht.fsm.transition_monoid()
+        size = len(monoid.maps)
+        elements = np.arange(size)
+        for k_max in self.K_MAX:
+            naive = np.empty((size, k_max + 1), dtype=np.int64)
+            naive[:, 0] = monoid.IDENTITY
+            for k in range(1, k_max + 1):
+                naive[:, k] = monoid.compose_table[naive[:, k - 1], elements]
+            doubled = _power_table(
+                monoid.compose_table, monoid.IDENTITY, k_max
+            )
+            assert doubled.dtype == np.int64
+            assert np.array_equal(doubled, naive), (preset.__name__, k_max)
+
+
+class TestNodeOrder:
+    """The fused-key node sort is ``lexsort`` over the four keys."""
+
+    def _nodes(self, rng, n_reads, n_hits, p_span, t_span):
+        p = rng.integers(0, p_span, n_reads + n_hits)
+        t = rng.integers(0, t_span, n_reads + n_hits)
+        read = np.concatenate(
+            [np.ones(n_reads, np.int64), np.zeros(n_hits, np.int64)]
+        )
+        seq = np.concatenate([np.arange(n_reads), np.arange(n_hits)])
+        return p, t, read, seq
+
+    def test_matches_lexsort(self):
+        rng = np.random.default_rng(3)
+        for n_reads, n_hits, p_span, t_span in (
+            (0, 0, 1, 1),
+            (14, 0, 1, 3),
+            (700, 3000, 40, 101),
+            (2000, 50, 2, 2001),
+        ):
+            p, t, read, seq = self._nodes(rng, n_reads, n_hits, p_span, t_span)
+            assert np.array_equal(
+                _node_order(p, t, read, seq, p_span, t_span),
+                np.lexsort((seq, read, t, p)),
+            )
+
+    def test_oversized_spans_take_lexsort(self):
+        rng = np.random.default_rng(4)
+        p, t, read, seq = self._nodes(rng, 50, 50, 7, 5)
+        # Spans past int64 headroom must not overflow the fused key.
+        assert np.array_equal(
+            _node_order(p, t, read, seq, 2**40, 2**30),
+            np.lexsort((seq, read, t, p)),
+        )
+
+
+class TestAssessPlanned:
+    """The N=1 entry point against the plan-mode batch reference."""
+
+    def _reference(self, core_factory, seed, plan):
+        core = core_factory()
+        spy = Process("spy")
+        compiled = RandomizationBlock.generate(seed, n_branches=1500).compile(
+            core, spy
+        )
+        assessment = assess_block_batch(core, spy, compiled, TARGET, plan=plan)
+        return assessment, rng_state_digest(core.rng)
+
+    @pytest.mark.parametrize(
+        "noise", [NoiseModel.isolated, NoiseModel.noisy, NoiseModel.silent]
+    )
+    def test_matches_batch_reference(self, noise):
+        factory = small_factory(skylake)
+        plan = draw_trial_plan(
+            np.random.default_rng(5), factory(), repetitions=8, noise=noise()
+        )
+        core = factory()
+        got = assess_planned(
+            core, 11, TARGET, plan, block_branches=1500, spy=Process("spy")
+        )
+        assert (got, rng_state_digest(core.rng)) == self._reference(
+            factory, 11, plan
+        )
+        silent = noise is NoiseModel.silent
+        assert obs.scalar_fallback_counts().get("manycore", 0) == int(silent)
+
+    def test_mitigated_core_falls_back(self):
+        config = skylake().scaled(16)
+
+        def factory():
+            core = PhysicalCore(config, seed=3)
+            core.mitigations.install(StochasticFSM())
+            return core
+
+        plan = draw_trial_plan(
+            np.random.default_rng(5),
+            factory(),
+            repetitions=8,
+            noise=NoiseModel.isolated(),
+        )
+        core = factory()
+        got = assess_planned(
+            core, 11, TARGET, plan, block_branches=1500, spy=Process("spy")
+        )
+        assert (got, rng_state_digest(core.rng)) == self._reference(
+            factory, 11, plan
+        )
+        assert obs.scalar_fallback_counts()["manycore"] == 1
+
+
+class TestSummaryStoreHook:
+    """A stale persisted chunk summary reads as a miss, never raises."""
+
+    SEEDS = (3, 4)
+
+    def _shared(self):
+        core = PhysicalCore(skylake().scaled(16), seed=7)
+        plan = draw_trial_plan(
+            core.rng, core, repetitions=6, noise=NoiseModel.isolated()
+        )
+        return _SharedStructure(core, TARGET, plan, None, 1500)
+
+    def _good_value(self, shared):
+        rows = [shared.summarize(seed) for seed in self.SEEDS]
+        return {
+            "lift_b": np.array([[r[0]] for r in rows], dtype=np.int64),
+            "lift_g": np.stack([r[1] for r in rows]).astype(np.int64),
+            "touched": np.array([r[2] for r in rows], dtype=bool),
+            "block_tags": np.array([r[3] for r in rows], dtype=np.int64),
+        }
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("lift_b", lambda a: np.zeros((3, 1), dtype=np.int64)),
+            ("lift_b", lambda a: a.astype(np.int32)),
+            ("lift_g", lambda a: a[:, :-1]),
+            ("touched", lambda a: a.astype(np.int64)),
+            ("block_tags", lambda a: a[:1]),
+            ("block_tags", lambda a: a.astype(np.float64)),
+            ("touched", lambda a: None),
+        ],
+    )
+    def test_stale_value_is_a_miss(self, tmp_path, field, bad):
+        shared = self._shared()
+        expected = shared.assess_chunk(list(self.SEEDS), None)
+        store = configure_store(tmp_path / "store")
+        try:
+            key = store_key(
+                "manycore_summary",
+                structure=shared.summary_digest,
+                seeds=self.SEEDS,
+            )
+            stale = self._good_value(shared)
+            stale[field] = bad(stale[field])
+            store.put(key, stale)
+            assert shared.assess_chunk(list(self.SEEDS), None) == expected
+            # The miss recomputed and rewrote a well-formed entry.
+            found, value = store.get(key)
+            assert found
+            for name, arr in self._good_value(shared).items():
+                assert value[name].dtype == arr.dtype
+                assert np.array_equal(value[name], arr)
+        finally:
+            configure_store(None)
+
+    def test_non_dict_value_is_a_miss(self, tmp_path):
+        shared = self._shared()
+        expected = shared.assess_chunk(list(self.SEEDS), None)
+        store = configure_store(tmp_path / "store")
+        try:
+            key = store_key(
+                "manycore_summary",
+                structure=shared.summary_digest,
+                seeds=self.SEEDS,
+            )
+            store.put(key, ["not", "a", "summary"])
+            assert shared.assess_chunk(list(self.SEEDS), None) == expected
+            assert store.stats.puts == 2
+        finally:
+            configure_store(None)
 
 
 class TestCheckpointing:

@@ -21,12 +21,26 @@ import urllib.request
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.bpu.presets import PRESETS
+from repro.core.calibration import (
+    assess_block,
+    assess_block_batch,
+    draw_trial_plan,
+)
+from repro.core.randomizer import (
+    RandomizationBlock,
+    clear_compile_cache,
+    compile_cache_info,
+)
+from repro.cpu.process import Process
+from repro.obs import trace as obs
 from repro.obs.http import CONTENT_TYPE, MetricsServer
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import TrialPool
-from repro.resilience.checkpoint import CheckpointMismatch
+from repro.resilience.checkpoint import CheckpointMismatch, rng_state_digest
 from repro.service import (
     CampaignAggregate,
     CampaignService,
@@ -40,6 +54,7 @@ from repro.service import (
     serve,
     submit_job,
 )
+from repro.service.campaign import NOISE_PRESETS, _stability_trial
 from repro.store import ContentStore
 
 #: Small-but-nondegenerate campaign used throughout (7 trials so the
@@ -166,6 +181,78 @@ class TestShardInvariance:
         pool = TrialPool(2, chunk_size=2)
         forked = run_campaign(spec, n_shards=1, pool=pool)
         assert forked.digest() == serial.digest()
+
+
+class TestTrialEngineDifferential:
+    """A service trial (the manycore engine's N=1 case) against the
+    per-trial reference: generate -> compile -> assess with the same
+    plan.  The plan-mode batch assessor is the exact fallback, so its
+    record must match field for field, ``rng_digest`` included; the
+    scalar engine must match on every science field (its timing draws
+    advance the core RNG, which the batch and manycore paths never do).
+    """
+
+    SCIENCE = (
+        "tt_pattern", "tt_frequency", "nn_pattern", "nn_frequency",
+        "stable", "state",
+    )
+
+    @staticmethod
+    def _reference(spec, index, assess):
+        core = spec.build_core()
+        spy = Process("reference-spy")
+        block = RandomizationBlock.generate(
+            spec.seed_start + index, n_branches=spec.block_branches
+        )
+        compiled = block.compile(core, spy)
+        child = np.random.SeedSequence(spec.seed, spawn_key=(index,))
+        plan = draw_trial_plan(
+            np.random.default_rng(child),
+            core,
+            repetitions=spec.repetitions,
+            noise=spec.noise_model(),
+        )
+        assessment = assess(core, spy, compiled, spec.target_address, plan=plan)
+        fsm = core.predictor.bimodal.pht.fsm
+        record = {
+            "index": index,
+            "seed": spec.seed_start + index,
+            "tt_pattern": assessment.tt_pattern,
+            "tt_frequency": float(assessment.tt_frequency),
+            "nn_pattern": assessment.nn_pattern,
+            "nn_frequency": float(assessment.nn_frequency),
+            "stable": bool(assessment.stable),
+            "state": assessment.decoded(fsm).value,
+            "rng_digest": rng_state_digest(core.rng),
+        }
+        gaps = plan.offsets[1:] - plan.offsets[:-1]
+        return record, bool((gaps == 0).any())
+
+    @pytest.mark.parametrize("scale", [1, 16])
+    @pytest.mark.parametrize("noise", sorted(NOISE_PRESETS))
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_records_and_rng_digest_match_reference(self, preset, noise, scale):
+        spec = small_spec(preset=preset, noise=noise, scale=scale, n_blocks=3)
+        for index in range(spec.n_blocks):
+            obs.reset_scalar_fallbacks()
+            clear_compile_cache()
+            record = _stability_trial(spec, index)
+            info = compile_cache_info()
+            compiles = info["hits"] + info["misses"]
+            fallbacks = obs.scalar_fallback_counts().get("manycore", 0)
+
+            batch, zero_gap = self._reference(spec, index, assess_block_batch)
+            scalar, _ = self._reference(spec, index, assess_block)
+            assert record == batch
+            assert {k: record[k] for k in self.SCIENCE} == {
+                k: scalar[k] for k in self.SCIENCE
+            }
+            # Supported trials never compile; an empty noise gap (always
+            # under "silent") takes the counted, exact fallback.
+            assert noise != "silent" or zero_gap
+            assert fallbacks == int(zero_gap)
+            assert compiles == int(zero_gap)
+        obs.reset_scalar_fallbacks()
 
 
 class TestCampaignStore:
