@@ -7,16 +7,20 @@ results published by the cold run: zero trials dispatched, identical
 aggregate digest.  Two numbers matter:
 
 * **generations/sec** — the full closed-loop session rate (oracle
-  trials + hypothesis elimination).  Recorded in the manifest; the
-  elimination side dominates, so it is reported, not gated.
+  trials + hypothesis elimination).  Recorded in the manifest with the
+  cold session's seconds and the share of them spent in
+  ``HypothesisLattice.observe``; reported, not gated.
 * **campaign dispatch speedup** — cold vs store-served execution of one
   generation's campaign, the part the store actually serves.  Gated at
   ``--min-speedup`` (CI passes a lower floor for shared-runner noise).
 
 Digest equality is asserted before any timing is trusted, and the warm
 rerun of the full session is additionally required to dispatch no
-oracle trials at all (the ``pre_trial`` hook counts them) — the store
-must be an optimisation, never an answer-changer.
+oracle trials at all (the ``pre_trial`` hook counts them) and to read
+exactly one disk hit per cold-published shard — the service publishes
+shard results to disk only, so a warm session never hits the memory
+tier, misses or writes.  The store must be an optimisation, never an
+answer-changer.
 
 Run standalone (CI does, failing the job on gross regression)::
 
@@ -28,6 +32,7 @@ or under pytest alongside the other benches::
 """
 
 import argparse
+import contextlib
 import json
 import sys
 import tempfile
@@ -36,7 +41,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.fuzz import battery_descriptors, run_fuzz  # noqa: E402
+from repro.fuzz import (  # noqa: E402
+    HypothesisLattice,
+    battery_descriptors,
+    run_fuzz,
+)
 from repro.service import CampaignSpec, CampaignService  # noqa: E402
 from repro.store import ContentStore  # noqa: E402
 
@@ -72,9 +81,35 @@ def _run_generation(spec: CampaignSpec, store: ContentStore):
     return state.aggregate().digest(), state.cached_shards
 
 
+@contextlib.contextmanager
+def _timed_observe(spent: list):
+    """Accumulate wall seconds spent in ``HypothesisLattice.observe``."""
+    original = HypothesisLattice.observe
+
+    def observe(self, *args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return original(self, *args, **kwargs)
+        finally:
+            spent.append(time.perf_counter() - start)
+
+    HypothesisLattice.observe = observe
+    try:
+        yield
+    finally:
+        HypothesisLattice.observe = original
+
+
+def _traffic(store: ContentStore, before: dict) -> dict:
+    """Store stats accumulated since the ``before`` snapshot."""
+    return {
+        key: value - before[key] for key, value in store.stats_dict().items()
+    }
+
+
 def measure(best_of: int = BEST_OF) -> dict:
     """Time the full session and the cold/warm generation dispatch."""
-    session_times, cold_times, warm_times = [], [], []
+    session_times, observe_shares, cold_times, warm_times = [], [], [], []
     stats = {}
     generations = trials = 0
     spec = _generation_spec(battery_descriptors(SEED))
@@ -83,15 +118,20 @@ def measure(best_of: int = BEST_OF) -> dict:
             # Full closed-loop session (oracle + elimination), plus the
             # zero-dispatch warm rerun it must support.
             session_store = ContentStore(Path(tmp) / "session-store")
-            start = time.perf_counter()
-            cold = run_fuzz(
-                PRESET,
-                seed=SEED,
-                shards=SHARDS,
-                store=session_store,
-                checkpoint_dir=Path(tmp) / "ck-cold",
-            )
-            session_times.append(time.perf_counter() - start)
+            observe_seconds = []
+            with _timed_observe(observe_seconds):
+                start = time.perf_counter()
+                cold = run_fuzz(
+                    PRESET,
+                    seed=SEED,
+                    shards=SHARDS,
+                    store=session_store,
+                    checkpoint_dir=Path(tmp) / "ck-cold",
+                )
+                session_times.append(time.perf_counter() - start)
+            observe_shares.append(sum(observe_seconds) / session_times[-1])
+            published = session_store.stats_dict()["puts"]
+            before = session_store.stats_dict()
             dispatched = []
             warm = run_fuzz(
                 PRESET,
@@ -110,6 +150,16 @@ def measure(best_of: int = BEST_OF) -> dict:
                 raise AssertionError(
                     f"warm session dispatched {len(dispatched)} trials; "
                     "expected zero (store serving is broken)"
+                )
+            traffic = _traffic(session_store, before)
+            expected = dict(
+                traffic, memory_hits=0, disk_hits=published, misses=0, puts=0
+            )
+            if traffic != expected or warm.cached_shards != published:
+                raise AssertionError(
+                    f"warm session store traffic {traffic} (cached "
+                    f"{warm.cached_shards}); expected one disk hit per "
+                    f"published shard ({published}) and nothing else"
                 )
             if not cold.matches_truth():
                 raise AssertionError(
@@ -137,12 +187,20 @@ def measure(best_of: int = BEST_OF) -> dict:
                     "from the store"
                 )
             stats = store.stats_dict()
+            if (stats["disk_hits"], stats["memory_hits"]) != (SHARDS, 0):
+                raise AssertionError(
+                    f"warm generation read {stats['disk_hits']} disk and "
+                    f"{stats['memory_hits']} memory hits; expected "
+                    f"{SHARDS} and 0"
+                )
+    best = session_times.index(min(session_times))
     return {
         "preset": PRESET,
         "generations": generations,
         "trials": trials,
         "shards": SHARDS,
-        "session_seconds": min(session_times),
+        "cold_session_seconds": min(session_times),
+        "observe_share": observe_shares[best],
         "generations_per_second": generations / min(session_times),
         "cold_seconds": min(cold_times),
         "warm_seconds": min(warm_times),
@@ -159,8 +217,9 @@ def _report(result: dict) -> str:
             f"{result['generations']} generation(s), "
             f"{result['trials']} oracle trials in {result['shards']} "
             f"shards, best of {BEST_OF} interleaved",
-            f"  full session:         {result['session_seconds']:.3f}s "
-            f"({result['generations_per_second']:.2f} generations/s); "
+            f"  full session:         {result['cold_session_seconds']:.3f}s "
+            f"({result['generations_per_second']:.2f} generations/s, "
+            f"{100 * result['observe_share']:.0f}% in observe); "
             f"warm rerun dispatches 0 trials",
             f"  generation dispatch:  cold {result['cold_seconds']:.3f}s, "
             f"store-served {result['warm_seconds']:.3f}s",
@@ -182,6 +241,8 @@ def test_fuzz_perf_smoke(benchmark):
         _report(result),
         extra={
             "generations_per_second": result["generations_per_second"],
+            "cold_session_seconds": result["cold_session_seconds"],
+            "observe_share": result["observe_share"],
             "store_stats": result["store_stats"],
         },
     )

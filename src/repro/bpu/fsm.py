@@ -36,6 +36,7 @@ __all__ = [
     "FSMSpec",
     "TransitionMonoid",
     "level_dtype",
+    "monoid_closure",
     "textbook_2bit_fsm",
     "skylake_fsm",
     "three_bit_fsm",
@@ -298,10 +299,18 @@ _MONOID_SIZE_LIMIT = 1024
 
 
 @functools.lru_cache(maxsize=None)
-def _transition_monoid(spec: FSMSpec) -> TransitionMonoid:
-    n = spec.n_levels
-    identity = tuple(range(n))
-    generators = (tuple(spec.next_on_not_taken), tuple(spec.next_on_taken))
+def monoid_closure(
+    n_levels: int, generators: Tuple[Tuple[int, ...], ...]
+) -> TransitionMonoid:
+    """Close ``generators`` (level maps on ``range(n_levels)``) under
+    composition.
+
+    ``outcome_ids[g]`` of the result is the id of ``generators[g]``, so
+    an FSM's monoid lists its not-taken map first and its taken map
+    second.  Any small saturating structure fits: the fuzzer's 3-bit
+    choice counter is the closure of its (down, up) moves.
+    """
+    identity = tuple(range(n_levels))
     ids = {identity: 0}
     order = [identity]
     frontier = [identity]
@@ -316,11 +325,11 @@ def _transition_monoid(spec: FSMSpec) -> TransitionMonoid:
                     fresh.append(composed)
         if len(order) > _MONOID_SIZE_LIMIT:
             raise RuntimeError(
-                f"{spec.name}: transition monoid exceeds "
+                f"{n_levels}-level transition monoid exceeds "
                 f"{_MONOID_SIZE_LIMIT} maps"
             )
         frontier = fresh
-    maps = np.array(order, dtype=level_dtype(n))
+    maps = np.array(order, dtype=level_dtype(n_levels))
     outcome_ids = np.array([ids[g] for g in generators], dtype=np.int64)
     size = len(order)
     compose_table = np.empty((size, size), dtype=np.int16)
@@ -330,10 +339,18 @@ def _transition_monoid(spec: FSMSpec) -> TransitionMonoid:
     for arr in (maps, outcome_ids, compose_table):
         arr.setflags(write=False)
     return TransitionMonoid(
-        n_levels=n,
+        n_levels=n_levels,
         maps=maps,
         outcome_ids=outcome_ids,
         compose_table=compose_table,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _transition_monoid(spec: FSMSpec) -> TransitionMonoid:
+    return monoid_closure(
+        spec.n_levels,
+        (tuple(spec.next_on_not_taken), tuple(spec.next_on_taken)),
     )
 
 

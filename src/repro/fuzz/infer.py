@@ -25,14 +25,20 @@ sensitive) bits simply carry no evidence.
 Two simulator implementations with one contract:
 
 * :func:`simulate_program` — dict-based scalar reference, one
-  hypothesis at a time; the readable spec.
-* :class:`HypothesisBank` — struct-of-arrays over all K hypotheses at
-  once (same layout discipline as :mod:`repro.core.manycore`): the
-  outcome-determined GHR trajectory and all PHT indices are
-  precomputed, per-hypothesis indices are compressed to dense slots,
-  FSM transitions become padded table lookups, and the per-step work is
-  a handful of length-K vector ops.  ``tests/test_fuzz.py`` pins the
-  two bit-identical.
+  hypothesis and one bias at a time; the readable spec.
+* :class:`HypothesisBank` — all K hypotheses and any set of biases in
+  one loop-free pass, as two kinds of monoid scan.  Both PHTs train on
+  the architectural outcome, so every bimodal and gshare level before
+  every step is an exclusive segmented prefix of FSM transition-monoid
+  ids (:class:`~repro.bpu.fsm.TransitionMonoid`) keyed by (index
+  column, entry) — one scan per table, bias-independent.  That fixes
+  which PHT was right at every step, so the 3-bit choice counter's
+  moves (up, down or none) are bias-independent too: one scan per
+  (hypothesis, address) over the counter's own 8-state monoid gives
+  each counter's prefix *map*, and evaluating it at bias 1 and bias 2
+  yields both dual simulations from the same pass.
+  ``tests/test_fuzz.py`` pins the two bit-identical on the whole
+  lattice.
 """
 
 from __future__ import annotations
@@ -46,6 +52,8 @@ import numpy as np
 from repro.bpu.fsm import (
     FSMSpec,
     State,
+    TransitionMonoid,
+    monoid_closure,
     skylake_fsm,
     textbook_2bit_fsm,
     three_bit_fsm,
@@ -79,6 +87,13 @@ SELECTOR_INITIALS: Tuple[int, ...] = (1, 2)
 
 #: Saturation value of the 3-bit choice counters (gshare takeover).
 _SELECTOR_MAX = 7
+
+#: Global-history register width (the widest candidate history).
+_GHR_WIDTH = 24
+
+#: Weights packing a window of the last ``_GHR_WIDTH`` outcomes, oldest
+#: first, into the history value (newest outcome in bit 0).
+_GHR_WEIGHTS = 1 << np.arange(_GHR_WIDTH - 1, -1, -1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -176,137 +191,213 @@ def simulate_program(
     return tuple(hits)
 
 
-class HypothesisBank:
-    """All K hypotheses simulated in lockstep, struct-of-arrays.
+def _distinct(keys: List) -> Tuple[List, np.ndarray]:
+    """Sorted distinct ``keys``, plus each key's position among them."""
+    distinct = sorted(set(keys))
+    return distinct, np.array([distinct.index(key) for key in keys])
 
-    Two facts make the vectorization cheap: the GHR trajectory depends
-    only on the program's *architectural* outcomes (known up front), so
-    every gshare index is precomputable; and a program touches a
-    handful of distinct (hypothesis, table) entries, so per-hypothesis
-    PHT state compresses to dense slot arrays via ``np.unique``.
+
+def _counter_monoid() -> TransitionMonoid:
+    """The choice counter's maps: closure of its down and up moves.
+
+    ``outcome_ids[0]`` is "gshare wrong" (down), ``outcome_ids[1]``
+    "gshare right" (up); a step that moves nothing is the identity.
+    """
+    levels = range(_SELECTOR_MAX + 1)
+    return monoid_closure(
+        _SELECTOR_MAX + 1,
+        (
+            tuple(max(0, c - 1) for c in levels),
+            tuple(min(_SELECTOR_MAX, c + 1) for c in levels),
+        ),
+    )
+
+
+def _exclusive_scan(
+    ids: np.ndarray, keys: np.ndarray, compose: np.ndarray, identity
+) -> np.ndarray:
+    """Exclusive segmented prefix composition of ``ids`` down axis 0.
+
+    Rows are in segment-sorted order: ``keys`` (broadcastable against
+    ``ids``) holds each row's segment key, equal keys are contiguous and
+    in program order.  Row ``i`` of the result is the composition of
+    the rows before it in its segment — ``identity`` for a segment's
+    first row — i.e. the map an entry has accumulated just *before*
+    step ``i``.  A sparse Hillis-Steele scan over the shifted input,
+    as in the numpy kernel backend's ``fold_ids``.
+    """
+    prefix = np.empty_like(ids)
+    prefix[0] = identity
+    prefix[1:] = np.where(keys[1:] == keys[:-1], ids[:-1], identity)
+    stride = 1
+    while stride < len(ids):
+        same = keys[stride:] == keys[:-stride]
+        if not same.any():
+            break
+        prefix[stride:] = np.where(
+            same, compose[prefix[:-stride], prefix[stride:]], prefix[stride:]
+        )
+        stride *= 2
+    return prefix
+
+
+class HypothesisBank:
+    """All K hypotheses and both nuisance biases in one loop-free pass.
+
+    Both PHTs train on the *architectural* outcome, so the level of
+    every bimodal and gshare entry before every step is an exclusive
+    segmented prefix of FSM transition-monoid ids keyed by (index
+    column, entry) — one scan per table, the three FSM variants side by
+    side in one block-diagonal id space, independent of the selector
+    bias.  The choice counters then see a bias-independent move
+    sequence (up, down or none), so one more scan per (hypothesis,
+    address) over the counter monoid yields a prefix *map*; evaluating
+    it at each bias gives every bias's simulation from the same pass.
     """
 
     def __init__(self, hypotheses: Sequence[Hypothesis]) -> None:
         self.hypotheses: Tuple[Hypothesis, ...] = tuple(hypotheses)
         if not self.hypotheses:
             raise ValueError("need at least one hypothesis")
-        k = len(self.hypotheses)
-        self._masks = np.array(
-            [(1 << h.ghr_bits) - 1 for h in self.hypotheses], dtype=np.int64
+        names, self._variant_of = _distinct(
+            [h.fsm_name for h in self.hypotheses]
         )
-        # FSM variant tables, padded to the deepest variant.
-        names = sorted({h.fsm_name for h in self.hypotheses})
+        # Index columns: the FSM never changes an index, so each table
+        # needs one column per distinct (size, hash[, history]).
+        self._bimodal_columns, self._bimodal_of = _distinct(
+            [(h.table_entries, h.index_hash) for h in self.hypotheses]
+        )
+        self._gshare_columns, self._gshare_of = _distinct(
+            [
+                (h.table_entries, h.index_hash, h.ghr_bits)
+                for h in self.hypotheses
+            ]
+        )
+        # FSM variants: block-diagonal union of their transition monoids
+        # (off-diagonal blocks are never read: a scan segment's ids all
+        # come from one variant).
         specs = [FSM_VARIANTS[name]() for name in names]
-        depth = max(spec.n_levels for spec in specs)
-        self._predict_pad = np.zeros((len(specs), depth), dtype=bool)
-        self._step_pad = np.zeros((len(specs), 2, depth), dtype=np.int8)
-        init_by_variant = np.zeros(len(specs), dtype=np.int8)
-        for v, spec in enumerate(specs):
-            for level in range(spec.n_levels):
-                self._predict_pad[v, level] = spec.predicts(level)
-                self._step_pad[v, 0, level] = spec.step(level, False)
-                self._step_pad[v, 1, level] = spec.step(level, True)
-            init_by_variant[v] = spec.level_for(State.WN)
-        vid = np.array(
-            [names.index(h.fsm_name) for h in self.hypotheses], dtype=np.int64
-        )
-        self._vid = vid
-        self._init_levels = init_by_variant[vid]
-        self._krange = np.arange(k)
+        monoids = [spec.transition_monoid() for spec in specs]
+        offsets = np.cumsum([0] + [len(m.maps) for m in monoids])
+        self._compose = np.zeros((offsets[-1], offsets[-1]), dtype=np.int16)
+        # Prediction of an entry whose initial (WN) level went through id.
+        self._predicts = np.empty(offsets[-1], dtype=bool)
+        self._step_ids = np.empty((2, len(names)), dtype=np.int16)
+        for v, (spec, monoid) in enumerate(zip(specs, monoids)):
+            lo, hi = offsets[v], offsets[v + 1]
+            self._compose[lo:hi, lo:hi] = monoid.compose_table + lo
+            init = spec.level_for(State.WN)
+            self._predicts[lo:hi] = spec.predicts_array(monoid.maps[:, init])
+            self._step_ids[:, v] = monoid.outcome_ids + lo
+        self._identities = offsets[:-1].astype(np.int16)
+        self._counter = _counter_monoid()
 
     def __len__(self) -> int:
         return len(self.hypotheses)
 
-    def _indices(self, program: BranchProgram) -> Tuple[np.ndarray, np.ndarray]:
-        """Precompute bimodal and gshare PHT indices, shape (T, K) each."""
-        t = len(program)
-        k = len(self.hypotheses)
-        addresses = np.array(program.addresses, dtype=np.int64)
-        # Outcome-determined history trajectory, truncated at the widest
-        # candidate mask (24 bits) — per-hypothesis masking narrows it.
-        history = np.zeros(t, dtype=np.int64)
-        value = 0
-        for step, taken in enumerate(program.outcomes):
-            history[step] = value
-            value = ((value << 1) | int(taken)) & 0xFFFFFF
-        bidx = np.empty((t, k), dtype=np.int64)
-        gidx = np.empty((t, k), dtype=np.int64)
-        for j, hyp in enumerate(self.hypotheses):
-            bidx[:, j] = apply_hash(
-                hyp.index_hash, addresses, hyp.table_entries
-            )
-            folded = fold_history(
-                history & self._masks[j], hyp.ghr_bits, hyp.table_entries
-            )
-            gidx[:, j] = apply_hash(
-                hyp.index_hash, addresses ^ folded, hyp.table_entries
-            )
-        return bidx, gidx
+    def _bimodal_indices(self, addresses: np.ndarray) -> np.ndarray:
+        """Bimodal PHT index per step and column, shape (T, columns)."""
+        out = np.empty((len(addresses), len(self._bimodal_columns)), np.int32)
+        for c, (size, index_hash) in enumerate(self._bimodal_columns):
+            out[:, c] = apply_hash(index_hash, addresses, size)
+        return out
 
-    @staticmethod
-    def _slots(indices: np.ndarray) -> np.ndarray:
-        """Compress raw per-column PHT indices to dense slot ids."""
-        t, k = indices.shape
-        slots = np.empty((t, k), dtype=np.int64)
-        for j in range(k):
-            _, slots[:, j] = np.unique(indices[:, j], return_inverse=True)
-        return slots
+    def _gshare_indices(
+        self, addresses: np.ndarray, outcomes: np.ndarray
+    ) -> np.ndarray:
+        """gshare PHT index per step and column, shape (T, columns)."""
+        # Outcome-determined history before each step, truncated to
+        # the widest candidate (24 bits); columns mask it narrower.
+        padded = np.concatenate(
+            [np.zeros(_GHR_WIDTH, dtype=np.int64), outcomes[:-1]]
+        )
+        history = (
+            np.lib.stride_tricks.sliding_window_view(padded, _GHR_WIDTH)
+            @ _GHR_WEIGHTS
+        )
+        out = np.empty((len(addresses), len(self._gshare_columns)), np.int32)
+        folds: Dict[Tuple[int, int], np.ndarray] = {}
+        for c, (size, index_hash, bits) in enumerate(self._gshare_columns):
+            if (size, bits) not in folds:
+                folds[size, bits] = addresses ^ fold_history(
+                    history & ((1 << bits) - 1), bits, size
+                )
+            out[:, c] = apply_hash(index_hash, folds[size, bits], size)
+        return out
+
+    def _table_predictions(
+        self, indices: np.ndarray, column_of: np.ndarray, outcomes: np.ndarray
+    ) -> np.ndarray:
+        """Each hypothesis's PHT prediction before every step, (T, K)."""
+        order = np.argsort(indices, axis=0, kind="stable")
+        keys = np.take_along_axis(indices, order, axis=0)[:, :, None]
+        # (T, columns, variants) ids: each column once per FSM variant.
+        steps = self._step_ids[outcomes[order]]
+        prefix = _exclusive_scan(steps, keys, self._compose, self._identities)
+        predicts = np.empty(prefix.shape, dtype=bool)
+        predicts[order, np.arange(indices.shape[1])] = self._predicts[prefix]
+        return predicts[:, column_of, self._variant_of]
+
+    def signatures_by_bias(
+        self, program: BranchProgram, biases: Sequence[int]
+    ) -> np.ndarray:
+        """Predicted hit bits for every selector bias and hypothesis,
+        shape (biases, K, observed)."""
+        biases = [int(b) for b in biases]
+        if any(not 0 <= b <= _SELECTOR_MAX for b in biases):
+            raise ValueError(f"selector biases must lie in 0..{_SELECTOR_MAX}")
+        observed = np.array(program.observed, dtype=np.intp)
+        if not len(observed):
+            return np.zeros((len(biases), len(self), 0), dtype=bool)
+        addresses = np.array(program.addresses, dtype=np.int64)
+        outcomes = np.array(program.outcomes, dtype=np.int8)
+        b_taken = self._table_predictions(
+            self._bimodal_indices(addresses), self._bimodal_of, outcomes
+        )
+        g_taken = self._table_predictions(
+            self._gshare_indices(addresses, outcomes),
+            self._gshare_of,
+            outcomes,
+        )
+        # Choice counters: a non-cold step where exactly one PHT was
+        # right moves the counter toward it; cold steps leave the
+        # initial bias in place.
+        _, first, aid = np.unique(
+            addresses, return_index=True, return_inverse=True
+        )
+        cold = np.zeros(len(addresses), dtype=bool)
+        cold[first] = True
+        taken = outcomes.astype(bool)[:, None]
+        g_right = g_taken == taken
+        moves = np.where(
+            (g_right != (b_taken == taken)) & ~cold[:, None],
+            self._counter.outcome_ids[g_right.astype(np.intp)],
+            self._counter.IDENTITY,
+        ).astype(np.int16)
+        order = np.argsort(aid, kind="stable")
+        prefix = np.empty_like(moves)
+        prefix[order] = _exclusive_scan(
+            moves[order],
+            aid[order, None],
+            self._counter.compose_table,
+            self._counter.IDENTITY,
+        )
+        # Counter value before each observed step, at every bias.
+        counters = self._counter.maps[:, biases][prefix[observed]]
+        use_gshare = ~cold[observed, None, None] & (counters >= _SELECTOR_MAX)
+        predicted = np.where(
+            use_gshare,
+            g_taken[observed, :, None],
+            b_taken[observed, :, None],
+        )
+        hits = predicted == taken[observed, :, None]
+        return hits.transpose(2, 1, 0)
 
     def signatures(
         self, program: BranchProgram, selector_initial: int
     ) -> np.ndarray:
         """Predicted hit bits for every hypothesis, shape (K, observed)."""
-        k = len(self.hypotheses)
-        bslot, gslot = map(self._slots, self._indices(program))
-        levels_b = np.broadcast_to(
-            self._init_levels[:, None], (k, int(bslot.max()) + 1)
-        ).copy()
-        levels_g = np.broadcast_to(
-            self._init_levels[:, None], (k, int(gslot.max()) + 1)
-        ).copy()
-        # Per-address choice counters (addresses shared by hypotheses).
-        addresses = np.array(program.addresses, dtype=np.int64)
-        unique_addresses, aid = np.unique(addresses, return_inverse=True)
-        counters = np.full(
-            (k, len(unique_addresses)), selector_initial, dtype=np.int8
-        )
-        seen = np.zeros(len(unique_addresses), dtype=bool)
-        observed = set(program.observed)
-        hits = np.empty((k, len(program.observed)), dtype=bool)
-        out = 0
-        krange = self._krange
-        for step, taken in enumerate(program.outcomes):
-            bs = bslot[step]
-            gs = gslot[step]
-            b_level = levels_b[krange, bs]
-            g_level = levels_g[krange, gs]
-            b_taken = self._predict_pad[self._vid, b_level]
-            g_taken = self._predict_pad[self._vid, g_level]
-            a = aid[step]
-            cold = not seen[a]
-            use_gshare = (
-                np.zeros(k, dtype=bool)
-                if cold
-                else counters[:, a] >= _SELECTOR_MAX
-            )
-            predicted = np.where(use_gshare, g_taken, b_taken)
-            if step in observed:
-                hits[:, out] = predicted == taken
-                out += 1
-            o = int(taken)
-            levels_b[krange, bs] = self._step_pad[self._vid, o, b_level]
-            levels_g[krange, gs] = self._step_pad[self._vid, o, g_level]
-            if cold:
-                counters[:, a] = selector_initial
-            else:
-                b_correct = b_taken == taken
-                g_correct = g_taken == taken
-                move = b_correct != g_correct
-                delta = np.where(g_correct, 1, -1).astype(np.int8)
-                updated = np.clip(counters[:, a] + delta, 0, _SELECTOR_MAX)
-                counters[:, a] = np.where(move, updated, counters[:, a])
-            seen[a] = True
-        return hits
+        return self.signatures_by_bias(program, (selector_initial,))[0]
 
 
 class HypothesisLattice:
@@ -330,12 +421,10 @@ class HypothesisLattice:
     def _masked(
         self, program: BranchProgram
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Signatures under the low nuisance bias, plus the agreed mask."""
-        first = self.bank.signatures(program, SELECTOR_INITIALS[0])
-        mask = np.ones_like(first)
-        for bias in SELECTOR_INITIALS[1:]:
-            mask &= first == self.bank.signatures(program, bias)
-        return first, mask
+        """Signatures under the low nuisance bias, plus the agreed mask
+        (both biases come from one pass of the bank)."""
+        by_bias = self.bank.signatures_by_bias(program, SELECTOR_INITIALS)
+        return by_bias[0], (by_bias == by_bias[0]).all(axis=0)
 
     def observe(
         self, program: BranchProgram, hits: Iterable[object]

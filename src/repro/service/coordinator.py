@@ -293,8 +293,11 @@ class Coordinator:
                 aggregate = state.aggregate_cls.from_state(agg_state)
                 state.done[shard_index] = aggregate
                 lo, hi = state.shards[shard_index]
+                # Disk only, as in CampaignService.run_wave.
                 self.store.put(
-                    shard_store_key(state.spec, lo, hi), aggregate
+                    shard_store_key(state.spec, lo, hi),
+                    aggregate,
+                    memory=False,
                 )
                 save_campaign(self.dirs["checkpoints"], state)
                 if state.complete:

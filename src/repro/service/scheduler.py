@@ -329,9 +329,13 @@ class CampaignService:
             state.dispatched += 1
             touched.add(cid)
             if self.store is not None:
+                # Disk only: state.done already holds the aggregate, and
+                # a later read still fills the memory tier.
                 lo, hi = state.shards[shard_index]
                 self.store.put(
-                    shard_store_key(state.spec, lo, hi), aggregate
+                    shard_store_key(state.spec, lo, hi),
+                    aggregate,
+                    memory=False,
                 )
         for cid in sorted(touched):
             self._save(self._campaigns[cid])

@@ -242,7 +242,14 @@ class ContentStore:
         return False, None
 
     def put(self, key: str, value: Any, *, memory: bool = True) -> None:
-        """Persist ``value`` under ``key`` (atomic; last whole write wins)."""
+        """Persist ``value`` under ``key`` (atomic; last whole write wins).
+
+        ``memory=False`` writes the disk tier only — for publishers that
+        already hold the value themselves: the service's scheduler and
+        coordinator keep each shard aggregate in their campaign state,
+        so a memory copy would only pin it for the store's lifetime.
+        A later :meth:`get` still fills the memory tier.
+        """
         payload = pickle.dumps(value, protocol=_PICKLE_PROTOCOL)
         digest = hashlib.sha256(payload).hexdigest().encode("ascii")
         data = _MAGIC + digest + b"\n" + payload

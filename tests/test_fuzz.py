@@ -7,10 +7,12 @@ the service-tenancy contracts (worker-count invariance, warm-store
 zero-dispatch reruns, partial-run resume) the acceptance criteria pin.
 """
 
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bpu.hashes import fold_history, history_fold_width
 from repro.bpu.presets import PRESETS
@@ -23,6 +25,7 @@ from repro.fuzz.campaign import (
 from repro.fuzz.generate import (
     CANDIDATE_HISTORY_BITS,
     CANDIDATE_TABLE_SIZES,
+    MAX_ADDRESS,
     BranchProgram,
     battery_descriptors,
     program_from_descriptor,
@@ -138,37 +141,143 @@ class TestFoldHistory:
         assert folded.tolist() == expected
 
 
-class TestSimulatorDifferential:
-    """Bank signatures == scalar reference, bit for bit."""
+def _scalar_bits(program, biases):
+    """Scalar reference bits, shape (biases, K, observed)."""
+    return np.array(
+        [
+            [simulate_program(program, h, bias) for h in default_lattice()]
+            for bias in biases
+        ],
+        dtype=bool,
+    )
 
-    def test_battery_spot_check(self):
-        lattice = default_lattice()
-        bank = HypothesisBank(lattice)
-        rng = np.random.default_rng(5)
-        picks = rng.choice(len(lattice), size=4, replace=False)
-        programs = [
-            program_from_descriptor(d) for d in battery_descriptors(0)
-        ]
-        for program in programs:
-            for bias in SELECTOR_INITIALS:
-                signatures = bank.signatures(program, bias)
-                for j in picks:
-                    reference = simulate_program(program, lattice[j], bias)
-                    assert (
-                        tuple(bool(b) for b in signatures[j]) == reference
-                    ), (program, lattice[j], bias)
 
-    def test_random_program_spot_check(self):
-        lattice = default_lattice()
-        bank = HypothesisBank(lattice)
-        rng = np.random.default_rng(17)
-        for _ in range(6):
-            program = program_from_descriptor(random_descriptor(rng))
-            signatures = bank.signatures(program, 1)
-            j = int(rng.integers(0, len(lattice)))
-            assert tuple(bool(b) for b in signatures[j]) == simulate_program(
-                program, lattice[j], 1
+@functools.lru_cache(maxsize=None)
+def _battery_reference():
+    programs = [program_from_descriptor(d) for d in battery_descriptors(0)]
+    return [(p, _scalar_bits(p, SELECTOR_INITIALS)) for p in programs]
+
+
+@st.composite
+def descriptors(draw):
+    """Program descriptors from all three families, within the decoder's
+    validity ranges (collision probes biased toward near-collisions)."""
+    family = draw(st.sampled_from(["collision", "fsm", "history"]))
+    address = draw(st.integers(0, MAX_ADDRESS - 1))
+    if family == "collision":
+        bit = draw(st.integers(0, 23))
+        probe = draw(
+            st.sampled_from(
+                [
+                    address + (1 << bit),
+                    address ^ (1 << bit),
+                    address ^ 2 ^ (2 << bit),
+                ]
             )
+        ) % MAX_ADDRESS
+        return {
+            "family": "collision",
+            "train": address,
+            "probe": probe if probe != address else address ^ 1,
+        }
+    if family == "fsm":
+        return {
+            "family": "fsm",
+            "address": address,
+            "taken": draw(st.integers(1, 5)),
+            "not_taken": draw(st.integers(1, 6)),
+        }
+    return {
+        "family": "history",
+        "address": address,
+        "period": draw(st.integers(2, 27)),
+        "repeats": draw(st.integers(1, 12)),
+    }
+
+
+class TestSimulatorDifferential:
+    """Bank signatures == scalar reference, bit for bit, on the whole
+    lattice."""
+
+    def test_full_lattice_on_battery(self):
+        bank = HypothesisBank(default_lattice())
+        for program, reference in _battery_reference():
+            got = bank.signatures_by_bias(program, SELECTOR_INITIALS)
+            assert np.array_equal(got, reference), program
+            for b, bias in enumerate(SELECTOR_INITIALS):
+                assert np.array_equal(
+                    bank.signatures(program, bias), reference[b]
+                )
+
+    @given(desc=descriptors())
+    @settings(max_examples=25, deadline=None)
+    def test_full_lattice_on_drawn_descriptors(self, desc):
+        program = program_from_descriptor(desc)
+        bank = HypothesisBank(default_lattice())
+        assert np.array_equal(
+            bank.signatures_by_bias(program, SELECTOR_INITIALS),
+            _scalar_bits(program, SELECTOR_INITIALS),
+        ), desc
+
+    def test_counter_saturation_ends(self):
+        """Biases 0 and 7 start the choice counter at either saturated
+        end: gshare from the second visit on, or only after seven
+        gshare-only wins."""
+        bank = HypothesisBank(default_lattice())
+        for program, _ in _battery_reference():
+            if program.addresses[0] != program.addresses[-1]:
+                continue  # collision probes: the probe runs cold
+            assert np.array_equal(
+                bank.signatures_by_bias(program, (0, 7)),
+                _scalar_bits(program, (0, 7)),
+            ), program
+
+    def test_masked_agreement_equals_two_scalar_runs(self):
+        lattice = HypothesisLattice()
+        for program, reference in _battery_reference():
+            first, mask = lattice._masked(program)
+            assert np.array_equal(first, reference[0])
+            assert np.array_equal(mask, reference[0] == reference[1])
+
+    def test_transient_memory_stays_small(self):
+        """The largest battery program (312 steps) scans in well under
+        2.5 MB of transient allocations."""
+        import tracemalloc
+
+        program = max(
+            (p for p, _ in _battery_reference()), key=lambda p: len(p)
+        )
+        assert len(program) == 312
+        lattice = HypothesisLattice()
+        lattice._masked(program)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            lattice._masked(program)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 1024 * 1024
+
+    def test_rejects_bias_outside_counter_range(self):
+        program = program_from_descriptor(battery_descriptors(0)[0])
+        with pytest.raises(ValueError, match="biases"):
+            HypothesisBank(default_lattice()).signatures(program, 8)
+
+    @pytest.mark.parametrize(
+        "program",
+        [
+            BranchProgram((), (), ()),
+            BranchProgram((0x40, 0x40), (True, False), ()),
+        ],
+        ids=["empty-program", "no-observed-steps"],
+    )
+    def test_no_observed_steps_gives_empty_rows(self, program):
+        lattice = HypothesisLattice()
+        bank = lattice.bank
+        assert bank.signatures(program, 1).shape == (len(bank), 0)
+        assert simulate_program(program, bank.hypotheses[0], 1) == ()
+        assert lattice.observe(program, []) == len(bank)
+        assert lattice.partition_score(program) == 1
 
 
 class TestBatterySeparation:

@@ -274,6 +274,30 @@ class TestCampaignStore:
         assert stats["memory_hits"] == 3
         assert stats["puts"] == 3
 
+    def test_service_publishes_shard_results_to_disk_only(self, tmp_path):
+        """The scheduler keeps each aggregate in its campaign state, so
+        its store put skips the memory tier; a same-process resubmission
+        is still served whole, from disk."""
+        spec = small_spec()
+        store = ContentStore(tmp_path / "store")
+        cold = CampaignService(workers=1, store=store)
+        cid = cold.submit(spec)
+        cold.run_until_complete()
+        assert not [k for k in store._memory if k.startswith("shard_result")]
+        assert store.stats_dict()["puts"] == spec.shards
+        ran = []
+        warm = CampaignService(workers=1, store=store, pre_trial=ran.append)
+        assert warm.submit(spec) == cid
+        state = warm.campaign(cid)
+        assert ran == []
+        assert state.cached_shards == spec.shards == len(state.shards)
+        assert state.aggregate().digest() == (
+            cold.campaign(cid).aggregate().digest()
+        )
+        stats = store.stats_dict()
+        assert stats["disk_hits"] == spec.shards
+        assert stats["memory_hits"] == 0
+
     def test_shard_cache_shared_across_tenants(self, tmp_path):
         store = ContentStore(tmp_path / "store")
         run_campaign(small_spec(tenant="alpha"), n_shards=2, store=store)

@@ -33,7 +33,12 @@ from repro.resilience.faults import (
     DUPLICATE,
     TRUNCATE,
 )
-from repro.service import CampaignSpec, run_campaign, run_worker
+from repro.service import (
+    CampaignService,
+    CampaignSpec,
+    run_campaign,
+    run_worker,
+)
 from repro.service.coordinator import Coordinator, run_coordinator
 from repro.service.leases import (
     DONE,
@@ -338,6 +343,27 @@ class TestDistributedCampaign:
         coord2 = Coordinator(tmp_path, log=quiet)
         assert coord2.submit(spec) == spec.campaign_id()
         assert coord2.drained()
+
+    def test_accepted_upload_publishes_to_disk_only(
+        self, coordinator, tmp_path
+    ):
+        """The coordinator keeps accepted aggregates in its campaign
+        state; the store holds them on disk only, and a same-process
+        service over that store is served every shard from disk."""
+        coord, server = coordinator
+        spec = small_spec()
+        TransportClient(server.url).call("submit", {"spec": spec.to_dict()})
+        assert run_worker(server.url, once=True, log=quiet) == 0
+        store = coord.store
+        assert not [k for k in store._memory if k.startswith("shard_result")]
+        ran = []
+        service = CampaignService(workers=1, store=store, pre_trial=ran.append)
+        state = service.campaign(service.submit(spec))
+        assert ran == []
+        assert state.cached_shards == spec.shards == len(state.shards)
+        assert state.aggregate().digest() == result_digest(tmp_path, spec)
+        assert store.stats_dict()["disk_hits"] == spec.shards
+        assert store.stats_dict()["memory_hits"] == 0
 
     def test_two_workers_fault_storm_matches_reference(
         self, tmp_path
