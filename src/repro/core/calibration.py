@@ -435,11 +435,9 @@ def find_block(
     seed_start: int = 0,
     rng: Optional[np.random.Generator] = None,
     workers: Optional[int] = None,
-    fast: bool = True,
     with_stats: bool = False,
     checkpoint=None,
     resume: bool = True,
-    backend: str = "process",
 ):
     """Search candidate blocks until one stably yields ``desired_state``.
 
@@ -455,8 +453,9 @@ def find_block(
     By default (``workers=None`` and no ``REPRO_TRIAL_WORKERS``) the
     search walks candidates serially with assessments chained on ``rng``
     (default the core RNG) — the historical behaviour, bit-for-bit.
-    ``fast=False`` forces the scalar assessment engine; the default
-    batch engine is a bit-exact drop-in either way.
+    Assessments run the batch engine, a bit-exact drop-in for the
+    scalar :func:`assess_block` oracle that falls back to it where the
+    core needs it.
 
     With ``workers`` given (or the env var set), candidates become
     independent trials fanned across a
@@ -484,30 +483,19 @@ def find_block(
     functions of the candidate index to survive a resume, which the
     serial rng-chained walk is not.
 
-    ``backend="manycore"`` forces the pooled path and pre-screens
-    candidates through :class:`~repro.core.manycore.ManycoreFindPool` —
-    the pin check runs once, cheaply, before a trial is dispatched, and
-    rejected candidates consume no shared state, so the winner is
-    bit-identical to the pooled search at the same worker count.
-
     Raises :class:`CalibrationError` after ``max_candidates`` failures.
     """
-    if backend not in ("process", "manycore"):
-        raise ValueError(f"unknown backend {backend!r}")
     fsm = core.predictor.bimodal.pht.fsm
-    assess = assess_block_batch if fast else assess_block
     desired_name = desired_state.value
     n_workers = resolve_workers(workers)
-    pooled = (
-        backend == "manycore"
-        or checkpoint is not None
-        or not (workers is None and n_workers == 1)
+    pooled = checkpoint is not None or not (
+        workers is None and n_workers == 1
     )
     # Every pooled assessment carries a plan, so only the mitigation
     # part of the fallback predicate can disable the batch engine
     # there; the serial path (no plan) also falls back on a custom
     # timing model.
-    scalar_forced = fast and scalar_engine_forced(core, pooled=pooled)
+    scalar_forced = scalar_engine_forced(core, pooled=pooled)
     fallbacks_before = obs.scalar_fallback_counts().get("calibration_batch", 0)
     tracer = obs.TRACER
     if tracer is not None:
@@ -518,7 +506,7 @@ def find_block(
             desired=desired_state.value,
             max_candidates=max_candidates,
             workers=n_workers,
-            engine="batch" if fast and not scalar_forced else "scalar",
+            engine="scalar" if scalar_forced else "batch",
         )
 
     def _finish(compiled: CompiledBlock, candidates: int, assessed):
@@ -558,7 +546,7 @@ def find_block(
             if fsm.public_state(int(row[0])).name != desired_name:
                 continue
             compiled = block.compile(core, spy)
-            assessment = assess(
+            assessment = assess_block_batch(
                 core,
                 spy,
                 compiled,
@@ -638,7 +626,7 @@ def find_block(
             repetitions=repetitions,
             noise=noise,
         )
-        assessment = assess(
+        assessment = assess_block_batch(
             trial_core, spy, compiled, target_address, plan=plan
         )
         if assessment.stable and assessment.decoded(fsm) is desired_state:
@@ -646,16 +634,6 @@ def find_block(
         return None
 
     pool = TrialPool(n_workers)
-    if backend == "manycore":
-        from repro.core.manycore import ManycoreFindPool
-
-        pool = ManycoreFindPool(
-            pool,
-            core,
-            target_address,
-            desired_state,
-            block_branches=block_branches,
-        )
     payloads = list(
         zip(range(seed_start, seed_start + max_candidates), children)
     )
@@ -708,7 +686,6 @@ def stability_experiment(
     noise: Optional[NoiseModel] = None,
     seed_start: int = 0,
     workers: Optional[int] = None,
-    fast: bool = True,
     checkpoint=None,
     checkpoint_interval: Optional[int] = None,
     resume: bool = True,
@@ -727,7 +704,7 @@ def stability_experiment(
     ``workers`` fans candidates across a
     :class:`~repro.parallel.TrialPool` and the assessment list is
     bit-identical at any worker count, including the serial ``workers=1``
-    loop.  ``fast=False`` forces the scalar assessment engine.
+    loop.
 
     Because every trial is a pure function of its block seed, the sweep
     is also trivially resumable: ``checkpoint`` (a path or
@@ -747,29 +724,24 @@ def stability_experiment(
     CLI use it to slow or fault trials without touching the result.
 
     ``backend`` selects how trials execute: ``"process"`` (default) runs
-    the per-trial closure, serially or pooled; ``"manycore"`` routes
-    trials through the struct-of-arrays shared-structure engine
-    (:class:`~repro.core.manycore.ManycoreCampaignPool`), which stacks
-    many trials into single array operations — bit-identical results,
-    single-process, and it ignores ``workers``.  Unsupported
-    configurations (mitigations, zero-width noise gaps, a
-    nondeterministic factory) degrade per payload to the scalar trial,
-    counted under the ``"manycore"`` scalar-fallback key.  Checkpoints
-    are backend-agnostic: a campaign interrupted under one backend
-    resumes under the other.
+    the per-trial closure (generate, compile, plan, batch assessment),
+    serially or pooled; ``"manycore"`` routes trials through
+    :class:`~repro.core.manycore.ManycoreCampaignPool` — bit-identical
+    results, single-process, and it ignores ``workers``.  A
+    deterministic, unmitigated factory shares one structure across the
+    whole campaign; any other campaign (a mitigation, value-unequal FSM
+    specs, a nondeterministic factory, an empty noise gap) runs each
+    payload on its own core, through the engine's N=1 case where it is
+    exact and the reference trial otherwise, counted under the
+    ``"manycore"`` scalar-fallback key.  Checkpoints are
+    backend-agnostic: a campaign interrupted under one backend resumes
+    under the other.
     """
     if backend not in ("process", "manycore"):
         raise ValueError(f"unknown backend {backend!r}")
-    if backend == "manycore":
-        if pool is not None:
-            raise ValueError("backend='manycore' already supplies the pool")
-        if not fast:
-            raise ValueError(
-                "backend='manycore' is a vectorised engine; use fast=True "
-                "or backend='process' for the scalar engine"
-            )
+    if backend == "manycore" and pool is not None:
+        raise ValueError("backend='manycore' already supplies the pool")
     spy = Process("stability-spy")
-    assess = assess_block_batch if fast else assess_block
 
     def trial(block_seed: int) -> BlockAssessment:
         if pre_trial is not None:
@@ -782,7 +754,9 @@ def stability_experiment(
         plan = draw_trial_plan(
             core.rng, core, repetitions=repetitions, noise=noise
         )
-        return assess(core, spy, compiled, target_address, plan=plan)
+        return assess_block_batch(
+            core, spy, compiled, target_address, plan=plan
+        )
 
     if backend == "manycore":
         from repro.core.manycore import ManycoreCampaignPool

@@ -8,18 +8,7 @@ trials by stacking N cores' state and per-trial quantities into
 ``(N, ...)`` numpy arrays — a struct-of-arrays ("manycore") layout — and
 advancing the whole campaign with single array operations.
 
-Three layers:
-
-* :class:`ManycoreState` — the general SoA container: PHT levels,
-  selector counters, GHR values, identification/BTB tags, per-instance
-  clocks and mispredict counters stacked into ``(N, table_size)``
-  arrays, with per-instance RNG streams spawned via
-  ``np.random.SeedSequence`` exactly like
-  :func:`repro.parallel.spawn_seeds`.  :meth:`ManycoreState.
-  apply_compiled` is the vectorised counterpart of
-  :meth:`~repro.core.randomizer.CompiledBlock.apply`, pinned
-  element-for-element against the scalar path in
-  ``tests/test_manycore.py``.
+Two layers:
 
 * :class:`ManycoreCampaignPool` — the stability-experiment fast path.
   Because every trial builds its core from the same deterministic
@@ -42,16 +31,14 @@ Three layers:
   structure per trial, and no block compile.
 
 Exactness boundary (mirrors the batch engine's, plus the shared-plan
-requirement): a campaign-wide mitigation or value-*unequal* FSM specs
-route every trial to the caller-supplied scalar trial function.  A
-nondeterministic core factory or distinct-but-equal FSM instances no
-longer force that: the pool partitions payloads by *structure
-signature* (initial predictor state, plan bytes, post-draw RNG
-position, FSM spec) and runs one :class:`_SharedStructure` per
-multi-member group, falling back per payload only for
-singleton-degenerate groups, per-payload mitigations, or empty noise
-gaps.  Every fallback is counted via
-:func:`repro.obs.trace.record_scalar_fallback` under engine
+requirement): the pool shares one structure only when the factory is
+deterministic and unmitigated, the two PHTs' FSM specs are value-equal,
+and the plan has no empty noise gap.  Any other campaign runs each
+payload on its own core: :func:`assess_planned` for an unmitigated
+core, which itself takes the exact compile + batch reference for
+value-unequal FSM specs or an empty noise gap, and the reference trial
+order for a mitigated core.  Every reference-path payload is counted
+via :func:`repro.obs.trace.record_scalar_fallback` under engine
 ``"manycore"`` — graceful and exact, never silent — and the dispatch
 split is observable through :func:`group_batch_stats`.
 """
@@ -63,7 +50,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bpu.hashes import apply_hash, kernel_shift
+from repro.bpu.hashes import kernel_shift
 from repro.core.calibration import (
     BlockAssessment,
     TrialPlan,
@@ -72,21 +59,18 @@ from repro.core.calibration import (
     draw_trial_plan,
 )
 from repro.core.calibration_batch import _closed_form
-from repro.core.randomizer import CompiledBlock, RandomizationBlock
+from repro.core.randomizer import RandomizationBlock
 from repro.core.support import manycore_fallback_reason
 from repro.cpu.core import PhysicalCore
 from repro import kernels
 from repro import store as repro_store
 from repro.cpu.process import Process
 from repro.obs import trace as obs
-from repro.parallel import spawn_rngs
 from repro.resilience.checkpoint import rng_state_digest
 from repro.system.noise import NoiseModel
 
 __all__ = [
-    "ManycoreState",
     "ManycoreCampaignPool",
-    "ManycoreFindPool",
     "assess_planned",
     "group_batch_stats",
     "manycore_supported",
@@ -104,30 +88,26 @@ _PATTERNS = ("HH", "HM", "MH", "MM")
 #: the per-chunk gather setup.
 DEFAULT_CHUNK = 64
 
-#: Always-on counters for the heterogeneous-group dispatcher, mirrored
-#: into run manifests by ``benchmarks/_common.py``.
+#: Always-on counters for the campaign pool's dispatch, mirrored into
+#: run manifests by ``benchmarks/_common.py``.
 _GROUP_STATS: Dict[str, int] = {
     "campaigns": 0,
     "map_calls": 0,
     "payloads": 0,
     "shared": 0,
-    "grouped": 0,
+    "per_payload": 0,
     "scalar": 0,
-    "groups": 0,
-    "singleton_groups": 0,
-    "workspace_reuses": 0,
 }
 
 
 def group_batch_stats() -> Dict[str, int]:
     """Snapshot of the campaign-pool dispatch counters.
 
-    ``shared``/``grouped``/``scalar`` partition every payload that went
-    through a :class:`ManycoreCampaignPool` by how it executed: the
-    single-structure fast path, a multi-member heterogeneous group, or a
-    per-payload replica/delegated trial.  ``groups`` counts multi-member
-    groups built, ``singleton_groups`` the degenerate ones that fell
-    back, and ``workspace_reuses`` chunk-buffer reuses across groups.
+    ``shared``/``per_payload``/``scalar`` partition every payload that
+    went through a :class:`ManycoreCampaignPool` by how it executed: the
+    campaign's one shared structure, :func:`assess_planned` on the
+    payload's own core, or the exact reference path (counted as a
+    ``"manycore"`` scalar fallback).
     """
     return dict(_GROUP_STATS)
 
@@ -138,263 +118,8 @@ def reset_group_batch_stats() -> None:
 
 
 # ---------------------------------------------------------------------------
-# ManycoreState: the general struct-of-arrays container
-# ---------------------------------------------------------------------------
-
-
-class ManycoreState:
-    """N independent cores' microarchitectural state, stacked.
-
-    Row ``i`` of every array is instance ``i``'s state; the scalar
-    equivalents live on :class:`~repro.cpu.core.PhysicalCore` and its
-    components.  Only the state the randomisation/assessment pipeline
-    touches is stacked (PHT levels, selector, GHR, identification and
-    target buffers, clock, one process's counters) — instances needing
-    full core semantics should materialise a :class:`PhysicalCore`.
-    """
-
-    def __init__(
-        self,
-        config,
-        n: int,
-        *,
-        bimodal_levels: np.ndarray,
-        gshare_levels: np.ndarray,
-        selector_counters: np.ndarray,
-        ghr_values: np.ndarray,
-        bit_valid: np.ndarray,
-        bit_tags: np.ndarray,
-        btb_valid: np.ndarray,
-        btb_tags: np.ndarray,
-        btb_targets: np.ndarray,
-        clock: np.ndarray,
-        branches: np.ndarray,
-        mispredictions: np.ndarray,
-        cycles: np.ndarray,
-        rngs: List[np.random.Generator],
-    ) -> None:
-        self.config = config
-        self.n = int(n)
-        self.bimodal_levels = bimodal_levels
-        self.gshare_levels = gshare_levels
-        self.selector_counters = selector_counters
-        self.ghr_values = ghr_values
-        self.bit_valid = bit_valid
-        self.bit_tags = bit_tags
-        self.btb_valid = btb_valid
-        self.btb_tags = btb_tags
-        self.btb_targets = btb_targets
-        self.clock = clock
-        self.branches = branches
-        self.mispredictions = mispredictions
-        self.cycles = cycles
-        self.rngs = rngs
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_factory(
-        cls,
-        core_factory: Callable[[], PhysicalCore],
-        n: int,
-        *,
-        seed: Optional[int] = None,
-    ) -> "ManycoreState":
-        """Broadcast one factory-built core into ``n`` stacked instances.
-
-        Per-instance RNG streams are spawned from ``seed`` with the same
-        ``SeedSequence.spawn`` discipline as
-        :func:`repro.parallel.spawn_seeds`, so a manycore campaign and a
-        pooled per-trial campaign derive identical independent streams
-        from the same experiment seed.
-        """
-        template = core_factory()
-        predictor = template.predictor
-
-        def stack(arr: np.ndarray) -> np.ndarray:
-            return np.repeat(np.asarray(arr)[None, ...], n, axis=0).copy()
-
-        return cls(
-            template.config,
-            n,
-            bimodal_levels=stack(predictor.bimodal.pht.levels),
-            gshare_levels=stack(predictor.gshare.pht.levels),
-            selector_counters=stack(predictor.selector.counters),
-            ghr_values=np.full(n, int(predictor.ghr.value), dtype=np.int64),
-            bit_valid=stack(predictor.bit.valid),
-            bit_tags=stack(predictor.bit.tags),
-            btb_valid=stack(predictor.btb.valid),
-            btb_tags=stack(predictor.btb.tags),
-            btb_targets=stack(predictor.btb.targets),
-            clock=np.full(n, int(template.clock.now), dtype=np.int64),
-            branches=np.zeros(n, dtype=np.int64),
-            mispredictions=np.zeros(n, dtype=np.int64),
-            cycles=np.zeros(n, dtype=np.int64),
-            rngs=spawn_rngs(seed, n),
-        )
-
-    @classmethod
-    def from_cores(
-        cls,
-        cores: Sequence[PhysicalCore],
-        *,
-        process: Optional[Process] = None,
-    ) -> "ManycoreState":
-        """Stack existing cores (all of one configuration) row by row.
-
-        ``process`` selects whose counter file the per-instance counter
-        columns mirror (zeros when omitted).  The cores' own generators
-        are carried by reference — the stacked state and the cores share
-        streams, exactly as a scalar campaign over those cores would.
-        """
-        if not cores:
-            raise ValueError("from_cores needs at least one core")
-        name = cores[0].config.name
-        for core in cores:
-            if core.config.name != name:
-                raise ValueError(
-                    f"mixed configurations: {core.config.name!r} vs {name!r}"
-                )
-        from repro.cpu.counters import CounterKind
-
-        def counter(core: PhysicalCore, kind) -> int:
-            if process is None:
-                return 0
-            return int(core.counters_for(process).read(kind))
-
-        predictors = [core.predictor for core in cores]
-        return cls(
-            cores[0].config,
-            len(cores),
-            bimodal_levels=np.stack(
-                [p.bimodal.pht.levels.copy() for p in predictors]
-            ),
-            gshare_levels=np.stack(
-                [p.gshare.pht.levels.copy() for p in predictors]
-            ),
-            selector_counters=np.stack(
-                [p.selector.counters.copy() for p in predictors]
-            ),
-            ghr_values=np.array(
-                [int(p.ghr.value) for p in predictors], dtype=np.int64
-            ),
-            bit_valid=np.stack([p.bit.valid.copy() for p in predictors]),
-            bit_tags=np.stack([p.bit.tags.copy() for p in predictors]),
-            btb_valid=np.stack([p.btb.valid.copy() for p in predictors]),
-            btb_tags=np.stack([p.btb.tags.copy() for p in predictors]),
-            btb_targets=np.stack([p.btb.targets.copy() for p in predictors]),
-            clock=np.array(
-                [int(core.clock.now) for core in cores], dtype=np.int64
-            ),
-            branches=np.array(
-                [counter(core, CounterKind.BRANCHES) for core in cores],
-                dtype=np.int64,
-            ),
-            mispredictions=np.array(
-                [counter(core, CounterKind.BRANCH_MISSES) for core in cores],
-                dtype=np.int64,
-            ),
-            cycles=np.array(
-                [counter(core, CounterKind.CYCLES) for core in cores],
-                dtype=np.int64,
-            ),
-            rngs=[core.rng for core in cores],
-        )
-
-    # -- vectorised operations ---------------------------------------------
-
-    def apply_compiled(self, compiled) -> None:
-        """Apply compiled block(s) to every instance — the SoA
-        counterpart of :meth:`~repro.core.randomizer.CompiledBlock.apply`.
-
-        ``compiled`` is either one :class:`CompiledBlock` (broadcast to
-        all instances) or a sequence of ``n`` per-instance blocks.  The
-        dense PHT rewrites run as whole-stack gathers; the ragged
-        per-block writes (selector resets, identification-table
-        insertions) loop per instance — they are tiny next to the PHT
-        work and their in-order fancy assignment reproduces the scalar
-        last-write-wins semantics exactly.
-        """
-        if isinstance(compiled, CompiledBlock):
-            blocks: List[CompiledBlock] = [compiled] * self.n
-        else:
-            blocks = list(compiled)
-            if len(blocks) != self.n:
-                raise ValueError(
-                    f"{len(blocks)} compiled blocks for {self.n} instances"
-                )
-        for cb in blocks:
-            if cb.config_name != self.config.name:
-                raise ValueError(
-                    "compiled block bound to config "
-                    f"{cb.config_name!r}, state is {self.config.name!r}"
-                )
-
-        rows = np.arange(self.n)
-        n_b = self.bimodal_levels.shape[1]
-        n_g = self.gshare_levels.shape[1]
-        if all(cb is blocks[0] for cb in blocks):
-            self.bimodal_levels = blocks[0].bimodal_map[
-                np.arange(n_b)[None, :], self.bimodal_levels
-            ]
-            self.gshare_levels = blocks[0].gshare_map[
-                np.arange(n_g)[None, :], self.gshare_levels
-            ]
-        else:
-            bimodal_maps = np.stack([cb.bimodal_map for cb in blocks])
-            gshare_maps = np.stack([cb.gshare_map for cb in blocks])
-            self.bimodal_levels = bimodal_maps[
-                rows[:, None], np.arange(n_b)[None, :], self.bimodal_levels
-            ]
-            self.gshare_levels = gshare_maps[
-                rows[:, None], np.arange(n_g)[None, :], self.gshare_levels
-            ]
-
-        ghr_mask = (1 << self.config.ghr_bits) - 1
-        sel_initial = self.config.selector_initial
-        for i, cb in enumerate(blocks):
-            self.selector_counters[i, cb.selector_touched] = sel_initial
-            self.bit_valid[i, cb.bit_sets] = True
-            self.bit_tags[i, cb.bit_sets] = cb.bit_tags
-            self.ghr_values[i] = cb.ghr_end & ghr_mask
-            self.clock[i] += cb.cycles
-            self.branches[i] += len(cb.block)
-            self.mispredictions[i] += cb.mispredictions
-            self.cycles[i] += cb.cycles
-
-    def rng_digests(self) -> List[str]:
-        """Canonical stream-position digest of every instance's RNG."""
-        return [rng_state_digest(rng) for rng in self.rngs]
-
-
-# ---------------------------------------------------------------------------
 # Shared-structure campaign engine
 # ---------------------------------------------------------------------------
-
-
-def _fold_tracked_ids(
-    monoid,
-    positions: np.ndarray,
-    outcomes: np.ndarray,
-    n_tracked: int,
-) -> np.ndarray:
-    """Per-tracked-entry monoid id of one block's outcome fold.
-
-    ``positions[i]`` is the tracked-entry position branch ``i`` hits in
-    program order (``-1`` to skip a branch); the result maps each
-    tracked position to the id of its composed transition map (identity
-    for untouched positions).  Dispatches through
-    :func:`repro.kernels.fold_ids` — the same fold as
-    :meth:`~repro.bpu.fsm.TransitionMonoid.fold_table`, segmented scan
-    or compiled accumulator depending on the active backend.
-    """
-    return kernels.fold_ids(
-        np.asarray(positions, dtype=np.int64),
-        monoid.outcome_id_sequence(outcomes).astype(np.int64),
-        monoid.compose_table,
-        int(n_tracked),
-        monoid.IDENTITY,
-    )
 
 
 def _power_table(
@@ -458,7 +183,7 @@ class _NodePlan:
     differential suite pins end to end.
 
     Preconditions (checked by the caller): no mitigations (every slot
-    executes) and a single FSM shared by both PHTs (noise and execute
+    executes) and value-equal FSM specs on both PHTs (noise and execute
     steps then use the same transition table, so a node's step id
     depends only on its outcome).
     """
@@ -898,40 +623,14 @@ class _SharedStructure:
         self,
         seeds: Sequence[int],
         pre_trial: Optional[Callable[[int], None]],
-        workspace: Optional[dict] = None,
     ) -> List[BlockAssessment]:
-        """Assess one chunk of block seeds through the stacked pipeline.
-
-        ``workspace`` is an optional caller-held dict of scratch buffers
-        reused across chunks *and across structures* whenever the
-        geometry ``(chunk, n_tracked, R2)`` matches — every buffer is
-        fully overwritten before it is read, so reuse is exact.  The
-        grouped dispatcher passes one workspace across all its groups.
-        """
+        """Assess one chunk of block seeds through the stacked pipeline."""
         chunk = len(seeds)
-        geometry = (chunk, self.plan_g.n_tracked, self.R2)
-        if workspace is not None and workspace.get("geometry") == geometry:
-            lift_b = workspace["lift_b"]
-            lift_g = workspace["lift_g"]
-            touched = workspace["touched"]
-            block_tags = workspace["block_tags"]
-            codes = workspace["codes"]
-            _GROUP_STATS["workspace_reuses"] += 1
-        else:
-            lift_b = np.empty((chunk, 1), dtype=np.int64)
-            lift_g = np.empty((chunk, self.plan_g.n_tracked), dtype=np.int64)
-            touched = np.empty(chunk, dtype=bool)
-            block_tags = np.empty(chunk, dtype=np.int64)
-            codes = np.empty((chunk, self.R2), dtype=np.int64)
-            if workspace is not None:
-                workspace.update(
-                    geometry=geometry,
-                    lift_b=lift_b,
-                    lift_g=lift_g,
-                    touched=touched,
-                    block_tags=block_tags,
-                    codes=codes,
-                )
+        lift_b = np.empty((chunk, 1), dtype=np.int64)
+        lift_g = np.empty((chunk, self.plan_g.n_tracked), dtype=np.int64)
+        touched = np.empty(chunk, dtype=bool)
+        block_tags = np.empty(chunk, dtype=np.int64)
+        codes = np.empty((chunk, self.R2), dtype=np.int64)
         # Persistent-store hook: the per-seed summaries are a pure
         # function of (structure digest, seed), so a whole chunk's worth
         # is content-addressed and cached.  ``pre_trial`` still runs per
@@ -973,8 +672,7 @@ class _SharedStructure:
                 touched[i] = tsel_touched
                 block_tags[i] = block_tag
             if cache_key is not None:
-                # Copies: the workspace buffers are reused across chunks
-                # and the memory tier holds values by reference.
+                # Copies: the memory tier holds values by reference.
                 store.put(
                     cache_key,
                     {
@@ -1076,7 +774,7 @@ def manycore_supported(
     indices through :mod:`repro.bpu.hashes`, so every zoo preset runs
     here.
     """
-    return manycore_fallback_reason(core, gaps, instance_shared=True)
+    return manycore_fallback_reason(core, gaps)
 
 
 def _assess_compiled(
@@ -1135,24 +833,22 @@ class ManycoreCampaignPool:
     Drop-in for the ``pool`` seat of
     :func:`~repro.core.calibration.stability_experiment`: ``map(fn,
     seeds)`` returns the bit-identical :class:`BlockAssessment` list the
-    scalar trial closure ``fn`` would produce.  Three dispatch modes,
-    chosen once per campaign:
+    trial closure ``fn`` would produce, but never calls ``fn``.  Two
+    modes, chosen once per campaign:
 
-    * ``"shared"`` — deterministic factory, one FSM instance, no empty
-      noise gap: the classic single-:class:`_SharedStructure` fast path.
-    * ``"grouped"`` — a nondeterministic factory or distinct (but
-      value-equal) bimodal/gshare FSM instances no longer force a
-      per-payload fallback.  Each payload builds its own core, draws its
-      own plan, and payloads whose *structure signature* (initial
-      predictor state, plan bytes, post-draw RNG position, FSM spec)
-      matches share one :class:`_SharedStructure`; groups run
-      back-to-back reusing the chunk workspace when geometry matches.
-      Only singleton-degenerate groups (and per-payload mitigations /
-      empty gaps) replay the reference trial per payload, counted as
+    * ``"shared"`` — an unmitigated, deterministic factory with
+      value-equal FSM specs and no empty noise gap: one
+      :class:`_SharedStructure` for the whole campaign, assessed a chunk
+      of seeds at a time.
+    * ``"per_payload"`` — anything else: each payload runs on its own
+      core.  The cores the mode check built (the template, plus the
+      probe when the factory is nondeterministic) are banked and used
+      first, so payload ``i`` runs on factory core ``i`` exactly as the
+      per-trial closure does.  A mitigated core replays the reference
+      generate → compile → plan order (its compile may draw from the
+      core RNG); any other core draws its plan and runs
+      :func:`assess_planned`.  Reference-path payloads are counted as
       ``"manycore"`` scalar fallbacks.
-    * ``"fn"`` — a campaign-wide mitigation, value-unequal FSM specs, or
-      a deterministic plan with an empty noise gap: full delegation to
-      the caller's trial closure, counted per payload.
 
     Composes with :class:`~repro.resilience.ResumableCampaign`
     unchanged — assessments are pure functions of the block seed either
@@ -1181,9 +877,7 @@ class ManycoreCampaignPool:
         self.pre_trial = pre_trial
         self.chunk_size = int(chunk_size)
         self._shared: Optional[_SharedStructure] = None
-        self._fallback_reason: Optional[str] = None
         self._built = False
-        self._mode: Optional[str] = None
         self._banked: List[PhysicalCore] = []
         self._spy = spy
 
@@ -1191,8 +885,7 @@ class ManycoreCampaignPool:
     def rng_digest(self) -> Optional[str]:
         """Stream-position digest every trial's factory RNG ends at.
 
-        ``None`` outside ``"shared"`` mode — grouped campaigns have one
-        stream position per structure group, not one per campaign.
+        ``None`` in per-payload mode, where each core ends at its own.
         """
         self._ensure_built()
         return self._shared.rng_digest if self._shared else None
@@ -1202,74 +895,39 @@ class ManycoreCampaignPool:
             self._spy = Process("manycore-spy")
         return self._spy
 
+    def _draw_plan(self, core: PhysicalCore) -> TrialPlan:
+        return draw_trial_plan(
+            core.rng, core, repetitions=self.repetitions, noise=self.noise
+        )
+
     def _ensure_built(self) -> None:
         if self._built:
             return
         self._built = True
         _GROUP_STATS["campaigns"] += 1
         template = self.core_factory()
-        reason = manycore_supported(template)
-        if reason == "mitigation":
-            # Mitigation index/observation hooks must run inside the
-            # caller's closure (they may be stateful across the whole
-            # trial); delegate wholesale.
-            self._mode = "fn"
-            self._fallback_reason = reason
+        if manycore_supported(template) is not None:
+            self._banked = [template]
             return
-        if reason == "unshared_structure":
-            # Distinct FSM *instances* with equal specs share a monoid,
-            # so the grouped engine handles them; unequal specs would
-            # give the two PHTs different transition algebra — delegate.
-            predictor = template.predictor
-            if predictor.bimodal.pht.fsm == predictor.gshare.pht.fsm:
-                self._mode = "grouped"
-                self._banked = [template]
-            else:
-                self._mode = "fn"
-                self._fallback_reason = reason
-            return
-        # Template is individually supported; a nondeterministic factory
-        # breaks the shared-plan premise but not the grouped one.  One
-        # extra factory call per campaign buys the check.
-        digest0 = rng_state_digest(template.rng)
+        # One extra factory call checks the shared-plan premise: every
+        # trial's fresh core must start from the same RNG position.
         probe = self.core_factory()
         if (
-            rng_state_digest(probe.rng) != digest0
+            rng_state_digest(probe.rng) != rng_state_digest(template.rng)
             or probe.config.name != template.config.name
         ):
-            self._mode = "grouped"
             self._banked = [template, probe]
             return
-        plan = draw_trial_plan(
-            template.rng,
+        plan = self._draw_plan(template)
+        if manycore_supported(template, plan.offsets[1:] - plan.offsets[:-1]):
+            return
+        self._shared = _SharedStructure(
             template,
-            repetitions=self.repetitions,
-            noise=self.noise,
+            self.target_address,
+            plan,
+            rng_state_digest(template.rng),
+            self.block_branches,
         )
-        gaps = plan.offsets[1:] - plan.offsets[:-1]
-        reason = manycore_supported(template, gaps)
-        if reason is None:
-            self._mode = "shared"
-            self._shared = _SharedStructure(
-                template,
-                self.target_address,
-                plan,
-                rng_state_digest(template.rng),
-                self.block_branches,
-            )
-        else:
-            self._mode = "fn"
-            self._fallback_reason = reason
-
-    # -- grouped mode ------------------------------------------------------
-
-    def _payload_reason(self, core: PhysicalCore) -> Optional[str]:
-        """Per-payload inexactness reason inside a grouped campaign.
-
-        Relaxes the FSM condition to spec equality — distinct instances
-        are exactly what the grouped engine exists to handle.
-        """
-        return manycore_fallback_reason(core, instance_shared=False)
 
     def _replica_trial(self, core: PhysicalCore, seed: int) -> BlockAssessment:
         """The reference trial closure, replayed on an already-built core.
@@ -1283,171 +941,45 @@ class ManycoreCampaignPool:
             seed, n_branches=self.block_branches
         )
         compiled = block.compile(core, self._get_spy())
-        plan = draw_trial_plan(
-            core.rng, core, repetitions=self.repetitions, noise=self.noise
-        )
+        plan = self._draw_plan(core)
         return assess_block_batch(
             core, self._get_spy(), compiled, self.target_address, plan=plan
         )
 
-    def _replica_assess(
-        self, core: PhysicalCore, seed: int, plan: TrialPlan
-    ) -> BlockAssessment:
-        """Reference trial with the plan already drawn.
-
-        An unmitigated compile makes no core-RNG draws, so drawing the
-        plan before generate/compile (as the grouping pass must, to
-        signature payloads) is stream-equivalent to the reference order.
-        """
-        return _assess_compiled(
+    def _assess_payload(self, seed: int) -> BlockAssessment:
+        """One per-payload trial, on the next banked or fresh core."""
+        if self.pre_trial is not None:
+            self.pre_trial(seed)
+        core = self._banked.pop(0) if self._banked else self.core_factory()
+        if manycore_supported(core) == "mitigation":
+            obs.record_scalar_fallback("manycore", "mitigation")
+            _GROUP_STATS["scalar"] += 1
+            return self._replica_trial(core, seed)
+        plan = self._draw_plan(core)
+        gaps = plan.offsets[1:] - plan.offsets[:-1]
+        _GROUP_STATS[
+            "scalar" if manycore_supported(core, gaps) else "per_payload"
+        ] += 1
+        return assess_planned(
             core,
             seed,
             self.target_address,
             plan,
-            self.block_branches,
-            self._get_spy(),
+            block_branches=self.block_branches,
+            spy=self._get_spy(),
         )
-
-    def _structure_signature(
-        self, core: PhysicalCore, plan: TrialPlan
-    ) -> Tuple:
-        """Hashable key: two payloads share a group iff they would build
-        bit-identical :class:`_SharedStructure`\\ s and leave their
-        factory RNGs at the same position."""
-        predictor = core.predictor
-        h = hashlib.blake2b(digest_size=16)
-        for arr in (
-            predictor.bimodal.pht.levels,
-            predictor.gshare.pht.levels,
-            predictor.selector.counters,
-            predictor.bit.valid,
-            predictor.bit.tags,
-            plan.scrambles,
-            plan.offsets,
-            plan.bulk.addresses,
-            plan.bulk.outcomes,
-            plan.bulk.gshare_indices,
-            plan.bulk.nudges,
-        ):
-            a = np.ascontiguousarray(arr)
-            h.update(str(a.shape).encode())
-            h.update(a.tobytes())
-        h.update(
-            str(
-                (
-                    core.config.name,
-                    int(predictor.ghr.value),
-                    predictor.ghr.length,
-                    predictor.bimodal.pht.n_entries,
-                    predictor.gshare.pht.n_entries,
-                    predictor.selector.n_entries,
-                    predictor.bit.n_sets,
-                )
-            ).encode()
-        )
-        h.update(rng_state_digest(core.rng).encode())
-        return (predictor.bimodal.pht.fsm, h.hexdigest())
-
-    def _map_grouped(self, payloads: List[int]) -> List[BlockAssessment]:
-        results: List[Optional[BlockAssessment]] = [None] * len(payloads)
-        groups: Dict[Tuple, dict] = {}
-        for idx, seed in enumerate(payloads):
-            if self.pre_trial is not None:
-                self.pre_trial(seed)
-            core = (
-                self._banked.pop(0) if self._banked else self.core_factory()
-            )
-            reason = self._payload_reason(core)
-            if reason is not None:
-                obs.record_scalar_fallback("manycore", reason)
-                _GROUP_STATS["scalar"] += 1
-                results[idx] = self._replica_trial(core, seed)
-                continue
-            plan = draw_trial_plan(
-                core.rng, core, repetitions=self.repetitions, noise=self.noise
-            )
-            gaps = plan.offsets[1:] - plan.offsets[:-1]
-            if bool((gaps == 0).any()):
-                obs.record_scalar_fallback("manycore", "unshared_structure")
-                _GROUP_STATS["scalar"] += 1
-                results[idx] = self._replica_assess(core, seed, plan)
-                continue
-            key = self._structure_signature(core, plan)
-            group = groups.setdefault(
-                key,
-                {"core": core, "plan": plan, "digest": key[1], "members": []},
-            )
-            group["members"].append((idx, seed))
-
-        workspace: dict = {}
-        n_groups = 0
-        for group in groups.values():
-            members = group["members"]
-            if len(members) == 1:
-                # Building a full shared structure for one payload costs
-                # more than it saves; the replica path is exact.
-                idx, seed = members[0]
-                obs.record_scalar_fallback("manycore", "singleton_group")
-                _GROUP_STATS["scalar"] += 1
-                _GROUP_STATS["singleton_groups"] += 1
-                results[idx] = self._replica_assess(
-                    group["core"], seed, group["plan"]
-                )
-                continue
-            n_groups += 1
-            _GROUP_STATS["groups"] += 1
-            _GROUP_STATS["grouped"] += len(members)
-            shared = _SharedStructure(
-                group["core"],
-                self.target_address,
-                group["plan"],
-                group["digest"],
-                self.block_branches,
-            )
-            seeds = [seed for _, seed in members]
-            assessed: List[BlockAssessment] = []
-            for start in range(0, len(seeds), self.chunk_size):
-                assessed.extend(
-                    shared.assess_chunk(
-                        seeds[start:start + self.chunk_size],
-                        None,
-                        workspace=workspace,
-                    )
-                )
-            for (idx, _), assessment in zip(members, assessed):
-                results[idx] = assessment
-
-        tracer = obs.TRACER
-        if tracer is not None:
-            tracer.emit(
-                "calibration",
-                "manycore_group_dispatch",
-                address=self.target_address,
-                trials=len(payloads),
-                groups=n_groups,
-                singletons=sum(
-                    1 for g in groups.values() if len(g["members"]) == 1
-                ),
-            )
-        return results
 
     def map(self, fn: Callable[[int], BlockAssessment], payloads) -> List:
-        """``[fn(seed) for seed in payloads]`` through the SoA engine."""
+        """``[fn(seed) for seed in payloads]`` through the SoA engine,
+        without calling ``fn``."""
         payloads = list(payloads)
         if not payloads:
             return []
         self._ensure_built()
         _GROUP_STATS["map_calls"] += 1
         _GROUP_STATS["payloads"] += len(payloads)
-        if self._mode == "grouped":
-            return self._map_grouped(payloads)
         if self._shared is None:
-            obs.record_scalar_fallback(
-                "manycore", self._fallback_reason or "unsupported",
-                n=len(payloads),
-            )
-            _GROUP_STATS["scalar"] += len(payloads)
-            return [fn(payload) for payload in payloads]
+            return [self._assess_payload(seed) for seed in payloads]
         _GROUP_STATS["shared"] += len(payloads)
         tracer = obs.TRACER
         if tracer is not None:
@@ -1468,75 +1000,3 @@ class ManycoreCampaignPool:
                 )
             )
         return results
-
-
-class ManycoreFindPool:
-    """Candidate pre-screen for ``find_block(backend="manycore")``.
-
-    The pooled candidate search deep-copies the core, generates the
-    block, and folds the target entry *inside* each trial just to throw
-    most candidates away.  Rejected trials touch no shared state, so
-    screening them out before the trial closure runs is bit-identical —
-    and the screen needs only the block generation plus one monoid
-    reduce.  With mitigations installed the index hooks are stateful and
-    the screen would desynchronise them, so the pool degrades to plain
-    delegation (a counted ``"manycore"`` fallback).
-    """
-
-    def __init__(
-        self,
-        inner,
-        core: PhysicalCore,
-        target_address: int,
-        desired_state,
-        *,
-        block_branches: int,
-    ) -> None:
-        self._inner = inner
-        self._block_branches = int(block_branches)
-        self._enabled = len(core.mitigations) == 0
-        if not self._enabled:
-            obs.record_scalar_fallback("manycore", "mitigation")
-            return
-        fsm = core.predictor.bimodal.pht.fsm
-        self._fsm = fsm
-        self._monoid = fsm.transition_monoid()
-        self._n_b = core.predictor.bimodal.pht.n_entries
-        # The screen and the in-trial fold must select the same branch
-        # subset, so the mask applies the preset's own index hash (the
-        # zoo's fold presets pre-screen just as well as the Intel ones).
-        self._index_hash = core.predictor.bimodal.index_hash
-        self._tb = core.predictor.bimodal.index(target_address, 0, None)
-        self._desired_name = desired_state.value
-
-    def _passes(self, payload) -> bool:
-        seed, _child = payload
-        block = RandomizationBlock.generate(
-            seed, n_branches=self._block_branches
-        )
-        monoid = self._monoid
-        indices = apply_hash(self._index_hash, block.addresses, self._n_b)
-        ids = monoid.outcome_id_sequence(block.outcomes[indices == self._tb])
-        row = monoid.maps[monoid.reduce(ids)]
-        if not (row == row[0]).all():
-            return False
-        return self._fsm.public_state(int(row[0])).name == self._desired_name
-
-    def map(self, fn, payloads) -> List:
-        payloads = list(payloads)
-        if not self._enabled:
-            return self._inner.map(fn, payloads)
-        survivors = [i for i, p in enumerate(payloads) if self._passes(p)]
-        results: List = [None] * len(payloads)
-        if survivors:
-            out = self._inner.map(fn, [payloads[i] for i in survivors])
-            for i, result in zip(survivors, out):
-                results[i] = result
-        return results
-
-    def find_first(self, fn, payloads, **kwargs):
-        payloads = list(payloads)
-        if not self._enabled:
-            return self._inner.find_first(fn, payloads, **kwargs)
-        survivors = [p for p in payloads if self._passes(p)]
-        return self._inner.find_first(fn, survivors, **kwargs)

@@ -119,10 +119,7 @@ def scalar_engine_forced(core: PhysicalCore, *, pooled: bool) -> bool:
 
 
 def manycore_fallback_reason(
-    core: PhysicalCore,
-    gaps: Optional[np.ndarray] = None,
-    *,
-    instance_shared: bool = True,
+    core: PhysicalCore, gaps: Optional[np.ndarray] = None
 ) -> Optional[str]:
     """Why the manycore closed-form engine is inexact for ``core``.
 
@@ -131,21 +128,14 @@ def manycore_fallback_reason(
     * ``"mitigation"`` — any installed mitigation (index hooks would
       have to run per branch per instance; observation hooks fail
       :func:`observation_hooks_clean` as in the per-trial engines);
-    * ``"unshared_structure"`` — the two PHTs do not share one FSM
-      (``instance_shared=True`` demands one shared *instance*, the
-      shared-structure premise; ``False`` relaxes to spec equality, the
-      grouped engine's per-payload requirement) or ``gaps`` contains an
-      empty noise gap (the closed-form GHR then depends on the
-      per-block ``ghr_end``).
+    * ``"unshared_structure"`` — the two PHTs' FSM specs are not
+      value-equal (they would need different transition algebras) or
+      ``gaps`` contains an empty noise gap (the closed-form GHR then
+      depends on the per-block ``ghr_end``).
     """
     if len(core.mitigations) > 0 or not observation_hooks_clean(core):
         return "mitigation"
-    bimodal_fsm = core.predictor.bimodal.pht.fsm
-    gshare_fsm = core.predictor.gshare.pht.fsm
-    if instance_shared:
-        if bimodal_fsm is not gshare_fsm:
-            return "unshared_structure"
-    elif bimodal_fsm != gshare_fsm:
+    if core.predictor.bimodal.pht.fsm != core.predictor.gshare.pht.fsm:
         return "unshared_structure"
     if gaps is not None and bool((np.asarray(gaps) == 0).any()):
         return "unshared_structure"

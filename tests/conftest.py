@@ -12,6 +12,8 @@ import pytest
 
 from repro.bpu import haswell, sandy_bridge, skylake
 from repro.bpu.presets import PredictorConfig
+from repro.core.calibration import assess_block, draw_trial_plan
+from repro.core.randomizer import RandomizationBlock
 from repro.cpu import PhysicalCore, Process
 
 
@@ -20,6 +22,36 @@ TEST_SCALE = 16
 
 #: Block size that reliably randomises the scaled-down tables.
 SMALL_BLOCK = 8_000
+
+
+def scalar_stability(
+    core_factory,
+    target_address,
+    *,
+    n_blocks,
+    block_branches,
+    repetitions,
+    noise=None,
+    seed_start=0,
+):
+    """The Fig. 4 campaign on the scalar :func:`assess_block` oracle.
+
+    Each trial follows ``stability_experiment``'s closure order —
+    fresh core, generate, compile, plan draw — so the result is the
+    reference every fast engine must equal, call for call on the
+    factory.
+    """
+    spy = Process("stability-spy")
+    out = []
+    for seed in range(seed_start, seed_start + n_blocks):
+        core = core_factory()
+        block = RandomizationBlock.generate(seed, n_branches=block_branches)
+        compiled = block.compile(core, spy)
+        plan = draw_trial_plan(
+            core.rng, core, repetitions=repetitions, noise=noise
+        )
+        out.append(assess_block(core, spy, compiled, target_address, plan=plan))
+    return out
 
 
 @pytest.fixture

@@ -44,6 +44,7 @@ from repro.obs import trace as obs
 from repro.parallel import fork_available
 from repro.resilience.checkpoint import rng_state_digest
 from repro.system.noise import NoiseModel
+from tests.conftest import scalar_stability
 
 PRESETS = {
     "skylake": skylake,
@@ -228,16 +229,21 @@ class TestPlanDifferential:
         assert plan.repetitions == 12
 
 
-def small_stability(workers, *, fast=True):
+SMALL_STABILITY = dict(
+    n_blocks=8,
+    block_branches=1200,
+    repetitions=16,
+    noise=NoiseModel.isolated(),
+)
+
+
+def small_factory():
+    return PhysicalCore(haswell().scaled(16), seed=6)
+
+
+def small_stability(workers):
     return stability_experiment(
-        lambda: PhysicalCore(haswell().scaled(16), seed=6),
-        0x30_0006D,
-        n_blocks=8,
-        block_branches=1200,
-        repetitions=16,
-        noise=NoiseModel.isolated(),
-        workers=workers,
-        fast=fast,
+        small_factory, 0x30_0006D, workers=workers, **SMALL_STABILITY
     )
 
 
@@ -250,7 +256,9 @@ class TestWorkerDeterminism:
         assert small_stability(4) == serial
 
     def test_stability_engines_agree(self):
-        assert small_stability(1, fast=False) == small_stability(1, fast=True)
+        assert scalar_stability(
+            small_factory, 0x30_0006D, **SMALL_STABILITY
+        ) == small_stability(1)
 
     @pytest.mark.skipif(
         not fork_available(), reason="platform cannot fork workers"

@@ -10,10 +10,11 @@ Three contracts are pinned here:
   backend's block summary equals a naive per-branch loop over
   :func:`repro.bpu.hashes.apply_hash`, and a hash without a kernel
   encoding fails loudly instead of being replayed as a modulo.
-* **Grouped == per-trial** — a mixed-structure campaign routed through
-  the heterogeneous-group dispatcher equals the per-trial process
-  reference payload for payload, including under checkpoint
-  kill/resume, with every degenerate payload counted as a fallback.
+* **Mixed structure == per-trial** — a campaign whose cores differ
+  (a mixed-seed factory) runs per payload, and one with distinct but
+  value-equal FSM instances shares one structure; either equals the
+  per-trial process reference payload for payload, including under
+  checkpoint kill/resume.
 """
 
 import dataclasses
@@ -326,13 +327,12 @@ class TestEndToEndDifferential:
 
 
 class TestGroupedCampaigns:
-    """Heterogeneous-group batching == per-trial reference."""
+    """Mixed-structure campaigns == per-trial reference."""
 
     def test_mixed_seed_factory_groups(self):
-        """Cores seeded 7,3,7,3,7,9 form groups {3, 2, 1}: the two
-        multi-member groups run shared, the singleton replays, and the
-        list equals the process backend running the same factory-call
-        sequence."""
+        """Cores seeded 7,3,7,3,7,9: every payload runs the N=1 engine
+        on its own core, with no fallback, and the list equals the
+        process backend running the same factory-call sequence."""
         config = skylake().scaled(16)
         seq = [7, 3, 7, 3, 7, 9]
 
@@ -352,20 +352,19 @@ class TestGroupedCampaigns:
         )
         obs.reset_scalar_fallbacks()
         reset_group_batch_stats()
-        grouped = stability_experiment(
+        per_payload = stability_experiment(
             make_factory(), TARGET, backend="manycore", **kwargs
         )
-        assert grouped == reference
-        assert obs.scalar_fallback_counts()["manycore"] == 1
+        assert per_payload == reference
+        assert "manycore" not in obs.scalar_fallback_counts()
         stats = group_batch_stats()
-        assert stats["groups"] == 2
-        assert stats["grouped"] == 5
-        assert stats["singleton_groups"] == 1
-        assert stats["scalar"] == 1
+        assert stats["per_payload"] == 6
+        assert stats["shared"] == 0
+        assert stats["scalar"] == 0
 
     def test_equal_spec_distinct_fsm_instances_grouped(self):
-        """Distinct FSM instances with value-equal specs — previously a
-        blanket per-payload fallback — now run as one shared group."""
+        """Distinct FSM instances with value-equal specs share one
+        transition monoid, so the campaign runs one shared structure."""
         config = skylake().scaled(16)
 
         def factory():
@@ -374,7 +373,7 @@ class TestGroupedCampaigns:
             pht.fsm = dataclasses.replace(pht.fsm)
             return core
 
-        assert manycore_supported(factory()) == "unshared_structure"
+        assert manycore_supported(factory()) is None
         kwargs = dict(
             n_blocks=6,
             block_branches=2000,
@@ -386,14 +385,14 @@ class TestGroupedCampaigns:
         )
         obs.reset_scalar_fallbacks()
         reset_group_batch_stats()
-        grouped = stability_experiment(
+        shared = stability_experiment(
             factory, TARGET, backend="manycore", **kwargs
         )
-        assert grouped == reference
+        assert shared == reference
         assert "manycore" not in obs.scalar_fallback_counts()
         stats = group_batch_stats()
-        assert stats["groups"] == 1
-        assert stats["grouped"] == 6
+        assert stats["shared"] == 6
+        assert stats["per_payload"] == 0
         assert stats["scalar"] == 0
 
     def test_grouped_kill_resume_bit_identical(self, tmp_path):

@@ -20,15 +20,12 @@ from repro.bpu.presets import (
     tage_like,
 )
 from repro.core.calibration import (
-    DecodedState,
     assess_block_batch,
     draw_trial_plan,
-    find_block,
     stability_experiment,
 )
 from repro.core.manycore import (
     ManycoreCampaignPool,
-    ManycoreState,
     _node_order,
     _power_table,
     _SharedStructure,
@@ -39,15 +36,14 @@ from repro.core.manycore import (
 )
 from repro.core.randomizer import RandomizationBlock
 from repro.cpu.core import PhysicalCore
-from repro.cpu.counters import CounterKind
 from repro.cpu.process import Process
 from repro.mitigations.noisy_counters import NoisyPerformanceCounters
 from repro.mitigations.stochastic_fsm import StochasticFSM
 from repro.obs import trace as obs
-from repro.parallel import spawn_seeds
 from repro.resilience.checkpoint import rng_state_digest
 from repro.store import configure_store, store_key
 from repro.system.noise import NoiseModel
+from tests.conftest import scalar_stability
 
 TARGET = 0x30_0006D
 #: A target the ``oryon_like`` fold hash moves at scale 16 (512-entry
@@ -91,9 +87,7 @@ class TestDifferential:
             repetitions=12,
             noise=NoiseModel.isolated(),
         )
-        reference = stability_experiment(
-            factory, FOLD_TARGET, backend="process", fast=False, **kwargs
-        )
+        reference = scalar_stability(factory, FOLD_TARGET, **kwargs)
         batch = stability_experiment(
             factory, FOLD_TARGET, backend="process", **kwargs
         )
@@ -107,9 +101,9 @@ class TestDifferential:
         assert group_batch_stats()["shared"] == 10
 
     def test_fold_preset_grouped_mode(self):
-        """A mixed-seed ``oryon_like`` factory runs grouped (seeds 7 and
-        3 form multi-member groups, 9 is a singleton) and equals the
-        scalar engine."""
+        """A mixed-seed ``oryon_like`` factory (cores 7,3,7,3,7,9) runs
+        every payload on its own core through the N=1 engine, with no
+        fallback, and equals the scalar engine."""
         config = oryon_like().scaled(16)
         n = config.bimodal_entries
         assert (FOLD_TARGET ^ (FOLD_TARGET >> 9)) % n != FOLD_TARGET % n
@@ -125,18 +119,17 @@ class TestDifferential:
             noise=NoiseModel.isolated(),
             seed_start=20,
         )
-        reference = stability_experiment(
-            make_factory(), FOLD_TARGET, backend="process", fast=False,
-            **kwargs,
-        )
+        reference = scalar_stability(make_factory(), FOLD_TARGET, **kwargs)
         reset_group_batch_stats()
-        grouped = stability_experiment(
+        per_payload = stability_experiment(
             make_factory(), FOLD_TARGET, backend="manycore", **kwargs
         )
-        assert grouped == reference
-        assert obs.scalar_fallback_counts() == {"manycore": 1}
+        assert per_payload == reference
+        assert "manycore" not in obs.scalar_fallback_counts()
         stats = group_batch_stats()
-        assert (stats["grouped"], stats["singleton_groups"]) == (5, 1)
+        assert (stats["per_payload"], stats["shared"], stats["scalar"]) == (
+            6, 0, 0
+        )
 
     def test_untouched_selector_path(self):
         """Blocks too small to touch the target's chooser entry exercise
@@ -189,16 +182,6 @@ class TestDifferential:
                 small_factory(skylake), TARGET, n_blocks=1, backend="gpu"
             )
 
-    def test_manycore_rejects_scalar_engine(self):
-        with pytest.raises(ValueError, match="fast=True"):
-            stability_experiment(
-                small_factory(skylake),
-                TARGET,
-                n_blocks=1,
-                fast=False,
-                backend="manycore",
-            )
-
 
 class TestRNGDiscipline:
     def test_shared_plan_digest_matches_scalar_stream(self):
@@ -220,10 +203,10 @@ class TestRNGDiscipline:
             assert pool.rng_digest == rng_state_digest(core.rng)
 
     def test_nondeterministic_factory_groups_per_payload(self):
-        """Distinct-seed cores form singleton groups: the pool replays
-        the reference trial per payload (never the caller's fn) and the
-        assessments stay bit-identical to the process backend running
-        the same factory-call sequence."""
+        """Distinct-seed cores run per payload, each on the N=1 engine
+        (never the caller's fn), and the assessments stay bit-identical
+        to the process backend running the same factory-call
+        sequence."""
         config = skylake().scaled(16)
 
         def make_factory():
@@ -241,11 +224,56 @@ class TestRNGDiscipline:
             make_factory(), TARGET, backend="process", **kwargs
         )
         obs.reset_scalar_fallbacks()
+        reset_group_batch_stats()
         manycore = stability_experiment(
             make_factory(), TARGET, backend="manycore", **kwargs
         )
         assert manycore == reference
-        assert obs.scalar_fallback_counts()["manycore"] == 3
+        assert "manycore" not in obs.scalar_fallback_counts()
+        assert group_batch_stats()["per_payload"] == 3
+
+    @pytest.mark.parametrize("variant", ["mitigation", "unequal_fsm"])
+    def test_nondeterministic_reference_path_keeps_core_order(self, variant):
+        """Cores seeded 100, 101, ... that need the reference path (a
+        mitigation, or value-unequal FSM specs): trial ``i`` must run on
+        factory core ``i``, as in the process backend — the cores built
+        to pick the mode are banked, not discarded."""
+        config = haswell().scaled(16)
+
+        def make_factory():
+            seeds = iter(range(100, 1000))
+
+            def factory():
+                core = PhysicalCore(config, seed=next(seeds))
+                if variant == "mitigation":
+                    core.mitigations.install(NoisyPerformanceCounters())
+                else:
+                    pht = core.predictor.gshare.pht
+                    pht.fsm = dataclasses.replace(
+                        pht.fsm, name=pht.fsm.name + "-gshare"
+                    )
+                return core
+
+            return factory
+
+        assert manycore_supported(make_factory()()) is not None
+        kwargs = dict(
+            n_blocks=4,
+            block_branches=1500,
+            repetitions=6,
+            noise=NoiseModel.noisy(),
+        )
+        reference = stability_experiment(
+            make_factory(), TARGET, backend="process", **kwargs
+        )
+        obs.reset_scalar_fallbacks()
+        reset_group_batch_stats()
+        manycore = stability_experiment(
+            make_factory(), TARGET, backend="manycore", **kwargs
+        )
+        assert manycore == reference
+        assert obs.scalar_fallback_counts()["manycore"] == 4
+        assert group_batch_stats()["scalar"] == 4
 
     def test_nondeterministic_factory_never_calls_fn(self):
         seeds = iter(range(1000))
@@ -259,11 +287,11 @@ class TestRNGDiscipline:
         )
 
         def fail(_seed):
-            raise AssertionError("grouped mode must not call fn")
+            raise AssertionError("per-payload mode must not call fn")
 
         out = pool.map(fail, [1, 2, 3])
         assert len(out) == 3 and all(a is not None for a in out)
-        assert obs.scalar_fallback_counts()["manycore"] == 3
+        assert "manycore" not in obs.scalar_fallback_counts()
 
 
 class TestFallbacks:
@@ -618,59 +646,6 @@ class TestCheckpointing:
         assert resumed == expected
 
 
-class TestFindBlock:
-    def test_manycore_winner_matches_pooled(self):
-        config = haswell().scaled(16)
-        kwargs = dict(
-            block_branches=6000,
-            repetitions=10,
-            max_candidates=64,
-            noise=NoiseModel.isolated(),
-        )
-        spy = Process("search-spy")
-        core_a = PhysicalCore(config, seed=5)
-        core_b = PhysicalCore(config, seed=5)
-        reference = find_block(
-            core_a, spy, TARGET, DecodedState.SN, workers=1,
-            backend="process", **kwargs,
-        )
-        manycore = find_block(
-            core_b, spy, TARGET, DecodedState.SN,
-            backend="manycore", **kwargs,
-        )
-        assert manycore.block.seed == reference.block.seed
-        # The search's footprint on the caller core (one entropy draw)
-        # is identical too.
-        assert rng_state_digest(core_a.rng) == rng_state_digest(core_b.rng)
-
-    def test_mitigated_search_delegates(self):
-        config = haswell().scaled(16)
-        kwargs = dict(
-            block_branches=6000,
-            repetitions=10,
-            max_candidates=64,
-            noise=NoiseModel.isolated(),
-        )
-        spy = Process("search-spy")
-
-        def build():
-            core = PhysicalCore(config, seed=5)
-            core.mitigations.install(NoisyPerformanceCounters(magnitude=0))
-            return core
-
-        reference = find_block(
-            build(), spy, TARGET, DecodedState.SN, workers=1,
-            backend="process", **kwargs,
-        )
-        obs.reset_scalar_fallbacks()
-        manycore = find_block(
-            build(), spy, TARGET, DecodedState.SN,
-            backend="manycore", **kwargs,
-        )
-        assert manycore.block.seed == reference.block.seed
-        assert obs.scalar_fallback_counts()["manycore"] >= 1
-
-
 class TestCodesScalarHoist:
     """The untouched-selector chain's campaign invariants are hoisted
     into ``_SharedStructure.__init__`` — a perf regression guard for
@@ -724,92 +699,3 @@ class TestCodesScalarHoist:
         best_hoisted = min(timeit.repeat(hoisted, number=5, repeat=7))
         best_rebuilding = min(timeit.repeat(rebuilding, number=5, repeat=7))
         assert best_hoisted <= best_rebuilding * 1.10
-
-
-class TestManycoreState:
-    def _cores(self, n=3):
-        config = skylake().scaled(32)
-        return [PhysicalCore(config, seed=10 + i) for i in range(n)]
-
-    def test_from_factory_broadcasts_and_spawns_streams(self):
-        config = skylake().scaled(32)
-        factory = lambda: PhysicalCore(config, seed=4)
-        state = ManycoreState.from_factory(factory, 4, seed=123)
-        template = factory()
-        assert state.n == 4
-        for row in state.bimodal_levels:
-            assert (row == template.predictor.bimodal.pht.levels).all()
-        for row in state.selector_counters:
-            assert (row == template.predictor.selector.counters).all()
-        expected = [
-            rng_state_digest(np.random.default_rng(child))
-            for child in spawn_seeds(123, 4)
-        ]
-        assert state.rng_digests() == expected
-
-    def test_apply_compiled_matches_scalar_apply(self):
-        cores = self._cores()
-        spy = Process("spy")
-        state = ManycoreState.from_cores(cores, process=spy)
-        blocks = [
-            RandomizationBlock.generate(seed, n_branches=800)
-            for seed in (1, 2, 3)
-        ]
-        compiled = [b.compile(c, spy) for b, c in zip(blocks, cores)]
-        state.apply_compiled(compiled)
-        for c, core in zip(compiled, cores):
-            c.apply(core, spy)
-        for i, core in enumerate(cores):
-            predictor = core.predictor
-            assert (
-                state.bimodal_levels[i] == predictor.bimodal.pht.levels
-            ).all()
-            assert (
-                state.gshare_levels[i] == predictor.gshare.pht.levels
-            ).all()
-            assert (
-                state.selector_counters[i] == predictor.selector.counters
-            ).all()
-            assert state.ghr_values[i] == predictor.ghr.value
-            assert (state.bit_valid[i] == predictor.bit.valid).all()
-            assert (state.bit_tags[i] == predictor.bit.tags).all()
-            assert state.clock[i] == core.clock.now
-            counters = core.counters_for(spy)
-            assert state.branches[i] == counters.read(CounterKind.BRANCHES)
-            assert state.mispredictions[i] == counters.read(
-                CounterKind.BRANCH_MISSES
-            )
-            assert state.cycles[i] == counters.read(CounterKind.CYCLES)
-
-    def test_apply_compiled_broadcasts_single_block(self):
-        cores = self._cores(2)
-        spy = Process("spy")
-        state = ManycoreState.from_cores(cores, process=spy)
-        compiled = RandomizationBlock.generate(9, n_branches=600).compile(
-            cores[0], spy
-        )
-        state.apply_compiled(compiled)
-        for core in cores:
-            compiled.apply(core, spy)
-        for i, core in enumerate(cores):
-            assert (
-                state.bimodal_levels[i] == core.predictor.bimodal.pht.levels
-            ).all()
-            assert state.ghr_values[i] == core.predictor.ghr.value
-
-    def test_mixed_configs_rejected(self):
-        a = PhysicalCore(skylake().scaled(32), seed=0)
-        b = PhysicalCore(haswell().scaled(32), seed=0)
-        with pytest.raises(ValueError, match="mixed configurations"):
-            ManycoreState.from_cores([a, b])
-
-    def test_wrong_config_block_rejected(self):
-        cores = self._cores(1)
-        spy = Process("spy")
-        state = ManycoreState.from_cores(cores)
-        other = PhysicalCore(haswell().scaled(32), seed=0)
-        compiled = RandomizationBlock.generate(1, n_branches=500).compile(
-            other, spy
-        )
-        with pytest.raises(ValueError, match="bound to config"):
-            state.apply_compiled([compiled])

@@ -71,7 +71,6 @@ def _no_fallback_anywhere(core) -> None:
     assert not scalar_engine_forced(core, pooled=False)
     assert not scalar_engine_forced(core, pooled=True)
     assert manycore_fallback_reason(core) is None
-    assert manycore_fallback_reason(core, instance_shared=False) is None
 
 
 class TestIndexHash:
