@@ -727,7 +727,10 @@ def stability_experiment(
     the per-trial closure (generate, compile, plan, batch assessment),
     serially or pooled; ``"manycore"`` routes trials through
     :class:`~repro.core.manycore.ManycoreCampaignPool` — bit-identical
-    results, single-process, and it ignores ``workers``.  A
+    results in one process, whose chunks split their rows across the
+    usable CPUs on threads once a chunk holds enough block branches
+    (:data:`~repro.core.manycore.THREAD_FLOOR_BRANCHES` per thread);
+    it still ignores ``workers``.  A
     deterministic, unmitigated factory shares one structure across the
     whole campaign; any other campaign (a mitigation, value-unequal FSM
     specs, a nondeterministic factory, an empty noise gap) runs each

@@ -30,6 +30,11 @@ Two layers:
   brings its own core and pre-drawn plan (every service trial): one
   structure per trial, and no block compile.
 
+Rows are independent, so a large enough chunk splits its rows into
+contiguous ranges run on threads, one per usable CPU; block generation
+and the kernels release the GIL, and the result does not depend on the
+split (docs/MODELING.md §11.5).
+
 Exactness boundary (mirrors the batch engine's, plus the shared-plan
 requirement): the pool shares one structure only when the factory is
 deterministic and unmitigated, the two PHTs' FSM specs are value-equal,
@@ -46,6 +51,7 @@ split is observable through :func:`group_batch_stats`.
 from __future__ import annotations
 
 import hashlib
+import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,6 +72,7 @@ from repro import kernels
 from repro import store as repro_store
 from repro.cpu.process import Process
 from repro.obs import trace as obs
+from repro.parallel.pool import usable_cpus
 from repro.resilience.checkpoint import rng_state_digest
 from repro.system.noise import NoiseModel
 
@@ -87,6 +94,11 @@ _PATTERNS = ("HH", "HM", "MH", "MM")
 #: phase-2 id arrays are ``(chunk, n_nodes)`` int64) while amortising
 #: the per-chunk gather setup.
 DEFAULT_CHUNK = 64
+
+#: Fewest block branches one thread of a chunk takes on.  Below it a
+#: helper thread's start/join and GIL hand-offs cost more than the
+#: overlap saves, so small chunks stay on the calling thread.
+THREAD_FLOOR_BRANCHES = 200_000
 
 #: Always-on counters for the campaign pool's dispatch, mirrored into
 #: run manifests by ``benchmarks/_common.py``.
@@ -115,6 +127,52 @@ def group_batch_stats() -> Dict[str, int]:
 def reset_group_batch_stats() -> None:
     for key in _GROUP_STATS:
         _GROUP_STATS[key] = 0
+
+
+# ---------------------------------------------------------------------------
+# Rows across cores
+# ---------------------------------------------------------------------------
+
+
+def _row_ranges(rows: int, block_branches: int) -> List[Tuple[int, int]]:
+    """Contiguous ``(lo, hi)`` row ranges for one chunk: one per usable
+    CPU, but never so many that a range holds fewer than
+    :data:`THREAD_FLOOR_BRANCHES` block branches; always at least one."""
+    n = min(
+        usable_cpus(), rows, rows * block_branches // THREAD_FLOOR_BRANCHES
+    )
+    n = max(n, 1)
+    bounds = [rows * k // n for k in range(n + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _run_ranges(
+    work: Callable[[int, int], None], ranges: Sequence[Tuple[int, int]]
+) -> None:
+    """``work(lo, hi)`` for every range: the first on the calling
+    thread, the rest on plain threads joined before this returns (so no
+    thread outlives the call — a later ``fork`` sees one thread).  A
+    helper's exception is re-raised here."""
+    errors: List[BaseException] = []
+
+    def helper(lo: int, hi: int) -> None:
+        try:
+            work(lo, hi)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads: List[threading.Thread] = []
+    try:
+        for lo, hi in ranges[1:]:
+            thread = threading.Thread(target=helper, args=(lo, hi))
+            thread.start()
+            threads.append(thread)
+        work(*ranges[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +682,19 @@ class _SharedStructure:
         seeds: Sequence[int],
         pre_trial: Optional[Callable[[int], None]],
     ) -> List[BlockAssessment]:
-        """Assess one chunk of block seeds through the stacked pipeline."""
+        """Assess one chunk of block seeds through the stacked pipeline.
+
+        ``pre_trial`` runs first, per seed in order, on the calling
+        thread.  The rows are then split into contiguous ranges, one per
+        usable CPU while each range keeps at least
+        :data:`THREAD_FLOOR_BRANCHES` block branches (one range below
+        that).  Each range runs the whole pipeline for its rows —
+        generate, summarize, read levels, probe codes — and writes its
+        row slice of the chunk's arrays; the calling thread runs the
+        first range and the others run on threads joined before this
+        returns.  Rows are independent, so the result does not depend
+        on the split.
+        """
         chunk = len(seeds)
         lift_b = np.empty((chunk, 1), dtype=np.int64)
         lift_g = np.empty((chunk, self.plan_g.n_tracked), dtype=np.int64)
@@ -654,35 +724,78 @@ class _SharedStructure:
                 block_tags=block_tags,
             ):
                 cached = value
+        if pre_trial is not None:
+            for seed in seeds:
+                pre_trial(seed)
         if cached is not None:
-            if pre_trial is not None:
-                for seed in seeds:
-                    pre_trial(seed)
             lift_b[:] = cached["lift_b"]
             lift_g[:] = cached["lift_g"]
             touched[:] = cached["touched"]
             block_tags[:] = cached["block_tags"]
-        else:
-            for i, seed in enumerate(seeds):
-                if pre_trial is not None:
-                    pre_trial(seed)
-                bim_id, g_ids, tsel_touched, block_tag = self.summarize(seed)
-                lift_b[i, 0] = bim_id
-                lift_g[i] = g_ids
-                touched[i] = tsel_touched
-                block_tags[i] = block_tag
-            if cache_key is not None:
-                # Copies: the memory tier holds values by reference.
-                store.put(
-                    cache_key,
-                    {
-                        "lift_b": lift_b.copy(),
-                        "lift_g": lift_g.copy(),
-                        "touched": touched.copy(),
-                        "block_tags": block_tags.copy(),
-                    },
-                )
 
+        def run_rows(lo: int, hi: int) -> None:
+            if cached is None:
+                for i in range(lo, hi):
+                    (
+                        lift_b[i, 0], lift_g[i], touched[i], block_tags[i]
+                    ) = self.summarize(seeds[i])
+            self._codes(
+                lift_b[lo:hi],
+                lift_g[lo:hi],
+                touched[lo:hi],
+                block_tags[lo:hi],
+                codes[lo:hi],
+            )
+
+        _run_ranges(run_rows, _row_ranges(chunk, self.block_branches))
+        if cached is None and cache_key is not None:
+            # Copies: the memory tier holds values by reference.
+            store.put(
+                cache_key,
+                {
+                    "lift_b": lift_b.copy(),
+                    "lift_g": lift_g.copy(),
+                    "touched": touched.copy(),
+                    "block_tags": block_tags.copy(),
+                },
+            )
+
+        out: List[BlockAssessment] = []
+        counts_tt = np.stack(
+            [(codes[:, : self.R] == c).sum(axis=1) for c in range(4)], axis=1
+        )
+        counts_nn = np.stack(
+            [(codes[:, self.R:] == c).sum(axis=1) for c in range(4)], axis=1
+        )
+        # max over (count, pattern): patterns are in lexicographic order,
+        # so scaling counts by 4 and adding the code reproduces the
+        # scalar tie-break exactly.
+        rank = np.arange(4)[None, :]
+        best_tt = np.argmax(counts_tt * 4 + rank, axis=1)
+        best_nn = np.argmax(counts_nn * 4 + rank, axis=1)
+        for i, seed in enumerate(seeds):
+            out.append(
+                BlockAssessment(
+                    seed=seed,
+                    tt_pattern=_PATTERNS[best_tt[i]],
+                    tt_frequency=int(counts_tt[i, best_tt[i]]) / self.R,
+                    nn_pattern=_PATTERNS[best_nn[i]],
+                    nn_frequency=int(counts_nn[i, best_nn[i]]) / self.R,
+                )
+            )
+        return out
+
+    def _codes(
+        self,
+        lift_b: np.ndarray,
+        lift_g: np.ndarray,
+        touched: np.ndarray,
+        block_tags: np.ndarray,
+        codes: np.ndarray,
+    ) -> None:
+        """Phases 2 and 3 for a run of rows: read levels from the rows'
+        block folds, then fill ``codes`` with each repetition's probe
+        code.  The read arrays live only for this call."""
         read_b = self.plan_b.read_levels(lift_b)
         read_g = self.plan_g.read_levels(lift_g)
         d = self.d
@@ -734,31 +847,6 @@ class _SharedStructure:
             codes[i] = self._codes_scalar(
                 read_b[i], read_g[i], int(block_tags[i])
             )
-
-        out: List[BlockAssessment] = []
-        counts_tt = np.stack(
-            [(codes[:, : self.R] == c).sum(axis=1) for c in range(4)], axis=1
-        )
-        counts_nn = np.stack(
-            [(codes[:, self.R:] == c).sum(axis=1) for c in range(4)], axis=1
-        )
-        # max over (count, pattern): patterns are in lexicographic order,
-        # so scaling counts by 4 and adding the code reproduces the
-        # scalar tie-break exactly.
-        rank = np.arange(4)[None, :]
-        best_tt = np.argmax(counts_tt * 4 + rank, axis=1)
-        best_nn = np.argmax(counts_nn * 4 + rank, axis=1)
-        for i, seed in enumerate(seeds):
-            out.append(
-                BlockAssessment(
-                    seed=seed,
-                    tt_pattern=_PATTERNS[best_tt[i]],
-                    tt_frequency=int(counts_tt[i, best_tt[i]]) / self.R,
-                    nn_pattern=_PATTERNS[best_nn[i]],
-                    nn_frequency=int(counts_nn[i, best_nn[i]]) / self.R,
-                )
-            )
-        return out
 
 
 def manycore_supported(
@@ -839,7 +927,8 @@ class ManycoreCampaignPool:
     * ``"shared"`` — an unmitigated, deterministic factory with
       value-equal FSM specs and no empty noise gap: one
       :class:`_SharedStructure` for the whole campaign, assessed a chunk
-      of seeds at a time.
+      of seeds at a time, each chunk's rows split across the usable
+      CPUs on threads (see :meth:`_SharedStructure.assess_chunk`).
     * ``"per_payload"`` — anything else: each payload runs on its own
       core.  The cores the mode check built (the template, plus the
       probe when the factory is nondeterministic) are banked and used

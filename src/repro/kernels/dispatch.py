@@ -37,6 +37,7 @@ random generator, so RNG stream positions are backend-independent.
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from typing import Dict, Optional, Tuple
 
@@ -57,6 +58,9 @@ _REQUESTED: Optional[str] = None
 
 #: Always-on op-call counter per backend name (tracing on or off).
 _DISPATCH_COUNTS: Dict[str, int] = {}
+#: Guards the counter's read-modify-write: the manycore engine calls ops
+#: from several threads at once.
+_COUNTS_LOCK = threading.Lock()
 #: Why a non-numpy backend failed to load, by name (diagnostics).
 _INIT_ERRORS: Dict[str, str] = {}
 
@@ -216,7 +220,8 @@ def warmup() -> str:
 def _dispatch():
     """Resolve, count, and (when tracing) meter one op call."""
     impl, name = _resolve()
-    _DISPATCH_COUNTS[name] = _DISPATCH_COUNTS.get(name, 0) + 1
+    with _COUNTS_LOCK:
+        _DISPATCH_COUNTS[name] = _DISPATCH_COUNTS.get(name, 0) + 1
     from repro.obs.trace import TRACER
 
     if TRACER is not None and TRACER.metrics is not None:

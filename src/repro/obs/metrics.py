@@ -16,6 +16,7 @@ fork into incompatible series (``tests/test_obs.py`` pins this).
 from __future__ import annotations
 
 import re
+import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
@@ -48,6 +49,9 @@ class _Family:
         self.label_names = tuple(_check_name(l, "label") for l in labels)
         if len(set(self.label_names)) != len(self.label_names):
             raise ValueError(f"duplicate label names in {name!r}")
+        # Record calls are read-modify-writes and may come from several
+        # threads (the manycore engine dispatches kernels off-thread).
+        self._lock = threading.Lock()
 
     def _key(self, labels: Dict[str, object]) -> LabelKey:
         """Validate and canonicalise one record call's labels."""
@@ -75,7 +79,8 @@ class Counter(_Family):
         if amount < 0:
             raise ValueError("counters only go up")
         key = self._key(labels)
-        self._values[key] = self._values.get(key, 0) + amount
+        with self._lock:
+            self._values[key] = self._values.get(key, 0) + amount
 
     def value(self, **labels: object) -> float:
         return self._values.get(self._key(labels), 0)
@@ -98,7 +103,8 @@ class Gauge(_Family):
 
     def add(self, amount: float, **labels: object) -> None:
         key = self._key(labels)
-        self._values[key] = self._values.get(key, 0) + amount
+        with self._lock:
+            self._values[key] = self._values.get(key, 0) + amount
 
     def value(self, **labels: object) -> float:
         return self._values.get(self._key(labels), 0)
@@ -128,27 +134,28 @@ class Histogram(_Family):
 
     def observe(self, value: float, **labels: object) -> None:
         key = self._key(labels)
-        series = self._series.get(key)
-        if series is None:
-            series = {
-                "counts": [0] * (len(self.buckets) + 1),
-                "sum": 0.0,
-                "count": 0,
-                "min": value,
-                "max": value,
-            }
-            self._series[key] = series
-        counts: List[int] = series["counts"]  # type: ignore[assignment]
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                counts[i] += 1
-                break
-        else:
-            counts[-1] += 1  # +Inf bucket
-        series["sum"] += value  # type: ignore[operator]
-        series["count"] += 1  # type: ignore[operator]
-        series["min"] = min(series["min"], value)  # type: ignore[type-var]
-        series["max"] = max(series["max"], value)  # type: ignore[type-var]
+        with self._lock:
+            series = self._series.get(key)
+            if series is None:
+                series = {
+                    "counts": [0] * (len(self.buckets) + 1),
+                    "sum": 0.0,
+                    "count": 0,
+                    "min": value,
+                    "max": value,
+                }
+                self._series[key] = series
+            counts: List[int] = series["counts"]  # type: ignore[assignment]
+            for i, bound in enumerate(self.buckets):
+                if value <= bound:
+                    counts[i] += 1
+                    break
+            else:
+                counts[-1] += 1  # +Inf bucket
+            series["sum"] += value  # type: ignore[operator]
+            series["count"] += 1  # type: ignore[operator]
+            series["min"] = min(series["min"], value)  # type: ignore[type-var]
+            series["max"] = max(series["max"], value)  # type: ignore[type-var]
 
     def series(self) -> Dict[LabelKey, Dict[str, object]]:
         return {
@@ -168,21 +175,23 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._families: Dict[str, _Family] = {}
+        # Two threads registering one name must get one family.
+        self._lock = threading.Lock()
 
     def _get(self, cls, name: str, help: str, labels: Sequence[str], **kw):
-        existing = self._families.get(name)
-        if existing is not None:
-            candidate_labels = tuple(labels)
-            if existing.signature() != (cls.kind, candidate_labels):
-                raise ValueError(
-                    f"metric {name!r} already registered as "
-                    f"{existing.kind} with labels "
-                    f"{list(existing.label_names)}"
-                )
-            return existing
-        family = cls(name, help, labels, **kw)
-        self._families[name] = family
-        return family
+        with self._lock:
+            existing = self._families.get(name)
+            if existing is None:
+                family = cls(name, help, labels, **kw)
+                self._families[name] = family
+                return family
+        if existing.signature() != (cls.kind, tuple(labels)):
+            raise ValueError(
+                f"metric {name!r} already registered as "
+                f"{existing.kind} with labels "
+                f"{list(existing.label_names)}"
+            )
+        return existing
 
     def counter(
         self, name: str, help: str = "", labels: Sequence[str] = ()

@@ -18,6 +18,7 @@ from repro.parallel.pool import (
     resolve_workers,
     spawn_rngs,
     spawn_seeds,
+    usable_cpus,
 )
 
 __all__ = [
@@ -28,4 +29,5 @@ __all__ = [
     "resolve_workers",
     "spawn_rngs",
     "spawn_seeds",
+    "usable_cpus",
 ]

@@ -82,6 +82,7 @@ __all__ = [
     "resolve_workers",
     "spawn_seeds",
     "spawn_rngs",
+    "usable_cpus",
 ]
 
 #: Environment default for ``workers=None`` — CI's pool smoke job sets
@@ -94,15 +95,25 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one (``taskset``, cgroup cpusets), else the machine's
+    count."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
 def resolve_workers(workers: Optional[Any] = None) -> int:
     """Resolve a ``workers`` argument to a concrete positive count.
 
     ``None`` reads :data:`WORKERS_ENV` (default 1 — experiments stay
-    serial unless asked); ``"auto"`` or ``0`` means one worker per CPU.
-    An explicit invalid argument raises; an invalid *environment* value
-    (a typo in a job script must not kill an hours-long campaign at
-    import of the pool path) falls back to serial with a warning and a
-    resilience-counter entry.
+    serial unless asked); ``"auto"`` or ``0`` means one worker per
+    usable CPU (:func:`usable_cpus`).  An explicit invalid argument
+    raises; an invalid *environment* value (a typo in a job script must
+    not kill an hours-long campaign at import of the pool path) falls
+    back to serial with a warning and a resilience-counter entry.
     """
     if workers is None:
         raw = os.environ.get(WORKERS_ENV, "").strip()
@@ -126,7 +137,7 @@ def resolve_workers(workers: Optional[Any] = None) -> int:
 
 def _coerce_workers(workers: Any) -> int:
     if workers in ("auto", 0, "0"):
-        return os.cpu_count() or 1
+        return usable_cpus()
     count = int(workers)
     if count < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")

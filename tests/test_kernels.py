@@ -18,11 +18,14 @@ Three contracts are pinned here:
 """
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro import kernels
+from repro.kernels import dispatch
 from repro.bpu.hashes import (
     INDEX_HASHES,
     apply_hash,
@@ -504,6 +507,31 @@ class TestDispatch:
         monoid, ids, _ = _monoid_inputs(skylake, n=32)
         kernels.reduce_ids(ids, monoid.compose_table, monoid.IDENTITY)
         assert kernels.kernel_dispatch_counts() == {"numpy": 1}
+
+    def test_dispatch_counts_exact_under_threads(self):
+        """The manycore engine dispatches from several threads at once:
+        8 threads x 10k dispatches must lose no increment."""
+        kernels.set_backend("numpy")
+        kernels.reset_kernel_dispatch_counts()
+
+        def dispatch_many():
+            for _ in range(10_000):
+                dispatch._dispatch()
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch often enough to race
+        try:
+            threads = [
+                threading.Thread(target=dispatch_many) for _ in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert kernels.kernel_dispatch_counts() == {"numpy": 80_000}
 
     def test_warmup_reports_active_backend(self):
         assert kernels.warmup() == kernels.active_backend()

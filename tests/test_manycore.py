@@ -7,6 +7,7 @@ models, checkpoint interruptions, and every fallback branch.
 """
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from repro.core.calibration import (
     draw_trial_plan,
     stability_experiment,
 )
+from repro.core import manycore
 from repro.core.manycore import (
     ManycoreCampaignPool,
     _node_order,
@@ -673,29 +675,188 @@ class TestCodesScalarHoist:
         assert all(type(v) is bool for v in shared.predicts_list)
         assert type(shared.out_rows) is list
 
-    def test_chain_beats_per_call_invariant_rebuild(self):
-        """Hoisting wins: the chain with invariants prebuilt must not be
-        slower than the same chain paying the per-call conversion the
-        hoist removed (generous margin for timer noise)."""
-        import timeit
-
+    def test_chain_makes_no_invariant_conversions(self, monkeypatch):
+        """While the chain runs it makes no FSM ``predicts`` call, no
+        ``drift_tsel``/``noise_tag`` conversion and no
+        ``outcomes.tolist``: it reads only the hoisted lists."""
         shared = self._shared()
+        calls = []
+
+        class Watched(np.ndarray):
+            def __getitem__(self, key):
+                calls.append("getitem")
+                return super().__getitem__(key)
+
+            def __iter__(self):
+                calls.append("iter")
+                return super().__iter__()
+
+            def tolist(self):
+                calls.append("tolist")
+                return super().tolist()
+
+        fsm_type = type(shared.fsm)
+        predicts = fsm_type.predicts
+
+        def counting_predicts(fsm, level):
+            calls.append("predicts")
+            return predicts(fsm, level)
+
+        monkeypatch.setattr(fsm_type, "predicts", counting_predicts)
+        for name in ("drift_tsel", "noise_tag", "outcomes"):
+            monkeypatch.setattr(
+                shared, name, getattr(shared, name).view(Watched)
+            )
         rng = np.random.default_rng(0)
         shape = (shared.R2, shared.d + 2)
         row_b = rng.integers(0, shared.d, size=shape)
         row_g = rng.integers(0, shared.d, size=shape)
+        for block_tag in (-1, shared.ttag):
+            shared._codes_scalar(row_b, row_g, block_tag)
+        assert calls == []
+        # The watches are live: the per-call rebuild the hoist removed
+        # trips each of them.
+        [bool(shared.fsm.predicts(lv)) for lv in range(shared.d)]
+        [int(v) for v in shared.drift_tsel]
+        [int(v) for v in shared.noise_tag]
+        shared.outcomes.tolist()
+        assert {"predicts", "iter", "tolist"} <= set(calls)
 
-        def hoisted():
-            shared._codes_scalar(row_b, row_g, -1)
 
-        def rebuilding():
-            [bool(shared.fsm.predicts(lv)) for lv in range(shared.d)]
-            [int(v) for v in shared.drift_tsel]
-            [int(v) for v in shared.noise_tag]
-            shared.outcomes.tolist()
-            shared._codes_scalar(row_b, row_g, -1)
+def _never(seed):
+    raise AssertionError("the manycore pool never calls fn")
 
-        hoisted()  # warm caches before timing
-        best_hoisted = min(timeit.repeat(hoisted, number=5, repeat=7))
-        best_rebuilding = min(timeit.repeat(rebuilding, number=5, repeat=7))
-        assert best_hoisted <= best_rebuilding * 1.10
+
+@pytest.fixture
+def split_log(monkeypatch):
+    """Every chunk's row ranges, in order, as ``_run_ranges`` gets them."""
+    log = []
+    run_ranges = manycore._run_ranges
+
+    def logged(work, ranges):
+        log.append(list(ranges))
+        return run_ranges(work, ranges)
+
+    monkeypatch.setattr(manycore, "_run_ranges", logged)
+    return log
+
+
+def _force_threads(monkeypatch, cpus=3):
+    """Split even tiny chunks across ``cpus`` threads."""
+    monkeypatch.setattr(manycore, "THREAD_FLOOR_BRANCHES", 1)
+    monkeypatch.setattr(manycore, "usable_cpus", lambda: cpus)
+
+
+class TestThreadedRows:
+    """A chunk's rows split across threads give the serial result."""
+
+    KWARGS = dict(block_branches=2500, repetitions=12)
+
+    def _pool(self, preset=skylake, target=TARGET, **kwargs):
+        return ManycoreCampaignPool(
+            small_factory(preset),
+            target,
+            noise=NoiseModel.isolated(),
+            **self.KWARGS,
+            **kwargs,
+        )
+
+    def test_row_ranges(self, monkeypatch):
+        monkeypatch.setattr(manycore, "usable_cpus", lambda: 2)
+        floor = manycore.THREAD_FLOOR_BRANCHES
+        # Below two floors' worth of branches the chunk stays whole.
+        assert manycore._row_ranges(4, 20_000) == [(0, 4)]
+        assert manycore._row_ranges(1, 10 * floor) == [(0, 1)]
+        assert manycore._row_ranges(64, 100_000) == [(0, 32), (32, 64)]
+        monkeypatch.setattr(manycore, "usable_cpus", lambda: 1)
+        assert manycore._row_ranges(64, 100_000) == [(0, 64)]
+
+    @pytest.mark.parametrize("preset", ALL_PRESETS)
+    def test_all_presets_match_scalar_oracle(
+        self, preset, monkeypatch, split_log
+    ):
+        _force_threads(monkeypatch)
+        noise = NoiseModel.isolated()
+        factory = small_factory(preset)
+        reference = scalar_stability(
+            factory, FOLD_TARGET, n_blocks=10, noise=noise, **self.KWARGS
+        )
+        pool = self._pool(preset, FOLD_TARGET)
+        assert pool.map(_never, range(10)) == reference
+        assert split_log == [[(0, 3), (3, 6), (6, 10)]]
+        # The oracle's trial order on a fresh core: generate, compile,
+        # plan draw.
+        core = factory()
+        RandomizationBlock.generate(0, n_branches=2500).compile(
+            core, Process("spy")
+        )
+        draw_trial_plan(core.rng, core, repetitions=12, noise=noise)
+        assert pool.rng_digest == rng_state_digest(core.rng)
+        assert obs.scalar_fallback_counts() == {}
+
+    def test_untouched_selector_rows(self, monkeypatch, split_log):
+        """Helper threads also run the sequential phase-3 chain."""
+        _force_threads(monkeypatch, cpus=4)
+        factory = small_factory(skylake, factor=4)
+        kwargs = dict(
+            n_blocks=16,
+            block_branches=300,
+            repetitions=8,
+            noise=NoiseModel.noisy(),
+            seed_start=100,
+        )
+        reference = scalar_stability(factory, TARGET, **kwargs)
+        assert (
+            stability_experiment(factory, TARGET, backend="manycore", **kwargs)
+            == reference
+        )
+        assert len(split_log[0]) == 4
+
+    def test_helper_exception_propagates(self, monkeypatch, split_log):
+        _force_threads(monkeypatch)
+        baseline = threading.active_count()
+        raised_on = []
+        summarize = _SharedStructure.summarize
+
+        def failing(shared, seed):
+            if seed == 9:  # the last row: the last helper's range
+                raised_on.append(threading.get_ident())
+                raise RuntimeError("injected summarize failure")
+            return summarize(shared, seed)
+
+        monkeypatch.setattr(_SharedStructure, "summarize", failing)
+        with pytest.raises(RuntimeError, match="injected summarize"):
+            self._pool().map(_never, range(10))
+        assert raised_on and raised_on[0] != threading.get_ident()
+        assert len(split_log[0]) == 3
+        assert threading.active_count() == baseline
+
+    def test_pre_trial_in_seed_order_on_caller(self, monkeypatch, split_log):
+        _force_threads(monkeypatch)
+        seen = []
+        pool = self._pool(
+            pre_trial=lambda seed: seen.append((seed, threading.get_ident()))
+        )
+        pool.map(_never, range(5, 15))
+        assert seen == [(seed, threading.get_ident()) for seed in range(5, 15)]
+        assert len(split_log[0]) == 3
+
+    def test_serial_store_entry_hits_threaded_run(
+        self, tmp_path, monkeypatch, split_log
+    ):
+        store = configure_store(tmp_path / "store")
+        try:
+            serial = self._pool().map(_never, range(10))
+            assert split_log == [[(0, 10)]]
+            puts = store.stats.puts
+            hits = store.stats.memory_hits + store.stats.disk_hits
+            _force_threads(monkeypatch)
+            monkeypatch.setattr(
+                _SharedStructure, "summarize", lambda shared, seed: _never(seed)
+            )
+            assert self._pool().map(_never, range(10)) == serial
+            assert split_log[1] == [(0, 3), (3, 6), (6, 10)]
+            assert store.stats.puts == puts
+            assert store.stats.memory_hits + store.stats.disk_hits == hits + 1
+        finally:
+            configure_store(None)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -111,6 +113,33 @@ class TestMetrics:
         counter = MetricsRegistry().counter("n")
         with pytest.raises(ValueError):
             counter.inc(-1)
+
+    def test_records_exact_under_threads(self):
+        """Record calls are read-modify-writes; 8 threads x 10k records
+        (each re-fetching its family, as hot paths do) lose none."""
+        registry = MetricsRegistry()
+
+        def record_many():
+            for _ in range(10_000):
+                registry.counter("n", labels=("k",)).inc(k="a")
+                registry.gauge("g").add(1)
+                registry.histogram("h").observe(0.5)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch often enough to race
+        try:
+            threads = [threading.Thread(target=record_many) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert registry.counter("n", labels=("k",)).value(k="a") == 80_000
+        assert registry.gauge("g").value() == 80_000
+        (series,) = registry.histogram("h").series().values()
+        assert series["count"] == 80_000
 
     def test_histogram_buckets_and_stats(self):
         hist = MetricsRegistry().histogram("lat", buckets=(1.0, 10.0))

@@ -22,6 +22,7 @@ from repro.parallel import (
     resolve_workers,
     spawn_rngs,
     spawn_seeds,
+    usable_cpus,
 )
 from repro.parallel.pool import WORKERS_ENV
 from repro.snapshot import DeltaSnapshot, SnapshotTuple
@@ -52,7 +53,20 @@ class TestResolveWorkers:
 
     @pytest.mark.parametrize("auto", ["auto", 0, "0"])
     def test_auto_means_cpu_count(self, auto):
-        assert resolve_workers(auto) == (os.cpu_count() or 1)
+        """One worker per CPU this process may run on."""
+        assert resolve_workers(auto) == usable_cpus()
+
+    def test_auto_follows_affinity(self, monkeypatch):
+        """A process pinned to 2 of 64 CPUs gets 2 workers, not 64."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5})
+        assert usable_cpus() == 2
+        assert resolve_workers("auto") == 2
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert usable_cpus() == 6
 
     @pytest.mark.parametrize("bad", [-1, "-2"])
     def test_nonpositive_rejected(self, bad):
