@@ -10,14 +10,14 @@ interleaved, best-of-N:
 
 * the per-trial ``process`` backend (numpy kernels pinned),
 * the ``manycore`` backend on the numpy kernel backend, and
-* the ``manycore`` backend on the best compiled kernel backend
-  (numba or cffi) when one can load.
+* the ``manycore`` backend on the compiled ``cffi`` kernel backend
+  when it can load.
 
 Two gates: manycore/numpy must stay ``--min-speedup`` times faster than
 the per-trial path, and the compiled kernel backend must keep the
 manycore engine ``--min-kernel-speedup`` times faster still (skipped
 with a warning when no compiled backend is available — default CI jobs
-are numpy-only; the ``kernel-matrix`` job installs the compilers).  All
+are numpy-only; the ``kernel-matrix`` job's cffi leg installs cffi).  All
 assessment lists are compared for equality before any timing is trusted
 (the full differential proof lives in ``tests/test_kernels.py``).
 
@@ -101,7 +101,7 @@ def measure(best_of: int = BEST_OF) -> dict:
     if compiled is not None:
         configs.append(("manycore", compiled))
         kernels.set_backend(compiled)
-        kernels.warmup()  # pay JIT/compile cost outside the timings
+        kernels.warmup()  # pay the compile cost outside the timings
     times = {cfg: [] for cfg in configs}
     results = {}
     try:

@@ -234,9 +234,29 @@ class TransitionMonoid:
     maps: np.ndarray
     outcome_ids: np.ndarray
     compose_table: np.ndarray
+    #: Holds the grown :meth:`power_table` (one slot, replaced whole).
+    _powers: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     #: Id of the identity map (fixed by construction).
     IDENTITY = 0
+
+    def power_table(self, k_max: int) -> np.ndarray:
+        """Read-only ``POW[element, k]`` with at least ``k_max + 1``
+        columns: ``element`` composed ``k`` times.
+
+        Built once per monoid and regrown only when a caller needs more
+        columns.  A table is published whole after it is filled, so
+        threads racing here may build it twice but never see a partial
+        one; each caller keeps the table it was handed.
+        """
+        table = self._powers.get("pow")
+        if table is None or table.shape[1] <= k_max:
+            table = _power_table(self.compose_table, self.IDENTITY, k_max)
+            table.setflags(write=False)
+            self._powers["pow"] = table
+        return table
 
     def compose(self, first, second):
         """Id(s) of ``second ∘ first`` — apply ``first``, then ``second``."""
@@ -250,7 +270,7 @@ class TransitionMonoid:
         """Compose a sequence of map ids left-to-right into one id.
 
         Dispatches through :mod:`repro.kernels` — a pairwise tree on the
-        numpy backend, a sequential accumulator on the compiled ones;
+        numpy backend, a sequential accumulator on the cffi one;
         ids are canonical and composition associative, so the orders
         agree bit for bit.
         """
@@ -275,7 +295,7 @@ class TransitionMonoid:
         Dispatches through :mod:`repro.kernels`: the numpy backend
         stable-sorts branches by entry and composes ids with a segmented
         Hillis-Steele scan (``O(N log N)`` vectorised lookups), the
-        compiled backends run one ``O(N)`` accumulator pass; both yield
+        compiled backend runs one ``O(N)`` accumulator pass; both yield
         the same composed id per entry.
         """
         from repro import kernels
@@ -290,6 +310,31 @@ class TransitionMonoid:
         # maps[IDENTITY] is the identity row, so untouched entries come
         # out as identity maps exactly as before.
         return self.maps[ids]
+
+
+def _power_table(
+    compose_table: np.ndarray, identity: int, k_max: int
+) -> np.ndarray:
+    """Dense ``POW[element, k]`` = ``element`` composed ``k`` times.
+
+    Filled by doubling rather than one column per step: with columns
+    ``0..m-1`` known, columns ``m..2m-2`` are ``POW[:, m-1] o POW[:,
+    1..m-1]`` — exact because powers of one element commute — so a
+    ``k_max`` of a few thousand takes ~log2(k_max) gathers.
+    """
+    size = len(compose_table)
+    pow_table = np.empty((size, k_max + 1), dtype=np.int64)
+    pow_table[:, 0] = identity
+    if k_max >= 1:
+        pow_table[:, 1] = np.arange(size)
+    m = 2
+    while m <= k_max:
+        hi = min(2 * m - 1, k_max + 1)
+        pow_table[:, m:hi] = compose_table[
+            pow_table[:, m - 1:m], pow_table[:, 1:hi - m + 1]
+        ]
+        m = hi
+    return pow_table
 
 
 #: Safety valve for degenerate FSM specs: the composition table is

@@ -47,6 +47,7 @@ from typing import Callable, Dict
 __all__ = [
     "INDEX_HASHES",
     "apply_hash",
+    "fast_mod",
     "fold_history",
     "history_fold_width",
     "kernel_shift",
@@ -56,6 +57,17 @@ __all__ = [
 
 def _mod(mixed, n_entries: int):
     return mixed % n_entries
+
+
+def fast_mod(values, n: int):
+    """``values % n``, as one AND when ``n`` is a power of two.
+
+    Equal to ``%`` for every integer input (two's complement makes the
+    AND a floor modulo), and several times cheaper over large arrays.
+    """
+    if n & (n - 1) == 0:
+        return values & (n - 1)
+    return values % n
 
 
 def _fold_shift(n_entries: int) -> int:

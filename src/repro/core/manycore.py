@@ -16,12 +16,12 @@ Two layers:
   that fresh core's own generator, and runs the unmitigated closed-form
   front-end, *everything except the candidate block itself is identical
   across trials*: the plan, the per-repetition noise aggregates, the
-  PHT indices of every slot, the tracked-entry set, and the entire
-  node schedule of the batch engine's phase 2.  The pool therefore
+  PHT indices of every slot, the tracked-entry set, and every read and
+  noise hit of the batch engine's phase 2.  The pool therefore
   computes that structure once and reduces each trial to a small
   *block summary* — per-tracked-entry ids in the FSM's
-  :class:`~repro.bpu.fsm.TransitionMonoid` — evolved for a whole chunk
-  of instances at a time as ``(chunk, n_nodes)`` table lookups.  The
+  :class:`~repro.bpu.fsm.TransitionMonoid` — from which one
+  program-order walk per instance recovers the read levels.  The
   result is bit-identical to running the scalar/batch trial per block
   (same :class:`~repro.core.calibration.BlockAssessment` list, same
   factory-RNG stream position), which the differential suite pins.
@@ -56,7 +56,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bpu.hashes import kernel_shift
+from repro.bpu.hashes import fast_mod, kernel_shift
 from repro.core.calibration import (
     BlockAssessment,
     TrialPlan,
@@ -91,8 +91,8 @@ __all__ = [
 _PATTERNS = ("HH", "HM", "MH", "MM")
 
 #: Instances assessed per vectorised chunk.  Bounds peak memory (the
-#: phase-2 id arrays are ``(chunk, n_nodes)`` int64) while amortising
-#: the per-chunk gather setup.
+#: per-chunk read and code arrays are ``(chunk, 2R, ...)`` int64) while
+#: amortising the per-chunk setup.
 DEFAULT_CHUNK = 64
 
 #: Fewest block branches one thread of a chunk takes on.  Below it a
@@ -180,69 +180,24 @@ def _run_ranges(
 # ---------------------------------------------------------------------------
 
 
-def _power_table(
-    compose_table: np.ndarray, identity: int, k_max: int
-) -> np.ndarray:
-    """Dense ``POW[element, k]`` = ``element`` composed ``k`` times.
-
-    Filled by doubling rather than one column per step: with columns
-    ``0..m-1`` known, columns ``m..2m-2`` are ``POW[:, m-1] o POW[:,
-    1..m-1]`` — exact because powers of one element commute — so a
-    ``k_max`` of a few thousand takes ~log2(k_max) gathers.
-    """
-    size = len(compose_table)
-    pow_table = np.empty((size, k_max + 1), dtype=np.int64)
-    pow_table[:, 0] = identity
-    if k_max >= 1:
-        pow_table[:, 1] = np.arange(size)
-    m = 2
-    while m <= k_max:
-        hi = min(2 * m - 1, k_max + 1)
-        pow_table[:, m:hi] = compose_table[
-            pow_table[:, m - 1:m], pow_table[:, 1:hi - m + 1]
-        ]
-        m = hi
-    return pow_table
-
-
-def _node_order(
-    p: np.ndarray,
-    t: np.ndarray,
-    read: np.ndarray,
-    seq: np.ndarray,
-    p_span: int,
-    t_span: int,
-) -> np.ndarray:
-    """``np.lexsort((seq, read, t, p))`` through one fused int64 key.
-
-    ``p < p_span``, ``t < t_span``, ``read`` is 0/1 and ``seq`` is
-    non-negative, and no two nodes share all four keys, so the fused
-    keys are distinct and one plain ``argsort`` gives the identical
-    permutation several times faster.  Spans too large for int64 take
-    ``lexsort`` itself.
-    """
-    seq_span = int(seq.max()) + 1 if len(seq) else 1
-    if p_span * t_span * 2 * seq_span >= 2**62:
-        return np.lexsort((seq, read, t, p))
-    return np.argsort(((p * t_span + t) * 2 + read) * seq_span + seq)
-
-
 class _NodePlan:
     """The instance-independent half of phase 2, for one PHT.
 
     Mirrors :func:`repro.core.calibration_batch._read_levels` up to the
-    point where the per-entry transition maps enter, then stores the
-    node schedule so :meth:`read_levels` can replay the binary lifting,
-    step transfer and segmented scan for a whole chunk of instances in
-    monoid *id space*: each ``(node, instance)`` cell is a small integer
-    id and every composition is one flat ``compose_table`` gather.  The
-    id-space run is exactly the level-space run with the per-node level
-    row replaced by its id — composition orders are identical, which the
-    differential suite pins end to end.
+    point where the per-entry transition maps enter, and keeps the
+    phase's events in program order: the reads in slot order
+    (tracked position and step id per slot) and the noise hits on
+    tracked entries in time order (position, time ``epoch + 1``, step
+    id).  :meth:`read_levels` walks them for a whole chunk of instances
+    in monoid *id space*, jumping each entry over the epochs since its
+    last event with the power table ``POW[block fold, k]``.  Per entry
+    the walk meets its events in the (time, hit-before-read, seq) order
+    of the batch engine's node sort, so every composition and every read
+    level is the same; the differential suite pins it end to end.
 
     Preconditions (checked by the caller): no mitigations (every slot
     executes) and value-equal FSM specs on both PHTs (noise and execute
-    steps then use the same transition table, so a node's step id
+    steps then use the same transition table, so an event's step id
     depends only on its outcome).
     """
 
@@ -259,14 +214,7 @@ class _NodePlan:
         n_entries: int,
     ) -> None:
         R2, n_slots = idx.shape
-        self.shape = (R2, n_slots)
-        self.monoid = monoid
-        size = len(monoid.maps)
-        self._ct_flat = monoid.compose_table.astype(np.int64).ravel()
-        self._ct_size = size
-        self._maps_flat = monoid.maps.astype(np.int64).ravel()
-        self._n_levels = monoid.n_levels
-
+        self.d = d
         # Sorted unique entries via a presence mask (idx < n_entries).
         present = np.zeros(n_entries, dtype=bool)
         present[idx.ravel()] = True
@@ -275,80 +223,38 @@ class _NodePlan:
         pos_table = np.full(n_entries, -1, dtype=np.int64)
         pos_table[tracked] = np.arange(self.n_tracked)
         self.pos_table = pos_table
-        positions = pos_table[idx]
+        oid = monoid.outcome_ids.astype(np.int64)
 
-        # Read nodes: every slot of every repetition executes.
-        slot_flat = np.arange(R2 * n_slots)
-        read_pos = positions.ravel()
-        read_r = slot_flat // n_slots
-        read_time = read_r + ((slot_flat - read_r * n_slots) >= d)
-        read_out = outcomes.ravel().astype(np.int64)
-        n_reads = R2 * n_slots
+        # Reads: every slot of every repetition executes; slot j of
+        # repetition r reads at time r, or r + 1 past the scramble.
+        self.read_pos = pos_table[idx]
+        self.read_step = oid[outcomes.astype(np.int64)]
+        read_time = np.arange(R2)[:, None] + (np.arange(n_slots) >= d)
 
-        # Noise-hit nodes, pruned to each entry's last read.
-        last_read = np.zeros(self.n_tracked, dtype=np.int64)
-        np.maximum.at(last_read, read_pos, read_time)
-        if len(noise_idx):
-            npos = pos_table[noise_idx]
-            hit = np.flatnonzero(npos >= 0)
-            # A hit lands at time epoch + 1; keep it iff that is no later
-            # than its entry's last read.
-            keep = hit[noise_epoch[hit] < last_read[npos[hit]]]
-            hit_pos = npos[keep]
-            hit_time = noise_epoch[keep] + 1
-            hit_out = noise_out[keep].astype(np.int64)
-        else:
-            hit_pos = hit_time = hit_out = np.empty(0, dtype=np.int64)
-        n_hits = len(hit_pos)
+        # Noise hits on tracked entries, pruned to each entry's last
+        # read: a hit lands at time epoch + 1 and is kept iff that is no
+        # later than its entry's last read (a later one changes no read).
+        # Untracked entries keep last read -1, so none of their hits stay.
+        last_read = np.full(n_entries, -1, dtype=np.int64)
+        np.maximum.at(last_read, idx.ravel(), read_time.ravel())
+        keep = np.flatnonzero(noise_epoch < last_read[noise_idx])
+        self.hit_pos = pos_table[noise_idx[keep]]
+        self.hit_time = noise_epoch[keep] + 1
+        self.hit_step = oid[noise_out[keep].astype(np.int64)]
+        self.n_nodes = R2 * n_slots + len(keep)
 
-        node_p = np.concatenate([read_pos, hit_pos])
-        node_t = np.concatenate([read_time, hit_time])
-        node_read = np.concatenate(
-            [np.ones(n_reads, dtype=np.int64), np.zeros(n_hits, dtype=np.int64)]
-        )
-        node_out = np.concatenate([read_out, hit_out])
-        node_seq = np.concatenate([np.arange(n_reads), np.arange(n_hits)])
-        node_slot = np.concatenate(
-            [slot_flat, np.zeros(n_hits, dtype=np.int64)]
-        )
-        order = _node_order(
-            node_p, node_t, node_read, node_seq, self.n_tracked, R2 + 1
-        )
-        p_sorted = node_p[order]
-        t_sorted = node_t[order]
-        self.n_nodes = len(order)
-
-        first = np.ones(self.n_nodes, dtype=bool)
-        first[1:] = p_sorted[1:] != p_sorted[:-1]
-        prev_t = np.empty_like(t_sorted)
-        prev_t[0] = 0
-        prev_t[1:] = t_sorted[:-1]
-        prev_t[first] = 0
-        remaining = t_sorted - prev_t
-
-        # Between consecutive nodes at one entry the block fold applies
-        # once per crossed epoch, so each node's jump is (block fold)^k
-        # with k = remaining[node].  The batch engine binary-lifts this
-        # per trial; here the monoid is tiny, so a dense power table
-        # ``POW[element, k]`` turns the whole lifting pass into one flat
-        # gather per chunk.
-        k_max = int(remaining.max()) if self.n_nodes else 0
-        pow_table = _power_table(monoid.compose_table, monoid.IDENTITY, k_max)
+        self.v0 = initial_levels[tracked].astype(np.int64)
+        # Jumps span at most 2R epochs; the monoid's shared table grows
+        # to cover them.
+        pow_table = monoid.power_table(R2 + 1)
         self._pow_flat = pow_table.ravel()
-        self._pow_k = k_max + 1
-        self.p_sorted = p_sorted
-        self.remaining = remaining
-
-        self.step_ids = monoid.outcome_ids[node_out[order]].astype(np.int64)
-        self.v0_nodes = initial_levels[tracked].astype(np.int64)[p_sorted]
-        self.first = first
-        # Flat output slot per node, -1 for non-read (noise) nodes; the
-        # kernel layer derives its scatter/schedule from this and
-        # memoises per-plan state in ``_kcache``.
-        reads = node_read[order] == 1
-        out_slot = np.full(self.n_nodes, -1, dtype=np.int64)
-        out_slot[reads] = node_slot[order][reads]
-        self.out_slot = out_slot
+        self._pow_k = pow_table.shape[1]
+        self._ct_flat = monoid.compose_table.astype(np.int64).ravel()
+        self._ct_size = len(monoid.maps)
+        self._maps_flat = monoid.maps.astype(np.int64).ravel()
+        self._n_levels = monoid.n_levels
+        # Per-plan memo for the kernel layer (the numpy backend keeps
+        # its entry-sorted schedule here).
         self._kcache: dict = {}
 
     def read_levels(self, lift0: np.ndarray) -> np.ndarray:
@@ -359,26 +265,23 @@ class _NodePlan:
         ``(chunk, R2, n_slots)`` levels, matching ``_read_levels`` row
         for row (dispatched through :func:`repro.kernels.read_levels_ids`).
         """
-        chunk = lift0.shape[0]
-        R2, n_slots = self.shape
-        read_flat = kernels.read_levels_ids(
+        return kernels.read_levels_ids(
             np.ascontiguousarray(lift0, dtype=np.int64),
-            self.p_sorted,
-            self.remaining,
-            self.step_ids,
-            self.first,
-            self.v0_nodes,
-            self.out_slot,
+            self.read_pos,
+            self.read_step,
+            self.d,
+            self.hit_pos,
+            self.hit_time,
+            self.hit_step,
+            self.v0,
             self._pow_flat,
             self._pow_k,
             self._ct_flat,
             self._ct_size,
             self._maps_flat,
             self._n_levels,
-            R2 * n_slots,
             cache=self._kcache,
         )
-        return read_flat.reshape(chunk, R2, n_slots)
 
 
 def _summary_matches(value, **buffers: np.ndarray) -> bool:
@@ -465,14 +368,16 @@ class _SharedStructure:
         total = int(offsets[-1])
         epoch_of = np.repeat(np.arange(R2), gaps)
 
-        # Per-repetition noise aggregates (mirrors batch_assess).
+        # Per-repetition noise aggregates (mirrors batch_assess).  The
+        # presets' table sizes are powers of two, so fast_mod takes each
+        # modulo over the noise addresses as one AND.
         drift = np.zeros(R2, dtype=np.int64)
-        on_tsel = bulk.addresses % self.n_sel == self.tsel
+        on_tsel = fast_mod(bulk.addresses, self.n_sel) == self.tsel
         if on_tsel.any():
             np.add.at(drift, epoch_of[on_tsel], bulk.nudges[on_tsel])
         self.drift_tsel = drift
         noise_tag = np.full(R2, -1, dtype=np.int64)
-        on_tset = bulk.addresses % self.n_sets == self.tset
+        on_tset = fast_mod(bulk.addresses, self.n_sets) == self.tset
         if on_tset.any():
             last = np.full(R2, -1, dtype=np.int64)
             np.maximum.at(last, epoch_of[on_tset], np.nonzero(on_tset)[0])
@@ -482,7 +387,7 @@ class _SharedStructure:
             ) & self.tag_mask
         self.noise_tag = noise_tag
 
-        # Phase-2 node plans (one per PHT).  Noise hits index the
+        # Phase-2 plans (one per PHT).  Noise hits index the
         # bimodal PHT by plain modulo on every preset, exactly as
         # apply_noise_draw does; only probe and block indices are hashed.
         noise_epoch = epoch_of if total else np.empty(0, dtype=np.int64)
@@ -491,7 +396,9 @@ class _SharedStructure:
             bimodal.levels,
             b_idx,
             outcomes,
-            bulk.addresses % self.n_b if total else np.empty(0, dtype=np.int64),
+            fast_mod(bulk.addresses, self.n_b)
+            if total
+            else np.empty(0, dtype=np.int64),
             bulk.outcomes,
             noise_epoch,
             self.d,

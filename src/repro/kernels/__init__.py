@@ -4,7 +4,7 @@ Public surface::
 
     from repro import kernels
 
-    kernels.active_backend()            # "numpy" | "numba" | "cffi"
+    kernels.active_backend()            # "numpy" | "cffi"
     kernels.set_backend("cffi")         # runtime override (tests/benches)
     kernels.fold_ids(...)               # dispatched ops
     kernels.kernel_dispatch_counts()    # always-on per-backend counters

@@ -48,15 +48,16 @@ void repro_summarize_block(const int64_t *addresses,
                            int64_t tag_mask, int64_t identity,
                            int64_t *g_acc, int64_t *scalars);
 void repro_read_levels_ids(const int64_t *lift0, int64_t chunk,
-                           int64_t n_tracked, const int64_t *p_sorted,
-                           const int64_t *remaining,
-                           const int64_t *step_ids,
-                           const uint8_t *first, const int64_t *v0,
-                           const int64_t *out_slot, int64_t n_nodes,
-                           const int64_t *pow_flat, int64_t pow_k,
-                           const int64_t *ct, int64_t size,
-                           const int64_t *maps, int64_t n_levels,
-                           int64_t *out, int64_t out_width);
+                           int64_t n_tracked, const int64_t *read_pos,
+                           const int64_t *read_step, int64_t r2,
+                           int64_t n_slots, int64_t d,
+                           const int64_t *hit_pos,
+                           const int64_t *hit_time,
+                           const int64_t *hit_step, int64_t n_hits,
+                           const int64_t *v0, const int64_t *pow_flat,
+                           int64_t pow_k, const int64_t *maps,
+                           int64_t n_levels, int64_t *cur,
+                           int64_t *last, int64_t *out);
 void repro_read_levels_maps(const int64_t *tracked_maps,
                             const int64_t *p_sorted,
                             const int64_t *remaining,
@@ -185,31 +186,61 @@ void repro_summarize_block(const int64_t *addresses,
                              tag_mask, identity, g_acc, scalars);
 }
 
+/* One phase-2 event at entry p and time t: jump the entry's level over
+ * the epochs since its last event (the block fold to the power
+ * t - last[p]), then step it.  Returns the level the event reads. */
+static inline int64_t repro_visit(const int64_t *l0, int64_t p, int64_t t,
+                                  int64_t step, const int64_t *pow_flat,
+                                  int64_t pow_k, const int64_t *maps,
+                                  int64_t n_levels, int64_t *cur,
+                                  int64_t *last)
+{
+    int64_t jump = pow_flat[l0[p] * pow_k + t - last[p]];
+    int64_t val = maps[jump * n_levels + cur[p]];
+    cur[p] = maps[step * n_levels + val];
+    last[p] = t;
+    return val;
+}
+
+/* Phase 2 in program order, one pass per instance: each repetition
+ * applies the hits due by time r, reads the scramble slots at r, applies
+ * the hits due by r + 1 and reads the probe slots at r + 1.  cur/last
+ * are the caller's per-call scratch (n_tracked each). */
 void repro_read_levels_ids(const int64_t *lift0, int64_t chunk,
-                           int64_t n_tracked, const int64_t *p_sorted,
-                           const int64_t *remaining,
-                           const int64_t *step_ids,
-                           const uint8_t *first, const int64_t *v0,
-                           const int64_t *out_slot, int64_t n_nodes,
-                           const int64_t *pow_flat, int64_t pow_k,
-                           const int64_t *ct, int64_t size,
-                           const int64_t *maps, int64_t n_levels,
-                           int64_t *out, int64_t out_width)
+                           int64_t n_tracked, const int64_t *read_pos,
+                           const int64_t *read_step, int64_t r2,
+                           int64_t n_slots, int64_t d,
+                           const int64_t *hit_pos,
+                           const int64_t *hit_time,
+                           const int64_t *hit_step, int64_t n_hits,
+                           const int64_t *v0, const int64_t *pow_flat,
+                           int64_t pow_k, const int64_t *maps,
+                           int64_t n_levels, int64_t *cur,
+                           int64_t *last, int64_t *out)
 {
     for (int64_t c = 0; c < chunk; c++) {
         const int64_t *l0 = lift0 + c * n_tracked;
-        int64_t *o = out + c * out_width;
-        int64_t cur = 0;
-        for (int64_t j = 0; j < n_nodes; j++) {
-            if (first[j])
-                cur = v0[j];
-            int64_t jump =
-                pow_flat[l0[p_sorted[j]] * pow_k + remaining[j]];
-            int64_t val = maps[jump * n_levels + cur];
-            int64_t slot = out_slot[j];
-            if (slot >= 0)
-                o[slot] = val;
-            cur = maps[step_ids[j] * n_levels + val];
+        int64_t *o = out + c * r2 * n_slots;
+        for (int64_t p = 0; p < n_tracked; p++) {
+            cur[p] = v0[p];
+            last[p] = 0;
+        }
+        int64_t h = 0;
+        for (int64_t r = 0; r < r2; r++) {
+            for (int64_t half = 0; half < 2; half++) {
+                int64_t t = r + half;
+                for (; h < n_hits && hit_time[h] <= t; h++)
+                    repro_visit(l0, hit_pos[h], hit_time[h], hit_step[h],
+                                pow_flat, pow_k, maps, n_levels, cur,
+                                last);
+                int64_t j_end = half ? n_slots : d;
+                for (int64_t j = half ? d : 0; j < j_end; j++) {
+                    int64_t s = r * n_slots + j;
+                    o[s] = repro_visit(l0, read_pos[s], t, read_step[s],
+                                       pow_flat, pow_k, maps, n_levels,
+                                       cur, last);
+                }
+            }
         }
     }
 }
@@ -374,29 +405,29 @@ def summarize_block(
 
 
 def read_levels_ids(
-    lift0, p_sorted, remaining, step_ids, first, v0_nodes, out_slot,
-    pow_flat, pow_k, ct_flat, ct_size, maps_flat, n_levels, out_width,
-    cache=None,
+    lift0, read_pos, read_step, d, hit_pos, hit_time, hit_step, v0,
+    pow_flat, pow_k, ct_flat, ct_size, maps_flat, n_levels, cache=None,
 ):
     lift0 = _i64(lift0)
     chunk, n_tracked = lift0.shape
-    if cache is not None and "cffi_args" in cache:
-        args = cache["cffi_args"]
-    else:
-        args = (
-            _i64(p_sorted), _i64(remaining), _i64(step_ids), _u8(first),
-            _i64(v0_nodes), _i64(out_slot), _i64(pow_flat),
-            _i64(ct_flat), _i64(maps_flat),
-        )
-        if cache is not None:
-            cache["cffi_args"] = args
-    p_s, rem, sid, fst, v0, oslot, powf, ctf, mapsf = args
-    out = np.zeros((chunk, int(out_width)), dtype=np.int64)
+    read_pos = _i64(read_pos)
+    read_step = _i64(read_step)
+    r2, n_slots = read_pos.shape
+    hit_pos = _i64(hit_pos)
+    hit_time = _i64(hit_time)
+    hit_step = _i64(hit_step)
+    v0 = _i64(v0)
+    pow_flat = _i64(pow_flat)
+    maps = _i64(maps_flat)
+    # Per-call scratch, so concurrent callers on one plan share nothing.
+    cur = np.empty(n_tracked, dtype=np.int64)
+    last = np.empty(n_tracked, dtype=np.int64)
+    out = np.empty((chunk, r2, n_slots), dtype=np.int64)
     _lib.repro_read_levels_ids(
-        _p(lift0), chunk, n_tracked, _p(p_s), _p(rem), _p(sid),
-        _pu8(fst), _p(v0), _p(oslot), len(p_s), _p(powf), int(pow_k),
-        _p(ctf), int(ct_size), _p(mapsf), int(n_levels), _p(out),
-        int(out_width),
+        _p(lift0), chunk, n_tracked, _p(read_pos), _p(read_step), r2,
+        n_slots, int(d), _p(hit_pos), _p(hit_time), _p(hit_step),
+        len(hit_pos), _p(v0), _p(pow_flat), int(pow_k), _p(maps),
+        int(n_levels), _p(cur), _p(last), _p(out),
     )
     return out
 

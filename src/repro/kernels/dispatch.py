@@ -4,20 +4,18 @@ The hot inner loops of the fast engines — monoid folds
 (:meth:`TransitionMonoid.reduce` / :meth:`fold_table`), the manycore
 per-block summary and id-space read recovery, and the batch
 calibration's prefix-scan read recovery — all route through the five
-ops exported here.  Three interchangeable implementations exist:
+ops exported here.  Two interchangeable implementations exist:
 
 ``numpy``
-    The PR 6 segmented-scan algorithms; always available, the
-    correctness reference.
-``numba``
-    ``@njit(cache=True)`` sequential loops; used when numba imports.
+    Segmented-scan algorithms; always available, the correctness
+    reference.
 ``cffi``
-    A small generated-C extension compiled once into a
-    content-addressed cache directory; used when cffi + a C compiler
-    are available.
+    A small generated-C extension of sequential loops, compiled once
+    into a content-addressed cache directory; used when cffi + a C
+    compiler are available.
 
-Selection: ``REPRO_KERNEL_BACKEND`` (``auto`` | ``numpy`` | ``numba``
-| ``cffi``; default ``auto`` prefers numba, then cffi, then numpy).
+Selection: ``REPRO_KERNEL_BACKEND`` (``auto`` | ``numpy`` | ``cffi``;
+default ``auto`` prefers cffi, then numpy).
 Resolution is lazy, happens at most once per process (until
 :func:`set_backend` resets it), and is never silent: every op call
 bumps an always-on per-backend counter (:func:`kernel_dispatch_counts`)
@@ -47,9 +45,9 @@ from . import numpy_backend
 KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
 
 #: Preference order under ``auto``.
-AUTO_ORDER: Tuple[str, ...] = ("numba", "cffi", "numpy")
+AUTO_ORDER: Tuple[str, ...] = ("cffi", "numpy")
 
-_VALID = ("auto", "numpy", "numba", "cffi")
+_VALID = ("auto", "numpy", "cffi")
 
 #: Resolved (implementation module, backend name); None until first use.
 _ACTIVE: Optional[tuple] = None
@@ -69,10 +67,6 @@ def _load_backend(name: str):
     """Import and initialise one backend; raises on unavailability."""
     if name == "numpy":
         return numpy_backend.load()
-    if name == "numba":
-        from . import numba_backend
-
-        return numba_backend.load()
     if name == "cffi":
         from . import cffi_backend
 
@@ -135,7 +129,7 @@ def active_backend() -> str:
 def set_backend(name: Optional[str]) -> str:
     """Override backend selection and re-resolve immediately.
 
-    ``name`` is one of ``auto`` / ``numpy`` / ``numba`` / ``cffi``, or
+    ``name`` is one of ``auto`` / ``numpy`` / ``cffi``, or
     ``None`` to drop the override and return to the environment knob.
     Returns the name of the backend actually installed (an unavailable
     explicit choice falls back to numpy, loudly).
@@ -155,7 +149,7 @@ def set_backend(name: Optional[str]) -> str:
 def available_backends() -> Tuple[str, ...]:
     """Backends that can actually load in this process, probed now."""
     out = []
-    for name in ("numpy", "numba", "cffi"):
+    for name in ("numpy", "cffi"):
         try:
             _load_backend(name)
         except Exception as exc:
@@ -186,7 +180,7 @@ def ensure_initialized() -> str:
 
 
 def warmup() -> str:
-    """Resolve and exercise every op once so JIT/compile costs are paid
+    """Resolve and exercise every op once so compile costs are paid
     before fork (children inherit the warm state)."""
     import numpy as np
 
@@ -206,9 +200,9 @@ def warmup() -> str:
     )
     nodes = np.array([0], dtype=np.int64)
     impl.read_levels_ids(
-        np.zeros((1, 1), dtype=np.int64), nodes, nodes + 1,
-        np.array([1], dtype=np.int64), np.array([True]), nodes,
-        nodes, ct.ravel(), 2, ct.ravel(), 2, maps.ravel(), 2, 1,
+        np.zeros((1, 1), dtype=np.int64), np.zeros((1, 1), np.int64),
+        np.ones((1, 1), np.int64), 0, nodes, nodes + 1, nodes, nodes,
+        ct.ravel(), 2, ct.ravel(), 2, maps.ravel(), 2,
     )
     impl.read_levels_maps(
         maps[:1], nodes, nodes + 1, nodes, np.array([True]), nodes,
@@ -264,15 +258,14 @@ def summarize_block(
 
 
 def read_levels_ids(
-    lift0, p_sorted, remaining, step_ids, first, v0_nodes, out_slot,
-    pow_flat, pow_k, ct_flat, ct_size, maps_flat, n_levels, out_width,
-    cache=None,
+    lift0, read_pos, read_step, d, hit_pos, hit_time, hit_step, v0,
+    pow_flat, pow_k, ct_flat, ct_size, maps_flat, n_levels, cache=None,
 ):
-    """Chunked id-space read-level recovery (manycore phase 2)."""
+    """Chunked id-space read-level recovery (manycore phase 2), from
+    the reads in slot order and the noise hits in time order."""
     return _dispatch().read_levels_ids(
-        lift0, p_sorted, remaining, step_ids, first, v0_nodes, out_slot,
-        pow_flat, pow_k, ct_flat, ct_size, maps_flat, n_levels,
-        out_width, cache,
+        lift0, read_pos, read_step, d, hit_pos, hit_time, hit_step, v0,
+        pow_flat, pow_k, ct_flat, ct_size, maps_flat, n_levels, cache,
     )
 
 

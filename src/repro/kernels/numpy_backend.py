@@ -5,7 +5,7 @@ These are the PR 6 algorithms, extracted verbatim from
 behind the :mod:`repro.kernels` op signatures: segmented Hillis-Steele
 scans for the monoid folds, a sliding-window matmul for the GHR
 trajectory, and the binary-lifting / stride-doubling passes for the
-read-level recovery.  The compiled backends replace each op with a
+read-level recovery.  The cffi backend replaces each op with a
 sequential O(N) loop; TransitionMonoid ids are canonical and
 composition is associative, so every association order produces the
 same ids and the backends are bit-identical by construction (the
@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.bpu.hashes import fold_history
+from repro.bpu.hashes import fast_mod, fold_history
 
 NAME = "numpy"
 
@@ -117,19 +117,13 @@ def _ghr_trajectory(outcomes: np.ndarray, ghr_bits: int) -> np.ndarray:
     return windows[:n] @ weights
 
 
-def _fast_mod(values: np.ndarray, n: int) -> np.ndarray:
-    if n & (n - 1) == 0:
-        return values & (n - 1)
-    return values % n
-
-
 def _hashed(values: np.ndarray, n: int, shift: int) -> np.ndarray:
     """PHT index under a kernel hash encoding
     (:func:`repro.bpu.hashes.kernel_shift`): XOR-fold by ``shift`` when
     it is non-zero, then the modulo."""
     if shift:
         values = values ^ (values >> shift)
-    return _fast_mod(values, n)
+    return fast_mod(values, n)
 
 
 def summarize_block(
@@ -173,8 +167,8 @@ def summarize_block(
     pos = pos_table[g_indices]
     g_ids = fold_ids(pos, step_ids, compose_table, n_tracked, identity)
 
-    tsel_touched = bool((_fast_mod(addresses, n_sel) == tsel).any())
-    covering = np.nonzero(_fast_mod(addresses, n_sets) == tset)[0]
+    tsel_touched = bool((fast_mod(addresses, n_sel) == tsel).any())
+    covering = np.nonzero(fast_mod(addresses, n_sets) == tset)[0]
     if len(covering):
         block_tag = int((addresses[covering[-1]] // n_sets) & tag_mask)
     else:
@@ -185,51 +179,116 @@ def summarize_block(
 # -- id-space read-level recovery (manycore phase 2) -------------------------
 
 
+def _node_order(
+    p: np.ndarray,
+    t: np.ndarray,
+    read: np.ndarray,
+    seq: np.ndarray,
+    p_span: int,
+    t_span: int,
+) -> np.ndarray:
+    """``np.lexsort((seq, read, t, p))`` through one fused int64 key.
+
+    ``p < p_span``, ``t < t_span``, ``read`` is 0/1 and ``seq`` is
+    non-negative, and no two nodes share all four keys, so the fused
+    keys are distinct and one plain ``argsort`` gives the identical
+    permutation several times faster.  Spans too large for int64 take
+    ``lexsort`` itself.
+    """
+    seq_span = int(seq.max()) + 1 if len(seq) else 1
+    if p_span * t_span * 2 * seq_span >= 2**62:
+        return np.lexsort((seq, read, t, p))
+    return np.argsort(((p * t_span + t) * 2 + read) * seq_span + seq)
+
+
+def _entry_schedule(read_pos, read_step, d, hit_pos, hit_time, hit_step, v0):
+    """Phase 2's events sorted by (entry, time, hit-before-read, seq),
+    with everything the vectorised scan needs: per node its entry, the
+    epochs since the entry's previous node, its step id, whether it
+    heads its entry's segment and the entry's initial level; the read
+    nodes and their flat slots; and the stride-doubling schedule."""
+    R2, n_slots = read_pos.shape
+    n_reads = R2 * n_slots
+    read_time = np.arange(R2)[:, None] + (np.arange(n_slots) >= d)
+    node_p = np.concatenate([read_pos.ravel(), hit_pos])
+    node_t = np.concatenate([read_time.ravel(), hit_time])
+    node_read = np.concatenate(
+        [np.ones(n_reads, dtype=np.int64), np.zeros(len(hit_pos), np.int64)]
+    )
+    node_seq = np.concatenate([np.arange(n_reads), np.arange(len(hit_pos))])
+    order = _node_order(
+        node_p, node_t, node_read, node_seq, len(v0), R2 + 1
+    )
+    p_sorted = node_p[order]
+    t_sorted = node_t[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = p_sorted[1:] != p_sorted[:-1]
+    prev_t = np.zeros_like(t_sorted)
+    prev_t[1:] = t_sorted[:-1]
+    prev_t[first] = 0
+    step_ids = np.concatenate([read_step.ravel(), hit_step])[order]
+    # Reads come first in the concatenation, in slot order, so a read
+    # node's source index is its flat slot.
+    reads = np.nonzero(order < n_reads)[0]
+    schedule = []
+    stride = 1
+    while stride < len(order):
+        valid = p_sorted[stride:] == p_sorted[:-stride]
+        if not valid.any():
+            break
+        schedule.append((stride, np.nonzero(valid)[0] + stride))
+        stride <<= 1
+    return (
+        p_sorted, t_sorted - prev_t, step_ids, first, v0[p_sorted], reads,
+        order[reads], schedule,
+    )
+
+
 def read_levels_ids(
     lift0: np.ndarray,
-    p_sorted: np.ndarray,
-    remaining: np.ndarray,
-    step_ids: np.ndarray,
-    first: np.ndarray,
-    v0_nodes: np.ndarray,
-    out_slot: np.ndarray,
+    read_pos: np.ndarray,
+    read_step: np.ndarray,
+    d: int,
+    hit_pos: np.ndarray,
+    hit_time: np.ndarray,
+    hit_step: np.ndarray,
+    v0: np.ndarray,
     pow_flat: np.ndarray,
     pow_k: int,
     ct_flat: np.ndarray,
     ct_size: int,
     maps_flat: np.ndarray,
     n_levels: int,
-    out_width: int,
     cache: Optional[dict] = None,
 ) -> np.ndarray:
     """Read-before-write levels for a chunk of instances, in id space.
 
-    ``lift0`` is ``(chunk, n_tracked)`` block-fold ids per instance;
-    nodes arrive sorted by (entry, time) with ``first`` marking segment
-    heads, ``remaining`` the epoch count each node's jump spans, and
-    ``out_slot[j]`` the flat output slot of node ``j`` (-1 for non-read
-    nodes).  Returns ``(chunk, out_width)`` levels.
+    ``lift0`` is ``(chunk, n_tracked)`` block-fold ids per instance.
+    ``read_pos``/``read_step`` are ``(R2, n_slots)``: the tracked entry
+    and step id of every probe read, in slot order; slot ``j`` of
+    repetition ``r`` reads at time ``r`` when ``j < d`` (scramble) and
+    ``r + 1`` otherwise.  ``hit_pos``/``hit_time``/``hit_step`` list the
+    noise hits on tracked entries in time order, ``v0`` each tracked
+    entry's initial level, and ``pow_flat`` the flattened
+    ``POW[element, k]`` table with ``pow_k`` columns.  Returns
+    ``(chunk, R2, n_slots)`` levels.
 
-    ``cache`` (when provided) memoises the stride-doubling schedule and
-    the read scatter index across calls with the same node plan.
+    This backend sorts the events entry-major and runs a stride-doubling
+    scan down each entry's segment; ``cache`` (when provided) memoises
+    that schedule across calls with the same inputs.
     """
-    chunk = lift0.shape[0]
-    n_nodes = len(p_sorted)
     if cache is not None and "sched" in cache:
-        schedule, reads, slots = cache["sched"]
+        sched = cache["sched"]
     else:
-        schedule = []
-        stride = 1
-        while stride < n_nodes:
-            valid = p_sorted[stride:] == p_sorted[:-stride]
-            if not valid.any():
-                break
-            schedule.append((stride, np.nonzero(valid)[0] + stride))
-            stride <<= 1
-        reads = np.nonzero(out_slot >= 0)[0]
-        slots = out_slot[reads]
+        sched = _entry_schedule(
+            read_pos, read_step, d, hit_pos, hit_time, hit_step, v0
+        )
         if cache is not None:
-            cache["sched"] = (schedule, reads, slots)
+            cache["sched"] = sched
+    p_sorted, remaining, step_ids, first, v0_nodes, reads, slots, schedule = (
+        sched
+    )
+    chunk = lift0.shape[0]
     jump = pow_flat[lift0[:, p_sorted] * pow_k + remaining[None, :]]
     transfer = ct_flat[jump * ct_size + step_ids[None, :]]
     for stride, upd in schedule:
@@ -238,14 +297,14 @@ def read_levels_ids(
         ]
     after = maps_flat[transfer * n_levels + v0_nodes[None, :]]
     before = np.empty_like(after)
-    if n_nodes:
+    if len(p_sorted):
         before[:, 0] = 0
         before[:, 1:] = after[:, :-1]
     incoming = np.where(first[None, :], v0_nodes[None, :], before)
     values = maps_flat[jump * n_levels + incoming]
-    read_flat = np.zeros((chunk, int(out_width)), dtype=np.int64)
+    read_flat = np.empty((chunk, read_pos.size), dtype=np.int64)
     read_flat[:, slots] = values[:, reads]
-    return read_flat
+    return read_flat.reshape((chunk,) + read_pos.shape)
 
 
 # -- level-space read recovery (batch calibration phase 2) -------------------

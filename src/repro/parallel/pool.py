@@ -487,7 +487,7 @@ class TrialPool:
                 workers=workers,
             )
         dispatch_start = time.perf_counter()
-        # Resolve and JIT/load the kernel backend once in the parent so
+        # Resolve and load the kernel backend once in the parent so
         # every forked worker inherits a warm backend instead of racing
         # to build the compiled module N times.
         kernels.warmup()

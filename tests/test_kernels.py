@@ -3,7 +3,7 @@
 Three contracts are pinned here:
 
 * **Backend bit-identity** — every available kernel backend (numpy,
-  numba, cffi) returns bit-identical results for every op, on every
+  cffi) returns bit-identical results for every op, on every
   shipped preset, and no op moves any RNG stream, so assessments *and*
   stream-position digests are backend-independent.
 * **Hash conformance** — for every registered index hash, every
@@ -32,13 +32,23 @@ from repro.bpu.hashes import (
     fold_history,
     kernel_shift,
 )
-from repro.bpu.presets import haswell, oryon_like, sandy_bridge, skylake
+from repro.bpu.presets import (
+    firestorm_like,
+    haswell,
+    oryon_like,
+    sandy_bridge,
+    skylake,
+    tage_like,
+)
 from repro.core.calibration import (
     assess_block_batch,
+    draw_trial_plan,
     stability_experiment,
 )
 from repro.core.manycore import (
     ManycoreCampaignPool,
+    _NodePlan,
+    _SharedStructure,
     group_batch_stats,
     manycore_supported,
     reset_group_batch_stats,
@@ -50,6 +60,7 @@ from repro.core.randomizer import (
 )
 from repro.cpu.core import PhysicalCore
 from repro.cpu.process import Process
+from repro.kernels.numpy_backend import _node_order
 from repro.obs import trace as obs
 from repro.resilience.checkpoint import rng_state_digest
 from repro.system.noise import NoiseModel
@@ -57,6 +68,7 @@ from repro.system.noise import NoiseModel
 TARGET = 0x30_0006D
 
 ALL_PRESETS = [skylake, haswell, sandy_bridge, oryon_like]
+ZOO_PRESETS = ALL_PRESETS + [tage_like, firestorm_like]
 
 #: Backends that can load in this interpreter; numpy is always first.
 BACKENDS = kernels.available_backends()
@@ -173,6 +185,225 @@ class TestOpDifferential:
                 assert bool(got[2]) == bool(ref[2])
                 assert int(got[3]) == int(ref[3])
             assert np.array_equal(reads, ref_reads)
+
+
+class TestNodeOrder:
+    """The numpy backend's fused-key node sort is ``lexsort`` over the
+    four keys."""
+
+    def _nodes(self, rng, n_reads, n_hits, p_span, t_span):
+        p = rng.integers(0, p_span, n_reads + n_hits)
+        t = rng.integers(0, t_span, n_reads + n_hits)
+        read = np.concatenate(
+            [np.ones(n_reads, np.int64), np.zeros(n_hits, np.int64)]
+        )
+        seq = np.concatenate([np.arange(n_reads), np.arange(n_hits)])
+        return p, t, read, seq
+
+    def test_matches_lexsort(self):
+        rng = np.random.default_rng(3)
+        for n_reads, n_hits, p_span, t_span in (
+            (0, 0, 1, 1),
+            (14, 0, 1, 3),
+            (700, 3000, 40, 101),
+            (2000, 50, 2, 2001),
+        ):
+            p, t, read, seq = self._nodes(rng, n_reads, n_hits, p_span, t_span)
+            assert np.array_equal(
+                _node_order(p, t, read, seq, p_span, t_span),
+                np.lexsort((seq, read, t, p)),
+            )
+
+    def test_oversized_spans_take_lexsort(self):
+        rng = np.random.default_rng(4)
+        p, t, read, seq = self._nodes(rng, 50, 50, 7, 5)
+        # Spans past int64 headroom must not overflow the fused key.
+        assert np.array_equal(
+            _node_order(p, t, read, seq, 2**40, 2**30),
+            np.lexsort((seq, read, t, p)),
+        )
+
+
+def _naive_read_levels(
+    monoid, initial, idx, outcomes, noise_idx, noise_out, noise_epoch, d,
+    tracked, lift,
+):
+    """Phase 2 one epoch at a time, in level space, from the unpruned
+    inputs: at each epoch boundary every tracked entry takes its block
+    fold, then the noise hits landing there step it in order, then the
+    reads at that time (the previous repetition's probe slots, then this
+    one's scramble slots) record and step it."""
+    R2, n_slots = idx.shape
+    maps = monoid.maps
+    oid = monoid.outcome_ids
+    out = np.empty((len(lift), R2, n_slots), dtype=np.int64)
+    for c, row in enumerate(lift):
+        fold = dict(zip(tracked.tolist(), row.tolist()))
+        level = {e: int(initial[e]) for e in fold}
+        for t in range(R2 + 1):
+            if t:
+                for e in level:
+                    level[e] = int(maps[fold[e], level[e]])
+            for i in np.flatnonzero(noise_epoch + 1 == t):
+                e = int(noise_idx[i])
+                if e in level:
+                    level[e] = int(maps[oid[int(noise_out[i])], level[e]])
+            slots = [(t - 1, j) for j in range(d, n_slots)] if t else []
+            if t < R2:
+                slots += [(t, j) for j in range(d)]
+            for r, j in slots:
+                e = int(idx[r, j])
+                out[c, r, j] = level[e]
+                level[e] = int(maps[oid[int(outcomes[r, j])], level[e]])
+    return out
+
+
+class TestReadLevelsWalk:
+    """Manycore phase 2: the cffi program-order walk equals the numpy
+    entry-sorted scan, and both equal an epoch-by-epoch level model."""
+
+    @pytest.mark.parametrize("chunk", [1, 5])
+    @pytest.mark.parametrize("noise", ["noisy", "isolated"])
+    @pytest.mark.parametrize("preset", ZOO_PRESETS)
+    def test_walk_equals_entry_sorted(self, preset, noise, chunk):
+        core = PhysicalCore(preset().scaled(16), seed=7)
+        plan = draw_trial_plan(
+            core.rng, core, repetitions=10, noise=getattr(NoiseModel, noise)()
+        )
+        shared = _SharedStructure(core, TARGET, plan, None, 2000)
+        rng = np.random.default_rng(11)
+        for node_plan in (shared.plan_b, shared.plan_g):
+            lift = rng.integers(
+                0, len(shared.monoid.maps), size=(chunk, node_plan.n_tracked)
+            )
+            reads = {}
+            for backend in BACKENDS:
+                kernels.set_backend(backend)
+                reads[backend] = node_plan.read_levels(lift)
+            for backend in BACKENDS:
+                assert reads[backend].shape == (chunk, 20, shared.d + 2)
+                assert np.array_equal(reads[backend], reads["numpy"])
+
+    @staticmethod
+    def _plan_inputs(R, n_entries=12, n_noise=300, seed=0):
+        monoid = skylake().fsm.transition_monoid()
+        d = monoid.n_levels
+        rng = np.random.default_rng(seed)
+        R2 = 2 * R
+        return dict(
+            monoid=monoid,
+            initial=rng.integers(0, d, size=2 * n_entries),
+            idx=rng.integers(0, n_entries, size=(R2, d + 2)),
+            outcomes=rng.integers(0, 2, size=(R2, d + 2)).astype(bool),
+            noise_idx=rng.integers(0, 2 * n_entries, size=n_noise),
+            noise_out=rng.integers(0, 2, size=n_noise).astype(bool),
+            noise_epoch=np.sort(rng.integers(0, R2, size=n_noise)),
+            d=d,
+            n_entries=2 * n_entries,
+        )
+
+    def _check(self, inputs, chunk=3, seed=1):
+        """Every backend and the level model agree; returns the plan."""
+        plan = _NodePlan(
+            inputs["monoid"], inputs["initial"], inputs["idx"],
+            inputs["outcomes"], inputs["noise_idx"], inputs["noise_out"],
+            inputs["noise_epoch"], inputs["d"], inputs["n_entries"],
+        )
+        tracked = np.flatnonzero(plan.pos_table >= 0)
+        lift = np.random.default_rng(seed).integers(
+            0, len(inputs["monoid"].maps), size=(chunk, len(tracked))
+        )
+        expected = _naive_read_levels(
+            inputs["monoid"], inputs["initial"], inputs["idx"],
+            inputs["outcomes"], inputs["noise_idx"], inputs["noise_out"],
+            inputs["noise_epoch"], inputs["d"], tracked, lift,
+        )
+        for backend in BACKENDS:
+            kernels.set_backend(backend)
+            assert np.array_equal(plan.read_levels(lift), expected), backend
+        return plan
+
+    def test_random_plan_matches_level_model(self):
+        plan = self._check(self._plan_inputs(R=8))
+        assert len(plan.hit_pos) > 0
+
+    def test_same_time_reads_take_zero_jumps(self):
+        """Every slot of every repetition reads one of two entries, so
+        most reads follow another at the same time (k = 0)."""
+        inputs = self._plan_inputs(R=6)
+        inputs["idx"] = inputs["idx"] % 2
+        self._check(inputs)
+
+    def test_hits_after_last_read_are_pruned(self):
+        """Entry 0 is read only in repetition 0; the many noise hits on it
+        afterwards are dropped from the plan and change no read."""
+        inputs = self._plan_inputs(R=6)
+        idx = inputs["idx"]
+        idx[idx == 0] = 1
+        idx[0, 0] = 0
+        late = np.arange(3, 2 * 6)
+        inputs["noise_idx"] = np.concatenate(
+            [inputs["noise_idx"], np.zeros(len(late), dtype=np.int64)]
+        )
+        inputs["noise_out"] = np.concatenate(
+            [inputs["noise_out"], np.ones(len(late), dtype=bool)]
+        )
+        inputs["noise_epoch"] = np.concatenate([inputs["noise_epoch"], late])
+        order = np.argsort(inputs["noise_epoch"], kind="stable")
+        for key in ("noise_idx", "noise_out", "noise_epoch"):
+            inputs[key] = inputs[key][order]
+        plan = self._check(inputs)
+        entry0 = plan.pos_table[0]
+        assert entry0 >= 0
+        assert not (plan.hit_pos == entry0).any()
+        R2, n_slots = inputs["idx"].shape
+        assert plan.n_nodes == R2 * n_slots + len(plan.hit_pos)
+
+    def test_no_hit_on_a_tracked_entry(self):
+        inputs = self._plan_inputs(R=5)
+        inputs["noise_idx"] = inputs["noise_idx"] % 12 + 12
+        plan = self._check(inputs)
+        assert len(plan.hit_pos) == 0
+        assert plan.n_nodes == inputs["idx"].size
+
+    def test_long_plan_grows_the_cached_power_table(self):
+        inputs = self._plan_inputs(R=1, n_noise=0)
+        monoid = inputs["monoid"]
+        before = monoid.power_table(0).shape[1]
+        R = before // 2 + 8
+        inputs = self._plan_inputs(R=R, n_entries=4, n_noise=400)
+        plan = self._check(inputs, chunk=2)
+        assert monoid.power_table(0).shape[1] >= 2 * R + 2 > before
+        assert plan._pow_k >= 2 * R + 2
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_two_threads_on_one_plan(self, backend):
+        """Concurrent calls share no scratch: identical arrays, equal to
+        a serial call."""
+        inputs = self._plan_inputs(R=200, n_entries=40, n_noise=3000)
+        plan = _NodePlan(
+            inputs["monoid"], inputs["initial"], inputs["idx"],
+            inputs["outcomes"], inputs["noise_idx"], inputs["noise_out"],
+            inputs["noise_epoch"], inputs["d"], inputs["n_entries"],
+        )
+        lift = np.random.default_rng(2).integers(
+            0, len(inputs["monoid"].maps), size=(8, plan.n_tracked)
+        )
+        kernels.set_backend(backend)
+        results = [None, None]
+
+        def run(k):
+            results[k] = [plan.read_levels(lift) for _ in range(5)]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        serial = plan.read_levels(lift)
+        for got in results[0] + results[1]:
+            assert np.array_equal(got, serial)
 
 
 def _naive_summary(
@@ -490,16 +721,19 @@ class TestDispatch:
         with pytest.raises(ValueError, match="unknown kernel backend"):
             kernels.set_backend("gpu")
 
-    def test_unavailable_backend_falls_back_loudly(self):
-        missing = [b for b in ("numba", "cffi") if b not in BACKENDS]
-        if not missing:
-            pytest.skip("all compiled backends load here")
+    def test_unavailable_backend_falls_back_loudly(self, monkeypatch):
+        from repro.kernels import cffi_backend
+
+        def unavailable():
+            raise ImportError("no C compiler")
+
+        monkeypatch.setattr(cffi_backend, "load", unavailable)
         obs.reset_scalar_fallbacks()
         with pytest.warns(RuntimeWarning, match="falling back to numpy"):
-            installed = kernels.set_backend(missing[0])
+            installed = kernels.set_backend("cffi")
         assert installed == "numpy"
         assert obs.scalar_fallback_counts()["kernel_init"] == 1
-        assert missing[0] in kernels.backend_init_errors()
+        assert "cffi" in kernels.backend_init_errors()
 
     def test_dispatch_counts_increment(self):
         kernels.set_backend("numpy")

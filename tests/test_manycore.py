@@ -7,11 +7,13 @@ models, checkpoint interruptions, and every fallback branch.
 """
 
 import dataclasses
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from repro.bpu.fsm import _power_table, monoid_closure
 from repro.bpu.presets import (
     firestorm_like,
     haswell,
@@ -28,8 +30,6 @@ from repro.core.calibration import (
 from repro.core import manycore
 from repro.core.manycore import (
     ManycoreCampaignPool,
-    _node_order,
-    _power_table,
     _SharedStructure,
     assess_planned,
     group_batch_stats,
@@ -403,41 +403,67 @@ class TestPowerTable:
             assert doubled.dtype == np.int64
             assert np.array_equal(doubled, naive), (preset.__name__, k_max)
 
-
-class TestNodeOrder:
-    """The fused-key node sort is ``lexsort`` over the four keys."""
-
-    def _nodes(self, rng, n_reads, n_hits, p_span, t_span):
-        p = rng.integers(0, p_span, n_reads + n_hits)
-        t = rng.integers(0, t_span, n_reads + n_hits)
-        read = np.concatenate(
-            [np.ones(n_reads, np.int64), np.zeros(n_hits, np.int64)]
+    @staticmethod
+    def _fresh_monoid():
+        """A skylake monoid object no other test has grown a table on."""
+        spec = skylake().fsm
+        return monoid_closure.__wrapped__(
+            spec.n_levels,
+            (tuple(spec.next_on_not_taken), tuple(spec.next_on_taken)),
         )
-        seq = np.concatenate([np.arange(n_reads), np.arange(n_hits)])
-        return p, t, read, seq
 
-    def test_matches_lexsort(self):
-        rng = np.random.default_rng(3)
-        for n_reads, n_hits, p_span, t_span in (
-            (0, 0, 1, 1),
-            (14, 0, 1, 3),
-            (700, 3000, 40, 101),
-            (2000, 50, 2, 2001),
-        ):
-            p, t, read, seq = self._nodes(rng, n_reads, n_hits, p_span, t_span)
-            assert np.array_equal(
-                _node_order(p, t, read, seq, p_span, t_span),
-                np.lexsort((seq, read, t, p)),
-            )
-
-    def test_oversized_spans_take_lexsort(self):
-        rng = np.random.default_rng(4)
-        p, t, read, seq = self._nodes(rng, 50, 50, 7, 5)
-        # Spans past int64 headroom must not overflow the fused key.
+    def test_one_table_per_monoid_grown_on_demand(self):
+        monoid = self._fresh_monoid()
+        table = monoid.power_table(10)
+        assert table.shape[1] == 11
+        assert not table.flags.writeable
+        # A smaller request reuses the table; a larger one regrows it.
+        assert monoid.power_table(4) is table
+        grown = monoid.power_table(2 * 1000 + 1)
+        assert grown.shape[1] == 2 * 1000 + 2
+        assert monoid.power_table(50) is grown
         assert np.array_equal(
-            _node_order(p, t, read, seq, 2**40, 2**30),
-            np.lexsort((seq, read, t, p)),
+            grown,
+            _power_table(monoid.compose_table, monoid.IDENTITY, 2 * 1000 + 1),
         )
+        # Structures use the cached monoid's own table.
+        core = PhysicalCore(skylake().scaled(16), seed=0)
+        plan = draw_trial_plan(
+            core.rng, core, repetitions=6, noise=NoiseModel.isolated()
+        )
+        shared = _SharedStructure(core, TARGET, plan, None, 2000)
+        cached = shared.monoid.power_table(0)
+        assert np.shares_memory(shared.plan_g._pow_flat, cached)
+        assert shared.plan_g._pow_k == cached.shape[1] >= 2 * 6 + 2
+
+    def test_racing_threads_never_see_a_partial_table(self):
+        monoid = self._fresh_monoid()
+        reference = _power_table(monoid.compose_table, monoid.IDENTITY, 4001)
+        got = {}
+
+        def grow(k_max):
+            for step in range(20):
+                k = k_max + step * 100
+                got[(k_max, step)] = (k, monoid.power_table(k))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=grow, args=(k,))
+                for k in (1, 500, 1000, 2000)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == 80
+        for k, table in got.values():
+            assert table.shape[1] > k
+            assert np.array_equal(table, reference[:, : table.shape[1]])
 
 
 class TestAssessPlanned:
