@@ -39,6 +39,13 @@ Two simulator implementations with one contract:
   yields both dual simulations from the same pass.
   ``tests/test_fuzz.py`` pins the two bit-identical on the whole
   lattice.
+
+:class:`HypothesisLattice` runs each program through a bank over the
+*surviving* hypotheses only, rebuilt when the survivor set shrinks, so
+an observation costs in proportion to what is still alive.  A row's
+signatures and agreed mask depend on that hypothesis alone and
+refutation only clears survivor bits, so skipping dead rows changes no
+result.
 """
 
 from __future__ import annotations
@@ -408,6 +415,15 @@ class HypothesisLattice:
     ``partition_score`` ranks a *candidate* program by how finely its
     agreed bits split the current survivors (the fuzzer's generation
     planner maximises it).
+
+    ``bank`` is the full lattice's bank: it fixes the row order that
+    ``alive`` and ``survivors()`` follow.  Programs are simulated only
+    over the surviving rows, by a second bank over exactly those
+    hypotheses, built when the survivor set changes and shared by every
+    call until it changes again (the full bank serves while everything
+    is alive).  Exact: a row's signatures and agreed mask depend on
+    that hypothesis alone, and refutation only clears ``alive`` bits,
+    so a dead row can never change a result.
     """
 
     def __init__(
@@ -417,13 +433,34 @@ class HypothesisLattice:
             default_lattice() if hypotheses is None else hypotheses
         )
         self.alive = np.ones(len(self.bank), dtype=bool)
+        # The survivors bank and the rows it covers, ascending; the bank
+        # is None once no hypothesis survives (a bank needs at least one).
+        self._rows = np.arange(len(self.bank))
+        self._survivors: Optional[HypothesisBank] = self.bank
+
+    def _survivors_bank(self) -> Optional[HypothesisBank]:
+        """The bank over the current survivors (rows ``self._rows``)."""
+        rows = np.flatnonzero(self.alive)
+        if not np.array_equal(rows, self._rows):
+            self._rows = rows
+            self._survivors = (
+                HypothesisBank([self.bank.hypotheses[r] for r in rows])
+                if len(rows)
+                else None
+            )
+        return self._survivors
 
     def _masked(
         self, program: BranchProgram
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Signatures under the low nuisance bias, plus the agreed mask
-        (both biases come from one pass of the bank)."""
-        by_bias = self.bank.signatures_by_bias(program, SELECTOR_INITIALS)
+        """Survivors' signatures under the low nuisance bias, plus the
+        agreed mask (both biases come from one pass of the bank); one
+        row per survivor, in ascending lattice-row order."""
+        bank = self._survivors_bank()
+        if bank is None:
+            empty = np.zeros((0, len(program.observed)), dtype=bool)
+            return empty, empty
+        by_bias = bank.signatures_by_bias(program, SELECTOR_INITIALS)
         return by_bias[0], (by_bias == by_bias[0]).all(axis=0)
 
     def observe(
@@ -431,25 +468,23 @@ class HypothesisLattice:
     ) -> int:
         """Eliminate hypotheses refuted by ``hits``; returns survivors."""
         observed = np.array([bool(int(h)) for h in hits], dtype=bool)
-        signatures, mask = self._masked(program)
-        if observed.shape[0] != signatures.shape[1]:
+        if observed.shape[0] != len(program.observed):
             raise ValueError(
                 f"got {observed.shape[0]} hit bits for a program with "
-                f"{signatures.shape[1]} observed steps"
+                f"{len(program.observed)} observed steps"
             )
+        signatures, mask = self._masked(program)
         refuted = np.any(mask & (signatures != observed[None, :]), axis=1)
-        self.alive &= ~refuted
+        self.alive[self._rows[refuted]] = False
         return int(self.alive.sum())
 
     def partition_score(self, program: BranchProgram) -> int:
         """Distinct agreed-bit signatures among survivors (higher = more
-        discriminating; 1 means the program cannot eliminate anything)."""
-        if not self.alive.any():
-            return 0
+        discriminating; 1 means the program cannot eliminate anything,
+        0 that nothing survives)."""
         signatures, mask = self._masked(program)
         keys = np.where(mask, signatures.astype(np.int8), np.int8(2))
-        rows = keys[self.alive]
-        return len({row.tobytes() for row in rows})
+        return len({row.tobytes() for row in keys})
 
     def survivors(self) -> Tuple[Hypothesis, ...]:
         return tuple(

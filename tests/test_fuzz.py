@@ -405,6 +405,181 @@ class TestPlanGeneration:
         assert scores == sorted(scores, reverse=True)
 
 
+def _full_masked(bank, program):
+    """Reference: the full bank's signatures and agreed mask, all rows."""
+    by_bias = bank.signatures_by_bias(program, SELECTOR_INITIALS)
+    return by_bias[0], (by_bias == by_bias[0]).all(axis=0)
+
+
+class _FullWidthLattice(HypothesisLattice):
+    """Reference scorer: every row of the full bank, dead rows filtered
+    out afterwards (the lattice's pre-survivors-bank computation)."""
+
+    def partition_score(self, program):
+        if not self.alive.any():
+            return 0
+        signatures, mask = _full_masked(self.bank, program)
+        keys = np.where(mask, signatures.astype(np.int8), np.int8(2))
+        return len({row.tobytes() for row in keys[self.alive]})
+
+
+def _partial_masks():
+    """Chosen partial survivor sets over the default lattice's rows."""
+    lattice = default_lattice()
+    truth = lattice.index(true_hypothesis("skylake"))
+    near = [
+        i
+        for i, h in enumerate(lattice)
+        if sum(
+            a != b
+            for a, b in zip(
+                h.to_dict().values(), lattice[truth].to_dict().values()
+            )
+        )
+        <= 1
+    ]
+    masks = {
+        "every-third": np.arange(len(lattice)) % 3 == 0,
+        "truth-neighbourhood": np.isin(np.arange(len(lattice)), near),
+        "one-fsm": np.array([h.fsm_name == "skylake" for h in lattice]),
+        "single": np.arange(len(lattice)) == truth,
+        "all-but-first": np.arange(len(lattice)) != 0,
+    }
+    rng = np.random.default_rng(18)
+    for k in (2, 7, 40):
+        mask = np.zeros(len(lattice), dtype=bool)
+        mask[rng.choice(len(lattice), size=k, replace=False)] = True
+        masks[f"random-{k}"] = mask
+    return masks
+
+
+class _CountingBank(HypothesisBank):
+    """Records every bank built and the row count of every pass."""
+
+    built = []
+    passes = []
+
+    def __init__(self, hypotheses):
+        super().__init__(hypotheses)
+        _CountingBank.built.append(len(self))
+
+    def signatures_by_bias(self, program, biases):
+        _CountingBank.passes.append(len(self))
+        return super().signatures_by_bias(program, biases)
+
+
+@pytest.fixture
+def counting_bank(monkeypatch):
+    from repro.fuzz import infer
+
+    _CountingBank.built, _CountingBank.passes = [], []
+    monkeypatch.setattr(infer, "HypothesisBank", _CountingBank)
+    return _CountingBank
+
+
+class TestSurvivorBank:
+    """Programs simulate only the surviving rows, and that never changes
+    what the lattice concludes."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_alive_matches_full_bank_reference(self, preset):
+        """Seed-0 battery plus 8 random programs: after every observe,
+        ``alive`` equals masking the full bank's rows by hand."""
+        oracle = PresetOracle(preset)
+        rng = np.random.default_rng(np.random.SeedSequence([18, 0]))
+        descs = battery_descriptors(0) + [
+            random_descriptor(rng) for _ in range(8)
+        ]
+        lattice = HypothesisLattice()
+        reference = np.ones(len(lattice.bank), dtype=bool)
+        for desc in descs:
+            program = program_from_descriptor(desc)
+            hits = oracle.run(program)
+            signatures, mask = _full_masked(lattice.bank, program)
+            refuted = (mask & (signatures != np.array(hits, bool))).any(1)
+            reference &= ~refuted
+            assert lattice.observe(program, hits) == reference.sum()
+            assert np.array_equal(lattice.alive, reference), desc
+        assert true_hypothesis(preset) in lattice.survivors()
+
+    @pytest.mark.parametrize("name", sorted(_partial_masks()))
+    def test_partial_survivors_score_and_plan_like_full_bank(self, name):
+        alive = _partial_masks()[name]
+        lattice, reference = HypothesisLattice(), _FullWidthLattice()
+        lattice.alive[:] = alive
+        reference.alive[:] = alive
+        rng = np.random.default_rng(5)
+        programs = [
+            program_from_descriptor(d) for d in battery_descriptors(0)[::4]
+        ] + [
+            program_from_descriptor(random_descriptor(rng)) for _ in range(6)
+        ]
+        for program in programs:
+            assert lattice.partition_score(
+                program
+            ) == reference.partition_score(program)
+        for seed in (0, 3):
+            assert plan_generation(lattice, 1, seed) == plan_generation(
+                reference, 1, seed
+            )
+
+    @given(
+        alive=st.lists(st.booleans(), min_size=120, max_size=120).filter(
+            any
+        ),
+        desc=descriptors(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_survivor_rows_equal_full_bank_rows(self, alive, desc):
+        program = program_from_descriptor(desc)
+        lattice = HypothesisLattice()
+        lattice.alive[:] = alive
+        rows = np.flatnonzero(alive)
+        signatures, mask = lattice._masked(program)
+        full_signatures, full_mask = _full_masked(lattice.bank, program)
+        assert np.array_equal(signatures, full_signatures[rows])
+        assert np.array_equal(mask, full_mask[rows])
+
+    def test_zero_survivors(self, counting_bank):
+        truth = true_hypothesis("skylake")
+        lattice = HypothesisLattice([truth])
+        program = program_from_descriptor(battery_descriptors(0)[-1])
+        hits = PresetOracle("skylake").run(program)
+        assert counting_bank.built == [1]
+        # Inverted hits refute the only hypothesis on its agreed bits.
+        assert lattice.observe(program, [not h for h in hits]) == 0
+        assert not lattice.alive.any() and lattice.survivors() == ()
+        assert lattice.observe(program, hits) == 0
+        assert lattice.partition_score(program) == 0
+        signatures, mask = lattice._masked(program)
+        assert signatures.shape == mask.shape == (0, len(hits))
+        with pytest.raises(ValueError, match="hit bits"):
+            lattice.observe(program, hits[:-1])
+        assert counting_bank.built == [1]  # no bank over zero rows
+        with pytest.raises(ValueError):
+            HypothesisBank([])
+
+    def test_work_follows_survivors_on_skylake_battery(self, counting_bank):
+        """Each program's pass covers exactly the survivors before it,
+        history programs at most 5 rows, and each distinct survivor set
+        below the full lattice builds exactly one bank."""
+        oracle = PresetOracle("skylake")
+        lattice = HypothesisLattice()
+        counting_bank.built.clear()
+        before, sets = [], set()
+        for desc in battery_descriptors(0):
+            program = program_from_descriptor(desc)
+            before.append(int(lattice.alive.sum()))
+            if not lattice.alive.all():
+                sets.add(lattice.alive.tobytes())
+            lattice.observe(program, oracle.run(program))
+            if desc["family"] == "history":
+                assert counting_bank.passes[-1] <= 5, desc
+        assert counting_bank.passes == before
+        assert len(counting_bank.built) == len(sets)
+        assert before[0] == 120 and before[-1] < before[0]
+
+
 class TestServiceTenancy:
     """Fuzz generations are campaign-service tenants, with the full
     determinism contract: worker invariance, store serving, resume."""
