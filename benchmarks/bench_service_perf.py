@@ -1,8 +1,7 @@
 """Perf smoke check: cold vs warm campaign service over the content store.
 
-The sharded campaign service persists every shard aggregate (and every
-compiled block / manycore summary) in the content-addressed
-``repro.store``.  A *warm* submission of the same science — by the same
+The sharded campaign service persists every shard aggregate in the
+content-addressed ``repro.store``.  A *warm* submission of the same science — by the same
 tenant or any other — must therefore be served from the store without
 dispatching a single trial.  This bench times the same campaign twice
 over one fresh store:

@@ -50,7 +50,6 @@ split is observable through :func:`group_batch_stats`.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -69,7 +68,6 @@ from repro.core.randomizer import RandomizationBlock
 from repro.core.support import manycore_fallback_reason
 from repro.cpu.core import PhysicalCore
 from repro import kernels
-from repro import store as repro_store
 from repro.cpu.process import Process
 from repro.obs import trace as obs
 from repro.parallel.pool import usable_cpus
@@ -284,26 +282,6 @@ class _NodePlan:
         )
 
 
-def _summary_matches(value, **buffers: np.ndarray) -> bool:
-    """Whether a stored chunk summary fits the chunk's buffers exactly.
-
-    A stale or foreign value — not a dict, a missing array, or any array
-    of the wrong shape or dtype — reads as a store miss instead of
-    raising on assignment.
-    """
-    if not isinstance(value, dict):
-        return False
-    for name, buf in buffers.items():
-        arr = value.get(name)
-        if (
-            not isinstance(arr, np.ndarray)
-            or arr.shape != buf.shape
-            or arr.dtype != buf.dtype
-        ):
-            return False
-    return True
-
-
 class _SharedStructure:
     """Everything a stability campaign shares across its trials."""
 
@@ -337,10 +315,8 @@ class _SharedStructure:
         self.n_g = gshare.n_entries
         # Block-branch PHT indices go through the preset's index hash,
         # which the summary kernel takes as an integer encoding.
-        self.hash_b = predictor.bimodal.index_hash
-        self.hash_g = predictor.gshare.index_hash
-        self.shift_b = kernel_shift(self.hash_b, self.n_b)
-        self.shift_g = kernel_shift(self.hash_g, self.n_g)
+        self.shift_b = kernel_shift(predictor.bimodal.index_hash, self.n_b)
+        self.shift_g = kernel_shift(predictor.gshare.index_hash, self.n_g)
         self.ghr_len = predictor.ghr.length
         self.target = T
         self.tb = predictor.bimodal.index(T, 0, None)
@@ -432,33 +408,6 @@ class _SharedStructure:
         self.drift_list = drift.tolist()
         self.noise_list = noise_tag.tolist()
         self._oid = self.monoid.outcome_ids.astype(np.int64)
-
-        # Content digest of the summary computation: everything
-        # ``summarize`` reads besides the block seed.  The persistent
-        # store hook in ``assess_chunk`` caches per-chunk block
-        # summaries under it, so a warm service process skips the
-        # summarize kernel entirely for repeated campaigns.
-        sh = hashlib.blake2b(digest_size=16)
-        for arr in (
-            self._oid,
-            self.monoid.compose_table,
-            self.plan_g.pos_table,
-        ):
-            a = np.ascontiguousarray(arr)
-            sh.update(str(a.shape).encode())
-            sh.update(a.tobytes())
-        sh.update(
-            str(
-                (
-                    self.n_b, self.hash_b, self.tb, self.n_g, self.hash_g,
-                    self.ghr_len, self.n_sel, self.tsel, self.n_sets,
-                    self.tset, int(self.tag_mask), self.plan_g.n_tracked,
-                    int(self.monoid.IDENTITY), self.block_branches,
-                    kernels.active_backend(),
-                )
-            ).encode()
-        )
-        self.summary_digest = sh.hexdigest()
 
     # -- per-trial summary --------------------------------------------------
 
@@ -608,44 +557,15 @@ class _SharedStructure:
         touched = np.empty(chunk, dtype=bool)
         block_tags = np.empty(chunk, dtype=np.int64)
         codes = np.empty((chunk, self.R2), dtype=np.int64)
-        # Persistent-store hook: the per-seed summaries are a pure
-        # function of (structure digest, seed), so a whole chunk's worth
-        # is content-addressed and cached.  ``pre_trial`` still runs per
-        # seed on a hit — it is a chaos/observability hook, not part of
-        # the summary.
-        store = repro_store.get_store()
-        cache_key = None
-        cached = None
-        if store is not None:
-            cache_key = repro_store.store_key(
-                "manycore_summary",
-                structure=self.summary_digest,
-                seeds=tuple(int(s) for s in seeds),
-            )
-            found, value = store.get(cache_key)
-            if found and _summary_matches(
-                value,
-                lift_b=lift_b,
-                lift_g=lift_g,
-                touched=touched,
-                block_tags=block_tags,
-            ):
-                cached = value
         if pre_trial is not None:
             for seed in seeds:
                 pre_trial(seed)
-        if cached is not None:
-            lift_b[:] = cached["lift_b"]
-            lift_g[:] = cached["lift_g"]
-            touched[:] = cached["touched"]
-            block_tags[:] = cached["block_tags"]
 
         def run_rows(lo: int, hi: int) -> None:
-            if cached is None:
-                for i in range(lo, hi):
-                    (
-                        lift_b[i, 0], lift_g[i], touched[i], block_tags[i]
-                    ) = self.summarize(seeds[i])
+            for i in range(lo, hi):
+                (
+                    lift_b[i, 0], lift_g[i], touched[i], block_tags[i]
+                ) = self.summarize(seeds[i])
             self._codes(
                 lift_b[lo:hi],
                 lift_g[lo:hi],
@@ -655,17 +575,6 @@ class _SharedStructure:
             )
 
         _run_ranges(run_rows, _row_ranges(chunk, self.block_branches))
-        if cached is None and cache_key is not None:
-            # Copies: the memory tier holds values by reference.
-            store.put(
-                cache_key,
-                {
-                    "lift_b": lift_b.copy(),
-                    "lift_g": lift_g.copy(),
-                    "touched": touched.copy(),
-                    "block_tags": block_tags.copy(),
-                },
-            )
 
         out: List[BlockAssessment] = []
         counts_tt = np.stack(

@@ -97,21 +97,11 @@ COMPILE_CACHE_MAXSIZE = 64
 
 # (block fingerprint, core geometry, key, partition, timing) -> CompiledBlock.
 _compile_cache: "OrderedDict[Tuple, CompiledBlock]" = OrderedDict()
-_compile_cache_stats: Dict[str, int] = {
-    "memory_hits": 0,
-    "disk_hits": 0,
-    "misses": 0,
-}
+_compile_cache_stats: Dict[str, int] = {"hits": 0, "misses": 0}
 
 
 def clear_compile_cache() -> None:
-    """Empty the process-wide compiled-block cache and its statistics.
-
-    Only the in-process tier is dropped: the persistent
-    :mod:`repro.store` tier (when one is configured) deliberately
-    survives, since its artifacts are content-addressed and shared
-    across processes.
-    """
+    """Empty the process-wide compiled-block cache and its statistics."""
     _compile_cache.clear()
     for stat in _compile_cache_stats:
         _compile_cache_stats[stat] = 0
@@ -128,21 +118,9 @@ def _entry_indices(n_entries: int) -> np.ndarray:
 
 
 def compile_cache_info() -> Dict[str, int]:
-    """Hit/miss/size statistics of the compiled-block cache.
-
-    ``hits`` stays the historical total for existing callers;
-    ``memory_hits`` / ``disk_hits`` attribute each one to the tier that
-    served it (disk hits only occur with a :mod:`repro.store` default
-    store configured).
-    """
+    """Hit/miss/size statistics of the compiled-block cache."""
     return {
-        "hits": (
-            _compile_cache_stats["memory_hits"]
-            + _compile_cache_stats["disk_hits"]
-        ),
-        "memory_hits": _compile_cache_stats["memory_hits"],
-        "disk_hits": _compile_cache_stats["disk_hits"],
-        "misses": _compile_cache_stats["misses"],
+        **_compile_cache_stats,
         "size": len(_compile_cache),
         "maxsize": COMPILE_CACHE_MAXSIZE,
     }
@@ -157,49 +135,7 @@ def _record_compile_lookup(tier: str) -> None:
             "compiled-block cache lookups by serving tier",
             labels=("tier",),
         ).inc(tier=tier)
-    _compile_cache_stats[
-        "misses" if tier == "miss" else f"{tier}_hits"
-    ] += 1
-
-
-def _store_key(block_fingerprint: str, core, key, partition) -> str:
-    """Persistent-store key for one compiled block.
-
-    Built from explicitly stable parts — ``repr(core.config)`` would
-    embed the ``fsm_factory`` function object's memory address, so the
-    geometry fields and the FSM *spec* (value-stable repr) stand in for
-    the config.  Two processes compiling the same block against the same
-    preset therefore derive the same key.
-    """
-    from repro import store as repro_store
-
-    config = core.config
-    return repro_store.store_key(
-        "compiled_block",
-        # Index-semantics schema: bumped when the gshare index function
-        # itself changes meaning (v2 = folded long history), so a store
-        # populated before the change can never serve a stale gshare_map.
-        schema="gshare-index-v2",
-        block=block_fingerprint,
-        config=(
-            config.name,
-            config.bimodal_entries,
-            config.gshare_entries,
-            config.ghr_bits,
-            config.selector_entries,
-            config.selector_initial,
-            config.bit_sets,
-            config.btb_sets,
-            config.selector_bits,
-            repr(config.fsm),
-            repr(config.initial_state),
-            config.index_hash,
-        ),
-        key=key,
-        partition=repr(partition),
-        timing=repr(core.timing),
-        backend=kernels.active_backend(),
-    )
+    _compile_cache_stats["misses" if tier == "miss" else "hits"] += 1
 
 
 @dataclass(frozen=True)
@@ -368,23 +304,6 @@ class RandomizationBlock:
             _record_compile_lookup("memory")
             return cached
 
-        # Memory miss: consult the persistent tier when one is
-        # configured (repro.store default store).  The store's own
-        # memory tier is bypassed — the LRU above *is* the memory tier
-        # for compiled blocks.
-        from repro import store as repro_store
-
-        store = repro_store.get_store()
-        disk_key = None
-        if store is not None:
-            disk_key = _store_key(self.fingerprint(), core, key, partition)
-            found, value = store.get(disk_key, memory=False)
-            if found and isinstance(value, CompiledBlock):
-                _record_compile_lookup("disk")
-                _compile_cache[cache_key] = value
-                while len(_compile_cache) > COMPILE_CACHE_MAXSIZE:
-                    _compile_cache.popitem(last=False)
-                return value
         _record_compile_lookup("miss")
 
         predictor = core.predictor
@@ -466,8 +385,6 @@ class RandomizationBlock:
         _compile_cache[cache_key] = compiled
         while len(_compile_cache) > COMPILE_CACHE_MAXSIZE:
             _compile_cache.popitem(last=False)
-        if store is not None and disk_key is not None:
-            store.put(disk_key, compiled, memory=False)
         return compiled
 
     def fold_map_reference(

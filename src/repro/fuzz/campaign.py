@@ -188,7 +188,6 @@ def run_fuzz(
         dirs = service_dirs(root)
         if store is None:
             store = repro_store.ContentStore(dirs["store"])
-            repro_store.configure_store(store)
         if checkpoint_dir is None:
             checkpoint_dir = dirs["checkpoints"]
     service = CampaignService(

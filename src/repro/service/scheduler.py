@@ -23,8 +23,7 @@ Cache discipline: shard lookups happen in the parent at submit time
 (store hits complete shards before any dispatch — a re-submitted
 campaign costs zero trials), writes happen in the parent after
 collection (single writer, accountable stats).  Forked shard workers
-still share the parent's store through the fork for the *compiled
-block* tier.
+never touch the store.
 """
 
 from __future__ import annotations
@@ -193,9 +192,8 @@ class CampaignService:
         carrying a fault injector).  Must use ``chunk_size=1`` — each
         payload is a whole shard.
     store:
-        Shared :class:`~repro.store.ContentStore` for shard aggregates
-        (and, via the process default, compiled blocks).  ``None``
-        disables persistent caching.
+        Shared :class:`~repro.store.ContentStore` for shard aggregates.
+        ``None`` disables persistent caching.
     checkpoint_dir:
         Directory for per-campaign checkpoint files
         (``<campaign_id>.ckpt``).  ``None`` disables checkpointing.

@@ -8,7 +8,7 @@ is kill-proof, inspectable with ``ls``, and already crash-safe through
       jobs/         <campaign_id>.json   — submitted specs (atomic writes)
       results/      <campaign_id>.json   — completed campaign results
       checkpoints/  <campaign_id>.ckpt   — per-campaign PR 5 checkpoints
-      store/        ...                  — the shared content-addressed store
+      store/        ...                  — content-addressed shard results
       store-stats.json                   — store traffic snapshot (artifact)
 
 ``repro submit`` drops a spec into ``jobs/``; ``repro serve`` polls the
@@ -195,9 +195,6 @@ def serve(
             else repro_store.DEFAULT_MAX_BYTES
         ),
     )
-    # Default-store wiring: forked shard workers inherit it, giving the
-    # compiled-block LRU its persistent tier inside every worker.
-    repro_store.configure_store(store)
 
     metrics_server = None
     if metrics_port is not None:
@@ -246,5 +243,4 @@ def serve(
         write_store_stats(dirs, store)
         if metrics_server is not None:
             metrics_server.close()
-        repro_store.configure_store(None)
     return 0

@@ -1,28 +1,25 @@
-"""``repro.store`` — content-addressed persistent artifact cache.
+"""``repro.store`` — content-addressed persistent shard-result cache.
 
-The hot artifacts of a campaign are pure functions of their inputs: a
-compiled randomisation block is determined by ``(block content, core
-geometry, mitigation view, timing, kernel backend)``, a calibration
-shard's result by ``(campaign spec, seed range)``, the manycore engine's
-per-trial block summaries by ``(structure signature, seeds)``.  PR 1's
-in-process LRU already exploits this within one process; this module
-generalises it across processes, users and machine restarts with a
-**two-tier content-addressed store**:
+A calibration shard's result is a pure function of ``(campaign spec,
+seed range)``.  The campaign service (:mod:`repro.service`) and the
+coordinator therefore publish every finished shard aggregate to a
+**two-tier content-addressed store** that they are handed explicitly,
+so a resubmitted campaign — by the same or another tenant, in this
+process or after a restart — is served without running a trial:
 
 * **memory tier** — a bounded LRU of deserialised objects (cheap repeat
   hits within one process);
 * **disk tier** — one file per key under a root directory, written
   atomically via :mod:`repro.ioutil` and framed with a SHA-256 digest so
   a torn or bit-flipped artifact reads as a *miss* (quarantine + delete),
-  never as silent corruption.  Forked trial workers inherit the
-  configured store and may write concurrently — the pid-unique temp name
-  plus ``os.replace`` makes the last whole write win.
+  never as silent corruption.  Several processes may share one root
+  and write concurrently — the pid-unique temp name plus
+  ``os.replace`` makes the last whole write win.
 
 Keys are ``blake2b`` hexdigests derived by :func:`store_key` from a
 *kind* tag plus canonical key parts, so two campaigns (or two users)
-asking for the same artifact share one entry — the "millions of users,
-one warm substrate" architecture of ROADMAP item 5.  Values are pickled
-with a pinned protocol.
+asking for the same artifact share one entry.  Values are pickled with
+a pinned protocol.
 
 Eviction is by size budget: when the disk tier exceeds ``max_bytes``,
 least-recently-*used* files go first (hits bump the file mtime).  All
@@ -30,11 +27,6 @@ traffic is counted on always-on stats (:meth:`ContentStore.stats`) and,
 when observability is enabled, on the ``repro_store_requests_total``
 metrics counter — so a service operator can watch hit rates per artifact
 kind on the ``/metrics`` endpoint.
-
-A process-wide default store (:func:`configure_store` /
-:func:`get_store`, or the ``REPRO_STORE_DIR`` env var) is what the
-compile and manycore cache hooks consult; with none configured those
-paths behave exactly as before this module existed.
 """
 
 from __future__ import annotations
@@ -49,21 +41,7 @@ from typing import Any, Dict, Iterable, Optional, Tuple, Union
 from repro.ioutil import atomic_write_bytes
 from repro.obs import trace as obs
 
-__all__ = [
-    "ContentStore",
-    "StoreStats",
-    "store_key",
-    "configure_store",
-    "get_store",
-    "STORE_DIR_ENV",
-    "STORE_BYTES_ENV",
-]
-
-#: Configure the default store from the environment: forked workers and
-#: ``repro serve`` children inherit it without any wiring.
-STORE_DIR_ENV = "REPRO_STORE_DIR"
-#: Optional disk budget (bytes) for the env-configured store.
-STORE_BYTES_ENV = "REPRO_STORE_BYTES"
+__all__ = ["ContentStore", "StoreStats", "store_key"]
 
 #: File magic; bump when the value framing changes.
 _MAGIC = b"REPRO-STORE-1\n"
@@ -71,7 +49,7 @@ _MAGIC = b"REPRO-STORE-1\n"
 #: Pickle protocol pinned for stable bytes across interpreter minors.
 _PICKLE_PROTOCOL = 4
 
-#: Default disk budget: 512 MiB holds thousands of compiled blocks.
+#: Default disk budget: 512 MiB holds thousands of shard results.
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
 
 #: Default memory-tier entry bound.
@@ -105,10 +83,9 @@ def _canonical(part: Any) -> str:
 def store_key(kind: str, **parts: Any) -> str:
     """Content key: blake2b over the kind tag and canonical key parts.
 
-    ``kind`` namespaces the artifact family (``"compiled_block"``,
-    ``"shard_result"``, ``"manycore_summary"`` in-tree) and is folded
-    into the digest *and* kept as a readable prefix, so the disk tier is
-    browsable and per-kind stats stay attributable.
+    ``kind`` namespaces the artifact family (``"shard_result"`` in-tree)
+    and is folded into the digest *and* kept as a readable prefix, so
+    the disk tier is browsable and per-kind stats stay attributable.
     """
     digest = hashlib.blake2b(digest_size=20)
     digest.update(kind.encode("utf-8"))
@@ -145,7 +122,16 @@ def _record_request(kind: str, tier: str) -> None:
 
 
 class ContentStore:
-    """Two-tier (memory LRU + disk) content-addressed artifact store."""
+    """Two-tier (memory LRU + disk) content-addressed artifact store.
+
+    The disk budget is enforced against an in-process upper bound of
+    the disk tier's bytes: the first put lists the directory, each put
+    adds its size, and only a bound past ``max_bytes`` triggers a scan,
+    which evicts and resets the bound to the measured total.  An
+    overwrite can only over-count, so the bound never under-evicts.
+    Writes by another process sharing the root are counted at this
+    process's next scan.
+    """
 
     def __init__(
         self,
@@ -164,6 +150,8 @@ class ContentStore:
         self.memory_entries = int(memory_entries)
         self.stats = StoreStats()
         self._memory: "OrderedDict[str, Any]" = OrderedDict()
+        #: Upper bound of the disk tier's bytes; ``None`` until listed.
+        self._disk_bound: Optional[int] = None
 
     # -- internals ----------------------------------------------------------
 
@@ -218,14 +206,9 @@ class ContentStore:
 
     # -- API ----------------------------------------------------------------
 
-    def get(self, key: str, *, memory: bool = True) -> Tuple[bool, Any]:
-        """Look up ``key``; returns ``(found, value)``.
-
-        ``memory=False`` skips the memory tier both ways — for callers
-        (the compiled-block LRU) that keep their own in-process cache and
-        only want the persistent tier behind it.
-        """
-        if memory and key in self._memory:
+    def get(self, key: str) -> Tuple[bool, Any]:
+        """Look up ``key``; returns ``(found, value)``."""
+        if key in self._memory:
             self._memory.move_to_end(key)
             self.stats.memory_hits += 1
             _record_request(self._kind(key), "memory")
@@ -234,8 +217,7 @@ class ContentStore:
         if found:
             self.stats.disk_hits += 1
             _record_request(self._kind(key), "disk")
-            if memory:
-                self._remember(key, value)
+            self._remember(key, value)
             return True, value
         self.stats.misses += 1
         _record_request(self._kind(key), "miss")
@@ -259,7 +241,10 @@ class ContentStore:
         if memory:
             self._remember(key, value)
         if self.max_bytes:
-            self.evict_to_budget()
+            if self._disk_bound is not None:
+                self._disk_bound += len(data)
+            if self._disk_bound is None or self._disk_bound > self.max_bytes:
+                self.evict_to_budget()
 
     def contains(self, key: str) -> bool:
         return key in self._memory or self._path(key).exists()
@@ -297,11 +282,13 @@ class ContentStore:
             evicted += 1
         if evicted:
             self.stats.evictions += evicted
+        self._disk_bound = total
         return evicted
 
     def clear(self) -> None:
         """Drop both tiers (fresh-start semantics; stats are kept)."""
         self._memory.clear()
+        self._disk_bound = None
         for path, _, _ in self._entries():
             try:
                 os.unlink(str(path))
@@ -317,48 +304,3 @@ class ContentStore:
             f"ContentStore({str(self.root)!r}, "
             f"memory={len(self._memory)}/{self.memory_entries})"
         )
-
-
-# -- process-wide default store ----------------------------------------------
-
-_DEFAULT_STORE: Optional[ContentStore] = None
-_ENV_CHECKED = False
-
-
-def configure_store(
-    store: Union[ContentStore, str, Path, None]
-) -> Optional[ContentStore]:
-    """Install (or clear, with ``None``) the process-wide default store.
-
-    The default store is what the compiled-block and manycore cache
-    hooks consult; forked trial workers inherit it through fork, so
-    configuring it in a service parent warms every worker.
-    """
-    global _DEFAULT_STORE, _ENV_CHECKED
-    if store is not None and not isinstance(store, ContentStore):
-        store = ContentStore(store)
-    _DEFAULT_STORE = store
-    _ENV_CHECKED = True  # explicit configuration wins over the env var
-    return _DEFAULT_STORE
-
-
-def get_store() -> Optional[ContentStore]:
-    """The process-wide default store, or ``None`` when unconfigured.
-
-    First call reads :data:`STORE_DIR_ENV` (and :data:`STORE_BYTES_ENV`)
-    so batch jobs opt in without code changes; an unset env keeps every
-    cache purely in-process, exactly the pre-store behaviour.
-    """
-    global _DEFAULT_STORE, _ENV_CHECKED
-    if _DEFAULT_STORE is None and not _ENV_CHECKED:
-        _ENV_CHECKED = True
-        root = os.environ.get(STORE_DIR_ENV, "").strip()
-        if root:
-            try:
-                budget = int(
-                    os.environ.get(STORE_BYTES_ENV, "") or DEFAULT_MAX_BYTES
-                )
-            except ValueError:
-                budget = DEFAULT_MAX_BYTES
-            _DEFAULT_STORE = ContentStore(root, max_bytes=budget)
-    return _DEFAULT_STORE

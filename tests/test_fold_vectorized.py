@@ -257,23 +257,19 @@ class TestCompileCache:
         info = compile_cache_info()
         assert info == {
             "hits": 0,
-            "memory_hits": 0,
-            "disk_hits": 0,
             "misses": 0,
             "size": 0,
             "maxsize": info["maxsize"],
         }
 
     def test_tiered_stats_without_a_store(self):
-        """With no persistent store every hit is a memory hit."""
+        """A repeat compile is one hit after one miss."""
         core = PhysicalCore(PRESETS["haswell"]().scaled(16), seed=1)
         spy = Process("spy")
         block = RandomizationBlock.generate(5, n_branches=200)
         block.compile(core, spy)
         block.compile(core, spy)
         info = compile_cache_info()
-        assert info["memory_hits"] == 1
-        assert info["disk_hits"] == 0
         assert info["hits"] == 1 and info["misses"] == 1
 
     def test_cached_apply_still_reproducible(self):

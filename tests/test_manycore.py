@@ -43,7 +43,6 @@ from repro.mitigations.noisy_counters import NoisyPerformanceCounters
 from repro.mitigations.stochastic_fsm import StochasticFSM
 from repro.obs import trace as obs
 from repro.resilience.checkpoint import rng_state_digest
-from repro.store import configure_store, store_key
 from repro.system.noise import NoiseModel
 from tests.conftest import scalar_stability
 
@@ -354,11 +353,10 @@ class TestFallbacks:
 
 class TestSummaryDigest:
     def test_index_hash_keys_persisted_summaries(self):
-        """Persisted block summaries are keyed by ``summary_digest``.
-        Two geometries that differ only in ``index_hash`` summarise the
-        same block differently, so they must not share a key — even at
-        a target below the table size, where both hashes agree on every
-        probe index and hence on the target and tracked entries."""
+        """Two geometries that differ only in ``index_hash`` summarise
+        the same block differently — even at a target below the table
+        size, where both hashes agree on every probe index and hence on
+        the target and tracked entries."""
         target = 0x6D
         structures = {}
         for index_hash in ("mod", "fold"):
@@ -376,7 +374,6 @@ class TestSummaryDigest:
         assert mod.tb == fold.tb
         assert np.array_equal(mod.plan_g.pos_table, fold.plan_g.pos_table)
         assert mod.summarize(3)[1].tolist() != fold.summarize(3)[1].tolist()
-        assert mod.summary_digest != fold.summary_digest
 
 
 class TestPowerTable:
@@ -518,79 +515,6 @@ class TestAssessPlanned:
             factory, 11, plan
         )
         assert obs.scalar_fallback_counts()["manycore"] == 1
-
-
-class TestSummaryStoreHook:
-    """A stale persisted chunk summary reads as a miss, never raises."""
-
-    SEEDS = (3, 4)
-
-    def _shared(self):
-        core = PhysicalCore(skylake().scaled(16), seed=7)
-        plan = draw_trial_plan(
-            core.rng, core, repetitions=6, noise=NoiseModel.isolated()
-        )
-        return _SharedStructure(core, TARGET, plan, None, 1500)
-
-    def _good_value(self, shared):
-        rows = [shared.summarize(seed) for seed in self.SEEDS]
-        return {
-            "lift_b": np.array([[r[0]] for r in rows], dtype=np.int64),
-            "lift_g": np.stack([r[1] for r in rows]).astype(np.int64),
-            "touched": np.array([r[2] for r in rows], dtype=bool),
-            "block_tags": np.array([r[3] for r in rows], dtype=np.int64),
-        }
-
-    @pytest.mark.parametrize(
-        "field, bad",
-        [
-            ("lift_b", lambda a: np.zeros((3, 1), dtype=np.int64)),
-            ("lift_b", lambda a: a.astype(np.int32)),
-            ("lift_g", lambda a: a[:, :-1]),
-            ("touched", lambda a: a.astype(np.int64)),
-            ("block_tags", lambda a: a[:1]),
-            ("block_tags", lambda a: a.astype(np.float64)),
-            ("touched", lambda a: None),
-        ],
-    )
-    def test_stale_value_is_a_miss(self, tmp_path, field, bad):
-        shared = self._shared()
-        expected = shared.assess_chunk(list(self.SEEDS), None)
-        store = configure_store(tmp_path / "store")
-        try:
-            key = store_key(
-                "manycore_summary",
-                structure=shared.summary_digest,
-                seeds=self.SEEDS,
-            )
-            stale = self._good_value(shared)
-            stale[field] = bad(stale[field])
-            store.put(key, stale)
-            assert shared.assess_chunk(list(self.SEEDS), None) == expected
-            # The miss recomputed and rewrote a well-formed entry.
-            found, value = store.get(key)
-            assert found
-            for name, arr in self._good_value(shared).items():
-                assert value[name].dtype == arr.dtype
-                assert np.array_equal(value[name], arr)
-        finally:
-            configure_store(None)
-
-    def test_non_dict_value_is_a_miss(self, tmp_path):
-        shared = self._shared()
-        expected = shared.assess_chunk(list(self.SEEDS), None)
-        store = configure_store(tmp_path / "store")
-        try:
-            key = store_key(
-                "manycore_summary",
-                structure=shared.summary_digest,
-                seeds=self.SEEDS,
-            )
-            store.put(key, ["not", "a", "summary"])
-            assert shared.assess_chunk(list(self.SEEDS), None) == expected
-            assert store.stats.puts == 2
-        finally:
-            configure_store(None)
 
 
 class TestCheckpointing:
@@ -866,23 +790,3 @@ class TestThreadedRows:
         pool.map(_never, range(5, 15))
         assert seen == [(seed, threading.get_ident()) for seed in range(5, 15)]
         assert len(split_log[0]) == 3
-
-    def test_serial_store_entry_hits_threaded_run(
-        self, tmp_path, monkeypatch, split_log
-    ):
-        store = configure_store(tmp_path / "store")
-        try:
-            serial = self._pool().map(_never, range(10))
-            assert split_log == [[(0, 10)]]
-            puts = store.stats.puts
-            hits = store.stats.memory_hits + store.stats.disk_hits
-            _force_threads(monkeypatch)
-            monkeypatch.setattr(
-                _SharedStructure, "summarize", lambda shared, seed: _never(seed)
-            )
-            assert self._pool().map(_never, range(10)) == serial
-            assert split_log[1] == [(0, 3), (3, 6), (6, 10)]
-            assert store.stats.puts == puts
-            assert store.stats.memory_hits + store.stats.disk_hits == hits + 1
-        finally:
-            configure_store(None)

@@ -438,7 +438,15 @@ class TestSpool:
             spec_a, n_shards=1
         ).digest()
         stats = json.loads((root / "store-stats.json").read_text())
-        assert stats["puts"] >= 4  # two campaigns x two shards
+        # The store holds shard results only: two campaigns x two shards.
+        stored = sorted(p.name for p in (root / "store").iterdir())
+        assert len(stored) == 4
+        assert all(
+            name.startswith("shard_result-") and name.endswith(".pkl")
+            for name in stored
+        )
+        assert stats["puts"] == 4
+        assert stats["disk_bytes"] == stats["bytes_written"]
         assert load_jobs(root) == []  # completed jobs are not reloaded
 
         # Warm restart over the same root: all shards come from the store.

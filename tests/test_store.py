@@ -1,39 +1,17 @@
 """Tests for ``repro.store`` — the content-addressed persistent cache.
 
 Covers key derivation stability, the two-tier lookup path (memory hit /
-disk hit / miss, with per-tier stats), corruption quarantine, size-budget
-eviction, the process-default plumbing (``configure_store`` and the
-``REPRO_STORE_DIR`` env var), and the two in-tree cache hooks: the
-compiled-block LRU's persistent tier and the manycore summary cache.
+disk hit / miss, with per-tier stats), corruption quarantine, and
+size-budget eviction with its in-process disk bound.
 """
 
 from __future__ import annotations
 
 import os
 
-import numpy as np
 import pytest
 
-from repro import store as repro_store
-from repro.bpu import skylake
-from repro.core.manycore import ManycoreCampaignPool
-from repro.core.randomizer import (
-    RandomizationBlock,
-    clear_compile_cache,
-    compile_cache_info,
-)
-from repro.cpu import PhysicalCore, Process
-from repro.store import ContentStore, configure_store, get_store, store_key
-
-
-@pytest.fixture(autouse=True)
-def _no_default_store():
-    """Each test starts and ends with no process-default store."""
-    configure_store(None)
-    clear_compile_cache()
-    yield
-    configure_store(None)
-    clear_compile_cache()
+from repro.store import ContentStore, store_key
 
 
 @pytest.fixture
@@ -99,7 +77,7 @@ class TestContentStore:
     def test_memory_false_bypasses_memory_tier(self, store):
         key = store_key("unit", n=3)
         store.put(key, "v", memory=False)
-        found, value = store.get(key, memory=False)
+        found, value = store.get(key)
         assert found and value == "v"
         stats = store.stats_dict()
         assert stats["disk_hits"] == 1
@@ -117,10 +95,11 @@ class TestContentStore:
         store.put(key, "good")
         path = store.root / f"{key}.pkl"
         path.write_bytes(path.read_bytes()[:-3] + b"???")
-        found, value = store.get(key, memory=False)  # force the disk path
+        fresh = ContentStore(store.root)  # an empty memory tier: disk path
+        found, value = fresh.get(key)
         assert not found and value is None
         assert not path.exists()
-        stats = store.stats_dict()
+        stats = fresh.stats_dict()
         assert stats["corrupt"] == 1
 
     def test_foreign_file_reads_as_miss(self, store):
@@ -150,7 +129,7 @@ class TestContentStore:
         # Make mtimes deterministic, then touch ``old`` via a hit.
         os.utime(store.root / f"{old}.pkl", (1, 1))
         os.utime(store.root / f"{new}.pkl", (2, 2))
-        store.get(old, memory=False)
+        ContentStore(store.root, max_bytes=0).get(old)  # a disk hit
         store.max_bytes = store.total_bytes() - 1
         store.evict_to_budget()
         assert store.contains(old)  # recently used: kept
@@ -172,77 +151,50 @@ class TestContentStore:
         assert store.total_bytes() == 0
 
 
-class TestDefaultStore:
-    def test_unconfigured_returns_none(self):
-        assert get_store() is None
+class TestDiskBound:
+    """Puts under budget do not re-list the store directory."""
 
-    def test_configure_and_clear(self, tmp_path):
-        store = configure_store(tmp_path / "s")
-        assert isinstance(store, ContentStore)
-        assert get_store() is store
-        configure_store(None)
-        assert get_store() is None
+    def _count_listings(self, monkeypatch):
+        listings = []
+        entries = ContentStore._entries
 
-    def test_env_var_configures_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(repro_store.STORE_DIR_ENV, str(tmp_path / "env"))
-        monkeypatch.setenv(repro_store.STORE_BYTES_ENV, "12345")
-        # Reset the latch the autouse fixture set via configure_store.
-        repro_store._ENV_CHECKED = False
-        repro_store._DEFAULT_STORE = None
-        store = get_store()
-        assert store is not None
-        assert store.root == tmp_path / "env"
-        assert store.max_bytes == 12345
+        def spy(self):
+            listings.append(1)
+            return entries(self)
 
+        monkeypatch.setattr(ContentStore, "_entries", spy)
+        return listings
 
-class TestCompileCachePersistentTier:
-    def test_disk_tier_survives_lru_clear(self, tmp_path, skylake_core, spy):
-        configure_store(tmp_path / "s")
-        block = RandomizationBlock.generate(3, n_branches=500)
-        first = block.compile(skylake_core, spy)
-        info = compile_cache_info()
-        assert info["misses"] == 1 and info["disk_hits"] == 0
+    def test_under_budget_puts_list_once(self, store, monkeypatch):
+        listings = self._count_listings(monkeypatch)
+        for i in range(50):
+            store.put(store_key("unit", n=i), i)
+        assert len(listings) <= 1
+        assert store.stats_dict()["evictions"] == 0
 
-        # Dropping the in-process LRU must not drop the persistent tier.
-        clear_compile_cache()
-        fresh_core = PhysicalCore(skylake().scaled(16), seed=7)
-        again = block.compile(fresh_core, Process("spy"))
-        info = compile_cache_info()
-        assert info["disk_hits"] == 1
-        assert info["memory_hits"] == 0
-        np.testing.assert_array_equal(first.bimodal_map, again.bimodal_map)
-        np.testing.assert_array_equal(first.gshare_map, again.gshare_map)
-        assert first.ghr_end == again.ghr_end
+    def test_bound_past_budget_scans_and_evicts(self, tmp_path, monkeypatch):
+        store = ContentStore(tmp_path / "s")
+        store.put(store_key("unit", n=0), os.urandom(512))
+        store.max_bytes = store.total_bytes() * 5 // 2
+        listings = self._count_listings(monkeypatch)
+        store.put(store_key("unit", n=1), os.urandom(512))
+        assert listings == []  # two files fit the budget
+        store.put(store_key("unit", n=2), os.urandom(512))
+        assert len(listings) == 1  # three do not: scan, evict the oldest
+        assert store.stats_dict()["evictions"] == 1
+        assert store.total_bytes() <= store.max_bytes
 
-    def test_store_traffic_attributed_to_compiled_block_kind(
-        self, tmp_path, skylake_core, spy
-    ):
-        store = configure_store(tmp_path / "s")
-        RandomizationBlock.generate(4, n_branches=500).compile(
-            skylake_core, spy
-        )
-        stats = store.stats_dict()
-        assert stats["puts"] == 1
-        assert stats["misses"] == 1
+    def test_overwrite_never_under_evicts(self, tmp_path):
+        store = ContentStore(tmp_path / "s")
+        key = store_key("unit", n=0)
+        for _ in range(3):
+            store.put(key, os.urandom(512))
+        assert store.total_bytes() <= store._disk_bound
 
-
-class TestManycoreSummaryCache:
-    def _run(self):
-        def factory():
-            return PhysicalCore(skylake().scaled(16), seed=7)
-
-        pool = ManycoreCampaignPool(
-            factory, 0x4200, block_branches=2_000, repetitions=10
-        )
-        return pool.map(None, range(12))
-
-    def test_summary_cache_is_exact_and_hits(self, tmp_path):
-        reference = self._run()  # no store configured
-        store = configure_store(tmp_path / "s")
-        assert self._run() == reference  # cold: misses, then puts
-        cold = store.stats_dict()
-        assert cold["puts"] >= 1
-        assert self._run() == reference  # warm: served from the store
-        warm = store.stats_dict()
-        assert warm["memory_hits"] > cold["memory_hits"]
-        assert warm["puts"] == cold["puts"]
+    def test_clear_resets_the_bound(self, store, monkeypatch):
+        store.put(store_key("unit", n=0), "v")
+        store.clear()
+        listings = self._count_listings(monkeypatch)
+        store.put(store_key("unit", n=1), "v")
+        assert len(listings) == 1
+        assert store._disk_bound == store.total_bytes()
