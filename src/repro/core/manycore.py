@@ -196,12 +196,14 @@ class _NodePlan:
     Preconditions (checked by the caller): no mitigations (every slot
     executes) and value-equal FSM specs on both PHTs (noise and execute
     steps then use the same transition table, so an event's step id
-    depends only on its outcome).
+    depends only on its outcome).  ``ct_flat`` is the monoid's compose
+    table as flat int64, which the owning structure builds once.
     """
 
     def __init__(
         self,
         monoid,
+        ct_flat: np.ndarray,
         initial_levels: np.ndarray,
         idx: np.ndarray,
         outcomes: np.ndarray,
@@ -247,7 +249,7 @@ class _NodePlan:
         pow_table = monoid.power_table(R2 + 1)
         self._pow_flat = pow_table.ravel()
         self._pow_k = pow_table.shape[1]
-        self._ct_flat = monoid.compose_table.astype(np.int64).ravel()
+        self._ct_flat = ct_flat
         self._ct_size = len(monoid.maps)
         self._maps_flat = monoid.maps.astype(np.int64).ravel()
         self._n_levels = monoid.n_levels
@@ -308,6 +310,9 @@ class _SharedStructure:
         self.block_branches = int(block_branches)
         self.fsm = fsm
         self.monoid = fsm.transition_monoid()
+        # The compose table as int64, once: the summary kernel takes it
+        # 2-D and both phase-2 plans flat.
+        self._ct = self.monoid.compose_table.astype(np.int64)
         self.d = fsm.n_levels
         self.R = R
         self.R2 = R2
@@ -369,6 +374,7 @@ class _SharedStructure:
         noise_epoch = epoch_of if total else np.empty(0, dtype=np.int64)
         self.plan_b = _NodePlan(
             self.monoid,
+            self._ct.ravel(),
             bimodal.levels,
             b_idx,
             outcomes,
@@ -382,6 +388,7 @@ class _SharedStructure:
         )
         self.plan_g = _NodePlan(
             self.monoid,
+            self._ct.ravel(),
             gshare.levels,
             g_idx,
             outcomes,
@@ -432,7 +439,7 @@ class _SharedStructure:
             block.addresses,
             block.outcomes,
             self._oid,
-            self.monoid.compose_table,
+            self._ct,
             self.n_b,
             self.shift_b,
             self.tb,

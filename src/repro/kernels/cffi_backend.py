@@ -11,6 +11,12 @@ Correctness note: the sequential loops and the numpy backend's
 segmented scans are the same fold in different association orders;
 TransitionMonoid ids are canonical and composition associative, so the
 results are bit-identical (pinned by ``tests/test_kernels.py``).
+
+Speed note: the ``summarize_block`` loop is branch-free per branch,
+because mispredictions, not arithmetic, set its cost.  The history fold
+runs a fixed number of passes per call, and an untracked gshare entry
+folds into a spare accumulator slot past the tracked ones, which the
+wrapper allocates and drops.
 """
 
 from __future__ import annotations
@@ -46,7 +52,8 @@ void repro_summarize_block(const int64_t *addresses,
                            int64_t ghr_mask, int64_t n_sel,
                            int64_t tsel, int64_t n_sets, int64_t tset,
                            int64_t tag_mask, int64_t identity,
-                           int64_t *g_acc, int64_t *scalars);
+                           int64_t n_tracked, int64_t *g_acc,
+                           int64_t *scalars);
 void repro_read_levels_ids(const int64_t *lift0, int64_t chunk,
                            int64_t n_tracked, const int64_t *read_pos,
                            const int64_t *read_step, int64_t r2,
@@ -110,23 +117,14 @@ static inline int64_t repro_index(int64_t a, int64_t n, int64_t s)
     return repro_mod(a, n);
 }
 
-/* Circular-XOR fold of a (pre-masked) history value down to the
- * table's index width w = floor(log2(n_g)) — identity whenever the
- * history already fits in w bits (the loop then runs once). */
-static inline int64_t repro_fold_hist(int64_t h, int64_t w,
-                                      int64_t wmask)
-{
-    int64_t f = 0;
-    while (h != 0) {
-        f ^= h & wmask;
-        h >>= w;
-    }
-    return f;
-}
-
 /* The summary loop, specialised by the caller on the hash shifts:
  * always inlined, so the all-modulo call compiles to the plain modulo
- * loop and the hash branch is taken once per block, not per branch. */
+ * loop and the hash branch is taken once per block, not per branch.
+ *
+ * No per-branch step branches on data.  The history fold runs a fixed
+ * n_folds passes set once per call, and an untracked gshare entry
+ * (p < 0) folds into the spare slot g_acc[n_tracked], which the caller
+ * allocates and never reads back. */
 static inline __attribute__((always_inline)) void
 repro_summarize_loop(const int64_t *addresses, const uint8_t *outcomes,
                      int64_t n, const int64_t *oid, const int64_t *ct,
@@ -135,7 +133,7 @@ repro_summarize_loop(const int64_t *addresses, const uint8_t *outcomes,
                      const int64_t *pos_table, int64_t ghr_mask,
                      int64_t n_sel, int64_t tsel, int64_t n_sets,
                      int64_t tset, int64_t tag_mask, int64_t identity,
-                     int64_t *g_acc, int64_t *scalars)
+                     int64_t n_tracked, int64_t *g_acc, int64_t *scalars)
 {
     int64_t bim = identity, ghr = 0, touched = 0, block_tag = -1;
     int64_t fold_w = 0, ng_bits = n_g;
@@ -143,15 +141,26 @@ repro_summarize_loop(const int64_t *addresses, const uint8_t *outcomes,
     if (fold_w < 1)
         fold_w = 1;
     int64_t fold_mask = ((int64_t)1 << fold_w) - 1;
+    /* Circular-XOR fold of the (pre-masked) history down to the index
+     * width w = floor(log2(n_g)), in max(1, ceil(ghr_len / w)) passes:
+     * enough for the widest history, and a pass past its top bits XORs
+     * zeros.  Identity when the history fits in w bits (one pass). */
+    int64_t n_folds = 1;
+    for (int64_t m = ghr_mask >> fold_w; m != 0; m >>= fold_w)
+        n_folds++;
     for (int64_t i = 0; i < n; i++) {
         int64_t a = addresses[i];
         int64_t o = oid[outcomes[i]];
         if (repro_index(a, n_b, shift_b) == tb)
             bim = ct[bim * size + o];
-        int64_t folded = repro_fold_hist(ghr, fold_w, fold_mask);
+        int64_t folded = 0, h = ghr;
+        for (int64_t k = 0; k < n_folds; k++) {
+            folded ^= h & fold_mask;
+            h >>= fold_w;
+        }
         int64_t p = pos_table[repro_index(a ^ folded, n_g, shift_g)];
-        if (p >= 0)
-            g_acc[p] = ct[g_acc[p] * size + o];
+        int64_t q = p >= 0 ? p : n_tracked;
+        g_acc[q] = ct[g_acc[q] * size + o];
         ghr = ((ghr << 1) | (int64_t)outcomes[i]) & ghr_mask;
         if (repro_mod(a, n_sel) == tsel)
             touched = 1;
@@ -172,18 +181,20 @@ void repro_summarize_block(const int64_t *addresses,
                            int64_t ghr_mask, int64_t n_sel,
                            int64_t tsel, int64_t n_sets, int64_t tset,
                            int64_t tag_mask, int64_t identity,
-                           int64_t *g_acc, int64_t *scalars)
+                           int64_t n_tracked, int64_t *g_acc,
+                           int64_t *scalars)
 {
     if (shift_b == 0 && shift_g == 0)
         repro_summarize_loop(addresses, outcomes, n, oid, ct, size, n_b,
                              0, tb, n_g, 0, pos_table, ghr_mask, n_sel,
                              tsel, n_sets, tset, tag_mask, identity,
-                             g_acc, scalars);
+                             n_tracked, g_acc, scalars);
     else
         repro_summarize_loop(addresses, outcomes, n, oid, ct, size, n_b,
                              shift_b, tb, n_g, shift_g, pos_table,
                              ghr_mask, n_sel, tsel, n_sets, tset,
-                             tag_mask, identity, g_acc, scalars);
+                             tag_mask, identity, n_tracked, g_acc,
+                             scalars);
 }
 
 /* One phase-2 event at entry p and time t: jump the entry's level over
@@ -392,16 +403,22 @@ def summarize_block(
     oid = _i64(outcome_ids)
     ct = _i64(compose_table)
     pos_table = _i64(pos_table)
-    g_acc = np.full(int(n_tracked), identity, dtype=np.int64)
+    n_tracked = int(n_tracked)
+    # One spare slot past the tracked entries absorbs untracked hits.
+    g_acc = np.full(n_tracked + 1, identity, dtype=np.int64)
     scalars = np.empty(3, dtype=np.int64)
     _lib.repro_summarize_block(
         _p(addresses), _pu8(outcomes_u8), len(addresses), _p(oid),
         _p(ct), ct.shape[1], int(n_b), int(shift_b), int(tb), int(n_g),
         int(shift_g), _p(pos_table),
         (1 << int(ghr_len)) - 1, int(n_sel), int(tsel), int(n_sets),
-        int(tset), int(tag_mask), int(identity), _p(g_acc), _p(scalars),
+        int(tset), int(tag_mask), int(identity), n_tracked, _p(g_acc),
+        _p(scalars),
     )
-    return int(scalars[0]), g_acc, bool(scalars[1]), int(scalars[2])
+    return (
+        int(scalars[0]), g_acc[:n_tracked], bool(scalars[1]),
+        int(scalars[2]),
+    )
 
 
 def read_levels_ids(

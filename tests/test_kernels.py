@@ -305,7 +305,9 @@ class TestReadLevelsWalk:
     def _check(self, inputs, chunk=3, seed=1):
         """Every backend and the level model agree; returns the plan."""
         plan = _NodePlan(
-            inputs["monoid"], inputs["initial"], inputs["idx"],
+            inputs["monoid"],
+            inputs["monoid"].compose_table.astype(np.int64).ravel(),
+            inputs["initial"], inputs["idx"],
             inputs["outcomes"], inputs["noise_idx"], inputs["noise_out"],
             inputs["noise_epoch"], inputs["d"], inputs["n_entries"],
         )
@@ -382,7 +384,9 @@ class TestReadLevelsWalk:
         a serial call."""
         inputs = self._plan_inputs(R=200, n_entries=40, n_noise=3000)
         plan = _NodePlan(
-            inputs["monoid"], inputs["initial"], inputs["idx"],
+            inputs["monoid"],
+            inputs["monoid"].compose_table.astype(np.int64).ravel(),
+            inputs["initial"], inputs["idx"],
             inputs["outcomes"], inputs["noise_idx"], inputs["noise_out"],
             inputs["noise_epoch"], inputs["d"], inputs["n_entries"],
         )
@@ -436,35 +440,54 @@ class TestHashConformance:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("hash_name", sorted(INDEX_HASHES))
     @pytest.mark.parametrize(
-        "n_b,n_g", [(1024, 512), (1000, 768)], ids=["pow2", "non_pow2"]
+        "n_b,n_g,ghr_len,tracking",
+        [
+            # Both index widths are 9 bits: a 14-bit history takes two
+            # folds, 8 bits one and 24 bits three.
+            (1024, 512, 14, "some"),
+            (1000, 768, 14, "some"),
+            (1024, 512, 8, "some"),
+            (1024, 512, 24, "some"),
+            (1024, 512, 14, "none"),
+            (1024, 512, 14, "all"),
+        ],
+        ids=[
+            "pow2", "non_pow2", "pow2_ghr8", "pow2_ghr24",
+            "pow2_untracked", "pow2_all_tracked",
+        ],
     )
-    def test_summarize_matches_naive_loop(self, backend, hash_name, n_b, n_g):
+    def test_summarize_matches_naive_loop(
+        self, backend, hash_name, n_b, n_g, ghr_len, tracking
+    ):
         monoid = skylake().fsm.transition_monoid()
         ct = monoid.compose_table
         oid = monoid.outcome_ids.astype(np.int64)
         block = RandomizationBlock.generate(17, n_branches=3000)
         rng = np.random.default_rng(5)
-        tracked = rng.choice(n_g, size=40, replace=False)
+        n_tracked = {"some": 40, "none": 0, "all": n_g}[tracking]
+        tracked = rng.choice(n_g, size=n_tracked, replace=False)
         pos_table = np.full(n_g, -1, dtype=np.int64)
-        pos_table[tracked] = np.arange(len(tracked))
+        pos_table[tracked] = np.arange(n_tracked)
         # A target entry the block actually hits under this hash.
         tb = int(apply_hash(hash_name, int(block.addresses[123]), n_b))
-        n_sel, n_sets, tag_mask, ghr_len = 256, 128, 4095, 14
+        n_sel, n_sets, tag_mask = 256, 128, 4095
         tsel = int(block.addresses[7]) % n_sel
         tset = int(block.addresses[9]) % n_sets
         expected = _naive_summary(
             hash_name, block.addresses, block.outcomes, oid, ct, n_b, tb,
             n_g, pos_table, ghr_len, n_sel, tsel, n_sets, tset, tag_mask,
-            len(tracked), monoid.IDENTITY,
+            n_tracked, monoid.IDENTITY,
         )
         assert kernels.set_backend(backend) == backend
         bim, g_ids, touched, block_tag = kernels.summarize_block(
             block.addresses, block.outcomes, oid, ct,
             n_b, kernel_shift(hash_name, n_b), tb,
             n_g, kernel_shift(hash_name, n_g), pos_table, ghr_len,
-            n_sel, tsel, n_sets, tset, tag_mask, len(tracked),
+            n_sel, tsel, n_sets, tset, tag_mask, n_tracked,
             monoid.IDENTITY,
         )
+        # One id per tracked entry: no scratch slot leaks into the result.
+        assert len(g_ids) == n_tracked
         assert int(bim) == expected[0]
         assert [int(v) for v in g_ids] == expected[1]
         assert bool(touched) == expected[2]
@@ -472,7 +495,9 @@ class TestHashConformance:
         # The fixture exercises the fold: some tracked entry and the
         # target entry both see branches.
         assert expected[0] != monoid.IDENTITY
-        assert any(v != monoid.IDENTITY for v in expected[1])
+        assert n_tracked == 0 or any(
+            v != monoid.IDENTITY for v in expected[1]
+        )
 
     @pytest.mark.parametrize("n_entries", [512, 1000, 8192])
     def test_every_registered_hash_has_a_kernel_encoding(self, n_entries):
