@@ -8,19 +8,10 @@ FSM states plus rare ``dirty``, the rest are ``unknown``.
 Scaled down from the paper's 10 000 blocks x 1000 probes (see DESIGN.md
 fidelity notes); REPRO_BENCH_SCALE raises the counts —
 ``REPRO_BENCH_SCALE=208`` reaches the paper's full 10,000 x 1,000 run
-(probes cap at the paper's 1,000), tractable since the vectorised
-trial-plan engine replaced the scalar per-branch loop.  Candidates fan
-across a ``TrialPool`` when ``REPRO_TRIAL_WORKERS`` is set, with the
-assessment list bit-identical at any worker count.
-
-By default the sweep runs on the single-process manycore backend (the
-struct-of-arrays engine of ``repro.core.manycore``), which assesses the
-whole campaign as stacked array operations and makes the full-scale
-``REPRO_BENCH_SCALE=208`` run tractable without a pool.  Results are
-bit-identical across backends, so checkpoints compose: a run interrupted
-under one backend resumes under the other.  ``REPRO_FIG4_BACKEND=process``
-opts back into the per-trial path, and setting ``REPRO_TRIAL_WORKERS``
-implies it (a pool smoke run should actually exercise the pool).
+(probes cap at the paper's 1,000).  The sweep runs on
+``stability_experiment``'s default manycore engine (the struct-of-arrays
+engine of ``repro.core.manycore``), which assesses the whole campaign as
+stacked array operations in one process.
 
 Progress checkpoints to ``benchmarks/.checkpoints/fig4_stability.ckpt``;
 a killed run re-invoked with ``pytest benchmarks/ --resume`` continues
@@ -28,7 +19,6 @@ where it stopped with a bit-identical assessment list (see
 MODELING.md §10).
 """
 
-import os
 from collections import Counter
 
 from conftest import emit, scaled
@@ -46,16 +36,7 @@ N_BLOCKS = scaled(48)
 N_PROBES = min(scaled(40), 1000)
 
 
-def default_backend() -> str:
-    explicit = os.environ.get("REPRO_FIG4_BACKEND")
-    if explicit:
-        return explicit
-    # A pool smoke run (REPRO_TRIAL_WORKERS set) should exercise the
-    # pool, not the single-process manycore engine.
-    return "process" if os.environ.get("REPRO_TRIAL_WORKERS") else "manycore"
-
-
-def run_experiment(checkpoint=None, resume=True, backend=None):
+def run_experiment(checkpoint=None, resume=True):
     return stability_experiment(
         lambda: PhysicalCore(skylake(), seed=6),
         TARGET,
@@ -66,7 +47,6 @@ def run_experiment(checkpoint=None, resume=True, backend=None):
         checkpoint=checkpoint,
         resume=resume,
         fingerprint_extra={"preset": "skylake", "core_seed": 6},
-        backend=backend if backend is not None else default_backend(),
     )
 
 

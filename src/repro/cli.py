@@ -125,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--blocks", type=int, default=200)
     campaign.add_argument("--branches", type=int, default=2000)
     campaign.add_argument("--repetitions", type=int, default=50)
-    campaign.add_argument("--workers", type=int, default=None)
     campaign.add_argument(
         "--checkpoint",
         metavar="FILE",
@@ -608,7 +607,6 @@ def _cmd_campaign(args) -> int:
         n_blocks=args.blocks,
         block_branches=args.branches,
         repetitions=args.repetitions,
-        workers=args.workers,
         checkpoint=args.checkpoint,
         checkpoint_interval=args.interval,
         resume=not args.fresh,

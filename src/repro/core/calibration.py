@@ -38,11 +38,13 @@ Two execution engines implement the assessment:
   custom timing model is installed, it transparently runs the scalar
   engine instead.
 
-The candidate searches (:func:`find_block`, :func:`stability_experiment`)
-optionally fan independent candidates across a
+:func:`find_block` optionally fans independent candidates across a
 :class:`repro.parallel.TrialPool` (``workers=`` kwarg) with per-candidate
 generators spawned via ``np.random.SeedSequence`` from one entropy draw,
-so search outcomes are bit-identical at any worker count.  Both accept
+so search outcomes are bit-identical at any worker count.
+:func:`stability_experiment` runs on the manycore engine
+(:mod:`repro.core.manycore`), with :func:`reference_trial` as its
+per-trial reference.  Both searches accept
 ``checkpoint=`` (a path or :class:`repro.resilience.CheckpointStore`):
 progress then persists through crash-safe atomic checkpoints and a
 killed campaign resumes bit-identically (see
@@ -96,6 +98,7 @@ __all__ = [
     "assess_block_batch",
     "draw_trial_plan",
     "find_block",
+    "reference_trial",
     "stability_experiment",
 ]
 
@@ -676,6 +679,30 @@ def find_block(
     return _finish(winner, max_candidates, None)
 
 
+def reference_trial(
+    core: PhysicalCore,
+    spy: Process,
+    block_seed: int,
+    target_address: int,
+    *,
+    block_branches: int,
+    repetitions: int,
+    noise: Optional[NoiseModel] = None,
+) -> BlockAssessment:
+    """One Figure 4 trial on ``core``, the per-trial reference.
+
+    Generate block ``block_seed``, compile it, draw the trial plan and
+    run :func:`assess_block_batch`.  The compile comes before the plan
+    draw because a mitigated core's compile draws from ``core.rng``.
+    """
+    block = RandomizationBlock.generate(block_seed, n_branches=block_branches)
+    compiled = block.compile(core, spy)
+    plan = draw_trial_plan(
+        core.rng, core, repetitions=repetitions, noise=noise
+    )
+    return assess_block_batch(core, spy, compiled, target_address, plan=plan)
+
+
 def stability_experiment(
     core_factory: Callable[[], PhysicalCore],
     target_address: int,
@@ -685,14 +712,13 @@ def stability_experiment(
     repetitions: int = 100,
     noise: Optional[NoiseModel] = None,
     seed_start: int = 0,
-    workers: Optional[int] = None,
     checkpoint=None,
     checkpoint_interval: Optional[int] = None,
     resume: bool = True,
     fingerprint_extra: Optional[Dict[str, object]] = None,
     pool: Optional[TrialPool] = None,
     pre_trial: Optional[Callable[[int], None]] = None,
-    backend: str = "process",
+    backend: str = "manycore",
 ) -> List[BlockAssessment]:
     """The Figure 4 experiment: stability scatter over many random blocks.
 
@@ -700,11 +726,8 @@ def stability_experiment(
     the bench passes its own sizes.  A fresh core per candidate keeps
     candidates independent, as the paper's iterations are — and makes
     each trial fully self-contained (its observation stream is the fresh
-    core's own seeded RNG), so the sweep is embarrassingly parallel:
-    ``workers`` fans candidates across a
-    :class:`~repro.parallel.TrialPool` and the assessment list is
-    bit-identical at any worker count, including the serial ``workers=1``
-    loop.
+    core's own seeded RNG), so the assessment list is a pure function of
+    the arguments, whichever engine computes it.
 
     Because every trial is a pure function of its block seed, the sweep
     is also trivially resumable: ``checkpoint`` (a path or
@@ -717,28 +740,21 @@ def stability_experiment(
     which this function cannot see inside the closure) into the
     checkpoint fingerprint so a parameter change is a
     :class:`~repro.resilience.CheckpointMismatch`, not a silent splice.
-    ``pool`` substitutes a caller-built
-    :class:`~repro.parallel.TrialPool` (e.g. one carrying a fault
-    injector or supervision config); ``pre_trial`` runs inside the
-    trial before any work — the chaos harness and the ``repro campaign``
-    CLI use it to slow or fault trials without touching the result.
+    ``pre_trial`` runs inside the trial before any work — the chaos
+    harness and the ``repro campaign`` CLI use it to slow or fault
+    trials without touching the result.
 
-    ``backend`` selects how trials execute: ``"process"`` (default) runs
-    the per-trial closure (generate, compile, plan, batch assessment),
-    serially or pooled; ``"manycore"`` routes trials through
-    :class:`~repro.core.manycore.ManycoreCampaignPool` — bit-identical
-    results in one process, whose chunks split their rows across the
-    usable CPUs on threads once a chunk holds enough block branches
-    (:data:`~repro.core.manycore.THREAD_FLOOR_BRANCHES` per thread);
-    it still ignores ``workers``.  A
-    deterministic, unmitigated factory shares one structure across the
-    whole campaign; any other campaign (a mitigation, value-unequal FSM
-    specs, a nondeterministic factory, an empty noise gap) runs each
-    payload on its own core, through the engine's N=1 case where it is
-    exact and the reference trial otherwise, counted under the
-    ``"manycore"`` scalar-fallback key.  Checkpoints are
-    backend-agnostic: a campaign interrupted under one backend resumes
-    under the other.
+    The default engine, :class:`~repro.core.manycore.ManycoreCampaignPool`,
+    assesses the campaign in one process, splitting big chunks' rows
+    across the usable CPUs on threads; a campaign that cannot share one
+    structure (a mitigation, a nondeterministic factory, ...) runs each
+    payload on its own core, counted under the ``"manycore"``
+    scalar-fallback key.  ``backend="process"`` names the per-trial
+    reference: :func:`reference_trial` on a fresh core per seed, on
+    ``pool`` (a caller-built :class:`~repro.parallel.TrialPool`, e.g. one
+    carrying a fault injector) or on ``TrialPool()``, which follows
+    ``REPRO_TRIAL_WORKERS``.  Both return the bit-identical list, so a
+    campaign checkpointed under one backend resumes under the other.
     """
     if backend not in ("process", "manycore"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -749,16 +765,14 @@ def stability_experiment(
     def trial(block_seed: int) -> BlockAssessment:
         if pre_trial is not None:
             pre_trial(block_seed)
-        core = core_factory()
-        block = RandomizationBlock.generate(
-            block_seed, n_branches=block_branches
-        )
-        compiled = block.compile(core, spy)
-        plan = draw_trial_plan(
-            core.rng, core, repetitions=repetitions, noise=noise
-        )
-        return assess_block_batch(
-            core, spy, compiled, target_address, plan=plan
+        return reference_trial(
+            core_factory(),
+            spy,
+            block_seed,
+            target_address,
+            block_branches=block_branches,
+            repetitions=repetitions,
+            noise=noise,
         )
 
     if backend == "manycore":
@@ -774,7 +788,7 @@ def stability_experiment(
             spy=spy,
         )
     else:
-        trial_pool = pool if pool is not None else TrialPool(workers)
+        trial_pool = pool if pool is not None else TrialPool()
     payloads = list(range(seed_start, seed_start + n_blocks))
     if checkpoint is None:
         return trial_pool.map(trial, payloads)

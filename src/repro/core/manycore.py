@@ -10,7 +10,7 @@ advancing the whole campaign with single array operations.
 
 Two layers:
 
-* :class:`ManycoreCampaignPool` — the stability-experiment fast path.
+* :class:`ManycoreCampaignPool` — the stability experiment's engine.
   Because every trial builds its core from the same deterministic
   factory, draws its :class:`~repro.core.calibration.TrialPlan` from
   that fresh core's own generator, and runs the unmitigated closed-form
@@ -41,9 +41,10 @@ deterministic and unmitigated, the two PHTs' FSM specs are value-equal,
 and the plan has no empty noise gap.  Any other campaign runs each
 payload on its own core: :func:`assess_planned` for an unmitigated
 core, which itself takes the exact compile + batch reference for
-value-unequal FSM specs or an empty noise gap, and the reference trial
-order for a mitigated core.  Every reference-path payload is counted
-via :func:`repro.obs.trace.record_scalar_fallback` under engine
+value-unequal FSM specs or an empty noise gap, and
+:func:`~repro.core.calibration.reference_trial` for a mitigated core.
+Every reference-path payload is counted via
+:func:`repro.obs.trace.record_scalar_fallback` under engine
 ``"manycore"`` — graceful and exact, never silent — and the dispatch
 split is observable through :func:`group_batch_stats`.
 """
@@ -62,6 +63,7 @@ from repro.core.calibration import (
     _trace_assessment,
     assess_block_batch,
     draw_trial_plan,
+    reference_trial,
 )
 from repro.core.calibration_batch import _closed_form
 from repro.core.randomizer import RandomizationBlock
@@ -688,21 +690,6 @@ def manycore_supported(
     return manycore_fallback_reason(core, gaps)
 
 
-def _assess_compiled(
-    core: PhysicalCore,
-    seed: int,
-    target_address: int,
-    plan: TrialPlan,
-    block_branches: int,
-    spy: Process,
-) -> BlockAssessment:
-    """The per-trial reference: generate -> compile -> plan-mode
-    :func:`~repro.core.calibration.assess_block_batch`."""
-    block = RandomizationBlock.generate(seed, n_branches=block_branches)
-    compiled = block.compile(core, spy)
-    return assess_block_batch(core, spy, compiled, target_address, plan=plan)
-
-
 def assess_planned(
     core: PhysicalCore,
     seed: int,
@@ -727,8 +714,10 @@ def assess_planned(
     reason = manycore_supported(core, gaps)
     if reason is not None:
         obs.record_scalar_fallback("manycore", reason)
-        return _assess_compiled(
-            core, seed, target_address, plan, block_branches, spy
+        block = RandomizationBlock.generate(seed, n_branches=block_branches)
+        compiled = block.compile(core, spy)
+        return assess_block_batch(
+            core, spy, compiled, target_address, plan=plan
         )
     shared = _SharedStructure(
         core, target_address, plan, None, block_branches
@@ -741,7 +730,7 @@ def assess_planned(
 class ManycoreCampaignPool:
     """A ``TrialPool``-shaped adapter running trials on the SoA engine.
 
-    Drop-in for the ``pool`` seat of
+    The default engine of
     :func:`~repro.core.calibration.stability_experiment`: ``map(fn,
     seeds)`` returns the bit-identical :class:`BlockAssessment` list the
     trial closure ``fn`` would produce, but never calls ``fn``.  Two
@@ -756,9 +745,9 @@ class ManycoreCampaignPool:
       core.  The cores the mode check built (the template, plus the
       probe when the factory is nondeterministic) are banked and used
       first, so payload ``i`` runs on factory core ``i`` exactly as the
-      per-trial closure does.  A mitigated core replays the reference
-      generate → compile → plan order (its compile may draw from the
-      core RNG); any other core draws its plan and runs
+      per-trial closure does.  A mitigated core runs
+      :func:`~repro.core.calibration.reference_trial` (its compile may
+      draw from the core RNG); any other core draws its plan and runs
       :func:`assess_planned`.  Reference-path payloads are counted as
       ``"manycore"`` scalar fallbacks.
 
@@ -841,23 +830,6 @@ class ManycoreCampaignPool:
             self.block_branches,
         )
 
-    def _replica_trial(self, core: PhysicalCore, seed: int) -> BlockAssessment:
-        """The reference trial closure, replayed on an already-built core.
-
-        Exact generate -> compile -> plan-draw order of
-        :func:`~repro.core.calibration.stability_experiment`'s closure,
-        so a mitigated core's compile-time RNG draws land on the same
-        stream positions.
-        """
-        block = RandomizationBlock.generate(
-            seed, n_branches=self.block_branches
-        )
-        compiled = block.compile(core, self._get_spy())
-        plan = self._draw_plan(core)
-        return assess_block_batch(
-            core, self._get_spy(), compiled, self.target_address, plan=plan
-        )
-
     def _assess_payload(self, seed: int) -> BlockAssessment:
         """One per-payload trial, on the next banked or fresh core."""
         if self.pre_trial is not None:
@@ -866,7 +838,15 @@ class ManycoreCampaignPool:
         if manycore_supported(core) == "mitigation":
             obs.record_scalar_fallback("manycore", "mitigation")
             _GROUP_STATS["scalar"] += 1
-            return self._replica_trial(core, seed)
+            return reference_trial(
+                core,
+                self._get_spy(),
+                seed,
+                self.target_address,
+                block_branches=self.block_branches,
+                repetitions=self.repetitions,
+                noise=self.noise,
+            )
         plan = self._draw_plan(core)
         gaps = plan.offsets[1:] - plan.offsets[:-1]
         _GROUP_STATS[

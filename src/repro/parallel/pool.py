@@ -52,8 +52,9 @@ retries; the caller must make each trial self-contained:
 ``tests/test_parallel.py`` pins the contract; ``tests/test_resilience.py``
 pins recovery (injected crash/hang/corruption via
 :class:`repro.resilience.FaultInjector` recovers to bit-identical
-results); the Figure 4 determinism test asserts
-``stability_experiment(workers=4)`` equals ``workers=1`` bit-for-bit.
+results); the Figure 4 determinism test asserts that the per-trial
+``stability_experiment(backend="process", pool=TrialPool(4))`` equals
+``TrialPool(1)`` bit-for-bit.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ Three invariants are pinned here:
 * **plan mode** — both engines produce identical assessments from the
   same pre-drawn :class:`TrialPlan`, and the batch engine leaves the
   core untouched (checkpoint-equal before/after);
-* **worker-count determinism** — ``stability_experiment`` and
-  ``find_block`` return bit-identical results at any ``workers`` count.
+* **worker-count determinism** — the per-trial ``stability_experiment``
+  reference and ``find_block`` return bit-identical results at any
+  worker count, and the default manycore engine matches them.
 """
 
 import numpy as np
@@ -41,7 +42,7 @@ from repro.mitigations import (
     StochasticFSM,
 )
 from repro.obs import trace as obs
-from repro.parallel import fork_available
+from repro.parallel import TrialPool, fork_available
 from repro.resilience.checkpoint import rng_state_digest
 from repro.system.noise import NoiseModel
 from tests.conftest import scalar_stability
@@ -241,24 +242,29 @@ def small_factory():
     return PhysicalCore(haswell().scaled(16), seed=6)
 
 
-def small_stability(workers):
+def small_stability(**kwargs):
     return stability_experiment(
-        small_factory, 0x30_0006D, workers=workers, **SMALL_STABILITY
+        small_factory, 0x30_0006D, **SMALL_STABILITY, **kwargs
     )
 
 
 class TestWorkerDeterminism:
     def test_stability_experiment_bit_identical(self):
-        serial = small_stability(1)
+        serial = small_stability(backend="process", pool=TrialPool(1))
         assert len(serial) == 8
+        # TrialPool() follows REPRO_TRIAL_WORKERS, so a pool smoke run
+        # forks the per-trial closure here.
+        assert small_stability(backend="process") == serial
         if not fork_available():
             pytest.skip("platform cannot fork workers")
-        assert small_stability(4) == serial
+        assert small_stability(backend="process", pool=TrialPool(4)) == serial
 
     def test_stability_engines_agree(self):
+        reference = small_stability(backend="process", pool=TrialPool(1))
         assert scalar_stability(
             small_factory, 0x30_0006D, **SMALL_STABILITY
-        ) == small_stability(1)
+        ) == reference
+        assert small_stability() == reference
 
     @pytest.mark.skipif(
         not fork_available(), reason="platform cannot fork workers"

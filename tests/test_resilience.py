@@ -550,7 +550,8 @@ class TestExperimentResume:
             return PhysicalCore(haswell().scaled(16), seed=7)
 
         kwargs = dict(
-            n_blocks=9, block_branches=400, repetitions=15, workers=1
+            n_blocks=9, block_branches=400, repetitions=15,
+            backend="process", pool=TrialPool(1),
         )
         ref = stability_experiment(factory, 0x400, **kwargs)
         store = CheckpointStore(tmp_path / "st.ckpt")
@@ -580,7 +581,7 @@ class TestExperimentResume:
             return PhysicalCore(haswell().scaled(16), seed=7)
 
         kwargs = dict(
-            n_blocks=6, block_branches=400, repetitions=10, workers=1
+            n_blocks=6, block_branches=400, repetitions=10, backend="process"
         )
         store = CheckpointStore(tmp_path / "st.ckpt")
         stability_experiment(
@@ -637,7 +638,9 @@ class TestChaosCampaign:
         kwargs = dict(
             n_blocks=8, block_branches=400, repetitions=15
         )
-        ref = stability_experiment(factory, 0x400, workers=1, **kwargs)
+        ref = stability_experiment(
+            factory, 0x400, backend="process", pool=TrialPool(1), **kwargs
+        )
         injector = FaultInjector(
             FaultSpec(crash_rate=0.3, corrupt_rate=0.2), seed=13
         )
@@ -648,7 +651,7 @@ class TestChaosCampaign:
             fault_injector=injector,
         )
         chaotic = stability_experiment(
-            factory, 0x400, pool=pool,
+            factory, 0x400, backend="process", pool=pool,
             checkpoint=tmp_path / "chaos.ckpt", checkpoint_interval=3,
             **kwargs
         )
@@ -721,6 +724,29 @@ class TestCliExitCodes:
         code = cli.main(self.CAMPAIGN)
         assert code == cli.EXIT_RETRY_EXHAUSTED == 5
         assert "chunk 3" in capsys.readouterr().err
+
+    def test_campaign_runs_the_shared_manycore_engine(self, capsys):
+        """``repro campaign`` prints the per-trial reference's digest, and
+        runs every block through the manycore engine's shared structure."""
+        import hashlib
+
+        from repro.bpu.presets import PRESETS
+        from repro.cli import main
+        from repro.core.manycore import group_batch_stats
+
+        shared_before = group_batch_stats()["shared"]
+        assert main(self.CAMPAIGN) == 0
+        assert group_batch_stats()["shared"] == shared_before + 4
+        reference = stability_experiment(
+            lambda: PhysicalCore(PRESETS["haswell"](), seed=31),
+            0x400,
+            n_blocks=4,
+            block_branches=300,
+            repetitions=10,
+            backend="process",
+        )
+        digest = hashlib.sha256(repr(reference).encode()).hexdigest()
+        assert f"result digest: {digest}" in capsys.readouterr().out
 
     def test_campaign_resume_digest_matches(self, tmp_path, capsys):
         from repro.cli import main
