@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.analysis import format_table
 from repro.bpu.presets import PRESETS
+from repro.core.randomizer import PAPER_BLOCK_BRANCHES
 from repro.cpu import PhysicalCore, Process
 from repro.system.scheduler import NoiseSetting
 
@@ -123,7 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="target branch address (accepts hex)",
     )
     campaign.add_argument("--blocks", type=int, default=200)
-    campaign.add_argument("--branches", type=int, default=2000)
+    campaign.add_argument(
+        "--branches",
+        type=int,
+        default=PAPER_BLOCK_BRANCHES,
+        help="branches per block (default: the paper's 100k, enough to "
+        "randomise the full PHT)",
+    )
     campaign.add_argument("--repetitions", type=int, default=50)
     campaign.add_argument(
         "--checkpoint",

@@ -391,7 +391,7 @@ def assess_block_batch(
     With a pre-drawn ``plan`` there is no stream to replay — the result
     is pinned to :func:`assess_block` with the same plan, the engine
     skips the per-repetition draw loop *and* the timing-draw replay
-    entirely (this is the >=10x trial fast path), and a custom timing
+    entirely (this is the trial fast path), and a custom timing
     model no longer forces the scalar fallback.
     """
     if not batch_assess_supported(core, plan):

@@ -39,7 +39,7 @@ Three phases:
      block application is independent of the pre-scramble history (the
      block pins it to ``ghr_end``, noise overwrites it), so every PHT
      index of every repetition is a closed-form numpy expression of the
-     plan.  This is the >=10x trial fast path.
+     plan.  This is the trial fast path.
 
 2. **Tracked-entry table evolution**: for each PHT, the entries the
    probes and scrambles actually read evolve lazily.  Every read and

@@ -164,8 +164,7 @@ def scan_states_reference(
     variants run against a restored copy of the prepared state.  This is
     the batch engine's differential reference; ``full_restore=True``
     additionally forces plain full-copy checkpoints, disabling the
-    delta-restore fast path (the performance baseline the scan benchmark
-    gates against).
+    delta-restore fast path (``tests/test_pht_map.py`` compares both).
     """
     checkpoint = core.checkpoint(full=full_restore)
     compiled_block.apply(core, spy)

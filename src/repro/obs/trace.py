@@ -20,10 +20,11 @@ gate on a single truthiness test::
         tracer.emit("branch", "execute", cycle=..., pid=..., ...)
 
 so a disabled run pays two attribute reads and one ``is not None`` per
-instrumented operation — nothing else.  The CI perf gates
-(``bench_scan_perf.py`` / ``bench_calibration_perf.py``) run with
-tracing disabled and keep their pre-observability speedup floors,
-bounding the guard's cost.
+instrumented operation — nothing else.
+``tests/test_obs.py::TestDisabledTracerCost`` pins that bound exactly:
+with tracing off, a plan-mode calibration trial and a batch PHT scan
+make zero calls into ``repro.obs``.  ``perfbench``'s untraced workloads
+measure the hot paths end to end with tracing off.
 
 Determinism
 -----------

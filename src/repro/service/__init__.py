@@ -58,7 +58,7 @@ from repro.service.campaign import (
 from repro.service.coordinator import Coordinator, run_coordinator
 from repro.service.leases import Lease, LeaseTable
 from repro.service.scheduler import CampaignService
-from repro.service.server import load_jobs, pending_jobs, serve, submit_job
+from repro.service.server import pending_jobs, serve, submit_job
 from repro.service.transport import (
     CoordinatorServer,
     CoordinatorUnreachable,
@@ -91,7 +91,6 @@ __all__ = [
     "TransportError",
     "Workload",
     "get_workload",
-    "load_jobs",
     "pending_jobs",
     "plan_shards",
     "register_workload",

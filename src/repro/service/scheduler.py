@@ -227,15 +227,6 @@ class CampaignService:
 
     # -- internals ----------------------------------------------------------
 
-    def _save(self, state: CampaignState) -> None:
-        save_campaign(self.checkpoint_dir, state)
-
-    def _restore(self, state: CampaignState, resume: bool) -> None:
-        restore_campaign(self.checkpoint_dir, state, resume=resume)
-
-    def _serve_from_store(self, state: CampaignState) -> None:
-        serve_campaign_from_store(self.store, state)
-
     def _next_wave(self) -> List[Tuple[str, int]]:
         """Pick up to ``workers`` pending shards, fair-share by tenant.
 
@@ -278,11 +269,11 @@ class CampaignService:
         state = CampaignState(spec)
         if state.campaign_id in self._campaigns:
             return state.campaign_id
-        self._restore(state, resume)
-        self._serve_from_store(state)
+        restore_campaign(self.checkpoint_dir, state, resume=resume)
+        serve_campaign_from_store(self.store, state)
         self._campaigns[state.campaign_id] = state
         if state.cached_shards and self.checkpoint_dir is not None:
-            self._save(state)
+            save_campaign(self.checkpoint_dir, state)
         tracer = obs.TRACER
         if tracer is not None:
             tracer.emit(
@@ -336,7 +327,7 @@ class CampaignService:
                     memory=False,
                 )
         for cid in sorted(touched):
-            self._save(self._campaigns[cid])
+            save_campaign(self.checkpoint_dir, self._campaigns[cid])
         return len(wave)
 
     def run_until_complete(self) -> Dict[str, Dict[str, Any]]:

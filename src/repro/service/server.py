@@ -35,7 +35,6 @@ from repro.service.campaign import CampaignSpec
 from repro.service.scheduler import CampaignService
 
 __all__ = [
-    "load_jobs",
     "pending_jobs",
     "serve",
     "service_dirs",
@@ -109,11 +108,6 @@ def pending_jobs(
                     f"to {quarantine.name}: {exc}"
                 )
     return specs
-
-
-def load_jobs(root: Union[str, Path]) -> List[CampaignSpec]:
-    """Back-compat alias of :func:`pending_jobs` (no warn log)."""
-    return pending_jobs(root)
 
 
 def write_result(

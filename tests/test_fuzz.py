@@ -600,6 +600,8 @@ class TestServiceTenancy:
             store=store,
             checkpoint_dir=tmp_path / "ck1",
         )
+        published = store.stats_dict()["puts"]
+        before = store.stats_dict()
         dispatched = []
         warm = run_fuzz(
             "sandy_bridge",
@@ -609,8 +611,16 @@ class TestServiceTenancy:
             pre_trial=dispatched.append,
         )
         assert dispatched == []
-        assert warm.cached_shards > 0
         assert warm.digest() == cold.digest()
+        # Exactly one disk hit per published shard and nothing else: the
+        # service publishes to disk only, so a warm session never hits
+        # the memory tier, misses or writes.
+        after = store.stats_dict()
+        assert published > 0
+        assert after["disk_hits"] - before["disk_hits"] == published
+        for key in ("memory_hits", "misses", "puts"):
+            assert after[key] == before[key], key
+        assert warm.cached_shards == published
 
     def test_killed_generation_resumes_to_same_digest(self, tmp_path):
         class Killed(RuntimeError):

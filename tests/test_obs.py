@@ -7,7 +7,9 @@ enabling it can never change what the simulator computes.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import re
 import sys
 import threading
@@ -16,17 +18,23 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.calibration import assess_block, assess_block_batch, find_block
+from repro.core.calibration import (
+    assess_block,
+    assess_block_batch,
+    draw_trial_plan,
+    find_block,
+)
 from repro.core.covert import CovertChannel
 from repro.core.patterns import DecodedState
 from repro.core.pht_map import scan_states
 from repro.core.randomizer import RandomizationBlock
-from repro.bpu import haswell
+from repro.bpu import haswell, skylake
 from repro.cpu import PhysicalCore, Process
 from repro.cpu.timing import TimingModel
 from repro.mitigations import NoisyPerformanceCounters
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
+from repro.system.noise import NoiseModel
 from tests.conftest import SMALL_BLOCK
 
 
@@ -370,6 +378,77 @@ class TestScalarFallbackSurfacing:
             repetitions=6,
         )
         assert not isinstance(block, tuple)
+
+
+class TestDisabledTracerCost:
+    """With tracing off, the hot paths make no call into ``repro.obs``:
+    the guard is one ``obs.TRACER is not None`` test, never a function
+    call.  Counted per call with ``sys.setprofile``, so the bound is
+    exact rather than a timing."""
+
+    OBS_DIR = os.path.join(os.path.dirname(obs.__file__), "")
+
+    def _obs_calls(self, run, traced: bool) -> int:
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_filename.startswith(
+                self.OBS_DIR
+            ):
+                calls += 1
+
+        previous = sys.getprofile()
+        with obs.tracing() if traced else contextlib.nullcontext():
+            sys.setprofile(profile)
+            try:
+                run()
+            finally:
+                sys.setprofile(previous)
+        return calls
+
+    def _assert_untraced_free(self, make_run) -> None:
+        assert self._obs_calls(make_run(), traced=False) == 0
+        # The hook does see obs calls: a traced run makes some.
+        assert self._obs_calls(make_run(), traced=True) > 0
+
+    @pytest.mark.parametrize("repetitions", [50, 500])
+    def test_plan_mode_calibration_trial(self, repetitions):
+        def make_run():
+            core = PhysicalCore(skylake(), seed=11)
+            spy = Process("spy")
+            compiled = RandomizationBlock.generate(
+                7, n_branches=20_000
+            ).compile(core, spy)
+
+            def run():
+                plan = draw_trial_plan(
+                    np.random.default_rng(13),
+                    core,
+                    repetitions=repetitions,
+                    noise=NoiseModel.isolated(),
+                )
+                assess_block_batch(core, spy, compiled, 0x7F0000001234,
+                                   plan=plan)
+
+            return run
+
+        self._assert_untraced_free(make_run)
+
+    @pytest.mark.parametrize("n_addresses", [512, 4096])
+    def test_batch_pht_scan(self, n_addresses):
+        def make_run():
+            core = PhysicalCore(haswell(), seed=1)
+            spy = Process("spy")
+            compiled = RandomizationBlock.generate(
+                7, n_branches=20_000
+            ).compile(core, spy)
+            addresses = list(range(0x300000, 0x300000 + n_addresses))
+            return lambda: scan_states(
+                core, spy, addresses, compiled, method="batch"
+            )
+
+        self._assert_untraced_free(make_run)
 
 
 def _channel(core: PhysicalCore) -> CovertChannel:

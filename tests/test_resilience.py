@@ -748,6 +748,17 @@ class TestCliExitCodes:
         digest = hashlib.sha256(repr(reference).encode()).hexdigest()
         assert f"result digest: {digest}" in capsys.readouterr().out
 
+    def test_campaign_default_block_size_finds_stable_blocks(self, capsys):
+        """At its default ``--branches`` a block randomises the full PHT,
+        so the Fig. 4 command reports stable blocks."""
+        import re
+
+        from repro.cli import main
+
+        assert main(["campaign", "--blocks", "8"]) == 0
+        stable = re.search(r"(\d+) stable", capsys.readouterr().out)
+        assert int(stable.group(1)) > 0
+
     def test_campaign_resume_digest_matches(self, tmp_path, capsys):
         from repro.cli import main
 

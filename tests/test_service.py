@@ -47,7 +47,7 @@ from repro.service import (
     CampaignSpec,
     HistogramSketch,
     MomentAccumulator,
-    load_jobs,
+    pending_jobs,
     plan_shards,
     run_campaign,
     run_trial,
@@ -415,10 +415,10 @@ class TestSpool:
         spec = small_spec(name="queued")
         path = submit_job(tmp_path, spec)
         assert path.exists()
-        assert load_jobs(tmp_path) == [spec]
+        assert pending_jobs(tmp_path) == [spec]
         # Malformed spool entries are skipped, not fatal.
         (tmp_path / "jobs" / "broken.json").write_text("{nope")
-        assert load_jobs(tmp_path) == [spec]
+        assert pending_jobs(tmp_path) == [spec]
 
     def test_serve_once_drains_and_writes_results(self, tmp_path):
         root = tmp_path / "svc"
@@ -447,7 +447,7 @@ class TestSpool:
         )
         assert stats["puts"] == 4
         assert stats["disk_bytes"] == stats["bytes_written"]
-        assert load_jobs(root) == []  # completed jobs are not reloaded
+        assert pending_jobs(root) == []  # completed jobs are not reloaded
 
         # Warm restart over the same root: all shards come from the store.
         for path in results:
