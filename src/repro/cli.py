@@ -676,6 +676,20 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    # --port runs the lease coordinator instead of local trials; there
+    # --workers and --trial-delay do not apply (workers bring their own),
+    # and the coordinator's own port serves /metrics.
+    if args.port is not None:
+        from repro.service.coordinator import run_coordinator
+
+        return run_coordinator(
+            args.root,
+            port=args.port,
+            once=args.once,
+            poll_seconds=args.poll,
+            lease_seconds=args.lease_seconds,
+            store_bytes=args.store_bytes,
+        )
     from repro.service import serve
 
     return serve(
@@ -686,8 +700,6 @@ def _cmd_serve(args) -> int:
         metrics_port=args.metrics_port,
         store_bytes=args.store_bytes,
         trial_delay=args.trial_delay,
-        port=args.port,
-        lease_seconds=args.lease_seconds,
     )
 
 

@@ -16,6 +16,12 @@ through these helpers instead:
 4. best-effort ``fsync`` of the directory, so the rename itself survives
    a power cut (skipped on platforms where directories can't be opened).
 
+The same modules share one record frame, ``MAGIC + sha256 hex + "\n"
++ payload`` (:func:`frame` / :func:`unframe`): the content store's
+entries, the checkpoints and the wire bodies each put their own codec
+inside it, so a torn or bit-flipped record fails the digest check
+instead of decoding into something else.
+
 No repro imports — this module sits below ``repro.obs`` and
 ``repro.resilience`` so both (and the benchmark harness) can use it
 without cycles.
@@ -23,11 +29,18 @@ without cycles.
 
 from __future__ import annotations
 
+import hashlib
 import os
 from pathlib import Path
 from typing import Union
 
-__all__ = ["atomic_write_bytes", "atomic_write_text", "fsync_directory"]
+__all__ = [
+    "atomic_write_bytes",
+    "atomic_write_text",
+    "frame",
+    "fsync_directory",
+    "unframe",
+]
 
 PathLike = Union[str, Path]
 
@@ -75,3 +88,25 @@ def atomic_write_bytes(path: PathLike, data: bytes) -> Path:
 def atomic_write_text(path: PathLike, text: str) -> Path:
     """Atomically replace ``path`` with UTF-8 ``text``; returns the path."""
     return atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def frame(magic: bytes, payload: bytes) -> bytes:
+    """``magic + sha256(payload) hex + "\\n" + payload``."""
+    digest = hashlib.sha256(payload).hexdigest().encode("ascii")
+    return magic + digest + b"\n" + payload
+
+
+def unframe(magic: bytes, data: bytes) -> bytes:
+    """The payload of a :func:`frame` record.
+
+    Raises :exc:`ValueError` naming the first check that failed: bad
+    magic, bad digest line, or digest mismatch.
+    """
+    if not data.startswith(magic):
+        raise ValueError("bad magic")
+    digest, sep, payload = data[len(magic):].partition(b"\n")
+    if not sep or len(digest) != 64:
+        raise ValueError("bad digest line")
+    if hashlib.sha256(payload).hexdigest().encode("ascii") != digest:
+        raise ValueError("digest mismatch")
+    return payload

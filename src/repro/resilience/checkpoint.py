@@ -47,7 +47,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.ioutil import atomic_write_bytes, fsync_directory
+from repro.ioutil import atomic_write_bytes, frame, fsync_directory, unframe
 from repro.obs import trace as obs
 
 __all__ = [
@@ -80,20 +80,14 @@ class CheckpointMismatch(CheckpointError):
 
 
 def _encode(state: Dict[str, Any]) -> bytes:
-    payload = pickle.dumps(state, protocol=_PICKLE_PROTOCOL)
-    digest = hashlib.sha256(payload).hexdigest().encode("ascii")
-    return MAGIC + digest + b"\n" + payload
+    return frame(MAGIC, pickle.dumps(state, protocol=_PICKLE_PROTOCOL))
 
 
 def _decode(data: bytes, path: Path) -> Dict[str, Any]:
-    if not data.startswith(MAGIC):
-        raise CheckpointCorruption(f"{path}: bad magic (torn or foreign file)")
-    rest = data[len(MAGIC):]
-    header, sep, payload = rest.partition(b"\n")
-    if not sep:
-        raise CheckpointCorruption(f"{path}: truncated header")
-    if hashlib.sha256(payload).hexdigest().encode("ascii") != header:
-        raise CheckpointCorruption(f"{path}: SHA-256 digest mismatch")
+    try:
+        payload = unframe(MAGIC, data)
+    except ValueError as exc:  # torn, bit-flipped or foreign file
+        raise CheckpointCorruption(f"{path}: {exc}")
     try:
         state = pickle.loads(payload)
     except Exception as exc:  # digest passed but unpicklable → corrupt

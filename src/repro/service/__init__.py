@@ -20,19 +20,20 @@ service workload:
   run however the campaign was split; plus the record-preserving
   :class:`RecordListAggregate` for workloads whose consumers need raw
   per-trial records back (the fuzzer's inference step);
-* :mod:`repro.service.scheduler` — :class:`CampaignService`: N
-  concurrent campaigns with per-tenant fair-share scheduling over one
-  shared :class:`~repro.parallel.TrialPool` and one shared
-  :class:`~repro.store.ContentStore`, each campaign individually
-  checkpointed and resumable;
+* :mod:`repro.service.scheduler` — :class:`CampaignBook`, the one
+  campaign record both schedulers share (registry, per-tenant fair
+  share, submit-time recovery from checkpoint and
+  :class:`~repro.store.ContentStore`, the finished-shard record), and
+  :class:`CampaignService`, which runs the book's campaigns in waves
+  over one shared :class:`~repro.parallel.TrialPool`;
 * :mod:`repro.service.server` — the spool-directory front end behind
   ``repro serve`` / ``repro submit``;
 * :mod:`repro.service.transport` / :mod:`repro.service.leases` /
   :mod:`repro.service.coordinator` / :mod:`repro.service.worker` — the
   multi-host layer: SHA-256-framed JSON over stdlib HTTP, a
   deadline-and-retry lease table with idempotent completion, the
-  ``repro serve --port`` coordinator, and the pull-based ``repro
-  worker --connect`` client.  The merged digest is bit-identical
+  ``repro serve --port`` coordinator (leasing from the same book), and
+  the pull-based ``repro worker --connect`` client.  The merged digest is bit-identical
   whether a campaign ran single-host, across N workers, or through
   worker SIGKILLs and network fault storms.
 

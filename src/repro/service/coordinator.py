@@ -27,9 +27,12 @@ one-host:
   completion is quarantined to ``root/quarantine/`` and counted, never
   merged.
 
-Fair share across tenants uses the same least-dispatched ledger as
-:meth:`repro.service.scheduler.CampaignService._next_wave`, applied per
-claim instead of per wave.
+The campaign registry, fair share, submit-time recovery and the
+record of an accepted shard are the
+:class:`~repro.service.scheduler.CampaignBook`'s, shared with the
+in-process scheduler: a claim leases ``book.pick(pending keys)``.  This
+class keeps the lease table, upload verification and quarantine, and
+the spool and result files.
 
 See MODELING.md §15 for the protocol, state machine and failure matrix.
 """
@@ -40,23 +43,14 @@ import json
 import os
 import threading
 import time
-from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional
 
 from repro import store as repro_store
 from repro.ioutil import atomic_write_text
 from repro.obs import trace as obs
-from repro.service.campaign import CampaignSpec, shard_store_key
-from repro.service.leases import (
-    LeaseTable,
-    publish_lease_metrics,
-)
-from repro.service.scheduler import (
-    CampaignState,
-    restore_campaign,
-    save_campaign,
-    serve_campaign_from_store,
-)
+from repro.service.campaign import CampaignSpec
+from repro.service.leases import LeaseTable, publish_lease_metrics
+from repro.service.scheduler import CampaignBook, CampaignState
 from repro.service.server import (
     pending_jobs,
     service_dirs,
@@ -101,11 +95,9 @@ class Coordinator:
         self.leases = LeaseTable(
             lease_seconds=lease_seconds, max_attempts=max_attempts
         )
+        self.book = CampaignBook(self.store, self.dirs["checkpoints"])
         self.log = log
         self.lock = threading.RLock()
-        self._campaigns: "OrderedDict[str, CampaignState]" = OrderedDict()
-        #: Shards dispatched per tenant (the fair-share ledger).
-        self._tenant_dispatched: Dict[str, int] = {}
 
     # -- wire dispatch -------------------------------------------------------
 
@@ -140,21 +132,18 @@ class Coordinator:
     def submit(self, spec: CampaignSpec) -> str:
         """Register a campaign; idempotent per spec (same id, no-op).
 
-        Recovery happens here, through the exact helpers the in-process
-        scheduler uses: checkpointed shards restore, store-held shards
-        complete — both land in the lease table as pre-completed with
-        their canonical digests, so workers are only ever offered the
-        genuinely missing work.  The spec is also (re)written to the
-        spool, making a network submission as durable as a local one.
+        Recovery happens in :meth:`CampaignBook.submit`: checkpointed
+        shards restore, store-held shards complete — both land in the
+        lease table as pre-completed with their canonical digests, so
+        workers are only ever offered the genuinely missing work.  The
+        spec is also (re)written to the spool, making a network
+        submission as durable as a local one.
         """
         with self.lock:
-            state = CampaignState(spec)
+            state, new = self.book.submit(spec)
             cid = state.campaign_id
-            if cid in self._campaigns:
+            if not new:
                 return cid
-            restore_campaign(self.dirs["checkpoints"], state)
-            serve_campaign_from_store(self.store, state)
-            self._campaigns[cid] = state
             submit_job(self.dirs["root"], spec)
             self.leases.add_campaign(
                 cid,
@@ -164,8 +153,6 @@ class Coordinator:
                     for i, agg in state.done.items()
                 ],
             )
-            if state.done:
-                save_campaign(self.dirs["checkpoints"], state)
             self.log(
                 f"campaign {cid} tenant={spec.tenant} "
                 f"shards={len(state.shards)} "
@@ -174,17 +161,6 @@ class Coordinator:
             )
             if state.complete:
                 self._finish(state)
-            tracer = obs.TRACER
-            if tracer is not None:
-                tracer.emit(
-                    "pool",
-                    "campaign_submitted",
-                    campaign=cid,
-                    tenant=spec.tenant,
-                    shards=len(state.shards),
-                    resumed=state.resumed_shards,
-                    cached=state.cached_shards,
-                )
             return cid
 
     def scan_spool(self) -> int:
@@ -192,7 +168,7 @@ class Coordinator:
         with self.lock:
             new = 0
             for spec in pending_jobs(self.dirs["root"], log=self.log):
-                if spec.campaign_id() not in self._campaigns:
+                if spec.campaign_id() not in self.book.campaigns:
                     self.submit(spec)
                     new += 1
             return new
@@ -209,7 +185,7 @@ class Coordinator:
         """
         with self.lock:
             self.leases.expire()
-            key = self._next_shard()
+            key = self.book.pick(self.leases.pending_keys())
             lease = (
                 self.leases.claim(worker, key) if key is not None else None
             )
@@ -220,12 +196,7 @@ class Coordinator:
                     "complete": self.drained(),
                     "stuck": self.stuck(),
                 }
-            state = self._campaigns[lease.campaign_id]
-            tenant = state.spec.tenant
-            self._tenant_dispatched[tenant] = (
-                self._tenant_dispatched.get(tenant, 0) + 1
-            )
-            state.dispatched += 1
+            state = self.book.campaigns[lease.campaign_id]
             lo, hi = state.shards[lease.shard_index]
             return {
                 "work": {
@@ -239,20 +210,6 @@ class Coordinator:
                     "spec": state.spec.to_dict(),
                 }
             }
-
-    def _next_shard(self) -> Optional[Tuple[str, int]]:
-        """Fair-share pick: pending shard of the least-dispatched tenant."""
-        pending: Dict[str, List[Tuple[str, int]]] = {}
-        for key in self.leases.pending_keys():
-            tenant = self._campaigns[key[0]].spec.tenant
-            pending.setdefault(tenant, []).append(key)
-        if not pending:
-            return None
-        tenant = min(
-            pending,
-            key=lambda t: (self._tenant_dispatched.get(t, 0), t),
-        )
-        return pending[tenant][0]
 
     def upload(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Accept (or reject) one shard aggregate from a worker.
@@ -271,7 +228,7 @@ class Coordinator:
             agg_state = payload.get("state")
             claimed = str(payload.get("digest", ""))
             worker = str(payload.get("worker", ""))
-            state = self._campaigns.get(cid)
+            state = self.book.campaigns.get(cid)
             if state is None or not 0 <= shard_index < len(state.shards):
                 return {"status": "unknown"}
             actual = aggregate_state_digest(agg_state)
@@ -291,15 +248,7 @@ class Coordinator:
                 return {"status": "quarantined"}
             if verdict == "accepted":
                 aggregate = state.aggregate_cls.from_state(agg_state)
-                state.done[shard_index] = aggregate
-                lo, hi = state.shards[shard_index]
-                # Disk only, as in CampaignService.run_wave.
-                self.store.put(
-                    shard_store_key(state.spec, lo, hi),
-                    aggregate,
-                    memory=False,
-                )
-                save_campaign(self.dirs["checkpoints"], state)
+                self.book.finish([(cid, shard_index, aggregate)])
                 if state.complete:
                     self._finish(state)
             publish_lease_metrics(self.leases)
@@ -338,7 +287,7 @@ class Coordinator:
         """Every known campaign complete (a fresh root counts as drained)."""
         with self.lock:
             return all(
-                state.complete for state in self._campaigns.values()
+                state.complete for state in self.book.campaigns.values()
             )
 
     def stuck(self) -> bool:
@@ -365,7 +314,7 @@ class Coordinator:
                         "done": len(state.done),
                         "complete": state.complete,
                     }
-                    for cid, state in self._campaigns.items()
+                    for cid, state in self.book.campaigns.items()
                 },
                 "leases": self.leases.state_counts(),
                 "complete": self.drained(),

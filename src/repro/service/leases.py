@@ -192,25 +192,12 @@ class LeaseTable:
             expired.append(key)
         return expired
 
-    def claim(
-        self, worker: str, key: Optional[ShardKey] = None
-    ) -> Optional[Lease]:
-        """Lease one pending shard to ``worker`` (FIFO, or exactly
-        ``key`` when the caller schedules its own order).  ``None`` when
-        nothing is pending."""
+    def claim(self, worker: str, key: ShardKey) -> Optional[Lease]:
+        """Lease the pending shard ``key`` to ``worker`` (the caller
+        picks it, e.g. by fair share).  ``None`` when ``key`` is not
+        pending."""
         self.expire()
         self._touch(worker)
-        if key is None:
-            key = next(
-                (
-                    k
-                    for k, shard in self._shards.items()
-                    if shard.state == PENDING
-                ),
-                None,
-            )
-        if key is None:
-            return None
         shard = self._shards.get(key)
         if shard is None or shard.state != PENDING:
             return None

@@ -1,36 +1,30 @@
-"""The multi-tenant campaign scheduler: one pool, one store, N campaigns.
+"""The campaign book and the in-process wave scheduler.
 
-:class:`CampaignService` accepts any number of concurrent campaign
-submissions and drives them to completion in cooperative *waves*: each
-wave picks up to ``workers`` pending shards — round-robin by the tenant
-with the fewest shards dispatched so far (fair share), submission order
-breaking ties — and fans them across one shared supervised
-:class:`~repro.parallel.TrialPool` with ``chunk_size=1``, so every
-shard is its own forked, heartbeat-supervised worker.  Wave-based
-dispatch rather than threads because the pool's pre-fork function
-handoff is a process global: one ``map`` call at a time is the engine's
-contract, and a wave of mixed-tenant shards inside that one call *is*
-the concurrency.
+:class:`CampaignBook` is the one record of submitted campaigns that
+both schedulers share: the registry, the least-dispatched fair-share
+ledger (:meth:`~CampaignBook.pick`), submit-time recovery (restore the
+checkpoint, then serve pending shards from the
+:class:`~repro.store.ContentStore`) and the record of a finished shard
+(:meth:`~CampaignBook.finish`: a disk-only store put, then one
+:func:`save_campaign` per touched campaign).  Lookups and writes happen
+in the parent; forked shard workers never touch the store.
 
-Between waves the scheduler merges finished shard aggregates (exact
-merge — shard layout cannot change the result), publishes them to the
-shared :class:`~repro.store.ContentStore`, and checkpoints every
-touched campaign through its own PR 5
-:class:`~repro.resilience.CheckpointStore` — so a SIGKILL costs at most
-one wave of any campaign, and each campaign resumes independently.
-
-Cache discipline: shard lookups happen in the parent at submit time
-(store hits complete shards before any dispatch — a re-submitted
-campaign costs zero trials), writes happen in the parent after
-collection (single writer, accountable stats).  Forked shard workers
-never touch the store.
+:class:`CampaignService` drives the book's campaigns in cooperative
+*waves*: each wave picks up to ``workers`` pending shards and fans them
+across one shared supervised :class:`~repro.parallel.TrialPool` with
+``chunk_size=1``, so every shard is its own forked, heartbeat-supervised
+worker.  Wave-based dispatch rather than threads because the pool's
+pre-fork function handoff is a process global: one ``map`` call at a
+time is the engine's contract, and a wave of mixed-tenant shards inside
+that one call *is* the concurrency.  A SIGKILL costs at most one wave
+of any campaign, and each campaign resumes independently.  The leased
+:class:`~repro.service.coordinator.Coordinator` keeps the same book.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs import trace as obs
 from repro.parallel import TrialPool
@@ -44,12 +38,11 @@ from repro.service.campaign import (
 from repro.store import ContentStore
 
 __all__ = [
+    "CampaignBook",
     "CampaignService",
     "CampaignState",
     "campaign_checkpoint",
-    "restore_campaign",
     "save_campaign",
-    "serve_campaign_from_store",
 ]
 
 
@@ -64,7 +57,6 @@ class CampaignState:
         #: restore, store probe and merge dispatches through it.
         self.aggregate_cls: type = spec.workload_impl().aggregate
         self.done: Dict[int, Any] = {}
-        self.dispatched = 0
         self.resumed_shards = 0
         self.cached_shards = 0
 
@@ -98,15 +90,6 @@ class CampaignState:
         }
 
 
-# -- shared recovery helpers --------------------------------------------------
-#
-# Module-level so both front ends — the in-process CampaignService and
-# the network Coordinator (repro.service.coordinator) — recover a
-# campaign identically: same checkpoint format, same fingerprint check,
-# same store-probe.  A campaign checkpointed by one is resumable by the
-# other.
-
-
 def campaign_checkpoint(
     checkpoint_dir, campaign_id: str
 ) -> Optional[CheckpointStore]:
@@ -134,48 +117,121 @@ def save_campaign(checkpoint_dir, state: "CampaignState") -> None:
     )
 
 
-def restore_campaign(
-    checkpoint_dir, state: "CampaignState", *, resume: bool = True
-) -> None:
-    """Rebuild finished shards from the campaign's checkpoint, if any.
+class CampaignBook:
+    """The campaign record both schedulers share.
 
-    ``resume=False`` clears the checkpoint instead.  A fingerprint
-    mismatch (the spec changed under the checkpoint) restores nothing.
+    It owns the campaign registry, the fair-share ledger, submit-time
+    recovery and the record of a finished shard, so the in-process
+    :class:`CampaignService` and the leased
+    :class:`~repro.service.coordinator.Coordinator` recover, share and
+    publish identically: a campaign checkpointed by one is resumable by
+    the other.  ``store`` (a :class:`~repro.store.ContentStore`) and
+    ``checkpoint_dir`` may each be ``None`` to disable that tier.
     """
-    ckpt = campaign_checkpoint(checkpoint_dir, state.campaign_id)
-    if ckpt is None:
-        return
-    if not resume:
-        ckpt.clear()
-        return
-    saved = verify_fingerprint(
-        ckpt, ckpt.load(), state.spec.fingerprint()
-    )
-    if saved is None:
-        return
-    for i, agg_state in saved.get("done", {}).items():
-        state.done[int(i)] = state.aggregate_cls.from_state(agg_state)
-    state.resumed_shards = len(state.done)
-    if state.resumed_shards:
-        obs.record_resilience_event(
-            "campaign_resume",
-            detail=state.campaign_id,
-            n=state.resumed_shards,
+
+    def __init__(
+        self, store: Optional[ContentStore] = None, checkpoint_dir=None
+    ) -> None:
+        self.store = store
+        self.checkpoint_dir = checkpoint_dir
+        self.campaigns: Dict[str, CampaignState] = {}
+        #: Shards dispatched per tenant (the fair-share ledger).
+        self.tenant_dispatched: Dict[str, int] = {}
+
+    def pick(
+        self, keys: Iterable[Tuple[str, int]]
+    ) -> Optional[Tuple[str, int]]:
+        """Fair share: the first ``(campaign, shard)`` key of the tenant
+        with the fewest dispatches (ties: tenant name), counted as
+        dispatched; ``None`` when ``keys`` is empty.  A tenant with one
+        small campaign is never starved behind one with fifty."""
+        first: Dict[str, Tuple[str, int]] = {}
+        for key in keys:
+            first.setdefault(self.campaigns[key[0]].spec.tenant, key)
+        if not first:
+            return None
+        tenant = min(
+            first, key=lambda t: (self.tenant_dispatched.get(t, 0), t)
         )
+        self.tenant_dispatched[tenant] = (
+            self.tenant_dispatched.get(tenant, 0) + 1
+        )
+        return first[tenant]
 
+    def submit(
+        self, spec: CampaignSpec, resume: bool = True
+    ) -> Tuple[CampaignState, bool]:
+        """Register a campaign; returns ``(state, new)``.
 
-def serve_campaign_from_store(
-    store: Optional[ContentStore], state: "CampaignState"
-) -> None:
-    """Complete every pending shard the content store already holds."""
-    if store is None:
-        return
-    for i in state.pending():
-        lo, hi = state.shards[i]
-        found, value = store.get(shard_store_key(state.spec, lo, hi))
-        if found and isinstance(value, state.aggregate_cls):
-            state.done[i] = value
-            state.cached_shards += 1
+        A known campaign is returned as is.  A new one first restores
+        its checkpoint (``resume=False`` clears it instead; a checkpoint
+        of another spec raises
+        :class:`~repro.resilience.CheckpointMismatch`), then completes
+        every pending shard the store holds and, if the store served
+        any, re-saves the checkpoint — a fully cached campaign finishes
+        here without dispatching a trial.
+        """
+        state = CampaignState(spec)
+        known = self.campaigns.get(state.campaign_id)
+        if known is not None:
+            return known, False
+        ckpt = campaign_checkpoint(self.checkpoint_dir, state.campaign_id)
+        if ckpt is not None and not resume:
+            ckpt.clear()
+        elif ckpt is not None:
+            saved = verify_fingerprint(ckpt, ckpt.load(), spec.fingerprint())
+            for i, agg_state in (saved or {}).get("done", {}).items():
+                state.done[int(i)] = state.aggregate_cls.from_state(agg_state)
+            state.resumed_shards = len(state.done)
+            if state.resumed_shards:
+                obs.record_resilience_event(
+                    "campaign_resume",
+                    detail=state.campaign_id,
+                    n=state.resumed_shards,
+                )
+        if self.store is not None:
+            for i in state.pending():
+                lo, hi = state.shards[i]
+                found, value = self.store.get(shard_store_key(spec, lo, hi))
+                if found and isinstance(value, state.aggregate_cls):
+                    state.done[i] = value
+                    state.cached_shards += 1
+        self.campaigns[state.campaign_id] = state
+        if state.cached_shards:
+            save_campaign(self.checkpoint_dir, state)
+        tracer = obs.TRACER
+        if tracer is not None:
+            tracer.emit(
+                "pool",
+                "campaign_submitted",
+                campaign=state.campaign_id,
+                tenant=spec.tenant,
+                shards=len(state.shards),
+                resumed=state.resumed_shards,
+                cached=state.cached_shards,
+            )
+        return state, True
+
+    def finish(self, triples: Iterable[Tuple[str, int, Any]]) -> None:
+        """Record finished ``(campaign, shard, aggregate)`` triples.
+
+        Each aggregate goes to the store's disk tier only (the campaign
+        state already holds it, and a later read still fills the memory
+        tier); then every touched campaign is checkpointed once.
+        """
+        touched: Dict[str, CampaignState] = {}
+        for cid, shard_index, aggregate in triples:
+            state = touched[cid] = self.campaigns[cid]
+            state.done[shard_index] = aggregate
+            if self.store is not None:
+                lo, hi = state.shards[shard_index]
+                self.store.put(
+                    shard_store_key(state.spec, lo, hi),
+                    aggregate,
+                    memory=False,
+                )
+        for cid in sorted(touched):
+            save_campaign(self.checkpoint_dir, touched[cid])
 
 
 class CampaignService:
@@ -216,93 +272,36 @@ class CampaignService:
         self.pool = pool if pool is not None else TrialPool(
             workers, chunk_size=1
         )
-        self.store = store
-        self.checkpoint_dir = (
-            Path(checkpoint_dir) if checkpoint_dir is not None else None
-        )
         self.pre_trial = pre_trial
-        self._campaigns: "OrderedDict[str, CampaignState]" = OrderedDict()
-        #: Shards dispatched per tenant (the fair-share ledger).
-        self._tenant_dispatched: Dict[str, int] = {}
-
-    # -- internals ----------------------------------------------------------
-
-    def _next_wave(self) -> List[Tuple[str, int]]:
-        """Pick up to ``workers`` pending shards, fair-share by tenant.
-
-        Each pick goes to the pending tenant with the fewest shards
-        dispatched so far (ties: campaign submission order), then
-        rotates — a tenant with one small campaign is not starved behind
-        a tenant with fifty large ones.
-        """
-        pending: Dict[str, List[Tuple[str, int]]] = {}
-        for cid, state in self._campaigns.items():
-            for shard_index in state.pending():
-                pending.setdefault(state.spec.tenant, []).append(
-                    (cid, shard_index)
-                )
-        wave: List[Tuple[str, int]] = []
-        capacity = max(1, self.pool.workers)
-        while pending and len(wave) < capacity:
-            tenant = min(
-                pending,
-                key=lambda t: (self._tenant_dispatched.get(t, 0), t),
-            )
-            wave.append(pending[tenant].pop(0))
-            self._tenant_dispatched[tenant] = (
-                self._tenant_dispatched.get(tenant, 0) + 1
-            )
-            if not pending[tenant]:
-                del pending[tenant]
-        return wave
-
-    # -- API ----------------------------------------------------------------
+        self.book = CampaignBook(store, checkpoint_dir)
 
     def submit(self, spec: CampaignSpec, *, resume: bool = True) -> str:
-        """Register a campaign; returns its id.  Idempotent per spec.
-
-        Resumes from the campaign's checkpoint (when a checkpoint dir is
-        configured) and completes any shard the shared store already
-        holds — a fully-cached campaign finishes at submit time without
-        dispatching a trial.
-        """
-        state = CampaignState(spec)
-        if state.campaign_id in self._campaigns:
-            return state.campaign_id
-        restore_campaign(self.checkpoint_dir, state, resume=resume)
-        serve_campaign_from_store(self.store, state)
-        self._campaigns[state.campaign_id] = state
-        if state.cached_shards and self.checkpoint_dir is not None:
-            save_campaign(self.checkpoint_dir, state)
-        tracer = obs.TRACER
-        if tracer is not None:
-            tracer.emit(
-                "pool",
-                "campaign_submitted",
-                campaign=state.campaign_id,
-                tenant=spec.tenant,
-                shards=len(state.shards),
-                resumed=state.resumed_shards,
-                cached=state.cached_shards,
-            )
-        return state.campaign_id
+        """Register a campaign (:meth:`CampaignBook.submit`); returns
+        its id.  Idempotent per spec."""
+        return self.book.submit(spec, resume)[0].campaign_id
 
     def run_wave(self) -> int:
         """Dispatch one fair-share wave; returns the shards completed.
 
-        The unit of crash-safety: every campaign a wave touched is
-        checkpointed (and its shards published to the store) before the
-        method returns.
+        A wave is up to ``workers`` :meth:`CampaignBook.pick` calls over
+        the pending shards.  The unit of crash-safety: every campaign a
+        wave touched is checkpointed (and its shards published to the
+        store) before the method returns.
         """
-        wave = self._next_wave()
+        campaigns = self.book.campaigns
+        keys = [
+            (cid, i)
+            for cid, state in campaigns.items()
+            for i in state.pending()
+        ]
+        wave: List[Tuple[str, int]] = []
+        while keys and len(wave) < max(1, self.pool.workers):
+            wave.append(self.book.pick(keys))
+            keys.remove(wave[-1])
         if not wave:
             return 0
-        specs = {
-            cid: self._campaigns[cid].spec for cid, _ in wave
-        }
-        shards = {
-            cid: self._campaigns[cid].shards for cid, _ in wave
-        }
+        specs = {cid: campaigns[cid].spec for cid, _ in wave}
+        shards = {cid: campaigns[cid].shards for cid, _ in wave}
         pre_trial = self.pre_trial
 
         def shard_fn(payload: Tuple[str, int]) -> Any:
@@ -311,29 +310,16 @@ class CampaignService:
             return run_shard(specs[cid], lo, hi, pre_trial=pre_trial)
 
         results = self.pool.map(shard_fn, wave)
-        touched = set()
-        for (cid, shard_index), aggregate in zip(wave, results):
-            state = self._campaigns[cid]
-            state.done[shard_index] = aggregate
-            state.dispatched += 1
-            touched.add(cid)
-            if self.store is not None:
-                # Disk only: state.done already holds the aggregate, and
-                # a later read still fills the memory tier.
-                lo, hi = state.shards[shard_index]
-                self.store.put(
-                    shard_store_key(state.spec, lo, hi),
-                    aggregate,
-                    memory=False,
-                )
-        for cid in sorted(touched):
-            save_campaign(self.checkpoint_dir, self._campaigns[cid])
+        self.book.finish(
+            (cid, shard_index, aggregate)
+            for (cid, shard_index), aggregate in zip(wave, results)
+        )
         return len(wave)
 
     def run_until_complete(self) -> Dict[str, Dict[str, Any]]:
         """Drive every submitted campaign to completion; returns results."""
         while any(
-            not state.complete for state in self._campaigns.values()
+            not state.complete for state in self.book.campaigns.values()
         ):
             if self.run_wave() == 0:  # pragma: no cover - defensive
                 raise RuntimeError("no progress: pending shards undispatchable")
@@ -343,12 +329,12 @@ class CampaignService:
         """Results of every *complete* campaign, by campaign id."""
         return {
             cid: state.result()
-            for cid, state in self._campaigns.items()
+            for cid, state in self.book.campaigns.items()
             if state.complete
         }
 
     def campaign(self, campaign_id: str) -> CampaignState:
-        return self._campaigns[campaign_id]
+        return self.book.campaigns[campaign_id]
 
     def __len__(self) -> int:
-        return len(self._campaigns)
+        return len(self.book.campaigns)

@@ -142,8 +142,6 @@ def serve(
     metrics_port: Optional[int] = None,
     store_bytes: Optional[int] = None,
     trial_delay: float = 0.0,
-    port: Optional[int] = None,
-    lease_seconds: float = 30.0,
     log=print,
 ) -> int:
     """Run the campaign service over a spool directory.
@@ -160,27 +158,7 @@ def serve(
     SIGKILL smoke uses to widen the kill window; it is excluded from
     every fingerprint and store key, so a delayed-then-killed campaign
     resumes to the undelayed reference digest.
-
-    ``port`` switches the service into **coordinator mode** (see
-    :mod:`repro.service.coordinator`): instead of running trials
-    locally, it serves the lease protocol on ``http://host:port`` and
-    pull-based ``repro worker --connect`` processes do the computing.
-    ``workers`` and ``trial_delay`` are local-execution knobs and are
-    ignored there (workers bring their own).
     """
-    if port is not None:
-        from repro.service.coordinator import run_coordinator
-
-        return run_coordinator(
-            root,
-            port=port,
-            once=once,
-            poll_seconds=poll_seconds,
-            lease_seconds=lease_seconds,
-            store_bytes=store_bytes,
-            log=log,
-        )
-
     dirs = service_dirs(root)
     store = repro_store.ContentStore(
         dirs["store"],

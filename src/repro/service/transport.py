@@ -55,6 +55,7 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 
+from repro.ioutil import frame, unframe
 from repro.obs import trace as obs
 from repro.obs.http import CONTENT_TYPE as METRICS_CONTENT_TYPE
 from repro.parallel.pool import SuperviseConfig
@@ -109,26 +110,16 @@ def canonical_json(obj: Any) -> str:
 
 def frame_payload(obj: Any) -> bytes:
     """Encode ``obj`` as a digest-framed canonical-JSON wire body."""
-    payload = canonical_json(obj).encode("utf-8")
-    digest = hashlib.sha256(payload).hexdigest()
-    return WIRE_MAGIC + digest.encode("ascii") + b"\n" + payload
+    return frame(WIRE_MAGIC, canonical_json(obj).encode("utf-8"))
 
 
 def unframe_payload(data: bytes) -> Any:
     """Decode a wire body, or raise :exc:`WireError` if it fails any
     of: magic, digest-line shape, SHA-256 match, JSON parse."""
-    if not data.startswith(WIRE_MAGIC):
-        raise WireError("bad wire magic")
-    rest = data[len(WIRE_MAGIC):]
-    digest_line, sep, payload = rest.partition(b"\n")
-    if not sep or len(digest_line) != 64:
-        raise WireError("bad wire digest line")
-    if hashlib.sha256(payload).hexdigest().encode("ascii") != digest_line:
-        raise WireError("wire digest mismatch (torn frame)")
     try:
-        return json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireError(f"wire payload not JSON: {exc}") from exc
+        return json.loads(unframe(WIRE_MAGIC, data).decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError/UnicodeDecodeError too
+        raise WireError(f"bad wire frame: {exc}") from exc
 
 
 def aggregate_state_digest(state: Any) -> str:

@@ -38,7 +38,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
-from repro.ioutil import atomic_write_bytes
+from repro.ioutil import atomic_write_bytes, frame, unframe
 from repro.obs import trace as obs
 
 __all__ = ["ContentStore", "StoreStats", "store_key"]
@@ -178,22 +178,18 @@ class ContentStore:
         except OSError:
             return False, None
         self.stats.bytes_read += len(data)
-        if data.startswith(_MAGIC):
-            rest = data[len(_MAGIC):]
-            header, sep, payload = rest.partition(b"\n")
-            if sep and hashlib.sha256(payload).hexdigest().encode() == header:
-                try:
-                    value = pickle.loads(payload)
-                except Exception:
-                    pass
-                else:
-                    # A hit is a "use": bump mtime so the LRU eviction
-                    # order tracks access, not creation.
-                    try:
-                        os.utime(path)
-                    except OSError:
-                        pass
-                    return True, value
+        try:
+            value = pickle.loads(unframe(_MAGIC, data))
+        except Exception:
+            pass
+        else:
+            # A hit is a "use": bump mtime so the LRU eviction order
+            # tracks access, not creation.
+            try:
+                os.utime(path)
+            except OSError:
+                pass
+            return True, value
         # Torn, bit-flipped or unpicklable: a content-addressed artifact
         # is always recomputable, so drop it and report a miss.
         self.stats.corrupt += 1
@@ -227,14 +223,12 @@ class ContentStore:
         """Persist ``value`` under ``key`` (atomic; last whole write wins).
 
         ``memory=False`` writes the disk tier only — for publishers that
-        already hold the value themselves: the service's scheduler and
-        coordinator keep each shard aggregate in their campaign state,
-        so a memory copy would only pin it for the store's lifetime.
+        already hold the value themselves: the service's campaign book
+        keeps each shard aggregate in its campaign state, so a memory
+        copy would only pin it for the store's lifetime.
         A later :meth:`get` still fills the memory tier.
         """
-        payload = pickle.dumps(value, protocol=_PICKLE_PROTOCOL)
-        digest = hashlib.sha256(payload).hexdigest().encode("ascii")
-        data = _MAGIC + digest + b"\n" + payload
+        data = frame(_MAGIC, pickle.dumps(value, protocol=_PICKLE_PROTOCOL))
         atomic_write_bytes(self._path(key), data)
         self.stats.puts += 1
         self.stats.bytes_written += len(data)

@@ -327,6 +327,25 @@ class TestCheckpointStore:
         with pytest.raises(CheckpointCorruption, match="bad magic"):
             store.load()
 
+    def test_hand_built_checkpoint_reads_as_a_state(self, tmp_path):
+        """The file layout is pinned: ``REPRO-CKPT-1\\n``, the SHA-256 hex
+        of the pickle, a newline, then the protocol-4 pickle."""
+        import hashlib
+
+        state = {"fingerprint": {"x": 1}, "done": {0: {"n": 3}}}
+        payload = pickle.dumps(state, protocol=4)
+        data = (
+            b"REPRO-CKPT-1\n"
+            + hashlib.sha256(payload).hexdigest().encode("ascii")
+            + b"\n"
+            + payload
+        )
+        store = CheckpointStore(tmp_path / "c.ckpt")
+        store.path.write_bytes(data)
+        assert store.load() == state
+        store.save(state)
+        assert store.path.read_bytes() == data
+
     def test_clear_removes_all_generations(self, tmp_path):
         store = CheckpointStore(tmp_path / "c.ckpt")
         store.save({"gen": 1})
@@ -816,3 +835,18 @@ class TestAtomicEmission:
         assert path.read_text() == "hello\n"
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["unit_atomic.manifest.json", "unit_atomic.txt"]
+
+    def test_unframe_names_the_first_failed_check(self):
+        from repro.ioutil import frame, unframe
+
+        data = frame(b"M\n", b"payload")
+        assert unframe(b"M\n", data) == b"payload"
+        cases = (
+            (b"X\n" + data[2:], "bad magic"),
+            (b"M\nabc\npayload", "bad digest line"),
+            (data[:20], "bad digest line"),
+            (data[:-1], "digest mismatch"),
+        )
+        for bad, message in cases:
+            with pytest.raises(ValueError, match=message):
+                unframe(b"M\n", bad)

@@ -322,7 +322,7 @@ class TestCampaignService:
         # tenants alternately, not drain alpha first.
         service.run_wave()
         service.run_wave()
-        assert service._tenant_dispatched == {"alpha": 1, "beta": 1}
+        assert service.book.tenant_dispatched == {"alpha": 1, "beta": 1}
         results = service.run_until_complete()
         assert set(results) == {a, b}
         assert results[a]["n_trials"] == 7

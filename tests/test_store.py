@@ -7,7 +7,9 @@ size-budget eviction with its in-process disk bound.
 
 from __future__ import annotations
 
+import hashlib
 import os
+import pickle
 
 import pytest
 
@@ -47,6 +49,26 @@ class TestStoreKey:
 
 
 class TestContentStore:
+    def test_hand_built_entry_reads_as_a_hit(self, tmp_path):
+        """The on-disk layout is pinned: ``REPRO-STORE-1\\n``, the SHA-256
+        hex of the pickle, a newline, then the protocol-4 pickle."""
+        key = store_key("unit", n=0)
+        payload = pickle.dumps({"answer": 42}, protocol=4)
+        data = (
+            b"REPRO-STORE-1\n"
+            + hashlib.sha256(payload).hexdigest().encode("ascii")
+            + b"\n"
+            + payload
+        )
+        (tmp_path / "store").mkdir()
+        (tmp_path / "store" / f"{key}.pkl").write_bytes(data)
+        fresh = ContentStore(tmp_path / "store")
+        assert fresh.get(key) == (True, {"answer": 42})
+        assert fresh.stats_dict()["disk_hits"] == 1
+        # A put writes the same bytes back.
+        fresh.put(key, {"answer": 42})
+        assert (tmp_path / "store" / f"{key}.pkl").read_bytes() == data
+
     def test_miss_then_put_then_memory_hit(self, store):
         key = store_key("unit", n=1)
         found, value = store.get(key)

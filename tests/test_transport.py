@@ -87,6 +87,17 @@ class TestWireFraming:
         payload = {"b": [1, 2], "a": {"x": None, "y": "é"}}
         assert unframe_payload(frame_payload(payload)) == payload
 
+    def test_frame_layout_is_pinned(self):
+        import hashlib
+
+        body = b'{"a":[1,2],"b":"x"}'
+        assert frame_payload({"b": "x", "a": [1, 2]}) == (
+            b"REPRO-WIRE-1\n"
+            + hashlib.sha256(body).hexdigest().encode("ascii")
+            + b"\n"
+            + body
+        )
+
     def test_canonical_bytes_are_key_order_independent(self):
         assert frame_payload({"a": 1, "b": 2}) == frame_payload(
             {"b": 2, "a": 1}
@@ -197,7 +208,7 @@ class TestLeaseTable:
 
     def test_claim_lease_complete_lifecycle(self):
         table, _ = self.table()
-        lease = table.claim("w1")
+        lease = table.claim("w1", ("c1", 0))
         assert (lease.campaign_id, lease.shard_index) == ("c1", 0)
         assert lease.attempt == 1
         assert table.shard_state("c1", 0) == LEASED
@@ -209,8 +220,8 @@ class TestLeaseTable:
 
     def test_expiry_requeues_and_renewal_prevents_it(self):
         table, clock = self.table()
-        kept = table.claim("w1")
-        lost = table.claim("w2")
+        kept = table.claim("w1", ("c1", 0))
+        lost = table.claim("w2", ("c1", 1))
         clock.advance(20)
         assert table.renew(kept.lease_id, "w1") == clock.now + 30.0
         clock.advance(15)  # lost: 35s unrenewed; kept: 15s since renewal
@@ -220,7 +231,7 @@ class TestLeaseTable:
         assert table.shard_state("c1", kept.shard_index) == LEASED
         assert obs.resilience_event_counts().get("lease_expired") == 1
         # The re-claim is attempt 2, and the stale lease id is dead.
-        again = table.claim("w3")
+        again = table.claim("w3", ("c1", 1))
         assert again.shard_index == lost.shard_index
         assert again.attempt == 2
         assert table.renew(lost.lease_id, "w2") is None
@@ -241,7 +252,7 @@ class TestLeaseTable:
 
     def test_duplicate_completion_is_idempotent(self):
         table, _ = self.table()
-        table.claim("w1")
+        table.claim("w1", ("c1", 0))
         assert table.complete("c1", 0, "same") == "accepted"
         assert table.complete("c1", 0, "same") == "duplicate"
         assert table.shard_digest("c1", 0) == "same"
@@ -249,7 +260,7 @@ class TestLeaseTable:
 
     def test_conflicting_completion_is_a_mismatch(self):
         table, _ = self.table()
-        table.claim("w1")
+        table.claim("w1", ("c1", 0))
         assert table.complete("c1", 0, "first") == "accepted"
         assert table.complete("c1", 0, "second", worker="w2") == "mismatch"
         # The recorded digest is untouched by the loser.
@@ -258,7 +269,7 @@ class TestLeaseTable:
 
     def test_late_completion_after_expiry_is_accepted(self):
         table, clock = self.table()
-        lease = table.claim("w1")
+        lease = table.claim("w1", ("c1", 0))
         clock.advance(31)
         table.expire()
         assert table.complete(
@@ -279,7 +290,7 @@ class TestLeaseTable:
 
     def test_heartbeats_track_every_verb(self):
         table, clock = self.table()
-        lease = table.claim("w1")
+        lease = table.claim("w1", ("c1", 0))
         t_claim = clock.now
         clock.advance(5)
         table.renew(lease.lease_id, "w2")
@@ -292,7 +303,7 @@ class TestLeaseTable:
 
     def test_publish_lease_metrics_renders_gauges(self):
         table, _ = self.table()
-        table.claim("w1")
+        table.claim("w1", ("c1", 0))
         table.complete("c1", 0, "d", worker="w1")
         with obs.tracing(collect_metrics=True) as tracer:
             publish_lease_metrics(table)
@@ -364,6 +375,73 @@ class TestDistributedCampaign:
         assert state.aggregate().digest() == result_digest(tmp_path, spec)
         assert store.stats_dict()["disk_hits"] == spec.shards
         assert store.stats_dict()["memory_hits"] == 0
+
+    @pytest.mark.parametrize("first", ["service", "coordinator"])
+    def test_checkpoint_resumes_across_schedulers(self, tmp_path, first):
+        """A campaign checkpointed by one scheduler resumes under the
+        other over the same root.  The service runs without a store, so
+        the checkpoint, not the store, carries the finished shards."""
+        from repro.service.campaign import run_shard
+
+        spec = small_spec(n_blocks=8, shards=4, seed=5)
+        checkpoints = service_dirs(tmp_path)["checkpoints"]
+
+        def lease_out(coord: Coordinator):
+            """Claim, run and upload one shard; its index (or None)."""
+            work = coord.claim("w")["work"]
+            if work is None:
+                return None
+            agg_state = run_shard(spec, work["lo"], work["hi"]).to_state()
+            reply = coord.upload(
+                {
+                    "campaign": work["campaign"],
+                    "shard": work["shard"],
+                    "worker": "w",
+                    "state": agg_state,
+                    "digest": aggregate_state_digest(agg_state),
+                }
+            )
+            assert reply["status"] == "accepted"
+            return work["shard"]
+
+        if first == "service":
+            service = CampaignService(
+                workers=1, store=None, checkpoint_dir=checkpoints
+            )
+            cid = service.submit(spec)
+            assert service.run_wave() == service.run_wave() == 1
+            finished = set(service.campaign(cid).done)
+            coord = Coordinator(tmp_path, log=quiet)
+            coord.submit(spec)
+            state = coord.book.campaigns[cid]
+            resumed = state.resumed_shards
+            ran = []
+            while not coord.drained():
+                ran.append(lease_out(coord))
+            digest = result_digest(tmp_path, spec)
+        else:
+            coord = Coordinator(tmp_path, log=quiet)
+            cid = coord.submit(spec)
+            finished = {lease_out(coord), lease_out(coord)}
+            trials = []
+            service = CampaignService(
+                workers=1,
+                store=None,
+                checkpoint_dir=checkpoints,
+                pre_trial=trials.append,
+            )
+            state = service.campaign(service.submit(spec))
+            resumed = state.resumed_shards
+            digest = service.run_until_complete()[cid]["digest"]
+            ran = [
+                i
+                for i, (lo, hi) in enumerate(state.shards)
+                if any(lo <= t < hi for t in trials)
+            ]
+        assert resumed == len(finished) == 2
+        assert state.cached_shards == 0
+        assert sorted(ran) == sorted(set(range(4)) - finished)
+        assert digest == run_campaign(spec).digest()
 
     def test_two_workers_fault_storm_matches_reference(
         self, tmp_path
@@ -695,6 +773,33 @@ class TestWorkerCli:
         )
         assert args.port == 0
         assert args.lease_seconds == 5.0
+
+    def test_serve_port_runs_the_coordinator(self, monkeypatch, tmp_path):
+        from repro.cli import main
+        from repro.service import coordinator as coordinator_module
+
+        calls = []
+
+        def fake_run_coordinator(root, **kwargs):
+            calls.append((root, kwargs))
+            return 0
+
+        monkeypatch.setattr(
+            coordinator_module, "run_coordinator", fake_run_coordinator
+        )
+        root = str(tmp_path)
+        code = main(
+            [
+                "serve", "--root", root, "--once",
+                "--port", "0", "--lease-seconds", "5",
+            ]
+        )
+        assert code == 0
+        assert len(calls) == 1
+        assert calls[0][0] == root
+        assert calls[0][1]["port"] == 0
+        assert calls[0][1]["lease_seconds"] == 5.0
+        assert calls[0][1]["once"] is True
 
     def test_unreachable_maps_to_exit_5(self):
         from repro.cli import EXIT_RETRY_EXHAUSTED, main
