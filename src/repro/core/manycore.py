@@ -66,7 +66,7 @@ from repro.core.calibration import (
     reference_trial,
 )
 from repro.core.calibration_batch import _closed_form
-from repro.core.randomizer import RandomizationBlock
+from repro.core.randomizer import DEFAULT_BLOCK_BASE, RandomizationBlock
 from repro.core.support import manycore_fallback_reason
 from repro.cpu.core import PhysicalCore
 from repro import kernels
@@ -429,17 +429,16 @@ class _SharedStructure:
         entry, and the last identification tag it writes to the target's
         set (-1 when it never touches that set).
         """
-        block = RandomizationBlock.generate(
-            seed, n_branches=self.block_branches
-        )
-        # Fused kernel: one pass walks the GHR shift register, folds the
+        # Fused kernel: it draws the block ``RandomizationBlock.generate``
+        # would, and one pass walks the GHR shift register, folds the
         # target bimodal entry and every tracked gshare entry in monoid
         # id space, and spots the selector/BIT touches (the numpy
-        # backend runs the same reductions as separate vectorised
-        # passes — bit-identical either way).
+        # backend generates the block and runs the same reductions as
+        # separate vectorised passes — bit-identical either way).
         return kernels.summarize_block(
-            block.addresses,
-            block.outcomes,
+            seed,
+            self.block_branches,
+            DEFAULT_BLOCK_BASE,
             self._oid,
             self._ct,
             self.n_b,

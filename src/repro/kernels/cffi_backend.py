@@ -12,6 +12,16 @@ segmented scans are the same fold in different association orders;
 TransitionMonoid ids are canonical and composition associative, so the
 results are bit-identical (pinned by ``tests/test_kernels.py``).
 
+``summarize_block`` draws its block itself.  The wrapper reads the
+PCG64 state ``np.random.default_rng(seed)`` starts from, and the C loop
+replays the two ``Generator.integers`` calls of
+``RandomizationBlock.generate`` with two cursors over numpy's PCG64
+stream: one from half-word 0 for the address steps, one jumped ahead to
+half-word ``n`` for the directions.  Neither of the block's arrays is
+ever allocated.  :func:`load` checks one fused summary against the numpy
+backend's on a fixed odd-length block and refuses to load
+(:class:`StreamMismatch`) if numpy's stream mapping has changed.
+
 Speed note: the ``summarize_block`` loop is branch-free per branch,
 because mispredictions, not arithmetic, set its cost.  The history fold
 runs a fixed number of passes per call, and an untracked gshare entry
@@ -31,6 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import numpy_backend
+
 NAME = "cffi"
 
 #: Environment knob for the compiled-extension cache directory.
@@ -43,12 +55,12 @@ void repro_fold_ids(const int64_t *positions, const int64_t *ids,
 int64_t repro_reduce_ids(const int64_t *ids, int64_t n,
                          const int64_t *ct, int64_t size,
                          int64_t identity);
-void repro_summarize_block(const int64_t *addresses,
-                           const uint8_t *outcomes, int64_t n,
-                           const int64_t *oid, const int64_t *ct,
-                           int64_t size, int64_t n_b, int64_t shift_b,
-                           int64_t tb, int64_t n_g, int64_t shift_g,
-                           const int64_t *pos_table,
+void repro_summarize_block(uint64_t state_hi, uint64_t state_lo,
+                           uint64_t inc_hi, uint64_t inc_lo, int64_t n,
+                           int64_t base, const int64_t *oid,
+                           const int64_t *ct, int64_t size, int64_t n_b,
+                           int64_t shift_b, int64_t tb, int64_t n_g,
+                           int64_t shift_g, const int64_t *pos_table,
                            int64_t ghr_mask, int64_t n_sel,
                            int64_t tsel, int64_t n_sets, int64_t tset,
                            int64_t tag_mask, int64_t identity,
@@ -117,17 +129,89 @@ static inline int64_t repro_index(int64_t a, int64_t n, int64_t s)
     return repro_mod(a, n);
 }
 
+/* numpy's PCG64: a 128-bit LCG stepped before each draw, with the
+ * XSL-RR output of the new state. */
+typedef unsigned __int128 repro_u128;
+
+#define REPRO_PCG_MULT \
+    ((((repro_u128)2549297995355413924ULL) << 64) | 4865540595714422341ULL)
+
+static inline uint64_t repro_pcg_next(repro_u128 *state, repro_u128 inc)
+{
+    *state = *state * REPRO_PCG_MULT + inc;
+    uint64_t x = (uint64_t)(*state >> 64) ^ (uint64_t)*state;
+    unsigned rot = (unsigned)(*state >> 122);
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
+/* The LCG state delta steps on (jump-ahead by repeated squaring). */
+static repro_u128 repro_pcg_advance(repro_u128 state, repro_u128 inc,
+                                    uint64_t delta)
+{
+    repro_u128 mult = REPRO_PCG_MULT, plus = inc;
+    repro_u128 acc_mult = 1, acc_plus = 0;
+    for (; delta > 0; delta >>= 1) {
+        if (delta & 1) {
+            acc_mult *= mult;
+            acc_plus = acc_plus * mult + plus;
+        }
+        plus = (mult + 1) * plus;
+        mult *= mult;
+    }
+    return acc_mult * state + acc_plus;
+}
+
+/* A cursor over the 32-bit half-words of one PCG64 stream, low half
+ * first, as numpy's next_uint32 hands them out (the high half waits in
+ * buf).  Each half-word h yields the bit h >> 31: what
+ * Generator.integers draws for a range of two, which Lemire's method
+ * never rejects. */
+typedef struct {
+    repro_u128 state, inc;
+    uint8_t buf;
+    int have;
+} repro_cursor;
+
+static inline void repro_cursor_bits(repro_cursor *c, uint8_t *out,
+                                     int64_t count)
+{
+    int64_t k = 0;
+    if (c->have && count > 0) {
+        out[k++] = c->buf;
+        c->have = 0;
+    }
+    for (; k + 1 < count; k += 2) {
+        uint64_t w = repro_pcg_next(&c->state, c->inc);
+        out[k] = (uint8_t)((w >> 31) & 1);
+        out[k + 1] = (uint8_t)(w >> 63);
+    }
+    if (k < count) {
+        uint64_t w = repro_pcg_next(&c->state, c->inc);
+        out[k] = (uint8_t)((w >> 31) & 1);
+        c->buf = (uint8_t)(w >> 63);
+        c->have = 1;
+    }
+}
+
+/* Branches drawn per refill of the two bit buffers. */
+#define REPRO_DRAW_CHUNK 1024
+
 /* The summary loop, specialised by the caller on the hash shifts:
  * always inlined, so the all-modulo call compiles to the plain modulo
  * loop and the hash branch is taken once per block, not per branch.
+ *
+ * The block is drawn as RandomizationBlock.generate draws it, one chunk
+ * at a time: cursor a hands out the address-step bits (half-words
+ * 0 .. n-1, step 0 forced to 0) and cursor b the outcome bits
+ * (half-words n .. 2n-1).
  *
  * No per-branch step branches on data.  The history fold runs a fixed
  * n_folds passes set once per call, and an untracked gshare entry
  * (p < 0) folds into the spare slot g_acc[n_tracked], which the caller
  * allocates and never reads back. */
 static inline __attribute__((always_inline)) void
-repro_summarize_loop(const int64_t *addresses, const uint8_t *outcomes,
-                     int64_t n, const int64_t *oid, const int64_t *ct,
+repro_summarize_loop(repro_cursor *ca, repro_cursor *cb, int64_t n,
+                     int64_t base, const int64_t *oid, const int64_t *ct,
                      int64_t size, int64_t n_b, int64_t shift_b,
                      int64_t tb, int64_t n_g, int64_t shift_g,
                      const int64_t *pos_table, int64_t ghr_mask,
@@ -148,49 +232,73 @@ repro_summarize_loop(const int64_t *addresses, const uint8_t *outcomes,
     int64_t n_folds = 1;
     for (int64_t m = ghr_mask >> fold_w; m != 0; m >>= fold_w)
         n_folds++;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t a = addresses[i];
-        int64_t o = oid[outcomes[i]];
-        if (repro_index(a, n_b, shift_b) == tb)
-            bim = ct[bim * size + o];
-        int64_t folded = 0, h = ghr;
-        for (int64_t k = 0; k < n_folds; k++) {
-            folded ^= h & fold_mask;
-            h >>= fold_w;
+    uint8_t step_bits[REPRO_DRAW_CHUNK], taken[REPRO_DRAW_CHUNK];
+    int64_t a = base;
+    for (int64_t start = 0; start < n; start += REPRO_DRAW_CHUNK) {
+        int64_t m = n - start < REPRO_DRAW_CHUNK ? n - start
+                                                 : REPRO_DRAW_CHUNK;
+        repro_cursor_bits(ca, step_bits, m);
+        repro_cursor_bits(cb, taken, m);
+        if (start == 0)
+            a -= 2 + step_bits[0];  /* the first branch sits at base */
+        for (int64_t j = 0; j < m; j++) {
+            a += 2 + step_bits[j];
+            int64_t o = oid[taken[j]];
+            if (repro_index(a, n_b, shift_b) == tb)
+                bim = ct[bim * size + o];
+            int64_t folded = 0, h = ghr;
+            for (int64_t k = 0; k < n_folds; k++) {
+                folded ^= h & fold_mask;
+                h >>= fold_w;
+            }
+            int64_t p = pos_table[repro_index(a ^ folded, n_g, shift_g)];
+            int64_t q = p >= 0 ? p : n_tracked;
+            g_acc[q] = ct[g_acc[q] * size + o];
+            ghr = ((ghr << 1) | (int64_t)taken[j]) & ghr_mask;
+            if (repro_mod(a, n_sel) == tsel)
+                touched = 1;
+            if (repro_mod(a, n_sets) == tset)
+                block_tag = (a / n_sets) & tag_mask;
         }
-        int64_t p = pos_table[repro_index(a ^ folded, n_g, shift_g)];
-        int64_t q = p >= 0 ? p : n_tracked;
-        g_acc[q] = ct[g_acc[q] * size + o];
-        ghr = ((ghr << 1) | (int64_t)outcomes[i]) & ghr_mask;
-        if (repro_mod(a, n_sel) == tsel)
-            touched = 1;
-        if (repro_mod(a, n_sets) == tset)
-            block_tag = (a / n_sets) & tag_mask;
     }
     scalars[0] = bim;
     scalars[1] = touched;
     scalars[2] = block_tag;
 }
 
-void repro_summarize_block(const int64_t *addresses,
-                           const uint8_t *outcomes, int64_t n,
-                           const int64_t *oid, const int64_t *ct,
-                           int64_t size, int64_t n_b, int64_t shift_b,
-                           int64_t tb, int64_t n_g, int64_t shift_g,
-                           const int64_t *pos_table,
+/* One block's summary, drawn from the PCG64 state (state, inc) that
+ * np.random.default_rng(seed) starts from.  Cursor b starts n
+ * half-words in: on the high half of word n / 2 when n is odd. */
+void repro_summarize_block(uint64_t state_hi, uint64_t state_lo,
+                           uint64_t inc_hi, uint64_t inc_lo, int64_t n,
+                           int64_t base, const int64_t *oid,
+                           const int64_t *ct, int64_t size, int64_t n_b,
+                           int64_t shift_b, int64_t tb, int64_t n_g,
+                           int64_t shift_g, const int64_t *pos_table,
                            int64_t ghr_mask, int64_t n_sel,
                            int64_t tsel, int64_t n_sets, int64_t tset,
                            int64_t tag_mask, int64_t identity,
                            int64_t n_tracked, int64_t *g_acc,
                            int64_t *scalars)
 {
+    repro_cursor ca, cb;
+    ca.state = ((repro_u128)state_hi << 64) | state_lo;
+    ca.inc = ((repro_u128)inc_hi << 64) | inc_lo;
+    ca.buf = 0;
+    ca.have = 0;
+    cb = ca;
+    cb.state = repro_pcg_advance(ca.state, ca.inc, (uint64_t)(n / 2));
+    if (n & 1) {
+        uint8_t low;  /* the low half of word n / 2 is cursor a's */
+        repro_cursor_bits(&cb, &low, 1);
+    }
     if (shift_b == 0 && shift_g == 0)
-        repro_summarize_loop(addresses, outcomes, n, oid, ct, size, n_b,
-                             0, tb, n_g, 0, pos_table, ghr_mask, n_sel,
-                             tsel, n_sets, tset, tag_mask, identity,
-                             n_tracked, g_acc, scalars);
+        repro_summarize_loop(&ca, &cb, n, base, oid, ct, size, n_b, 0, tb,
+                             n_g, 0, pos_table, ghr_mask, n_sel, tsel,
+                             n_sets, tset, tag_mask, identity, n_tracked,
+                             g_acc, scalars);
     else
-        repro_summarize_loop(addresses, outcomes, n, oid, ct, size, n_b,
+        repro_summarize_loop(&ca, &cb, n, base, oid, ct, size, n_b,
                              shift_b, tb, n_g, shift_g, pos_table,
                              ghr_mask, n_sel, tsel, n_sets, tset,
                              tag_mask, identity, n_tracked, g_acc,
@@ -346,9 +454,57 @@ def _load_lib():
     _ffi = module.ffi
 
 
+class StreamMismatch(RuntimeError):
+    """The fused block draw disagrees with ``RandomizationBlock.generate``
+    (numpy changed how ``Generator.integers`` maps the PCG64 stream)."""
+
+    #: The ``kernel_init`` fallback reason the dispatcher records.
+    fallback_reason = "cffi_stream_mismatch"
+
+
+#: Whether the stream canary has passed in this process.
+_stream_checked = False
+
+
+def _check_stream() -> None:
+    """Compare one fused summary with the numpy backend's on a fixed
+    odd-length block; raise :class:`StreamMismatch` when they differ.
+
+    Every branch folds the target bimodal entry, every gshare entry is
+    tracked and the one BIT set records the last address, under a
+    sum-mod-61 monoid, so a changed address step or direction shows.
+    """
+    from repro.core.randomizer import DEFAULT_BLOCK_BASE
+
+    m = 61
+    ct = (np.arange(m)[:, None] + np.arange(m)[None, :]) % m
+    oid = np.array([1, 2], dtype=np.int64)
+    n_g = 64
+    args = (
+        17, 1001, DEFAULT_BLOCK_BASE, oid, ct, 1, 0, 0, n_g, 0,
+        np.arange(n_g, dtype=np.int64), 16, 7, 3, 1, 0, (1 << 40) - 1,
+        n_g, 0,
+    )
+    got = summarize_block(*args)
+    ref = numpy_backend.summarize_block(*args)
+    if not (
+        got[0] == ref[0] and np.array_equal(got[1], ref[1])
+        and got[2] == ref[2] and got[3] == ref[3]
+    ):
+        raise StreamMismatch(
+            f"fused block summary {got[0]}/{got[2]}/{got[3]} != "
+            f"numpy {ref[0]}/{ref[2]}/{ref[3]} on numpy {np.__version__}"
+        )
+
+
 def load():
-    """Initialise (compile or re-load) the extension; returns this module."""
+    """Initialise (compile or re-load) the extension and check its block
+    draw against numpy's stream once; returns this module."""
+    global _stream_checked
     _load_lib()
+    if not _stream_checked:
+        _check_stream()
+        _stream_checked = True
     return sys.modules[__name__]
 
 
@@ -362,6 +518,9 @@ def _u8(a) -> np.ndarray:
 
 def _p(a: np.ndarray):
     return _ffi.cast("int64_t *", _ffi.from_buffer(a))
+
+
+_MASK64 = (1 << 64) - 1
 
 
 def _pu8(a: np.ndarray):
@@ -393,13 +552,22 @@ def reduce_ids(ids, compose_table, identity=0):
     )
 
 
+def _pcg_state(seed):
+    """The PCG64 ``(state, inc)`` that ``np.random.default_rng(seed)``
+    starts from: numpy's own SeedSequence does the seeding."""
+    state = np.random.PCG64(seed).state["state"]
+    return state["state"], state["inc"]
+
+
 def summarize_block(
-    addresses, outcomes, outcome_ids, compose_table, n_b, shift_b, tb,
-    n_g, shift_g, pos_table, ghr_len, n_sel, tsel, n_sets, tset,
-    tag_mask, n_tracked, identity=0,
+    seed, n_branches, base_address, outcome_ids, compose_table, n_b,
+    shift_b, tb, n_g, shift_g, pos_table, ghr_len, n_sel, tsel, n_sets,
+    tset, tag_mask, n_tracked, identity=0,
 ):
-    addresses = _i64(addresses)
-    outcomes_u8 = _u8(outcomes)
+    n = int(n_branches)
+    if n <= 0:
+        raise ValueError("block needs at least one branch")
+    state, inc = _pcg_state(seed)
     oid = _i64(outcome_ids)
     ct = _i64(compose_table)
     pos_table = _i64(pos_table)
@@ -408,9 +576,9 @@ def summarize_block(
     g_acc = np.full(n_tracked + 1, identity, dtype=np.int64)
     scalars = np.empty(3, dtype=np.int64)
     _lib.repro_summarize_block(
-        _p(addresses), _pu8(outcomes_u8), len(addresses), _p(oid),
-        _p(ct), ct.shape[1], int(n_b), int(shift_b), int(tb), int(n_g),
-        int(shift_g), _p(pos_table),
+        state >> 64, state & _MASK64, inc >> 64, inc & _MASK64, n,
+        int(base_address), _p(oid), _p(ct), ct.shape[1], int(n_b),
+        int(shift_b), int(tb), int(n_g), int(shift_g), _p(pos_table),
         (1 << int(ghr_len)) - 1, int(n_sel), int(tsel), int(n_sets),
         int(tset), int(tag_mask), int(identity), n_tracked, _p(g_acc),
         _p(scalars),

@@ -27,9 +27,14 @@ path that actually ran.
 
 Determinism contract: every backend returns bit-identical outputs for
 every op (TransitionMonoid ids are canonical and composition is
-associative, so association order cannot matter), and no op touches a
-random generator, so RNG stream positions are backend-independent.
-``tests/test_kernels.py`` enforces both across the shipped presets.
+associative, so association order cannot matter).  Only
+``summarize_block`` draws random numbers: it draws its block from its
+own PCG64, seeded from the block seed and bit-exact with
+``RandomizationBlock.generate`` (the numpy backend calls it; the cffi
+backend replays numpy's stream in C and checks itself against numpy at
+load), and never from a caller's ``Generator``, so RNG stream positions
+are backend-independent.  ``tests/test_kernels.py`` enforces both across
+the shipped presets.
 """
 
 from __future__ import annotations
@@ -99,14 +104,21 @@ def _resolve() -> tuple:
             impl = _load_backend(name)
         except Exception as exc:  # missing module, compiler failure, ...
             _INIT_ERRORS[name] = f"{type(exc).__name__}: {exc}"
-            if requested not in ("auto", "numpy") and name == requested:
-                # An explicitly requested backend that cannot load is a
-                # loud fallback, mirroring the scalar-engine accounting.
+            # An explicitly requested backend that cannot load is a
+            # loud fallback, mirroring the scalar-engine accounting; a
+            # failure that names its own reason (the cffi stream canary)
+            # is loud under auto too.
+            reason = getattr(exc, "fallback_reason", None)
+            if (
+                reason is None
+                and requested not in ("auto", "numpy")
+                and name == requested
+            ):
+                reason = f"{name}_unavailable"
+            if reason is not None:
                 from repro.obs.trace import record_scalar_fallback
 
-                record_scalar_fallback(
-                    "kernel_init", f"{name}_unavailable"
-                )
+                record_scalar_fallback("kernel_init", reason)
                 warnings.warn(
                     f"kernel backend {name!r} unavailable "
                     f"({_INIT_ERRORS[name]}); falling back to numpy",
@@ -171,7 +183,8 @@ def kernel_dispatch_counts() -> Dict[str, int]:
 
 def reset_kernel_dispatch_counts() -> None:
     """Zero the dispatch counters (tests/benches)."""
-    _DISPATCH_COUNTS.clear()
+    with _COUNTS_LOCK:
+        _DISPATCH_COUNTS.clear()
 
 
 def ensure_initialized() -> str:
@@ -192,9 +205,7 @@ def warmup() -> str:
     impl.fold_ids(pos, ids, ct, 1, 0)
     impl.reduce_ids(ids, ct, 0)
     impl.summarize_block(
-        np.array([8, 9], dtype=np.int64),
-        np.array([True, False]),
-        np.array([0, 1], dtype=np.int64),
+        0, 3, 8, np.array([0, 1], dtype=np.int64),
         ct, 2, 1, 0, 2, 1, np.array([0, -1], dtype=np.int64), 1,
         2, 0, 2, 0, 3, 1, 0,
     )
@@ -241,19 +252,22 @@ def reduce_ids(ids, compose_table, identity=0):
 
 
 def summarize_block(
-    addresses, outcomes, outcome_ids, compose_table, n_b, shift_b, tb,
-    n_g, shift_g, pos_table, ghr_len, n_sel, tsel, n_sets, tset,
-    tag_mask, n_tracked, identity=0,
+    seed, n_branches, base_address, outcome_ids, compose_table, n_b,
+    shift_b, tb, n_g, shift_g, pos_table, ghr_len, n_sel, tsel, n_sets,
+    tset, tag_mask, n_tracked, identity=0,
 ):
-    """Fused per-block campaign summary (GHR walk + both PHT folds).
+    """Fused per-block campaign summary (GHR walk + both PHT folds) of
+    the block ``RandomizationBlock.generate(seed, n_branches,
+    base_address)``, drawn by the op itself.
 
     ``shift_b``/``shift_g`` are the two PHTs' index hashes as
-    :func:`repro.bpu.hashes.kernel_shift` encodes them.
+    :func:`repro.bpu.hashes.kernel_shift` encodes them.  Raises
+    ``ValueError`` for ``n_branches <= 0``, as ``generate`` does.
     """
     return _dispatch().summarize_block(
-        addresses, outcomes, outcome_ids, compose_table, n_b, shift_b, tb,
-        n_g, shift_g, pos_table, ghr_len, n_sel, tsel, n_sets, tset,
-        tag_mask, n_tracked, identity,
+        seed, n_branches, base_address, outcome_ids, compose_table, n_b,
+        shift_b, tb, n_g, shift_g, pos_table, ghr_len, n_sel, tsel, n_sets,
+        tset, tag_mask, n_tracked, identity,
     )
 
 

@@ -11,8 +11,10 @@ composition is associative, so every association order produces the
 same ids and the backends are bit-identical by construction (the
 differential suite in ``tests/test_kernels.py`` pins it anyway).
 
-No op draws from a random generator, so backend choice can never move
-an RNG stream position.
+The one op that draws, ``summarize_block``, draws its block from its
+own generator seeded by the block seed (``RandomizationBlock.generate``)
+and never from a caller's, so backend choice can never move an RNG
+stream position.
 """
 
 from __future__ import annotations
@@ -127,8 +129,9 @@ def _hashed(values: np.ndarray, n: int, shift: int) -> np.ndarray:
 
 
 def summarize_block(
-    addresses: np.ndarray,
-    outcomes: np.ndarray,
+    seed: int,
+    n_branches: int,
+    base_address: int,
     outcome_ids: np.ndarray,
     compose_table: np.ndarray,
     n_b: int,
@@ -148,15 +151,21 @@ def summarize_block(
 ):
     """One randomisation block's campaign-relevant footprint, fused.
 
-    Returns ``(bim_id, g_ids, tsel_touched, block_tag)`` — the target
-    bimodal entry's fold id, the fold id per tracked gshare entry,
-    whether the block touches the target's selector entry, and the last
-    identification tag written to the target's BIT set (-1 if none).
-    ``shift_b``/``shift_g`` encode each PHT's index hash
-    (:func:`repro.bpu.hashes.kernel_shift`); selector and BIT indices
-    are plain modulo.
+    The block is ``RandomizationBlock.generate(seed, n_branches,
+    base_address)``.  Returns ``(bim_id, g_ids, tsel_touched,
+    block_tag)`` — the target bimodal entry's fold id, the fold id per
+    tracked gshare entry, whether the block touches the target's
+    selector entry, and the last identification tag written to the
+    target's BIT set (-1 if none).  ``shift_b``/``shift_g`` encode each
+    PHT's index hash (:func:`repro.bpu.hashes.kernel_shift`); selector
+    and BIT indices are plain modulo.
     """
-    outcomes = np.asarray(outcomes)
+    # Lazy: the randomizer imports this package.
+    from repro.core.randomizer import RandomizationBlock
+
+    block = RandomizationBlock.generate(seed, n_branches, base_address)
+    addresses = block.addresses
+    outcomes = block.outcomes
     step_ids = outcome_ids[outcomes.astype(np.int64)]
 
     on_target = _hashed(addresses, n_b, shift_b) == tb

@@ -49,11 +49,13 @@ from repro.core.manycore import (
     ManycoreCampaignPool,
     _NodePlan,
     _SharedStructure,
+    assess_planned,
     group_batch_stats,
     manycore_supported,
     reset_group_batch_stats,
 )
 from repro.core.randomizer import (
+    DEFAULT_BLOCK_BASE,
     RandomizationBlock,
     clear_compile_cache,
     compile_cache_info,
@@ -434,45 +436,63 @@ def _naive_summary(
     return bim, g_acc, touched, block_tag
 
 
+def _summary_cases():
+    """Table shapes x block sizes x block seeds.  The original fixture
+    (3,000 branches from seed 17) keeps the shape's bare id."""
+    shapes = [
+        # Both index widths are 9 bits: a 14-bit history takes two
+        # folds, 8 bits one and 24 bits three.
+        ("pow2", 1024, 512, 14, "some"),
+        ("non_pow2", 1000, 768, 14, "some"),
+        ("pow2_ghr8", 1024, 512, 8, "some"),
+        ("pow2_ghr24", 1024, 512, 24, "some"),
+        ("pow2_untracked", 1024, 512, 14, "none"),
+        ("pow2_all_tracked", 1024, 512, 14, "all"),
+    ]
+    # Odd sizes start the outcome draw on a word's high half.
+    for name, *shape in shapes:
+        for n in (1, 2, 3, 2999, 3000):
+            for seed in (0, 17, 2**32 - 1, 2**63 + 5):
+                case = name if (n, seed) == (3000, 17) else (
+                    f"{name}-n{n}-seed{seed}"
+                )
+                yield pytest.param(*shape, n, seed, id=case)
+
+
 class TestHashConformance:
     """Kernel hash encodings == :func:`apply_hash`, on every backend."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("hash_name", sorted(INDEX_HASHES))
     @pytest.mark.parametrize(
-        "n_b,n_g,ghr_len,tracking",
-        [
-            # Both index widths are 9 bits: a 14-bit history takes two
-            # folds, 8 bits one and 24 bits three.
-            (1024, 512, 14, "some"),
-            (1000, 768, 14, "some"),
-            (1024, 512, 8, "some"),
-            (1024, 512, 24, "some"),
-            (1024, 512, 14, "none"),
-            (1024, 512, 14, "all"),
-        ],
-        ids=[
-            "pow2", "non_pow2", "pow2_ghr8", "pow2_ghr24",
-            "pow2_untracked", "pow2_all_tracked",
-        ],
+        "n_b,n_g,ghr_len,tracking,n_branches,seed", list(_summary_cases())
     )
     def test_summarize_matches_naive_loop(
-        self, backend, hash_name, n_b, n_g, ghr_len, tracking
+        self, backend, hash_name, n_b, n_g, ghr_len, tracking, n_branches,
+        seed,
     ):
         monoid = skylake().fsm.transition_monoid()
         ct = monoid.compose_table
         oid = monoid.outcome_ids.astype(np.int64)
-        block = RandomizationBlock.generate(17, n_branches=3000)
+        block = RandomizationBlock.generate(seed, n_branches=n_branches)
         rng = np.random.default_rng(5)
         n_tracked = {"some": 40, "none": 0, "all": n_g}[tracking]
         tracked = rng.choice(n_g, size=n_tracked, replace=False)
+        # Track the first branch's gshare entry (its history is empty),
+        # so even a one-branch block folds some tracked entry.
+        first = int(apply_hash(hash_name, int(block.addresses[0]), n_g))
+        if n_tracked and first not in tracked:
+            tracked[0] = first
         pos_table = np.full(n_g, -1, dtype=np.int64)
         pos_table[tracked] = np.arange(n_tracked)
         # A target entry the block actually hits under this hash.
-        tb = int(apply_hash(hash_name, int(block.addresses[123]), n_b))
+        last = n_branches - 1
+        tb = int(
+            apply_hash(hash_name, int(block.addresses[min(123, last)]), n_b)
+        )
         n_sel, n_sets, tag_mask = 256, 128, 4095
-        tsel = int(block.addresses[7]) % n_sel
-        tset = int(block.addresses[9]) % n_sets
+        tsel = int(block.addresses[min(7, last)]) % n_sel
+        tset = int(block.addresses[min(9, last)]) % n_sets
         expected = _naive_summary(
             hash_name, block.addresses, block.outcomes, oid, ct, n_b, tb,
             n_g, pos_table, ghr_len, n_sel, tsel, n_sets, tset, tag_mask,
@@ -480,7 +500,7 @@ class TestHashConformance:
         )
         assert kernels.set_backend(backend) == backend
         bim, g_ids, touched, block_tag = kernels.summarize_block(
-            block.addresses, block.outcomes, oid, ct,
+            seed, n_branches, DEFAULT_BLOCK_BASE, oid, ct,
             n_b, kernel_shift(hash_name, n_b), tb,
             n_g, kernel_shift(hash_name, n_g), pos_table, ghr_len,
             n_sel, tsel, n_sets, tset, tag_mask, n_tracked,
@@ -498,6 +518,49 @@ class TestHashConformance:
         assert n_tracked == 0 or any(
             v != monoid.IDENTITY for v in expected[1]
         )
+
+    @pytest.mark.parametrize("hash_name", sorted(INDEX_HASHES))
+    @pytest.mark.parametrize("n_branches", [100_000, 100_001])
+    def test_paper_size_block_matches_across_backends(
+        self, hash_name, n_branches
+    ):
+        """A full Fig. 4 block: every backend's summary == numpy's."""
+        config = skylake()
+        monoid = config.fsm.transition_monoid()
+        n_b, n_g = config.bimodal_entries, config.gshare_entries
+        pos_table = np.full(n_g, -1, dtype=np.int64)
+        tracked = np.random.default_rng(2).choice(n_g, 900, replace=False)
+        pos_table[tracked] = np.arange(900)
+        args = (
+            2**63 + 5, n_branches, DEFAULT_BLOCK_BASE,
+            monoid.outcome_ids.astype(np.int64), monoid.compose_table,
+            n_b, kernel_shift(hash_name, n_b), 77, n_g,
+            kernel_shift(hash_name, n_g), pos_table, config.ghr_bits, 4096,
+            11, 512, 5, 0xFFFF, 900, monoid.IDENTITY,
+        )
+        summaries = {}
+        for backend in BACKENDS:
+            kernels.set_backend(backend)
+            summaries[backend] = kernels.summarize_block(*args)
+        ref = summaries["numpy"]
+        for got in summaries.values():
+            assert int(got[0]) == int(ref[0])
+            assert np.array_equal(got[1], ref[1])
+            assert bool(got[2]) == bool(ref[2])
+            assert int(got[3]) == int(ref[3])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("n_branches", [0, -1])
+    def test_empty_block_rejected(self, backend, n_branches):
+        monoid = skylake().fsm.transition_monoid()
+        kernels.set_backend(backend)
+        with pytest.raises(ValueError, match="at least one branch"):
+            kernels.summarize_block(
+                3, n_branches, DEFAULT_BLOCK_BASE,
+                monoid.outcome_ids.astype(np.int64), monoid.compose_table,
+                64, 0, 0, 64, 0, np.zeros(64, dtype=np.int64), 8, 64, 0,
+                64, 0, 0xFF, 64, monoid.IDENTITY,
+            )
 
     @pytest.mark.parametrize("n_entries", [512, 1000, 8192])
     def test_every_registered_hash_has_a_kernel_encoding(self, n_entries):
@@ -583,6 +646,24 @@ class TestEndToEndDifferential:
             outs[backend] = (assessment, rng_state_digest(core.rng))
         for backend in BACKENDS:
             assert outs[backend] == outs["numpy"]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_manycore_trial_leaves_core_rng(self, backend):
+        """The summary op draws from its own generator: a manycore
+        trial leaves the core's RNG where it found it."""
+        factory = lambda: PhysicalCore(skylake().scaled(16), seed=9)  # noqa: E731
+        plan = draw_trial_plan(
+            np.random.default_rng(5), factory(), repetitions=8,
+            noise=NoiseModel.isolated(),
+        )
+        kernels.set_backend(backend)
+        core = factory()
+        before = rng_state_digest(core.rng)
+        assess_planned(
+            core, 11, TARGET, plan, block_branches=1501, spy=Process("spy")
+        )
+        assert rng_state_digest(core.rng) == before
+        assert obs.scalar_fallback_counts().get("manycore", 0) == 0
 
 
 class TestGroupedCampaigns:
@@ -759,6 +840,43 @@ class TestDispatch:
         assert installed == "numpy"
         assert obs.scalar_fallback_counts()["kernel_init"] == 1
         assert "cffi" in kernels.backend_init_errors()
+
+    def test_stream_canary_passes_wherever_cffi_builds(self):
+        """A wrong fused draw must fail here, not just drop cffi from
+        ``BACKENDS`` and leave the differential tests numpy-only."""
+        from repro.kernels import cffi_backend
+
+        try:
+            cffi_backend._load_lib()
+        except Exception as exc:  # no cffi or no C compiler
+            pytest.skip(f"cffi extension unavailable: {exc}")
+        cffi_backend._check_stream()
+
+    @pytest.mark.skipif("cffi" not in BACKENDS, reason="needs cffi")
+    def test_stream_canary_falls_back_loudly(self, monkeypatch):
+        """A fused draw that leaves numpy's stream is refused at load,
+        under auto too, so digests stay on the numpy reference."""
+        from repro.kernels import cffi_backend
+
+        real = cffi_backend._pcg_state
+
+        def shifted(seed):
+            state, inc = real(seed)
+            return state ^ (1 << 100), inc
+
+        monkeypatch.setattr(cffi_backend, "_pcg_state", shifted)
+        monkeypatch.setattr(cffi_backend, "_stream_checked", False)
+        obs.reset_scalar_fallbacks()
+        with obs.tracing() as tracer:
+            with pytest.warns(RuntimeWarning, match="falling back to numpy"):
+                installed = kernels.set_backend("auto")
+            events = tracer.events()
+        assert installed == "numpy"
+        assert obs.scalar_fallback_counts()["kernel_init"] == 1
+        assert [
+            e.args["reason"] for e in events if e.name == "scalar_engine"
+        ] == ["cffi_stream_mismatch"]
+        assert "StreamMismatch" in kernels.backend_init_errors()["cffi"]
 
     def test_dispatch_counts_increment(self):
         kernels.set_backend("numpy")
