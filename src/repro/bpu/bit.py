@@ -21,8 +21,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.snapshot import SnapshotTuple, WriteJournal
-
 __all__ = ["BranchIdentificationTable"]
 
 
@@ -39,21 +37,10 @@ class BranchIdentificationTable:
         self._tag_mask = (1 << self.tag_bits) - 1
         self.tags = np.zeros(self.n_sets, dtype=np.int64)
         self.valid = np.zeros(self.n_sets, dtype=bool)
-        self._journal = WriteJournal(cap=max(256, self.n_sets // 8), name="bit")
 
     def _split(self, address: int) -> Tuple[int, int]:
         address = int(address)
         return address % self.n_sets, (address // self.n_sets) & self._tag_mask
-
-    def record_touch(self, indices: np.ndarray) -> None:
-        """Journal current (tag, valid) values before an external in-place
-        bulk write, keeping outstanding delta snapshots restorable."""
-        if self._journal.armed:
-            uniq = np.unique(indices)
-            self._journal.record(
-                (uniq, self.tags[uniq].copy(), self.valid[uniq].copy()),
-                size=len(uniq),
-            )
 
     def contains(self, address: int) -> bool:
         """Whether the BPU currently "knows" the branch at ``address``."""
@@ -63,47 +50,24 @@ class BranchIdentificationTable:
     def insert(self, address: int) -> None:
         """Record an execution of the branch at ``address`` (may evict)."""
         index, tag = self._split(address)
-        if self._journal.armed:
-            self._journal.record(
-                (index, int(self.tags[index]), bool(self.valid[index]))
-            )
         self.valid[index] = True
         self.tags[index] = tag
 
     def evict(self, address: int) -> None:
         """Drop whatever branch occupies ``address``'s set."""
         index, _ = self._split(address)
-        if self._journal.armed:
-            self._journal.record(
-                (index, int(self.tags[index]), bool(self.valid[index]))
-            )
         self.valid[index] = False
 
     def flush(self) -> None:
         """Forget every branch (used when modelling BPU-flush defenses)."""
-        self._journal.invalidate()
         self.valid.fill(False)
 
-    def snapshot(self, *, full: bool = False) -> Tuple[np.ndarray, np.ndarray]:
-        """Copies of (tags, valid) — pair with :meth:`restore`.
-
-        Carries a journal mark enabling O(sets touched) restore;
-        ``full=True`` omits it (the differential reference path).
-        """
-        mark = None if full else self._journal.mark()
-        return SnapshotTuple((self.tags.copy(), self.valid.copy()), mark)
+    def snapshot(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Copies of (tags, valid) — pair with :meth:`restore`."""
+        return self.tags.copy(), self.valid.copy()
 
     def restore(self, snapshot: Tuple[np.ndarray, np.ndarray]) -> None:
         """Restore state captured by :meth:`snapshot`."""
-        mark = getattr(snapshot, "journal_mark", None)
-        if mark is not None:
-            tail = self._journal.rewind(mark)
-            if tail is not None:
-                for index, tag, valid in tail:
-                    self.tags[index] = tag
-                    self.valid[index] = valid
-                return
-        self._journal.invalidate()
         tags, valid = snapshot
         np.copyto(self.tags, tags)
         np.copyto(self.valid, valid)

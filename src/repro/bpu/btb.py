@@ -20,8 +20,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.snapshot import SnapshotTuple, WriteJournal
-
 __all__ = ["BranchTargetBuffer", "BTBEntry"]
 
 
@@ -58,17 +56,6 @@ class BranchTargetBuffer:
         self.tags = np.zeros(self.n_sets, dtype=np.int64)
         self.targets = np.zeros(self.n_sets, dtype=np.int64)
         self.valid = np.zeros(self.n_sets, dtype=bool)
-        self._journal = WriteJournal(cap=max(256, self.n_sets // 8), name="btb")
-
-    def _record(self, index: int) -> None:
-        self._journal.record(
-            (
-                index,
-                int(self.tags[index]),
-                int(self.targets[index]),
-                bool(self.valid[index]),
-            )
-        )
 
     def _split(self, address: int) -> Tuple[int, int]:
         address = int(address)
@@ -93,8 +80,6 @@ class BranchTargetBuffer:
     def allocate(self, address: int, target: int) -> None:
         """Install/refresh the entry for a *taken* branch (paper §1)."""
         index, tag = self._split(address)
-        if self._journal.armed:
-            self._record(index)
         self.valid[index] = True
         self.tags[index] = tag
         self.targets[index] = int(target)
@@ -102,42 +87,20 @@ class BranchTargetBuffer:
     def evict(self, address: int) -> None:
         """Invalidate whatever entry ``address`` maps to."""
         index, _ = self._split(address)
-        if self._journal.armed:
-            self._record(index)
         self.valid[index] = False
 
     def flush(self) -> None:
         """Invalidate the whole BTB (used by the BTB-flush defense ablation)."""
-        self._journal.invalidate()
         self.valid.fill(False)
 
-    def snapshot(
-        self, *, full: bool = False
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Copies of (tags, targets, valid) — pair with :meth:`restore`.
-
-        Carries a journal mark enabling O(sets touched) restore;
-        ``full=True`` omits it (the differential reference path).
-        """
-        mark = None if full else self._journal.mark()
-        return SnapshotTuple(
-            (self.tags.copy(), self.targets.copy(), self.valid.copy()), mark
-        )
+    def snapshot(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Copies of (tags, targets, valid) — pair with :meth:`restore`."""
+        return self.tags.copy(), self.targets.copy(), self.valid.copy()
 
     def restore(
         self, snapshot: Tuple[np.ndarray, np.ndarray, np.ndarray]
     ) -> None:
         """Restore state captured by :meth:`snapshot`."""
-        mark = getattr(snapshot, "journal_mark", None)
-        if mark is not None:
-            tail = self._journal.rewind(mark)
-            if tail is not None:
-                for index, tag, target, valid in tail:
-                    self.tags[index] = tag
-                    self.targets[index] = target
-                    self.valid[index] = valid
-                return
-        self._journal.invalidate()
         tags, targets, valid = snapshot
         np.copyto(self.tags, tags)
         np.copyto(self.targets, targets)

@@ -42,9 +42,8 @@ class GlobalHistoryRegister:
     def snapshot(self) -> int:
         """Current raw contents (pair with :meth:`restore`).
 
-        The register is a single integer, so snapshot and restore are
-        already O(1) — it is exempt from the write-journal delta machinery
-        the table-shaped components use (:mod:`repro.snapshot`).
+        The register is a single integer, so the snapshot is the value
+        itself rather than an array copy like the table components'.
         """
         return self.value
 

@@ -233,21 +233,15 @@ class HybridPredictor:
 
     # -- checkpointing --------------------------------------------------------
 
-    def snapshot(self, *, full: bool = False) -> dict:
-        """Deep copy of all predictor state (pair with :meth:`restore`).
-
-        Component snapshots carry write-journal marks so :meth:`restore`
-        costs O(entries touched since) rather than O(table size); pass
-        ``full=True`` for the seed's plain full-copy snapshots (the
-        delta-restore differential reference).
-        """
+    def snapshot(self) -> dict:
+        """Deep copy of all predictor state (pair with :meth:`restore`)."""
         return {
-            "bimodal": self.bimodal.pht.snapshot(full=full),
-            "gshare": self.gshare.pht.snapshot(full=full),
+            "bimodal": self.bimodal.pht.snapshot(),
+            "gshare": self.gshare.pht.snapshot(),
             "ghr": self.ghr.snapshot(),
-            "selector": self.selector.snapshot(full=full),
-            "bit": self.bit.snapshot(full=full),
-            "btb": self.btb.snapshot(full=full),
+            "selector": self.selector.snapshot(),
+            "bit": self.bit.snapshot(),
+            "btb": self.btb.snapshot(),
         }
 
     def restore(self, snapshot: dict) -> None:

@@ -25,8 +25,6 @@ import enum
 
 import numpy as np
 
-from repro.snapshot import DeltaSnapshot, WriteJournal
-
 __all__ = ["Choice", "SelectorTable"]
 
 
@@ -67,16 +65,6 @@ class SelectorTable:
         else:
             raise ValueError(f"counter_bits {counter_bits} too large")
         self.counters = np.full(self.n_entries, self._initial, dtype=dtype)
-        self._journal = WriteJournal(cap=max(256, self.n_entries // 8), name="selector")
-
-    def record_touch(self, indices: np.ndarray) -> None:
-        """Journal current counter values before an external in-place
-        bulk write, keeping outstanding delta snapshots restorable."""
-        if self._journal.armed:
-            uniq = np.unique(indices)
-            self._journal.record(
-                (uniq, self.counters[uniq].copy()), size=len(uniq)
-            )
 
     @property
     def gshare_threshold(self) -> int:
@@ -106,8 +94,6 @@ class SelectorTable:
             return
         idx = self.index(address)
         old = int(self.counters[idx])
-        if self._journal.armed:
-            self._journal.record((idx, old))
         if gshare_correct:
             self.counters[idx] = min(self.max_counter, old + 1)
         else:
@@ -121,10 +107,7 @@ class SelectorTable:
         branch, so the hardware starts this branch from the initial
         bimodal bias.
         """
-        idx = self.index(address)
-        if self._journal.armed:
-            self._journal.record((idx, int(self.counters[idx])))
-        self.counters[idx] = self._initial
+        self.counters[self.index(address)] = self._initial
 
     def counter(self, address: int) -> int:
         """Raw choice-counter value for ``address`` (introspection)."""
@@ -132,31 +115,16 @@ class SelectorTable:
 
     def reset(self) -> None:
         """Return every counter to the initial bias."""
-        self._journal.invalidate()
         self.counters.fill(self._initial)
 
-    def snapshot(self, *, full: bool = False) -> np.ndarray:
-        """Copy of the counter vector (pair with :meth:`restore`).
-
-        Carries a journal mark enabling O(entries touched) restore;
-        ``full=True`` omits it (the differential reference path).
-        """
-        mark = None if full else self._journal.mark()
-        return DeltaSnapshot(self.counters.copy(), mark)
+    def snapshot(self) -> np.ndarray:
+        """Copy of the counter vector (pair with :meth:`restore`)."""
+        return self.counters.copy()
 
     def restore(self, snapshot: np.ndarray) -> None:
         """Restore counters captured by :meth:`snapshot`."""
         if snapshot.shape != self.counters.shape:
             raise ValueError("snapshot shape mismatch")
-        mark = getattr(snapshot, "journal_mark", None)
-        if mark is not None:
-            tail = self._journal.rewind(mark)
-            if tail is not None:
-                counters = self.counters
-                for idx, old in tail:
-                    counters[idx] = old
-                return
-        self._journal.invalidate()
         np.copyto(self.counters, snapshot)
 
     def __len__(self) -> int:

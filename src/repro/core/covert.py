@@ -371,7 +371,7 @@ class CovertChannel:
             return []
         core = self.core
         scheduler = self.scheduler
-        start = core.checkpoint(full=True)
+        start = core.checkpoint()
         seeds = spawn_seeds(seed, len(payloads))
 
         def trial(index: int) -> Tuple[List[int], int]:

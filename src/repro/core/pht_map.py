@@ -50,12 +50,12 @@ __all__ = [
 class ScanResult(List[DecodedState]):
     """A scan's state vector, annotated with how it was computed.
 
-    Behaves exactly like the plain list the seed API returned (equality,
-    slicing — slices are plain lists — iteration), with two extra
-    attributes: ``engine`` (``"batch"`` or ``"reference"``) and
-    ``scalar_fallbacks`` — how many times this call routed an intended
-    batch scan to the scalar reference (0 or 1; non-zero only when
-    ``method="auto"`` hit an unsupported mitigation stack).
+    Behaves exactly like a plain list (equality, slicing — slices are
+    plain lists — iteration), with two extra attributes: ``engine``
+    (``"batch"`` or ``"reference"``) and ``scalar_fallbacks`` — how many
+    times this call routed the scan to the scalar reference (0 or 1;
+    1 exactly when an installed mitigation makes the batch engine
+    inexact).
     """
 
     engine: str = "batch"
@@ -74,7 +74,6 @@ def scan_states(
     compiled_block: CompiledBlock,
     *,
     exercise_outcome: Optional[bool] = None,
-    method: str = "auto",
 ) -> List[DecodedState]:
     """Decode the PHT state behind every address in ``addresses``.
 
@@ -83,37 +82,24 @@ def scan_states(
     then decode each address's PHT entry with the two-variant probe
     dictionary.
 
-    ``method`` selects the engine: ``"batch"`` computes every address's
-    probe signatures at once from the prepared predictor arrays
-    (:mod:`repro.core.batch_probe`), ``"reference"`` runs the scalar
-    probe/restore loop, and ``"auto"`` (default) uses the batch engine
-    whenever it is exact for the installed mitigations
-    (:func:`~repro.core.batch_probe.batch_scan_supported`) and falls
-    back to the reference otherwise.  The two engines return identical
-    state vectors — pinned differentially in
+    The batch engine (:mod:`repro.core.batch_probe`) computes every
+    address's probe signatures at once from the prepared predictor
+    arrays whenever it is exact for the installed mitigations
+    (:func:`~repro.core.batch_probe.batch_scan_supported`); otherwise
+    the scan runs :func:`scan_states_reference`, the scalar
+    probe/restore loop, and counts a scalar fallback.  The two engines
+    return identical state vectors — pinned differentially in
     ``tests/test_batch_probe.py``.
 
     The returned :class:`ScanResult` is a plain list of states that
-    additionally records which engine ran (``.engine``) and whether an
-    ``"auto"`` call was forced off the batch engine by a mitigation
+    additionally records which engine ran (``.engine``) and whether a
+    mitigation forced the scan off the batch engine
     (``.scalar_fallbacks``).
     """
-    if method not in ("auto", "batch", "reference"):
-        raise ValueError(f"unknown scan method {method!r}")
-    supported = batch_scan_supported(core)
-    if method == "batch" and not supported:
-        raise ValueError(
-            "batch scan is not exact for this core "
-            f"({batch_scan_fallback_reason(core)}: an installed mitigation's "
-            "noisy counters / stochastic FSM); use method='auto'"
+    if not batch_scan_supported(core):
+        obs.record_scalar_fallback(
+            "batch_probe", batch_scan_fallback_reason(core) or "mitigation"
         )
-    if method == "reference" or not supported:
-        fallbacks = 0
-        if method == "auto":
-            obs.record_scalar_fallback(
-                "batch_probe", batch_scan_fallback_reason(core) or "mitigation"
-            )
-            fallbacks = 1
         return ScanResult(
             scan_states_reference(
                 core,
@@ -123,7 +109,7 @@ def scan_states(
                 exercise_outcome=exercise_outcome,
             ),
             engine="reference",
-            scalar_fallbacks=fallbacks,
+            scalar_fallbacks=1,
         )
 
     checkpoint = core.checkpoint()
@@ -156,22 +142,21 @@ def scan_states_reference(
     compiled_block: CompiledBlock,
     *,
     exercise_outcome: Optional[bool] = None,
-    full_restore: bool = False,
 ) -> List[DecodedState]:
     """Scalar §6.3 scan: simulate every probe, restore between them.
 
     Because probing is destructive, each address's TT and NN probe
     variants run against a restored copy of the prepared state.  This is
-    the batch engine's differential reference; ``full_restore=True``
-    additionally forces plain full-copy checkpoints, disabling the
-    delta-restore fast path (``tests/test_pht_map.py`` compares both).
+    the batch engine's differential reference and the fallback
+    :func:`scan_states` takes under mitigations the batch engine cannot
+    reproduce.
     """
-    checkpoint = core.checkpoint(full=full_restore)
+    checkpoint = core.checkpoint()
     compiled_block.apply(core, spy)
     if exercise_outcome is not None:
         for address in addresses:
             core.execute_branch(spy, int(address), bool(exercise_outcome))
-    prepared = core.checkpoint(full=full_restore)
+    prepared = core.checkpoint()
     fsm = core.predictor.bimodal.pht.fsm
 
     states: List[DecodedState] = []

@@ -445,10 +445,8 @@ class CompiledBlock:
             _entry_indices(gshare.n_entries), gshare.levels
         ]
         selector = predictor.selector
-        selector.record_touch(self.selector_touched)
         selector.counters[self.selector_touched] = selector._initial
         bit_table = predictor.bit
-        bit_table.record_touch(self.bit_sets)
         bit_table.valid[self.bit_sets] = True
         bit_table.tags[self.bit_sets] = self.bit_tags
         predictor.ghr.restore(self.ghr_end)

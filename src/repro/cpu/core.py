@@ -285,7 +285,7 @@ class PhysicalCore:
 
     # -- checkpointing ----------------------------------------------------------
 
-    def checkpoint(self, *, full: bool = False) -> dict:
+    def checkpoint(self) -> dict:
         """Deep copy of all microarchitectural state.
 
         Used by experiments that need to probe many addresses from one
@@ -294,11 +294,10 @@ class PhysicalCore:
         noise stays fresh across restores, as it would across repeated
         physical runs.
 
-        Snapshots carry per-component write-journal marks, making
-        :meth:`restore` cost O(state touched since the checkpoint); pass
-        ``full=True`` to force the seed's plain full-copy snapshots (the
-        delta-restore differential reference — both paths restore
-        identical state, pinned by ``tests/test_batch_probe.py``).
+        The checkpoint is a tree of plain copies (arrays, tuples of
+        arrays, dicts, integers); :meth:`restore` copies them back, so
+        one checkpoint can be restored any number of times, into this
+        core or into another core of the same config.
         """
         tracer = obs.TRACER
         if tracer is not None:
@@ -306,15 +305,14 @@ class PhysicalCore:
                 "snapshot",
                 "checkpoint",
                 cycle=self.clock.now,
-                full=full,
                 processes=len(self._counters),
             )
         return {
-            "predictor": self.predictor.snapshot(full=full),
-            "icache": self.icache.snapshot(full=full),
+            "predictor": self.predictor.snapshot(),
+            "icache": self.icache.snapshot(),
             "clock": self.clock.snapshot(),
             "counters": {
-                pid: counters.snapshot(full=full)
+                pid: counters.snapshot()
                 for pid, counters in self._counters.items()
             },
         }

@@ -15,23 +15,14 @@ The §10.2 "add noise to the performance counters" mitigation is a wrapper
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Dict
 
 __all__ = [
     "CounterKind",
     "CounterSample",
-    "CounterSnapshot",
     "PerformanceCounters",
 ]
-
-#: Process-wide monotone clock stamping counter-file versions.  A version
-#: value is handed out at most once, so two counter files (or one file at
-#: two times) share a version only when one was restored from the other's
-#: snapshot — in which case their contents are identical by construction.
-#: That makes ``restore`` of an unchanged file a comparison, not a copy.
-_VERSION_CLOCK = itertools.count()
 
 
 class CounterKind(enum.Enum):
@@ -59,34 +50,17 @@ class CounterSample:
         )
 
 
-class CounterSnapshot(Dict[CounterKind, int]):
-    """A counter snapshot: a plain dict plus the file's version stamp.
-
-    Subclassing ``dict`` keeps the seed API intact (callers index and
-    copy snapshots); the stamp lets ``restore`` skip the copy when the
-    file provably has not moved since the snapshot was taken.
-    """
-
-    version: int
-
-    def __init__(self, counts: Dict[CounterKind, int], version: int) -> None:
-        super().__init__(counts)
-        self.version = version
-
-
 class PerformanceCounters:
     """Counter file for one process/hardware context."""
 
     def __init__(self) -> None:
         self._counts: Dict[CounterKind, int] = {kind: 0 for kind in CounterKind}
-        self._version = next(_VERSION_CLOCK)
 
     def increment(self, kind: CounterKind, amount: int = 1) -> None:
         """Record ``amount`` occurrences of an event (simulator-side)."""
         if amount < 0:
             raise ValueError("counters only count forward")
         self._counts[kind] += amount
-        self._version = next(_VERSION_CLOCK)
 
     def read(self, kind: CounterKind) -> int:
         """Read one raw counter (attacker-side)."""
@@ -104,30 +78,11 @@ class PerformanceCounters:
         """Zero every counter."""
         for kind in self._counts:
             self._counts[kind] = 0
-        self._version = next(_VERSION_CLOCK)
 
-    def snapshot(self, *, full: bool = False) -> Dict[CounterKind, int]:
-        """Copy of the raw counts (pair with :meth:`restore`).
-
-        Stamped with the file's version so an unmoved file restores for
-        free; ``full=True`` returns an unstamped plain dict (the
-        differential reference path).
-        """
-        if full:
-            return dict(self._counts)
-        return CounterSnapshot(self._counts, self._version)
+    def snapshot(self) -> Dict[CounterKind, int]:
+        """Copy of the raw counts (pair with :meth:`restore`)."""
+        return dict(self._counts)
 
     def restore(self, snapshot: Dict[CounterKind, int]) -> None:
-        """Restore counts captured by :meth:`snapshot`.
-
-        When the snapshot's version stamp still matches the file's, no
-        mutation has happened since the snapshot (versions are handed out
-        once) and the restore is a no-op.
-        """
-        version = getattr(snapshot, "version", None)
-        if version is not None and version == self._version:
-            return
+        """Restore counts captured by :meth:`snapshot`."""
         self._counts = dict(snapshot)
-        self._version = (
-            version if version is not None else next(_VERSION_CLOCK)
-        )

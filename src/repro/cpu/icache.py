@@ -15,8 +15,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.snapshot import SnapshotTuple, WriteJournal
-
 __all__ = ["InstructionCache"]
 
 
@@ -34,7 +32,6 @@ class InstructionCache:
         self._tag_mask = (1 << self.tag_bits) - 1
         self.tags = np.zeros(self.n_sets, dtype=np.int64)
         self.valid = np.zeros(self.n_sets, dtype=bool)
-        self._journal = WriteJournal(cap=max(256, self.n_sets // 8), name="icache")
 
     def _split(self, address: int) -> Tuple[int, int]:
         line = int(address) // self.line_bytes
@@ -48,54 +45,31 @@ class InstructionCache:
     def fetch(self, address: int) -> bool:
         """Access ``address``: returns True on hit, fills the line on miss.
 
-        A hit leaves the line entry bit-identical, so only misses write
-        (and journal) — the warm-loop hot path stays read-only.
+        A hit leaves the line entry bit-identical, so only misses write —
+        the warm-loop hot path stays read-only.
         """
         index, tag = self._split(address)
         if bool(self.valid[index]) and int(self.tags[index]) == tag:
             return True
-        if self._journal.armed:
-            self._journal.record(
-                (index, int(self.tags[index]), bool(self.valid[index]))
-            )
         self.valid[index] = True
         self.tags[index] = tag
         return False
 
     def flush(self) -> None:
         """Invalidate every line (``wbinvd``-style; used in experiments)."""
-        self._journal.invalidate()
         self.valid.fill(False)
 
     def evict(self, address: int) -> None:
         """Invalidate the set holding ``address`` (``clflush``-style)."""
         index, _ = self._split(address)
-        if self._journal.armed:
-            self._journal.record(
-                (index, int(self.tags[index]), bool(self.valid[index]))
-            )
         self.valid[index] = False
 
-    def snapshot(self, *, full: bool = False) -> Tuple[np.ndarray, np.ndarray]:
-        """Copies of (tags, valid) — pair with :meth:`restore`.
-
-        Carries a journal mark enabling O(lines touched) restore;
-        ``full=True`` omits it (the differential reference path).
-        """
-        mark = None if full else self._journal.mark()
-        return SnapshotTuple((self.tags.copy(), self.valid.copy()), mark)
+    def snapshot(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Copies of (tags, valid) — pair with :meth:`restore`."""
+        return self.tags.copy(), self.valid.copy()
 
     def restore(self, snapshot: Tuple[np.ndarray, np.ndarray]) -> None:
         """Restore state captured by :meth:`snapshot`."""
-        mark = getattr(snapshot, "journal_mark", None)
-        if mark is not None:
-            tail = self._journal.rewind(mark)
-            if tail is not None:
-                for index, tag, valid in tail:
-                    self.tags[index] = tag
-                    self.valid[index] = valid
-                return
-        self._journal.invalidate()
         tags, valid = snapshot
         np.copyto(self.tags, tags)
         np.copyto(self.valid, valid)

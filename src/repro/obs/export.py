@@ -15,7 +15,7 @@ Two output shapes:
   Perfetto / ``chrome://tracing`` with stage structure visible on the
   timeline.
 
-Events without a cycle timestamp (pool dispatch, journal bookkeeping)
+Events without a cycle timestamp (pool dispatch, resilience checkpoints)
 are placed at the previous event's timestamp so file order is preserved.
 """
 

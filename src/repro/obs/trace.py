@@ -72,7 +72,7 @@ CATEGORIES = frozenset(
         "probe",       # a stage-3 probe classified to an H/M pattern
         "calibration", # §6.2 block assessments and search decisions
         "covert",      # covert-channel bits sent/decoded
-        "snapshot",    # checkpoint/restore, journal replay vs full copy
+        "snapshot",    # PhysicalCore checkpoint/restore
         "pool",        # TrialPool dispatch and per-chunk latency
         "mitigation",  # a §10 defense hook actually altered something
         "fallback",    # a vectorised engine fell back to the scalar path

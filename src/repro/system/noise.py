@@ -241,12 +241,10 @@ def apply_noise_draw(core: PhysicalCore, draw: NoiseDraw) -> None:
     outcomes = draw.outcomes
 
     bimodal_idx = (addresses % predictor.bimodal.pht.n_entries).astype(np.int64)
-    predictor.bimodal.pht.record_touch(bimodal_idx)
     apply_fsm_steps(predictor.bimodal.pht.levels, step_table, bimodal_idx, outcomes)
 
     # gshare indices are effectively uniform anyway (PC xor evolving GHR).
     gshare_idx = draw.gshare_indices
-    predictor.gshare.pht.record_touch(gshare_idx)
     apply_fsm_steps(predictor.gshare.pht.levels, step_table, gshare_idx, outcomes)
 
     # The last branches leave their history in the GHR.
@@ -260,25 +258,22 @@ def apply_noise_draw(core: PhysicalCore, draw: NoiseDraw) -> None:
     bit_table = predictor.bit
     sets = (addresses % bit_table.n_sets).astype(np.int64)
     tags = ((addresses // bit_table.n_sets) & bit_table._tag_mask).astype(np.int64)
-    bit_table.record_touch(sets)
     bit_table.valid[sets] = True
     bit_table.tags[sets] = tags
 
     # Selector drift: each noise branch nudges its choice counter at
     # random (its own bimodal/gshare accuracies are uncorrelated).  The
-    # clip squeezes *every* entry into [0, 3] (also untouched entries a
-    # wider-counter selector left above 3), so the changed set is taken
-    # from the clipped result, not from the drift vector.
+    # clip squeezes *every* entry into [0, 3], also untouched entries a
+    # wider-counter selector left above 3.
     sel = predictor.selector
     sel_idx = (addresses % sel.n_entries).astype(np.int64)
     nudges = draw.nudges
     drift = np.zeros(sel.n_entries, dtype=np.int64)
     np.add.at(drift, sel_idx, nudges)
-    new_counters = np.clip(
-        sel.counters.astype(np.int64) + drift, 0, 3
-    ).astype(sel.counters.dtype)
-    changed = np.nonzero(new_counters != sel.counters)[0]
-    sel.record_touch(changed)
-    sel.counters[changed] = new_counters[changed]
+    np.copyto(
+        sel.counters,
+        np.clip(sel.counters.astype(np.int64) + drift, 0, 3),
+        casting="unsafe",
+    )
 
     core.clock.advance(int(n))

@@ -1,4 +1,4 @@
-"""Differential tests for the batch-probe scan engine and delta snapshots.
+"""Differential tests for the batch-probe scan engine and core restores.
 
 Two invariants are pinned here:
 
@@ -6,9 +6,10 @@ Two invariants are pinned here:
   exactly the state vector of the scalar probe/restore loop, on every
   preset (the fold-hash ``oryon_like`` included) and under every
   fast-path-safe mitigation;
-* delta (journal-replay) restores leave state identical to the seed's
-  full-copy restores, including around external bulk writes, stale
-  marks, journal overflow and cross-core snapshots.
+* restoring a checkpoint undoes every change made since it — scalar
+  branches, external bulk writes (compiled blocks, noise), repeated and
+  out-of-order restores, cross-core restores — leaving the core equal to
+  an un-churned twin and to the checkpoint's ``state_digest``.
 """
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.mitigations import (
     StochasticFSM,
 )
 from repro.resilience.checkpoint import rng_state_digest
+from repro.snapshot import state_digest
 from repro.system.noise import inject_noise
 
 PRESETS = {
@@ -83,14 +85,14 @@ def install(core, spy, mitigation_name):
 def scan_pair(preset_name, mitigation_name, exercise_outcome):
     """Run reference and batch scans on twin seeded cores."""
     results = []
-    for method in ("reference", "batch"):
+    for engine in ("reference", "batch"):
         core = make_core(preset_name)
         spy = Process("spy")
         install(core, spy, mitigation_name)
         block = RandomizationBlock.generate(5, n_branches=3000)
         compiled = block.compile(core, spy)
         addresses = list(range(SCAN_BASE, SCAN_BASE + SCAN_LEN, 3))
-        if method == "reference":
+        if engine == "reference":
             states = scan_states_reference(
                 core,
                 spy,
@@ -105,8 +107,8 @@ def scan_pair(preset_name, mitigation_name, exercise_outcome):
                 addresses,
                 compiled,
                 exercise_outcome=exercise_outcome,
-                method="batch",
             )
+            assert states.engine == "batch"
         results.append((states, core))
     return results
 
@@ -160,7 +162,8 @@ class TestBatchEqualsScalar:
         compiled = block.compile(core, spy)
         addresses = list(range(SCAN_BASE, SCAN_BASE + 128))
         auto = scan_states(core, spy, addresses, compiled)
-        batch = scan_states(core, spy, addresses, compiled, method="batch")
+        batch = scan_states(core, spy, addresses, compiled)
+        assert auto.engine == batch.engine == "batch"
         assert auto == batch
 
     def test_batch_scan_restores_core(self):
@@ -169,23 +172,14 @@ class TestBatchEqualsScalar:
         block = RandomizationBlock.generate(5, n_branches=3000)
         compiled = block.compile(core, spy)
         pristine = make_core("haswell")
-        scan_states(
+        result = scan_states(
             core,
             spy,
             list(range(SCAN_BASE, SCAN_BASE + 128)),
             compiled,
-            method="batch",
         )
+        assert result.engine == "batch"
         assert_cores_equal(core, pristine)
-
-    def test_unknown_method_rejected(self):
-        core = make_core("haswell")
-        spy = Process("spy")
-        compiled = RandomizationBlock.generate(5, n_branches=500).compile(
-            core, spy
-        )
-        with pytest.raises(ValueError):
-            scan_states(core, spy, [SCAN_BASE], compiled, method="fast")
 
 
 class TestFoldPresetSignatures:
@@ -244,16 +238,6 @@ class TestFallback:
         core.install_mitigation(NoisyTimer(sigma=10.0))
         assert batch_scan_supported(core)
 
-    def test_forcing_batch_under_noisy_counters_raises(self):
-        core = make_core("haswell")
-        spy = Process("spy")
-        core.install_mitigation(NoisyPerformanceCounters(1))
-        compiled = RandomizationBlock.generate(5, n_branches=500).compile(
-            core, spy
-        )
-        with pytest.raises(ValueError):
-            scan_states(core, spy, [SCAN_BASE], compiled, method="batch")
-
     def test_auto_falls_back_to_exact_scalar(self):
         """Under a stochastic mitigation, auto equals the scalar reference
         exactly (same core RNG stream, same draws)."""
@@ -289,7 +273,7 @@ def twin_spies():
 
 
 def churn(core, spy, rng_seed=23, n=200):
-    """Deterministically touch every component a delta restore must undo."""
+    """Deterministically touch every component a restore must undo."""
     rng = np.random.default_rng(rng_seed)
     addresses = rng.integers(0x9000, 0x9000 + 4096, size=n)
     outcomes = rng.integers(0, 2, size=n).astype(bool)
@@ -297,117 +281,113 @@ def churn(core, spy, rng_seed=23, n=200):
         core.execute_branch(spy, int(address), bool(taken))
 
 
+def assert_restored(core, twin, digest):
+    """``core`` equals its un-churned ``twin`` and the checkpoint digest."""
+    assert_cores_equal(core, twin)
+    assert state_digest(core.checkpoint()) == digest
+
+
 class TestDeltaRestoreEqualsFullCopy:
+    """Restoring a checkpoint undoes the delta — every change since it —
+    so the core again equals the full copy the checkpoint holds."""
+
     @pytest.mark.parametrize("preset_name", sorted(PRESETS))
     def test_scalar_churn(self, preset_name):
-        delta_core, full_core = twin_cores(preset_name)
-        spy_a, spy_b = twin_spies()
-        churn(delta_core, spy_a, rng_seed=1)
-        churn(full_core, spy_b, rng_seed=1)
-        snap_delta = delta_core.checkpoint()
-        snap_full = full_core.checkpoint(full=True)
-        churn(delta_core, spy_a, rng_seed=2)
-        churn(full_core, spy_b, rng_seed=2)
-        delta_core.restore(snap_delta)
-        full_core.restore(snap_full)
-        assert_cores_equal(delta_core, full_core)
+        core, twin = twin_cores(preset_name)
+        spy, twin_spy = twin_spies()
+        churn(core, spy, rng_seed=1)
+        churn(twin, twin_spy, rng_seed=1)
+        snap = core.checkpoint()
+        digest = state_digest(snap)
+        churn(core, spy, rng_seed=2)
+        core.restore(snap)
+        assert_restored(core, twin, digest)
 
     def test_compiled_block_apply_between(self):
-        """CompiledBlock.apply is an external bulk write; delta restore
-        across it must still be exact (record_touch / invalidation)."""
-        delta_core, full_core = twin_cores()
-        spy_a, spy_b = twin_spies()
+        """CompiledBlock.apply writes the tables in bulk (and replaces the
+        PHT level arrays); a restore across it must still be exact."""
+        core, twin = twin_cores()
+        spy, _ = twin_spies()
         block = RandomizationBlock.generate(5, n_branches=3000)
-        snap_delta = delta_core.checkpoint()
-        snap_full = full_core.checkpoint(full=True)
-        block.compile(delta_core, spy_a).apply(delta_core, spy_a)
-        block.compile(full_core, spy_b).apply(full_core, spy_b)
-        churn(delta_core, spy_a, rng_seed=3, n=50)
-        churn(full_core, spy_b, rng_seed=3, n=50)
-        delta_core.restore(snap_delta)
-        full_core.restore(snap_full)
-        assert_cores_equal(delta_core, full_core)
+        snap = core.checkpoint()
+        digest = state_digest(snap)
+        block.compile(core, spy).apply(core, spy)
+        churn(core, spy, rng_seed=3, n=50)
+        core.restore(snap)
+        assert_restored(core, twin, digest)
 
     def test_inject_noise_between(self):
-        delta_core, full_core = twin_cores()
-        spy_a, spy_b = twin_spies()
-        churn(delta_core, spy_a, rng_seed=4, n=40)
-        churn(full_core, spy_b, rng_seed=4, n=40)
-        snap_delta = delta_core.checkpoint()
-        snap_full = full_core.checkpoint(full=True)
-        inject_noise(delta_core, 500, np.random.default_rng(5))
-        inject_noise(full_core, 500, np.random.default_rng(5))
-        delta_core.restore(snap_delta)
-        full_core.restore(snap_full)
-        assert_cores_equal(delta_core, full_core)
+        core, twin = twin_cores()
+        spy, twin_spy = twin_spies()
+        churn(core, spy, rng_seed=4, n=40)
+        churn(twin, twin_spy, rng_seed=4, n=40)
+        snap = core.checkpoint()
+        digest = state_digest(snap)
+        inject_noise(core, 500, np.random.default_rng(5))
+        core.restore(snap)
+        assert_restored(core, twin, digest)
 
     def test_mark_reusable_across_repeated_restores(self):
-        delta_core, full_core = twin_cores()
-        spy_a, spy_b = twin_spies()
-        snap_delta = delta_core.checkpoint()
-        snap_full = full_core.checkpoint(full=True)
+        core, twin = twin_cores()
+        spy, _ = twin_spies()
+        snap = core.checkpoint()
+        digest = state_digest(snap)
         for round_seed in (6, 7, 8):
-            churn(delta_core, spy_a, rng_seed=round_seed, n=60)
-            churn(full_core, spy_b, rng_seed=round_seed, n=60)
-            delta_core.restore(snap_delta)
-            full_core.restore(snap_full)
-            assert_cores_equal(delta_core, full_core)
+            churn(core, spy, rng_seed=round_seed, n=60)
+            core.restore(snap)
+            assert_restored(core, twin, digest)
 
-    def test_newer_mark_goes_stale_after_older_restore(self):
-        """Restoring an older snapshot truncates the journal; a newer
-        snapshot's mark must then fall back to its full copy."""
-        delta_core, full_core = twin_cores()
-        spy_a, spy_b = twin_spies()
-        old_delta = delta_core.checkpoint()
-        old_full = full_core.checkpoint(full=True)
-        churn(delta_core, spy_a, rng_seed=9, n=60)
-        churn(full_core, spy_b, rng_seed=9, n=60)
-        new_delta = delta_core.checkpoint()
-        new_full = full_core.checkpoint(full=True)
-        delta_core.restore(old_delta)
-        full_core.restore(old_full)
-        delta_core.restore(new_delta)
-        full_core.restore(new_full)
-        assert_cores_equal(delta_core, full_core)
+    def test_older_then_newer_restore(self):
+        """Restoring an older checkpoint leaves a newer one restorable."""
+        core, twin = twin_cores()
+        pristine = make_core("haswell", 11)
+        spy, twin_spy = twin_spies()
+        old = core.checkpoint()
+        old_digest = state_digest(old)
+        churn(core, spy, rng_seed=9, n=60)
+        churn(twin, twin_spy, rng_seed=9, n=60)
+        new = core.checkpoint()
+        new_digest = state_digest(new)
+        core.restore(old)
+        assert_restored(core, pristine, old_digest)
+        core.restore(new)
+        assert_restored(core, twin, new_digest)
 
-    def test_journal_overflow_falls_back(self):
-        """More journaled writes than the cap invalidates the journal;
-        restore must transparently use the snapshot's full copy."""
-        delta_core, full_core = twin_cores()
-        spy_a, spy_b = twin_spies()
-        snap_delta = delta_core.checkpoint()
-        snap_full = full_core.checkpoint(full=True)
-        # Far more than the per-component journal cap (>= 256 elements).
-        churn(delta_core, spy_a, rng_seed=10, n=1500)
-        churn(full_core, spy_b, rng_seed=10, n=1500)
-        delta_core.restore(snap_delta)
-        full_core.restore(snap_full)
-        assert_cores_equal(delta_core, full_core)
+    def test_large_churn_restores(self):
+        """A churn touching more entries than a scan probe does (1,500
+        branches) restores exactly too."""
+        core, twin = twin_cores()
+        spy, _ = twin_spies()
+        snap = core.checkpoint()
+        digest = state_digest(snap)
+        churn(core, spy, rng_seed=10, n=1500)
+        core.restore(snap)
+        assert_restored(core, twin, digest)
 
-    def test_cross_core_restore_falls_back(self):
-        """A snapshot restored into a different core of the same geometry
-        cannot replay the foreign journal — it must full-copy."""
+    def test_cross_core_restore(self):
+        """A checkpoint restores into a different core of the same config."""
         source, target = twin_cores()
         spy = Process("spy", pid=90001)
         churn(source, spy, rng_seed=12, n=80)
         snapshot = source.checkpoint()
+        digest = state_digest(snapshot)
         churn(target, Process("spy", pid=90001), rng_seed=13, n=80)
         target.restore(snapshot)
-        assert_cores_equal(source, target)
+        assert_restored(target, source, digest)
 
-    def test_counter_version_fast_path(self):
-        counters_file = PhysicalCore(haswell().scaled(64), seed=0)
+    def test_counter_restore(self):
+        core = PhysicalCore(haswell().scaled(64), seed=0)
         spy = Process("spy")
-        counters_file.execute_branch(spy, 0x100, True)
-        counters = counters_file.counters_for(spy)
+        core.execute_branch(spy, 0x100, True)
+        counters = core.counters_for(spy)
         snapshot = counters.snapshot()
-        # Unmoved file: restore is a no-op and contents stay correct.
+        # Unmoved file: restore keeps the contents.
         counters.restore(snapshot)
         assert counters.read(CounterKind.BRANCHES) == 1
         counters.increment(CounterKind.BRANCHES)
         counters.restore(snapshot)
         assert counters.read(CounterKind.BRANCHES) == 1
-        # A restored file adopts the snapshot's version: restoring the
-        # same snapshot again is again free and still correct.
+        # The snapshot is a copy: restoring it again is still correct.
+        counters.increment(CounterKind.BRANCHES, 5)
         counters.restore(snapshot)
         assert counters.read(CounterKind.BRANCHES) == 1

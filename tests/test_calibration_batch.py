@@ -115,7 +115,7 @@ def run_replay(engine, preset_name, stack_name, *, protect=False, rng=None):
         noise=NoiseModel.isolated(),
         rng=rng() if rng is not None else None,
     )
-    state = core.checkpoint(full=True)
+    state = core.checkpoint()
     stream_position = core.rng.integers(1 << 62)
     hook_key = core.mitigations.pht_key(spy)
     return assessment, state, stream_position, hook_key
@@ -189,14 +189,14 @@ class TestPlanDifferential:
         scalar = assess_block(core1, spy1, compiled1, TARGET, plan=plan1)
 
         core2, spy2, compiled2 = build(preset_name, "none", seed=11)
-        before = core2.checkpoint(full=True)
+        before = core2.checkpoint()
         digest = rng_state_digest(core2.rng)
         plan2 = draw_trial_plan(
             np.random.default_rng(42), core2, repetitions=30, noise=noise
         )
         obs.reset_scalar_fallbacks()
         batch = assess_block_batch(core2, spy2, compiled2, TARGET, plan=plan2)
-        after = core2.checkpoint(full=True)
+        after = core2.checkpoint()
 
         assert "calibration_batch" not in obs.scalar_fallback_counts()
         assert rng_state_digest(core2.rng) == digest

@@ -444,9 +444,13 @@ class TestDisabledTracerCost:
                 7, n_branches=20_000
             ).compile(core, spy)
             addresses = list(range(0x300000, 0x300000 + n_addresses))
-            return lambda: scan_states(
-                core, spy, addresses, compiled, method="batch"
-            )
+
+            def run():
+                assert scan_states(
+                    core, spy, addresses, compiled
+                ).engine == "batch"
+
+            return run
 
         self._assert_untraced_free(make_run)
 
@@ -518,8 +522,8 @@ class TestTracedRunsAreBitIdentical:
 
 
 def _assert_same_core_state(a: PhysicalCore, b: PhysicalCore) -> None:
-    snap_a = a.checkpoint(full=True)
-    snap_b = b.checkpoint(full=True)
+    snap_a = a.checkpoint()
+    snap_b = b.checkpoint()
     assert a.clock.now == b.clock.now
     _assert_same_tree(snap_a, snap_b)
 

@@ -8,7 +8,6 @@ The Figure 4 / covert-sweep determinism tests that build on this live in
 """
 
 import os
-import pickle
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from repro.parallel import (
     usable_cpus,
 )
 from repro.parallel.pool import WORKERS_ENV
-from repro.snapshot import DeltaSnapshot, SnapshotTuple
+from repro.snapshot import state_digest
 from repro.system.scheduler import NoiseSetting
 
 needs_fork = pytest.mark.skipif(
@@ -183,34 +182,26 @@ class TestFindFirst:
 
 
 class TestSnapshotPickling:
-    """Checkpoints cross the worker boundary without their journal marks."""
-
-    def test_delta_snapshot_roundtrip(self):
-        snap = DeltaSnapshot(np.arange(10), mark=object())
-        clone = pickle.loads(pickle.dumps(snap))
-        assert isinstance(clone, DeltaSnapshot)
-        np.testing.assert_array_equal(np.asarray(clone), np.arange(10))
-        assert clone.journal_mark is None
-
-    def test_snapshot_tuple_roundtrip(self):
-        snap = SnapshotTuple((np.arange(4), np.ones(4)), mark=object())
-        clone = pickle.loads(pickle.dumps(snap))
-        assert isinstance(clone, SnapshotTuple)
-        assert clone.journal_mark is None
-        np.testing.assert_array_equal(clone[0], np.arange(4))
-        np.testing.assert_array_equal(clone[1], np.ones(4))
+    """Checkpoints cross the worker boundary as plain copies."""
 
     @needs_fork
     def test_checkpoint_as_worker_result(self):
-        core = PhysicalCore(haswell().scaled(64), seed=3)
+        config = haswell().scaled(64)
+        core = PhysicalCore(config, seed=3)
         spy = Process("spy")
 
         def trial(i):
             core.execute_branch(spy, 0x100 + i, True)
-            return core.checkpoint(full=True)
+            checkpoint = core.checkpoint()
+            return checkpoint, state_digest(checkpoint)
 
-        snapshots = TrialPool(2, chunk_size=1).map(trial, range(4))
-        assert len(snapshots) == 4
+        results = TrialPool(2, chunk_size=1).map(trial, range(4))
+        assert len(results) == 4
+        assert len({digest for _, digest in results}) == 4
+        for checkpoint, digest in results:
+            fresh = PhysicalCore(config, seed=0)
+            fresh.restore(checkpoint)
+            assert state_digest(fresh.checkpoint()) == digest
 
 
 def build_channel():
@@ -244,10 +235,10 @@ class TestTrialSweep:
 
     def test_channel_state_restored(self):
         channel = build_channel()
-        before = channel.core.checkpoint(full=True)
+        before = channel.core.checkpoint()
         rng_state_before = channel.core.rng.bit_generator.state
         channel.trial_sweep(self.payloads(), workers=1)
-        after = channel.core.checkpoint(full=True)
+        after = channel.core.checkpoint()
 
         def eq(a, b):
             if isinstance(a, dict):

@@ -80,28 +80,25 @@ class TestScanStates:
 
     @pytest.mark.parametrize("exercise_outcome", [None, True])
     def test_methods_agree(self, core, spy, compiled, exercise_outcome):
-        """auto, batch and reference all produce the same state vector."""
+        """The batch scan and the scalar reference produce the same
+        state vector."""
         addresses = list(range(0x300000, 0x300000 + 96))
-        vectors = [
-            scan_states(
-                core,
-                spy,
-                addresses,
-                compiled,
-                exercise_outcome=exercise_outcome,
-                method=method,
-            )
-            for method in ("auto", "batch", "reference")
-        ]
-        assert vectors[0] == vectors[1] == vectors[2]
-
-    def test_reference_full_restore_matches_delta(self, core, spy, compiled):
-        addresses = list(range(0x300000, 0x300000 + 48))
-        delta = scan_states_reference(core, spy, addresses, compiled)
-        full = scan_states_reference(
-            core, spy, addresses, compiled, full_restore=True
+        batch = scan_states(
+            core,
+            spy,
+            addresses,
+            compiled,
+            exercise_outcome=exercise_outcome,
         )
-        assert delta == full
+        reference = scan_states_reference(
+            core,
+            spy,
+            addresses,
+            compiled,
+            exercise_outcome=exercise_outcome,
+        )
+        assert batch.engine == "batch"
+        assert batch == reference
 
 
 class TestHammingCurve:

@@ -373,20 +373,22 @@ class TestRngStateDigest:
 
 class TestStateDigest:
     def test_delta_and_full_checkpoints_digest_identically(self):
+        """Taking a checkpoint leaves the state alone: back-to-back
+        checkpoints digest identically."""
         core = PhysicalCore(haswell().scaled(16), seed=5)
         spy = Process("spy")
         for i in range(40):
             core.execute_branch(spy, 0x400 + i, i % 3 == 0)
-        full = core.checkpoint(full=True)
-        delta = core.checkpoint()
-        assert state_digest(full) == state_digest(delta)
+        first = core.checkpoint()
+        second = core.checkpoint()
+        assert state_digest(first) == state_digest(second)
 
     def test_digest_tracks_machine_state(self):
         core = PhysicalCore(haswell().scaled(16), seed=5)
         spy = Process("spy")
-        before = state_digest(core.checkpoint(full=True))
+        before = state_digest(core.checkpoint())
         core.execute_branch(spy, 0x400, True)
-        after = state_digest(core.checkpoint(full=True))
+        after = state_digest(core.checkpoint())
         assert before != after
 
 
