@@ -17,7 +17,6 @@ from repro.analysis import format_table
 from repro.bpu import skylake
 from repro.core.attack import BranchScope
 from repro.core.aslr_attack import recover_load_base
-from repro.core.covert import error_rate
 from repro.cpu import PhysicalCore, Process
 from repro.system import AslrConfig, AttackScheduler, NoiseSetting
 from repro.victims import (

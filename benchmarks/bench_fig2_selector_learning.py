@@ -6,7 +6,6 @@ accuracy after roughly 5-7 repetitions; Skylake learns slightly faster
 than the older part.
 """
 
-import numpy as np
 
 from conftest import emit, scaled
 from repro.analysis import curve, format_table

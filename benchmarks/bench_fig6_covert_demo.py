@@ -8,7 +8,6 @@ we transmit under the noisy setting so errors can occur naturally and
 report the observed pattern stream the same way.
 """
 
-import numpy as np
 
 from conftest import emit
 from repro.analysis import format_table

@@ -10,7 +10,6 @@ full core, mispredictions detected via the performance counters — the
 paper's §6.1 methodology.
 """
 
-import pytest
 
 from conftest import emit
 from repro.analysis import format_table

@@ -17,12 +17,11 @@ scaled down (see DESIGN.md); REPRO_BENCH_SCALE raises them.
 """
 
 import numpy as np
-import pytest
 
 from conftest import emit, scaled
 from repro.analysis import binomial_confidence_interval, format_table
 from repro.bpu import haswell, sandy_bridge, skylake
-from repro.core.covert import CovertChannel, CovertConfig, error_rate
+from repro.core.covert import CovertChannel, CovertConfig
 from repro.cpu import PhysicalCore, Process
 from repro.system.scheduler import NoiseSetting
 

@@ -12,7 +12,7 @@ import numpy as np
 from conftest import emit, scaled
 from repro.analysis import binomial_confidence_interval, format_table
 from repro.bpu import skylake
-from repro.core.covert import CovertChannel, CovertConfig, error_rate
+from repro.core.covert import CovertChannel, CovertConfig
 from repro.cpu import PhysicalCore, Process
 from repro.parallel import TrialPool
 from repro.resilience.checkpoint import ResumableCampaign

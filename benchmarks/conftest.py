@@ -35,7 +35,7 @@ from typing import List, Tuple
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _common import RESULTS_DIR, write_result  # noqa: E402
+from _common import write_result  # noqa: E402
 
 from repro.resilience.checkpoint import CheckpointStore  # noqa: E402
 

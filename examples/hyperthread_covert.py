@@ -10,7 +10,6 @@ majority-votes a few samples per bit.
 Run:  python examples/hyperthread_covert.py
 """
 
-import numpy as np
 
 from repro import PhysicalCore, Process, error_rate, skylake
 from repro.core.covert_smt import SMTConfig, SMTCovertChannel

@@ -8,7 +8,7 @@ the paper: line-ish curves (Figure 2, 5b, 8), scatter quadrants
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = ["bar_chart", "curve", "scatter"]
 

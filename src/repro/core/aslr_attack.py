@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-import numpy as np
 
 from repro.bpu.fsm import State
 from repro.core.prime_probe import prime_direct, probe_pair

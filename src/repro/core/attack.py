@@ -16,7 +16,7 @@ attack in ``examples/sgx_attack.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from repro.bpu.fsm import State
 from repro.core.calibration import find_block

@@ -55,11 +55,12 @@ from __future__ import annotations
 
 import copy
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.core.patterns import DecodedState, decode_state
 from repro.core.support import (
     batch_assess_fallback_reason,
@@ -82,11 +83,14 @@ from repro.resilience.checkpoint import (
     verify_fingerprint,
 )
 from repro.system.noise import (
+    NOISE_REGION,
     NoiseDraw,
     NoiseModel,
     apply_noise_draw,
-    draw_noise,
+    draw_noise_at,
     inject_noise,
+    pcg64_state,
+    pcg64_stream,
 )
 
 __all__ = [
@@ -212,19 +216,47 @@ class TrialPlan:
     a plan (``plan=`` on :func:`assess_block` / :func:`assess_block_batch`)
     and produce identical assessments from the same plan, which is what
     the pooled candidate searches hand their per-trial generators.
+
+    The noise is kept as where it starts in the generator's PCG64
+    stream: :attr:`bulk` draws it with numpy on first use, and the
+    manycore engine reads what it needs straight off the stream
+    (:func:`repro.kernels.noise_front`), never allocating the arrays.
     """
 
     #: ``(2 * repetitions, fsm.n_levels)`` random scramble outcomes.
     scrambles: np.ndarray
     #: ``(2 * repetitions + 1,)`` prefix offsets into the noise arrays.
     offsets: np.ndarray
-    #: One bulk :class:`~repro.system.noise.NoiseDraw` holding every
-    #: gap's noise stream back to back.
-    bulk: NoiseDraw
+    #: The PCG64 position the noise draw starts at, as the plain value
+    #: :func:`~repro.system.noise.pcg64_stream` reads.
+    noise_start: Tuple[int, int, int, int]
+    #: The noise's gshare index range (the core's gshare PHT size); its
+    #: addresses span ``NOISE_REGION``.
+    n_gshare: int
+    #: Memo holding the plan's numpy noise draw once made; a pickled
+    #: plan drops it and draws again on demand.
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "memo": {}}
 
     @property
     def repetitions(self) -> int:
         return len(self.scrambles) // 2
+
+    @property
+    def n_noise(self) -> int:
+        """Noise branches over all gaps."""
+        return int(self.offsets[-1])
+
+    @property
+    def bulk(self) -> NoiseDraw:
+        """One :class:`~repro.system.noise.NoiseDraw` holding every
+        gap's noise stream back to back (drawn once, on first use)."""
+        return draw_noise_at(
+            self.noise_start, self.n_noise, self.n_gshare, NOISE_REGION,
+            self.memo,
+        )[0]
 
     def gap(self, r: int) -> int:
         return int(self.offsets[r + 1] - self.offsets[r])
@@ -232,12 +264,13 @@ class TrialPlan:
     def noise_draw(self, r: int) -> NoiseDraw:
         """Repetition ``r``'s noise gap as zero-copy views of the bulk."""
         lo, hi = int(self.offsets[r]), int(self.offsets[r + 1])
+        bulk = self.bulk
         return NoiseDraw(
             hi - lo,
-            self.bulk.addresses[lo:hi],
-            self.bulk.outcomes[lo:hi],
-            self.bulk.gshare_indices[lo:hi],
-            self.bulk.nudges[lo:hi],
+            bulk.addresses[lo:hi],
+            bulk.outcomes[lo:hi],
+            bulk.gshare_indices[lo:hi],
+            bulk.nudges[lo:hi],
         )
 
 
@@ -248,7 +281,14 @@ def draw_trial_plan(
     repetitions: int = 100,
     noise: Optional[NoiseModel] = None,
 ) -> TrialPlan:
-    """Pre-draw one assessment's randomness from ``rng`` (seven calls)."""
+    """Pre-draw one assessment's randomness from ``rng`` (a PCG64
+    generator).
+
+    The scrambles and gaps are drawn here; the noise is recorded where
+    it starts, and ``rng`` is moved to exactly where drawing it would
+    leave it (:func:`repro.kernels.noise_advance`) — the one place a
+    kernel's end position is written back into a caller's generator.
+    """
     noise = noise if noise is not None else NoiseModel.isolated()
     fsm = core.predictor.bimodal.pht.fsm
     n_reps = 2 * repetitions
@@ -256,10 +296,20 @@ def draw_trial_plan(
     gaps = noise.gap_array(rng, n_reps)
     offsets = np.zeros(n_reps + 1, dtype=np.int64)
     np.cumsum(gaps, out=offsets[1:])
-    bulk = draw_noise(
-        rng, int(offsets[-1]), core.predictor.gshare.pht.n_entries
+    start = pcg64_stream(rng)
+    n_gshare = core.predictor.gshare.pht.n_entries
+    memo: dict = {}
+    end = kernels.noise_advance(
+        start, int(offsets[-1]), n_gshare, NOISE_REGION, memo
     )
-    return TrialPlan(scrambles=scrambles, offsets=offsets, bulk=bulk)
+    rng.bit_generator.state = pcg64_state(end)
+    return TrialPlan(
+        scrambles=scrambles,
+        offsets=offsets,
+        noise_start=start,
+        n_gshare=n_gshare,
+        memo=memo,
+    )
 
 
 def assess_block(

@@ -89,7 +89,7 @@ from repro.core.randomizer import CompiledBlock
 from repro.cpu.core import PhysicalCore
 from repro.cpu.process import Process
 from repro.obs import trace as obs
-from repro.system.noise import NoiseDraw, NoiseModel, draw_noise
+from repro.system.noise import NoiseDraw, NoiseModel, draw_noise, gap_tails
 
 __all__ = ["batch_assess"]
 
@@ -274,9 +274,10 @@ def batch_assess(
             core, spy, T, R, plan, noise, rng, ghr_end
         )
     else:
-        static, outcomes, b_idx, g_idx, offsets, bulk = _closed_form(
+        static, outcomes, b_idx, g_idx = _closed_form(
             plan, T, predictor, ghr_end
         )
+        offsets, bulk = plan.offsets, plan.bulk
 
     # Per-repetition aggregates of the bulk noise stream.
     gaps = offsets[1:] - offsets[:-1]
@@ -569,7 +570,7 @@ def _stream_loop(core, spy, T, R, plan, noise, rng, ghr_end):
     return static, outcomes, b_idx, g_idx, offsets, bulk
 
 
-def _closed_form(plan, T, predictor, ghr_end):
+def _closed_form(plan, T, predictor, ghr_end, tails=None):
     """Loop-free phase-1 front-end for the unmitigated plan path.
 
     Without mitigations every bimodal index is the preset's hash of
@@ -579,6 +580,10 @@ def _closed_form(plan, T, predictor, ghr_end):
     tail (if any) overwrites it, the probes shift in their outcomes, and
     the next repetition's scrambles shift in on top — the pre-scramble
     history never survives a repetition boundary.
+
+    ``tails`` are the noise gaps' GHR tails
+    (:func:`repro.system.noise.gap_tails`), computed from ``plan.bulk``
+    when not given.  Returns ``(static, outcomes, b_idx, g_idx)``.
     """
     n_b = predictor.bimodal.pht.n_entries
     n_g = predictor.gshare.pht.n_entries
@@ -603,24 +608,12 @@ def _closed_form(plan, T, predictor, ghr_end):
     )
 
     offsets = plan.offsets
-    gaps = offsets[1:] - offsets[:-1]
-    # GHR after each repetition's noise gap: the gap's outcome tail
-    # (folded MSB-first into an integer), or the block's ghr_end when
-    # the gap is empty.  Gather each gap's last ``ghr_len`` outcomes as
-    # one right-aligned window; short gaps zero their (high-bit) pad
-    # columns, matching the fold of just the gap's own outcomes.
-    after_noise = np.full(R2, ghr_end, dtype=np.int64)
-    total = int(offsets[-1])
-    if total:
-        out_bulk = plan.bulk.outcomes
-        cols = np.arange(ghr_len)
-        window_lo = offsets[1:] - np.minimum(gaps, ghr_len)
-        gather = (offsets[1:] - ghr_len)[:, None] + cols
-        valid = gather >= window_lo[:, None]
-        bits = (out_bulk[np.clip(gather, 0, total - 1)] & valid).astype(np.int64)
-        tails = bits @ (1 << cols[::-1])
-        noisy = gaps > 0
-        after_noise[noisy] = tails[noisy]
+    # GHR after each repetition's noise gap: the gap's outcome tail, or
+    # the block's ghr_end when the gap is empty.
+    if tails is None:
+        tails = gap_tails(plan.bulk.outcomes, offsets, ghr_len)
+    noisy = offsets[1:] > offsets[:-1]
+    after_noise = np.where(noisy, tails, ghr_end)
 
     # GHR entering each repetition's first scramble slot.
     probe_bits = np.where(np.arange(R2) < R, 3, 0)
@@ -645,4 +638,4 @@ def _closed_form(plan, T, predictor, ghr_end):
     g_idx[:, d] = gshare_index(after_noise)
     second = ((after_noise << 1) | outcomes[:, d]) & mask
     g_idx[:, d + 1] = gshare_index(second)
-    return static, outcomes, b_idx, g_idx, offsets, plan.bulk
+    return static, outcomes, b_idx, g_idx

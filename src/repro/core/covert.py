@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np

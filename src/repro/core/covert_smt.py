@@ -36,7 +36,6 @@ from repro.bpu.fsm import State
 from repro.core.calibration import find_block
 from repro.core.covert import build_dictionary
 from repro.core.patterns import DecodedState
-from repro.core.prime_probe import probe_pair
 from repro.core.randomizer import CompiledBlock
 from repro.cpu.core import PhysicalCore
 from repro.cpu.process import Process

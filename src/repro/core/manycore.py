@@ -56,7 +56,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bpu.hashes import fast_mod, kernel_shift
+from repro.bpu.hashes import kernel_shift
 from repro.core.calibration import (
     BlockAssessment,
     TrialPlan,
@@ -74,7 +74,7 @@ from repro.cpu.process import Process
 from repro.obs import trace as obs
 from repro.parallel.pool import usable_cpus
 from repro.resilience.checkpoint import rng_state_digest
-from repro.system.noise import NoiseModel
+from repro.system.noise import NOISE_REGION, NoiseModel
 
 __all__ = [
     "ManycoreCampaignPool",
@@ -180,6 +180,19 @@ def _run_ranges(
 # ---------------------------------------------------------------------------
 
 
+def _last_read(idx: np.ndarray, d: int, n_entries: int) -> np.ndarray:
+    """Per PHT entry, the time of its last read in a plan's slots
+    ``idx`` (``(2R, d + 2)``), or -1 when no slot reads it: slot ``j``
+    of repetition ``r`` reads at time ``r``, or ``r + 1`` past the
+    ``d`` scramble slots."""
+    read_time = np.arange(idx.shape[0])[:, None] + (
+        np.arange(idx.shape[1]) >= d
+    )
+    last_read = np.full(n_entries, -1, dtype=np.int64)
+    np.maximum.at(last_read, idx.ravel(), read_time.ravel())
+    return last_read
+
+
 class _NodePlan:
     """The instance-independent half of phase 2, for one PHT.
 
@@ -214,6 +227,7 @@ class _NodePlan:
         noise_epoch: np.ndarray,
         d: int,
         n_entries: int,
+        last_read: np.ndarray,
     ) -> None:
         R2, n_slots = idx.shape
         self.d = d
@@ -227,18 +241,17 @@ class _NodePlan:
         self.pos_table = pos_table
         oid = monoid.outcome_ids.astype(np.int64)
 
-        # Reads: every slot of every repetition executes; slot j of
-        # repetition r reads at time r, or r + 1 past the scramble.
+        # Reads: every slot of every repetition executes (their times
+        # are _last_read's).
         self.read_pos = pos_table[idx]
         self.read_step = oid[outcomes.astype(np.int64)]
-        read_time = np.arange(R2)[:, None] + (np.arange(n_slots) >= d)
 
         # Noise hits on tracked entries, pruned to each entry's last
         # read: a hit lands at time epoch + 1 and is kept iff that is no
         # later than its entry's last read (a later one changes no read).
         # Untracked entries keep last read -1, so none of their hits stay.
-        last_read = np.full(n_entries, -1, dtype=np.int64)
-        np.maximum.at(last_read, idx.ravel(), read_time.ravel())
+        # last_read is _last_read(idx, d, n_entries); hits the noise
+        # kernels already pruned by it pass unchanged.
         keep = np.flatnonzero(noise_epoch < last_read[noise_idx])
         self.hit_pos = pos_table[noise_idx[keep]]
         self.hit_time = noise_epoch[keep] + 1
@@ -340,53 +353,74 @@ class _SharedStructure:
         self.bit_valid0 = bool(bit.valid[self.tset])
         self.bit_tag0 = int(bit.tags[self.tset])
 
-        # Phase 1 (closed form) — identical for every trial.  ghr_end is
-        # only consumed by repetitions with an empty noise gap, which the
-        # support predicate excludes, so a placeholder is exact here.
-        static, outcomes, b_idx, g_idx, offsets, bulk = _closed_form(
-            self.plan, T, predictor, 0
+        # Phase 1 — identical for every trial — straight off the
+        # plan's noise stream in two kernel passes, since the tracked
+        # gshare entries depend on the gaps' GHR tails: the addresses
+        # and outcomes first, then the gshare indices and nudges.
+        # Every slot reads the target's bimodal entry (the closed form's
+        # unmitigated index, checked below), last at the final probe,
+        # time R2.  ghr_end
+        # is only consumed by repetitions with an empty noise gap, which
+        # the support predicate excludes, so a placeholder is exact here.
+        last_b = np.full(self.n_b, -1, dtype=np.int64)
+        last_b[self.tb] = R2
+        start, n = plan.noise_start, plan.n_noise
+        tails, noise_tag, hits_b, on_tsel, noise_out = kernels.noise_front(
+            start,
+            n,
+            plan.n_gshare,
+            NOISE_REGION,
+            plan.offsets,
+            self.n_b,
+            last_b,
+            self.n_sel,
+            self.tsel,
+            self.n_sets,
+            self.tset,
+            self.tag_mask,
+            self.ghr_len,
+            plan.memo,
         )
+        _, outcomes, b_idx, g_idx = _closed_form(
+            plan, T, predictor, 0, tails
+        )
+        if not (b_idx == self.tb).all():
+            raise RuntimeError(
+                "bimodal hits were pruned by entry tb, but the closed "
+                "form reads other entries"
+            )
         self.outcomes = outcomes
-        gaps = offsets[1:] - offsets[:-1]
-        total = int(offsets[-1])
-        epoch_of = np.repeat(np.arange(R2), gaps)
-
-        # Per-repetition noise aggregates (mirrors batch_assess).  The
-        # presets' table sizes are powers of two, so fast_mod takes each
-        # modulo over the noise addresses as one AND.
-        drift = np.zeros(R2, dtype=np.int64)
-        on_tsel = fast_mod(bulk.addresses, self.n_sel) == self.tsel
-        if on_tsel.any():
-            np.add.at(drift, epoch_of[on_tsel], bulk.nudges[on_tsel])
+        last_g = _last_read(g_idx, self.d, self.n_g)
+        drift, hits_g = kernels.noise_back(
+            start,
+            n,
+            plan.n_gshare,
+            NOISE_REGION,
+            plan.offsets,
+            noise_out,
+            on_tsel,
+            last_g,
+            plan.memo,
+        )
         self.drift_tsel = drift
-        noise_tag = np.full(R2, -1, dtype=np.int64)
-        on_tset = fast_mod(bulk.addresses, self.n_sets) == self.tset
-        if on_tset.any():
-            last = np.full(R2, -1, dtype=np.int64)
-            np.maximum.at(last, epoch_of[on_tset], np.nonzero(on_tset)[0])
-            rows = last >= 0
-            noise_tag[rows] = (
-                bulk.addresses[last[rows]] // self.n_sets
-            ) & self.tag_mask
         self.noise_tag = noise_tag
 
-        # Phase-2 plans (one per PHT).  Noise hits index the
-        # bimodal PHT by plain modulo on every preset, exactly as
-        # apply_noise_draw does; only probe and block indices are hashed.
-        noise_epoch = epoch_of if total else np.empty(0, dtype=np.int64)
+        # Phase-2 plans (one per PHT), from the pruned hits.  Noise hits
+        # index the bimodal PHT by plain modulo on every preset, exactly
+        # as apply_noise_draw does; only probe and block indices are
+        # hashed.
         self.plan_b = _NodePlan(
             self.monoid,
             self._ct.ravel(),
             bimodal.levels,
             b_idx,
             outcomes,
-            fast_mod(bulk.addresses, self.n_b)
-            if total
-            else np.empty(0, dtype=np.int64),
-            bulk.outcomes,
-            noise_epoch,
+            hits_b[0],
+            hits_b[2],
+            hits_b[1],
             self.d,
             self.n_b,
+            last_b,
         )
         self.plan_g = _NodePlan(
             self.monoid,
@@ -394,11 +428,12 @@ class _SharedStructure:
             gshare.levels,
             g_idx,
             outcomes,
-            bulk.gshare_indices,
-            bulk.outcomes,
-            noise_epoch,
+            hits_g[0],
+            hits_g[2],
+            hits_g[1],
             self.d,
             self.n_g,
+            last_g,
         )
 
         # Phase-3 shared precomputation.

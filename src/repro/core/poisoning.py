@@ -18,9 +18,8 @@ half — the attacker's control over the victim's prediction outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-import numpy as np
 
 from repro.cpu.core import PhysicalCore
 from repro.cpu.process import Process

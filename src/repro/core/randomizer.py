@@ -63,7 +63,7 @@ import functools
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -96,7 +96,7 @@ PAPER_BLOCK_BRANCHES = 100_000
 COMPILE_CACHE_MAXSIZE = 64
 
 # (block fingerprint, core geometry, key, partition, timing) -> CompiledBlock.
-_compile_cache: "OrderedDict[Tuple, CompiledBlock]" = OrderedDict()
+_compile_cache: "OrderedDict[tuple, CompiledBlock]" = OrderedDict()
 _compile_cache_stats: Dict[str, int] = {"hits": 0, "misses": 0}
 
 

@@ -17,7 +17,7 @@ latency distribution sits visibly above the correctly-predicted one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 

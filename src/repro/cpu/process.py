@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import FrozenSet, Set
+from typing import Set
 
 __all__ = ["Process"]
 

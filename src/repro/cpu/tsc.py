@@ -12,7 +12,6 @@ The §10.2 "noisy timer" mitigation wraps this class (see
 
 from __future__ import annotations
 
-import numpy as np
 
 from repro.cpu.clock import CycleClock
 

@@ -22,6 +22,9 @@ from .dispatch import (  # noqa: F401
     ensure_initialized,
     fold_ids,
     kernel_dispatch_counts,
+    noise_advance,
+    noise_back,
+    noise_front,
     read_levels_ids,
     read_levels_maps,
     reduce_ids,

@@ -1,6 +1,6 @@
 """Generated-C kernel backend (cffi API mode, compiled once, cached).
 
-The five ops become plain sequential C loops over int64 arrays.  The
+The eight ops become plain sequential C loops over int64 arrays.  The
 extension is compiled a single time into a content-addressed cache
 directory — keyed by a hash of the C source plus the cffi/python
 versions — and re-loaded from disk on every later run (and in every
@@ -18,8 +18,21 @@ replays the two ``Generator.integers`` calls of
 ``RandomizationBlock.generate`` with two cursors over numpy's PCG64
 stream: one from half-word 0 for the address steps, one jumped ahead to
 half-word ``n`` for the directions.  Neither of the block's arrays is
-ever allocated.  :func:`load` checks one fused summary against the numpy
-backend's on a fixed odd-length block and refuses to load
+ever allocated.
+
+The three noise ops read a trial plan's noise — ``draw_noise``'s four
+``Generator.integers`` fills of ``n`` values — off numpy's stream from
+a PCG64 position passed as a plain value (state, increment and the
+pending half-word of ``next_uint32``'s buffer, which every 32-bit
+bounded fill shares).  A fill whose range cannot reject (a power of
+two) is jumped over in O(log n); one that can is scanned value by
+value with numpy's Lemire rejection.  ``noise_advance`` returns where
+the draw ends; ``noise_front`` draws the addresses and outcomes,
+``noise_back`` the gshare indices and the selector nudges, and neither
+allocates the four arrays.
+
+:func:`load` checks one fused summary and the three noise ops against
+the numpy backend on fixed draws and refuses to load
 (:class:`StreamMismatch`) if numpy's stream mapping has changed.
 
 Speed note: the ``summarize_block`` loop is branch-free per branch,
@@ -66,6 +79,23 @@ void repro_summarize_block(uint64_t state_hi, uint64_t state_lo,
                            int64_t tag_mask, int64_t identity,
                            int64_t n_tracked, int64_t *g_acc,
                            int64_t *scalars);
+void repro_noise_advance(uint64_t *stream, int64_t n, uint32_t rng_a,
+                         uint32_t rng_g);
+void repro_noise_front(const uint64_t *stream, int64_t n, int64_t low,
+                       uint32_t rng_a, const int64_t *offsets, int64_t r2,
+                       int64_t n_b, const int64_t *last_b, int64_t n_sel,
+                       int64_t tsel, int64_t n_sets, int64_t tset,
+                       int64_t tag_mask, int64_t ghr_mask, int64_t *tails,
+                       int64_t *noise_tag, int64_t *hit_idx,
+                       int64_t *hit_epoch, int64_t *hit_out,
+                       int64_t *on_tsel, uint8_t *outcomes,
+                       int64_t *counts);
+void repro_noise_back(const uint64_t *stream, int64_t n, uint32_t rng_a,
+                      uint32_t rng_g, const int64_t *offsets, int64_t r2,
+                      const uint8_t *outcomes, const int64_t *on_tsel,
+                      int64_t n_tsel, const int64_t *last_g,
+                      int64_t *drift, int64_t *hit_idx, int64_t *hit_key,
+                      int64_t *counts);
 void repro_read_levels_ids(const int64_t *lift0, int64_t chunk,
                            int64_t n_tracked, const int64_t *read_pos,
                            const int64_t *read_step, int64_t r2,
@@ -161,35 +191,74 @@ static repro_u128 repro_pcg_advance(repro_u128 state, repro_u128 inc,
     return acc_mult * state + acc_plus;
 }
 
-/* A cursor over the 32-bit half-words of one PCG64 stream, low half
- * first, as numpy's next_uint32 hands them out (the high half waits in
- * buf).  Each half-word h yields the bit h >> 31: what
- * Generator.integers draws for a range of two, which Lemire's method
- * never rejects. */
+/* A numpy PCG64 bit generator as a plain value: the LCG state and
+ * increment, plus the half-word next_uint32 keeps buffered (has: one
+ * is pending; u: its value, which stays put once handed out).  Every
+ * 32-bit bounded Generator.integers draw goes through that buffer, so
+ * successive draws share one run of half-words, and poisson/random
+ * (64-bit draws) leave it alone.  Passed in and out as six uint64:
+ * state hi/lo, inc hi/lo, has, u. */
 typedef struct {
     repro_u128 state, inc;
-    uint8_t buf;
-    int have;
-} repro_cursor;
+    uint32_t u;
+    int has;
+} repro_pcg32;
 
-static inline void repro_cursor_bits(repro_cursor *c, uint8_t *out,
-                                     int64_t count)
+static void repro_pcg32_load(repro_pcg32 *g, const uint64_t *v)
+{
+    g->state = ((repro_u128)v[0] << 64) | v[1];
+    g->inc = ((repro_u128)v[2] << 64) | v[3];
+    g->has = (int)v[4];
+    g->u = (uint32_t)v[5];
+}
+
+static void repro_pcg32_store(const repro_pcg32 *g, uint64_t *v)
+{
+    v[0] = (uint64_t)(g->state >> 64);
+    v[1] = (uint64_t)g->state;
+    v[4] = (uint64_t)g->has;
+    v[5] = g->u;
+}
+
+/* Hand out k half-words unseen: the pending one, then a jump to the
+ * last word they reach, whose high half stays pending when the count
+ * left after the pending one is odd. */
+static void repro_skip_halves(repro_pcg32 *g, uint64_t k)
+{
+    if (k > 0 && g->has) {
+        g->has = 0;
+        k--;
+    }
+    if (k == 0)
+        return;
+    g->state = repro_pcg_advance(g->state, g->inc, (k + 1) / 2 - 1);
+    uint64_t w = repro_pcg_next(&g->state, g->inc);
+    g->u = (uint32_t)(w >> 32);
+    g->has = (int)(k & 1);
+}
+
+/* count outcome bits (range 2: the half-word's top bit, which
+ * Lemire's method never rejects) as bytes: what Generator.integers
+ * draws for a range of two. */
+static inline void repro_draw_bits(repro_pcg32 *g, uint8_t *out,
+                                   int64_t count)
 {
     int64_t k = 0;
-    if (c->have && count > 0) {
-        out[k++] = c->buf;
-        c->have = 0;
+    if (g->has && count > 0) {
+        out[k++] = (uint8_t)(g->u >> 31);
+        g->has = 0;
     }
     for (; k + 1 < count; k += 2) {
-        uint64_t w = repro_pcg_next(&c->state, c->inc);
+        uint64_t w = repro_pcg_next(&g->state, g->inc);
+        g->u = (uint32_t)(w >> 32);
         out[k] = (uint8_t)((w >> 31) & 1);
         out[k + 1] = (uint8_t)(w >> 63);
     }
     if (k < count) {
-        uint64_t w = repro_pcg_next(&c->state, c->inc);
+        uint64_t w = repro_pcg_next(&g->state, g->inc);
+        g->u = (uint32_t)(w >> 32);
         out[k] = (uint8_t)((w >> 31) & 1);
-        c->buf = (uint8_t)(w >> 63);
-        c->have = 1;
+        g->has = 1;
     }
 }
 
@@ -210,7 +279,7 @@ static inline void repro_cursor_bits(repro_cursor *c, uint8_t *out,
  * (p < 0) folds into the spare slot g_acc[n_tracked], which the caller
  * allocates and never reads back. */
 static inline __attribute__((always_inline)) void
-repro_summarize_loop(repro_cursor *ca, repro_cursor *cb, int64_t n,
+repro_summarize_loop(repro_pcg32 *ca, repro_pcg32 *cb, int64_t n,
                      int64_t base, const int64_t *oid, const int64_t *ct,
                      int64_t size, int64_t n_b, int64_t shift_b,
                      int64_t tb, int64_t n_g, int64_t shift_g,
@@ -237,8 +306,8 @@ repro_summarize_loop(repro_cursor *ca, repro_cursor *cb, int64_t n,
     for (int64_t start = 0; start < n; start += REPRO_DRAW_CHUNK) {
         int64_t m = n - start < REPRO_DRAW_CHUNK ? n - start
                                                  : REPRO_DRAW_CHUNK;
-        repro_cursor_bits(ca, step_bits, m);
-        repro_cursor_bits(cb, taken, m);
+        repro_draw_bits(ca, step_bits, m);
+        repro_draw_bits(cb, taken, m);
         if (start == 0)
             a -= 2 + step_bits[0];  /* the first branch sits at base */
         for (int64_t j = 0; j < m; j++) {
@@ -281,17 +350,13 @@ void repro_summarize_block(uint64_t state_hi, uint64_t state_lo,
                            int64_t n_tracked, int64_t *g_acc,
                            int64_t *scalars)
 {
-    repro_cursor ca, cb;
+    repro_pcg32 ca, cb;
     ca.state = ((repro_u128)state_hi << 64) | state_lo;
     ca.inc = ((repro_u128)inc_hi << 64) | inc_lo;
-    ca.buf = 0;
-    ca.have = 0;
+    ca.u = 0;
+    ca.has = 0;
     cb = ca;
-    cb.state = repro_pcg_advance(ca.state, ca.inc, (uint64_t)(n / 2));
-    if (n & 1) {
-        uint8_t low;  /* the low half of word n / 2 is cursor a's */
-        repro_cursor_bits(&cb, &low, 1);
-    }
+    repro_skip_halves(&cb, (uint64_t)n);
     if (shift_b == 0 && shift_g == 0)
         repro_summarize_loop(&ca, &cb, n, base, oid, ct, size, n_b, 0, tb,
                              n_g, 0, pos_table, ghr_mask, n_sel, tsel,
@@ -303,6 +368,241 @@ void repro_summarize_block(uint64_t state_hi, uint64_t state_lo,
                              ghr_mask, n_sel, tsel, n_sets, tset,
                              tag_mask, identity, n_tracked, g_acc,
                              scalars);
+}
+
+/* Lemire's method as numpy's 32-bit bounded fill runs it over a range
+ * of rng + 1 (at most 2^32): a half-word h gives (h * range) >> 32,
+ * unless the product's low half is below (2^32 - range) % range, when
+ * h is rejected and the next half-word tried.  That threshold is 0
+ * for a power of two (never rejects) and 1 for a range of 3 (rejects
+ * only a zero half-word).  numpy takes range 2^32 raw, which the same
+ * formula gives, and draws nothing at all for range 1. */
+typedef struct {
+    uint64_t range;
+    uint32_t threshold;
+} repro_lemire;
+
+static repro_lemire repro_lemire_of(uint32_t rng)
+{
+    repro_lemire r;
+    r.range = (uint64_t)rng + 1;
+    r.threshold = (uint32_t)(((uint64_t)1 << 32) % r.range);
+    return r;
+}
+
+/* Lemire's accept step: a half-word h of a fill over r yields a value
+ * into out[k] (only counted when out is NULL) unless it is rejected. */
+#define REPRO_TAKE(r, h, out, k)                        \
+    do {                                                \
+        uint64_t m_ = (uint64_t)(h) * (r).range;        \
+        if ((uint32_t)m_ >= (r).threshold) {            \
+            if (out)                                    \
+                (out)[k] = (uint32_t)(m_ >> 32);        \
+            (k)++;                                      \
+        }                                               \
+    } while (0)
+
+/* count values of one integers fill, a word at a time: the pending
+ * half-word first, then low and high halves, the last word's high half
+ * left pending when the count runs out on its low half.  out == NULL
+ * only skips them. */
+static inline __attribute__((always_inline)) void
+repro_draw(repro_pcg32 *g, repro_lemire r, uint32_t *out, int64_t count)
+{
+    int64_t k = 0;
+    if (r.range == 1) {  /* numpy draws nothing */
+        for (; out && k < count; k++)
+            out[k] = 0;
+        return;
+    }
+    if (count > 0 && g->has) {
+        g->has = 0;
+        REPRO_TAKE(r, g->u, out, k);
+    }
+    while (k < count) {
+        uint64_t w = repro_pcg_next(&g->state, g->inc);
+        g->u = (uint32_t)(w >> 32);
+        REPRO_TAKE(r, (uint32_t)w, out, k);
+        if (k == count) {
+            g->has = 1;
+            break;
+        }
+        REPRO_TAKE(r, g->u, out, k);
+    }
+}
+
+/* Skip count values over a range of rng + 1: one jump when none can
+ * reject (range 1, a power of two, 2^32), else a scan. */
+static void repro_skip(repro_pcg32 *g, uint32_t rng, int64_t count)
+{
+    if (rng == 0 || count <= 0)
+        return;
+    if ((rng & (rng + 1)) == 0)  /* rng + 1 wraps to 0 at 2^32 */
+        repro_skip_halves(g, (uint64_t)count);
+    else
+        repro_draw(g, repro_lemire_of(rng), 0, count);
+}
+
+/* A trial plan's noise is draw_noise's four integers fills of n values
+ * on one stream: addresses (range rng_a + 1), outcomes (range 2),
+ * gshare indices (range rng_g + 1), nudges (range 3).  Each pass reads
+ * its fills from cursors jumped (or, past a range that can reject,
+ * scanned) to their starts. */
+
+/* The stream position the whole draw ends at, in place. */
+void repro_noise_advance(uint64_t *stream, int64_t n, uint32_t rng_a,
+                         uint32_t rng_g)
+{
+    repro_pcg32 g;
+    repro_pcg32_load(&g, stream);
+    repro_skip(&g, rng_a, n);
+    repro_skip(&g, 1, n);
+    repro_skip(&g, rng_g, n);
+    repro_skip(&g, 2, n);
+    repro_pcg32_store(&g, stream);
+}
+
+/* Pass 1's body, specialised by the caller on pow2 (every table size a
+ * power of two, so each modulo is one AND): always inlined, as the
+ * summary loop is.  The outcome bits go straight into outcomes. */
+static inline __attribute__((always_inline)) void
+repro_front_loop(repro_pcg32 *ga, repro_pcg32 *gb, repro_lemire la,
+                 int64_t n, int64_t low, const int64_t *offsets,
+                 int64_t r2, int64_t n_b, const int64_t *last_b,
+                 int64_t n_sel, int64_t tsel, int64_t n_sets, int64_t tset,
+                 int64_t tag_mask, int64_t ghr_mask, int pow2,
+                 int64_t *tails, int64_t *noise_tag, int64_t *hit_idx,
+                 int64_t *hit_epoch, int64_t *hit_out, int64_t *on_tsel,
+                 uint8_t *outcomes, int64_t *counts)
+{
+    uint32_t va[REPRO_DRAW_CHUNK];
+    int64_t n_hits = 0, n_tsel = 0, e = 0, tag = -1, h = 0;
+    for (int64_t start = 0; start < n; start += REPRO_DRAW_CHUNK) {
+        int64_t m = n - start < REPRO_DRAW_CHUNK ? n - start
+                                                 : REPRO_DRAW_CHUNK;
+        repro_draw(ga, la, va, m);
+        repro_draw_bits(gb, outcomes + start, m);
+        for (int64_t j = 0; j < m; j++) {
+            int64_t i = start + j;
+            while (i >= offsets[e + 1]) {
+                noise_tag[e] = tag;
+                tails[e++] = h;
+                tag = -1;
+                h = 0;
+            }
+            int64_t a = low + (int64_t)va[j];
+            int64_t bit = (int64_t)outcomes[i];
+            int64_t b = pow2 ? a & (n_b - 1) : a % n_b;
+            h = ((h << 1) | bit) & ghr_mask;
+            if (e < last_b[b]) {
+                hit_idx[n_hits] = b;
+                hit_epoch[n_hits] = e;
+                hit_out[n_hits++] = bit;
+            }
+            if ((pow2 ? a & (n_sel - 1) : a % n_sel) == tsel)
+                on_tsel[n_tsel++] = i;
+            if ((pow2 ? a & (n_sets - 1) : a % n_sets) == tset)
+                tag = (a / n_sets) & tag_mask;
+        }
+    }
+    for (; e < r2; e++) {
+        noise_tag[e] = tag;
+        tails[e] = h;
+        tag = -1;
+        h = 0;
+    }
+    counts[0] = n_hits;
+    counts[1] = n_tsel;
+}
+
+/* Pass 1, addresses and outcomes, gap by gap (offsets: r2 + 1 prefix
+ * offsets ending at n).  Per gap: the tag of its last address on BIT
+ * set tset (-1 if none) and its GHR tail.  The bimodal hits before
+ * their entry's last read come out as (entry, gap, outcome) in time
+ * order, and the positions of the addresses on selector entry tsel in
+ * order; counts gets how many of each. */
+void repro_noise_front(const uint64_t *stream, int64_t n, int64_t low,
+                       uint32_t rng_a, const int64_t *offsets, int64_t r2,
+                       int64_t n_b, const int64_t *last_b, int64_t n_sel,
+                       int64_t tsel, int64_t n_sets, int64_t tset,
+                       int64_t tag_mask, int64_t ghr_mask, int64_t *tails,
+                       int64_t *noise_tag, int64_t *hit_idx,
+                       int64_t *hit_epoch, int64_t *hit_out,
+                       int64_t *on_tsel, uint8_t *outcomes,
+                       int64_t *counts)
+{
+    repro_pcg32 ga, gb;
+    repro_pcg32_load(&ga, stream);
+    gb = ga;
+    repro_skip(&gb, rng_a, n);
+    repro_lemire la = repro_lemire_of(rng_a);
+    if ((n_b & (n_b - 1)) == 0 && (n_sel & (n_sel - 1)) == 0
+        && (n_sets & (n_sets - 1)) == 0)
+        repro_front_loop(&ga, &gb, la, n, low, offsets, r2, n_b, last_b,
+                         n_sel, tsel, n_sets, tset, tag_mask, ghr_mask, 1,
+                         tails, noise_tag, hit_idx, hit_epoch, hit_out,
+                         on_tsel, outcomes, counts);
+    else
+        repro_front_loop(&ga, &gb, la, n, low, offsets, r2, n_b, last_b,
+                         n_sel, tsel, n_sets, tset, tag_mask, ghr_mask, 0,
+                         tails, noise_tag, hit_idx, hit_epoch, hit_out,
+                         on_tsel, outcomes, counts);
+}
+
+/* Pass 2, gshare indices and nudges, with pass 1's outcome bits and
+ * tsel positions.  The gshare hits before their entry's last read come
+ * out as entries in hit_idx and (gap << 1 | outcome) in hit_key, in
+ * time order, counted in counts[0]; about half the noise hits a read
+ * gshare entry, so each candidate is written one slot past the count
+ * (the lists hold n + 1) and counted by the test, off the branch
+ * predictor.  drift gets each gap's summed nudge on tsel: the nudge
+ * fill is drawn up to the last tsel branch, keeping only theirs. */
+void repro_noise_back(const uint64_t *stream, int64_t n, uint32_t rng_a,
+                      uint32_t rng_g, const int64_t *offsets, int64_t r2,
+                      const uint8_t *outcomes, const int64_t *on_tsel,
+                      int64_t n_tsel, const int64_t *last_g,
+                      int64_t *drift, int64_t *hit_idx, int64_t *hit_key,
+                      int64_t *counts)
+{
+    repro_pcg32 gc, gd;
+    repro_pcg32_load(&gc, stream);
+    repro_skip(&gc, rng_a, n);
+    repro_skip(&gc, 1, n);
+    gd = gc;
+    repro_skip(&gd, rng_g, n);
+    repro_lemire lc = repro_lemire_of(rng_g), ld = repro_lemire_of(2);
+    uint32_t vc[REPRO_DRAW_CHUNK];
+    int64_t n_hits = 0, e = 0;
+    for (int64_t start = 0; start < n; start += REPRO_DRAW_CHUNK) {
+        int64_t m = n - start < REPRO_DRAW_CHUNK ? n - start
+                                                 : REPRO_DRAW_CHUNK;
+        repro_draw(&gc, lc, vc, m);
+        for (int64_t j = 0; j < m; j++) {
+            int64_t i = start + j;
+            while (i >= offsets[e + 1])
+                e++;
+            int64_t x = (int64_t)vc[j];
+            hit_idx[n_hits] = x;
+            hit_key[n_hits] = (e << 1) | outcomes[i];
+            n_hits += e < last_g[x];
+        }
+    }
+    counts[0] = n_hits;
+
+    for (e = 0; e < r2; e++)
+        drift[e] = 0;
+    int64_t at = 0;  /* gd's value position */
+    e = 0;
+    for (int64_t k = 0; k < n_tsel; k++) {
+        int64_t i = on_tsel[k];
+        uint32_t v;
+        while (i >= offsets[e + 1])
+            e++;
+        repro_draw(&gd, ld, 0, i - at);
+        repro_draw(&gd, ld, &v, 1);
+        at = i + 1;
+        drift[e] += (int64_t)v - 1;
+    }
 }
 
 /* One phase-2 event at entry p and time t: jump the entry's level over
@@ -455,8 +755,9 @@ def _load_lib():
 
 
 class StreamMismatch(RuntimeError):
-    """The fused block draw disagrees with ``RandomizationBlock.generate``
-    (numpy changed how ``Generator.integers`` maps the PCG64 stream)."""
+    """A fused draw disagrees with numpy's own (``RandomizationBlock.
+    generate``'s block or ``draw_noise``'s noise): numpy changed how
+    ``Generator.integers`` maps the PCG64 stream."""
 
     #: The ``kernel_init`` fallback reason the dispatcher records.
     fallback_reason = "cffi_stream_mismatch"
@@ -466,9 +767,52 @@ class StreamMismatch(RuntimeError):
 _stream_checked = False
 
 
+def _same(got, ref) -> bool:
+    if isinstance(ref, tuple):
+        return len(got) == len(ref) and all(map(_same, got, ref))
+    return np.array_equal(got, ref)
+
+
+def _check_noise() -> None:
+    """Compare the three noise ops with the numpy backend's on a fixed
+    odd-length draw that starts on a pending half-word, with a gshare
+    range that is not a power of two and an empty gap; raise
+    :class:`StreamMismatch` when they differ.
+
+    Every bimodal and gshare entry is read to the end, so every
+    branch's address, outcome and gshare index lands in a hit, and a
+    quarter of the nudges in the drift.
+    """
+    from repro.system.noise import NOISE_REGION, pcg64_stream
+
+    rng = np.random.default_rng(17)
+    rng.integers(0, 2)
+    stream = pcg64_stream(rng)
+    n, n_g = 1001, 12289
+    offsets = np.array([0, 100, 100, 350, 600, 601, 900, n])
+    r2 = len(offsets) - 1
+    noise = (n, n_g, NOISE_REGION)
+    front_args = (offsets, 64, np.full(64, r2), 4, 3, 8, 5, 0xFF, 13)
+    results = []
+    for impl in (sys.modules[__name__], numpy_backend):
+        end = impl.noise_advance(stream, *noise)
+        front = impl.noise_front(stream, *noise, *front_args)
+        back = impl.noise_back(
+            stream, *noise, offsets, front[4], front[3], np.full(n_g, r2)
+        )
+        results.append((end, front, back))
+    if not _same(*results):
+        raise StreamMismatch(
+            f"fused noise passes disagree with draw_noise on numpy "
+            f"{np.__version__}"
+        )
+
+
 def _check_stream() -> None:
     """Compare one fused summary with the numpy backend's on a fixed
-    odd-length block; raise :class:`StreamMismatch` when they differ.
+    odd-length block, and the noise passes on a fixed draw
+    (:func:`_check_noise`); raise :class:`StreamMismatch` when they
+    differ.
 
     Every branch folds the target bimodal entry, every gshare entry is
     tracked and the one BIT set records the last address, under a
@@ -495,6 +839,7 @@ def _check_stream() -> None:
             f"fused block summary {got[0]}/{got[2]}/{got[3]} != "
             f"numpy {ref[0]}/{ref[2]}/{ref[3]} on numpy {np.__version__}"
         )
+    _check_noise()
 
 
 def load():
@@ -587,6 +932,124 @@ def summarize_block(
         int(scalars[0]), g_acc[:n_tracked], bool(scalars[1]),
         int(scalars[2]),
     )
+
+
+def _stream_words(stream) -> np.ndarray:
+    """A PCG64 stream value as the six uint64 the C side reads."""
+    state, inc, has_uint32, uinteger = stream
+    return np.array(
+        [state >> 64, state & _MASK64, inc >> 64, inc & _MASK64,
+         has_uint32, uinteger],
+        dtype=np.uint64,
+    )
+
+
+def _stream_value(words: np.ndarray):
+    hi, lo, inc_hi, inc_lo, has_uint32, uinteger = (int(w) for w in words)
+    return ((hi << 64) | lo, (inc_hi << 64) | inc_lo, has_uint32, uinteger)
+
+
+def _pu64(a: np.ndarray):
+    return _ffi.cast("uint64_t *", _ffi.from_buffer(a))
+
+
+def _noise_ranges(n, n_gshare, region):
+    """``(n, rng_a, rng_g)`` for the C noise passes; ValueError for a
+    range outside numpy's 32-bit bounded draw (or an address that could
+    go negative or overflow), which the C passes cannot draw."""
+    low, high = (int(v) for v in region)
+    n_gshare = int(n_gshare)
+    if not (0 < high - low <= 1 << 32 and 0 < n_gshare <= 1 << 32):
+        raise ValueError("noise ranges must fit a 32-bit bounded draw")
+    if low < 0 or high > 1 << 62:
+        raise ValueError("noise addresses must lie in [0, 2**62]")
+    return max(int(n), 0), high - low - 1, n_gshare - 1
+
+
+def _gap_offsets(offsets, n) -> np.ndarray:
+    offsets = _i64(offsets)
+    if len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != n or (
+        np.diff(offsets) < 0
+    ).any():
+        raise ValueError("noise gap offsets must run from 0 up to n")
+    return offsets
+
+
+def noise_advance(stream, n, n_gshare, region, cache=None):
+    n, rng_a, rng_g = _noise_ranges(n, n_gshare, region)
+    words = _stream_words(stream)
+    _lib.repro_noise_advance(_pu64(words), n, rng_a, rng_g)
+    return _stream_value(words)
+
+
+def noise_front(
+    stream, n, n_gshare, region, offsets, n_b, last_b, n_sel, tsel,
+    n_sets, tset, tag_mask, ghr_len, cache=None,
+):
+    n, rng_a, _ = _noise_ranges(n, n_gshare, region)
+    offsets = _gap_offsets(offsets, n)
+    last_b = _i64(last_b)
+    if min(int(n_b), int(n_sel), int(n_sets)) < 1:
+        raise ValueError("table sizes must be positive")
+    if len(last_b) < int(n_b):
+        raise ValueError("last_b needs one entry per bimodal entry")
+    r2 = len(offsets) - 1
+    tails = np.empty(r2, dtype=np.int64)
+    noise_tag = np.empty(r2, dtype=np.int64)
+    # Sized for the worst case; only the used prefix is ever touched.
+    hit_idx = np.empty(n, dtype=np.int64)
+    hit_epoch = np.empty(n, dtype=np.int64)
+    hit_out = np.empty(n, dtype=np.int64)
+    on_tsel = np.empty(n, dtype=np.int64)
+    outcomes = np.empty(n, dtype=np.uint8)
+    counts = np.zeros(2, dtype=np.int64)
+    start = _stream_words(stream)
+    _lib.repro_noise_front(
+        _pu64(start), n, int(region[0]), rng_a,
+        _p(offsets), r2, int(n_b), _p(last_b), int(n_sel), int(tsel),
+        int(n_sets), int(tset), int(tag_mask), (1 << int(ghr_len)) - 1,
+        _p(tails), _p(noise_tag), _p(hit_idx), _p(hit_epoch),
+        _p(hit_out), _p(on_tsel), _pu8(outcomes), _p(counts),
+    )
+    k, m = int(counts[0]), int(counts[1])
+    hits = (hit_idx[:k].copy(), hit_epoch[:k].copy(), hit_out[:k].copy())
+    return tails, noise_tag, hits, on_tsel[:m].copy(), outcomes.view(bool)
+
+
+def noise_back(
+    stream, n, n_gshare, region, offsets, outcomes, on_tsel, last_g,
+    cache=None,
+):
+    n, rng_a, rng_g = _noise_ranges(n, n_gshare, region)
+    offsets = _gap_offsets(offsets, n)
+    last_g = _i64(last_g)
+    if len(last_g) < int(n_gshare):
+        raise ValueError("last_g needs one entry per gshare index")
+    outcomes = _u8(outcomes)
+    if len(outcomes) < n:
+        raise ValueError("outcomes needs one bit per noise branch")
+    on_tsel = _i64(on_tsel)
+    if len(on_tsel) and (
+        on_tsel[0] < 0 or on_tsel[-1] >= n or (np.diff(on_tsel) <= 0).any()
+    ):
+        raise ValueError("on_tsel must be increasing positions below n")
+    drift = np.empty(len(offsets) - 1, dtype=np.int64)
+    # One slot past the worst case: the C side writes each candidate hit
+    # before counting it.
+    hit_idx = np.empty(n + 1, dtype=np.int64)
+    hit_key = np.empty(n + 1, dtype=np.int64)
+    counts = np.zeros(1, dtype=np.int64)
+    # A local keeps the buffer alive across the call (a cast pointer
+    # does not).
+    start = _stream_words(stream)
+    _lib.repro_noise_back(
+        _pu64(start), n, rng_a, rng_g, _p(offsets), len(drift),
+        _pu8(outcomes), _p(on_tsel), len(on_tsel), _p(last_g), _p(drift), _p(hit_idx), _p(hit_key),
+        _p(counts),
+    )
+    k = int(counts[0])
+    key = hit_key[:k]
+    return drift, (hit_idx[:k].copy(), key >> 1, key & 1)
 
 
 def read_levels_ids(

@@ -2,9 +2,10 @@
 
 The hot inner loops of the fast engines — monoid folds
 (:meth:`TransitionMonoid.reduce` / :meth:`fold_table`), the manycore
-per-block summary and id-space read recovery, and the batch
-calibration's prefix-scan read recovery — all route through the five
-ops exported here.  Two interchangeable implementations exist:
+per-block summary, trial-plan noise passes and id-space read recovery,
+and the batch calibration's prefix-scan read recovery — all route
+through the eight ops exported here.  Two interchangeable
+implementations exist:
 
 ``numpy``
     Segmented-scan algorithms; always available, the correctness
@@ -27,14 +28,22 @@ path that actually ran.
 
 Determinism contract: every backend returns bit-identical outputs for
 every op (TransitionMonoid ids are canonical and composition is
-associative, so association order cannot matter).  Only
-``summarize_block`` draws random numbers: it draws its block from its
-own PCG64, seeded from the block seed and bit-exact with
-``RandomizationBlock.generate`` (the numpy backend calls it; the cffi
+associative, so association order cannot matter).  The ops that draw
+random numbers never touch a caller's ``Generator``:
+
+* ``summarize_block`` draws its block from its own PCG64, seeded from
+  the block seed and bit-exact with ``RandomizationBlock.generate``;
+* ``noise_advance``, ``noise_front`` and ``noise_back`` take a PCG64
+  position as a plain value (:func:`repro.system.noise.pcg64_stream`)
+  and read ``draw_noise``'s draw from it; ``noise_advance`` returns the
+  position the draw ends at.
+
+The numpy backend calls ``generate`` / ``draw_noise`` itself; the cffi
 backend replays numpy's stream in C and checks itself against numpy at
-load), and never from a caller's ``Generator``, so RNG stream positions
-are backend-independent.  ``tests/test_kernels.py`` enforces both across
-the shipped presets.
+load.  Only :func:`repro.core.calibration.draw_trial_plan` writes an
+end position back into a caller's generator, so RNG stream positions
+are backend-independent.  ``tests/test_kernels.py`` and
+``tests/test_noise_stream.py`` enforce both across the shipped presets.
 """
 
 from __future__ import annotations
@@ -209,6 +218,13 @@ def warmup() -> str:
         ct, 2, 1, 0, 2, 1, np.array([0, -1], dtype=np.int64), 1,
         2, 0, 2, 0, 3, 1, 0,
     )
+    stream = (1, 1, 1, 0)
+    impl.noise_advance(stream, 1, 2, (0, 4))
+    offsets = np.array([0, 1], dtype=np.int64)
+    _, _, _, on_tsel, outcomes = impl.noise_front(
+        stream, 1, 2, (0, 4), offsets, 2, pos, 2, 0, 2, 0, 1, 2,
+    )
+    impl.noise_back(stream, 1, 2, (0, 4), offsets, outcomes, on_tsel, pos)
     nodes = np.array([0], dtype=np.int64)
     impl.read_levels_ids(
         np.zeros((1, 1), dtype=np.int64), np.zeros((1, 1), np.int64),
@@ -268,6 +284,42 @@ def summarize_block(
         seed, n_branches, base_address, outcome_ids, compose_table, n_b,
         shift_b, tb, n_g, shift_g, pos_table, ghr_len, n_sel, tsel, n_sets,
         tset, tag_mask, n_tracked, identity,
+    )
+
+
+def noise_advance(stream, n, n_gshare, region, cache=None):
+    """The PCG64 position ``draw_noise`` leaves after ``n`` branches
+    drawn from ``stream`` (a :func:`repro.system.noise.pcg64_stream`
+    value); ``region`` is the address range.  ``cache`` is the memo of
+    the plan that owns the stream (the numpy backend keeps its one draw
+    there)."""
+    return _dispatch().noise_advance(stream, n, n_gshare, region, cache)
+
+
+def noise_front(
+    stream, n, n_gshare, region, offsets, n_b, last_b, n_sel, tsel,
+    n_sets, tset, tag_mask, ghr_len, cache=None,
+):
+    """Pass 1 over a plan's noise (addresses, outcomes): per-gap GHR
+    tails and last BIT tags on ``tset``, the bimodal hits before each
+    entry's last read, the branches on selector entry ``tsel`` and the
+    outcome bits."""
+    return _dispatch().noise_front(
+        stream, n, n_gshare, region, offsets, n_b, last_b, n_sel, tsel,
+        n_sets, tset, tag_mask, ghr_len, cache,
+    )
+
+
+def noise_back(
+    stream, n, n_gshare, region, offsets, outcomes, on_tsel, last_g,
+    cache=None,
+):
+    """Pass 2 over a plan's noise (gshare indices, nudges), given pass
+    1's outcome bits and ``tsel`` branches: per-gap selector drift on
+    ``tsel`` and the gshare hits before each entry's last read."""
+    return _dispatch().noise_back(
+        stream, n, n_gshare, region, offsets, outcomes, on_tsel, last_g,
+        cache,
     )
 
 

@@ -11,10 +11,12 @@ composition is associative, so every association order produces the
 same ids and the backends are bit-identical by construction (the
 differential suite in ``tests/test_kernels.py`` pins it anyway).
 
-The one op that draws, ``summarize_block``, draws its block from its
-own generator seeded by the block seed (``RandomizationBlock.generate``)
-and never from a caller's, so backend choice can never move an RNG
-stream position.
+The ops that draw never draw from a caller's generator, so backend
+choice can never move an RNG stream position: ``summarize_block``
+draws its block from its own generator seeded by the block seed
+(``RandomizationBlock.generate``), and the noise ops run
+``draw_noise`` on a fresh generator set to the PCG64 position they are
+given, once per plan when the plan's memo is passed.
 """
 
 from __future__ import annotations
@@ -183,6 +185,94 @@ def summarize_block(
     else:
         block_tag = -1
     return int(bim_id), g_ids, tsel_touched, block_tag
+
+
+# -- a trial plan's noise (manycore phase 1) ---------------------------------
+
+
+def _noise(stream, n, n_gshare, region, cache):
+    # Lazy: the noise module imports the core, which imports this package.
+    from repro.system.noise import draw_noise_at
+
+    return draw_noise_at(stream, n, n_gshare, region, cache)
+
+
+def _gap_epochs(offsets: np.ndarray) -> np.ndarray:
+    """The gap (epoch) of every noise branch."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    gaps = offsets[1:] - offsets[:-1]
+    return np.repeat(np.arange(len(gaps), dtype=np.int64), gaps)
+
+
+def _hits(idx, epochs, outcomes, last_read):
+    """The hits the noise makes on entries read later: ``(entry,
+    epoch, outcome)`` arrays in time order, kept iff ``epoch`` is
+    before the entry's last read (``-1`` for an entry never read)."""
+    keep = np.flatnonzero(epochs < np.asarray(last_read)[idx])
+    return (
+        np.asarray(idx[keep], dtype=np.int64),
+        epochs[keep],
+        outcomes[keep].astype(np.int64),
+    )
+
+
+def noise_advance(stream, n, n_gshare, region, cache=None):
+    """The PCG64 position :func:`repro.system.noise.draw_noise` leaves
+    after drawing ``n`` branches from ``stream``.
+
+    Draws the noise (into ``cache`` when given, so the plan that owns
+    the stream never draws it again).
+    """
+    return _noise(stream, n, n_gshare, region, cache)[1]
+
+
+def noise_front(
+    stream, n, n_gshare, region, offsets, n_b, last_b, n_sel, tsel,
+    n_sets, tset, tag_mask, ghr_len, cache=None,
+):
+    """What a plan's noise addresses and outcomes leave, per gap.
+
+    Returns ``(tails, noise_tag, hits_b, on_tsel, outcomes)``: each
+    gap's GHR tail (:func:`repro.system.noise.gap_tails`), the tag of
+    its last branch on BIT set ``tset`` (-1 if none), the bimodal hits
+    (plain modulo ``n_b``) before each entry's ``last_b`` read, the
+    positions of the branches on selector entry ``tsel``, and the
+    outcome bits.
+    """
+    from repro.system.noise import gap_tails
+
+    draw = _noise(stream, n, n_gshare, region, cache)[0]
+    epochs = _gap_epochs(offsets)
+    addresses = draw.addresses
+    hits_b = _hits(fast_mod(addresses, n_b), epochs, draw.outcomes, last_b)
+    on_tsel = np.flatnonzero(fast_mod(addresses, n_sel) == tsel)
+    noise_tag = np.full(len(offsets) - 1, -1, dtype=np.int64)
+    on_tset = np.flatnonzero(fast_mod(addresses, n_sets) == tset)
+    if len(on_tset):
+        last = np.full(len(noise_tag), -1, dtype=np.int64)
+        np.maximum.at(last, epochs[on_tset], on_tset)
+        rows = last >= 0
+        noise_tag[rows] = (addresses[last[rows]] // n_sets) & tag_mask
+    tails = gap_tails(draw.outcomes, offsets, ghr_len)
+    return tails, noise_tag, hits_b, on_tsel, draw.outcomes
+
+
+def noise_back(
+    stream, n, n_gshare, region, offsets, outcomes, on_tsel, last_g,
+    cache=None,
+):
+    """What a plan's gshare indices and selector nudges leave, per gap.
+
+    ``outcomes`` and ``on_tsel`` are :func:`noise_front`'s.  Returns ``(drift, hits_g)``: each gap's
+    summed nudge on the selector entry, and the gshare hits before each
+    entry's ``last_g`` read.
+    """
+    draw = _noise(stream, n, n_gshare, region, cache)[0]
+    epochs = _gap_epochs(offsets)
+    hits_g = _hits(draw.gshare_indices, epochs, outcomes, last_g)
+    drift = np.zeros(len(offsets) - 1, dtype=np.int64)
+    np.add.at(drift, epochs[on_tsel], draw.nudges[on_tsel])
+    return drift, hits_g
 
 
 # -- id-space read-level recovery (manycore phase 2) -------------------------

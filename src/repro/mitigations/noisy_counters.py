@@ -10,7 +10,6 @@ the ablation bench quantifies.
 
 from __future__ import annotations
 
-from typing import Optional
 
 import numpy as np
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 

@@ -23,7 +23,7 @@ Two implementations are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +35,10 @@ __all__ = [
     "NoiseDraw",
     "noise_branches",
     "draw_noise",
+    "draw_noise_at",
+    "gap_tails",
+    "pcg64_state",
+    "pcg64_stream",
     "apply_noise_draw",
     "inject_noise",
     "run_workload_noise",
@@ -208,6 +212,88 @@ def draw_noise(
     gshare_indices = rng.integers(0, n_gshare_entries, size=n)
     nudges = rng.integers(-1, 2, size=n)
     return NoiseDraw(int(n), addresses, outcomes, gshare_indices, nudges)
+
+
+def pcg64_stream(rng: np.random.Generator) -> Tuple[int, int, int, int]:
+    """A PCG64 generator's exact stream position as a plain value.
+
+    ``(state, inc, has_uint32, uinteger)``: the 128-bit LCG state and
+    increment, plus the 32-bit half-word ``next_uint32`` keeps buffered
+    (whether one is pending, and its value, which stays put once used).
+    """
+    bit_generator = rng.bit_generator
+    if not isinstance(bit_generator, np.random.PCG64):
+        raise TypeError(
+            f"a noise stream needs a PCG64 generator, not "
+            f"{type(bit_generator).__name__}"
+        )
+    state = bit_generator.state
+    return (
+        int(state["state"]["state"]),
+        int(state["state"]["inc"]),
+        int(state["has_uint32"]),
+        int(state["uinteger"]),
+    )
+
+
+def pcg64_state(stream: Tuple[int, int, int, int]) -> dict:
+    """The ``bit_generator.state`` dict of a :func:`pcg64_stream` value."""
+    state, inc, has_uint32, uinteger = stream
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": has_uint32,
+        "uinteger": uinteger,
+    }
+
+
+def draw_noise_at(
+    stream: Tuple[int, int, int, int],
+    n: int,
+    n_gshare_entries: int,
+    region: Tuple[int, int] = NOISE_REGION,
+    cache: Optional[dict] = None,
+) -> Tuple[NoiseDraw, Tuple[int, int, int, int]]:
+    """:func:`draw_noise` from a :func:`pcg64_stream` position.
+
+    Returns the draw and the position it ends at.  With ``cache`` (a
+    memo dict owned by the draw's one stream, e.g. a trial plan's) the
+    pair is drawn at most once.
+    """
+    hit = cache.get("noise") if cache is not None else None
+    if hit is None:
+        bit_generator = np.random.PCG64()
+        bit_generator.state = pcg64_state(stream)
+        rng = np.random.Generator(bit_generator)
+        hit = (draw_noise(rng, n, n_gshare_entries, region), pcg64_stream(rng))
+        if cache is not None:
+            cache["noise"] = hit
+    return hit
+
+
+def gap_tails(
+    outcomes: np.ndarray, offsets: np.ndarray, ghr_len: int
+) -> np.ndarray:
+    """The GHR each noise gap leaves: its last ``ghr_len`` outcomes,
+    folded MSB-first, as :func:`apply_noise_draw` sets it (0 for an
+    empty gap, which leaves the GHR alone).
+
+    ``offsets`` are the gaps' prefix offsets into ``outcomes``.  Each
+    gap's tail is gathered as one right-aligned window; a short gap
+    zeroes its (high-bit) pad columns, matching the fold of just the
+    gap's own outcomes.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    gaps = offsets[1:] - offsets[:-1]
+    total = int(offsets[-1])
+    if not total:
+        return np.zeros(len(gaps), dtype=np.int64)
+    cols = np.arange(ghr_len)
+    window_lo = offsets[1:] - np.minimum(gaps, ghr_len)
+    gather = (offsets[1:] - ghr_len)[:, None] + cols
+    valid = gather >= window_lo[:, None]
+    bits = (outcomes[np.clip(gather, 0, total - 1)] & valid).astype(np.int64)
+    return bits @ (1 << cols[::-1])
 
 
 def inject_noise(

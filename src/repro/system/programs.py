@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Generator, Iterator, List, Optional, Union
 
-import numpy as np
 
 from repro.cpu.core import BranchExecution, PhysicalCore
 from repro.cpu.process import Process

@@ -77,10 +77,6 @@ class SecretBitArrayVictim:
             taken=(bit == self.taken_when_bit),
         )
 
-    def rewind(self) -> None:
-        """Restart from the first bit (e.g. for a repeated transmission)."""
-        self._cursor = 0
-
     def reveal_secret(self) -> Sequence[int]:
         """Ground truth for evaluation harnesses only.
 

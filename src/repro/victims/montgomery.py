@@ -27,7 +27,7 @@ matters).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.cpu.core import PhysicalCore
 from repro.cpu.process import Process

@@ -1,6 +1,5 @@
 """Statistics and report-formatting helpers."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 

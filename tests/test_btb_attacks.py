@@ -1,6 +1,5 @@
 """Prior-work BTB attacks (paper §11) and the BTB-flush defense."""
 
-import numpy as np
 import pytest
 
 from repro.bpu import haswell

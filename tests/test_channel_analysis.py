@@ -1,6 +1,5 @@
 """Channel-quality metrics."""
 
-import math
 
 import pytest
 from hypothesis import given, strategies as st

@@ -9,7 +9,6 @@ exercised manually / by the benches).
 
 import importlib.util
 import pathlib
-import sys
 
 import pytest
 

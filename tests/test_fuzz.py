@@ -32,7 +32,6 @@ from repro.fuzz.generate import (
     random_descriptor,
 )
 from repro.fuzz.infer import (
-    FSM_VARIANTS,
     SELECTOR_INITIALS,
     Hypothesis,
     HypothesisBank,

@@ -49,6 +49,7 @@ from repro.core.manycore import (
     ManycoreCampaignPool,
     _NodePlan,
     _SharedStructure,
+    _last_read,
     assess_planned,
     group_batch_stats,
     manycore_supported,
@@ -312,6 +313,7 @@ class TestReadLevelsWalk:
             inputs["initial"], inputs["idx"],
             inputs["outcomes"], inputs["noise_idx"], inputs["noise_out"],
             inputs["noise_epoch"], inputs["d"], inputs["n_entries"],
+            _last_read(inputs["idx"], inputs["d"], inputs["n_entries"]),
         )
         tracked = np.flatnonzero(plan.pos_table >= 0)
         lift = np.random.default_rng(seed).integers(
@@ -391,6 +393,7 @@ class TestReadLevelsWalk:
             inputs["initial"], inputs["idx"],
             inputs["outcomes"], inputs["noise_idx"], inputs["noise_out"],
             inputs["noise_epoch"], inputs["d"], inputs["n_entries"],
+            _last_read(inputs["idx"], inputs["d"], inputs["n_entries"]),
         )
         lift = np.random.default_rng(2).integers(
             0, len(inputs["monoid"].maps), size=(8, plan.n_tracked)

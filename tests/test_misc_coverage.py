@@ -1,7 +1,6 @@
 """Coverage for remaining paths: BTB timing in the core, workload noise,
 partitions, gshare update ordering, covert config validation."""
 
-import numpy as np
 import pytest
 
 from repro.bpu import haswell

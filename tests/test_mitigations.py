@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from repro.bpu import haswell
-from repro.bpu.fsm import State
 from repro.bpu.partition import Partition
 from repro.core.attack import BranchScope
 from repro.core.calibration import CalibrationError
-from repro.core.covert import CovertChannel, CovertConfig, error_rate
+from repro.core.covert import error_rate
 from repro.cpu import PhysicalCore, Process
 from repro.mitigations import (
     BpuPartitioning,

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.bpu import haswell
-from repro.core.calibration import find_block
 from repro.core.patterns import DecodedState
 from repro.core.pht_map import (
     _encode,
@@ -17,7 +16,6 @@ from repro.core.pht_map import (
 )
 from repro.core.randomizer import RandomizationBlock
 from repro.cpu import PhysicalCore, Process
-from repro.system.noise import NoiseModel
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import pytest
 
 from repro.bpu import haswell, skylake
 from repro.cpu import PhysicalCore, Process
-from repro.core.randomizer import CompiledBlock, RandomizationBlock
+from repro.core.randomizer import RandomizationBlock
 
 BLOCK_N = 6000
 

@@ -9,9 +9,7 @@ campaign must resume to exactly the uninterrupted run's output, a
 corrupted checkpoint must roll back to the last good generation.
 """
 
-import os
 import pickle
-import warnings
 
 import numpy as np
 import pytest
@@ -21,11 +19,7 @@ from repro.core.calibration import find_block, stability_experiment
 from repro.core.covert import CovertChannel, CovertConfig
 from repro.core.patterns import DecodedState
 from repro.cpu import PhysicalCore, Process
-from repro.obs import (
-    record_resilience_event,
-    reset_resilience_events,
-    resilience_event_counts,
-)
+from repro.obs import reset_resilience_events, resilience_event_counts
 from repro.parallel import (
     RetryExhaustedError,
     SuperviseConfig,

@@ -25,7 +25,7 @@ from repro.mitigations import (
     StochasticFSM,
 )
 from repro.system.noise import NoiseModel, inject_noise
-from repro.system.scheduler import AttackScheduler, NoiseSetting
+from repro.system.scheduler import NoiseSetting
 from repro.victims import SecretBitArrayVictim
 
 SMALL_BLOCK = 8000

@@ -1,6 +1,5 @@
 """The §5.1 selection-logic experiment (Figure 2)."""
 
-import pytest
 
 from repro.bpu import haswell, skylake
 from repro.core.selection import selector_learning_experiment

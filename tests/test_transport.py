@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import subprocess
 import sys
 import threading
@@ -39,7 +38,7 @@ from repro.service import (
     run_campaign,
     run_worker,
 )
-from repro.service.coordinator import Coordinator, run_coordinator
+from repro.service.coordinator import Coordinator
 from repro.service.leases import (
     DONE,
     FAILED,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bpu import haswell
-from repro.cpu import PhysicalCore, Process
+from repro.cpu import PhysicalCore
 from repro.victims.montgomery import (
     CurvePoint,
     MontgomeryLadderVictim,
