@@ -83,9 +83,10 @@ def plan_generation(
     """Descriptors for one generation, deterministic given the inputs.
 
     Generation 0 is the fixed battery; later generations draw a seeded
-    random pool and keep the :meth:`~repro.fuzz.infer.HypothesisLattice.
-    partition_score` leaders — the programs whose nuisance-agreed bits
-    split the surviving hypotheses most finely.
+    random pool, score it in one :meth:`~repro.fuzz.infer.
+    HypothesisLattice.partition_scores` call and keep the leaders — the
+    programs whose nuisance-agreed bits split the surviving hypotheses
+    most finely.
     """
     if generation == 0:
         return battery_descriptors(seed)
@@ -93,9 +94,11 @@ def plan_generation(
         np.random.SeedSequence(seed, spawn_key=(1000 + generation,))
     )
     pool = [random_descriptor(rng) for _ in range(_POOL_SIZE)]
+    scores = lattice.partition_scores(
+        [program_from_descriptor(desc) for desc in pool]
+    )
     scored = [
-        (lattice.partition_score(program_from_descriptor(desc)), -i, desc)
-        for i, desc in enumerate(pool)
+        (score, -i, desc) for i, (score, desc) in enumerate(zip(scores, pool))
     ]
     scored.sort(key=lambda item: (item[0], item[1]), reverse=True)
     return [desc for _, _, desc in scored[:_PICK]]
@@ -224,11 +227,11 @@ def run_fuzz(
         cached += state.cached_shards
         n_trials += aggregate.n_trials
         generations_run += 1
-        for record in aggregate.records():
-            lattice.observe(
-                program_from_descriptor(record["descriptor"]),
-                record["hits"],
-            )
+        records = aggregate.records()
+        lattice.observe(
+            [program_from_descriptor(r["descriptor"]) for r in records],
+            [r["hits"] for r in records],
+        )
         if log is not None:
             log(
                 f"generation {generation}: {len(descriptors)} programs, "

@@ -40,11 +40,25 @@ Two simulator implementations with one contract:
   ``tests/test_fuzz.py`` pins the two bit-identical on the whole
   lattice.
 
-:class:`HypothesisLattice` runs each program through a bank over the
+One bank pass evaluates a *list* of programs: their steps are
+concatenated and every scan key carries the program's list position,
+so the PHT segments, the history window (zero history at each
+program's first step), first-execution ``cold`` and the choice-counter
+scans all restart per program, and each observed column reports its
+owning program.  A single program is the one-element list.
+
+:class:`HypothesisLattice` runs programs through a bank over the
 *surviving* hypotheses only, rebuilt when the survivor set shrinks, so
-an observation costs in proportion to what is still alive.  A row's
-signatures and agreed mask depend on that hypothesis alone and
-refutation only clears survivor bits, so skipping dead rows changes no
+an observation costs in proportion to what is still alive.  ``observe``
+walks a generation in chunks: a chunk takes the next program and keeps
+adding programs while survivors × chunk steps stays within
+:data:`_CHUNK_WORK` (120 × 128), one pass per chunk, with the survivors
+bank rebuilt between chunks.  On the seed-0 battery that is two passes:
+the 24 short programs over the full lattice, then the six history
+programs over the handful left.  A row's signatures and agreed mask
+depend on that hypothesis and that program alone, each chunk runs over
+a superset of the later survivors, and refutation only clears survivor
+bits, so neither skipping dead rows nor grouping programs changes any
 result.
 """
 
@@ -69,6 +83,7 @@ from repro.bpu.hashes import apply_hash, fold_history
 from repro.fuzz.generate import (
     CANDIDATE_HISTORY_BITS,
     CANDIDATE_TABLE_SIZES,
+    MAX_ADDRESS,
     BranchProgram,
 )
 
@@ -97,6 +112,13 @@ _SELECTOR_MAX = 7
 
 #: Global-history register width (the widest candidate history).
 _GHR_WIDTH = 24
+
+#: Work bound of one lattice pass: survivors × steps of the programs
+#: evaluated together.  120 hypotheses × 128 steps covers the whole
+#: lattice over the battery's 24 short programs in one pass, and lets
+#: the long history programs share a pass once a handful survive; it
+#: also caps a pass's transient arrays.
+_CHUNK_WORK = 120 * 128
 
 #: Weights packing a window of the last ``_GHR_WIDTH`` outcomes, oldest
 #: first, into the history value (newest outcome in bit 0).
@@ -204,6 +226,14 @@ def _distinct(keys: List) -> Tuple[List, np.ndarray]:
     return distinct, np.array([distinct.index(key) for key in keys])
 
 
+def _owners(programs: Sequence[BranchProgram]) -> np.ndarray:
+    """List position of the program each observed column belongs to."""
+    return np.repeat(
+        np.arange(len(programs)),
+        np.array([len(p.observed) for p in programs], dtype=np.intp),
+    )
+
+
 def _counter_monoid() -> TransitionMonoid:
     """The choice counter's maps: closure of its down and up moves.
 
@@ -298,6 +328,9 @@ class HypothesisBank:
             self._step_ids[:, v] = monoid.outcome_ids + lo
         self._identities = offsets[:-1].astype(np.int16)
         self._counter = _counter_monoid()
+        # PHT scan key of entry e in the program at list position p:
+        # p * stride + e, so each program's entries are their own segments.
+        self._entries_stride = max(h.table_entries for h in self.hypotheses)
 
     def __len__(self) -> int:
         return len(self.hypotheses)
@@ -310,18 +343,20 @@ class HypothesisBank:
         return out
 
     def _gshare_indices(
-        self, addresses: np.ndarray, outcomes: np.ndarray
+        self, addresses: np.ndarray, outcomes: np.ndarray, position: np.ndarray
     ) -> np.ndarray:
         """gshare PHT index per step and column, shape (T, columns)."""
         # Outcome-determined history before each step, truncated to
         # the widest candidate (24 bits); columns mask it narrower.
+        # ``position`` is each step's index in its own program: outcomes
+        # from before a program's first step are masked off.
         padded = np.concatenate(
             [np.zeros(_GHR_WIDTH, dtype=np.int64), outcomes[:-1]]
         )
         history = (
             np.lib.stride_tricks.sliding_window_view(padded, _GHR_WIDTH)
             @ _GHR_WEIGHTS
-        )
+        ) & ((1 << np.minimum(position, _GHR_WIDTH)) - 1)
         out = np.empty((len(addresses), len(self._gshare_columns)), np.int32)
         folds: Dict[Tuple[int, int], np.ndarray] = {}
         for c, (size, index_hash, bits) in enumerate(self._gshare_columns):
@@ -333,44 +368,75 @@ class HypothesisBank:
         return out
 
     def _table_predictions(
-        self, indices: np.ndarray, column_of: np.ndarray, outcomes: np.ndarray
+        self, entries: np.ndarray, column_of: np.ndarray, outcomes: np.ndarray
     ) -> np.ndarray:
-        """Each hypothesis's PHT prediction before every step, (T, K)."""
-        order = np.argsort(indices, axis=0, kind="stable")
-        keys = np.take_along_axis(indices, order, axis=0)[:, :, None]
+        """Each hypothesis's PHT prediction before every step, (T, K),
+        from each step's (program, entry) scan key per index column."""
+        order = np.argsort(entries, axis=0, kind="stable")
+        keys = np.take_along_axis(entries, order, axis=0)[:, :, None]
         # (T, columns, variants) ids: each column once per FSM variant.
         steps = self._step_ids[outcomes[order]]
         prefix = _exclusive_scan(steps, keys, self._compose, self._identities)
         predicts = np.empty(prefix.shape, dtype=bool)
-        predicts[order, np.arange(indices.shape[1])] = self._predicts[prefix]
+        predicts[order, np.arange(entries.shape[1])] = self._predicts[prefix]
         return predicts[:, column_of, self._variant_of]
 
     def signatures_by_bias(
-        self, program: BranchProgram, biases: Sequence[int]
-    ) -> np.ndarray:
-        """Predicted hit bits for every selector bias and hypothesis,
-        shape (biases, K, observed)."""
+        self, programs: Sequence[BranchProgram], biases: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Predicted hit bits of ``programs`` for every selector bias and
+        hypothesis, in one pass.
+
+        Returns ``(bits, owner)``: ``bits`` has shape (biases, K,
+        observed), with every program's observed steps side by side in
+        list order, and ``owner[j]`` is the list position of the program
+        that column ``j`` observes.  Each program starts from power-up
+        state: the steps are concatenated and every scan key carries the
+        program's position, so PHT entries, the history window, first
+        executions and choice counters all restart per program.
+        """
         biases = [int(b) for b in biases]
         if any(not 0 <= b <= _SELECTOR_MAX for b in biases):
             raise ValueError(f"selector biases must lie in 0..{_SELECTOR_MAX}")
-        observed = np.array(program.observed, dtype=np.intp)
-        if not len(observed):
-            return np.zeros((len(biases), len(self), 0), dtype=bool)
-        addresses = np.array(program.addresses, dtype=np.int64)
-        outcomes = np.array(program.outcomes, dtype=np.int8)
+        owner = _owners(programs)
+        if not len(owner):
+            return np.zeros((len(biases), len(self), 0), dtype=bool), owner
+        lengths = [len(p) for p in programs]
+        starts = np.cumsum([0] + lengths[:-1]).tolist()
+        program_of = np.repeat(np.arange(len(programs)), lengths)
+        position = np.arange(len(program_of)) - np.repeat(starts, lengths)
+        observed = np.array(
+            [
+                start + step
+                for program, start in zip(programs, starts)
+                for step in program.observed
+            ],
+            dtype=np.intp,
+        )
+        addresses = np.array(
+            [a for p in programs for a in p.addresses], dtype=np.int64
+        )
+        outcomes = np.array(
+            [o for p in programs for o in p.outcomes], dtype=np.int8
+        )
+        entry_base = program_of[:, None] * self._entries_stride
         b_taken = self._table_predictions(
-            self._bimodal_indices(addresses), self._bimodal_of, outcomes
+            self._bimodal_indices(addresses) + entry_base,
+            self._bimodal_of,
+            outcomes,
         )
         g_taken = self._table_predictions(
-            self._gshare_indices(addresses, outcomes),
+            self._gshare_indices(addresses, outcomes, position) + entry_base,
             self._gshare_of,
             outcomes,
         )
         # Choice counters: a non-cold step where exactly one PHT was
         # right moves the counter toward it; cold steps leave the
-        # initial bias in place.
+        # initial bias in place.  Keyed by (program, address).
         _, first, aid = np.unique(
-            addresses, return_index=True, return_inverse=True
+            program_of * MAX_ADDRESS + addresses,
+            return_index=True,
+            return_inverse=True,
         )
         cold = np.zeros(len(addresses), dtype=bool)
         cold[first] = True
@@ -398,21 +464,21 @@ class HypothesisBank:
             b_taken[observed, :, None],
         )
         hits = predicted == taken[observed, :, None]
-        return hits.transpose(2, 1, 0)
+        return hits.transpose(2, 1, 0), owner
 
     def signatures(
-        self, program: BranchProgram, selector_initial: int
+        self, programs: Sequence[BranchProgram], selector_initial: int
     ) -> np.ndarray:
         """Predicted hit bits for every hypothesis, shape (K, observed)."""
-        return self.signatures_by_bias(program, (selector_initial,))[0]
+        return self.signatures_by_bias(programs, (selector_initial,))[0][0]
 
 
 class HypothesisLattice:
     """Survivor tracking: hypotheses not yet refuted by any observation.
 
-    ``observe`` applies one program's oracle hits with the dual-
+    ``observe`` applies a list of programs' oracle hits with the dual-
     simulation nuisance masking described in the module docstring;
-    ``partition_score`` ranks a *candidate* program by how finely its
+    ``partition_scores`` ranks *candidate* programs by how finely their
     agreed bits split the current survivors (the fuzzer's generation
     planner maximises it).
 
@@ -424,6 +490,11 @@ class HypothesisLattice:
     is alive).  Exact: a row's signatures and agreed mask depend on
     that hypothesis alone, and refutation only clears ``alive`` bits,
     so a dead row can never change a result.
+
+    Both methods walk their list in chunks of consecutive programs, one
+    bank pass each; a chunk grows while survivors × chunk steps stays
+    within :data:`_CHUNK_WORK`, and ``observe`` rebuilds the survivors
+    bank between chunks.
     """
 
     def __init__(
@@ -451,40 +522,83 @@ class HypothesisLattice:
         return self._survivors
 
     def _masked(
-        self, program: BranchProgram
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Survivors' signatures under the low nuisance bias, plus the
-        agreed mask (both biases come from one pass of the bank); one
-        row per survivor, in ascending lattice-row order."""
+        self, programs: Sequence[BranchProgram]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Survivors' signatures under the low nuisance bias, the agreed
+        mask and each column's owning program, from one pass of the bank
+        (both biases at once); one row per survivor, in ascending
+        lattice-row order."""
         bank = self._survivors_bank()
         if bank is None:
-            empty = np.zeros((0, len(program.observed)), dtype=bool)
-            return empty, empty
-        by_bias = bank.signatures_by_bias(program, SELECTOR_INITIALS)
-        return by_bias[0], (by_bias == by_bias[0]).all(axis=0)
+            owner = _owners(programs)
+            empty = np.zeros((0, len(owner)), dtype=bool)
+            return empty, empty, owner
+        by_bias, owner = bank.signatures_by_bias(programs, SELECTOR_INITIALS)
+        return by_bias[0], (by_bias == by_bias[0]).all(axis=0), owner
+
+    def _chunk_end(self, programs: Sequence[BranchProgram], start: int) -> int:
+        """End of the chunk that starts at ``programs[start]``: that
+        program, then each next one while survivors × chunk steps stays
+        within :data:`_CHUNK_WORK`."""
+        survivors = int(self.alive.sum())
+        steps = len(programs[start])
+        end = start + 1
+        while end < len(programs) and (
+            survivors * (steps + len(programs[end])) <= _CHUNK_WORK
+        ):
+            steps += len(programs[end])
+            end += 1
+        return end
 
     def observe(
-        self, program: BranchProgram, hits: Iterable[object]
+        self,
+        programs: Sequence[BranchProgram],
+        hits: Sequence[Iterable[object]],
     ) -> int:
-        """Eliminate hypotheses refuted by ``hits``; returns survivors."""
-        observed = np.array([bool(int(h)) for h in hits], dtype=bool)
-        if observed.shape[0] != len(program.observed):
+        """Eliminate hypotheses refuted by each program's ``hits``;
+        returns survivors."""
+        programs = list(programs)
+        observed = [
+            np.array([bool(int(h)) for h in bits], dtype=bool) for bits in hits
+        ]
+        if len(observed) != len(programs):
             raise ValueError(
-                f"got {observed.shape[0]} hit bits for a program with "
-                f"{len(program.observed)} observed steps"
+                f"got hit bits for {len(observed)} programs, "
+                f"expected {len(programs)}"
             )
-        signatures, mask = self._masked(program)
-        refuted = np.any(mask & (signatures != observed[None, :]), axis=1)
-        self.alive[self._rows[refuted]] = False
+        for i, (program, bits) in enumerate(zip(programs, observed)):
+            if bits.shape[0] != len(program.observed):
+                raise ValueError(
+                    f"program {i}: got {bits.shape[0]} hit bits for a "
+                    f"program with {len(program.observed)} observed steps"
+                )
+        start = 0
+        while start < len(programs) and self.alive.any():
+            end = self._chunk_end(programs, start)
+            signatures, mask, _ = self._masked(programs[start:end])
+            wrong = signatures != np.concatenate(observed[start:end])
+            self.alive[self._rows[np.any(mask & wrong, axis=1)]] = False
+            start = end
         return int(self.alive.sum())
 
-    def partition_score(self, program: BranchProgram) -> int:
-        """Distinct agreed-bit signatures among survivors (higher = more
-        discriminating; 1 means the program cannot eliminate anything,
-        0 that nothing survives)."""
-        signatures, mask = self._masked(program)
-        keys = np.where(mask, signatures.astype(np.int8), np.int8(2))
-        return len({row.tobytes() for row in keys})
+    def partition_scores(self, programs: Sequence[BranchProgram]) -> List[int]:
+        """Per program, the distinct agreed-bit signatures among
+        survivors (higher = more discriminating; 1 means the program
+        cannot eliminate anything, 0 that nothing survives)."""
+        programs = list(programs)
+        scores: List[int] = []
+        start = 0
+        while start < len(programs):
+            end = self._chunk_end(programs, start)
+            signatures, mask, owner = self._masked(programs[start:end])
+            keys = np.where(mask, signatures.astype(np.int8), np.int8(2))
+            bounds = np.searchsorted(owner, np.arange(end - start + 1))
+            scores.extend(
+                len({row.tobytes() for row in keys[:, lo:hi]})
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            )
+            start = end
+        return scores
 
     def survivors(self) -> Tuple[Hypothesis, ...]:
         return tuple(

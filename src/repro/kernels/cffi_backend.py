@@ -4,7 +4,9 @@ The eight ops become plain sequential C loops over int64 arrays.  The
 extension is compiled a single time into a content-addressed cache
 directory — keyed by a hash of the C source plus the cffi/python
 versions — and re-loaded from disk on every later run (and in every
-forked worker) without invoking the compiler again.  Cache location:
+forked worker) without invoking the compiler again.  The compile runs
+in a child interpreter, so the build toolchain never loads into (or
+stays resident in) the calling process.  Cache location:
 ``$REPRO_KERNEL_CACHE``, else ``~/.cache/repro/kernels``.
 
 Correctness note: the sequential loops and the numpy backend's
@@ -46,8 +48,10 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import json
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -718,17 +722,42 @@ def _find_cached(cache: Path, modname: str):
     return None
 
 
-def _build(cache: Path, modname: str) -> Path:
-    """Compile the extension into the cache dir (atomic rename)."""
-    import cffi
+#: Compiles the extension described by the JSON job on stdin.  Run in a
+#: child interpreter, so the build toolchain (setuptools, distutils and
+#: the C compiler's wrappers) never loads into the calling process.
+_BUILD_SCRIPT = """
+import json, sys
+import cffi
+job = json.load(sys.stdin)
+ffibuilder = cffi.FFI()
+ffibuilder.cdef(job["cdef"])
+ffibuilder.set_source(
+    job["modname"], job["source"], extra_compile_args=["-O2"]
+)
+ffibuilder.compile(tmpdir=job["tmpdir"])
+"""
 
-    ffibuilder = cffi.FFI()
-    ffibuilder.cdef(_CDEF)
-    ffibuilder.set_source(modname, _SOURCE, extra_compile_args=["-O2"])
+
+def _build(cache: Path, modname: str) -> Path:
+    """Compile the extension into the cache dir in a child interpreter
+    (atomic rename); raises ``RuntimeError`` if the build fails."""
     cache.mkdir(parents=True, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=".build-", dir=str(cache))
     try:
-        built = Path(ffibuilder.compile(tmpdir=tmp))
+        job = {"cdef": _CDEF, "source": _SOURCE, "modname": modname,
+               "tmpdir": tmp}
+        done = subprocess.run(
+            [sys.executable, "-c", _BUILD_SCRIPT],
+            input=json.dumps(job),
+            capture_output=True,
+            text=True,
+        )
+        built = _find_cached(Path(tmp), modname)
+        if done.returncode or built is None:
+            raise RuntimeError(
+                f"building {modname} failed (exit {done.returncode}): "
+                f"{done.stderr.strip()[-2000:]}"
+            )
         target = cache / built.name
         os.replace(built, target)  # racing builders converge on one file
         return target

@@ -1,8 +1,10 @@
 """The reverse-engineering fuzzer (:mod:`repro.fuzz`).
 
 Coverage layers, cheapest first: generator/oracle determinism, the
-bank-vs-scalar simulator differential, the battery's dimension
-separation, the closed-loop self-rediscovery of every zoo preset, and
+bank-vs-scalar simulator differential, the batched-vs-per-program pass
+and chunked-vs-sequential observation differentials, the battery's
+dimension separation, the closed-loop self-rediscovery of every zoo
+preset (with its pinned seed-0 verdict digests), and
 the service-tenancy contracts (worker-count invariance, warm-store
 zero-dispatch reruns, partial-run resume) the acceptance criteria pin.
 """
@@ -32,6 +34,7 @@ from repro.fuzz.generate import (
     random_descriptor,
 )
 from repro.fuzz.infer import (
+    _CHUNK_WORK,
     SELECTOR_INITIALS,
     Hypothesis,
     HypothesisBank,
@@ -45,6 +48,23 @@ from repro.service.campaign import CampaignSpec
 from repro.service.scheduler import CampaignService
 
 INTEL_PRESETS = ("skylake", "haswell", "sandy_bridge")
+
+#: ``run_fuzz(preset, seed=0)`` verdict digests (the CI ``fuzz-smoke``
+#: job checks the CLI against the same values).
+PINNED_VERDICTS = {
+    "skylake": "a885cec98cc48bdff1c78e250d71b90a"
+    "9ec1d392c0af33938e8fdcb5c70231a4",
+    "haswell": "43ba5ec4c580546484fc4b82bf3008ef"
+    "c600e5e694d9b437da40b343aafc22f1",
+    "sandy_bridge": "16319d48f99508db43c664d469ed7d07"
+    "5d5b094177729656728db20d645f2a57",
+    "tage_like": "f0e104c2795516a2e8cfb97c031a366d"
+    "1987a15515971e4514d1685e52c5093f",
+    "firestorm_like": "063816a47c02e022ea273d25eade3177"
+    "ab0a7d1fecda031705960be9a8cdc3b5",
+    "oryon_like": "0d5ca377ae95e14874f0662809ea227c"
+    "2870c85da56ac743db7ab85ef57b1d19",
+}
 
 
 class TestGenerate:
@@ -201,11 +221,12 @@ class TestSimulatorDifferential:
     def test_full_lattice_on_battery(self):
         bank = HypothesisBank(default_lattice())
         for program, reference in _battery_reference():
-            got = bank.signatures_by_bias(program, SELECTOR_INITIALS)
+            got, owner = bank.signatures_by_bias([program], SELECTOR_INITIALS)
             assert np.array_equal(got, reference), program
+            assert np.array_equal(owner, np.zeros(len(program.observed)))
             for b, bias in enumerate(SELECTOR_INITIALS):
                 assert np.array_equal(
-                    bank.signatures(program, bias), reference[b]
+                    bank.signatures([program], bias), reference[b]
                 )
 
     @given(desc=descriptors())
@@ -214,7 +235,7 @@ class TestSimulatorDifferential:
         program = program_from_descriptor(desc)
         bank = HypothesisBank(default_lattice())
         assert np.array_equal(
-            bank.signatures_by_bias(program, SELECTOR_INITIALS),
+            bank.signatures_by_bias([program], SELECTOR_INITIALS)[0],
             _scalar_bits(program, SELECTOR_INITIALS),
         ), desc
 
@@ -227,14 +248,14 @@ class TestSimulatorDifferential:
             if program.addresses[0] != program.addresses[-1]:
                 continue  # collision probes: the probe runs cold
             assert np.array_equal(
-                bank.signatures_by_bias(program, (0, 7)),
+                bank.signatures_by_bias([program], (0, 7))[0],
                 _scalar_bits(program, (0, 7)),
             ), program
 
     def test_masked_agreement_equals_two_scalar_runs(self):
         lattice = HypothesisLattice()
         for program, reference in _battery_reference():
-            first, mask = lattice._masked(program)
+            first, mask, _ = lattice._masked([program])
             assert np.array_equal(first, reference[0])
             assert np.array_equal(mask, reference[0] == reference[1])
 
@@ -248,10 +269,10 @@ class TestSimulatorDifferential:
         )
         assert len(program) == 312
         lattice = HypothesisLattice()
-        lattice._masked(program)  # warm caches outside the measurement
+        lattice._masked([program])  # warm caches outside the measurement
         tracemalloc.start()
         try:
-            lattice._masked(program)
+            lattice._masked([program])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -260,7 +281,7 @@ class TestSimulatorDifferential:
     def test_rejects_bias_outside_counter_range(self):
         program = program_from_descriptor(battery_descriptors(0)[0])
         with pytest.raises(ValueError, match="biases"):
-            HypothesisBank(default_lattice()).signatures(program, 8)
+            HypothesisBank(default_lattice()).signatures([program], 8)
 
     @pytest.mark.parametrize(
         "program",
@@ -273,10 +294,10 @@ class TestSimulatorDifferential:
     def test_no_observed_steps_gives_empty_rows(self, program):
         lattice = HypothesisLattice()
         bank = lattice.bank
-        assert bank.signatures(program, 1).shape == (len(bank), 0)
+        assert bank.signatures([program], 1).shape == (len(bank), 0)
         assert simulate_program(program, bank.hypotheses[0], 1) == ()
-        assert lattice.observe(program, []) == len(bank)
-        assert lattice.partition_score(program) == 1
+        assert lattice.observe([program], [[]]) == len(bank)
+        assert lattice.partition_scores([program]) == [1]
 
 
 class TestBatterySeparation:
@@ -294,7 +315,7 @@ class TestBatterySeparation:
             if desc["family"] != "collision":
                 continue
             program = program_from_descriptor(desc)
-            signatures, mask = lattice._masked(program)
+            signatures, mask, _ = lattice._masked([program])
             for j in range(len(points)):
                 keys[j].append(
                     tuple(
@@ -317,7 +338,7 @@ class TestBatterySeparation:
             if desc["family"] != "history":
                 continue
             program = program_from_descriptor(desc)
-            signatures, mask = lattice._masked(program)
+            signatures, mask, _ = lattice._masked([program])
             for j in range(len(points)):
                 keys[j].append(
                     tuple(
@@ -337,6 +358,12 @@ class TestSelfRediscovery:
         assert verdict.matches_truth(), verdict.survivors
         assert verdict.survivors[0] == true_hypothesis(preset)
 
+    @pytest.mark.parametrize("preset", sorted(PINNED_VERDICTS))
+    def test_default_verdict_digest_is_pinned(self, preset):
+        verdict = run_fuzz(preset, seed=0)
+        assert (verdict.generations_run, verdict.n_trials) == (1, 30)
+        assert verdict.digest() == PINNED_VERDICTS[preset]
+
     def test_truth_never_eliminated_midway(self):
         lattice = HypothesisLattice()
         oracle = PresetOracle("skylake")
@@ -344,7 +371,7 @@ class TestSelfRediscovery:
         truth_index = lattice.bank.hypotheses.index(truth)
         for desc in battery_descriptors(0):
             program = program_from_descriptor(desc)
-            lattice.observe(program, oracle.run(program))
+            lattice.observe([program], [oracle.run(program)])
             assert lattice.alive[truth_index]
 
     def test_verdict_digest_excludes_scheduling(self):
@@ -398,15 +425,15 @@ class TestPlanGeneration:
         assert a == b
         assert len(a) == 8
         assert a != plan_generation(lattice, 2, 4)
-        scores = [
-            lattice.partition_score(program_from_descriptor(d)) for d in a
-        ]
+        scores = lattice.partition_scores(
+            [program_from_descriptor(d) for d in a]
+        )
         assert scores == sorted(scores, reverse=True)
 
 
 def _full_masked(bank, program):
     """Reference: the full bank's signatures and agreed mask, all rows."""
-    by_bias = bank.signatures_by_bias(program, SELECTOR_INITIALS)
+    by_bias, _ = bank.signatures_by_bias([program], SELECTOR_INITIALS)
     return by_bias[0], (by_bias == by_bias[0]).all(axis=0)
 
 
@@ -414,12 +441,15 @@ class _FullWidthLattice(HypothesisLattice):
     """Reference scorer: every row of the full bank, dead rows filtered
     out afterwards (the lattice's pre-survivors-bank computation)."""
 
-    def partition_score(self, program):
+    def partition_scores(self, programs):
         if not self.alive.any():
-            return 0
-        signatures, mask = _full_masked(self.bank, program)
-        keys = np.where(mask, signatures.astype(np.int8), np.int8(2))
-        return len({row.tobytes() for row in keys[self.alive]})
+            return [0] * len(programs)
+        scores = []
+        for program in programs:
+            signatures, mask = _full_masked(self.bank, program)
+            keys = np.where(mask, signatures.astype(np.int8), np.int8(2))
+            scores.append(len({row.tobytes() for row in keys[self.alive]}))
+        return scores
 
 
 def _partial_masks():
@@ -453,7 +483,8 @@ def _partial_masks():
 
 
 class _CountingBank(HypothesisBank):
-    """Records every bank built and the row count of every pass."""
+    """Records every bank built, and the rows, programs and steps of
+    every pass."""
 
     built = []
     passes = []
@@ -462,9 +493,11 @@ class _CountingBank(HypothesisBank):
         super().__init__(hypotheses)
         _CountingBank.built.append(len(self))
 
-    def signatures_by_bias(self, program, biases):
-        _CountingBank.passes.append(len(self))
-        return super().signatures_by_bias(program, biases)
+    def signatures_by_bias(self, programs, biases):
+        _CountingBank.passes.append(
+            (len(self), len(programs), sum(len(p) for p in programs))
+        )
+        return super().signatures_by_bias(programs, biases)
 
 
 @pytest.fixture
@@ -497,7 +530,7 @@ class TestSurvivorBank:
             signatures, mask = _full_masked(lattice.bank, program)
             refuted = (mask & (signatures != np.array(hits, bool))).any(1)
             reference &= ~refuted
-            assert lattice.observe(program, hits) == reference.sum()
+            assert lattice.observe([program], [hits]) == reference.sum()
             assert np.array_equal(lattice.alive, reference), desc
         assert true_hypothesis(preset) in lattice.survivors()
 
@@ -513,10 +546,9 @@ class TestSurvivorBank:
         ] + [
             program_from_descriptor(random_descriptor(rng)) for _ in range(6)
         ]
-        for program in programs:
-            assert lattice.partition_score(
-                program
-            ) == reference.partition_score(program)
+        assert lattice.partition_scores(
+            programs
+        ) == reference.partition_scores(programs)
         for seed in (0, 3):
             assert plan_generation(lattice, 1, seed) == plan_generation(
                 reference, 1, seed
@@ -534,7 +566,7 @@ class TestSurvivorBank:
         lattice = HypothesisLattice()
         lattice.alive[:] = alive
         rows = np.flatnonzero(alive)
-        signatures, mask = lattice._masked(program)
+        signatures, mask, _ = lattice._masked([program])
         full_signatures, full_mask = _full_masked(lattice.bank, program)
         assert np.array_equal(signatures, full_signatures[rows])
         assert np.array_equal(mask, full_mask[rows])
@@ -546,37 +578,191 @@ class TestSurvivorBank:
         hits = PresetOracle("skylake").run(program)
         assert counting_bank.built == [1]
         # Inverted hits refute the only hypothesis on its agreed bits.
-        assert lattice.observe(program, [not h for h in hits]) == 0
+        assert lattice.observe([program], [[not h for h in hits]]) == 0
         assert not lattice.alive.any() and lattice.survivors() == ()
-        assert lattice.observe(program, hits) == 0
-        assert lattice.partition_score(program) == 0
-        signatures, mask = lattice._masked(program)
+        assert lattice.observe([program], [hits]) == 0
+        assert lattice.partition_scores([program, program]) == [0, 0]
+        signatures, mask, owner = lattice._masked([program])
         assert signatures.shape == mask.shape == (0, len(hits))
+        assert np.array_equal(owner, np.zeros(len(hits)))
         with pytest.raises(ValueError, match="hit bits"):
-            lattice.observe(program, hits[:-1])
+            lattice.observe([program], [hits[:-1]])
         assert counting_bank.built == [1]  # no bank over zero rows
         with pytest.raises(ValueError):
             HypothesisBank([])
 
     def test_work_follows_survivors_on_skylake_battery(self, counting_bank):
-        """Each program's pass covers exactly the survivors before it,
-        history programs at most 5 rows, and each distinct survivor set
-        below the full lattice builds exactly one bank."""
+        """The battery observed in one call takes two passes: the 24
+        short programs share one over the full lattice, the six history
+        programs one over at most 5 rows.  Each pass covers exactly the
+        survivors before its first program, stays within the chunk bound,
+        and the one survivor set below the full lattice builds one bank."""
         oracle = PresetOracle("skylake")
+        programs = [program_from_descriptor(d) for d in battery_descriptors(0)]
+        hits = [oracle.run(p) for p in programs]
+        sequential, before = HypothesisLattice(), []
+        for program, bits in zip(programs, hits):
+            before.append(int(sequential.alive.sum()))
+            sequential.observe([program], [bits])
+        counting_bank.built.clear()
+        counting_bank.passes.clear()
+        lattice = HypothesisLattice()
+        lattice.observe(programs, hits)
+        assert np.array_equal(lattice.alive, sequential.alive)
+        assert [(rows, n) for rows, n, _ in counting_bank.passes] == [
+            (120, 24),
+            (before[24], 6),
+        ]
+        assert before[24] <= 5
+        for rows, _, steps in counting_bank.passes:
+            assert rows * steps <= _CHUNK_WORK
+        assert counting_bank.built == [120, before[24]]
+
+
+def _per_program_bits(bank, programs, biases):
+    """Reference: one single-program pass per program, side by side."""
+    parts = [bank.signatures_by_bias([p], biases)[0] for p in programs]
+    return np.concatenate(
+        [np.zeros((len(biases), len(bank), 0), dtype=bool)] + parts, axis=2
+    )
+
+
+def _sequential_alive(programs, hits, hypotheses=None):
+    """Reference: ``alive`` after observing one program per call."""
+    lattice = HypothesisLattice(hypotheses)
+    for program, bits in zip(programs, hits):
+        lattice.observe([program], [bits])
+    return lattice.alive
+
+
+@st.composite
+def program_lists(draw):
+    """1-5 drawn programs; some share one address (each must still start
+    cold), some have their observed steps stripped."""
+    descs = draw(st.lists(descriptors(), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        shared = descs[0].get("address", descs[0].get("train"))
+        for desc in descs:
+            if desc["family"] == "collision":
+                desc["train"] = shared
+                if desc["probe"] == shared:
+                    desc["probe"] = shared ^ 1
+            else:
+                desc["address"] = shared
+    programs = []
+    for desc in descs:
+        program = program_from_descriptor(desc)
+        if draw(st.booleans()):
+            program = BranchProgram(program.addresses, program.outcomes, ())
+        programs.append(program)
+    return programs
+
+
+class TestBatchedObservation:
+    """One bank pass over a list of programs equals one pass per
+    program, and chunked ``observe`` equals sequential ``observe``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_battery_pass_equals_per_program_passes(self, seed):
+        """The battery twice over: each program's second run shares all
+        its addresses with the first and must still start cold."""
+        programs = 2 * [
+            program_from_descriptor(d) for d in battery_descriptors(seed)
+        ]
+        bank = HypothesisBank(default_lattice())
+        bits, owner = bank.signatures_by_bias(programs, SELECTOR_INITIALS)
+        assert np.array_equal(
+            bits, _per_program_bits(bank, programs, SELECTOR_INITIALS)
+        )
+        assert owner.tolist() == [
+            i for i, p in enumerate(programs) for _ in p.observed
+        ]
+        if seed == 0:
+            reference = np.concatenate(
+                2 * [ref for _, ref in _battery_reference()], axis=2
+            )
+            assert np.array_equal(bits, reference)
+
+    @given(programs=program_lists())
+    @settings(max_examples=25, deadline=None)
+    def test_drawn_lists_equal_per_program_passes(self, programs):
+        bank = HypothesisBank(default_lattice())
+        bits, owner = bank.signatures_by_bias(programs, (0, 1, 2, 7))
+        assert np.array_equal(
+            bits, _per_program_bits(bank, programs, (0, 1, 2, 7))
+        )
+        assert owner.tolist() == [
+            i for i, p in enumerate(programs) for _ in p.observed
+        ]
+
+    def test_empty_list(self):
+        bank = HypothesisBank(default_lattice())
+        bits, owner = bank.signatures_by_bias([], SELECTOR_INITIALS)
+        assert bits.shape == (2, len(bank), 0) and owner.shape == (0,)
+        lattice = HypothesisLattice()
+        assert lattice.observe([], []) == len(bank)
+        assert lattice.partition_scores([]) == []
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_chunked_observe_equals_sequential(self, preset):
+        oracle = PresetOracle(preset)
+        rng = np.random.default_rng(np.random.SeedSequence([27, 0]))
+        programs = [
+            program_from_descriptor(d)
+            for d in battery_descriptors(0)
+            + [random_descriptor(rng) for _ in range(8)]
+        ]
+        hits = [oracle.run(p) for p in programs]
+        lattice = HypothesisLattice()
+        survivors = lattice.observe(programs, hits)
+        reference = _sequential_alive(programs, hits)
+        assert np.array_equal(lattice.alive, reference)
+        assert survivors == reference.sum()
+        assert true_hypothesis(preset) in lattice.survivors()
+
+    @given(programs=program_lists(), flips=st.integers(0, 31))
+    @settings(max_examples=25, deadline=None)
+    def test_drawn_lists_observe_like_sequential(self, programs, flips):
+        """Oracle hits with some programs' bits inverted refute
+        hypotheses in any chunk, the truth included; the chunked walk
+        still ends on the sequential set."""
+        oracle = PresetOracle("haswell")
+        hits = []
+        for i, program in enumerate(programs):
+            bits = oracle.run(program)
+            hits.append([b != bool(flips >> i & 1) for b in bits])
+        lattice = HypothesisLattice()
+        lattice.observe(programs, hits)
+        assert np.array_equal(lattice.alive, _sequential_alive(programs, hits))
+
+    def test_chunk_crossing_zero_survivors(self, counting_bank):
+        """Wrong hits that refute every hypothesis inside the first chunk
+        end the walk: the later chunks get no pass, no bank is built over
+        zero rows, and sequential observation ends just as empty."""
+        oracle = PresetOracle("skylake")
+        programs = [program_from_descriptor(d) for d in battery_descriptors(0)]
+        hits = [[not h for h in oracle.run(p)] for p in programs]
+        assert not _sequential_alive(programs, hits).any()
         lattice = HypothesisLattice()
         counting_bank.built.clear()
-        before, sets = [], set()
-        for desc in battery_descriptors(0):
-            program = program_from_descriptor(desc)
-            before.append(int(lattice.alive.sum()))
-            if not lattice.alive.all():
-                sets.add(lattice.alive.tobytes())
-            lattice.observe(program, oracle.run(program))
-            if desc["family"] == "history":
-                assert counting_bank.passes[-1] <= 5, desc
-        assert counting_bank.passes == before
-        assert len(counting_bank.built) == len(sets)
-        assert before[0] == 120 and before[-1] < before[0]
+        counting_bank.passes.clear()
+        assert lattice.observe(programs, hits) == 0
+        assert counting_bank.passes == [(120, 24, 116)]
+        assert counting_bank.built == []
+        assert lattice.partition_scores(programs) == [0] * len(programs)
+        assert counting_bank.passes == [(120, 24, 116)]
+
+    def test_hit_length_mismatch_names_the_program(self):
+        programs = [
+            program_from_descriptor(d) for d in battery_descriptors(0)[:5]
+        ]
+        hits = [PresetOracle("haswell").run(p) for p in programs]
+        lattice = HypothesisLattice()
+        with pytest.raises(ValueError, match="program 3: got 0 hit bits"):
+            lattice.observe(programs, hits[:3] + [()] + hits[4:])
+        with pytest.raises(ValueError, match="hit bits for 4 programs"):
+            lattice.observe(programs, hits[:4])
+        assert lattice.alive.all()  # nothing observed before the check
 
 
 class TestServiceTenancy:

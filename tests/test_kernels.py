@@ -18,6 +18,7 @@ Three contracts are pinned here:
 """
 
 import dataclasses
+import os
 import sys
 import threading
 
@@ -880,6 +881,52 @@ class TestDispatch:
             e.args["reason"] for e in events if e.name == "scalar_engine"
         ] == ["cffi_stream_mismatch"]
         assert "StreamMismatch" in kernels.backend_init_errors()["cffi"]
+
+    def test_cold_build_runs_in_a_child_interpreter(self, tmp_path):
+        """A cold cache compiles in a child: the caller loads the built
+        extension without ever importing the build toolchain."""
+        import subprocess
+
+        from repro.kernels import cffi_backend
+
+        try:
+            cffi_backend._load_lib()
+        except Exception as exc:  # no cffi or no C compiler
+            pytest.skip(f"cffi extension unavailable: {exc}")
+        probe = (
+            "import sys\n"
+            "from repro.kernels import cffi_backend\n"
+            "cffi_backend.load()\n"
+            "print(sorted(m for m in ('setuptools', 'distutils')"
+            " if m in sys.modules))\n"
+        )
+        env = dict(
+            os.environ,
+            REPRO_KERNEL_CACHE=str(tmp_path),
+            PYTHONPATH=os.pathsep.join(sys.path),
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+        built = [p.name for p in tmp_path.iterdir()]
+        assert len(built) == 1 and built[0].endswith(".so"), built
+
+    def test_failed_build_raises_and_leaves_no_files(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.kernels import cffi_backend
+
+        pytest.importorskip("cffi")
+        monkeypatch.setattr(cffi_backend, "_SOURCE", "#error broken\n")
+        with pytest.raises(RuntimeError, match="_repro_kernels_broken"):
+            cffi_backend._build(tmp_path, "_repro_kernels_broken")
+        assert list(tmp_path.iterdir()) == []
 
     def test_dispatch_counts_increment(self):
         kernels.set_backend("numpy")
