@@ -12,6 +12,7 @@ layout, worker count and store replays cannot change a bit.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Dict, Optional
 
 from repro.fuzz.generate import program_from_descriptor
@@ -20,6 +21,13 @@ from repro.service.aggregate import RecordListAggregate
 from repro.service.workload import Workload, register_workload
 
 __all__ = ["fuzz_trial"]
+
+
+@functools.lru_cache(maxsize=16)
+def _oracle(preset: str, scale: int) -> PresetOracle:
+    """One shared oracle per ``(preset, scale)``: an oracle is immutable
+    and its ``run`` pure, so trials may share it."""
+    return PresetOracle(preset, scale=scale)
 
 
 def fuzz_trial(
@@ -40,8 +48,7 @@ def fuzz_trial(
         )
     descriptor = descriptors[index]
     program = program_from_descriptor(descriptor)
-    oracle = PresetOracle(spec.preset, scale=spec.scale)
-    hits = oracle.run(program)
+    hits = _oracle(spec.preset, spec.scale).run(program)
     return {
         "index": index,
         "descriptor": descriptor,

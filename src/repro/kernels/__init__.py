@@ -25,6 +25,7 @@ from .dispatch import (  # noqa: F401
     noise_advance,
     noise_back,
     noise_front,
+    predictor_hits,
     read_levels_ids,
     read_levels_maps,
     reduce_ids,

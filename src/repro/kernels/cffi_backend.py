@@ -1,6 +1,6 @@
 """Generated-C kernel backend (cffi API mode, compiled once, cached).
 
-The eight ops become plain sequential C loops over int64 arrays.  The
+The nine ops become plain sequential C loops over int64 arrays.  The
 extension is compiled a single time into a content-addressed cache
 directory — keyed by a hash of the C source plus the cffi/python
 versions — and re-loaded from disk on every later run (and in every
@@ -119,10 +119,21 @@ void repro_read_levels_maps(const int64_t *tracked_maps,
                             const int64_t *out_slot, int64_t n_nodes,
                             const int64_t *step4, int64_t n_levels,
                             int64_t *out);
+int repro_predictor_hits(const int64_t *addr, const uint8_t *taken,
+                         int64_t n, const int64_t *observed,
+                         int64_t n_obs, int64_t n_b, int64_t shift_b,
+                         int64_t n_g, int64_t shift_g, int64_t ghr_len,
+                         int64_t n_sel, int64_t sel_init, int64_t sel_max,
+                         int64_t n_sets, int64_t tag_mask,
+                         const int8_t *step, int64_t n_levels,
+                         const uint8_t *predict, int64_t init_level,
+                         uint8_t *hits);
 """
 
 _SOURCE = """
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 void repro_fold_ids(const int64_t *positions, const int64_t *ids,
                     int64_t n, const int64_t *ct, int64_t size,
@@ -691,6 +702,76 @@ void repro_read_levels_maps(const int64_t *tracked_maps,
         cur = step4[node_sel[j] * n_levels + val];
     }
 }
+
+/* One program on a power-up hybrid predictor (Figure 1): hits[j] is
+ * whether the final prediction at step observed[j] matched its
+ * outcome.  The four tables live for this call only, sized from the
+ * geometry (int8 levels and choice counters: the wrapper refuses more
+ * than 127 of either; a BIT set holds its tag, -1 while empty).
+ * Returns -1, with no hit written, when they cannot be allocated. */
+int repro_predictor_hits(const int64_t *addr, const uint8_t *taken,
+                         int64_t n, const int64_t *observed,
+                         int64_t n_obs, int64_t n_b, int64_t shift_b,
+                         int64_t n_g, int64_t shift_g, int64_t ghr_len,
+                         int64_t n_sel, int64_t sel_init, int64_t sel_max,
+                         int64_t n_sets, int64_t tag_mask,
+                         const int8_t *step, int64_t n_levels,
+                         const uint8_t *predict, int64_t init_level,
+                         uint8_t *hits)
+{
+    int8_t *bim = malloc(n_b), *gsh = malloc(n_g), *sel = malloc(n_sel);
+    int64_t *tags = malloc(n_sets * sizeof(int64_t));
+    int ok = bim && gsh && sel && tags;
+    if (ok) {
+        memset(bim, (int)init_level, n_b);
+        memset(gsh, (int)init_level, n_g);
+        memset(sel, (int)sel_init, n_sel);
+        for (int64_t i = 0; i < n_sets; i++)
+            tags[i] = -1;
+        /* fold_history: XOR of index-width chunks of the history. */
+        int64_t w = 0;
+        for (int64_t m = n_g; m > 1; m >>= 1)
+            w++;
+        if (w < 1)
+            w = 1;
+        int64_t w_mask = ((int64_t)1 << w) - 1;
+        int64_t ghr_mask = ((int64_t)1 << ghr_len) - 1, ghr = 0, j = 0;
+        for (int64_t t = 0; t < n; t++) {
+            int64_t a = addr[t], o = taken[t], folded = 0;
+            for (int64_t h = ghr; h != 0; h >>= w)
+                folded ^= h & w_mask;
+            int64_t b = repro_index(a, n_b, shift_b);
+            int64_t g = repro_index(a ^ folded, n_g, shift_g);
+            int64_t b_taken = predict[bim[b]], g_taken = predict[gsh[g]];
+            int64_t s = repro_mod(a, n_sel), set = repro_mod(a, n_sets);
+            int64_t tag = (a / n_sets) & tag_mask;
+            int cold = tags[set] != tag;
+            int64_t predicted =
+                !cold && sel[s] >= sel_max ? g_taken : b_taken;
+            if (j < n_obs && observed[j] == t)
+                hits[j++] = predicted == o;
+            bim[b] = step[o * n_levels + bim[b]];
+            gsh[g] = step[o * n_levels + gsh[g]];
+            if (cold)
+                sel[s] = (int8_t)sel_init;
+            else if (b_taken != g_taken) {
+                if (g_taken == o) {
+                    if (sel[s] < sel_max)
+                        sel[s]++;
+                } else if (sel[s] > 0) {
+                    sel[s]--;
+                }
+            }
+            ghr = ((ghr << 1) | o) & ghr_mask;
+            tags[set] = tag;
+        }
+    }
+    free(bim);
+    free(gsh);
+    free(sel);
+    free(tags);
+    return ok ? 0 : -1;
+}
 """
 
 _lib = None
@@ -899,6 +980,10 @@ _MASK64 = (1 << 64) - 1
 
 def _pu8(a: np.ndarray):
     return _ffi.cast("uint8_t *", _ffi.from_buffer(a))
+
+
+def _pi8(a: np.ndarray):
+    return _ffi.cast("int8_t *", _ffi.from_buffer(a))
 
 
 # -- ops --------------------------------------------------------------------
@@ -1128,3 +1213,35 @@ def read_levels_maps(
         _p(step4_flat), int(n_levels), _p(out),
     )
     return out
+
+
+def predictor_hits(
+    addresses, outcomes, observed, n_b, shift_b, n_g, shift_g, ghr_len,
+    n_sel, sel_init, sel_max, n_sets, tag_bits, step_table, predict_taken,
+    init_level,
+):
+    addresses, outcomes, observed, step_table, predict_taken = (
+        numpy_backend.predictor_program(
+            addresses, outcomes, observed, n_b, shift_b, n_g, shift_g,
+            ghr_len, n_sel, sel_init, sel_max, n_sets, tag_bits,
+            step_table, predict_taken, init_level,
+        )
+    )
+    addresses = _i64(addresses)
+    outcomes = _u8(outcomes)
+    observed = _i64(observed)
+    predict = _u8(predict_taken)
+    step = np.ascontiguousarray(step_table)
+    hits = np.zeros(len(observed), dtype=np.uint8)
+    # Tags are at most 63 bits: the address is.
+    tag_mask = (1 << min(int(tag_bits), 63)) - 1
+    failed = _lib.repro_predictor_hits(
+        _p(addresses), _pu8(outcomes), len(addresses), _p(observed),
+        len(observed), int(n_b), int(shift_b), int(n_g), int(shift_g),
+        int(ghr_len), int(n_sel), int(sel_init), int(sel_max),
+        int(n_sets), tag_mask, _pi8(step), step.shape[1], _pu8(predict),
+        int(init_level), _pu8(hits),
+    )
+    if failed:
+        raise MemoryError("cannot allocate the predictor tables")
+    return hits.view(bool)

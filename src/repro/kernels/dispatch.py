@@ -3,8 +3,9 @@
 The hot inner loops of the fast engines — monoid folds
 (:meth:`TransitionMonoid.reduce` / :meth:`fold_table`), the manycore
 per-block summary, trial-plan noise passes and id-space read recovery,
-and the batch calibration's prefix-scan read recovery — all route
-through the eight ops exported here.  Two interchangeable
+the batch calibration's prefix-scan read recovery, and the fuzz
+oracle's run of one program on a power-up predictor — all route
+through the nine ops exported here.  Two interchangeable
 implementations exist:
 
 ``numpy``
@@ -235,6 +236,10 @@ def warmup() -> str:
         maps[:1], nodes, nodes + 1, nodes, np.array([True]), nodes,
         nodes, np.tile(maps, (2, 1)).ravel(), 2, 1,
     )
+    impl.predictor_hits(
+        (0, 4, 0), (True, False, True), (0, 2), 2, 0, 2, 1, 2, 2, 1, 3, 2,
+        1, ct, (False, True), 0,
+    )
     return name
 
 
@@ -343,4 +348,27 @@ def read_levels_maps(
     return _dispatch().read_levels_maps(
         tracked_maps, p_sorted, remaining, node_sel, first, v0_nodes,
         out_slot, step4_flat, n_levels, out_width,
+    )
+
+
+def predictor_hits(
+    addresses, outcomes, observed, n_b, shift_b, n_g, shift_g, ghr_len,
+    n_sel, sel_init, sel_max, n_sets, tag_bits, step_table, predict_taken,
+    init_level,
+):
+    """Hit bits of one program on a power-up hybrid predictor: bool
+    ``hits[j]`` is whether the prediction at step ``observed[j]``
+    matched its outcome (:meth:`repro.bpu.hybrid.HybridPredictor.
+    execute`, step for step).
+
+    ``shift_b``/``shift_g`` are the two PHTs' index hashes as
+    :func:`repro.bpu.hashes.kernel_shift` encodes them; both PHTs run
+    the FSM ``step_table[outcome, level]`` from ``init_level``.  Raises
+    ``ValueError`` on every backend for a negative address,
+    ``ghr_len > 62``, more than 127 FSM levels or ``sel_max > 127``.
+    """
+    return _dispatch().predictor_hits(
+        addresses, outcomes, observed, n_b, shift_b, n_g, shift_g, ghr_len,
+        n_sel, sel_init, sel_max, n_sets, tag_bits, step_table,
+        predict_taken, init_level,
     )

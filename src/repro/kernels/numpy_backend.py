@@ -10,6 +10,9 @@ sequential O(N) loop; TransitionMonoid ids are canonical and
 composition is associative, so every association order produces the
 same ids and the backends are bit-identical by construction (the
 differential suite in ``tests/test_kernels.py`` pins it anyway).
+``predictor_hits`` is a plain sequential loop here too: it is
+``HybridPredictor.execute`` stepped over one program, and
+``predictor_program`` is the domain check both backends share.
 
 The ops that draw never draw from a caller's generator, so backend
 choice can never move an RNG stream position: ``summarize_block``
@@ -474,3 +477,140 @@ def read_levels_maps(
     reads = out_slot >= 0
     read_flat[out_slot[reads]] = values[reads]
     return read_flat
+
+
+# -- one program on a power-up hybrid predictor (the fuzz oracle) ------------
+
+
+def predictor_program(
+    addresses, outcomes, observed, n_b, shift_b, n_g, shift_g, ghr_len,
+    n_sel, sel_init, sel_max, n_sets, tag_bits, step_table, predict_taken,
+    init_level,
+):
+    """Validate :func:`predictor_hits`'s arguments; return the program
+    as ``(addresses, outcomes, observed)`` arrays (int64, bool, int64),
+    the step table as an int8 ``(2, n_levels)`` array and the
+    predictions as a bool array.
+
+    Both backends share this domain: a ``ValueError`` for whatever the
+    compiled loop cannot represent (a negative or 64-bit address, a
+    history longer than 62 bits, more than 127 FSM levels or a choice
+    counter past 127, a shift past 62) and for a malformed program or
+    table.
+    """
+    try:
+        addresses = np.asarray(addresses, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("addresses must fit in 63 bits") from None
+    outcomes = np.asarray(outcomes, dtype=bool)
+    observed = np.asarray(observed, dtype=np.int64)
+    if addresses.ndim != 1 or observed.ndim != 1:
+        raise ValueError("addresses and observed must be vectors")
+    n = len(addresses)
+    if outcomes.shape != (n,):
+        raise ValueError("outcomes must align with addresses")
+    if n and int(addresses.min()) < 0:
+        raise ValueError("addresses must be non-negative")
+    if len(observed) and not (
+        observed[0] >= 0 and observed[-1] < n
+        and (observed[1:] > observed[:-1]).all()
+    ):
+        raise ValueError("observed steps must be increasing indices below n")
+    if min(n_b, n_g, n_sel, n_sets, tag_bits) < 1:
+        raise ValueError("table sizes and tag_bits must be positive")
+    if not (0 <= shift_b <= 62 and 0 <= shift_g <= 62):
+        raise ValueError("index hash shifts must lie in 0..62")
+    if not 1 <= ghr_len <= 62:
+        raise ValueError("ghr_len must lie in 1..62")
+    if not 0 <= sel_init <= sel_max <= 127:
+        raise ValueError("need 0 <= sel_init <= sel_max <= 127")
+    step_table = np.asarray(step_table)
+    n_levels = step_table.shape[-1] if step_table.ndim == 2 else 0
+    if not (step_table.shape == (2, n_levels) and 1 <= n_levels <= 127):
+        raise ValueError("step_table must be (2, n_levels), n_levels <= 127")
+    if int(step_table.min()) < 0 or int(step_table.max()) >= n_levels:
+        raise ValueError("step_table targets must be levels")
+    predict_taken = np.asarray(predict_taken, dtype=bool)
+    if predict_taken.shape != (n_levels,) or not 0 <= init_level < n_levels:
+        raise ValueError("predict_taken and init_level must match the FSM")
+    return (
+        addresses, outcomes, observed, step_table.astype(np.int8),
+        predict_taken,
+    )
+
+
+def _index(mixed: int, n: int, shift: int) -> int:
+    """:func:`_hashed` on one Python int."""
+    if shift:
+        mixed ^= mixed >> shift
+    return mixed % n
+
+
+def predictor_hits(
+    addresses, outcomes, observed, n_b, shift_b, n_g, shift_g, ghr_len,
+    n_sel, sel_init, sel_max, n_sets, tag_bits, step_table, predict_taken,
+    init_level,
+) -> np.ndarray:
+    """The hit bits of one program on a power-up hybrid predictor.
+
+    ``hits[j]`` is True iff the final prediction at step
+    ``observed[j]`` equals that step's outcome.  Both PHTs start at
+    ``init_level`` of the FSM ``step_table[outcome, level]`` /
+    ``predict_taken[level]`` and are indexed through their
+    :func:`repro.bpu.hashes.kernel_shift`; the gshare index mixes in the
+    history folded as :func:`repro.bpu.hashes.fold_history` folds it.
+    A branch that misses the identification table (``n_sets`` sets,
+    ``tag_bits``-bit tags, all empty) is predicted by the bimodal PHT
+    and resets its choice counter to ``sel_init``; a known branch takes
+    gshare only while its counter is saturated at ``sel_max``, and the
+    counter trains only when the two components disagree.  Selector and
+    BIT indices are plain modulo.  One sequential loop over Python
+    ints, step for step what
+    :meth:`repro.bpu.hybrid.HybridPredictor.execute` does.
+    """
+    addresses, outcomes, observed, step_table, predict_taken = (
+        predictor_program(
+            addresses, outcomes, observed, n_b, shift_b, n_g, shift_g,
+            ghr_len, n_sel, sel_init, sel_max, n_sets, tag_bits,
+            step_table, predict_taken, init_level,
+        )
+    )
+    step = step_table.tolist()
+    predict = predict_taken.tolist()
+    bimodal = [init_level] * n_b
+    gshare = [init_level] * n_g
+    selector = [sel_init] * n_sel
+    tags = [-1] * n_sets
+    tag_mask = (1 << tag_bits) - 1
+    ghr_mask = (1 << ghr_len) - 1
+    watched = set(observed.tolist())
+    hits = []
+    ghr = 0
+    for t, (address, taken) in enumerate(
+        zip(addresses.tolist(), outcomes.tolist())
+    ):
+        b = _index(address, n_b, shift_b)
+        g = _index(address ^ fold_history(ghr, ghr_len, n_g), n_g, shift_g)
+        b_taken = predict[bimodal[b]]
+        g_taken = predict[gshare[g]]
+        s = address % n_sel
+        bit_set, tag = address % n_sets, (address // n_sets) & tag_mask
+        cold = tags[bit_set] != tag
+        if not cold and selector[s] >= sel_max:
+            predicted = g_taken
+        else:
+            predicted = b_taken
+        if t in watched:
+            hits.append(predicted == taken)
+        bimodal[b] = step[taken][bimodal[b]]
+        gshare[g] = step[taken][gshare[g]]
+        if cold:
+            selector[s] = sel_init
+        elif b_taken != g_taken:
+            if g_taken == taken:
+                selector[s] = min(sel_max, selector[s] + 1)
+            else:
+                selector[s] = max(0, selector[s] - 1)
+        ghr = ((ghr << 1) | taken) & ghr_mask
+        tags[bit_set] = tag
+    return np.array(hits, dtype=bool)

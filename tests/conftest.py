@@ -15,6 +15,7 @@ from repro.bpu.presets import PredictorConfig
 from repro.core.calibration import assess_block, draw_trial_plan
 from repro.core.randomizer import RandomizationBlock
 from repro.cpu import PhysicalCore, Process
+from repro.fuzz.generate import BranchProgram, program_from_descriptor
 
 
 #: Scale factor applied to table sizes for fast tests.
@@ -52,6 +53,50 @@ def scalar_stability(
         )
         out.append(assess_block(core, spy, compiled, target_address, plan=plan))
     return out
+
+
+def hybrid_hits(config: PredictorConfig, program) -> tuple:
+    """A fuzz program's hit bits on a fresh ``config.build()`` predictor,
+    stepped branch by branch through ``HybridPredictor.execute``: the
+    reference the compiled ``predictor_hits`` op must equal."""
+    predictor = config.build()
+    observed = set(program.observed)
+    hits = []
+    for step, (address, taken) in enumerate(
+        zip(program.addresses, program.outcomes)
+    ):
+        prediction = predictor.execute(address, taken)
+        if step in observed:
+            hits.append(prediction.taken == taken)
+    return tuple(hits)
+
+
+def chooser_programs(config: PredictorConfig) -> list:
+    """Two fully observed programs whose hits hang on the chooser's
+    geometry, for the oracle and ``predictor_hits`` differentials.
+
+    * One address alternating taken/not-taken: its bimodal entry is
+      wrong at every step and its fresh gshare entries right at every
+      not-taken one, so the choice counter climbs from its initial
+      value and the step gshare takes over shows that value.
+    * Eviction: an address learns a period-3 pattern until gshare
+      predicts it, then one branch in its identification-table set,
+      whose tag differs in bit 4, runs once, and the address resumes
+      cold, forced back to the bimodal PHT with its counter reset.
+    """
+    address = 0x1234
+    alternating = program_from_descriptor(
+        {"family": "history", "address": address, "period": 2,
+         "repeats": 12}
+    )
+    pattern = (True, True, False)
+    addresses = (address,) * 60 + (address + config.bit_sets * 16,)
+    addresses += (address,) * 9
+    outcomes = pattern * 20 + (True,) + pattern * 3
+    evicted = BranchProgram(
+        addresses, outcomes, tuple(range(len(addresses)))
+    )
+    return [alternating, evicted]
 
 
 @pytest.fixture

@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import kernels
 from repro.bpu.hashes import fold_history, history_fold_width
 from repro.bpu.presets import PRESETS
+from repro.fuzz import workload
 from repro.fuzz.campaign import (
     FuzzVerdict,
     plan_generation,
@@ -43,9 +45,11 @@ from repro.fuzz.infer import (
     simulate_program,
 )
 from repro.fuzz.oracle import PresetOracle
+from repro.fuzz.workload import fuzz_trial
 from repro.service.aggregate import RecordListAggregate
 from repro.service.campaign import CampaignSpec
 from repro.service.scheduler import CampaignService
+from tests.conftest import chooser_programs, hybrid_hits
 
 INTEL_PRESETS = ("skylake", "haswell", "sandy_bridge")
 
@@ -139,6 +143,46 @@ class TestOracle:
     def test_unknown_preset_fails_helpfully(self):
         with pytest.raises(KeyError, match="valid presets"):
             PresetOracle("sklake")
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_oracle_matches_hybrid_predictor(self, preset):
+        """The oracle's one kernel call per program equals stepping a
+        fresh ``HybridPredictor`` through it, under the active backend."""
+        config = PRESETS[preset]()
+        oracle = PresetOracle(preset)
+        rng = np.random.default_rng(23)
+        descs = battery_descriptors(0) + [
+            random_descriptor(rng) for _ in range(30)
+        ]
+        programs = [program_from_descriptor(desc) for desc in descs]
+        for program in programs + chooser_programs(config):
+            assert oracle.run(program) == hybrid_hits(config, program)
+
+    def test_one_kernel_op_per_program(self):
+        oracle = PresetOracle("skylake")
+        program = program_from_descriptor(
+            {"family": "history", "address": 5, "period": 4, "repeats": 3}
+        )
+        kernels.reset_kernel_dispatch_counts()
+        hits = oracle.run(program)
+        assert sum(kernels.kernel_dispatch_counts().values()) == 1
+        assert len(hits) == 12 and all(type(hit) is bool for hit in hits)
+
+    def test_trials_share_one_oracle(self):
+        descriptors = battery_descriptors(0)[:3]
+        spec = CampaignSpec(
+            name="fuzz-oracle",
+            tenant="fuzz",
+            preset="sandy_bridge",
+            n_blocks=len(descriptors),
+            workload="fuzz",
+            params=json.dumps({"descriptors": descriptors}, sort_keys=True),
+        )
+        workload._oracle.cache_clear()
+        for index in range(len(descriptors)):
+            fuzz_trial(spec, index)
+        info = workload._oracle.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestFoldHistory:

@@ -18,12 +18,14 @@ Three contracts are pinned here:
 """
 
 import dataclasses
+import functools
 import os
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import kernels
 from repro.kernels import dispatch
@@ -31,9 +33,11 @@ from repro.bpu.hashes import (
     INDEX_HASHES,
     apply_hash,
     fold_history,
+    history_fold_width,
     kernel_shift,
 )
 from repro.bpu.presets import (
+    PRESETS,
     firestorm_like,
     haswell,
     oryon_like,
@@ -64,10 +68,19 @@ from repro.core.randomizer import (
 )
 from repro.cpu.core import PhysicalCore
 from repro.cpu.process import Process
+from repro.fuzz.generate import (
+    BranchProgram,
+    battery_descriptors,
+    program_from_descriptor,
+    random_descriptor,
+)
+from repro.kernels import numpy_backend
 from repro.kernels.numpy_backend import _node_order
 from repro.obs import trace as obs
 from repro.resilience.checkpoint import rng_state_digest
 from repro.system.noise import NoiseModel
+from tests.conftest import chooser_programs, hybrid_hits
+from tests.test_differential_reference import ReferenceHybrid
 
 TARGET = 0x30_0006D
 
@@ -962,3 +975,204 @@ class TestDispatch:
 
     def test_warmup_reports_active_backend(self):
         assert kernels.warmup() == kernels.active_backend()
+
+
+def _geometry(config) -> dict:
+    """``predictor_hits``'s geometry arguments, read off the config
+    itself rather than off a built predictor (the oracle's way)."""
+    fsm = config.fsm
+    return dict(
+        n_b=config.bimodal_entries,
+        shift_b=kernel_shift(config.index_hash, config.bimodal_entries),
+        n_g=config.gshare_entries,
+        shift_g=kernel_shift(config.index_hash, config.gshare_entries),
+        ghr_len=config.ghr_bits,
+        n_sel=config.selector_entries,
+        sel_init=config.selector_initial,
+        sel_max=(1 << config.selector_bits) - 1,
+        n_sets=config.bit_sets,
+        tag_bits=12,  # BranchIdentificationTable's default
+        step_table=fsm.step_table,
+        predict_taken=fsm.predict_taken,
+        init_level=fsm.level_for(config.initial_state),
+    )
+
+
+def _op_hits(config, program) -> tuple:
+    hits = kernels.predictor_hits(
+        program.addresses, program.outcomes, program.observed,
+        **_geometry(config),
+    )
+    return tuple(hits.tolist())
+
+
+def _reference_hits(config, program) -> tuple:
+    """The hit bits on the dictionary-based ``ReferenceHybrid``."""
+    reference = ReferenceHybrid(config)
+    observed = set(program.observed)
+    hits = []
+    for step, (address, taken) in enumerate(
+        zip(program.addresses, program.outcomes)
+    ):
+        predicted = reference.execute(address, taken)
+        if step in observed:
+            hits.append(predicted == taken)
+    return tuple(hits)
+
+
+def _config(name, scale):
+    config = PRESETS[name]()
+    return config if scale == 1 else config.scaled(scale)
+
+
+@functools.lru_cache(maxsize=None)
+def _battery_hits(name, scale):
+    """Seed 0-2 battery programs with their hits on both references
+    (which must agree)."""
+    config = _config(name, scale)
+    out = []
+    for seed in range(3):
+        for desc in battery_descriptors(seed):
+            program = program_from_descriptor(desc)
+            expected = hybrid_hits(config, program)
+            assert _reference_hits(config, program) == expected, desc
+            out.append((program, expected))
+    return out
+
+
+class TestPredictorHits:
+    """``predictor_hits`` == the ``HybridPredictor.execute`` loop ==
+    ``ReferenceHybrid``, on every backend, preset and scale."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("scale", [1, 64])
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_batteries(self, name, scale, backend):
+        config = _config(name, scale)
+        kernels.set_backend(backend)
+        for program, expected in _battery_hits(name, scale):
+            assert _op_hits(config, program) == expected, program
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(["collision", "fsm", "history"]),
+    )
+    @settings(
+        max_examples=20, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_drawn_programs(self, seed, family):
+        program = program_from_descriptor(
+            random_descriptor(np.random.default_rng(seed), family)
+        )
+        for name in PRESETS:
+            for scale in (1, 64):
+                config = _config(name, scale)
+                expected = hybrid_hits(config, program)
+                assert _reference_hits(config, program) == expected
+                for backend in BACKENDS:
+                    kernels.set_backend(backend)
+                    assert _op_hits(config, program) == expected, (
+                        name, scale, backend,
+                    )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_edge_programs(self, name, backend):
+        config = _config(name, 64)
+        a, b = 0x1234, 0x1234 + config.bimodal_entries
+        repeated = program_from_descriptor(
+            {"family": "history", "address": a, "period": 3, "repeats": 20}
+        )
+        cases = {
+            "empty": BranchProgram((), (), ()),
+            "none observed": BranchProgram((a, b, a), (True, False, True), ()),
+            "all observed": BranchProgram(
+                (a, b, a, b), (True, True, False, True), (0, 1, 2, 3)
+            ),
+            "one step": BranchProgram((a,), (True,), (0,)),
+            "one address": repeated,
+        }
+        alternating, evicted = chooser_programs(config)
+        cases.update(alternating=alternating, evicted=evicted)
+        kernels.set_backend(backend)
+        for label, program in cases.items():
+            expected = hybrid_hits(config, program)
+            assert _reference_hits(config, program) == expected, label
+            assert _op_hits(config, program) == expected, label
+        assert _op_hits(config, cases["empty"]) == ()
+        assert _op_hits(config, cases["none observed"]) == ()
+        # The evicted address returns cold and misses under bimodal.
+        assert not all(_op_hits(config, evicted)[-9:])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_saturated_chooser_hands_over_to_gshare(self, backend):
+        """One address repeated: a known branch whose chooser saturated
+        predicts from gshare, which learns the period-3 pattern, so the
+        last periods all hit where the bimodal entry alone misses every
+        not-taken step."""
+        config = _config("haswell", 64)
+        program = program_from_descriptor(
+            {"family": "history", "address": 0x1234, "period": 3,
+             "repeats": 20}
+        )
+        kernels.set_backend(backend)
+        hits = _op_hits(config, program)
+        assert hits == hybrid_hits(config, program)
+        assert all(hits[-6:])
+        bimodal_only = dataclasses.replace(config, selector_bits=7)
+        assert not all(_op_hits(bimodal_only, program)[-6:])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_history_longer_than_the_index_is_folded(self, backend):
+        config = _config("tage_like", 64)
+        width = history_fold_width(config.gshare_entries)
+        assert config.ghr_bits > width
+        program = program_from_descriptor(
+            {"family": "history", "address": 0x1234, "period": 12,
+             "repeats": 12}
+        )
+        kernels.set_backend(backend)
+        expected = hybrid_hits(config, program)
+        assert _reference_hits(config, program) == expected
+        assert _op_hits(config, program) == expected
+        # History bits above the index width reach the index.
+        truncated = dataclasses.replace(config, ghr_bits=width)
+        assert _op_hits(truncated, program) != expected
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_shared_domain(self, backend):
+        kernels.set_backend(backend)
+        geometry = _geometry(_config("haswell", 64))
+        program = ((5, 9, 5), (True, False, True), (0, 2))
+
+        def levels(n):
+            up = np.minimum(np.arange(n) + 1, n - 1)
+            down = np.maximum(np.arange(n) - 1, 0)
+            return dict(
+                step_table=np.array([down, up]),
+                predict_taken=np.arange(n) >= n // 2,
+                init_level=n // 2 - 1,
+            )
+
+        refused = [
+            (((-1, 9, 5),) + program[1:], {}),
+            (((2**63, 9, 5),) + program[1:], {}),
+            (program, {"ghr_len": 63}),
+            (program, {"ghr_len": 0}),
+            (program, levels(128)),
+            (program, {"sel_max": 128}),
+            (program[:2] + ((2, 1),), {}),
+            (program[:2] + ((3,),), {}),
+            ((program[0], program[1][:2], program[2]), {}),
+        ]
+        for args, changes in refused:
+            with pytest.raises(ValueError):
+                kernels.predictor_hits(*args, **{**geometry, **changes})
+        # The largest representable values run, identically.
+        for changes in ({"ghr_len": 62}, levels(127), {"sel_max": 127}):
+            got = kernels.predictor_hits(*program, **{**geometry, **changes})
+            ref = numpy_backend.predictor_hits(
+                *program, **{**geometry, **changes}
+            )
+            assert got.dtype == bool and np.array_equal(got, ref), changes
