@@ -13,7 +13,8 @@ layout, worker count and store replays cannot change a bit.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Dict, Optional
+import json
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.fuzz.generate import program_from_descriptor
 from repro.fuzz.oracle import PresetOracle
@@ -30,6 +31,14 @@ def _oracle(preset: str, scale: int) -> PresetOracle:
     return PresetOracle(preset, scale=scale)
 
 
+@functools.lru_cache(maxsize=16)
+def _descriptors(params: str) -> Tuple[Dict[str, Any], ...]:
+    """A generation's program descriptors, decoded once per ``params``
+    string rather than once per trial.  Every trial (and its record)
+    shares these dicts: read them, never mutate them."""
+    return tuple(json.loads(params)["descriptors"])
+
+
 def fuzz_trial(
     spec: Any,
     index: int,
@@ -39,8 +48,7 @@ def fuzz_trial(
     """Run one generation program against the spec's opaque preset."""
     if pre_trial is not None:
         pre_trial(index)
-    params = spec.params_dict()
-    descriptors = params["descriptors"]
+    descriptors = _descriptors(spec.params)
     if not 0 <= index < len(descriptors):
         raise IndexError(
             f"trial index {index} outside the generation's "

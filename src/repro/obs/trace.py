@@ -345,7 +345,8 @@ def record_resilience_event(kind: str, detail: str = "", n: int = 1) -> None:
 
     Kinds in use: ``worker_crash``, ``worker_hang``, ``chunk_corrupt``,
     ``chunk_retry``, ``degrade_serial``, ``checkpoint_rollback``,
-    ``campaign_resume``, ``env_workers_invalid``.
+    ``checkpoint_corrupt`` (a shard-log record or file that failed its
+    check), ``campaign_resume``, ``env_workers_invalid``.
     """
     _RESILIENCE_EVENTS[kind] = _RESILIENCE_EVENTS.get(kind, 0) + n
     tracer = TRACER

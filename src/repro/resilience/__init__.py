@@ -14,7 +14,9 @@ many workers; this subsystem makes every failure mode along the way both
   SHA-256-verified campaign checkpoints with automatic rollback to the
   last good generation, and :class:`ResumableCampaign`, the
   checkpointed ``pool.map`` behind ``--resume`` on the benches and the
-  ``repro campaign`` CLI;
+  ``repro campaign`` CLI; and :class:`ShardLog`, the campaign
+  service's append-only shard log (one fsync'd, digested record per
+  finished shard);
 * the supervised execution layer itself lives in
   :mod:`repro.parallel.pool` (heartbeat + deadline detection, retry
   with exponential backoff, graceful serial degradation) — the faults
@@ -29,6 +31,7 @@ from repro.resilience.checkpoint import (
     CheckpointMismatch,
     CheckpointStore,
     ResumableCampaign,
+    ShardLog,
     rng_state_digest,
     verify_fingerprint,
 )
@@ -49,6 +52,7 @@ __all__ = [
     "NetworkFaultInjector",
     "NetworkFaultSpec",
     "ResumableCampaign",
+    "ShardLog",
     "rng_state_digest",
     "verify_fingerprint",
 ]

@@ -14,6 +14,16 @@ persisted through three layers:
   previous generation when the current one is torn or bit-flipped
   (quarantining the corrupt file as ``<path>.corrupt`` for forensics,
   and counting the rollback on the always-on resilience counters).
+* :class:`ShardLog` — the campaign service's append-only shard log:
+  a magic line, a header record holding the campaign fingerprint, then
+  one record per finished shard, each a line of canonical JSON behind
+  its own SHA-256 digest.  The first write creates the file atomically
+  with the header and the first shards; every later write is one
+  ``O_APPEND`` plus one ``fsync``, so a campaign writes each shard once.
+  A record that fails its digest (a torn tail, a bit flip) is skipped
+  and counted, and the log is rewritten without it before the next
+  append; a file that is not a shard log at all (a pickle checkpoint of
+  an older release) is quarantined and the campaign starts afresh.
 * :class:`ResumableCampaign` — a checkpointed ``pool.map``: trial
   results accumulate in batches, each batch boundary saves a checkpoint
   (results so far, the campaign fingerprint, and — when the campaign
@@ -43,11 +53,20 @@ import json
 import os
 import pickle
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
-from repro.ioutil import atomic_write_bytes, frame, fsync_directory, unframe
+from repro.ioutil import (
+    append_bytes,
+    atomic_write_bytes,
+    canonical_json,
+    frame,
+    fsync_directory,
+    unframe,
+)
 from repro.obs import trace as obs
 
 __all__ = [
@@ -56,6 +75,7 @@ __all__ = [
     "CheckpointMismatch",
     "CheckpointStore",
     "ResumableCampaign",
+    "ShardLog",
     "rng_state_digest",
     "verify_fingerprint",
 ]
@@ -207,7 +227,7 @@ def as_store(
 
 
 def verify_fingerprint(
-    store: CheckpointStore,
+    store: Union[CheckpointStore, "ShardLog"],
     state: Optional[Dict[str, Any]],
     fingerprint: Dict[str, Any],
 ) -> Optional[Dict[str, Any]]:
@@ -226,6 +246,122 @@ def verify_fingerprint(
             f"{state.get('fingerprint')!r} vs requested {fingerprint!r}"
         )
     return state
+
+
+#: First line of a shard log; bump the version when the record schema
+#: changes.
+SHARD_LOG_MAGIC = b"REPRO-SHARDS-1\n"
+
+
+def _log_record(obj: Any) -> bytes:
+    """One log line: SHA-256 hex of the canonical JSON, a space, the JSON."""
+    payload = canonical_json(obj).encode("utf-8")
+    digest = hashlib.sha256(payload).hexdigest().encode("ascii")
+    return digest + b" " + payload + b"\n"
+
+
+def _read_record(line: bytes) -> Any:
+    """The decoded payload of one log line, or ``None`` if it fails."""
+    digest, separator, payload = line[:64], line[64:65], line[65:]
+    digest_ok = hashlib.sha256(payload).hexdigest().encode("ascii") == digest
+    if separator != b" " or not digest_ok:
+        return None
+    try:
+        return json.loads(payload)
+    except ValueError:
+        return None
+
+
+class ShardLog:
+    """A campaign's append-only shard log (see the module docstring).
+
+    ``fingerprint`` is the campaign's plain-data identity; a log whose
+    header holds another raises :class:`CheckpointMismatch` on
+    :meth:`load`.  Call :meth:`load` (or :meth:`clear`) before the first
+    :meth:`append`: it decides whether the next append creates the file,
+    and it removes bad records so no append lands after a torn tail.
+    """
+
+    def __init__(self, path, fingerprint: Dict[str, Any]) -> None:
+        self.path = Path(path)
+        self.corrupt_path = self.path.with_name(self.path.name + ".corrupt")
+        #: The fingerprint as the header stores it (JSON round-tripped).
+        self.fingerprint = json.loads(canonical_json(fingerprint))
+        self._created = False
+
+    def _header(self) -> bytes:
+        return SHARD_LOG_MAGIC + _log_record({"fingerprint": self.fingerprint})
+
+    def load(self) -> Dict[int, Any]:
+        """Each durable shard's ``to_state()``, by shard index."""
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            self._created = False
+            return {}
+        lines = data.split(b"\n")
+        torn_tail = lines.pop()  # b"" when the last record is whole
+        header = _read_record(lines[1]) if (
+            len(lines) > 1 and lines[0] + b"\n" == SHARD_LOG_MAGIC
+        ) else None
+        if not isinstance(header, dict) or "fingerprint" not in header:
+            # Not a shard log (an older pickle checkpoint) or a header
+            # that fails its digest: keep it for forensics, start fresh.
+            obs.record_resilience_event(
+                "checkpoint_corrupt", detail=str(self.path)
+            )
+            os.replace(str(self.path), str(self.corrupt_path))
+            self._created = False
+            return {}
+        verify_fingerprint(self, header, self.fingerprint)
+        shards: Dict[int, Any] = {}
+        good: List[bytes] = []
+        bad = 1 if torn_tail else 0
+        for line in lines[2:]:
+            record = _read_record(line)
+            if (
+                isinstance(record, dict)
+                and isinstance(record.get("shard"), int)
+                and "state" in record
+            ):
+                shards[record["shard"]] = record["state"]
+                good.append(line + b"\n")
+            else:
+                bad += 1
+        if bad:
+            obs.record_resilience_event(
+                "checkpoint_corrupt", detail=str(self.path), n=bad
+            )
+            if good:
+                atomic_write_bytes(self.path, self._header() + b"".join(good))
+            else:
+                os.unlink(str(self.path))
+        self._created = bool(good)
+        return shards
+
+    def append(self, shards: Iterable[Tuple[int, Any]]) -> None:
+        """Durably record ``(shard index, to_state())`` pairs: the first
+        write creates the log atomically, later ones are one fsync'd
+        append each."""
+        data = b"".join(
+            _log_record({"shard": index, "state": state})
+            for index, state in shards
+        )
+        if self._created:
+            append_bytes(self.path, data)
+            return
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        atomic_write_bytes(self.path, self._header() + data)
+        self._created = True
+
+    def clear(self) -> None:
+        """Delete the log (fresh-start semantics)."""
+        for path in (self.path, self.corrupt_path):
+            try:
+                os.unlink(str(path))
+            except OSError:
+                pass
+        self._created = False
 
 
 class ResumableCampaign:

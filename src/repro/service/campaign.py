@@ -184,10 +184,6 @@ class CampaignSpec:
     def noise_model(self) -> NoiseModel:
         return NOISE_PRESETS[self.noise]()
 
-    def params_dict(self) -> Dict[str, Any]:
-        """The decoded workload parameters (validated at construction)."""
-        return json.loads(self.params)
-
     def workload_impl(self) -> Workload:
         """The resolved :class:`~repro.service.workload.Workload`."""
         return get_workload(self.workload)

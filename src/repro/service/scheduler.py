@@ -2,12 +2,13 @@
 
 :class:`CampaignBook` is the one record of submitted campaigns that
 both schedulers share: the registry, the least-dispatched fair-share
-ledger (:meth:`~CampaignBook.pick`), submit-time recovery (restore the
-checkpoint, then serve pending shards from the
+ledger (:meth:`~CampaignBook.pick`), submit-time recovery (load the
+shard log, then serve pending shards from the
 :class:`~repro.store.ContentStore`) and the record of a finished shard
 (:meth:`~CampaignBook.finish`: a disk-only store put, then one
-:func:`save_campaign` per touched campaign).  Lookups and writes happen
-in the parent; forked shard workers never touch the store.
+:func:`save_campaign` append to each touched campaign's shard log).
+Lookups and writes happen in the parent; forked shard workers never
+touch the store.
 
 :class:`CampaignService` drives the book's campaigns in cooperative
 *waves*: each wave picks up to ``workers`` pending shards and fans them
@@ -28,7 +29,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs import trace as obs
 from repro.parallel import TrialPool
-from repro.resilience.checkpoint import CheckpointStore, verify_fingerprint
+from repro.resilience.checkpoint import ShardLog
 from repro.service.campaign import (
     CampaignSpec,
     plan_shards,
@@ -57,6 +58,8 @@ class CampaignState:
         #: restore, store probe and merge dispatches through it.
         self.aggregate_cls: type = spec.workload_impl().aggregate
         self.done: Dict[int, Any] = {}
+        #: The durable record of ``done`` (``None``: not checkpointed).
+        self.log: Optional[ShardLog] = None
         self.resumed_shards = 0
         self.cached_shards = 0
 
@@ -91,30 +94,23 @@ class CampaignState:
 
 
 def campaign_checkpoint(
-    checkpoint_dir, campaign_id: str
-) -> Optional[CheckpointStore]:
-    """The campaign's checkpoint store, or ``None`` when disabled."""
+    checkpoint_dir, spec: CampaignSpec
+) -> Optional[ShardLog]:
+    """The campaign's shard log (``<campaign_id>.ckpt``), or ``None``
+    when checkpointing is disabled."""
     if checkpoint_dir is None:
         return None
-    checkpoint_dir = Path(checkpoint_dir)
-    checkpoint_dir.mkdir(parents=True, exist_ok=True)
-    return CheckpointStore(checkpoint_dir / f"{campaign_id}.ckpt")
-
-
-def save_campaign(checkpoint_dir, state: "CampaignState") -> None:
-    """Checkpoint a campaign's finished shards (atomic, fingerprinted)."""
-    ckpt = campaign_checkpoint(checkpoint_dir, state.campaign_id)
-    if ckpt is None:
-        return
-    ckpt.save(
-        {
-            "fingerprint": state.spec.fingerprint(),
-            "done": {
-                i: agg.to_state() for i, agg in state.done.items()
-            },
-            "complete": state.complete,
-        }
+    return ShardLog(
+        Path(checkpoint_dir) / f"{spec.campaign_id()}.ckpt",
+        spec.fingerprint(),
     )
+
+
+def save_campaign(state: "CampaignState", shards: Iterable[int]) -> None:
+    """Durably append the just-finished ``shards`` of ``state`` to its
+    shard log (one fsync'd write; a no-op without a log)."""
+    if state.log is not None:
+        state.log.append((i, state.done[i].to_state()) for i in shards)
 
 
 class CampaignBook:
@@ -167,21 +163,20 @@ class CampaignBook:
         its checkpoint (``resume=False`` clears it instead; a checkpoint
         of another spec raises
         :class:`~repro.resilience.CheckpointMismatch`), then completes
-        every pending shard the store holds and, if the store served
-        any, re-saves the checkpoint — a fully cached campaign finishes
-        here without dispatching a trial.
+        every pending shard the store holds and appends those to the
+        shard log — a fully cached campaign finishes here without
+        dispatching a trial.
         """
         state = CampaignState(spec)
         known = self.campaigns.get(state.campaign_id)
         if known is not None:
             return known, False
-        ckpt = campaign_checkpoint(self.checkpoint_dir, state.campaign_id)
-        if ckpt is not None and not resume:
-            ckpt.clear()
-        elif ckpt is not None:
-            saved = verify_fingerprint(ckpt, ckpt.load(), spec.fingerprint())
-            for i, agg_state in (saved or {}).get("done", {}).items():
-                state.done[int(i)] = state.aggregate_cls.from_state(agg_state)
+        log = state.log = campaign_checkpoint(self.checkpoint_dir, spec)
+        if log is not None and not resume:
+            log.clear()
+        elif log is not None:
+            for i, agg_state in log.load().items():
+                state.done[i] = state.aggregate_cls.from_state(agg_state)
             state.resumed_shards = len(state.done)
             if state.resumed_shards:
                 obs.record_resilience_event(
@@ -189,16 +184,18 @@ class CampaignBook:
                     detail=state.campaign_id,
                     n=state.resumed_shards,
                 )
+        cached = []
         if self.store is not None:
             for i in state.pending():
                 lo, hi = state.shards[i]
                 found, value = self.store.get(shard_store_key(spec, lo, hi))
                 if found and isinstance(value, state.aggregate_cls):
                     state.done[i] = value
-                    state.cached_shards += 1
+                    cached.append(i)
+        state.cached_shards = len(cached)
         self.campaigns[state.campaign_id] = state
-        if state.cached_shards:
-            save_campaign(self.checkpoint_dir, state)
+        if cached:
+            save_campaign(state, cached)
         tracer = obs.TRACER
         if tracer is not None:
             tracer.emit(
@@ -217,12 +214,15 @@ class CampaignBook:
 
         Each aggregate goes to the store's disk tier only (the campaign
         state already holds it, and a later read still fills the memory
-        tier); then every touched campaign is checkpointed once.
+        tier); then every touched campaign appends its new shards to its
+        shard log in one fsync'd write, so they are durable when this
+        returns.
         """
-        touched: Dict[str, CampaignState] = {}
+        touched: Dict[str, List[int]] = {}
         for cid, shard_index, aggregate in triples:
-            state = touched[cid] = self.campaigns[cid]
+            state = self.campaigns[cid]
             state.done[shard_index] = aggregate
+            touched.setdefault(cid, []).append(shard_index)
             if self.store is not None:
                 lo, hi = state.shards[shard_index]
                 self.store.put(
@@ -231,7 +231,7 @@ class CampaignBook:
                     memory=False,
                 )
         for cid in sorted(touched):
-            save_campaign(self.checkpoint_dir, touched[cid])
+            save_campaign(self.campaigns[cid], touched[cid])
 
 
 class CampaignService:
@@ -251,7 +251,7 @@ class CampaignService:
         Shared :class:`~repro.store.ContentStore` for shard aggregates.
         ``None`` disables persistent caching.
     checkpoint_dir:
-        Directory for per-campaign checkpoint files
+        Directory for per-campaign shard logs
         (``<campaign_id>.ckpt``).  ``None`` disables checkpointing.
     pre_trial:
         Hook run inside each trial before any work — the chaos harness

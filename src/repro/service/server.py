@@ -7,8 +7,11 @@ is kill-proof, inspectable with ``ls``, and already crash-safe through
     root/
       jobs/         <campaign_id>.json   — submitted specs (atomic writes)
       results/      <campaign_id>.json   — completed campaign results
-      checkpoints/  <campaign_id>.ckpt   — per-campaign PR 5 checkpoints
+      checkpoints/  <campaign_id>.ckpt   — per-campaign shard logs (the
+                                           one durable record; fsync'd
+                                           append per finished shard)
       store/        ...                  — content-addressed shard results
+                                           (a recomputable cache, no fsync)
       store-stats.json                   — store traffic snapshot (artifact)
 
 ``repro submit`` drops a spec into ``jobs/``; ``repro serve`` polls the

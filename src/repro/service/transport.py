@@ -55,7 +55,7 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 
-from repro.ioutil import frame, unframe
+from repro.ioutil import canonical_json, frame, unframe
 from repro.obs import trace as obs
 from repro.obs.http import CONTENT_TYPE as METRICS_CONTENT_TYPE
 from repro.parallel.pool import SuperviseConfig
@@ -101,11 +101,6 @@ class LeaseQuarantinedError(RuntimeError):
     digest disagreed with an already-recorded completion.  Terminal —
     two exact computations of one shard can only disagree if the worker
     (or the wire, past the framing check) is broken."""
-
-
-def canonical_json(obj: Any) -> str:
-    """The one byte-encoding of ``obj`` (sorted keys, no whitespace)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def frame_payload(obj: Any) -> bytes:

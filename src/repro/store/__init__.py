@@ -10,11 +10,18 @@ process or after a restart — is served without running a trial:
 * **memory tier** — a bounded LRU of deserialised objects (cheap repeat
   hits within one process);
 * **disk tier** — one file per key under a root directory, written
-  atomically via :mod:`repro.ioutil` and framed with a SHA-256 digest so
-  a torn or bit-flipped artifact reads as a *miss* (quarantine + delete),
-  never as silent corruption.  Several processes may share one root
-  and write concurrently — the pid-unique temp name plus
-  ``os.replace`` makes the last whole write win.
+  through a temp file and ``os.replace`` (:func:`repro.ioutil.
+  replace_bytes`) and framed with a SHA-256 digest so a torn or
+  bit-flipped artifact reads as a *miss* (quarantine + delete), never
+  as silent corruption.  Several processes may share one root and
+  write concurrently — the pid-unique temp name plus ``os.replace``
+  makes the last whole write win.
+
+The store is a **recomputable cache**: nothing in it is fsync'd.  Every
+entry is a pure function of its key, so an entry a power cut loses or
+tears costs one recomputation (a torn one is counted as
+``store_corrupt``).  The durable record of a campaign's progress is its
+shard log (:class:`repro.resilience.checkpoint.ShardLog`).
 
 Keys are ``blake2b`` hexdigests derived by :func:`store_key` from a
 *kind* tag plus canonical key parts, so two campaigns (or two users)
@@ -38,7 +45,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
-from repro.ioutil import atomic_write_bytes, frame, unframe
+from repro.ioutil import frame, replace_bytes, unframe
 from repro.obs import trace as obs
 
 __all__ = ["ContentStore", "StoreStats", "store_key"]
@@ -220,7 +227,8 @@ class ContentStore:
         return False, None
 
     def put(self, key: str, value: Any, *, memory: bool = True) -> None:
-        """Persist ``value`` under ``key`` (atomic; last whole write wins).
+        """Write ``value`` under ``key`` (atomic, not fsync'd; last whole
+        write wins).
 
         ``memory=False`` writes the disk tier only — for publishers that
         already hold the value themselves: the service's campaign book
@@ -229,7 +237,7 @@ class ContentStore:
         A later :meth:`get` still fills the memory tier.
         """
         data = frame(_MAGIC, pickle.dumps(value, protocol=_PICKLE_PROTOCOL))
-        atomic_write_bytes(self._path(key), data)
+        replace_bytes(self._path(key), data)
         self.stats.puts += 1
         self.stats.bytes_written += len(data)
         if memory:

@@ -436,16 +436,12 @@ class TestSelfRediscovery:
         import dataclasses
 
         from repro.bpu import presets as presets_mod
-        from repro.bpu.fsm import FSMSpec, textbook_2bit_fsm
+        from repro.bpu.fsm import textbook_2bit_fsm
 
         def weird_fsm():
-            spec = textbook_2bit_fsm()
-            return FSMSpec(
-                name="weird",
-                n_levels=spec.n_levels,
-                taken_threshold=spec.taken_threshold,
-            )
+            return dataclasses.replace(textbook_2bit_fsm(), name="weird")
 
+        assert weird_fsm().name == "weird"  # a broken factory fails here
         config = dataclasses.replace(
             presets_mod.haswell(), fsm_factory=weird_fsm
         )
@@ -892,7 +888,8 @@ class TestServiceTenancy:
             params=json.dumps({"descriptors": descriptors}, sort_keys=True),
         )
         again = CampaignSpec.from_json(spec.to_json())
-        assert again.params_dict()["descriptors"] == descriptors
+        assert again.params == spec.params
+        assert json.loads(again.params)["descriptors"] == descriptors
 
     def test_shard_layout_does_not_change_digest(self):
         descriptors = battery_descriptors(0)[:6]

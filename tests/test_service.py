@@ -40,7 +40,15 @@ from repro.obs import trace as obs
 from repro.obs.http import CONTENT_TYPE, MetricsServer
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import TrialPool
-from repro.resilience.checkpoint import CheckpointMismatch, rng_state_digest
+from repro.ioutil import canonical_json
+from repro.obs import resilience_event_counts
+from repro.resilience.checkpoint import (
+    SHARD_LOG_MAGIC,
+    CheckpointMismatch,
+    CheckpointStore,
+    ShardLog,
+    rng_state_digest,
+)
 from repro.service import (
     CampaignAggregate,
     CampaignService,
@@ -461,6 +469,225 @@ class TestSpool:
         )
         assert rerun["cached_shards"] == rerun["shards"]
         assert rerun["digest"] == by_name[rerun["name"]]["digest"]
+
+
+def count_fsyncs(monkeypatch) -> list:
+    """Record every ``os.fsync`` call from here on (one entry each)."""
+    calls: list = []
+    real = os.fsync
+
+    def counting(fd):
+        calls.append(fd)
+        return real(fd)
+
+    monkeypatch.setattr(os, "fsync", counting)
+    return calls
+
+
+def log_record_bytes(obj) -> int:
+    """Size of one shard-log line: digest, space, canonical JSON, newline."""
+    return 64 + 1 + len(canonical_json(obj).encode("utf-8")) + 1
+
+
+def logged_shards(data: bytes) -> list:
+    """Shard indices recorded in a log's bytes (header lines skipped)."""
+    return [
+        json.loads(line[65:])["shard"]
+        for line in data.split(b"\n")[2:]
+        if line
+    ]
+
+
+class TestShardLog:
+    """The campaign checkpoint is an append-only, per-record-digested
+    shard log: one fsync per finished shard, linear growth, and every
+    torn, flipped or foreign file resumes to the reference digest."""
+
+    def _partial(self, tmp_path, spec, waves, store=None):
+        """A service that ran ``waves`` one-shard waves, and its log."""
+        service = CampaignService(
+            workers=1, store=store, checkpoint_dir=tmp_path / "ck"
+        )
+        cid = service.submit(spec)
+        for _ in range(waves):
+            service.run_wave()
+        return service.campaign(cid), tmp_path / "ck" / f"{cid}.ckpt"
+
+    def _resume(self, tmp_path, spec, store=None):
+        service = CampaignService(
+            workers=1, store=store, checkpoint_dir=tmp_path / "ck"
+        )
+        cid = service.submit(spec)
+        state = service.campaign(cid)
+        result = service.run_until_complete()[cid]
+        return state, result
+
+    def test_one_fsync_per_shard_and_none_in_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        spec = small_spec(shards=4)
+        store = ContentStore(tmp_path / "store")
+        service = CampaignService(
+            workers=1, store=store, checkpoint_dir=tmp_path / "ck"
+        )
+        cid = service.submit(spec)
+        calls = count_fsyncs(monkeypatch)
+        put = store.put
+        put_fsyncs = []
+
+        def counted_put(*args, **kwargs):
+            before = len(calls)
+            put(*args, **kwargs)
+            put_fsyncs.append(len(calls) - before)
+
+        monkeypatch.setattr(store, "put", counted_put)
+        per_wave = []
+        for _ in range(4):
+            before = len(calls)
+            assert service.run_wave() == 1
+            per_wave.append(len(calls) - before)
+        # The first shard creates the log (file + directory); every
+        # later shard is one fsync'd append.
+        assert per_wave == [2, 1, 1, 1]
+        assert put_fsyncs == [0, 0, 0, 0]
+        assert service.results()[cid]["digest"] == run_campaign(
+            spec, n_shards=1
+        ).digest()
+
+    def test_one_fsync_per_accepted_upload(self, tmp_path, monkeypatch):
+        from repro.service.campaign import run_shard
+        from repro.service.coordinator import Coordinator
+        from repro.service.transport import aggregate_state_digest
+
+        spec = small_spec(shards=4)
+        coord = Coordinator(tmp_path, log=lambda *args: None)
+        coord.submit(spec)
+        calls = count_fsyncs(monkeypatch)
+        finish = coord.book.finish
+        per_finish = []
+
+        def counted_finish(triples):
+            before = len(calls)
+            finish(triples)
+            per_finish.append(len(calls) - before)
+
+        monkeypatch.setattr(coord.book, "finish", counted_finish)
+        while not coord.drained():
+            work = coord.claim("w")["work"]
+            agg_state = run_shard(spec, work["lo"], work["hi"]).to_state()
+            reply = coord.upload({
+                "campaign": work["campaign"],
+                "shard": work["shard"],
+                "worker": "w",
+                "state": agg_state,
+                "digest": aggregate_state_digest(agg_state),
+            })
+            assert reply["status"] == "accepted"
+        assert per_finish == [2, 1, 1, 1]
+
+    def test_log_grows_by_one_record_per_shard(self, tmp_path):
+        spec = small_spec(shards=4)
+        service = CampaignService(workers=1, checkpoint_dir=tmp_path / "ck")
+        cid = service.submit(spec)
+        state = service.campaign(cid)
+        path = tmp_path / "ck" / f"{cid}.ckpt"
+        size = len(SHARD_LOG_MAGIC) + log_record_bytes(
+            {"fingerprint": spec.fingerprint()}
+        )
+        previous = b""
+        for _ in range(4):
+            assert service.run_wave() == 1
+            (shard,) = set(state.done) - set(logged_shards(previous))
+            size += log_record_bytes(
+                {"shard": shard, "state": state.done[shard].to_state()}
+            )
+            data = path.read_bytes()
+            assert len(data) == size
+            assert data.startswith(previous)  # appended, never rewritten
+            previous = data
+
+    def test_torn_tail_resumes_and_is_cut_before_the_next_append(
+        self, tmp_path
+    ):
+        spec = small_spec(shards=4)
+        _, path = self._partial(tmp_path, spec, waves=3)
+        data = path.read_bytes()
+        path.write_bytes(data[:-7])
+        before = resilience_event_counts().get("checkpoint_corrupt", 0)
+        service = CampaignService(workers=1, checkpoint_dir=tmp_path / "ck")
+        cid = service.submit(spec)
+        assert service.campaign(cid).resumed_shards == 2
+        assert resilience_event_counts()["checkpoint_corrupt"] == before + 1
+        # The bad record is gone before anything is appended.
+        last = data[:-1].rfind(b"\n") + 1
+        assert path.read_bytes() == data[:last]
+        result = service.run_until_complete()[cid]
+        assert result["digest"] == run_campaign(spec, n_shards=1).digest()
+        # The finished log is whole: a fresh load sees all four shards.
+        again = CampaignService(workers=1, checkpoint_dir=tmp_path / "ck")
+        assert again.campaign(again.submit(spec)).resumed_shards == 4
+        assert resilience_event_counts()["checkpoint_corrupt"] == before + 1
+
+    def test_torn_only_record_starts_a_fresh_log(self, tmp_path):
+        spec = small_spec(shards=4)
+        _, path = self._partial(tmp_path, spec, waves=1)
+        path.write_bytes(path.read_bytes()[:-7])
+        service = CampaignService(workers=1, checkpoint_dir=tmp_path / "ck")
+        cid = service.submit(spec)
+        assert service.campaign(cid).resumed_shards == 0
+        assert not path.exists()  # no shard is durable, so no log
+        result = service.run_until_complete()[cid]
+        assert result["digest"] == run_campaign(spec, n_shards=1).digest()
+        again = CampaignService(workers=1, checkpoint_dir=tmp_path / "ck")
+        assert again.campaign(again.submit(spec)).resumed_shards == 4
+
+    def test_bit_flipped_middle_record_is_skipped(self, tmp_path):
+        spec = small_spec(shards=4)
+        _, path = self._partial(tmp_path, spec, waves=3)
+        data = bytearray(path.read_bytes())
+        lines = bytes(data).split(b"\n")
+        # Magic, header, three shard records: flip a byte of the second.
+        offset = sum(len(line) + 1 for line in lines[:3]) + 100
+        data[offset] ^= 0x01
+        path.write_bytes(bytes(data))
+        before = resilience_event_counts().get("checkpoint_corrupt", 0)
+        state, result = self._resume(tmp_path, spec)
+        assert state.resumed_shards == 2
+        assert resilience_event_counts()["checkpoint_corrupt"] == before + 1
+        assert result["digest"] == run_campaign(spec, n_shards=1).digest()
+
+    def test_pickle_checkpoint_is_quarantined_and_store_serves(
+        self, tmp_path
+    ):
+        spec = small_spec(shards=4)
+        store = ContentStore(tmp_path / "store")
+        first, path = self._partial(tmp_path, spec, waves=2, store=store)
+        # What an earlier release wrote at this path: a framed pickle.
+        path.unlink()
+        CheckpointStore(path).save({
+            "fingerprint": spec.fingerprint(),
+            "done": {i: agg.to_state() for i, agg in first.done.items()},
+            "complete": False,
+        })
+        assert path.read_bytes().startswith(b"REPRO-CKPT-1\n")
+        before = resilience_event_counts().get("checkpoint_corrupt", 0)
+        state, result = self._resume(tmp_path, spec, store=store)
+        assert resilience_event_counts()["checkpoint_corrupt"] == before + 1
+        assert path.with_name(path.name + ".corrupt").exists()
+        assert state.resumed_shards == 0
+        assert state.cached_shards == 2
+        assert result["digest"] == run_campaign(spec, n_shards=1).digest()
+        assert path.read_bytes().startswith(SHARD_LOG_MAGIC)
+
+    def test_fingerprint_mismatch_raises(self, tmp_path):
+        log = ShardLog(tmp_path / "c.ckpt", {"experiment": "a"})
+        log.load()
+        log.append([(0, {"n": 1})])
+        with pytest.raises(CheckpointMismatch):
+            ShardLog(tmp_path / "c.ckpt", {"experiment": "b"}).load()
+        assert ShardLog(tmp_path / "c.ckpt", {"experiment": "a"}).load() == {
+            0: {"n": 1}
+        }
 
 
 @pytest.mark.slow
