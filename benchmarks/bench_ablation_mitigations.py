@@ -5,6 +5,11 @@ included) against a secret-bit-array victim and report the recovered-bit
 error rate.  A defense "works" when recovery degrades toward coin
 flipping (~50%) or calibration becomes impossible; the unprotected
 baseline must stay near 0%.
+
+The victim and spy get fixed pids (1 and 2): the per-process defenses
+(partitioning by ``pid % 8``, the PHT key) key on pid, as STBPU-style
+per-context isolation does (arXiv 2108.02156), so counter-drawn pids
+would make a row depend on what ran earlier in the interpreter.
 """
 
 import numpy as np
@@ -34,12 +39,14 @@ def attack_once(mitigation_factory, protect_victim_branch=False):
     if mitigation_factory is not None:
         core.install_mitigation(mitigation_factory(core))
     secret = np.random.default_rng(31).integers(0, 2, N_BITS).tolist()
-    victim = SecretBitArrayVictim(secret)
+    victim = SecretBitArrayVictim(
+        secret, process=Process("bitarray-victim", pid=1)
+    )
     if protect_victim_branch:
         victim.process.protect_branch(victim.branch_address)
     attack = BranchScope(
         core,
-        Process("spy"),
+        Process("spy", pid=2),
         victim.branch_address,
         setting=NoiseSetting.ISOLATED,
     )

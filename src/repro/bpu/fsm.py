@@ -187,15 +187,6 @@ class FSMSpec:
         """Vectorised :meth:`predicts` over an array of levels."""
         return self._predict_arr[levels]
 
-    def step_array(self, levels: np.ndarray, taken) -> np.ndarray:
-        """Vectorised :meth:`step`.
-
-        ``taken`` may be a scalar bool or a boolean array broadcastable to
-        ``levels``.
-        """
-        outcome = np.asarray(taken, dtype=np.int64)
-        return self._step_arr[outcome, levels]
-
     def public_array(self, levels: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`public_state`, as an int8 array of State values."""
         return self._public_arr[levels]

@@ -63,8 +63,6 @@ from repro.core.poisoning import poison_branch, poisoning_experiment
 from repro.core.prime_probe import prime_direct, prime_sequence_for, probe_pair
 from repro.core.randomizer import CompiledBlock, RandomizationBlock
 from repro.core.support import (
-    batch_assess_fallback_reason,
-    batch_assess_supported,
     batch_scan_fallback_reason,
     manycore_fallback_reason,
 )
@@ -93,8 +91,6 @@ __all__ = [
     "TrialPlan",
     "assess_block",
     "assess_block_batch",
-    "batch_assess_fallback_reason",
-    "batch_assess_supported",
     "batch_decode_states",
     "batch_probe_signatures",
     "batch_scan_fallback_reason",

@@ -19,29 +19,27 @@ candidate blocks x 1000 probes each, Figure 4) defines the methodology:
 attacker and can be performed during the pre-attack stage.  This is a
 key element of BranchScope."
 
-Two execution engines implement the assessment:
+Every assessment consumes a pre-drawn :class:`TrialPlan` — the plan is
+the only source of trial randomness — and two engines run it:
 
 * :func:`assess_block` — the scalar reference: every scramble branch,
   block application, noise gap and probe runs through
   :meth:`~repro.cpu.core.PhysicalCore.execute_branch` /
   :meth:`~repro.core.randomizer.CompiledBlock.apply`.
 * :func:`assess_block_batch` — the vectorised fast path
-  (:mod:`repro.core.calibration_batch`): a *replay* engine that tracks
-  only the handful of predictor entries the probes can observe and
-  evolves them with numpy table operations, while consuming the
-  identical generator streams (observation draws *and* the core RNG's
-  timing draws) and making the identical mitigation hook calls.  It is
-  therefore a bit-exact drop-in — same :class:`BlockAssessment`, same
-  post-call core/RNG/mitigation state — pinned by the differential
-  tests in ``tests/test_calibration_batch.py``.  Whenever a mitigation
-  perturbs the observation itself (stochastic FSM, noisy counters) or a
-  custom timing model is installed, it transparently runs the scalar
-  engine instead.
+  (:mod:`repro.core.calibration_batch`): it tracks only the handful of
+  predictor entries the probes can observe and evolves them with numpy
+  table operations, returning the same :class:`BlockAssessment` from the
+  same plan while leaving the predictor and the core RNG untouched —
+  pinned by the differential tests in ``tests/test_calibration_batch.py``.  Whenever a
+  mitigation perturbs the observation itself (stochastic FSM, noisy
+  counters) it runs the scalar engine instead.
 
-:func:`find_block` optionally fans independent candidates across a
-:class:`repro.parallel.TrialPool` (``workers=`` kwarg) with per-candidate
-generators spawned via ``np.random.SeedSequence`` from one entropy draw,
-so search outcomes are bit-identical at any worker count.
+:func:`find_block` walks candidates as independent trials on a
+:class:`repro.parallel.TrialPool`, each with a generator spawned via
+``np.random.SeedSequence`` from one entropy draw, so the block it picks
+and the caller's RNG position it leaves are the same at any worker
+count, one (in process) included.
 :func:`stability_experiment` runs on the manycore engine
 (:mod:`repro.core.manycore`), with :func:`reference_trial` as its
 per-trial reference.  Both searches accept
@@ -63,9 +61,8 @@ import numpy as np
 from repro import kernels
 from repro.core.patterns import DecodedState, decode_state
 from repro.core.support import (
-    batch_assess_fallback_reason,
-    batch_assess_supported,
-    scalar_engine_forced,
+    batch_scan_fallback_reason,
+    batch_scan_supported,
 )
 from repro.core.prime_probe import probe_pair
 from repro.core.randomizer import (
@@ -88,7 +85,6 @@ from repro.system.noise import (
     NoiseModel,
     apply_noise_draw,
     draw_noise_at,
-    inject_noise,
     pcg64_state,
     pcg64_stream,
 )
@@ -96,7 +92,6 @@ from repro.system.noise import (
 __all__ = [
     "BlockAssessment",
     "CalibrationError",
-    "SearchStats",
     "TrialPlan",
     "assess_block",
     "assess_block_batch",
@@ -113,31 +108,6 @@ STABILITY_THRESHOLD = 0.85
 
 class CalibrationError(RuntimeError):
     """No candidate block produced the requested stable state."""
-
-
-@dataclass(frozen=True)
-class SearchStats:
-    """How a :func:`find_block` search spent its effort.
-
-    Returned alongside the block via ``find_block(..., with_stats=True)``.
-    ``assessed`` is ``None`` on the pooled path (a cancelled-early fan-out
-    does not report how many trials ran); ``scalar_fallbacks`` counts
-    fallbacks observed *in this process* — trials running in forked
-    workers keep their own counters, so ``scalar_engine_forced`` is the
-    portable signal that the fast engine was disabled for the search.
-    """
-
-    #: Candidate seeds examined (serial) or submitted to the pool.
-    candidates: int
-    #: Full stability assessments actually run (``None`` when pooled).
-    assessed: Optional[int]
-    #: Scalar-engine fallbacks recorded in this process during the search.
-    scalar_fallbacks: int
-    #: True when the fallback predicate disables the batch engine for
-    #: every assessment of this search (mitigation/timing on the core).
-    scalar_engine_forced: bool
-    #: Worker count the search resolved to.
-    workers: int
 
 
 def _trace_assessment(
@@ -206,16 +176,12 @@ def _dominant(patterns: Sequence[str]) -> Tuple[str, float]:
 class TrialPlan:
     """All randomness one block assessment consumes, pre-drawn in bulk.
 
-    The scalar engine interleaves observation draws with the core RNG's
-    timing draws, so a per-repetition draw loop is the only way to stay
-    on its historical stream — and per-call :class:`~numpy.random.Generator`
-    overhead then dominates the vectorised engine.  A trial plan breaks
-    that floor: :func:`draw_trial_plan` draws every scramble outcome and
-    the whole noise stream of all ``2 x repetitions`` repetitions in a
-    handful of vectorised generator calls up front.  Both engines accept
-    a plan (``plan=`` on :func:`assess_block` / :func:`assess_block_batch`)
-    and produce identical assessments from the same plan, which is what
-    the pooled candidate searches hand their per-trial generators.
+    :func:`draw_trial_plan` draws every scramble outcome and the whole
+    noise stream of all ``2 x repetitions`` repetitions in a handful of
+    vectorised generator calls up front, so no engine makes a
+    per-repetition generator call.  Both engines take a plan (``plan=``
+    on :func:`assess_block` / :func:`assess_block_batch`) and produce
+    identical assessments from the same plan.
 
     The noise is kept as where it starts in the generator's PCG64
     stream: :attr:`bulk` draws it with numpy on first use, and the
@@ -318,10 +284,7 @@ def assess_block(
     compiled: CompiledBlock,
     target_address: int,
     *,
-    repetitions: int = 100,
-    noise: Optional[NoiseModel] = None,
-    rng: Optional[np.random.Generator] = None,
-    plan: Optional[TrialPlan] = None,
+    plan: TrialPlan,
 ) -> BlockAssessment:
     """Measure a block's probe-pattern stability at ``target_address``.
 
@@ -332,59 +295,10 @@ def assess_block(
     the entry regardless), then applies the block, lets the configured
     system noise hit the BPU, and probes.  TT and NN variants are
     measured in separate repetitions (each must start from a freshly
-    prepared state).  The surrounding core state is checkpointed and
-    restored.
-
-    With ``plan`` given (a pre-drawn :class:`TrialPlan`), the scramble
-    and noise randomness comes from the plan instead of ``rng`` and
-    ``repetitions``/``noise`` are taken from it — the draw-call pattern
-    on the live generators changes, but the simulated machine semantics
-    are exactly the same.
+    prepared state).  The scramble outcomes, the noise and the number of
+    repetitions all come from ``plan``.  The surrounding core state is
+    checkpointed and restored.
     """
-    if plan is not None:
-        assessment = _assess_block_plan(
-            core, spy, compiled, target_address, plan
-        )
-        _trace_assessment("scalar", target_address, assessment)
-        return assessment
-    rng = rng if rng is not None else core.rng
-    noise = noise if noise is not None else NoiseModel.isolated()
-    fsm = core.predictor.bimodal.pht.fsm
-    checkpoint = core.checkpoint()
-    observations = {}
-    for outcomes in ((True, True), (False, False)):
-        patterns: List[str] = []
-        for _ in range(repetitions):
-            for taken in rng.integers(0, 2, size=fsm.n_levels):
-                core.execute_branch(spy, target_address, bool(taken))
-            compiled.apply(core, spy)
-            inject_noise(core, noise.gap_branches(rng), rng)
-            patterns.append(
-                probe_pair(core, spy, target_address, outcomes).pattern
-            )
-        observations[outcomes] = _dominant(patterns)
-    core.restore(checkpoint)
-    tt_pattern, tt_freq = observations[(True, True)]
-    nn_pattern, nn_freq = observations[(False, False)]
-    assessment = BlockAssessment(
-        seed=compiled.block.seed,
-        tt_pattern=tt_pattern,
-        tt_frequency=tt_freq,
-        nn_pattern=nn_pattern,
-        nn_frequency=nn_freq,
-    )
-    _trace_assessment("scalar", target_address, assessment)
-    return assessment
-
-
-def _assess_block_plan(
-    core: PhysicalCore,
-    spy: Process,
-    compiled: CompiledBlock,
-    target_address: int,
-    plan: TrialPlan,
-) -> BlockAssessment:
-    """Scalar assessment consuming a pre-drawn :class:`TrialPlan`."""
     checkpoint = core.checkpoint()
     observations = {}
     r = 0
@@ -403,13 +317,15 @@ def _assess_block_plan(
     core.restore(checkpoint)
     tt_pattern, tt_freq = observations[(True, True)]
     nn_pattern, nn_freq = observations[(False, False)]
-    return BlockAssessment(
+    assessment = BlockAssessment(
         seed=compiled.block.seed,
         tt_pattern=tt_pattern,
         tt_frequency=tt_freq,
         nn_pattern=nn_pattern,
         nn_frequency=nn_freq,
     )
+    _trace_assessment("scalar", target_address, assessment)
+    return assessment
 
 
 def assess_block_batch(
@@ -418,59 +334,27 @@ def assess_block_batch(
     compiled: CompiledBlock,
     target_address: int,
     *,
-    repetitions: int = 100,
-    noise: Optional[NoiseModel] = None,
-    rng: Optional[np.random.Generator] = None,
-    plan: Optional[TrialPlan] = None,
+    plan: TrialPlan,
 ) -> BlockAssessment:
-    """Vectorised :func:`assess_block` — bit-identical result and state.
+    """Vectorised :func:`assess_block`: the same assessment from the
+    same ``plan``.
 
-    All repetitions of both probe variants are computed by the replay
-    engine in :mod:`repro.core.calibration_batch`, which consumes the
-    same generator streams and makes the same mitigation hook calls as
-    the scalar reference — so the returned assessment, the post-call
-    core state *and* the RNG stream positions are all identical, and
-    callers may mix the two engines freely.  When a mitigation perturbs
-    the observation itself (a stochastic FSM, a noisy counter — the
-    :func:`~repro.core.support.batch_scan_supported` predicate, same
-    contract as the §6.3 batch scan) or the core runs a custom
-    :class:`~repro.cpu.timing.TimingModel` subclass (whose draw pattern
-    the replay could not mirror), this transparently runs the scalar
-    engine instead.  Every registered index hash runs batched.
-
-    With a pre-drawn ``plan`` there is no stream to replay — the result
-    is pinned to :func:`assess_block` with the same plan, the engine
-    skips the per-repetition draw loop *and* the timing-draw replay
-    entirely (this is the trial fast path), and a custom timing
-    model no longer forces the scalar fallback.
+    The engine in :mod:`repro.core.calibration_batch` writes no
+    predictor state and draws from no generator, so the predictor and
+    the core RNG are left exactly as found.  When a mitigation
+    perturbs the observation itself (a stochastic FSM, a noisy counter —
+    the :func:`~repro.core.support.batch_scan_supported` predicate, same
+    contract as the §6.3 batch scan) this runs the scalar engine instead
+    and counts the fallback.  Every registered index hash runs batched.
     """
-    if not batch_assess_supported(core, plan):
+    if not batch_scan_supported(core):
         obs.record_scalar_fallback(
-            "calibration_batch",
-            batch_assess_fallback_reason(core, plan) or "custom_timing",
+            "calibration_batch", batch_scan_fallback_reason(core)
         )
-        return assess_block(
-            core,
-            spy,
-            compiled,
-            target_address,
-            repetitions=repetitions,
-            noise=noise,
-            rng=rng,
-            plan=plan,
-        )
+        return assess_block(core, spy, compiled, target_address, plan=plan)
     from repro.core.calibration_batch import batch_assess
 
-    assessment = batch_assess(
-        core,
-        spy,
-        compiled,
-        target_address,
-        repetitions=repetitions,
-        noise=noise,
-        rng=rng,
-        plan=plan,
-    )
+    assessment = batch_assess(core, spy, compiled, target_address, plan)
     _trace_assessment("batch", target_address, assessment)
     return assessment
 
@@ -488,10 +372,9 @@ def find_block(
     seed_start: int = 0,
     rng: Optional[np.random.Generator] = None,
     workers: Optional[int] = None,
-    with_stats: bool = False,
     checkpoint=None,
     resume: bool = True,
-):
+) -> CompiledBlock:
     """Search candidate blocks until one stably yields ``desired_state``.
 
     "The attacker can randomly generate the blocks of code that randomize
@@ -503,53 +386,30 @@ def find_block(
     compiled-block cache (see :meth:`RandomizationBlock.compile`), so
     repeated searches over the same seed range cost one compile each.
 
-    By default (``workers=None`` and no ``REPRO_TRIAL_WORKERS``) the
-    search walks candidates serially with assessments chained on ``rng``
-    (default the core RNG) — the historical behaviour, bit-for-bit.
-    Assessments run the batch engine, a bit-exact drop-in for the
-    scalar :func:`assess_block` oracle that falls back to it where the
-    core needs it.
-
-    With ``workers`` given (or the env var set), candidates become
-    independent trials fanned across a
-    :class:`~repro.parallel.TrialPool`: each assesses with its own
-    generator spawned from a single entropy draw on ``rng``, and the
-    returned block is the first stable candidate *in seed order* at any
-    worker count (which may differ from the serial walk's pick — the
-    pooled trials draw different observation streams).  Under
-    mitigations each pooled trial runs against its own deep copy of the
-    core, so candidate assessment never advances mitigation state
-    (rekey clocks, partition bookkeeping) of the caller's core.
-
-    With ``with_stats=True`` the return value is a
-    ``(CompiledBlock, SearchStats)`` pair surfacing how many candidates
-    and assessments the search consumed and whether (and how often, in
-    this process) the batch engine fell back to the scalar path.
+    Candidates are independent trials on a
+    :class:`~repro.parallel.TrialPool` of ``workers`` (``None`` follows
+    ``REPRO_TRIAL_WORKERS``; one worker runs in process).  Each trial
+    draws its :class:`TrialPlan` from a generator spawned from one
+    entropy draw on ``rng`` (default the core RNG) and assesses with
+    :func:`assess_block_batch`.  The returned block is the first stable
+    candidate *in seed order*, and the entropy draw is the search's
+    whole footprint on ``rng``, so both are the same at any worker
+    count.  Each trial runs against its own deep copy of the core, so
+    candidate assessment never advances mitigation state (rekey clocks,
+    partition bookkeeping) of the caller's core.
 
     With ``checkpoint`` given (a path or
     :class:`~repro.resilience.CheckpointStore`), the search becomes
     crash-safe and resumable: the entropy draw and the index reached are
     persisted after every wave, so a killed search re-run with the same
     arguments (``resume=True``) skips already-cleared candidates and
-    returns the identical block.  Checkpointing forces the pooled,
-    trial-plan path even at one worker — candidate outcomes must be pure
-    functions of the candidate index to survive a resume, which the
-    serial rng-chained walk is not.
+    returns the identical block.
 
     Raises :class:`CalibrationError` after ``max_candidates`` failures.
     """
     fsm = core.predictor.bimodal.pht.fsm
     desired_name = desired_state.value
     n_workers = resolve_workers(workers)
-    pooled = checkpoint is not None or not (
-        workers is None and n_workers == 1
-    )
-    # Every pooled assessment carries a plan, so only the mitigation
-    # part of the fallback predicate can disable the batch engine
-    # there; the serial path (no plan) also falls back on a custom
-    # timing model.
-    scalar_forced = scalar_engine_forced(core, pooled=pooled)
-    fallbacks_before = obs.scalar_fallback_counts().get("calibration_batch", 0)
     tracer = obs.TRACER
     if tracer is not None:
         tracer.emit(
@@ -559,62 +419,19 @@ def find_block(
             desired=desired_state.value,
             max_candidates=max_candidates,
             workers=n_workers,
-            engine="scalar" if scalar_forced else "batch",
+            engine="batch" if batch_scan_supported(core) else "scalar",
         )
 
-    def _finish(compiled: CompiledBlock, candidates: int, assessed):
+    def _finish(compiled: CompiledBlock) -> CompiledBlock:
         if tracer is not None:
             tracer.emit(
                 "calibration",
                 "search_done",
                 address=target_address,
                 seed=compiled.block.seed,
-                candidates=candidates,
+                candidates=compiled.block.seed - seed_start + 1,
             )
-        if not with_stats:
-            return compiled
-        fallbacks = (
-            obs.scalar_fallback_counts().get("calibration_batch", 0)
-            - fallbacks_before
-        )
-        return compiled, SearchStats(
-            candidates=candidates,
-            assessed=assessed,
-            scalar_fallbacks=fallbacks,
-            scalar_engine_forced=scalar_forced,
-            workers=n_workers,
-        )
-
-    if not pooled:
-        assessed = 0
-        for count, seed in enumerate(
-            range(seed_start, seed_start + max_candidates), start=1
-        ):
-            block = RandomizationBlock.generate(
-                seed, n_branches=block_branches
-            )
-            row = block.entry_fold(core, spy, target_address)
-            if not (row == row[0]).all():
-                continue
-            if fsm.public_state(int(row[0])).name != desired_name:
-                continue
-            compiled = block.compile(core, spy)
-            assessment = assess_block_batch(
-                core,
-                spy,
-                compiled,
-                target_address,
-                repetitions=repetitions,
-                noise=noise,
-                rng=rng,
-            )
-            assessed += 1
-            if assessment.stable and assessment.decoded(fsm) is desired_state:
-                return _finish(compiled, count, assessed)
-        raise CalibrationError(
-            f"no stable block for {desired_state} at {target_address:#x} "
-            f"in {max_candidates} candidates"
-        )
+        return compiled
 
     fingerprint = {
         "experiment": "find_block",
@@ -654,7 +471,7 @@ def find_block(
             block = RandomizationBlock.generate(
                 winner_seed, n_branches=block_branches
             )
-            return _finish(block.compile(core, spy), max_candidates, None)
+            return _finish(block.compile(core, spy))
     children = spawn_seeds(entropy, max_candidates)
 
     def trial(payload: Tuple[int, np.random.SeedSequence]):
@@ -726,7 +543,7 @@ def find_block(
             f"no stable block for {desired_state} at {target_address:#x} "
             f"in {max_candidates} candidates"
         )
-    return _finish(winner, max_candidates, None)
+    return _finish(winner)
 
 
 def reference_trial(

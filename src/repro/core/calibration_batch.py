@@ -9,33 +9,20 @@ slice of predictor state: one bimodal entry per live index key, a
 handful of gshare entries (the GHR walks a short deterministic
 trajectory each repetition), one selector entry and one identification
 set.  This engine exploits that: instead of simulating the core it
-*replays* the scalar engine's externally-visible effects and evolves
-only the tracked entries.
+evolves only the tracked entries.
 
 Three phases:
 
-1. **Observation assembly** — one of three front-ends produces the same
-   flat description of all repetitions (per-slot static flags, branch
+1. **Observation assembly** — one of two front-ends turns the
+   :class:`~repro.core.calibration.TrialPlan` into the same flat
+   description of all repetitions (per-slot static flags, branch
    outcomes, PHT indices, and the bulk noise stream):
 
-   * *Stream replay* (default, ``plan=None``): a per-repetition Python
-     loop draws scramble outcomes, noise gaps and noise contents from
-     the observation generator in the scalar's exact call order, makes
-     the scalar's mitigation hook calls (``suppresses_prediction``,
-     ``pht_key``, ``partition``, ``perturb_timing``) so stateful
-     mitigations (rekeying) evolve identically, and replays the timing
-     model's draws on the core RNG.  The latter is possible because
-     :meth:`~repro.cpu.timing.TimingModel.sample`'s *draw pattern*
-     depends only on the cold-fetch flag and its own outlier uniform —
-     never on the prediction — so the loop can consume the identical
-     core-RNG stream without knowing hit/miss.  This makes the engine a
-     true drop-in: after a call, every generator sits exactly where the
-     scalar engine would have left it.
-   * *Plan, mitigated*: the same loop minus every generator draw —
-     randomness comes from the pre-drawn
-     :class:`~repro.core.calibration.TrialPlan`, hooks are still called
-     live.
-   * *Plan, unmitigated*: no loop at all.  The GHR trajectory after each
+   * *Mitigated*: a per-repetition Python loop takes the randomness
+     from the plan and makes the scalar engine's mitigation hook calls
+     (``suppresses_prediction``, ``pht_key``, ``partition``) live, so
+     stateful mitigations (rekeying) see the same calls.
+   * *Unmitigated*: no loop at all.  The GHR trajectory after each
      block application is independent of the pre-scramble history (the
      block pins it to ``ghr_end``, noise overwrites it), so every PHT
      index of every repetition is a closed-form numpy expression of the
@@ -57,22 +44,18 @@ Three phases:
    entry levels into per-probe predictions, hit/miss patterns and the
    final :class:`~repro.core.calibration.BlockAssessment`.
 
-Because the engine never writes any core state, its end state equals the
-scalar engine's post-``restore`` state by construction; in replay mode
-the streams and hook calls are replayed so the *rest* of the scalar's
-footprint matches too.  ``tests/test_calibration_batch.py`` pins
-assessment, core-state and stream-position equality across presets and
-mitigation stacks, and plan-mode assessment equality against the scalar
-plan engine.
+The engine writes no core state and draws from no generator (only the
+mitigation hooks it calls keep their own bookkeeping), so an
+unmitigated core is left exactly as found.  ``tests/test_calibration_batch.py``
+pins assessment equality against the scalar engine on the same plan,
+across presets and mitigation stacks.
 
 Exactness boundary (enforced by the caller's predicate): mitigations
 overriding ``perturb_counter`` or ``update_outcome`` make the
 observation itself stochastic and always fall back to the scalar
-engine.  In replay mode a :class:`TimingModel` *subclass* could change
-the draw pattern and falls back too; plan mode replays no timing draws,
-so custom timing models are fine there.  ``perturb_timing`` overrides
-are safe either way: every shipped implementation draws a fixed pattern
-independent of the latency argument.
+engine.  Timing never enters the observation here, so neither a custom
+:class:`~repro.cpu.timing.TimingModel` nor a ``perturb_timing`` override
+disqualifies.
 """
 
 from __future__ import annotations
@@ -89,7 +72,7 @@ from repro.core.randomizer import CompiledBlock
 from repro.cpu.core import PhysicalCore
 from repro.cpu.process import Process
 from repro.obs import trace as obs
-from repro.system.noise import NoiseDraw, NoiseModel, draw_noise, gap_tails
+from repro.system.noise import gap_tails
 
 __all__ = ["batch_assess"]
 
@@ -218,11 +201,7 @@ def batch_assess(
     spy: Process,
     compiled: CompiledBlock,
     target_address: int,
-    *,
-    repetitions: int = 100,
-    noise: Optional[NoiseModel] = None,
-    rng: Optional[np.random.Generator] = None,
-    plan: Optional[TrialPlan] = None,
+    plan: TrialPlan,
 ) -> BlockAssessment:
     """Vectorised-engine implementation of the block assessment.
 
@@ -246,19 +225,14 @@ def batch_assess(
     sel = predictor.selector
     bit = predictor.bit
     T = int(target_address)
-    R = int(repetitions) if plan is None else plan.repetitions
+    R = plan.repetitions
     R2 = 2 * R
 
     hooked = len(core.mitigations) > 0
     ghr_end = int(compiled.ghr_end)
 
     # -- phase 1: observation assembly --------------------------------------
-    if plan is None:
-        front_end = "replay"
-    elif hooked:
-        front_end = "plan_hooked"
-    else:
-        front_end = "closed_form"
+    front_end = "plan_hooked" if hooked else "closed_form"
     tracer = obs.TRACER
     if tracer is not None:
         tracer.emit(
@@ -269,15 +243,15 @@ def batch_assess(
             address=T,
             repetitions=R,
         )
-    if plan is None or hooked:
-        static, outcomes, b_idx, g_idx, offsets, bulk = _stream_loop(
-            core, spy, T, R, plan, noise, rng, ghr_end
+    if hooked:
+        static, outcomes, b_idx, g_idx = _mitigated_loop(
+            core, spy, T, plan, ghr_end
         )
     else:
         static, outcomes, b_idx, g_idx = _closed_form(
             plan, T, predictor, ghr_end
         )
-        offsets, bulk = plan.offsets, plan.bulk
+    offsets, bulk = plan.offsets, plan.bulk
 
     # Per-repetition aggregates of the bulk noise stream.
     gaps = offsets[1:] - offsets[:-1]
@@ -438,13 +412,12 @@ def batch_assess(
     )
 
 
-def _stream_loop(core, spy, T, R, plan, noise, rng, ghr_end):
-    """Looping phase-1 front-end: stream replay, or a plan under hooks.
+def _mitigated_loop(core, spy, T, plan, ghr_end):
+    """Looping phase-1 front-end for a plan under mitigation hooks.
 
-    With ``plan=None`` this draws from ``rng`` in the scalar engine's
-    exact call order and replays the timing model's draws on the core
-    RNG; with a plan it consumes the plan and draws nothing.  Mitigation
-    hooks are called per branch either way.
+    The randomness comes from ``plan``; the mitigation hooks are called
+    per branch, in the scalar engine's order.  Returns
+    ``(static, outcomes, b_idx, g_idx)``.
     """
     predictor = core.predictor
     bimodal = predictor.bimodal.pht
@@ -458,116 +431,52 @@ def _stream_loop(core, spy, T, R, plan, noise, rng, ghr_end):
     n_slots = d + 2
     ghr_len = predictor.ghr.length
     ghr_mask = (1 << ghr_len) - 1
+    R = plan.repetitions
     R2 = 2 * R
 
-    replay = plan is None
-    if replay:
-        rng = rng if rng is not None else core.rng
-        noise = noise if noise is not None else NoiseModel.isolated()
-        timing = core.timing
-        timing_rng = core.rng
-        normal = timing_rng.normal
-        uniform = timing_rng.random
-        exponential = timing_rng.exponential
-        cold_sigma = timing.cold_jitter_sigma
-        jitter_sigma = timing.jitter_sigma
-        outlier_prob = timing.outlier_prob
-        outlier_scale = timing.outlier_scale
-        # perturb_timing's latency argument never influences a hook's
-        # draw pattern (see module docstring), so any representative
-        # value keeps the stream aligned.
-        latency_stub = int(timing.base_latency)
-        warm = core.icache.contains(T)
-
     mitigations = core.mitigations
-    hooked = len(mitigations) > 0
     suppresses = mitigations.suppresses_prediction
     pht_key = mitigations.pht_key
     get_partition = mitigations.partition
-    perturb_timing = mitigations.perturb_timing
 
     ghr_val = int(predictor.ghr.value)
     static = np.zeros((R2, n_slots), dtype=bool)
     outcomes = np.zeros((R2, n_slots), dtype=np.int8)
     b_idx = np.zeros((R2, n_slots), dtype=np.int64)
     g_idx = np.zeros((R2, n_slots), dtype=np.int64)
-    draws: List = [None] * R2
 
     for r in range(R2):
-        if replay:
-            scramble = rng.integers(0, 2, size=d)
-        else:
-            scramble = plan.scrambles[r]
-        outcomes[r, :d] = scramble
+        outcomes[r, :d] = plan.scrambles[r]
         outcomes[r, d:] = 1 if r < R else 0
         row_static = static[r]
         row_b = b_idx[r]
         row_g = g_idx[r]
         for j in range(n_slots):
             if j == d:
-                # Scramble done; the block applies (no draws), then the
-                # noise gap draws, then the two probe branches run.
+                # Scramble done; the block applies, then the noise gap
+                # runs, then the two probe branches.
                 ghr_val = ghr_end
-                if replay:
-                    gap = noise.gap_branches(rng)
-                    draw = draw_noise(rng, gap, n_g)
-                else:
-                    draw = plan.noise_draw(r)
+                draw = plan.noise_draw(r)
                 if draw.n > 0:
-                    draws[r] = draw
                     value = 0
                     for outcome in draw.outcomes[-ghr_len:].tolist():
                         value = (value << 1) | int(outcome)
                     ghr_val = value
-            if hooked and suppresses(spy, T):
+            if suppresses(spy, T):
                 row_static[j] = True
+                continue
+            key = pht_key(spy)
+            partition = get_partition(spy)
+            mixed = T ^ key
+            ghr_folded = fold_history(ghr_val, ghr_len, n_g)
+            if partition is not None:
+                row_b[j] = partition.confine(mixed)
+                row_g[j] = partition.confine(T ^ ghr_folded ^ key)
             else:
-                if hooked:
-                    key = pht_key(spy)
-                    partition = get_partition(spy)
-                else:
-                    key = 0
-                    partition = None
-                mixed = T ^ key
-                ghr_folded = fold_history(ghr_val, ghr_len, n_g)
-                if partition is not None:
-                    row_b[j] = partition.confine(mixed)
-                    row_g[j] = partition.confine(T ^ ghr_folded ^ key)
-                else:
-                    row_b[j] = apply_hash(hash_b, mixed, n_b)
-                    row_g[j] = apply_hash(hash_g, T ^ ghr_folded ^ key, n_g)
-                ghr_val = ((ghr_val << 1) | int(outcomes[r, j])) & ghr_mask
-            if replay:
-                cold = not warm
-                warm = True
-                if cold:
-                    normal(0.0, cold_sigma)
-                normal(0.0, jitter_sigma)
-                if uniform() < outlier_prob:
-                    exponential(outlier_scale)
-                if hooked:
-                    perturb_timing(timing_rng, latency_stub)
-
-    if replay:
-        gaps = [draw.n if draw is not None else 0 for draw in draws]
-        offsets = np.zeros(R2 + 1, dtype=np.int64)
-        np.cumsum(gaps, out=offsets[1:])
-        live = [draw for draw in draws if draw is not None]
-        if live:
-            bulk = NoiseDraw(
-                int(offsets[-1]),
-                np.concatenate([draw.addresses for draw in live]),
-                np.concatenate([draw.outcomes for draw in live]),
-                np.concatenate([draw.gshare_indices for draw in live]),
-                np.concatenate([draw.nudges for draw in live]),
-            )
-        else:
-            empty = np.empty(0, dtype=np.int64)
-            bulk = NoiseDraw(0, empty, np.empty(0, dtype=bool), empty, empty)
-    else:
-        offsets = plan.offsets
-        bulk = plan.bulk
-    return static, outcomes, b_idx, g_idx, offsets, bulk
+                row_b[j] = apply_hash(hash_b, mixed, n_b)
+                row_g[j] = apply_hash(hash_g, T ^ ghr_folded ^ key, n_g)
+            ghr_val = ((ghr_val << 1) | int(outcomes[r, j])) & ghr_mask
+    return static, outcomes, b_idx, g_idx
 
 
 def _closed_form(plan, T, predictor, ghr_end, tails=None):

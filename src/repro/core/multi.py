@@ -187,9 +187,3 @@ class MultiBranchScope:
             ).pattern
             results[plan.address] = bool(plan.dictionary[pattern])
         return results
-
-    def spy_episodes(
-        self, trigger: Callable[[], None], n_episodes: int
-    ) -> List[Dict[int, bool]]:
-        """Run :meth:`spy_episode` ``n_episodes`` times."""
-        return [self.spy_episode(trigger) for _ in range(n_episodes)]

@@ -400,7 +400,9 @@ class RandomizationBlock:
         program order, exactly as the hardware would.  The production
         fold is :meth:`repro.bpu.fsm.TransitionMonoid.fold_table`; the
         differential tests in ``tests/test_fold_vectorized.py`` assert
-        entry-for-entry equality between the two.
+        entry-for-entry equality between the two.  Only tests call it; it
+        stays here, beside the block it folds, because it is the
+        reference those tests check the production fold against.
         """
         fold = np.tile(
             np.arange(n_levels, dtype=step_table.dtype), (n_entries, 1)

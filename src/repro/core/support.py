@@ -3,30 +3,25 @@
 Every vectorised engine in the repo (the §6.3 batch probe scan, the
 calibration batch assessor, the manycore struct-of-arrays campaign
 backend) is an *exactness-gated* fast path: it runs only when it can be
-bit-identical to the scalar reference, and falls back otherwise.  The
-gating conditions used to live as near-duplicated predicates inside each
-engine (ROADMAP item 3's "scattered special-case predicates"); this
-module is now the single home for them, so a new disqualifier is added
-exactly once and every engine picks it up.
+bit-identical to the scalar reference, and falls back otherwise.  This
+module is the single home of the gating conditions, so a new
+disqualifier is added exactly once and every engine picks it up.
 
-Two independent conditions, composed per engine:
-
-* **observation hooks** — a mitigation overriding ``perturb_counter``
-  (noisy counters) or ``update_outcome`` (stochastic FSM) makes the
-  probe observation stochastic; no batch engine can replay it.
-* **timing / plan** — the batch assessor samples the timing model
-  analytically; a custom :class:`~repro.cpu.timing.TimingModel` subclass
-  with its own draw pattern needs a pre-drawn trial plan to stay
-  RNG-exact.
+One condition gates the per-trial engines: a mitigation overriding
+``perturb_counter`` (noisy counters) or ``update_outcome`` (stochastic
+FSM) makes the probe observation stochastic, and no batch engine can
+replay it.  Every calibration assessment carries a pre-drawn trial
+plan, so the batch assessor shares the §6.3 batch scan's predicate;
+the manycore engine adds its own structural conditions.
 
 The preset's PHT index hash is *not* a condition: every engine computes
 probe/target and block-branch indices through :mod:`repro.bpu.hashes`
 (numpy engines via ``apply_hash``, compiled kernels via
 ``kernel_shift``), so the zoo's ``"fold"`` presets run every fast path.
 
-The reason strings (``"mitigation"``, ``"custom_timing"``,
-``"unshared_structure"``) feed ``repro.obs.record_scalar_fallback`` so
-operators can see *why* an engine degraded, not just that it did.
+The reason strings (``"mitigation"``, ``"unshared_structure"``) feed
+``repro.obs.record_scalar_fallback`` so operators can see *why* an
+engine degraded, not just that it did.
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ from typing import Optional
 import numpy as np
 
 from repro.cpu.core import PhysicalCore
-from repro.cpu.timing import TimingModel
 from repro.mitigations.base import Mitigation
 
 __all__ = [
@@ -44,9 +38,6 @@ __all__ = [
     "observation_hooks_clean",
     "batch_scan_supported",
     "batch_scan_fallback_reason",
-    "batch_assess_supported",
-    "batch_assess_fallback_reason",
-    "scalar_engine_forced",
     "manycore_fallback_reason",
 ]
 
@@ -81,41 +72,6 @@ def batch_scan_fallback_reason(core: PhysicalCore) -> Optional[str]:
     if not observation_hooks_clean(core):
         return "mitigation"
     return None
-
-
-def batch_assess_supported(core: PhysicalCore, plan=None) -> bool:
-    """Whether the vectorised calibration assessor is exact for this core.
-
-    On top of :func:`batch_scan_supported`, the assessor samples probe
-    timing itself, so without a pre-drawn trial plan it also requires the
-    base :class:`~repro.cpu.timing.TimingModel` (an exact subclass could
-    draw differently and shift the RNG stream).
-    """
-    return batch_scan_supported(core) and (
-        plan is not None or type(core.timing) is TimingModel
-    )
-
-
-def batch_assess_fallback_reason(core: PhysicalCore, plan=None) -> Optional[str]:
-    """Why the vectorised assessor would fall back (``None`` = it won't)."""
-    reason = batch_scan_fallback_reason(core)
-    if reason is not None:
-        return reason
-    if plan is None and type(core.timing) is not TimingModel:
-        return "custom_timing"
-    return None
-
-
-def scalar_engine_forced(core: PhysicalCore, *, pooled: bool) -> bool:
-    """Whether ``find_block``'s fast path must run the scalar assessor.
-
-    The fast path needs the batch assessor; a pooled run pre-draws trial
-    plans (so a custom timing model is fine), a non-pooled run does not.
-    """
-    return not (
-        batch_scan_supported(core)
-        and (type(core.timing) is TimingModel or pooled)
-    )
 
 
 def manycore_fallback_reason(

@@ -18,7 +18,7 @@ noisy counter/timer defenses fuzz what the attacker reads back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -271,17 +271,6 @@ class PhysicalCore:
             static=static,
             btb_miss=btb_miss,
         )
-
-    def execute_branches(
-        self,
-        process: Process,
-        branches: Iterable,
-    ) -> List[BranchExecution]:
-        """Execute a sequence of ``(address, taken)`` pairs."""
-        return [
-            self.execute_branch(process, address, taken)
-            for address, taken in branches
-        ]
 
     # -- checkpointing ----------------------------------------------------------
 

@@ -278,11 +278,6 @@ class LeaseTable:
     def shard_state(self, campaign_id: str, shard_index: int) -> str:
         return self._shards[(campaign_id, shard_index)].state
 
-    def shard_digest(
-        self, campaign_id: str, shard_index: int
-    ) -> Optional[str]:
-        return self._shards[(campaign_id, shard_index)].digest
-
     def pending_keys(self) -> List[ShardKey]:
         return [
             key

@@ -101,7 +101,9 @@ def crack_secret(
     ``victim.branch_address``.  For each position, try alphabet symbols
     until the spied direction of that position's comparison branch is
     *taken* (match).  Earlier positions use already-recovered symbols,
-    so each check reaches the position under test.
+    so each check reaches the position under test — unless one of them
+    was misread, and then the check ends early and the symbol under
+    test reads as a mismatch.
     """
     filler = alphabet[0] if filler is None else filler
     recovered: List[int] = []
@@ -114,9 +116,15 @@ def crack_secret(
             )
             victim.submit_guess(guess)
             # Run the check up to the position under test, unobserved —
-            # those directions are known (they match by construction).
+            # those directions are known if the recovered prefix is right.
             for _ in range(position):
+                if victim.check_finished:
+                    break
                 victim.step(core)
+            if victim.check_finished:
+                # A misread earlier position ended the check before the
+                # position under test: that reads as a mismatch.
+                continue
             spied = attack.spy_on_branch(lambda: victim.step(core))
             # Drain the rest of the check, if any.
             while not victim.check_finished:

@@ -1,5 +1,6 @@
 """Pre-attack calibration: stability assessment and block search."""
 
+import numpy as np
 import pytest
 
 from repro.bpu import haswell
@@ -7,6 +8,7 @@ from repro.core.calibration import (
     BlockAssessment,
     CalibrationError,
     assess_block,
+    draw_trial_plan,
     find_block,
     stability_experiment,
 )
@@ -49,25 +51,27 @@ class TestBlockAssessment:
 class TestAssessBlock:
     def test_pinning_block_is_stable_without_noise(self, core, spy):
         compiled = self._find_pinning(core, spy)
-        assessment = assess_block(
+        plan = draw_trial_plan(
+            np.random.default_rng(0),
             core,
-            spy,
-            compiled,
-            ADDRESS,
             repetitions=25,
             noise=NoiseModel.silent(),
         )
+        assessment = assess_block(core, spy, compiled, ADDRESS, plan=plan)
         assert assessment.stable
         assert assessment.tt_frequency == 1.0
         assert assessment.nn_frequency == 1.0
 
     def test_assessment_restores_core_state(self, core, spy):
         compiled = self._find_pinning(core, spy)
-        checkpoint = core.checkpoint()
-        assess_block(
-            core, spy, compiled, ADDRESS,
-            repetitions=10, noise=NoiseModel.silent(),
+        plan = draw_trial_plan(
+            np.random.default_rng(0),
+            core,
+            repetitions=10,
+            noise=NoiseModel.silent(),
         )
+        checkpoint = core.checkpoint()
+        assess_block(core, spy, compiled, ADDRESS, plan=plan)
         after = core.checkpoint()
         assert (
             checkpoint["predictor"]["bimodal"] == after["predictor"]["bimodal"]

@@ -2,18 +2,19 @@
 
 Three invariants are pinned here:
 
-* **replay mode** — :func:`assess_block_batch` called with the scalar
-  signature (``repetitions=``/``noise=``) is a bit-exact drop-in for
-  :func:`assess_block`: same :class:`BlockAssessment`, same post-call
-  core state, same RNG stream position, same mitigation hook state —
-  on every preset (the fold-hash ``oryon_like`` included) and under
-  every fast-path-safe mitigation stack;
 * **plan mode** — both engines produce identical assessments from the
-  same pre-drawn :class:`TrialPlan`, and the batch engine leaves the
-  core untouched (checkpoint-equal before/after);
+  same pre-drawn :class:`TrialPlan` on every preset (the fold-hash
+  ``oryon_like`` included) and under every mitigation stack, and the
+  batch engine leaves the core untouched (checkpoint-equal
+  before/after, same core RNG position) and ends with the same
+  mitigation hook state as the scalar engine; observation mitigations
+  fall back to the scalar engine;
 * **worker-count determinism** — the per-trial ``stability_experiment``
-  reference and ``find_block`` return bit-identical results at any
-  worker count, and the default manycore engine matches them.
+  reference returns bit-identical results at any worker count, and the
+  default manycore engine matches it;
+* **one calibration walk** — ``find_block`` picks the same block and
+  leaves the caller's RNG at the same position for any ``workers`` and
+  any ``REPRO_TRIAL_WORKERS``.
 """
 
 import numpy as np
@@ -43,6 +44,7 @@ from repro.mitigations import (
 )
 from repro.obs import trace as obs
 from repro.parallel import TrialPool, fork_available
+from repro.parallel.pool import WORKERS_ENV
 from repro.resilience.checkpoint import rng_state_digest
 from repro.system.noise import NoiseModel
 from tests.conftest import scalar_stability
@@ -56,7 +58,7 @@ PRESETS = {
 
 TARGET = 0x7F0000001234
 
-#: Fast-path-safe mitigation stacks; each entry is ``core -> [mitigations]``.
+#: Batch-engine mitigation stacks; each entry is ``core -> [mitigations]``.
 STACKS = {
     "none": lambda core: [],
     "static": lambda core: [StaticPredictionForSensitiveBranches()],
@@ -77,12 +79,38 @@ STACKS = {
 }
 
 
+#: Observation mitigations: the batch engine falls back to the scalar one.
+FALLBACK_STACKS = {
+    "noisy_counters": lambda core: [NoisyPerformanceCounters(1)],
+    "stochastic_fsm": lambda core: [StochasticFSM(0.25)],
+}
+
+#: ``(preset, stack, protect)`` inputs of the plan-mode mitigation test:
+#: every preset under every stack (skylake cases keep the bare stack
+#: name as their id), a protected target branch, and the fallbacks.
+MITIGATED_CASES = [
+    pytest.param(
+        preset,
+        stack,
+        False,
+        id=stack if preset == "skylake" else f"{stack}-{preset}",
+    )
+    for preset in sorted(PRESETS)
+    for stack in sorted(STACKS)
+] + [
+    pytest.param("skylake", "static", True, id="static-protected"),
+] + [
+    pytest.param("haswell", stack, False, id=f"{stack}-haswell")
+    for stack in sorted(FALLBACK_STACKS)
+]
+
+
 def build(preset_name, stack_name, *, protect=False, seed=3):
     core = PhysicalCore(PRESETS[preset_name]().scaled(256), seed=seed)
     spy = Process("spy", pid=90001)
     if protect:
         spy.protect_branch(TARGET)
-    for mitigation in STACKS[stack_name](core):
+    for mitigation in {**STACKS, **FALLBACK_STACKS}[stack_name](core):
         core.install_mitigation(mitigation)
     block = RandomizationBlock.generate(7, n_branches=1500)
     compiled = block.compile(core, spy)
@@ -102,76 +130,6 @@ def eq(a, b):
     if isinstance(a, np.ndarray):
         return np.array_equal(a, b)
     return a == b
-
-
-def run_replay(engine, preset_name, stack_name, *, protect=False, rng=None):
-    core, spy, compiled = build(preset_name, stack_name, protect=protect)
-    assessment = engine(
-        core,
-        spy,
-        compiled,
-        TARGET,
-        repetitions=24,
-        noise=NoiseModel.isolated(),
-        rng=rng() if rng is not None else None,
-    )
-    state = core.checkpoint()
-    stream_position = core.rng.integers(1 << 62)
-    hook_key = core.mitigations.pht_key(spy)
-    return assessment, state, stream_position, hook_key
-
-
-class TestReplayDifferential:
-    @pytest.mark.parametrize("preset_name", sorted(PRESETS))
-    @pytest.mark.parametrize("stack_name", sorted(STACKS))
-    def test_batch_is_bit_exact_drop_in(self, preset_name, stack_name):
-        scalar = run_replay(assess_block, preset_name, stack_name)
-        obs.reset_scalar_fallbacks()
-        batch = run_replay(assess_block_batch, preset_name, stack_name)
-        assert "calibration_batch" not in obs.scalar_fallback_counts()
-        assert batch[0] == scalar[0]  # assessment
-        assert eq(batch[1], scalar[1])  # full core state
-        assert batch[2] == scalar[2]  # core RNG stream position
-        assert batch[3] == scalar[3]  # mitigation hook state
-
-    def test_protected_target_branch(self):
-        scalar = run_replay(assess_block, "skylake", "static", protect=True)
-        batch = run_replay(
-            assess_block_batch, "skylake", "static", protect=True
-        )
-        assert batch[0] == scalar[0]
-        assert eq(batch[1], scalar[1])
-
-    def test_decoupled_observation_rng(self):
-        rng = lambda: np.random.default_rng(123)
-        scalar = run_replay(assess_block, "haswell", "rekey", rng=rng)
-        batch = run_replay(assess_block_batch, "haswell", "rekey", rng=rng)
-        assert batch[0] == scalar[0]
-        assert eq(batch[1], scalar[1])
-        assert batch[2:] == scalar[2:]
-
-    @pytest.mark.parametrize(
-        "mitigation",
-        [NoisyPerformanceCounters(1), StochasticFSM(0.25)],
-        ids=["noisy_counters", "stochastic_fsm"],
-    )
-    def test_observation_mitigations_fall_back_scalar_exact(self, mitigation):
-        """Unsupported mitigations: batch == scalar via the fallback,
-        consuming the identical core RNG stream."""
-        results = []
-        for engine in (assess_block, assess_block_batch):
-            core, spy, compiled = build("haswell", "none")
-            core.install_mitigation(mitigation)
-            assessment = engine(
-                core,
-                spy,
-                compiled,
-                TARGET,
-                repetitions=16,
-                noise=NoiseModel.isolated(),
-            )
-            results.append((assessment, core.rng.integers(1 << 62)))
-        assert results[0] == results[1]
 
 
 class TestPlanDifferential:
@@ -206,18 +164,48 @@ class TestPlanDifferential:
         assert eq(before, after)
 
     @pytest.mark.parametrize(
-        "stack_name", ["static", "rekey", "partition", "timer+btb"]
+        "preset_name, stack_name, protect", MITIGATED_CASES
     )
-    def test_under_mitigation_stacks(self, stack_name):
-        noise = NoiseModel.isolated()
+    def test_under_mitigation_stacks(self, preset_name, stack_name, protect):
+        obs.reset_scalar_fallbacks()
         assessments = []
         for engine in (assess_block, assess_block_batch):
-            core, spy, compiled = build("skylake", stack_name, seed=11)
+            core, spy, compiled = build(
+                preset_name, stack_name, protect=protect, seed=11
+            )
             plan = draw_trial_plan(
-                np.random.default_rng(42), core, repetitions=30, noise=noise
+                np.random.default_rng(42),
+                core,
+                repetitions=30,
+                noise=NoiseModel.isolated(),
             )
             assessments.append(engine(core, spy, compiled, TARGET, plan=plan))
         assert assessments[0] == assessments[1]
+        fallbacks = obs.scalar_fallback_counts().get("calibration_batch", 0)
+        assert fallbacks == (stack_name in FALLBACK_STACKS)
+
+    @pytest.mark.parametrize("stack_name", sorted(STACKS))
+    def test_leaves_core_as_found(self, stack_name):
+        """Under every mitigation stack both engines restore the full
+        core state and leave the mitigation hooks in the same state (a
+        rekeying defense advances through the assessment on both), and
+        the batch engine leaves the core RNG stream where it was."""
+        hook_keys = []
+        for engine in (assess_block, assess_block_batch):
+            core, spy, compiled = build("skylake", stack_name, seed=11)
+            before = core.checkpoint()
+            plan = draw_trial_plan(
+                np.random.default_rng(42),
+                core,
+                repetitions=24,
+                noise=NoiseModel.isolated(),
+            )
+            digest = rng_state_digest(core.rng)
+            engine(core, spy, compiled, TARGET, plan=plan)
+            assert eq(before, core.checkpoint())
+            hook_keys.append(core.mitigations.pht_key(spy))
+        assert rng_state_digest(core.rng) == digest
+        assert hook_keys[0] == hook_keys[1]
 
     def test_plan_repetitions_property(self):
         core, _, _ = build("haswell", "none")
@@ -286,6 +274,41 @@ class TestWorkerDeterminism:
             )
             blocks.append(compiled.block.seed)
         assert blocks[0] == blocks[1]
+
+
+class TestOneCalibrationWalk:
+    """``find_block`` has one walk: the worker count, given or read from
+    ``REPRO_TRIAL_WORKERS``, changes neither the pick nor the caller's
+    RNG position."""
+
+    @pytest.mark.parametrize(
+        "env_workers", [None, "2"], ids=["env-unset", "env-2"]
+    )
+    @pytest.mark.parametrize("desired", [DecodedState.SN, DecodedState.ST])
+    @pytest.mark.parametrize("preset_name", ["haswell", "skylake"])
+    def test_same_pick_and_rng_at_any_worker_count(
+        self, monkeypatch, preset_name, desired, env_workers
+    ):
+        if env_workers is None:
+            monkeypatch.delenv(WORKERS_ENV, raising=False)
+        else:
+            monkeypatch.setenv(WORKERS_ENV, env_workers)
+        worker_counts = [None, 1, 2, 4] if fork_available() else [None, 1]
+        outcomes = set()
+        for workers in worker_counts:
+            core = PhysicalCore(PRESETS[preset_name]().scaled(16), seed=9)
+            compiled = find_block(
+                core,
+                Process("spy", pid=90002),
+                0x30_0006D,
+                desired,
+                block_branches=4000,
+                repetitions=16,
+                noise=NoiseModel.isolated(),
+                workers=workers,
+            )
+            outcomes.add((compiled.block.seed, rng_state_digest(core.rng)))
+        assert len(outcomes) == 1
 
 
 class TestDominantTieBreak:

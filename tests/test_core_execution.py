@@ -76,9 +76,10 @@ class TestExecution:
         assert core.clock.now == t0 + record.latency
 
     def test_execute_branches_convenience(self, core, process):
-        records = core.execute_branches(
-            process, [(0x1, True), (0x2, False), (0x3, True)]
-        )
+        records = [
+            core.execute_branch(process, address, taken)
+            for address, taken in [(0x1, True), (0x2, False), (0x3, True)]
+        ]
         assert [r.address for r in records] == [0x1, 0x2, 0x3]
 
     def test_rng_and_seed_mutually_exclusive(self):

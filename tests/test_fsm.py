@@ -185,7 +185,7 @@ class TestFSMProperties:
         )
         taken = data.draw(st.booleans())
         arr = np.array(levels, dtype=np.int8)
-        stepped = fsm.step_array(arr, taken)
+        stepped = fsm.step_table[int(taken), arr]
         assert stepped.tolist() == [fsm.step(l, taken) for l in levels]
 
     @given(data=st.data())

@@ -642,8 +642,9 @@ class TestEndToEndDifferential:
 
     @pytest.mark.parametrize("preset", ALL_PRESETS)
     def test_batch_trial_and_core_rng(self, preset):
-        """The batch engine's replay (read_levels_maps) is also pinned,
-        along with the core RNG's final stream position."""
+        """The batch engine's plan-mode read-back (read_levels_maps) is
+        also pinned, along with the core RNG's stream position after the
+        plan draw (noise_advance)."""
         config = preset().scaled(16)
         outs = {}
         for backend in BACKENDS:
@@ -652,13 +653,11 @@ class TestEndToEndDifferential:
             spy = Process("spy")
             block = RandomizationBlock.generate(5, n_branches=1500)
             compiled = block.compile(core, spy)
+            plan = draw_trial_plan(
+                core.rng, core, repetitions=8, noise=NoiseModel.noisy()
+            )
             assessment = assess_block_batch(
-                core,
-                spy,
-                compiled,
-                TARGET,
-                repetitions=8,
-                noise=NoiseModel.noisy(),
+                core, spy, compiled, TARGET, plan=plan
             )
             outs[backend] = (assessment, rng_state_digest(core.rng))
         for backend in BACKENDS:

@@ -121,7 +121,7 @@ class TestSpyEpisode:
             for address in ADDRESSES:
                 core.execute_branch(victim, address, True)
 
-        episodes = scope.spy_episodes(trigger, 3)
+        episodes = [scope.spy_episode(trigger) for _ in range(3)]
         assert len(episodes) == 3
         assert all(all(e.values()) for e in episodes)
 

@@ -30,7 +30,6 @@ from repro.core.pht_map import scan_states
 from repro.core.randomizer import RandomizationBlock
 from repro.bpu import haswell, skylake
 from repro.cpu import PhysicalCore, Process
-from repro.cpu.timing import TimingModel
 from repro.mitigations import NoisyPerformanceCounters
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -323,50 +322,11 @@ class TestScalarFallbackSurfacing:
             3, n_branches=SMALL_BLOCK
         ).compile(haswell_core, spy)
         haswell_core.install_mitigation(NoisyPerformanceCounters())
-        assess_block_batch(
-            haswell_core, spy, compiled, 0x300000, repetitions=3
+        plan = draw_trial_plan(
+            np.random.default_rng(0), haswell_core, repetitions=3
         )
+        assess_block_batch(haswell_core, spy, compiled, 0x300000, plan=plan)
         assert obs.scalar_fallback_counts() == {"calibration_batch": 1}
-
-    def test_find_block_with_stats(self, haswell_core, spy):
-        block, stats = find_block(
-            haswell_core,
-            spy,
-            0x300000,
-            DecodedState.SN,
-            block_branches=SMALL_BLOCK,
-            repetitions=6,
-            with_stats=True,
-        )
-        assert block.block.seed >= 0
-        assert stats.candidates >= stats.assessed >= 1
-        assert stats.scalar_fallbacks == 0
-        assert not stats.scalar_engine_forced
-        assert stats.workers == 1
-
-    def test_find_block_with_stats_scalar_forced(self, spy):
-        # A TimingModel *subclass* forces the serial search onto the
-        # scalar engine (its draw pattern can't be replayed) without
-        # perturbing observations, so the search still converges.
-        class _CustomTiming(TimingModel):
-            pass
-
-        from tests.conftest import TEST_SCALE
-
-        core = PhysicalCore(
-            haswell().scaled(TEST_SCALE), timing=_CustomTiming(), seed=7
-        )
-        block, stats = find_block(
-            core,
-            spy,
-            0x300000,
-            DecodedState.SN,
-            block_branches=SMALL_BLOCK,
-            repetitions=6,
-            with_stats=True,
-        )
-        assert stats.scalar_engine_forced
-        assert stats.scalar_fallbacks == stats.assessed > 0
 
     def test_find_block_default_return_unchanged(self, haswell_core, spy):
         block = find_block(
@@ -378,6 +338,24 @@ class TestScalarFallbackSurfacing:
             repetitions=6,
         )
         assert not isinstance(block, tuple)
+
+    def test_find_block_search_done_counts_candidates(
+        self, haswell_core, spy
+    ):
+        with obs.tracing() as tracer:
+            block = find_block(
+                haswell_core,
+                spy,
+                0x300000,
+                DecodedState.SN,
+                block_branches=SMALL_BLOCK,
+                repetitions=6,
+                seed_start=3,
+            )
+        done = [e for e in tracer.events() if e.name == "search_done"]
+        assert len(done) == 1
+        assert done[0].args["seed"] == block.block.seed
+        assert done[0].args["candidates"] == block.block.seed - 3 + 1
 
 
 class TestDisabledTracerCost:
@@ -483,11 +461,15 @@ class TestTracedRunsAreBitIdentical:
         ).compile(traced_core, spy)
 
         plain = assess_block(
-            plain_core, spy, compiled_plain, 0x300000, repetitions=8
+            plain_core, spy, compiled_plain, 0x300000,
+            plan=draw_trial_plan(plain_core.rng, plain_core, repetitions=8),
         )
         with obs.tracing(collect_metrics=True) as tracer:
             traced = assess_block(
-                traced_core, spy, compiled_traced, 0x300000, repetitions=8
+                traced_core, spy, compiled_traced, 0x300000,
+                plan=draw_trial_plan(
+                    traced_core.rng, traced_core, repetitions=8
+                ),
             )
         assert tracer.emitted > 0
         assert traced == plain

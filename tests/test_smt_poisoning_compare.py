@@ -162,18 +162,24 @@ class TestCrackSecret:
         assert recovered == secret
 
     def test_recovers_under_isolated_noise(self):
-        core = PhysicalCore(haswell().scaled(16), seed=96)
+        # Over many core seeds: a misread position must never crash the
+        # cracker (the check then ends before the position under test),
+        # and most seeds still recover most of the secret.
         secret = [9, 0, 2]
-        victim = EarlyExitComparatorVictim(secret)
-        attack = BranchScope(
-            core,
-            Process("spy"),
-            victim.branch_address,
-            setting=NoiseSetting.ISOLATED,
-            block_branches=8000,
-        )
-        recovered = crack_secret(
-            attack, victim, core, alphabet=list(range(10))
-        )
-        matches = sum(a == b for a, b in zip(recovered, secret))
-        assert matches >= 2
+        good = 0
+        for seed in range(40):
+            core = PhysicalCore(haswell().scaled(16), seed=seed)
+            victim = EarlyExitComparatorVictim(secret)
+            attack = BranchScope(
+                core,
+                Process("spy"),
+                victim.branch_address,
+                setting=NoiseSetting.ISOLATED,
+                block_branches=8000,
+            )
+            recovered = crack_secret(
+                attack, victim, core, alphabet=list(range(10))
+            )
+            matches = sum(a == b for a, b in zip(recovered, secret))
+            good += matches >= 2
+        assert good >= 20

@@ -1,9 +1,8 @@
 """Shared engine-support predicates (:mod:`repro.core.support`).
 
-Each vectorised engine gates itself on the same two condition
-families — observation hooks and timing/plan — through this one
-module, so the unit tests pin the predicates directly and then
-cross-check that the engines' historical entry points still re-export
+Each vectorised engine gates itself on the same observation-hook
+condition through this one module, so the unit tests pin the
+predicates directly and then cross-check that the engines' historical entry points still re-export
 them.  The preset's index hash is deliberately not a condition: every
 engine is hash-aware.
 """
@@ -13,16 +12,12 @@ import pytest
 
 from repro.bpu.presets import PRESETS, haswell, oryon_like
 from repro.core.support import (
-    batch_assess_fallback_reason,
-    batch_assess_supported,
     batch_scan_fallback_reason,
     batch_scan_supported,
     manycore_fallback_reason,
     observation_hooks_clean,
-    scalar_engine_forced,
 )
 from repro.cpu.core import PhysicalCore
-from repro.cpu.timing import TimingModel
 from repro.mitigations.noisy_counters import NoisyPerformanceCounters
 from repro.mitigations.pht_randomization import PhtIndexRandomization
 from repro.mitigations.static_prediction import (
@@ -66,10 +61,6 @@ class TestObservationHooks:
 def _no_fallback_anywhere(core) -> None:
     assert batch_scan_supported(core)
     assert batch_scan_fallback_reason(core) is None
-    assert batch_assess_supported(core)
-    assert batch_assess_fallback_reason(core) is None
-    assert not scalar_engine_forced(core, pooled=False)
-    assert not scalar_engine_forced(core, pooled=True)
     assert manycore_fallback_reason(core) is None
 
 
@@ -90,22 +81,8 @@ class TestIndexHash:
 class TestTimingAndPlan:
     def test_base_timing_supported(self):
         core = _core()
-        assert batch_assess_supported(core)
-        assert batch_assess_fallback_reason(core) is None
-
-    def test_custom_timing_needs_a_plan(self):
-        class SlowTiming(TimingModel):
-            pass
-
-        core = _core(timing=SlowTiming())
-        assert not batch_assess_supported(core)
-        assert batch_assess_fallback_reason(core) == "custom_timing"
-        # A pre-drawn plan removes the sampling concern entirely.
-        assert batch_assess_supported(core, plan=object())
-        assert batch_assess_fallback_reason(core, plan=object()) is None
-        # find_block's gate mirrors this: pooled runs pre-draw plans.
-        assert scalar_engine_forced(core, pooled=False)
-        assert not scalar_engine_forced(core, pooled=True)
+        assert batch_scan_supported(core)
+        assert batch_scan_fallback_reason(core) is None
 
 
 class TestManycore:

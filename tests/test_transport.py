@@ -197,6 +197,11 @@ class FakeClock:
         self.now += seconds
 
 
+def shard_digest(table, campaign_id: str, shard_index: int):
+    """The digest ``table`` recorded for one shard (None until done)."""
+    return table._shards[(campaign_id, shard_index)].digest
+
+
 class TestLeaseTable:
     def table(self, **kw) -> tuple:
         clock = FakeClock()
@@ -254,7 +259,7 @@ class TestLeaseTable:
         table.claim("w1", ("c1", 0))
         assert table.complete("c1", 0, "same") == "accepted"
         assert table.complete("c1", 0, "same") == "duplicate"
-        assert table.shard_digest("c1", 0) == "same"
+        assert shard_digest(table, "c1", 0) == "same"
         assert "lease_digest_mismatch" not in obs.resilience_event_counts()
 
     def test_conflicting_completion_is_a_mismatch(self):
@@ -263,7 +268,7 @@ class TestLeaseTable:
         assert table.complete("c1", 0, "first") == "accepted"
         assert table.complete("c1", 0, "second", worker="w2") == "mismatch"
         # The recorded digest is untouched by the loser.
-        assert table.shard_digest("c1", 0) == "first"
+        assert shard_digest(table, "c1", 0) == "first"
         assert obs.resilience_event_counts()["lease_digest_mismatch"] == 1
 
     def test_late_completion_after_expiry_is_accepted(self):
