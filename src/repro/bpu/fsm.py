@@ -343,8 +343,7 @@ def monoid_closure(
 
     ``outcome_ids[g]`` of the result is the id of ``generators[g]``, so
     an FSM's monoid lists its not-taken map first and its taken map
-    second.  Any small saturating structure fits: the fuzzer's 3-bit
-    choice counter is the closure of its (down, up) moves.
+    second.
     """
     identity = tuple(range(n_levels))
     ids = {identity: 0}

@@ -11,20 +11,20 @@ so equal low-order bits no longer guarantee a collision.
 This module is the single source of truth for those index functions:
 the component predictors (:mod:`repro.bpu.bimodal`,
 :mod:`repro.bpu.gshare`), the vectorised block compiler
-(:mod:`repro.core.randomizer`), the batch probe scan and calibration
+(:mod:`repro.core.randomizer`) and the batch probe scan and calibration
 engines (:mod:`repro.core.batch_probe`,
-:mod:`repro.core.calibration_batch`) and the fuzzer's hypothesis
-simulators (:mod:`repro.fuzz.infer`) all call :func:`apply_hash`, so a
+:mod:`repro.core.calibration_batch`) all call :func:`apply_hash`, so a
 modelled hash can never drift between them.  The compiled kernels
 (:mod:`repro.kernels`) cannot call Python per branch; they take each
 hash as the integer :func:`kernel_shift` returns, and a registered hash
 without such an encoding raises rather than silently indexing by
-modulo.  Two callers hand hashes to the kernels: the manycore engine
-(:mod:`repro.core.manycore`, through ``summarize_block``) and the
+modulo.  Three callers hand hashes to the kernels: the manycore engine
+(:mod:`repro.core.manycore`, through ``summarize_block``), the
 fuzzer's preset oracle (:mod:`repro.fuzz.oracle`, through
-``predictor_hits``), so the oracle and the inference engine meet where
-``tests/test_kernels.py`` pins every kernel encoding to
-:data:`INDEX_HASHES`.
+``predictor_hits``) and its hypothesis lattice
+(:mod:`repro.fuzz.infer`, through ``hypothesis_hits``), so the oracle
+and the inference engine meet where ``tests/test_kernels.py`` pins
+every kernel encoding to :data:`INDEX_HASHES`.
 
 The hash applies to *probe/target and block-branch* PHT indices only.
 The pre-drawn system-noise model

@@ -297,9 +297,11 @@ def assess_block(
     measured in separate repetitions (each must start from a freshly
     prepared state).  The scramble outcomes, the noise and the number of
     repetitions all come from ``plan``.  The surrounding core state is
-    checkpointed and restored.
+    checkpointed and restored, the core RNG stream included (every
+    executed branch draws its timing from it).
     """
     checkpoint = core.checkpoint()
+    rng_state = core.rng.bit_generator.state
     observations = {}
     r = 0
     for outcomes in ((True, True), (False, False)):
@@ -315,6 +317,7 @@ def assess_block(
             r += 1
         observations[outcomes] = _dominant(patterns)
     core.restore(checkpoint)
+    core.rng.bit_generator.state = rng_state
     tt_pattern, tt_freq = observations[(True, True)]
     nn_pattern, nn_freq = observations[(False, False)]
     assessment = BlockAssessment(

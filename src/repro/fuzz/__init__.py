@@ -14,8 +14,10 @@ geometries until a single candidate explains every observation.
 * :mod:`repro.fuzz.oracle` — the opaque preset wrapper (probe hit bits
   out, nothing else);
 * :mod:`repro.fuzz.infer` — the hypothesis lattice (table size × index
-  hash × FSM variant × history length) with an exact scalar simulator
-  and a vectorized :class:`~repro.fuzz.infer.HypothesisBank`;
+  hash × FSM variant × history length), simulated exactly by one
+  kernel op over every surviving hypothesis
+  (:func:`repro.kernels.hypothesis_hits`), with a one-hypothesis
+  reference :func:`~repro.fuzz.infer.simulate_program`;
 * :mod:`repro.fuzz.workload` — the ``"fuzz"`` campaign workload: each
   generation's programs run as service trials, aggregated into a
   :class:`~repro.service.aggregate.RecordListAggregate`;
@@ -41,7 +43,6 @@ from repro.fuzz.generate import (
 from repro.fuzz.infer import (
     FSM_VARIANTS,
     Hypothesis,
-    HypothesisBank,
     HypothesisLattice,
     default_lattice,
     simulate_program,
@@ -53,7 +54,6 @@ __all__ = [
     "FSM_VARIANTS",
     "FuzzVerdict",
     "Hypothesis",
-    "HypothesisBank",
     "HypothesisLattice",
     "PresetOracle",
     "battery_descriptors",

@@ -89,7 +89,9 @@ class BranchProgram:
     def __post_init__(self) -> None:
         if len(self.addresses) != len(self.outcomes):
             raise ValueError("addresses and outcomes must align")
-        if any(not 0 <= a < MAX_ADDRESS for a in self.addresses):
+        if self.addresses and not (
+            0 <= min(self.addresses) and max(self.addresses) < MAX_ADDRESS
+        ):
             raise ValueError(f"addresses must lie in [0, {MAX_ADDRESS})")
         if list(self.observed) != sorted(set(self.observed)):
             raise ValueError("observed indices must be strictly increasing")

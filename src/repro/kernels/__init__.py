@@ -21,6 +21,7 @@ from .dispatch import (  # noqa: F401
     backend_init_errors,
     ensure_initialized,
     fold_ids,
+    hypothesis_hits,
     kernel_dispatch_counts,
     noise_advance,
     noise_back,

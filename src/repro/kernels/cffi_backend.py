@@ -1,6 +1,6 @@
 """Generated-C kernel backend (cffi API mode, compiled once, cached).
 
-The nine ops become plain sequential C loops over int64 arrays.  The
+The ten ops become plain sequential C loops over int64 arrays.  The
 extension is compiled a single time into a content-addressed cache
 directory — keyed by a hash of the C source plus the cffi/python
 versions — and re-loaded from disk on every later run (and in every
@@ -36,6 +36,10 @@ allocates the four arrays.
 :func:`load` checks one fused summary and the three noise ops against
 the numpy backend on fixed draws and refuses to load
 (:class:`StreamMismatch`) if numpy's stream mapping has changed.
+
+``hypothesis_hits`` walks rows × programs × steps without clearing a
+table between (row, program) pairs: PHT entries and addresses carry an
+epoch stamp, and an older stamp reads as power-up state.
 
 Speed note: the ``summarize_block`` loop is branch-free per branch,
 because mispredictions, not arithmetic, set its cost.  The history fold
@@ -128,6 +132,15 @@ int repro_predictor_hits(const int64_t *addr, const uint8_t *taken,
                          const int8_t *step, int64_t n_levels,
                          const uint8_t *predict, int64_t init_level,
                          uint8_t *hits);
+int repro_hypothesis_hits(const int64_t *addr, const uint8_t *taken,
+                          const int64_t *aid, int64_t n_ids, int64_t n,
+                          const int64_t *starts, int64_t n_programs,
+                          const int64_t *observed, int64_t n_obs,
+                          const int64_t *rows, int64_t n_rows,
+                          const int8_t *step, int64_t n_levels,
+                          const uint8_t *predict, const int64_t *biases,
+                          int64_t n_biases, int64_t sel_max,
+                          uint8_t *hits);
 """
 
 _SOURCE = """
@@ -172,6 +185,25 @@ static inline int64_t repro_index(int64_t a, int64_t n, int64_t s)
     if (s > 0)
         a ^= a >> s;
     return repro_mod(a, n);
+}
+
+/* repro.bpu.hashes.fold_history's chunk width for an n-entry table:
+ * floor(log2(n)), at least 1. */
+static inline int64_t repro_fold_width(int64_t n)
+{
+    int64_t w = 0;
+    for (int64_t m = n; m > 1; m >>= 1)
+        w++;
+    return w < 1 ? 1 : w;
+}
+
+/* fold_history itself: XOR of the w-bit chunks of a history. */
+static inline int64_t repro_fold(int64_t ghr, int64_t w)
+{
+    int64_t folded = 0, w_mask = ((int64_t)1 << w) - 1;
+    for (int64_t h = ghr; h != 0; h >>= w)
+        folded ^= h & w_mask;
+    return folded;
 }
 
 /* numpy's PCG64: a 128-bit LCG stepped before each draw, with the
@@ -304,10 +336,7 @@ repro_summarize_loop(repro_pcg32 *ca, repro_pcg32 *cb, int64_t n,
                      int64_t n_tracked, int64_t *g_acc, int64_t *scalars)
 {
     int64_t bim = identity, ghr = 0, touched = 0, block_tag = -1;
-    int64_t fold_w = 0, ng_bits = n_g;
-    while (ng_bits > 1) { fold_w++; ng_bits >>= 1; }
-    if (fold_w < 1)
-        fold_w = 1;
+    int64_t fold_w = repro_fold_width(n_g);
     int64_t fold_mask = ((int64_t)1 << fold_w) - 1;
     /* Circular-XOR fold of the (pre-masked) history down to the index
      * width w = floor(log2(n_g)), in max(1, ceil(ghr_len / w)) passes:
@@ -728,20 +757,12 @@ int repro_predictor_hits(const int64_t *addr, const uint8_t *taken,
         memset(sel, (int)sel_init, n_sel);
         for (int64_t i = 0; i < n_sets; i++)
             tags[i] = -1;
-        /* fold_history: XOR of index-width chunks of the history. */
-        int64_t w = 0;
-        for (int64_t m = n_g; m > 1; m >>= 1)
-            w++;
-        if (w < 1)
-            w = 1;
-        int64_t w_mask = ((int64_t)1 << w) - 1;
+        int64_t w = repro_fold_width(n_g);
         int64_t ghr_mask = ((int64_t)1 << ghr_len) - 1, ghr = 0, j = 0;
         for (int64_t t = 0; t < n; t++) {
-            int64_t a = addr[t], o = taken[t], folded = 0;
-            for (int64_t h = ghr; h != 0; h >>= w)
-                folded ^= h & w_mask;
+            int64_t a = addr[t], o = taken[t];
             int64_t b = repro_index(a, n_b, shift_b);
-            int64_t g = repro_index(a ^ folded, n_g, shift_g);
+            int64_t g = repro_index(a ^ repro_fold(ghr, w), n_g, shift_g);
             int64_t b_taken = predict[bim[b]], g_taken = predict[gsh[g]];
             int64_t s = repro_mod(a, n_sel), set = repro_mod(a, n_sets);
             int64_t tag = (a / n_sets) & tag_mask;
@@ -770,6 +791,105 @@ int repro_predictor_hits(const int64_t *addr, const uint8_t *taken,
     free(gsh);
     free(sel);
     free(tags);
+    return ok ? 0 : -1;
+}
+
+/* Many programs under many candidate geometries (the fuzz lattice):
+ * hits[(k * n_rows + r) * n_obs + j] is whether row r under selector
+ * bias biases[k] predicts the outcome of step observed[j].  Program p
+ * runs steps starts[p] up to the next start (the last to n); rows is
+ * (4, n_rows): table size, kernel hash shift, history bits and initial
+ * level per row.  aid[t] is a dense id of addr[t], below n_ids.
+ *
+ * Every (row, program) starts from power-up state without clearing a
+ * table: each PHT entry and each address carries the epoch of the
+ * (row, program) that last wrote it, and an older stamp reads as the
+ * initial level, or as "cold" for an address.  The PHT levels and
+ * cold steps do not depend on the bias, so one walk keeps a choice
+ * counter per (bias, address).  Returns -1, with no hit written, when
+ * the scratch tables cannot be allocated. */
+int repro_hypothesis_hits(const int64_t *addr, const uint8_t *taken,
+                          const int64_t *aid, int64_t n_ids, int64_t n,
+                          const int64_t *starts, int64_t n_programs,
+                          const int64_t *observed, int64_t n_obs,
+                          const int64_t *rows, int64_t n_rows,
+                          const int8_t *step, int64_t n_levels,
+                          const uint8_t *predict, const int64_t *biases,
+                          int64_t n_biases, int64_t sel_max,
+                          uint8_t *hits)
+{
+    const int64_t *sizes = rows, *shifts = rows + n_rows;
+    const int64_t *ghr_bits = rows + 2 * n_rows, *init = rows + 3 * n_rows;
+    int64_t max_n = 1;
+    for (int64_t r = 0; r < n_rows; r++)
+        if (sizes[r] > max_n)
+            max_n = sizes[r];
+    int8_t *bim = malloc(max_n), *gsh = malloc(max_n);
+    uint32_t *bim_at = calloc(max_n, sizeof(uint32_t));
+    uint32_t *gsh_at = calloc(max_n, sizeof(uint32_t));
+    uint32_t *seen = calloc(n_ids + 1, sizeof(uint32_t));
+    int8_t *sel = malloc(n_biases * n_ids + 1);
+    int ok = bim && gsh && bim_at && gsh_at && seen && sel;
+    uint32_t epoch = 0;
+    for (int64_t r = 0; ok && r < n_rows; r++) {
+        int64_t n_e = sizes[r], s = shifts[r], lvl0 = init[r];
+        int64_t w = repro_fold_width(n_e);
+        int64_t ghr_mask = ((int64_t)1 << ghr_bits[r]) - 1, j = 0;
+        for (int64_t p = 0; p < n_programs; p++) {
+            if (++epoch == 0) {  /* wrapped: no stamp is current */
+                memset(bim_at, 0, max_n * sizeof(uint32_t));
+                memset(gsh_at, 0, max_n * sizeof(uint32_t));
+                memset(seen, 0, (n_ids + 1) * sizeof(uint32_t));
+                epoch = 1;
+            }
+            int64_t end = p + 1 < n_programs ? starts[p + 1] : n, ghr = 0;
+            for (int64_t t = starts[p]; t < end; t++) {
+                int64_t a = addr[t], o = taken[t], id = aid[t];
+                int64_t b = repro_index(a, n_e, s);
+                int64_t g = repro_index(a ^ repro_fold(ghr, w), n_e, s);
+                int64_t bl = bim_at[b] == epoch ? bim[b] : lvl0;
+                int64_t gl = gsh_at[g] == epoch ? gsh[g] : lvl0;
+                int64_t b_taken = predict[bl], g_taken = predict[gl];
+                int cold = seen[id] != epoch;
+                int8_t *count = sel + id;  /* bias k at count[k * n_ids] */
+                if (j < n_obs && observed[j] == t) {
+                    for (int64_t k = 0; k < n_biases; k++) {
+                        int64_t predicted =
+                            !cold && count[k * n_ids] >= sel_max
+                                ? g_taken : b_taken;
+                        hits[(k * n_rows + r) * n_obs + j] = predicted == o;
+                    }
+                    j++;
+                }
+                bim[b] = step[o * n_levels + bl];
+                bim_at[b] = epoch;
+                gsh[g] = step[o * n_levels + gl];
+                gsh_at[g] = epoch;
+                if (cold) {
+                    seen[id] = epoch;
+                    for (int64_t k = 0; k < n_biases; k++)
+                        count[k * n_ids] = (int8_t)biases[k];
+                } else if (b_taken != g_taken) {
+                    for (int64_t k = 0; k < n_biases; k++) {
+                        int8_t *c = count + k * n_ids;
+                        if (g_taken == o) {
+                            if (*c < sel_max)
+                                (*c)++;
+                        } else if (*c > 0) {
+                            (*c)--;
+                        }
+                    }
+                }
+                ghr = ((ghr << 1) | o) & ghr_mask;
+            }
+        }
+    }
+    free(bim);
+    free(gsh);
+    free(bim_at);
+    free(gsh_at);
+    free(seen);
+    free(sel);
     return ok ? 0 : -1;
 }
 """
@@ -1244,4 +1364,36 @@ def predictor_hits(
     )
     if failed:
         raise MemoryError("cannot allocate the predictor tables")
+    return hits.view(bool)
+
+
+def hypothesis_hits(
+    addresses, outcomes, starts, observed, sizes, shifts, ghr_bits,
+    init_levels, step_table, predict_taken, biases, sel_max,
+):
+    addresses, outcomes, starts, observed, rows, step, predict, biases = (
+        numpy_backend.hypothesis_program(
+            addresses, outcomes, starts, observed, sizes, shifts, ghr_bits,
+            init_levels, step_table, predict_taken, biases, sel_max,
+        )
+    )
+    # Dense address ids for the per-address choice counters and cold
+    # stamps; the epoch stamps restart them per program.
+    ids = _i64(np.unique(addresses, return_inverse=True)[1])
+    addresses, starts, observed, biases = map(
+        _i64, (addresses, starts, observed, biases)
+    )
+    outcomes = _u8(outcomes)
+    predict = _u8(predict)
+    step = np.ascontiguousarray(step)
+    hits = np.zeros((len(biases), rows.shape[1], len(observed)), np.uint8)
+    failed = _lib.repro_hypothesis_hits(
+        _p(addresses), _pu8(outcomes), _p(ids),
+        int(ids.max()) + 1 if len(ids) else 0, len(addresses), _p(starts),
+        len(starts), _p(observed), len(observed), _p(rows), rows.shape[1],
+        _pi8(step), step.shape[1], _pu8(predict), _p(biases), len(biases),
+        int(sel_max), _pu8(hits),
+    )
+    if failed:
+        raise MemoryError("cannot allocate the hypothesis tables")
     return hits.view(bool)

@@ -3,9 +3,10 @@
 The hot inner loops of the fast engines — monoid folds
 (:meth:`TransitionMonoid.reduce` / :meth:`fold_table`), the manycore
 per-block summary, trial-plan noise passes and id-space read recovery,
-the batch calibration's prefix-scan read recovery, and the fuzz
-oracle's run of one program on a power-up predictor — all route
-through the nine ops exported here.  Two interchangeable
+the batch calibration's prefix-scan read recovery, the fuzz oracle's
+run of one program on a power-up predictor, and the fuzz lattice's
+simulation of many programs under many candidate geometries — all
+route through the ten ops exported here.  Two interchangeable
 implementations exist:
 
 ``numpy``
@@ -240,6 +241,10 @@ def warmup() -> str:
         (0, 4, 0), (True, False, True), (0, 2), 2, 0, 2, 1, 2, 2, 1, 3, 2,
         1, ct, (False, True), 0,
     )
+    impl.hypothesis_hits(
+        (0, 4, 0), (True, False, True), (0, 2), (1, 2), (2, 4), (0, 2),
+        (2, 3), (0, 1), ct, (False, True), (1, 2), 2,
+    )
     return name
 
 
@@ -371,4 +376,31 @@ def predictor_hits(
         addresses, outcomes, observed, n_b, shift_b, n_g, shift_g, ghr_len,
         n_sel, sel_init, sel_max, n_sets, tag_bits, step_table,
         predict_taken, init_level,
+    )
+
+
+def hypothesis_hits(
+    addresses, outcomes, starts, observed, sizes, shifts, ghr_bits,
+    init_levels, step_table, predict_taken, biases, sel_max,
+):
+    """Predicted hit bits of many programs under many candidate
+    predictor geometries, every selector bias at once: bool
+    ``hits[k, r, j]`` is whether row ``r`` under bias ``biases[k]``
+    predicts the outcome of step ``observed[j]`` (the fuzz lattice's
+    simulation, :func:`repro.fuzz.infer.simulate_program` per row).
+
+    The programs are concatenated, program ``p`` running from
+    ``starts[p]``, and each starts from power-up state.  Row ``r`` is a
+    bimodal and a gshare PHT of ``sizes[r]`` entries behind the index
+    hash :func:`repro.bpu.hashes.kernel_shift` encodes as
+    ``shifts[r]``, a ``ghr_bits[r]``-bit history, and entries starting
+    at ``init_levels[r]`` of the FSM ``step_table[outcome, level]``;
+    each address has its own choice counter, saturating at ``sel_max``.
+    Raises ``ValueError`` on every backend for whatever
+    :func:`predictor_hits` refuses, and for malformed starts, rows or
+    biases.
+    """
+    return _dispatch().hypothesis_hits(
+        addresses, outcomes, starts, observed, sizes, shifts, ghr_bits,
+        init_levels, step_table, predict_taken, biases, sel_max,
     )

@@ -12,7 +12,10 @@ same ids and the backends are bit-identical by construction (the
 differential suite in ``tests/test_kernels.py`` pins it anyway).
 ``predictor_hits`` is a plain sequential loop here too: it is
 ``HybridPredictor.execute`` stepped over one program, and
-``predictor_program`` is the domain check both backends share.
+``predictor_program`` is the domain check both backends share.  So is
+``hypothesis_hits``, the fuzz lattice's candidate predictors over many
+programs (``repro.fuzz.infer.simulate_program`` is its one-row
+wrapper), with ``hypothesis_program`` as the shared domain check.
 
 The ops that draw never draw from a caller's generator, so backend
 choice can never move an RNG stream position: ``summarize_block``
@@ -482,22 +485,10 @@ def read_levels_maps(
 # -- one program on a power-up hybrid predictor (the fuzz oracle) ------------
 
 
-def predictor_program(
-    addresses, outcomes, observed, n_b, shift_b, n_g, shift_g, ghr_len,
-    n_sel, sel_init, sel_max, n_sets, tag_bits, step_table, predict_taken,
-    init_level,
-):
-    """Validate :func:`predictor_hits`'s arguments; return the program
-    as ``(addresses, outcomes, observed)`` arrays (int64, bool, int64),
-    the step table as an int8 ``(2, n_levels)`` array and the
-    predictions as a bool array.
-
-    Both backends share this domain: a ``ValueError`` for whatever the
-    compiled loop cannot represent (a negative or 64-bit address, a
-    history longer than 62 bits, more than 127 FSM levels or a choice
-    counter past 127, a shift past 62) and for a malformed program or
-    table.
-    """
+def _program_arrays(addresses, outcomes, observed):
+    """Validate a program (or a concatenation of programs) as the
+    compiled loops need it; return ``(addresses, outcomes, observed)``
+    as int64, bool and int64 arrays."""
     try:
         addresses = np.asarray(addresses, dtype=np.int64)
     except OverflowError:
@@ -516,6 +507,47 @@ def predictor_program(
         and (observed[1:] > observed[:-1]).all()
     ):
         raise ValueError("observed steps must be increasing indices below n")
+    return addresses, outcomes, observed
+
+
+def _fsm_arrays(step_table, predict_taken, init_levels):
+    """Validate an FSM table (one FSM, or several side by side in one
+    level space) and its initial level(s); return the step table as an
+    int8 ``(2, n_levels)`` array and the predictions as a bool array."""
+    step_table = np.asarray(step_table)
+    n_levels = step_table.shape[-1] if step_table.ndim == 2 else 0
+    if not (step_table.shape == (2, n_levels) and 1 <= n_levels <= 127):
+        raise ValueError("step_table must be (2, n_levels), n_levels <= 127")
+    if int(step_table.min()) < 0 or int(step_table.max()) >= n_levels:
+        raise ValueError("step_table targets must be levels")
+    predict_taken = np.asarray(predict_taken, dtype=bool)
+    init_levels = np.asarray(init_levels)
+    if predict_taken.shape != (n_levels,) or (
+        init_levels.size
+        and not 0 <= int(init_levels.min()) <= int(init_levels.max())
+        < n_levels
+    ):
+        raise ValueError("predict_taken and init_level must match the FSM")
+    return step_table.astype(np.int8), predict_taken
+
+
+def predictor_program(
+    addresses, outcomes, observed, n_b, shift_b, n_g, shift_g, ghr_len,
+    n_sel, sel_init, sel_max, n_sets, tag_bits, step_table, predict_taken,
+    init_level,
+):
+    """Validate :func:`predictor_hits`'s arguments; return the program
+    as ``(addresses, outcomes, observed)`` arrays (int64, bool, int64),
+    the step table as an int8 ``(2, n_levels)`` array and the
+    predictions as a bool array.
+
+    Both backends share this domain: a ``ValueError`` for whatever the
+    compiled loop cannot represent (a negative or 64-bit address, a
+    history longer than 62 bits, more than 127 FSM levels or a choice
+    counter past 127, a shift past 62) and for a malformed program or
+    table.
+    """
+    program = _program_arrays(addresses, outcomes, observed)
     if min(n_b, n_g, n_sel, n_sets, tag_bits) < 1:
         raise ValueError("table sizes and tag_bits must be positive")
     if not (0 <= shift_b <= 62 and 0 <= shift_g <= 62):
@@ -524,19 +556,7 @@ def predictor_program(
         raise ValueError("ghr_len must lie in 1..62")
     if not 0 <= sel_init <= sel_max <= 127:
         raise ValueError("need 0 <= sel_init <= sel_max <= 127")
-    step_table = np.asarray(step_table)
-    n_levels = step_table.shape[-1] if step_table.ndim == 2 else 0
-    if not (step_table.shape == (2, n_levels) and 1 <= n_levels <= 127):
-        raise ValueError("step_table must be (2, n_levels), n_levels <= 127")
-    if int(step_table.min()) < 0 or int(step_table.max()) >= n_levels:
-        raise ValueError("step_table targets must be levels")
-    predict_taken = np.asarray(predict_taken, dtype=bool)
-    if predict_taken.shape != (n_levels,) or not 0 <= init_level < n_levels:
-        raise ValueError("predict_taken and init_level must match the FSM")
-    return (
-        addresses, outcomes, observed, step_table.astype(np.int8),
-        predict_taken,
-    )
+    return program + _fsm_arrays(step_table, predict_taken, init_level)
 
 
 def _index(mixed: int, n: int, shift: int) -> int:
@@ -614,3 +634,164 @@ def predictor_hits(
         ghr = ((ghr << 1) | taken) & ghr_mask
         tags[bit_set] = tag
     return np.array(hits, dtype=bool)
+
+
+# -- many programs under many candidate geometries (the fuzz lattice) --------
+
+
+def hypothesis_program(
+    addresses, outcomes, starts, observed, sizes, shifts, ghr_bits,
+    init_levels, step_table, predict_taken, biases, sel_max,
+):
+    """Validate :func:`hypothesis_hits`'s arguments; return the programs
+    as ``(addresses, outcomes, starts, observed)`` arrays, the rows as
+    an int64 ``(4, rows)`` array of (size, shift, history bits, initial
+    level), the step table as an int8 ``(2, n_levels)`` array, the
+    predictions as a bool array and the biases as an int64 array.
+
+    Both backends share this domain, and its program and FSM checks are
+    :func:`predictor_program`'s: a ``ValueError`` for whatever the
+    compiled loop cannot represent (a negative or 64-bit address, a
+    history longer than 62 bits, more than 127 FSM levels or a choice
+    counter past 127, a shift past 62) and for malformed programs, rows
+    or tables.
+    """
+    addresses, outcomes, observed = _program_arrays(
+        addresses, outcomes, observed
+    )
+    starts = np.asarray(starts, dtype=np.int64)
+    n = len(addresses)
+    if starts.ndim != 1 or (n and not len(starts)):
+        raise ValueError("starts must be a vector with one entry per program")
+    if len(starts) and not (
+        starts[0] == 0 and starts[-1] <= n
+        and (starts[1:] >= starts[:-1]).all()
+    ):
+        raise ValueError("program starts must rise from 0 to at most n")
+    ragged = "row parameters must be equal-length vectors"
+    try:
+        rows = np.array([sizes, shifts, ghr_bits, init_levels], dtype=np.int64)
+    except ValueError:
+        raise ValueError(ragged) from None
+    if rows.ndim != 2:
+        raise ValueError(ragged)
+    if rows.shape[1]:
+        if int(rows[0].min()) < 1:
+            raise ValueError("table sizes must be positive")
+        if not 0 <= int(rows[1].min()) <= int(rows[1].max()) <= 62:
+            raise ValueError("index hash shifts must lie in 0..62")
+        if not 1 <= int(rows[2].min()) <= int(rows[2].max()) <= 62:
+            raise ValueError("history lengths must lie in 1..62")
+    step_table, predict_taken = _fsm_arrays(step_table, predict_taken, rows[3])
+    biases = np.asarray(biases, dtype=np.int64).reshape(-1)
+    if not 0 <= sel_max <= 127:
+        raise ValueError("need 0 <= sel_max <= 127")
+    if len(biases) and not (0 <= biases.min() and biases.max() <= sel_max):
+        raise ValueError(f"selector biases must lie in 0..{sel_max}")
+    return (
+        addresses, outcomes, starts, observed, rows, step_table,
+        predict_taken, biases,
+    )
+
+
+def hypothesis_hits(
+    addresses, outcomes, starts, observed, sizes, shifts, ghr_bits,
+    init_levels, step_table, predict_taken, biases, sel_max,
+) -> np.ndarray:
+    """Predicted hit bits of many programs under many candidate
+    geometries, every selector bias at once.
+
+    The programs are concatenated: program ``p`` runs steps
+    ``starts[p]`` up to the next start (the last to the end), and
+    ``observed`` holds global step indices.  Row ``r`` is one
+    geometry: bimodal and gshare PHTs of ``sizes[r]`` entries each,
+    both behind the index hash :func:`repro.bpu.hashes.kernel_shift`
+    encodes as ``shifts[r]``, a ``ghr_bits[r]``-bit global history
+    folded into the gshare index as
+    :func:`repro.bpu.hashes.fold_history` folds it, and PHT entries
+    that start at ``init_levels[r]`` of the FSM ``step_table[outcome,
+    level]`` / ``predict_taken[level]`` (several FSMs may share that
+    level space side by side).  Each address has its own choice
+    counter.  Every program starts from power-up state: empty tables,
+    zero history, and each address new ("cold") until its first
+    execution, which predicts from the bimodal PHT and leaves its
+    counter at the bias.  A known address takes gshare while its
+    counter is saturated at ``sel_max``, and the counter moves toward
+    the component that was right whenever the two disagree.
+
+    Returns bool ``hits[k, r, j]``: whether row ``r`` under bias
+    ``biases[k]`` predicts step ``observed[j]``'s outcome.  The PHT
+    levels and cold steps do not depend on the bias, so one walk of
+    each (row, program) serves every bias.  Both PHT indices of every
+    step are computed per row with numpy; the walk is one sequential
+    loop over Python ints, and its tables are dicts, so a program
+    touches only the entries it uses.
+    """
+    (
+        addresses, outcomes, starts, observed, rows, step_table,
+        predict_taken, biases,
+    ) = hypothesis_program(
+        addresses, outcomes, starts, observed, sizes, shifts, ghr_bits,
+        init_levels, step_table, predict_taken, biases, sel_max,
+    )
+    step = step_table.tolist()
+    predict = predict_taken.tolist()
+    taken_at = outcomes.tolist()
+    address_at = addresses.tolist()
+    biases = biases.tolist()
+    spans = list(zip(starts.tolist(), starts[1:].tolist() + [len(addresses)]))
+    # The last 62 outcomes before each step of its program, newest in
+    # bit 0: every row's history is this, masked to its length.
+    history = []
+    for lo, hi in spans:
+        ghr = 0
+        for taken in taken_at[lo:hi]:
+            history.append(ghr)
+            ghr = ((ghr << 1) | taken) & ((1 << 62) - 1)
+    history = np.array(history, dtype=np.int64)
+    watched = set(observed.tolist())
+    hits = np.zeros((len(biases), rows.shape[1], len(observed)), dtype=bool)
+    for r, (n, shift, bits, init) in enumerate(rows.T.tolist()):
+        # Both PHT indices of every step: they depend on the row, the
+        # address and the history only, never on a table.
+        b_at = _hashed(addresses, n, shift).tolist()
+        folded = fold_history(history & ((1 << bits) - 1), bits, n)
+        g_at = _hashed(addresses ^ folded, n, shift).tolist()
+        row_hits = []
+        for lo, hi in spans:
+            bimodal: dict = {}
+            gshare: dict = {}
+            counters: dict = {}
+            for t in range(lo, hi):
+                address, taken = address_at[t], taken_at[t]
+                b, g = b_at[t], g_at[t]
+                b_level = bimodal.get(b, init)
+                g_level = gshare.get(g, init)
+                b_taken = predict[b_level]
+                g_taken = predict[g_level]
+                # None until the address's first execution ends.
+                chosen = counters.get(address)
+                if t in watched:
+                    row_hits.append(
+                        [b_taken == taken] * len(biases)
+                        if chosen is None
+                        else [
+                            (g_taken if count >= sel_max else b_taken)
+                            == taken
+                            for count in chosen
+                        ]
+                    )
+                bimodal[b] = step[taken][b_level]
+                gshare[g] = step[taken][g_level]
+                if chosen is None:
+                    counters[address] = biases
+                elif b_taken != g_taken:
+                    counters[address] = (
+                        [min(sel_max, c + 1) for c in chosen]
+                        if g_taken == taken
+                        else [max(0, c - 1) for c in chosen]
+                    )
+        hits[:, r, :] = np.array(row_hits, dtype=bool).reshape(
+            len(observed), len(biases)
+        ).T
+    return hits

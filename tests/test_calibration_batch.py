@@ -189,7 +189,7 @@ class TestPlanDifferential:
         """Under every mitigation stack both engines restore the full
         core state and leave the mitigation hooks in the same state (a
         rekeying defense advances through the assessment on both), and
-        the batch engine leaves the core RNG stream where it was."""
+        both engines leave the core RNG stream where it was."""
         hook_keys = []
         for engine in (assess_block, assess_block_batch):
             core, spy, compiled = build("skylake", stack_name, seed=11)
@@ -203,8 +203,8 @@ class TestPlanDifferential:
             digest = rng_state_digest(core.rng)
             engine(core, spy, compiled, TARGET, plan=plan)
             assert eq(before, core.checkpoint())
+            assert rng_state_digest(core.rng) == digest, engine.__name__
             hook_keys.append(core.mitigations.pht_key(spy))
-        assert rng_state_digest(core.rng) == digest
         assert hook_keys[0] == hook_keys[1]
 
     def test_plan_repetitions_property(self):

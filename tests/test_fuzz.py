@@ -1,8 +1,9 @@
 """The reverse-engineering fuzzer (:mod:`repro.fuzz`).
 
 Coverage layers, cheapest first: generator/oracle determinism, the
-bank-vs-scalar simulator differential, the batched-vs-per-program pass
-and chunked-vs-sequential observation differentials, the battery's
+``hypothesis_hits`` op against the scalar reference and the reference
+against the oracle, the batched-vs-per-program call and
+chunked-vs-sequential observation differentials, the battery's
 dimension separation, the closed-loop self-rediscovery of every zoo
 preset (with its pinned seed-0 verdict digests), and
 the service-tenancy contracts (worker-count invariance, warm-store
@@ -39,8 +40,11 @@ from repro.fuzz.infer import (
     _CHUNK_WORK,
     SELECTOR_INITIALS,
     Hypothesis,
-    HypothesisBank,
     HypothesisLattice,
+    _columns,
+    _fsm_space,
+    _programs,
+    _rows,
     default_lattice,
     simulate_program,
 )
@@ -102,6 +106,12 @@ class TestGenerate:
     def test_validation(self):
         with pytest.raises(ValueError):
             BranchProgram(addresses=(1,), outcomes=(), observed=())
+        for address in (-1, MAX_ADDRESS):
+            with pytest.raises(
+                ValueError, match=r"addresses must lie in \[0, 16777216\)"
+            ):
+                BranchProgram((5, address), (True, True), ())
+        assert len(BranchProgram((0, MAX_ADDRESS - 1), (True, True), ())) == 2
         with pytest.raises(ValueError):
             BranchProgram(
                 addresses=(1, 2), outcomes=(True, True), observed=(1, 0)
@@ -215,6 +225,17 @@ def _scalar_bits(program, biases):
     )
 
 
+def _op_bits(programs, biases, hypotheses=None):
+    """One ``hypothesis_hits`` call: (biases, K, observed) over the
+    default lattice (or ``hypotheses``), every program side by side."""
+    step_table, predict_taken, _ = _fsm_space()
+    return kernels.hypothesis_hits(
+        *_programs(programs),
+        *_rows(default_lattice() if hypotheses is None else hypotheses),
+        step_table, predict_taken, biases, 7,
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def _battery_reference():
     programs = [program_from_descriptor(d) for d in battery_descriptors(0)]
@@ -259,27 +280,27 @@ def descriptors(draw):
 
 
 class TestSimulatorDifferential:
-    """Bank signatures == scalar reference, bit for bit, on the whole
-    lattice."""
+    """``hypothesis_hits`` on the active backend == the scalar reference,
+    bit for bit, on the whole lattice, and the reference == the oracle
+    at each preset's true geometry and bias.  (``tests/test_kernels.py::
+    TestHypothesisHits`` runs the op on every backend.)"""
 
     def test_full_lattice_on_battery(self):
-        bank = HypothesisBank(default_lattice())
+        """Each battery program alone, and one bias at a time."""
         for program, reference in _battery_reference():
-            got, owner = bank.signatures_by_bias([program], SELECTOR_INITIALS)
+            got = _op_bits([program], SELECTOR_INITIALS)
             assert np.array_equal(got, reference), program
-            assert np.array_equal(owner, np.zeros(len(program.observed)))
             for b, bias in enumerate(SELECTOR_INITIALS):
                 assert np.array_equal(
-                    bank.signatures([program], bias), reference[b]
+                    _op_bits([program], (bias,))[0], reference[b]
                 )
 
     @given(desc=descriptors())
     @settings(max_examples=25, deadline=None)
     def test_full_lattice_on_drawn_descriptors(self, desc):
         program = program_from_descriptor(desc)
-        bank = HypothesisBank(default_lattice())
         assert np.array_equal(
-            bank.signatures_by_bias([program], SELECTOR_INITIALS)[0],
+            _op_bits([program], SELECTOR_INITIALS),
             _scalar_bits(program, SELECTOR_INITIALS),
         ), desc
 
@@ -287,14 +308,30 @@ class TestSimulatorDifferential:
         """Biases 0 and 7 start the choice counter at either saturated
         end: gshare from the second visit on, or only after seven
         gshare-only wins."""
-        bank = HypothesisBank(default_lattice())
         for program, _ in _battery_reference():
             if program.addresses[0] != program.addresses[-1]:
                 continue  # collision probes: the probe runs cold
             assert np.array_equal(
-                bank.signatures_by_bias([program], (0, 7))[0],
-                _scalar_bits(program, (0, 7)),
+                _op_bits([program], (0, 7)), _scalar_bits(program, (0, 7))
             ), program
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_reference_at_the_truth_equals_the_oracle(self, preset):
+        """The soundness premise, against an independent predictor: the
+        true geometry under the preset's own bias reproduces the oracle
+        (``HybridPredictor`` semantics through ``predictor_hits``) on the
+        battery and on random programs."""
+        oracle = PresetOracle(preset)
+        truth = true_hypothesis(preset)
+        bias = PRESETS[preset]().selector_initial
+        rng = np.random.default_rng(np.random.SeedSequence([31, 0]))
+        for desc in battery_descriptors(0) + [
+            random_descriptor(rng) for _ in range(20)
+        ]:
+            program = program_from_descriptor(desc)
+            assert simulate_program(program, truth, bias) == oracle.run(
+                program
+            ), desc
 
     def test_masked_agreement_equals_two_scalar_runs(self):
         lattice = HypothesisLattice()
@@ -304,8 +341,8 @@ class TestSimulatorDifferential:
             assert np.array_equal(mask, reference[0] == reference[1])
 
     def test_transient_memory_stays_small(self):
-        """The largest battery program (312 steps) scans in well under
-        2.5 MB of transient allocations."""
+        """The largest battery program (312 steps) simulates in well
+        under 2.5 MB of transient allocations."""
         import tracemalloc
 
         program = max(
@@ -325,7 +362,9 @@ class TestSimulatorDifferential:
     def test_rejects_bias_outside_counter_range(self):
         program = program_from_descriptor(battery_descriptors(0)[0])
         with pytest.raises(ValueError, match="biases"):
-            HypothesisBank(default_lattice()).signatures([program], 8)
+            _op_bits([program], (8,))
+        with pytest.raises(ValueError, match="biases"):
+            simulate_program(program, default_lattice()[0], 8)
 
     @pytest.mark.parametrize(
         "program",
@@ -337,10 +376,10 @@ class TestSimulatorDifferential:
     )
     def test_no_observed_steps_gives_empty_rows(self, program):
         lattice = HypothesisLattice()
-        bank = lattice.bank
-        assert bank.signatures([program], 1).shape == (len(bank), 0)
-        assert simulate_program(program, bank.hypotheses[0], 1) == ()
-        assert lattice.observe([program], [[]]) == len(bank)
+        k = len(lattice.hypotheses)
+        assert _op_bits([program], (1,)).shape == (1, k, 0)
+        assert simulate_program(program, lattice.hypotheses[0], 1) == ()
+        assert lattice.observe([program], [[]]) == k
         assert lattice.partition_scores([program]) == [1]
 
 
@@ -412,7 +451,7 @@ class TestSelfRediscovery:
         lattice = HypothesisLattice()
         oracle = PresetOracle("skylake")
         truth = true_hypothesis("skylake")
-        truth_index = lattice.bank.hypotheses.index(truth)
+        truth_index = lattice.hypotheses.index(truth)
         for desc in battery_descriptors(0):
             program = program_from_descriptor(desc)
             lattice.observe([program], [oracle.run(program)])
@@ -471,22 +510,24 @@ class TestPlanGeneration:
         assert scores == sorted(scores, reverse=True)
 
 
-def _full_masked(bank, program):
-    """Reference: the full bank's signatures and agreed mask, all rows."""
-    by_bias, _ = bank.signatures_by_bias([program], SELECTOR_INITIALS)
+def _full_masked(program, hypotheses=None):
+    """Reference: the signatures and agreed mask of every lattice row,
+    dead or alive, from one op call over ``program`` alone."""
+    by_bias = _op_bits([program], SELECTOR_INITIALS, hypotheses)
     return by_bias[0], (by_bias == by_bias[0]).all(axis=0)
 
 
 class _FullWidthLattice(HypothesisLattice):
-    """Reference scorer: every row of the full bank, dead rows filtered
-    out afterwards (the lattice's pre-survivors-bank computation)."""
+    """Reference scorer: every row of the lattice, dead rows filtered
+    out afterwards (the lattice's computation before it simulated the
+    survivors only)."""
 
     def partition_scores(self, programs):
         if not self.alive.any():
             return [0] * len(programs)
         scores = []
         for program in programs:
-            signatures, mask = _full_masked(self.bank, program)
+            signatures, mask = _full_masked(program, self.hypotheses)
             keys = np.where(mask, signatures.astype(np.int8), np.int8(2))
             scores.append(len({row.tobytes() for row in keys[self.alive]}))
         return scores
@@ -522,52 +563,41 @@ def _partial_masks():
     return masks
 
 
-class _CountingBank(HypothesisBank):
-    """Records every bank built, and the rows, programs and steps of
-    every pass."""
-
-    built = []
-    passes = []
-
-    def __init__(self, hypotheses):
-        super().__init__(hypotheses)
-        _CountingBank.built.append(len(self))
-
-    def signatures_by_bias(self, programs, biases):
-        _CountingBank.passes.append(
-            (len(self), len(programs), sum(len(p) for p in programs))
-        )
-        return super().signatures_by_bias(programs, biases)
-
-
 @pytest.fixture
-def counting_bank(monkeypatch):
-    from repro.fuzz import infer
+def op_calls(monkeypatch):
+    """Records the rows, programs and steps of every ``hypothesis_hits``
+    call."""
+    calls = []
+    op = kernels.hypothesis_hits
 
-    _CountingBank.built, _CountingBank.passes = [], []
-    monkeypatch.setattr(infer, "HypothesisBank", _CountingBank)
-    return _CountingBank
+    def counting(addresses, outcomes, starts, observed, sizes, *rest):
+        calls.append((len(sizes), len(starts), len(addresses)))
+        return op(addresses, outcomes, starts, observed, sizes, *rest)
+
+    monkeypatch.setattr(kernels, "hypothesis_hits", counting)
+    return calls
 
 
 class TestSurvivorBank:
-    """Programs simulate only the surviving rows, and that never changes
-    what the lattice concludes."""
+    """Programs simulate only the surviving rows (the op's row bank is
+    the survivors), and that never changes what the lattice
+    concludes."""
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_alive_matches_full_bank_reference(self, preset):
         """Seed-0 battery plus 8 random programs: after every observe,
-        ``alive`` equals masking the full bank's rows by hand."""
+        ``alive`` equals masking every lattice row's result by hand."""
         oracle = PresetOracle(preset)
         rng = np.random.default_rng(np.random.SeedSequence([18, 0]))
         descs = battery_descriptors(0) + [
             random_descriptor(rng) for _ in range(8)
         ]
         lattice = HypothesisLattice()
-        reference = np.ones(len(lattice.bank), dtype=bool)
+        reference = np.ones(len(lattice.hypotheses), dtype=bool)
         for desc in descs:
             program = program_from_descriptor(desc)
             hits = oracle.run(program)
-            signatures, mask = _full_masked(lattice.bank, program)
+            signatures, mask = _full_masked(program)
             refuted = (mask & (signatures != np.array(hits, bool))).any(1)
             reference &= ~refuted
             assert lattice.observe([program], [hits]) == reference.sum()
@@ -607,36 +637,39 @@ class TestSurvivorBank:
         lattice.alive[:] = alive
         rows = np.flatnonzero(alive)
         signatures, mask, _ = lattice._masked([program])
-        full_signatures, full_mask = _full_masked(lattice.bank, program)
+        full_signatures, full_mask = _full_masked(program)
         assert np.array_equal(signatures, full_signatures[rows])
         assert np.array_equal(mask, full_mask[rows])
 
-    def test_zero_survivors(self, counting_bank):
+    def test_zero_survivors(self, op_calls):
+        """Once nothing survives, nothing is simulated: no op call over
+        zero rows (what "no bank over zero rows" pinned), and a lattice
+        of no hypotheses is refused."""
         truth = true_hypothesis("skylake")
         lattice = HypothesisLattice([truth])
         program = program_from_descriptor(battery_descriptors(0)[-1])
         hits = PresetOracle("skylake").run(program)
-        assert counting_bank.built == [1]
         # Inverted hits refute the only hypothesis on its agreed bits.
         assert lattice.observe([program], [[not h for h in hits]]) == 0
+        assert op_calls == [(1, 1, len(program))]
         assert not lattice.alive.any() and lattice.survivors() == ()
         assert lattice.observe([program], [hits]) == 0
         assert lattice.partition_scores([program, program]) == [0, 0]
-        signatures, mask, owner = lattice._masked([program])
+        signatures, mask, rows = lattice._masked([program])
         assert signatures.shape == mask.shape == (0, len(hits))
-        assert np.array_equal(owner, np.zeros(len(hits)))
+        assert rows.shape == (0,)
         with pytest.raises(ValueError, match="hit bits"):
             lattice.observe([program], [hits[:-1]])
-        assert counting_bank.built == [1]  # no bank over zero rows
-        with pytest.raises(ValueError):
-            HypothesisBank([])
+        assert op_calls == [(1, 1, len(program))]
+        with pytest.raises(ValueError, match="at least one hypothesis"):
+            HypothesisLattice([])
 
-    def test_work_follows_survivors_on_skylake_battery(self, counting_bank):
-        """The battery observed in one call takes two passes: the 24
+    def test_work_follows_survivors_on_skylake_battery(self, op_calls):
+        """The battery observed in one call takes two op calls: the 24
         short programs share one over the full lattice, the six history
-        programs one over at most 5 rows.  Each pass covers exactly the
-        survivors before its first program, stays within the chunk bound,
-        and the one survivor set below the full lattice builds one bank."""
+        programs one over at most 5 rows.  Each call covers exactly the
+        survivors before its first program (the survivors bank's rows)
+        and stays within the chunk bound."""
         oracle = PresetOracle("skylake")
         programs = [program_from_descriptor(d) for d in battery_descriptors(0)]
         hits = [oracle.run(p) for p in programs]
@@ -644,27 +677,17 @@ class TestSurvivorBank:
         for program, bits in zip(programs, hits):
             before.append(int(sequential.alive.sum()))
             sequential.observe([program], [bits])
-        counting_bank.built.clear()
-        counting_bank.passes.clear()
+        op_calls.clear()
         lattice = HypothesisLattice()
         lattice.observe(programs, hits)
         assert np.array_equal(lattice.alive, sequential.alive)
-        assert [(rows, n) for rows, n, _ in counting_bank.passes] == [
+        assert [(rows, n) for rows, n, _ in op_calls] == [
             (120, 24),
             (before[24], 6),
         ]
         assert before[24] <= 5
-        for rows, _, steps in counting_bank.passes:
+        for rows, _, steps in op_calls:
             assert rows * steps <= _CHUNK_WORK
-        assert counting_bank.built == [120, before[24]]
-
-
-def _per_program_bits(bank, programs, biases):
-    """Reference: one single-program pass per program, side by side."""
-    parts = [bank.signatures_by_bias([p], biases)[0] for p in programs]
-    return np.concatenate(
-        [np.zeros((len(biases), len(bank), 0), dtype=bool)] + parts, axis=2
-    )
 
 
 def _sequential_alive(programs, hits, hypotheses=None):
@@ -699,48 +722,58 @@ def program_lists(draw):
 
 
 class TestBatchedObservation:
-    """One bank pass over a list of programs equals one pass per
-    program, and chunked ``observe`` equals sequential ``observe``."""
+    """One op call over a list of programs equals the scalar reference
+    program by program, and chunked ``observe`` equals sequential
+    ``observe``."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_battery_pass_equals_per_program_passes(self, seed):
-        """The battery twice over: each program's second run shares all
-        its addresses with the first and must still start cold."""
+        """The battery twice over in one call: each program's second run
+        shares all its addresses with the first and must still start
+        cold."""
         programs = 2 * [
             program_from_descriptor(d) for d in battery_descriptors(seed)
         ]
-        bank = HypothesisBank(default_lattice())
-        bits, owner = bank.signatures_by_bias(programs, SELECTOR_INITIALS)
-        assert np.array_equal(
-            bits, _per_program_bits(bank, programs, SELECTOR_INITIALS)
-        )
-        assert owner.tolist() == [
-            i for i, p in enumerate(programs) for _ in p.observed
-        ]
+        bits = _op_bits(programs, SELECTOR_INITIALS)
         if seed == 0:
-            reference = np.concatenate(
-                2 * [ref for _, ref in _battery_reference()], axis=2
-            )
-            assert np.array_equal(bits, reference)
+            once = [ref for _, ref in _battery_reference()]
+        else:
+            once = [_scalar_bits(p, SELECTOR_INITIALS) for p in programs[:30]]
+        assert np.array_equal(bits, np.concatenate(2 * once, axis=2))
+        lattice = HypothesisLattice()
+        signatures, mask, rows = lattice._masked(programs)
+        assert np.array_equal(signatures, bits[0])
+        assert np.array_equal(rows, np.arange(len(default_lattice())))
 
     @given(programs=program_lists())
     @settings(max_examples=25, deadline=None)
     def test_drawn_lists_equal_per_program_passes(self, programs):
-        bank = HypothesisBank(default_lattice())
-        bits, owner = bank.signatures_by_bias(programs, (0, 1, 2, 7))
-        assert np.array_equal(
-            bits, _per_program_bits(bank, programs, (0, 1, 2, 7))
-        )
-        assert owner.tolist() == [
-            i for i, p in enumerate(programs) for _ in p.observed
-        ]
+        """Drawn lists, some sharing one address and some with nothing
+        observed, under four biases, against the scalar reference.  The
+        column bounds ``partition_scores`` splits a chunk at give each
+        program exactly its own columns (what the deleted owner array
+        pinned), so batched scores equal per-program scores."""
+        biases = (0, 1, 2, 7)
+        bits = _op_bits(programs, biases)
+        bounds = _columns(programs)
+        assert bounds[-1] == bits.shape[2]
+        for i, program in enumerate(programs):
+            assert np.array_equal(
+                bits[:, :, bounds[i]:bounds[i + 1]],
+                _scalar_bits(program, biases),
+            )
+        lattice = HypothesisLattice()
+        assert lattice.partition_scores(
+            programs
+        ) == _FullWidthLattice().partition_scores(programs)
 
     def test_empty_list(self):
-        bank = HypothesisBank(default_lattice())
-        bits, owner = bank.signatures_by_bias([], SELECTOR_INITIALS)
-        assert bits.shape == (2, len(bank), 0) and owner.shape == (0,)
+        k = len(default_lattice())
+        assert _op_bits([], SELECTOR_INITIALS).shape == (2, k, 0)
         lattice = HypothesisLattice()
-        assert lattice.observe([], []) == len(bank)
+        assert lattice._masked([])[0].shape == (k, 0)
+        assert _columns([]) == [0]
+        assert lattice.observe([], []) == k
         assert lattice.partition_scores([]) == []
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -775,22 +808,21 @@ class TestBatchedObservation:
         lattice.observe(programs, hits)
         assert np.array_equal(lattice.alive, _sequential_alive(programs, hits))
 
-    def test_chunk_crossing_zero_survivors(self, counting_bank):
+    def test_chunk_crossing_zero_survivors(self, op_calls):
         """Wrong hits that refute every hypothesis inside the first chunk
-        end the walk: the later chunks get no pass, no bank is built over
-        zero rows, and sequential observation ends just as empty."""
+        end the walk: the later chunks get no op call (and none runs
+        over zero rows), and sequential observation ends just as
+        empty."""
         oracle = PresetOracle("skylake")
         programs = [program_from_descriptor(d) for d in battery_descriptors(0)]
         hits = [[not h for h in oracle.run(p)] for p in programs]
         assert not _sequential_alive(programs, hits).any()
         lattice = HypothesisLattice()
-        counting_bank.built.clear()
-        counting_bank.passes.clear()
+        op_calls.clear()
         assert lattice.observe(programs, hits) == 0
-        assert counting_bank.passes == [(120, 24, 116)]
-        assert counting_bank.built == []
+        assert op_calls == [(120, 24, 116)]
         assert lattice.partition_scores(programs) == [0] * len(programs)
-        assert counting_bank.passes == [(120, 24, 116)]
+        assert op_calls == [(120, 24, 116)]
 
     def test_hit_length_mismatch_names_the_program(self):
         programs = [

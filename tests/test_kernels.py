@@ -74,6 +74,14 @@ from repro.fuzz.generate import (
     program_from_descriptor,
     random_descriptor,
 )
+from repro.fuzz.infer import (
+    SELECTOR_INITIALS,
+    _fsm_space,
+    _programs,
+    _rows,
+    default_lattice,
+    simulate_program,
+)
 from repro.kernels import numpy_backend
 from repro.kernels.numpy_backend import _node_order
 from repro.obs import trace as obs
@@ -1173,5 +1181,152 @@ class TestPredictorHits:
             got = kernels.predictor_hits(*program, **{**geometry, **changes})
             ref = numpy_backend.predictor_hits(
                 *program, **{**geometry, **changes}
+            )
+            assert got.dtype == bool and np.array_equal(got, ref), changes
+
+
+def _lattice_reference(program, biases=SELECTOR_INITIALS):
+    """``simulate_program`` on every lattice row: (biases, K, observed)."""
+    return np.array(
+        [
+            [simulate_program(program, h, bias) for h in default_lattice()]
+            for bias in biases
+        ],
+        dtype=bool,
+    ).reshape(len(biases), len(default_lattice()), len(program.observed))
+
+
+@functools.lru_cache(maxsize=None)
+def _battery_lattice_reference(seed):
+    programs = [program_from_descriptor(d) for d in battery_descriptors(seed)]
+    return programs, np.concatenate(
+        [_lattice_reference(p) for p in programs], axis=2
+    )
+
+
+def _lattice_args(programs, **changes):
+    """``hypothesis_hits``'s arguments: ``programs`` over the default
+    lattice under both nuisance biases, with ``changes`` applied."""
+    step_table, predict_taken, _ = _fsm_space()
+    args = dict(
+        zip(
+            ("addresses", "outcomes", "starts", "observed"),
+            _programs(programs),
+        ),
+        **dict(
+            zip(
+                ("sizes", "shifts", "ghr_bits", "init_levels"),
+                _rows(default_lattice()),
+            )
+        ),
+        step_table=step_table,
+        predict_taken=predict_taken,
+        biases=SELECTOR_INITIALS,
+        sel_max=7,
+    )
+    return {**args, **changes}
+
+
+def _lattice_hits(programs, **changes):
+    return kernels.hypothesis_hits(**_lattice_args(programs, **changes))
+
+
+class TestHypothesisHits:
+    """``hypothesis_hits`` == ``simulate_program`` on every lattice row
+    and both nuisance biases, on every backend; one call over a list of
+    programs restarts each program from power-up state."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_battery_in_one_call(self, seed, backend):
+        programs, reference = _battery_lattice_reference(seed)
+        kernels.set_backend(backend)
+        got = _lattice_hits(programs)
+        assert got.dtype == bool and np.array_equal(got, reference)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_edge_programs(self, backend):
+        """``TestPredictorHits``'s edge programs, in one call and one
+        by one: empty programs and unobserved steps give no columns."""
+        config = _config("haswell", 64)
+        a, b = 0x1234, 0x1234 + config.bimodal_entries
+        programs = [
+            BranchProgram((), (), ()),
+            BranchProgram((a, b, a), (True, False, True), ()),
+            BranchProgram(
+                (a, b, a, b), (True, True, False, True), (0, 1, 2, 3)
+            ),
+            BranchProgram((a,), (True,), (0,)),
+            program_from_descriptor(
+                {"family": "history", "address": a, "period": 3,
+                 "repeats": 20}
+            ),
+            *chooser_programs(config),
+        ]
+        kernels.set_backend(backend)
+        reference = [_lattice_reference(p) for p in programs]
+        for program, expected in zip(programs, reference):
+            assert np.array_equal(_lattice_hits([program]), expected)
+        assert np.array_equal(
+            _lattice_hits(programs), np.concatenate(reference, axis=2)
+        )
+        assert _lattice_hits([]).shape == (2, len(default_lattice()), 0)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_shared_domain(self, backend):
+        kernels.set_backend(backend)
+        programs = [
+            BranchProgram((5, 9, 5), (True, False, True), (0, 2)),
+            BranchProgram((5, 6), (False, True), (1,)),
+        ]
+        rows = _rows(default_lattice()[:3])
+        one_row = dict(
+            sizes=rows[0], shifts=rows[1], ghr_bits=rows[2],
+            init_levels=rows[3],
+        )
+        refused = [
+            {"addresses": (5, -9, 5, 5, 6)},
+            {"addresses": (5, 2**63, 5, 5, 6)},
+            {"outcomes": (True,) * 4},
+            {"observed": (2, 0)},
+            {"observed": (0, 5)},
+            {"starts": (1, 3)},
+            {"starts": (0, 4, 3)},
+            {"starts": ()},
+            {"starts": (0, 6)},
+            {**one_row, "sizes": rows[0][:2]},
+            {**one_row, "sizes": (0, 4096, 4096)},
+            {**one_row, "shifts": (0, 63, 0)},
+            {**one_row, "ghr_bits": (12, 63, 12)},
+            {**one_row, "ghr_bits": (0, 12, 12)},
+            {**one_row, "init_levels": (0, 17, 0)},
+            {"step_table": np.zeros((2, 128), np.int64)},
+            {"step_table": np.full((2, 17), 17)},
+            {"predict_taken": (True,) * 16},
+            {"biases": (1, 8)},
+            {"biases": (-1,)},
+            {"sel_max": 128},
+        ]
+        for changes in refused:
+            with pytest.raises(ValueError):
+                _lattice_hits(programs, **changes)
+        with pytest.raises(ValueError, match="biases"):
+            _lattice_hits(programs, biases=(8,))
+        # The largest representable values run, identically.
+        wide = np.arange(127)
+        for changes in (
+            {**one_row, "ghr_bits": (62, 62, 62), "shifts": (62, 0, 62)},
+            {"sel_max": 127, "biases": (0, 127)},
+            {
+                **one_row,
+                "init_levels": (0, 63, 126),
+                "step_table": np.array([np.maximum(wide - 1, 0),
+                                        np.minimum(wide + 1, 126)]),
+                "predict_taken": wide >= 63,
+            },
+        ):
+            got = _lattice_hits(programs, **changes)
+            ref = numpy_backend.hypothesis_hits(
+                **_lattice_args(programs, **changes)
             )
             assert got.dtype == bool and np.array_equal(got, ref), changes
