@@ -2,8 +2,8 @@
 
 Every emitted table/figure gets a ``results/<name>.manifest.json``
 written beside it by :func:`write_result` — a
-:class:`repro.obs.manifest.RunManifest` recording the env knobs
-(``REPRO_BENCH_SCALE``, ``REPRO_TRIAL_WORKERS``), the active
+:class:`repro.obs.manifest.RunManifest` recording the env knob
+(``REPRO_BENCH_SCALE``), the active
 fold-kernel backend and its dispatch counts, the manycore pool's
 group-batching stats, the git revision, the interpreter/numpy versions
 and a SHA-256 digest of the result text, so a committed number can

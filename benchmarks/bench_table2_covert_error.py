@@ -68,9 +68,8 @@ def run_experiment(checkpoint_factory=None):
                 config=CovertConfig(),
             )
             rng = np.random.default_rng(21)
-            # Message trials are independent: one trial_sweep per cell
-            # (honours REPRO_TRIAL_WORKERS; received bits are identical
-            # at any worker count).
+            # Message trials are independent: one trial_sweep per cell,
+            # each message on its own seeded stream.
             trials = [
                 (payload, payload_bits(payload, rng))
                 for payload in PAYLOADS

@@ -70,8 +70,7 @@ def transmit_via_enclave(quiesce: bool, bits):
 def run_experiment(checkpoint=None, resume=True):
     rng = np.random.default_rng(25)
     # Cells are fully independent (each builds its own seeded core), so
-    # they fan across a TrialPool (honours REPRO_TRIAL_WORKERS) with
-    # results identical at any worker count.
+    # each cell's error count is a pure function of its index.
     cells = [
         (label, quiesce, payload, payload_bits(payload, rng))
         for label, quiesce in (

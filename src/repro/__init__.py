@@ -32,7 +32,7 @@ Package map:
 * :mod:`repro.victims` — Listing 2 / Montgomery ladder / libjpeg victims,
 * :mod:`repro.mitigations` — the §10 defenses,
 * :mod:`repro.analysis` — statistics and reporting helpers,
-* :mod:`repro.parallel` — the deterministic forked trial pool,
+* :mod:`repro.parallel` — the in-process trial pool and per-trial seeding,
 * :mod:`repro.obs` — tracing, metrics and run-provenance manifests.
 """
 

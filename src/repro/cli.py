@@ -46,8 +46,9 @@ __all__ = [
 
 #: Exit codes distinguishing the long-run failure modes (MODELING.md §10):
 #: user abort (Ctrl-C — progress is checkpointed, re-run to resume),
-#: unrecoverable checkpoint corruption/mismatch, and a trial chunk that
-#: exhausted its supervised retries.
+#: unrecoverable checkpoint corruption/mismatch (and a worker's
+#: quarantined upload), and a worker whose coordinator stayed
+#: unreachable through every transport retry.
 EXIT_INTERRUPTED = 130
 EXIT_CHECKPOINT_CORRUPT = 4
 EXIT_RETRY_EXHAUSTED = 5
@@ -168,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument("--generations", type=int, default=6)
     fuzz.add_argument("--shards", type=int, default=4)
-    fuzz.add_argument("--workers", type=int, default=None)
     fuzz.add_argument(
         "--root",
         default=None,
@@ -207,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="service root (jobs/, results/, checkpoints/, store/)",
     )
-    serve.add_argument("--workers", type=int, default=None)
     serve.add_argument(
         "--once",
         action="store_true",
@@ -306,12 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=5,
         metavar="N",
         help="transport retries per request before giving up",
-    )
-    worker.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="trial pool processes per shard (default: serial)",
     )
     worker.add_argument(
         "--worker-id",
@@ -648,7 +641,6 @@ def _cmd_fuzz(args) -> int:
         seed=args.seed,
         generations=args.generations,
         shards=args.shards,
-        workers=args.workers,
         root=args.root,
         pre_trial=pre_trial,
         log=print,
@@ -677,8 +669,8 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_serve(args) -> int:
     # --port runs the lease coordinator instead of local trials; there
-    # --workers and --trial-delay do not apply (workers bring their own),
-    # and the coordinator's own port serves /metrics.
+    # --trial-delay does not apply (workers bring their own), and the
+    # coordinator's own port serves /metrics.
     if args.port is not None:
         from repro.service.coordinator import run_coordinator
 
@@ -694,7 +686,6 @@ def _cmd_serve(args) -> int:
 
     return serve(
         args.root,
-        workers=args.workers,
         once=args.once,
         poll_seconds=args.poll,
         metrics_port=args.metrics_port,
@@ -724,7 +715,6 @@ def _cmd_worker(args) -> int:
             once=args.once,
             poll_seconds=args.poll,
             retries=args.retries,
-            workers=args.workers,
             trial_delay=args.trial_delay,
         )
     except LeaseQuarantinedError as exc:
@@ -796,12 +786,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     Long-run failure modes map to distinct exit codes so harnesses (and
     the CI chaos-smoke job) can tell them apart: Ctrl-C returns
     :data:`EXIT_INTERRUPTED` (checkpointed progress survives — re-run
-    the same command to resume), an unrecoverable or mismatched
-    checkpoint returns :data:`EXIT_CHECKPOINT_CORRUPT`, and a trial
-    chunk that exhausted its supervised retries returns
+    the same command to resume) and an unrecoverable or mismatched
+    checkpoint returns :data:`EXIT_CHECKPOINT_CORRUPT`.
+    ``repro worker`` maps its own terminal failures (see
+    :func:`_cmd_worker`): a quarantined upload to
+    :data:`EXIT_CHECKPOINT_CORRUPT` and an unreachable coordinator to
     :data:`EXIT_RETRY_EXHAUSTED`.
     """
-    from repro.parallel import RetryExhaustedError
     from repro.resilience.checkpoint import CheckpointError
 
     args = build_parser().parse_args(argv)
@@ -817,9 +808,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CheckpointError as exc:
         print(f"repro: checkpoint error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT_CORRUPT
-    except RetryExhaustedError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return EXIT_RETRY_EXHAUSTED
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -35,11 +35,10 @@ the only source of trial randomness — and two engines run it:
   mitigation perturbs the observation itself (stochastic FSM, noisy
   counters) it runs the scalar engine instead.
 
-:func:`find_block` walks candidates as independent trials on a
-:class:`repro.parallel.TrialPool`, each with a generator spawned via
-``np.random.SeedSequence`` from one entropy draw, so the block it picks
-and the caller's RNG position it leaves are the same at any worker
-count, one (in process) included.
+:func:`find_block` walks candidates in seed order as independent
+trials, each with a generator spawned via ``np.random.SeedSequence``
+from one entropy draw, so the block it picks and the caller's RNG
+position it leaves are the same with or without a checkpoint.
 :func:`stability_experiment` runs on the manycore engine
 (:mod:`repro.core.manycore`), with :func:`reference_trial` as its
 per-trial reference.  Both searches accept
@@ -73,7 +72,7 @@ from repro.core.randomizer import (
 from repro.cpu.core import PhysicalCore
 from repro.cpu.process import Process
 from repro.obs import trace as obs
-from repro.parallel import TrialPool, resolve_workers, spawn_seeds
+from repro.parallel import TrialPool, spawn_seeds
 from repro.resilience.checkpoint import (
     ResumableCampaign,
     as_store,
@@ -104,6 +103,9 @@ __all__ = [
 #: Paper §6.2: "the most frequent prediction pattern in both variations
 #: of the probing code occurs more than 85% of the time".
 STABILITY_THRESHOLD = 0.85
+
+#: Candidates :func:`find_block` assesses between two checkpoints.
+CHECKPOINT_WAVE = 4
 
 
 class CalibrationError(RuntimeError):
@@ -374,7 +376,6 @@ def find_block(
     noise: Optional[NoiseModel] = None,
     seed_start: int = 0,
     rng: Optional[np.random.Generator] = None,
-    workers: Optional[int] = None,
     checkpoint=None,
     resume: bool = True,
 ) -> CompiledBlock:
@@ -389,30 +390,26 @@ def find_block(
     compiled-block cache (see :meth:`RandomizationBlock.compile`), so
     repeated searches over the same seed range cost one compile each.
 
-    Candidates are independent trials on a
-    :class:`~repro.parallel.TrialPool` of ``workers`` (``None`` follows
-    ``REPRO_TRIAL_WORKERS``; one worker runs in process).  Each trial
-    draws its :class:`TrialPlan` from a generator spawned from one
-    entropy draw on ``rng`` (default the core RNG) and assesses with
-    :func:`assess_block_batch`.  The returned block is the first stable
-    candidate *in seed order*, and the entropy draw is the search's
-    whole footprint on ``rng``, so both are the same at any worker
-    count.  Each trial runs against its own deep copy of the core, so
-    candidate assessment never advances mitigation state (rekey clocks,
-    partition bookkeeping) of the caller's core.
+    Candidates are independent trials, walked in seed order until the
+    first stable one.  Each trial draws its :class:`TrialPlan` from a
+    generator spawned from one entropy draw on ``rng`` (default the
+    core RNG) and assesses with :func:`assess_block_batch`.  The entropy
+    draw is the search's whole footprint on ``rng``: each trial runs
+    against its own deep copy of the core, so candidate assessment never
+    advances mitigation state (rekey clocks, partition bookkeeping) of
+    the caller's core.
 
     With ``checkpoint`` given (a path or
     :class:`~repro.resilience.CheckpointStore`), the search becomes
     crash-safe and resumable: the entropy draw and the index reached are
-    persisted after every wave, so a killed search re-run with the same
-    arguments (``resume=True``) skips already-cleared candidates and
-    returns the identical block.
+    persisted after every :data:`CHECKPOINT_WAVE` candidates, so a
+    killed search re-run with the same arguments (``resume=True``) skips
+    already-cleared candidates and returns the identical block.
 
     Raises :class:`CalibrationError` after ``max_candidates`` failures.
     """
     fsm = core.predictor.bimodal.pht.fsm
     desired_name = desired_state.value
-    n_workers = resolve_workers(workers)
     tracer = obs.TRACER
     if tracer is not None:
         tracer.emit(
@@ -421,7 +418,6 @@ def find_block(
             address=target_address,
             desired=desired_state.value,
             max_candidates=max_candidates,
-            workers=n_workers,
             engine="batch" if batch_scan_supported(core) else "scalar",
         )
 
@@ -477,15 +473,13 @@ def find_block(
             return _finish(block.compile(core, spy))
     children = spawn_seeds(entropy, max_candidates)
 
-    def trial(payload: Tuple[int, np.random.SeedSequence]):
-        candidate_seed, child = payload
+    def trial(index: int) -> Optional[CompiledBlock]:
         # A private copy keeps the caller's core (RNG position,
-        # mitigation clocks) untouched whether the trial runs in-process
-        # or in a forked worker — one entropy draw is the whole search's
-        # footprint on the caller.
+        # mitigation clocks) untouched — one entropy draw is the whole
+        # search's footprint on the caller.
         trial_core = copy.deepcopy(core)
         block = RandomizationBlock.generate(
-            candidate_seed, n_branches=block_branches
+            seed_start + index, n_branches=block_branches
         )
         row = block.entry_fold(trial_core, spy, target_address)
         if not (row == row[0]).all():
@@ -494,7 +488,7 @@ def find_block(
             return None
         compiled = block.compile(trial_core, spy)
         plan = draw_trial_plan(
-            np.random.default_rng(child),
+            np.random.default_rng(children[index]),
             trial_core,
             repetitions=repetitions,
             noise=noise,
@@ -506,16 +500,8 @@ def find_block(
             return compiled
         return None
 
-    pool = TrialPool(n_workers)
-    payloads = list(
-        zip(range(seed_start, seed_start + max_candidates), children)
-    )
-    if store is None:
-        winner = pool.find_first(trial, payloads)
-    else:
-        # Same wave walk as find_first, with a checkpoint per wave —
-        # identical winner, but a SIGKILL costs at most one wave.
-        def save(index: int, complete: bool, winner_seed=None) -> None:
+    def save(index: int, complete: bool, winner_seed=None) -> None:
+        if store is not None:
             store.save(
                 {
                     "fingerprint": fingerprint,
@@ -526,21 +512,18 @@ def find_block(
                 }
             )
 
-        if state is None:
-            save(0, False)  # pin the entropy before any wave runs
-        wave = n_workers * 4
-        winner = None
-        for start in range(next_index, max_candidates, wave):
-            for result in pool.map(trial, payloads[start:start + wave]):
-                if result is not None:
-                    winner = result
-                    break
-            if winner is not None:
-                save(start, True, winner.block.seed)
-                break
-            save(start + wave, False)
-        if winner is None:
-            save(max_candidates, True)
+    if store is not None and state is None:
+        save(0, False)  # pin the entropy before any candidate runs
+    winner = None
+    for index in range(next_index, max_candidates):
+        winner = trial(index)
+        if winner is not None:
+            save(index, True, winner.block.seed)
+            break
+        if (index + 1) % CHECKPOINT_WAVE == 0:
+            save(index + 1, False)
+    else:
+        save(max_candidates, True)
     if winner is None:
         raise CalibrationError(
             f"no stable block for {desired_state} at {target_address:#x} "
@@ -586,7 +569,6 @@ def stability_experiment(
     checkpoint_interval: Optional[int] = None,
     resume: bool = True,
     fingerprint_extra: Optional[Dict[str, object]] = None,
-    pool: Optional[TrialPool] = None,
     pre_trial: Optional[Callable[[int], None]] = None,
     backend: str = "manycore",
 ) -> List[BlockAssessment]:
@@ -620,16 +602,13 @@ def stability_experiment(
     structure (a mitigation, a nondeterministic factory, ...) runs each
     payload on its own core, counted under the ``"manycore"``
     scalar-fallback key.  ``backend="process"`` names the per-trial
-    reference: :func:`reference_trial` on a fresh core per seed, on
-    ``pool`` (a caller-built :class:`~repro.parallel.TrialPool`, e.g. one
-    carrying a fault injector) or on ``TrialPool()``, which follows
-    ``REPRO_TRIAL_WORKERS``.  Both return the bit-identical list, so a
-    campaign checkpointed under one backend resumes under the other.
+    reference: :func:`reference_trial` on a fresh core per seed, in a
+    plain loop (:class:`~repro.parallel.TrialPool`).  Both return the
+    bit-identical list, so a campaign checkpointed under one backend
+    resumes under the other.
     """
     if backend not in ("process", "manycore"):
         raise ValueError(f"unknown backend {backend!r}")
-    if backend == "manycore" and pool is not None:
-        raise ValueError("backend='manycore' already supplies the pool")
     spy = Process("stability-spy")
 
     def trial(block_seed: int) -> BlockAssessment:
@@ -658,7 +637,7 @@ def stability_experiment(
             spy=spy,
         )
     else:
-        trial_pool = pool if pool is not None else TrialPool()
+        trial_pool = TrialPool()
     payloads = list(range(seed_start, seed_start + n_blocks))
     if checkpoint is None:
         return trial_pool.map(trial, payloads)

@@ -336,20 +336,18 @@ class CovertChannel:
         self,
         payloads: Sequence[Sequence[int]],
         *,
-        workers: Optional[object] = None,
         seed: Optional[int] = 0,
         checkpoint=None,
         checkpoint_interval: Optional[int] = None,
         resume: bool = True,
-        pool: Optional[TrialPool] = None,
     ) -> List[List[int]]:
         """Transmit each payload as an independent message trial.
 
         The channel's prepared state is checkpointed **once per sweep**
         and restored **once per message** (never per bit); each trial
         runs on its own :class:`~numpy.random.SeedSequence`-derived
-        noise stream, so the received sequences are bit-identical at any
-        ``workers`` count (see :mod:`repro.parallel`).  The channel's
+        noise stream, so each received sequence is a pure function of
+        its payload index (see :mod:`repro.parallel`).  The channel's
         own state and generator are left untouched; each trial's
         simulated cycle cost is kept in :attr:`last_sweep_cycles`
         (restoring the clock per message would otherwise hide it from
@@ -361,9 +359,7 @@ class CovertChannel:
         messages every ``checkpoint_interval`` trials, and a killed
         sweep re-run with the same payloads and seed returns the
         bit-identical result while re-transmitting only uncheckpointed
-        messages.  ``pool`` substitutes a caller-built
-        :class:`~repro.parallel.TrialPool` (supervision config, fault
-        injector).
+        messages.
         """
         payloads = [[int(b) for b in payload] for payload in payloads]
         if not payloads:
@@ -388,10 +384,9 @@ class CovertChannel:
                 core.rng = caller_rng
                 scheduler.rng = caller_rng
 
-        trial_pool = pool if pool is not None else TrialPool(workers)
         indices = range(len(payloads))
         if checkpoint is None:
-            outcomes = trial_pool.map(trial, indices)
+            outcomes = [trial(index) for index in indices]
         else:
             payload_digest = hashlib.sha256(
                 repr(payloads).encode()
@@ -409,7 +404,7 @@ class CovertChannel:
                 interval=checkpoint_interval,
                 resume=resume,
             )
-            outcomes = campaign.map(trial_pool, trial, indices)
+            outcomes = campaign.map(TrialPool(), trial, indices)
         self.last_sweep_cycles = [cycles for _, cycles in outcomes]
         return [received for received, _ in outcomes]
 

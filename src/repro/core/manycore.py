@@ -151,7 +151,7 @@ def _run_ranges(
 ) -> None:
     """``work(lo, hi)`` for every range: the first on the calling
     thread, the rest on plain threads joined before this returns (so no
-    thread outlives the call — a later ``fork`` sees one thread).  A
+    thread outlives the call).  A
     helper's exception is re-raised here."""
     errors: List[BaseException] = []
 

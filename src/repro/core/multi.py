@@ -39,7 +39,6 @@ from repro.core.randomizer import (
 )
 from repro.cpu.core import PhysicalCore
 from repro.cpu.process import Process
-from repro.parallel import TrialPool
 from repro.system.scheduler import AttackScheduler, NoiseSetting
 
 __all__ = ["BranchPlan", "MultiBranchScope"]
@@ -112,21 +111,13 @@ class MultiBranchScope:
             )
         return None
 
-    def calibrate(
-        self,
-        max_candidates: int = 4000,
-        *,
-        workers: Optional[object] = None,
-    ) -> CompiledBlock:
+    def calibrate(self, max_candidates: int = 4000) -> CompiledBlock:
         """Find one block that pins every target entry to a usable level.
 
         The analytical entry-fold filter makes scanning thousands of
-        candidates cheap; only the winning block is compiled.  Candidate
-        scanning fans across a :class:`~repro.parallel.TrialPool` when
-        ``workers`` asks for it — trials only read shared state and
-        return picklable plans, and the winner is always the lowest
-        candidate seed regardless of worker count; the winning block is
-        compiled in the calling process.
+        candidates cheap; only the winning block is compiled.  Candidates
+        are scanned in seed order and the first that pins every target
+        wins.
         """
 
         def trial(seed: int) -> Optional[Tuple[int, Dict[int, BranchPlan]]]:
@@ -144,8 +135,11 @@ class MultiBranchScope:
                 plans[address] = plan
             return seed, plans
 
-        found = TrialPool(workers).find_first(trial, range(max_candidates))
-        if found is None:
+        for seed in range(max_candidates):
+            found = trial(seed)
+            if found is not None:
+                break
+        else:
             raise CalibrationError(
                 f"no block pins all {len(self.addresses)} targets usably "
                 f"within {max_candidates} candidates"

@@ -13,7 +13,7 @@ invocation over the same service root re-derives each generation's
 spec exactly, so completed generations are served from the content
 store (zero trials dispatched), a killed generation resumes from its
 per-campaign checkpoint, and the final verdict digest is bit-identical
-at any worker count.
+to the uninterrupted run's.
 """
 
 from __future__ import annotations
@@ -166,7 +166,6 @@ def run_fuzz(
     generations: int = 6,
     shards: int = 4,
     scale: int = 1,
-    workers: Optional[Any] = None,
     root=None,
     store=None,
     checkpoint_dir=None,
@@ -194,7 +193,6 @@ def run_fuzz(
         if checkpoint_dir is None:
             checkpoint_dir = dirs["checkpoints"]
     service = CampaignService(
-        workers=workers,
         store=store,
         checkpoint_dir=checkpoint_dir,
         pre_trial=pre_trial,

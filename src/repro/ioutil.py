@@ -99,8 +99,8 @@ def atomic_write_bytes(path: PathLike, data: bytes) -> Path:
     """Atomically and durably replace ``path`` with ``data``; returns
     the path.
 
-    The temp name includes the pid so concurrent writers (forked trial
-    workers emitting to a shared results dir) never clobber each other's
+    The temp name includes the pid so concurrent writers (processes
+    emitting to a shared results dir) never clobber each other's
     in-flight temp file; the last ``os.replace`` wins whole.
     """
     return _replace(Path(path), data, durable=True)

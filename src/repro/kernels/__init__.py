@@ -19,7 +19,6 @@ from .dispatch import (  # noqa: F401
     active_backend,
     available_backends,
     backend_init_errors,
-    ensure_initialized,
     fold_ids,
     hypothesis_hits,
     kernel_dispatch_counts,

@@ -4,7 +4,7 @@ The ten ops become plain sequential C loops over int64 arrays.  The
 extension is compiled a single time into a content-addressed cache
 directory — keyed by a hash of the C source plus the cffi/python
 versions — and re-loaded from disk on every later run (and in every
-forked worker) without invoking the compiler again.  The compile runs
+worker process) without invoking the compiler again.  The compile runs
 in a child interpreter, so the build toolchain never loads into (or
 stays resident in) the calling process.  Cache location:
 ``$REPRO_KERNEL_CACHE``, else ``~/.cache/repro/kernels``.

@@ -198,14 +198,9 @@ def reset_kernel_dispatch_counts() -> None:
         _DISPATCH_COUNTS.clear()
 
 
-def ensure_initialized() -> str:
-    """Resolve the backend now (worker-side hook after fork)."""
-    return active_backend()
-
-
 def warmup() -> str:
-    """Resolve and exercise every op once so compile costs are paid
-    before fork (children inherit the warm state)."""
+    """Resolve and exercise every op once so compile and first-call
+    costs are paid before a timed run starts."""
     import numpy as np
 
     impl, name = _resolve()

@@ -6,8 +6,8 @@ produced them — a reproduction repo reproducing *itself* badly.  A
 :class:`RunManifest` captures that provenance in one JSON document:
 
 * the experiment identity (``name``, preset, seed),
-* the environment knobs that change workload size or dispatch
-  (``REPRO_BENCH_SCALE``, ``REPRO_TRIAL_WORKERS``),
+* the environment knob that changes workload size
+  (``REPRO_BENCH_SCALE``),
 * the code version (git SHA, dirty flag, package version),
 * wall time and a SHA-256 digest per result artifact.
 
@@ -38,7 +38,7 @@ SCHEMA_VERSION = 1
 #: Environment knobs that change what a run computes (recorded verbatim;
 #: absent variables are recorded as null so their absence is provenance
 #: too).
-ENV_KNOBS = ("REPRO_BENCH_SCALE", "REPRO_TRIAL_WORKERS")
+ENV_KNOBS = ("REPRO_BENCH_SCALE",)
 
 
 def sha256_text(text: str) -> str:

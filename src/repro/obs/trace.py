@@ -73,7 +73,7 @@ CATEGORIES = frozenset(
         "calibration", # §6.2 block assessments and search decisions
         "covert",      # covert-channel bits sent/decoded
         "snapshot",    # PhysicalCore checkpoint/restore
-        "pool",        # TrialPool dispatch and per-chunk latency
+        "pool",        # campaign-book submissions (the service schedulers)
         "mitigation",  # a §10 defense hook actually altered something
         "fallback",    # a vectorised engine fell back to the scalar path
         "resilience",  # fault recovery: retries, degradation, rollbacks
@@ -155,7 +155,6 @@ class Tracer:
         self._buffer: deque = deque(maxlen=self.capacity)
         self._seq = 0
         self._emitted = 0
-        self._counts: Dict[str, int] = {}
 
     # -- emission -----------------------------------------------------------
 
@@ -179,7 +178,6 @@ class Tracer:
         event = TraceEvent(self._seq, cycle, category, name, level, pid, args)
         self._seq += 1
         self._emitted += 1
-        self._counts[category] = self._counts.get(category, 0) + 1
         self._buffer.append(event)
 
     # -- introspection ------------------------------------------------------
@@ -194,11 +192,6 @@ class Tracer:
         """Events lost to the ring buffer's bound."""
         return self._emitted - len(self._buffer)
 
-    @property
-    def category_counts(self) -> Dict[str, int]:
-        """Accepted-event count per category (copy)."""
-        return dict(self._counts)
-
     def events(self) -> List[TraceEvent]:
         """The retained events, oldest first (copy)."""
         return list(self._buffer)
@@ -211,7 +204,6 @@ class Tracer:
         sequence number keeps running so event identity stays unique)."""
         self._buffer.clear()
         self._emitted = 0
-        self._counts.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -343,10 +335,13 @@ _RESILIENCE_EVENTS: Dict[str, int] = {}
 def record_resilience_event(kind: str, detail: str = "", n: int = 1) -> None:
     """Record ``n`` fault-recovery actions of ``kind``.
 
-    Kinds in use: ``worker_crash``, ``worker_hang``, ``chunk_corrupt``,
-    ``chunk_retry``, ``degrade_serial``, ``checkpoint_rollback``,
-    ``checkpoint_corrupt`` (a shard-log record or file that failed its
-    check), ``campaign_resume``, ``env_workers_invalid``.
+    Kinds in use: ``checkpoint_rollback``, ``checkpoint_corrupt`` (a
+    shard-log record or file that failed its check),
+    ``campaign_resume``, ``store_corrupt``, ``spool_corrupt``, the
+    lease table's ``lease_expired``/``lease_exhausted``/
+    ``lease_digest_mismatch``/``upload_digest_invalid``, and the
+    transport's ``transport_retry``/``wire_reject``/
+    ``worker_degrade_local``.
     """
     _RESILIENCE_EVENTS[kind] = _RESILIENCE_EVENTS.get(kind, 0) + n
     tracer = TRACER

@@ -1,33 +1,13 @@
-"""Parallel trial execution (`repro.parallel`).
+"""Trial execution (`repro.parallel`).
 
-A supervised process-pool engine for the embarrassingly-parallel layer
-of the reproduction — candidate-block assessments, covert-channel
-message trials, benchmark sweep cells — with a hard determinism
-contract: per-trial RNGs are derived via ``np.random.SeedSequence.spawn``
-from the experiment seed, so results are bit-identical at any worker
-count, and supervised recovery (crash/hang/corruption retries with
-backoff, graceful serial degradation) never changes a result, only when
-and where it was computed.
+The in-process :class:`TrialPool` (a plain ordered loop in pool shape)
+and per-trial seeding: per-trial generators come from
+``np.random.SeedSequence.spawn`` on the experiment seed
+(:func:`spawn_seeds`), so each trial is a pure function of its payload.
+:func:`usable_cpus` sizes the manycore engine's threads.  Process
+fan-out is the leased campaign service's (:mod:`repro.service`).
 """
 
-from repro.parallel.pool import (
-    RetryExhaustedError,
-    SuperviseConfig,
-    TrialPool,
-    fork_available,
-    resolve_workers,
-    spawn_rngs,
-    spawn_seeds,
-    usable_cpus,
-)
+from repro.parallel.pool import TrialPool, spawn_seeds, usable_cpus
 
-__all__ = [
-    "RetryExhaustedError",
-    "SuperviseConfig",
-    "TrialPool",
-    "fork_available",
-    "resolve_workers",
-    "spawn_rngs",
-    "spawn_seeds",
-    "usable_cpus",
-]
+__all__ = ["TrialPool", "spawn_seeds", "usable_cpus"]

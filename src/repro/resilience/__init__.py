@@ -4,12 +4,10 @@ Production-scale campaigns (the ROADMAP north star) run for hours across
 many workers; this subsystem makes every failure mode along the way both
 *survivable* and *testable*:
 
-* :mod:`repro.resilience.faults` — a deterministic, seeded
-  fault-injection harness: crash/hang/corrupt a
-  :class:`~repro.parallel.TrialPool` worker, flip bytes in checkpoint
-  files, and drop/delay/duplicate/truncate
-  :mod:`repro.service.transport` requests, all as a pure function of a
-  seed so chaos runs are reproducible;
+* :mod:`repro.resilience.faults` — a deterministic, seeded network
+  fault-injection harness that drops, delays, duplicates and truncates
+  :mod:`repro.service.transport` requests as a pure function of a seed,
+  so chaos storms against the lease protocol are reproducible;
 * :mod:`repro.resilience.checkpoint` — atomic (temp + fsync + rename)
   SHA-256-verified campaign checkpoints with automatic rollback to the
   last good generation, and :class:`ResumableCampaign`, the
@@ -17,10 +15,10 @@ many workers; this subsystem makes every failure mode along the way both
   ``repro campaign`` CLI; and :class:`ShardLog`, the campaign
   service's append-only shard log (one fsync'd, digested record per
   finished shard);
-* the supervised execution layer itself lives in
-  :mod:`repro.parallel.pool` (heartbeat + deadline detection, retry
-  with exponential backoff, graceful serial degradation) — the faults
-  here are its test vectors.
+* worker crashes and hangs are absorbed by the lease table
+  (:mod:`repro.service.leases`: expiry, requeue, upload digest checks,
+  quarantine), which the faults here and SIGKILLed ``repro worker``
+  processes exercise.
 
 See MODELING.md §10 for the fault taxonomy and determinism guarantees.
 """
@@ -36,8 +34,6 @@ from repro.resilience.checkpoint import (
     verify_fingerprint,
 )
 from repro.resilience.faults import (
-    FaultInjector,
-    FaultSpec,
     NetworkFaultInjector,
     NetworkFaultSpec,
 )
@@ -47,8 +43,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointMismatch",
     "CheckpointStore",
-    "FaultInjector",
-    "FaultSpec",
     "NetworkFaultInjector",
     "NetworkFaultSpec",
     "ResumableCampaign",

@@ -40,10 +40,9 @@ persisted through three layers:
 
 Determinism contract: a campaign is resumable bit-identically iff each
 trial is a pure function of its payload index (the
-:mod:`repro.parallel` contract already requires this for worker-count
-invariance) or all inter-trial RNG state flows through the campaign's
-``rng`` (serial campaigns only — the checkpoint then carries the stream
-position across the kill).
+:mod:`repro.parallel` determinism contract) or all inter-trial RNG
+state flows through the campaign's ``rng`` (the checkpoint then carries
+the stream position across the kill).
 """
 
 from __future__ import annotations
@@ -439,7 +438,8 @@ class ResumableCampaign:
         """``pool.map(fn, payloads)`` with batch-boundary checkpoints.
 
         ``pool`` is anything exposing ``map(fn, payloads)`` — a
-        :class:`repro.parallel.TrialPool` in practice.  Results are
+        :class:`repro.parallel.TrialPool` or a
+        :class:`~repro.core.manycore.ManycoreCampaignPool`.  Results are
         returned in payload order; a resumed campaign re-runs only the
         trials no completed checkpoint covers.
         """

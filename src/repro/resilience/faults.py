@@ -1,185 +1,44 @@
-"""Deterministic fault injection for the trial engine and checkpoints.
+"""Deterministic network fault injection for the lease transport.
 
-The resilience subsystem's recovery paths — dead-worker requeue, hung
-worker kills, corrupted-frame retries, checkpoint rollback — only count
-as working if CI can *exercise* them on every push.  Real faults are rare
-and unschedulable, so this module manufactures them on demand,
-deterministically:
+The lease protocol's recovery paths — retried requests, idempotent
+completions, torn-frame rejection, lease expiry — only count as
+working if CI can *exercise* them on every push.  Real network faults
+are rare and unschedulable, so this module manufactures them on
+demand, deterministically: :class:`NetworkFaultSpec` /
+:class:`NetworkFaultInjector` decide — as a pure function of ``(seed,
+endpoint key, attempt)`` — whether one transport request should be
+dropped before sending, have its *response* discarded (the request
+executed, the caller never learns), be delayed, be sent twice
+(exercising server-side idempotence), or be truncated mid-frame
+(tripping the receiver's SHA-256 integrity check).
 
-* a :class:`FaultInjector` decides, as a **pure function of
-  ``(seed, chunk_index, attempt)``**, whether a
-  :class:`~repro.parallel.TrialPool` worker should crash (hard
-  ``os._exit``), hang (sleep past the supervisor's heartbeat deadline)
-  or corrupt its result frame (flip bytes in the pickled payload so the
-  integrity digest mismatches);
-* :meth:`FaultInjector.corrupt_file` flips one byte of an on-disk file
-  (a checkpoint, a result) at a seed-determined offset, for
-  torn-file/rollback tests.
-
-Purity of :meth:`decide` matters more than it looks: worker processes
-fork at arbitrary points, so a decision drawn from a *shared* RNG stream
-would depend on scheduling.  Instead every decision hashes its own
-``SeedSequence([seed, chunk_index, attempt])``, so the fault schedule of
-a whole chaos campaign is reproducible from one integer — and because
-the attempt number is part of the key, a chunk that crashes on attempt 0
-can deterministically succeed on attempt 1, which is what lets the chaos
-suite assert *recovery to bit-identical results* rather than mere
-survival.
-
-For exact-shape tests a ``plan`` pins specific ``(chunk, attempt)``
-pairs to specific faults, bypassing the rates entirely.
-
-The same philosophy extends across the network boundary:
-:class:`NetworkFaultSpec` / :class:`NetworkFaultInjector` decide — as a
-pure function of ``(seed, endpoint key, attempt)`` — whether one
-transport request should be dropped before sending, have its *response*
-discarded (the request executed, the caller never learns), be delayed,
-be sent twice (exercising server-side idempotence), or be truncated
-mid-frame (tripping the receiver's SHA-256 integrity check).  The
-distributed chaos suite storms the :mod:`repro.service.transport`
-client with these and asserts the merged campaign digest still equals
-the unfaulted single-host run.
+Purity of :meth:`NetworkFaultInjector.decide` matters: a decision
+drawn from a *shared* RNG stream would depend on request scheduling
+across threads.  Instead every decision hashes its own
+``SeedSequence``, so the fault schedule of a whole chaos storm is
+reproducible from one integer — and because the attempt number is part
+of the key, a request dropped on attempt 0 can deterministically
+succeed on a later attempt, which is what lets the distributed chaos
+suite assert that the merged campaign digest still equals the
+unfaulted single-host run.  For exact-shape tests a ``plan`` pins
+specific ``(endpoint key, attempt)`` pairs to specific faults,
+bypassing the rates entirely.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
-    "FaultKind",
-    "FaultSpec",
-    "FaultInjector",
     "NetworkFaultKind",
     "NetworkFaultSpec",
     "NetworkFaultInjector",
 ]
 
-#: The injectable worker faults (also the ``plan`` values).
-FaultKind = str
-CRASH = "crash"
-HANG = "hang"
-CORRUPT = "corrupt"
-_KINDS = (CRASH, HANG, CORRUPT)
-
-#: Exit status an injected crash dies with — distinctive in ``ps``/logs.
-CRASH_EXIT_CODE = 57
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """What faults to inject, and how often.
-
-    Rates are independent per-chunk-attempt probabilities, evaluated in
-    the order crash → hang → corrupt over one uniform draw (so their sum
-    must stay <= 1).  ``plan`` overrides the rates for the listed
-    ``(chunk_index, attempt)`` keys — an entry of ``None`` forces *no*
-    fault for that key.
-    """
-
-    crash_rate: float = 0.0
-    hang_rate: float = 0.0
-    corrupt_rate: float = 0.0
-    #: How long an injected hang sleeps before proceeding.  Must exceed
-    #: the supervisor's heartbeat deadline for the hang to be detected
-    #: (a shorter sleep is just a slow worker).
-    hang_seconds: float = 30.0
-    #: Exact-script overrides: ``{(chunk_index, attempt): kind | None}``.
-    plan: Dict[Tuple[int, int], Optional[FaultKind]] = field(
-        default_factory=dict
-    )
-
-    def __post_init__(self) -> None:
-        total = self.crash_rate + self.hang_rate + self.corrupt_rate
-        if not 0.0 <= total <= 1.0:
-            raise ValueError(
-                f"fault rates must sum to [0, 1], got {total}"
-            )
-        for key, kind in self.plan.items():
-            if kind is not None and kind not in _KINDS:
-                raise ValueError(
-                    f"unknown fault kind {kind!r} for {key}; "
-                    f"known: {_KINDS}"
-                )
-
-
-class FaultInjector:
-    """Seeded oracle deciding which trial chunks misbehave, and how."""
-
-    def __init__(self, spec: FaultSpec, seed: int = 0) -> None:
-        self.spec = spec
-        self.seed = int(seed)
-
-    def decide(self, chunk_index: int, attempt: int) -> Optional[FaultKind]:
-        """The fault (or ``None``) for one dispatch of one chunk.
-
-        Pure in ``(self.seed, chunk_index, attempt)`` — safe to evaluate
-        in any process, any number of times.
-        """
-        key = (int(chunk_index), int(attempt))
-        if key in self.spec.plan:
-            return self.spec.plan[key]
-        spec = self.spec
-        if spec.crash_rate == spec.hang_rate == spec.corrupt_rate == 0.0:
-            return None
-        draw = np.random.default_rng(
-            np.random.SeedSequence([self.seed, key[0], key[1]])
-        ).random()
-        if draw < spec.crash_rate:
-            return CRASH
-        if draw < spec.crash_rate + spec.hang_rate:
-            return HANG
-        if draw < spec.crash_rate + spec.hang_rate + spec.corrupt_rate:
-            return CORRUPT
-        return None
-
-    def crash(self) -> None:
-        """Die the way a real fault does: no cleanup, no exception."""
-        os._exit(CRASH_EXIT_CODE)
-
-    def corrupt_bytes(
-        self, data: bytes, chunk_index: int, attempt: int
-    ) -> bytes:
-        """Return ``data`` with one seed-determined byte flipped."""
-        if not data:
-            return data
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                [self.seed, int(chunk_index), int(attempt), 0xC0]
-            )
-        )
-        offset = int(rng.integers(len(data)))
-        corrupted = bytearray(data)
-        corrupted[offset] ^= 0xFF
-        return bytes(corrupted)
-
-    def corrupt_file(self, path, salt: int = 0) -> int:
-        """Flip one byte of the file at ``path``; returns the offset.
-
-        The write is deliberately *non*-atomic (in place) — this is the
-        torn-file simulator the checkpoint rollback tests point at real
-        checkpoint files.  Raises ``ValueError`` on an empty file (no
-        byte to flip means nothing corrupted, which a recovery test
-        should notice, not silently pass).
-        """
-        data = bytearray(open(path, "rb").read())
-        if not data:
-            raise ValueError(f"cannot corrupt empty file {path}")
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed, int(salt), 0xF1])
-        )
-        offset = int(rng.integers(len(data)))
-        data[offset] ^= 0xFF
-        with open(path, "wb") as handle:
-            handle.write(data)
-        return offset
-
-
-# -- network faults -----------------------------------------------------------
 
 #: The injectable transport faults (also the ``plan`` values).
 NetworkFaultKind = str
@@ -257,13 +116,12 @@ class NetworkFaultSpec:
 class NetworkFaultInjector:
     """Seeded oracle deciding which transport requests misbehave.
 
-    Same purity contract as :class:`FaultInjector`: the decision for
-    ``(endpoint_key, attempt)`` is a pure function of the seed, so a
-    chaos storm's whole fault schedule is reproducible from one integer,
-    and a request dropped on attempt 0 deterministically goes through on
-    a later attempt — which is what lets the distributed chaos suite
-    assert *recovery to bit-identical digests* rather than mere
-    survival.  The endpoint key is whatever string the transport hands
+    The decision for ``(endpoint_key, attempt)`` is a pure function of
+    the seed, so a chaos storm's whole fault schedule is reproducible
+    from one integer, and a request dropped on attempt 0
+    deterministically goes through on a later attempt — which is what
+    lets the distributed chaos suite assert *recovery to bit-identical
+    digests* rather than mere survival.  The endpoint key is whatever string the transport hands
     in; :class:`repro.service.transport.TransportClient` uses
     ``"<endpoint>#<per-endpoint request number>"`` so two different
     requests to one endpoint draw independent fates.

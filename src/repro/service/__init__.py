@@ -1,9 +1,9 @@
 """``repro.service`` — the sharded, cached, multi-tenant campaign layer.
 
-ROADMAP item 5: PRs 3–7 built the per-process machinery (fork pool,
-resumable checkpoints, manycore + compiled kernels); this package is
-the layer above it, turning a campaign *spec* into a long-running
-service workload:
+Above the per-process machinery (resumable checkpoints, the manycore
+engine and compiled kernels), this package turns a campaign *spec* into
+a long-running service workload, and it is the one way to spread
+trials over processes, on one host or many:
 
 * :mod:`repro.service.campaign` — :class:`CampaignSpec` (a plain-data,
   content-addressable description of a campaign), the shard planner,
@@ -24,8 +24,8 @@ service workload:
   campaign record both schedulers share (registry, per-tenant fair
   share, submit-time recovery from checkpoint and
   :class:`~repro.store.ContentStore`, the finished-shard record), and
-  :class:`CampaignService`, which runs the book's campaigns in waves
-  over one shared :class:`~repro.parallel.TrialPool`;
+  :class:`CampaignService`, which runs the book's campaigns in
+  process, one fair-share shard per wave;
 * :mod:`repro.service.server` — the spool-directory front end behind
   ``repro serve`` / ``repro submit``;
 * :mod:`repro.service.transport` / :mod:`repro.service.leases` /
@@ -33,9 +33,11 @@ service workload:
   multi-host layer: SHA-256-framed JSON over stdlib HTTP, a
   deadline-and-retry lease table with idempotent completion, the
   ``repro serve --port`` coordinator (leasing from the same book), and
-  the pull-based ``repro worker --connect`` client.  The merged digest is bit-identical
-  whether a campaign ran single-host, across N workers, or through
-  worker SIGKILLs and network fault storms.
+  the pull-based ``repro worker --connect`` client.  N local processes
+  are ``repro serve --port 0`` plus N ``repro worker --connect``.  The
+  merged digest is bit-identical whether a campaign ran single-host,
+  across N workers, or through worker SIGKILLs and network fault
+  storms.
 
 See MODELING.md §13 for the architecture and the sharding determinism
 contract, §14 for the fuzz workload riding on it, and §15 for the

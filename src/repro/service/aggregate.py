@@ -166,6 +166,14 @@ def trial_digest(record: Dict[str, Any]) -> bytes:
     return hashlib.sha256(text.encode("utf-8")).digest()
 
 
+def xor_digests(a: bytes, b: bytes) -> bytes:
+    """Bytewise XOR of two 32-byte digests (the multiset-digest combine),
+    as one big-integer XOR."""
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(
+        32, "big"
+    )
+
+
 class CampaignAggregate:
     """Streaming summary of one campaign's trial records.
 
@@ -210,9 +218,7 @@ class CampaignAggregate:
         self.pattern_counts[pattern] = self.pattern_counts.get(pattern, 0) + 1
         state = record["state"]
         self.state_counts[state] = self.state_counts.get(state, 0) + 1
-        self.xor = bytes(
-            a ^ b for a, b in zip(self.xor, trial_digest(record))
-        )
+        self.xor = xor_digests(self.xor, trial_digest(record))
 
     def merge(self, other: "CampaignAggregate") -> None:
         self.n_trials += other.n_trials
@@ -227,7 +233,7 @@ class CampaignAggregate:
         ):
             for key, count in theirs.items():
                 counts[key] = counts.get(key, 0) + count
-        self.xor = bytes(a ^ b for a, b in zip(self.xor, other.xor))
+        self.xor = xor_digests(self.xor, other.xor)
 
     # -- finalisation -------------------------------------------------------
 
@@ -354,9 +360,7 @@ class RecordListAggregate:
         if index in self._records:
             raise ValueError(f"duplicate trial index {index}")
         self._records[index] = record
-        self.xor = bytes(
-            a ^ b for a, b in zip(self.xor, trial_digest(record))
-        )
+        self.xor = xor_digests(self.xor, trial_digest(record))
 
     def merge(self, other: "RecordListAggregate") -> None:
         overlap = self._records.keys() & other._records.keys()
@@ -365,7 +369,7 @@ class RecordListAggregate:
                 f"duplicate trial indices in merge: {sorted(overlap)[:8]}"
             )
         self._records.update(other._records)
-        self.xor = bytes(a ^ b for a, b in zip(self.xor, other.xor))
+        self.xor = xor_digests(self.xor, other.xor)
 
     # -- finalisation -------------------------------------------------------
 

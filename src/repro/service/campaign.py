@@ -11,12 +11,12 @@ off the spec seed **keyed by the trial's global index**::
 
 ``SeedSequence(e).spawn(n)[i]`` is exactly ``SeedSequence(e,
 spawn_key=(i,))``, so a shard covering indices ``[lo, hi)`` draws the
-same per-trial streams the unsharded run draws for those indices — the
-same keying PR 3 used to make worker count irrelevant makes the *shard
-layout* irrelevant here.  Combined with the exact mergeable aggregates
-(:mod:`repro.service.aggregate`), a campaign split into any number of
-shards digests bit-identically to the serial run, RNG stream positions
-included (each trial record embeds its core RNG's post-run digest).
+same per-trial streams the unsharded run draws for those indices, so
+the *shard layout* is irrelevant.  Combined with the exact mergeable
+aggregates (:mod:`repro.service.aggregate`), a campaign split into any
+number of shards digests bit-identically to the serial run, RNG stream
+positions included (each trial record embeds its core RNG's post-run
+digest).
 
 Shard results are content-addressed: :func:`shard_store_key` derives a
 :mod:`repro.store` key from the result-shaping spec fields plus the
@@ -28,7 +28,7 @@ trial.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -178,9 +178,6 @@ class CampaignSpec:
     def from_json(cls, text: str) -> "CampaignSpec":
         return cls.from_dict(json.loads(text))
 
-    def with_shards(self, shards: int) -> "CampaignSpec":
-        return replace(self, shards=shards)
-
     def noise_model(self) -> NoiseModel:
         return NOISE_PRESETS[self.noise]()
 
@@ -289,32 +286,12 @@ def run_shard(
     lo: int,
     hi: int,
     *,
-    pool=None,
     pre_trial: Optional[Callable[[int], None]] = None,
 ):
-    """Fold trials ``[lo, hi)`` into the workload's aggregate.
-
-    Streams through ``pool.map_reduce`` when a pool is given (memory
-    O(1) in the trial count); runs the plain serial fold otherwise —
-    which is also how a shard executes *inside* a forked service worker,
-    where the pool reentrancy latch forces the serial path anyway.
-    """
-    aggregate_cls = spec.workload_impl().aggregate
-
-    def fold(acc, record: Dict[str, Any]):
-        acc.add_trial(record)
-        return acc
-
-    indices = range(lo, hi)
-    if pool is not None:
-        return pool.map_reduce(
-            lambda i: run_trial(spec, i, pre_trial=pre_trial),
-            indices,
-            merge=fold,
-            zero=aggregate_cls(),
-        )
-    acc = aggregate_cls()
-    for index in indices:
+    """Fold trials ``[lo, hi)`` into the workload's aggregate, in
+    index order (memory O(1) in the trial count)."""
+    acc = spec.workload_impl().aggregate()
+    for index in range(lo, hi):
         acc.add_trial(run_trial(spec, index, pre_trial=pre_trial))
     return acc
 
@@ -323,7 +300,6 @@ def run_campaign(
     spec: CampaignSpec,
     *,
     n_shards: Optional[int] = None,
-    pool=None,
     store: Optional[ContentStore] = None,
     pre_trial: Optional[Callable[[int], None]] = None,
 ):
@@ -344,7 +320,7 @@ def run_campaign(
             if found and isinstance(value, aggregate_cls):
                 parts.append(value)
                 continue
-        part = run_shard(spec, lo, hi, pool=pool, pre_trial=pre_trial)
+        part = run_shard(spec, lo, hi, pre_trial=pre_trial)
         if store is not None:
             store.put(key, part)
         parts.append(part)

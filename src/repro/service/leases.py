@@ -275,9 +275,6 @@ class LeaseTable:
 
     # -- inspection ----------------------------------------------------------
 
-    def shard_state(self, campaign_id: str, shard_index: int) -> str:
-        return self._shards[(campaign_id, shard_index)].state
-
     def pending_keys(self) -> List[ShardKey]:
         return [
             key

@@ -7,19 +7,15 @@ shard log, then serve pending shards from the
 :class:`~repro.store.ContentStore`) and the record of a finished shard
 (:meth:`~CampaignBook.finish`: a disk-only store put, then one
 :func:`save_campaign` append to each touched campaign's shard log).
-Lookups and writes happen in the parent; forked shard workers never
-touch the store.
 
-:class:`CampaignService` drives the book's campaigns in cooperative
-*waves*: each wave picks up to ``workers`` pending shards and fans them
-across one shared supervised :class:`~repro.parallel.TrialPool` with
-``chunk_size=1``, so every shard is its own forked, heartbeat-supervised
-worker.  Wave-based dispatch rather than threads because the pool's
-pre-fork function handoff is a process global: one ``map`` call at a
-time is the engine's contract, and a wave of mixed-tenant shards inside
-that one call *is* the concurrency.  A SIGKILL costs at most one wave
-of any campaign, and each campaign resumes independently.  The leased
-:class:`~repro.service.coordinator.Coordinator` keeps the same book.
+:class:`CampaignService` drives the book's campaigns in process, one
+fair-share *wave* at a time: each wave runs the one shard
+:meth:`CampaignBook.pick` chooses, then records it.  A SIGKILL costs at
+most the shard in flight, and each campaign resumes independently.
+Spreading shards over processes is the leased
+:class:`~repro.service.coordinator.Coordinator`'s job; it keeps the
+same book, so a campaign checkpointed by one scheduler finishes under
+the other.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs import trace as obs
-from repro.parallel import TrialPool
 from repro.resilience.checkpoint import ShardLog
 from repro.service.campaign import (
     CampaignSpec,
@@ -239,14 +234,6 @@ class CampaignService:
 
     Parameters
     ----------
-    workers:
-        Worker processes of the shared pool (``None`` defers to
-        ``REPRO_TRIAL_WORKERS``; see :func:`repro.parallel.
-        resolve_workers`).  Ignored when ``pool`` is given.
-    pool:
-        A caller-built :class:`~repro.parallel.TrialPool` (e.g. one
-        carrying a fault injector).  Must use ``chunk_size=1`` — each
-        payload is a whole shard.
     store:
         Shared :class:`~repro.store.ContentStore` for shard aggregates.
         ``None`` disables persistent caching.
@@ -263,15 +250,10 @@ class CampaignService:
     def __init__(
         self,
         *,
-        workers: Optional[Any] = None,
-        pool: Optional[TrialPool] = None,
         store: Optional[ContentStore] = None,
         checkpoint_dir=None,
         pre_trial: Optional[Callable[[int], None]] = None,
     ) -> None:
-        self.pool = pool if pool is not None else TrialPool(
-            workers, chunk_size=1
-        )
         self.pre_trial = pre_trial
         self.book = CampaignBook(store, checkpoint_dir)
 
@@ -281,40 +263,26 @@ class CampaignService:
         return self.book.submit(spec, resume)[0].campaign_id
 
     def run_wave(self) -> int:
-        """Dispatch one fair-share wave; returns the shards completed.
+        """Run one fair-share wave; returns the shards completed (0 or 1).
 
-        A wave is up to ``workers`` :meth:`CampaignBook.pick` calls over
-        the pending shards.  The unit of crash-safety: every campaign a
-        wave touched is checkpointed (and its shards published to the
-        store) before the method returns.
+        A wave is the shard :meth:`CampaignBook.pick` chooses among the
+        pending ones, run in process.  The unit of crash-safety: the
+        shard is checkpointed (and published to the store) before the
+        method returns.
         """
-        campaigns = self.book.campaigns
-        keys = [
+        key = self.book.pick(
             (cid, i)
-            for cid, state in campaigns.items()
+            for cid, state in self.book.campaigns.items()
             for i in state.pending()
-        ]
-        wave: List[Tuple[str, int]] = []
-        while keys and len(wave) < max(1, self.pool.workers):
-            wave.append(self.book.pick(keys))
-            keys.remove(wave[-1])
-        if not wave:
-            return 0
-        specs = {cid: campaigns[cid].spec for cid, _ in wave}
-        shards = {cid: campaigns[cid].shards for cid, _ in wave}
-        pre_trial = self.pre_trial
-
-        def shard_fn(payload: Tuple[str, int]) -> Any:
-            cid, shard_index = payload
-            lo, hi = shards[cid][shard_index]
-            return run_shard(specs[cid], lo, hi, pre_trial=pre_trial)
-
-        results = self.pool.map(shard_fn, wave)
-        self.book.finish(
-            (cid, shard_index, aggregate)
-            for (cid, shard_index), aggregate in zip(wave, results)
         )
-        return len(wave)
+        if key is None:
+            return 0
+        cid, shard_index = key
+        state = self.book.campaigns[cid]
+        lo, hi = state.shards[shard_index]
+        aggregate = run_shard(state.spec, lo, hi, pre_trial=self.pre_trial)
+        self.book.finish([(cid, shard_index, aggregate)])
+        return 1
 
     def run_until_complete(self) -> Dict[str, Dict[str, Any]]:
         """Drive every submitted campaign to completion; returns results."""

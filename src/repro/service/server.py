@@ -139,7 +139,6 @@ def write_store_stats(
 def serve(
     root: Union[str, Path],
     *,
-    workers: Optional[Any] = None,
     once: bool = False,
     poll_seconds: float = 0.5,
     metrics_port: Optional[int] = None,
@@ -196,7 +195,6 @@ def serve(
                 time.sleep(poll_seconds)
                 continue
             service = CampaignService(
-                workers=workers,
                 store=store,
                 checkpoint_dir=dirs["checkpoints"],
                 pre_trial=pre_trial,

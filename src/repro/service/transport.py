@@ -18,8 +18,8 @@ carry the lease protocol safely:
   idempotent completion;
 * **client retries** — :class:`TransportClient` retries transient
   failures (connection refused, timeouts, 4xx/5xx, torn frames) with
-  the pool's exponential-backoff-plus-deterministic-jitter schedule
-  (:meth:`repro.parallel.pool.SuperviseConfig.backoff_delay`), counts
+  an exponential-backoff-plus-deterministic-jitter schedule
+  (:func:`backoff_delay`), counts
   each retry on the always-on ``transport_retry`` resilience counter,
   and surfaces exhaustion as :exc:`CoordinatorUnreachable` so the
   worker can degrade to its local spool;
@@ -55,10 +55,11 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 
+import numpy as np
+
 from repro.ioutil import canonical_json, frame, unframe
 from repro.obs import trace as obs
 from repro.obs.http import CONTENT_TYPE as METRICS_CONTENT_TYPE
-from repro.parallel.pool import SuperviseConfig
 from repro.resilience import faults as fault_mod
 
 __all__ = [
@@ -82,6 +83,24 @@ WIRE_CONTENT_TYPE = "application/x-repro-wire"
 
 #: The POST endpoints a coordinator serves (also its ``handle`` verbs).
 ENDPOINTS = ("submit", "claim", "renew", "upload")
+
+#: Client retry schedule: the first delay (s), the ceiling (s) and the
+#: largest extra fraction the deterministic jitter adds.
+BACKOFF_BASE = 0.02
+BACKOFF_CAP = 0.5
+BACKOFF_JITTER = 0.25
+
+
+def backoff_delay(seq: int, attempt: int) -> float:
+    """Seconds to wait before retry ``attempt`` (1, 2, ...) of request
+    ``seq``: doubling from :data:`BACKOFF_BASE` up to
+    :data:`BACKOFF_CAP`, plus a jitter drawn from ``(seq, attempt)``
+    alone — it decorrelates retry storms and replays exactly."""
+    base = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** max(0, attempt - 1)))
+    jitter = np.random.default_rng(
+        np.random.SeedSequence([seq, attempt, 0xBACC0FF])
+    ).random()
+    return base * (1.0 + BACKOFF_JITTER * jitter)
 
 
 class TransportError(RuntimeError):
@@ -144,16 +163,11 @@ class TransportClient:
         retries: int = 5,
         timeout: float = 10.0,
         fault_injector: Optional[fault_mod.NetworkFaultInjector] = None,
-        backoff: Optional[SuperviseConfig] = None,
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.retries = int(retries)
         self.timeout = float(timeout)
         self.faults = fault_injector
-        #: Backoff schedule; the pool's own deterministic-jitter curve.
-        self.backoff = backoff if backoff is not None else SuperviseConfig(
-            backoff_base=0.02, backoff_cap=0.5
-        )
         self._seq: Dict[str, int] = {}
 
     def call(self, endpoint: str, payload: Any) -> Any:
@@ -171,7 +185,7 @@ class TransportClient:
                     "transport_retry",
                     detail=f"{fault_key} attempt={attempt}: {last}",
                 )
-                time.sleep(self.backoff.backoff_delay(seq, attempt))
+                time.sleep(backoff_delay(seq, attempt))
             try:
                 return self._attempt(endpoint, body, fault_key, attempt)
             except TransportError as exc:

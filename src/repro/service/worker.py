@@ -99,7 +99,6 @@ def run_worker(
     once: bool = False,
     poll_seconds: float = 0.5,
     retries: int = 5,
-    workers: Optional[Any] = None,
     trial_delay: float = 0.0,
     fault_injector=None,
     log=print,
@@ -109,9 +108,8 @@ def run_worker(
     Returns the process exit code: with ``once``, 0 as soon as the
     coordinator reports the queue drained; without it the loop serves
     forever (campaigns submitted later included) until interrupted.
-    ``workers`` forks a supervised
-    :class:`~repro.parallel.TrialPool` per shard for the trials;
-    ``fault_injector`` threads a
+    A shard's trials run in this process, in index order; run more
+    workers for more processes.  ``fault_injector`` threads a
     :class:`~repro.resilience.NetworkFaultInjector` into the transport
     (the chaos suite's hook).  Raises
     :exc:`~repro.service.transport.LeaseQuarantinedError` /
@@ -122,11 +120,6 @@ def run_worker(
         connect, retries=retries, fault_injector=fault_injector
     )
     me = worker_id if worker_id else default_worker_id()
-    pool = None
-    if workers is not None:
-        from repro.parallel import TrialPool
-
-        pool = TrialPool(workers)
     had_contact = False
     try:
         while True:
@@ -149,7 +142,7 @@ def run_worker(
                 # worker outlives drains to serve future campaigns.
                 time.sleep(poll_seconds)
                 continue
-            _run_one(client, me, work, pool, trial_delay, log)
+            _run_one(client, me, work, trial_delay, log)
     except CoordinatorUnreachable as exc:
         if root is not None:
             log(
@@ -161,13 +154,7 @@ def run_worker(
             )
             from repro.service.server import serve
 
-            return serve(
-                root,
-                workers=workers,
-                once=True,
-                trial_delay=trial_delay,
-                log=log,
-            )
+            return serve(root, once=True, trial_delay=trial_delay, log=log)
         if once and had_contact:
             # The coordinator drained and left between our polls — the
             # fleet's normal end-of-campaign shutdown order.
@@ -180,7 +167,6 @@ def _run_one(
     client: TransportClient,
     me: str,
     work: Dict[str, Any],
-    pool,
     trial_delay: float,
     log,
 ) -> None:
@@ -194,7 +180,7 @@ def _run_one(
         float(work.get("lease_seconds", 30.0)),
         trial_delay=trial_delay,
     )
-    aggregate = run_shard(spec, lo, hi, pool=pool, pre_trial=pre_trial)
+    aggregate = run_shard(spec, lo, hi, pre_trial=pre_trial)
     state = aggregate.to_state()
     reply = client.call(
         "upload",

@@ -95,11 +95,6 @@ class Program:
             executed += 1
         return executed
 
-    @property
-    def last_execution(self) -> Optional[BranchExecution]:
-        """Most recent branch result (the spy reads its counters here)."""
-        return self.executions[-1] if self.executions else None
-
 
 def program_from_branches(
     process: Process, branches

@@ -177,11 +177,6 @@ class JpegDecoderVictim:
         return pending
 
     @property
-    def branches_per_block(self) -> int:
-        """Zero-check branches per 8x8 block (8 rows + 8 columns)."""
-        return 2 * BLOCK
-
-    @property
     def finished(self) -> bool:
         """Whether decompression has executed every check."""
         return not self._pending

@@ -9,12 +9,12 @@ Three invariants are pinned here:
   before/after, same core RNG position) and ends with the same
   mitigation hook state as the scalar engine; observation mitigations
   fall back to the scalar engine;
-* **worker-count determinism** — the per-trial ``stability_experiment``
-  reference returns bit-identical results at any worker count, and the
-  default manycore engine matches it;
+* **engine agreement** — the per-trial ``stability_experiment``
+  reference, the scalar engine and the default manycore engine return
+  bit-identical results;
 * **one calibration walk** — ``find_block`` picks the same block and
-  leaves the caller's RNG at the same position for any ``workers`` and
-  any ``REPRO_TRIAL_WORKERS``.
+  leaves the caller's RNG at the same position whether or not it
+  checkpoints its walk.
 """
 
 import numpy as np
@@ -43,8 +43,6 @@ from repro.mitigations import (
     StochasticFSM,
 )
 from repro.obs import trace as obs
-from repro.parallel import TrialPool, fork_available
-from repro.parallel.pool import WORKERS_ENV
 from repro.resilience.checkpoint import rng_state_digest
 from repro.system.noise import NoiseModel
 from tests.conftest import scalar_stability
@@ -236,66 +234,28 @@ def small_stability(**kwargs):
     )
 
 
-class TestWorkerDeterminism:
-    def test_stability_experiment_bit_identical(self):
-        serial = small_stability(backend="process", pool=TrialPool(1))
-        assert len(serial) == 8
-        # TrialPool() follows REPRO_TRIAL_WORKERS, so a pool smoke run
-        # forks the per-trial closure here.
-        assert small_stability(backend="process") == serial
-        if not fork_available():
-            pytest.skip("platform cannot fork workers")
-        assert small_stability(backend="process", pool=TrialPool(4)) == serial
-
+class TestStabilityEngines:
     def test_stability_engines_agree(self):
-        reference = small_stability(backend="process", pool=TrialPool(1))
+        reference = small_stability(backend="process")
+        assert len(reference) == 8
         assert scalar_stability(
             small_factory, 0x30_0006D, **SMALL_STABILITY
         ) == reference
         assert small_stability() == reference
 
-    @pytest.mark.skipif(
-        not fork_available(), reason="platform cannot fork workers"
-    )
-    def test_find_block_pooled_worker_invariant(self):
-        blocks = []
-        for workers in (1, 3):
-            core = PhysicalCore(haswell().scaled(16), seed=9)
-            compiled = find_block(
-                core,
-                Process("spy"),
-                0x30_0006D,
-                DecodedState.SN,
-                block_branches=2000,
-                repetitions=16,
-                noise=NoiseModel.isolated(),
-                rng=np.random.default_rng(17),
-                workers=workers,
-            )
-            blocks.append(compiled.block.seed)
-        assert blocks[0] == blocks[1]
-
 
 class TestOneCalibrationWalk:
-    """``find_block`` has one walk: the worker count, given or read from
-    ``REPRO_TRIAL_WORKERS``, changes neither the pick nor the caller's
-    RNG position."""
+    """``find_block`` has one walk: checkpointing it (a save every
+    ``CHECKPOINT_WAVE`` candidates) changes neither the pick nor the
+    caller's RNG position."""
 
-    @pytest.mark.parametrize(
-        "env_workers", [None, "2"], ids=["env-unset", "env-2"]
-    )
     @pytest.mark.parametrize("desired", [DecodedState.SN, DecodedState.ST])
     @pytest.mark.parametrize("preset_name", ["haswell", "skylake"])
-    def test_same_pick_and_rng_at_any_worker_count(
-        self, monkeypatch, preset_name, desired, env_workers
+    def test_checkpointed_walk_matches_plain_walk(
+        self, tmp_path, preset_name, desired
     ):
-        if env_workers is None:
-            monkeypatch.delenv(WORKERS_ENV, raising=False)
-        else:
-            monkeypatch.setenv(WORKERS_ENV, env_workers)
-        worker_counts = [None, 1, 2, 4] if fork_available() else [None, 1]
         outcomes = set()
-        for workers in worker_counts:
+        for checkpoint in (None, tmp_path / "walk.ckpt"):
             core = PhysicalCore(PRESETS[preset_name]().scaled(16), seed=9)
             compiled = find_block(
                 core,
@@ -305,7 +265,7 @@ class TestOneCalibrationWalk:
                 block_branches=4000,
                 repetitions=16,
                 noise=NoiseModel.isolated(),
-                workers=workers,
+                checkpoint=checkpoint,
             )
             outcomes.add((compiled.block.seed, rng_state_digest(core.rng)))
         assert len(outcomes) == 1

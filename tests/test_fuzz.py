@@ -839,13 +839,7 @@ class TestBatchedObservation:
 
 class TestServiceTenancy:
     """Fuzz generations are campaign-service tenants, with the full
-    determinism contract: worker invariance, store serving, resume."""
-
-    def test_worker_count_invariance(self):
-        serial = run_fuzz("sandy_bridge", seed=0, workers=1)
-        forked = run_fuzz("sandy_bridge", seed=0, workers=2)
-        assert serial.digest() == forked.digest()
-        assert serial.survivors == forked.survivors
+    determinism contract: store serving, resume, shard layout."""
 
     def test_warm_store_rerun_dispatches_zero_trials(self, tmp_path):
         from repro.store import ContentStore
@@ -895,14 +889,12 @@ class TestServiceTenancy:
                 "sandy_bridge",
                 seed=0,
                 checkpoint_dir=tmp_path / "ck",
-                workers=1,
                 pre_trial=die_midway,
             )
         resumed = run_fuzz(
             "sandy_bridge",
             seed=0,
             checkpoint_dir=tmp_path / "ck",
-            workers=1,
         )
         assert resumed.resumed_shards > 0
         reference = run_fuzz("sandy_bridge", seed=0)
@@ -927,7 +919,7 @@ class TestServiceTenancy:
         descriptors = battery_descriptors(0)[:6]
 
         def digest_with(shards):
-            service = CampaignService(workers=1)
+            service = CampaignService()
             spec = CampaignSpec(
                 name="fuzz-shards",
                 tenant="fuzz",

@@ -54,9 +54,9 @@ class TestProgram:
 
     def test_last_execution(self, core):
         program = program_from_branches(Process("p"), [(0x5, True)])
-        assert program.last_execution is None
+        assert program.executions == []
         program.run_slice(core, 1)
-        assert program.last_execution.address == 0x5
+        assert program.executions[-1].address == 0x5
 
     def test_program_logic_can_react_to_its_counters(self, core):
         """A program reading its own PMCs between branches — the spy's

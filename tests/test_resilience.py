@@ -1,12 +1,10 @@
 """Chaos suite: the resilience subsystem under injected failure.
 
-Every recovery path gets exercised deterministically (the fault
-schedule is a pure function of a seed — see
-:mod:`repro.resilience.faults`), and every recovery assertion is
-*bit-identical results*, not mere survival: a crash/hang/corrupt trial
-chunk must retry to exactly the serial engine's output, a SIGKILL'd
-campaign must resume to exactly the uninterrupted run's output, a
-corrupted checkpoint must roll back to the last good generation.
+Every recovery assertion is *bit-identical results*, not mere survival:
+a SIGKILL'd campaign must resume to exactly the uninterrupted run's
+output, a corrupted checkpoint must roll back to the last good
+generation.  Transport faults against the lease protocol are stormed in
+``tests/test_transport.py``.
 """
 
 import pickle
@@ -20,29 +18,22 @@ from repro.core.covert import CovertChannel, CovertConfig
 from repro.core.patterns import DecodedState
 from repro.cpu import PhysicalCore, Process
 from repro.obs import reset_resilience_events, resilience_event_counts
-from repro.parallel import (
-    RetryExhaustedError,
-    SuperviseConfig,
-    TrialPool,
-    fork_available,
-    resolve_workers,
-)
-from repro.parallel.pool import WORKERS_ENV
+from repro.parallel import TrialPool
 from repro.resilience import (
     CheckpointCorruption,
     CheckpointMismatch,
     CheckpointStore,
-    FaultInjector,
-    FaultSpec,
     ResumableCampaign,
     rng_state_digest,
 )
+from repro.service.transport import (
+    BACKOFF_BASE,
+    BACKOFF_CAP,
+    BACKOFF_JITTER,
+    backoff_delay,
+)
 from repro.snapshot import state_digest
 from repro.system.scheduler import NoiseSetting
-
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="platform cannot fork workers"
-)
 
 
 @pytest.fixture(autouse=True)
@@ -57,217 +48,62 @@ def square(x):
 
 
 # ---------------------------------------------------------------------------
-# Fault injection harness
+# Torn-file simulator
 
 
-class TestFaultSpec:
-    def test_rates_must_sum_to_at_most_one(self):
-        with pytest.raises(ValueError):
-            FaultSpec(crash_rate=0.6, hang_rate=0.3, corrupt_rate=0.2)
+def corrupt_file(path, seed: int = 0) -> int:
+    """Flip one seed-chosen byte of the file at ``path`` in place (the
+    non-atomic write a torn checkpoint is); returns the offset.  An
+    empty file raises ``ValueError``: nothing flipped means nothing
+    corrupted, which a recovery test must notice."""
+    data = bytearray(open(path, "rb").read())
+    if not data:
+        raise ValueError(f"cannot corrupt empty file {path}")
+    offset = int(np.random.default_rng(seed).integers(len(data)))
+    data[offset] ^= 0xFF
+    with open(path, "wb") as handle:
+        handle.write(data)
+    return offset
 
-    def test_unknown_plan_kind_rejected(self):
-        with pytest.raises(ValueError):
-            FaultSpec(plan={(0, 0): "meltdown"})
 
-    def test_zero_spec_injects_nothing(self):
-        injector = FaultInjector(FaultSpec(), seed=3)
-        assert all(
-            injector.decide(c, a) is None for c in range(20) for a in range(3)
-        )
-
-
-class TestFaultInjector:
-    def test_decide_is_pure_in_seed_chunk_attempt(self):
-        spec = FaultSpec(crash_rate=0.3, hang_rate=0.2, corrupt_rate=0.2)
-        a = FaultInjector(spec, seed=9)
-        b = FaultInjector(spec, seed=9)
-        table = [(c, att, a.decide(c, att)) for c in range(30) for att in (0, 1)]
-        assert all(b.decide(c, att) == kind for c, att, kind in table)
-        # The schedule actually contains faults and recoveries.
-        kinds = {kind for _, _, kind in table}
-        assert None in kinds and kinds - {None}
-
-    def test_different_seeds_differ(self):
-        spec = FaultSpec(crash_rate=0.5)
-        rows = range(64)
-        a = [FaultInjector(spec, seed=1).decide(c, 0) for c in rows]
-        b = [FaultInjector(spec, seed=2).decide(c, 0) for c in rows]
-        assert a != b
-
-    def test_plan_overrides_rates(self):
-        spec = FaultSpec(crash_rate=1.0, plan={(4, 0): None, (5, 0): "hang"})
-        injector = FaultInjector(spec, seed=0)
-        assert injector.decide(4, 0) is None
-        assert injector.decide(5, 0) == "hang"
-        assert injector.decide(6, 0) == "crash"
-
-    def test_corrupt_bytes_flips_exactly_one_byte(self):
-        injector = FaultInjector(FaultSpec(), seed=7)
-        data = bytes(range(256))
-        bad = injector.corrupt_bytes(data, 3, 1)
-        assert len(bad) == len(data)
-        diffs = [i for i, (x, y) in enumerate(zip(data, bad)) if x != y]
-        assert len(diffs) == 1
-        # Deterministic: same key, same flip.
-        assert injector.corrupt_bytes(data, 3, 1) == bad
-
-    def test_corrupt_file_round_trip(self, tmp_path):
+class TestCorruptFile:
+    def test_round_trip(self, tmp_path):
         path = tmp_path / "blob"
         path.write_bytes(b"A" * 100)
-        offset = FaultInjector(FaultSpec(), seed=1).corrupt_file(path)
+        offset = corrupt_file(path, seed=1)
         data = path.read_bytes()
         assert data[offset] != ord("A")
         assert sum(1 for b in data if b != ord("A")) == 1
 
-    def test_corrupt_file_rejects_empty(self, tmp_path):
+    def test_rejects_empty(self, tmp_path):
         path = tmp_path / "empty"
         path.write_bytes(b"")
         with pytest.raises(ValueError):
-            FaultInjector(FaultSpec(), seed=1).corrupt_file(path)
-
-
-# ---------------------------------------------------------------------------
-# Supervised pool recovery
-
-
-@needs_fork
-class TestSupervisedRecovery:
-    def expected(self, n=12):
-        return [square(i) for i in range(n)]
-
-    def run_pool(self, injector, *, workers=2, supervise=None, n=12):
-        pool = TrialPool(
-            workers,
-            chunk_size=1,  # chunk_index == payload index: exact plans
-            supervise=supervise,
-            fault_injector=injector,
-        )
-        return pool.map(square, range(n))
-
-    def test_crash_recovers_bit_identically(self):
-        injector = FaultInjector(
-            FaultSpec(plan={(0, 0): "crash", (5, 0): "crash"}), seed=0
-        )
-        assert self.run_pool(injector) == self.expected()
-        counts = resilience_event_counts()
-        assert counts.get("worker_crash", 0) >= 2
-        assert counts.get("chunk_retry", 0) >= 2
-
-    def test_hang_detected_and_recovered(self):
-        injector = FaultInjector(
-            FaultSpec(hang_seconds=10.0, plan={(2, 0): "hang"}), seed=0
-        )
-        sup = SuperviseConfig(
-            heartbeat_timeout=0.3, backoff_base=0.01, backoff_cap=0.05
-        )
-        assert self.run_pool(injector, supervise=sup) == self.expected()
-        counts = resilience_event_counts()
-        assert counts.get("worker_hang", 0) >= 1
-
-    def test_corrupted_frame_rejected_and_retried(self):
-        injector = FaultInjector(
-            FaultSpec(plan={(1, 0): "corrupt"}), seed=0
-        )
-        assert self.run_pool(injector) == self.expected()
-        counts = resilience_event_counts()
-        assert counts.get("chunk_corrupt", 0) >= 1
-
-    def test_random_fault_storm_never_changes_results(self):
-        spec = FaultSpec(crash_rate=0.25, corrupt_rate=0.15)
-        sup = SuperviseConfig(backoff_base=0.01, backoff_cap=0.05)
-        for workers in (2, 3):
-            injector = FaultInjector(spec, seed=11)
-            assert (
-                self.run_pool(injector, workers=workers, supervise=sup)
-                == self.expected()
-            )
-        assert resilience_event_counts().get("chunk_retry", 0) >= 1
-
-    def test_retry_exhaustion_degrades_to_serial(self):
-        # Chunk 0 crashes on every attempt; the pool must finish anyway,
-        # loudly, by running that chunk in-process.
-        plan = {(0, attempt): "crash" for attempt in range(10)}
-        injector = FaultInjector(FaultSpec(plan=plan), seed=0)
-        sup = SuperviseConfig(
-            max_retries=2, backoff_base=0.01, backoff_cap=0.02
-        )
-        assert self.run_pool(injector, supervise=sup) == self.expected()
-        counts = resilience_event_counts()
-        assert counts.get("degrade_serial", 0) == 1
-        assert counts.get("worker_crash", 0) >= 3
-
-    def test_retry_exhaustion_raises_when_degradation_disabled(self):
-        plan = {(0, attempt): "crash" for attempt in range(10)}
-        injector = FaultInjector(FaultSpec(plan=plan), seed=0)
-        sup = SuperviseConfig(
-            max_retries=1,
-            degrade_serial=False,
-            backoff_base=0.01,
-            backoff_cap=0.02,
-        )
-        with pytest.raises(RetryExhaustedError) as excinfo:
-            self.run_pool(injector, supervise=sup)
-        assert excinfo.value.chunk_index == 0
-        assert excinfo.value.last_fault == "crash"
-
-    def test_trial_exception_propagates_not_retried(self):
-        def boom(x):
-            if x == 3:
-                raise ValueError("bad trial")
-            return x
-
-        pool = TrialPool(2, chunk_size=1)
-        with pytest.raises(ValueError, match="bad trial"):
-            pool.map(boom, range(6))
-        assert resilience_event_counts().get("chunk_retry", 0) == 0
+            corrupt_file(path, seed=1)
 
 
 class TestBackoff:
+    """The transport client's retry schedule."""
+
     def test_delay_grows_and_caps(self):
-        sup = SuperviseConfig(
-            backoff_base=0.1, backoff_cap=0.8, backoff_jitter=0.0
+        assert (BACKOFF_BASE, BACKOFF_CAP, BACKOFF_JITTER) == (
+            0.02, 0.5, 0.25
         )
-        delays = [sup.backoff_delay(0, a) for a in range(1, 7)]
-        assert delays == sorted(delays)
-        assert delays[0] == pytest.approx(0.1)
-        assert delays[-1] == pytest.approx(0.8)
+        delays = [backoff_delay(0, a) for a in range(1, 9)]
+        for attempt, delay in enumerate(delays, start=1):
+            base = min(BACKOFF_CAP, BACKOFF_BASE * 2 ** (attempt - 1))
+            assert base <= delay <= base * (1 + BACKOFF_JITTER)
+        assert delays[:5] == sorted(delays[:5])
+        assert max(delays) <= BACKOFF_CAP * (1 + BACKOFF_JITTER)
 
     def test_jitter_is_deterministic_and_bounded(self):
-        sup = SuperviseConfig(
-            backoff_base=0.1, backoff_cap=2.0, backoff_jitter=0.5
-        )
-        d1 = sup.backoff_delay(3, 2)
-        d2 = sup.backoff_delay(3, 2)
+        d1 = backoff_delay(3, 2)
+        d2 = backoff_delay(3, 2)
         assert d1 == d2
-        base = 0.1 * 2
-        assert base <= d1 <= base * 1.5
-        # Different chunks decorrelate.
-        assert sup.backoff_delay(4, 2) != d1
-
-
-class TestEnvHardening:
-    def test_invalid_env_falls_back_to_serial_with_warning(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "banana")
-        with pytest.warns(RuntimeWarning, match="banana"):
-            assert resolve_workers(None) == 1
-        assert resilience_event_counts().get("env_workers_invalid", 0) == 1
-
-    def test_negative_env_falls_back_to_serial(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "-3")
-        with pytest.warns(RuntimeWarning):
-            assert resolve_workers(None) == 1
-
-    def test_valid_env_still_honoured(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "4")
-        assert resolve_workers(None) == 4
-        monkeypatch.setenv(WORKERS_ENV, "auto")
-        assert resolve_workers(None) >= 1
-
-    def test_explicit_invalid_argument_still_raises(self):
-        with pytest.raises(ValueError):
-            resolve_workers(-1)
-        with pytest.raises(ValueError):
-            resolve_workers("banana")
+        base = BACKOFF_BASE * 2
+        assert base <= d1 <= base * (1 + BACKOFF_JITTER)
+        # Different requests decorrelate.
+        assert backoff_delay(4, 2) != d1
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +123,7 @@ class TestCheckpointStore:
         store.save({"gen": 1})
         store.save({"gen": 2})
         assert store.previous_path.exists()
-        FaultInjector(FaultSpec(), seed=5).corrupt_file(store.path)
+        corrupt_file(store.path, seed=5)
         assert store.load() == {"gen": 1}
         # The torn file is quarantined for forensics, and the event is
         # on the always-on counters.
@@ -301,9 +137,8 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path / "c.ckpt")
         store.save({"gen": 1})
         store.save({"gen": 2})
-        injector = FaultInjector(FaultSpec(), seed=5)
-        injector.corrupt_file(store.path)
-        injector.corrupt_file(store.previous_path, salt=1)
+        corrupt_file(store.path, seed=5)
+        corrupt_file(store.previous_path, seed=6)
         with pytest.raises(CheckpointCorruption):
             store.load()
 
@@ -411,7 +246,7 @@ class TestResumableCampaign:
         campaign = ResumableCampaign(
             tmp_path / "c.ckpt", fingerprint=self.FP, interval=5
         )
-        out = campaign.map(TrialPool(1), square, range(20))
+        out = campaign.map(TrialPool(), square, range(20))
         assert out == [square(i) for i in range(20)]
         assert campaign.last_resumed == 0
 
@@ -419,9 +254,9 @@ class TestResumableCampaign:
         store = CheckpointStore(tmp_path / "c.ckpt")
         first = ResumableCampaign(store, fingerprint=self.FP, interval=4)
         with pytest.raises(KeyboardInterrupt):
-            first.map(_KillAfter(TrialPool(1), 2), square, range(20))
+            first.map(_KillAfter(TrialPool(), 2), square, range(20))
         second = ResumableCampaign(store, fingerprint=self.FP, interval=4)
-        out = second.map(TrialPool(1), square, range(20))
+        out = second.map(TrialPool(), square, range(20))
         assert out == [square(i) for i in range(20)]
         assert second.last_resumed == 8
         assert resilience_event_counts().get("campaign_resume", 0) >= 1
@@ -429,7 +264,7 @@ class TestResumableCampaign:
     def test_completed_campaign_short_circuits(self, tmp_path):
         store = CheckpointStore(tmp_path / "c.ckpt")
         ResumableCampaign(store, fingerprint=self.FP, interval=5).map(
-            TrialPool(1), square, range(20)
+            TrialPool(), square, range(20)
         )
         calls = []
 
@@ -438,7 +273,7 @@ class TestResumableCampaign:
             return square(x)
 
         out = ResumableCampaign(store, fingerprint=self.FP, interval=5).map(
-            TrialPool(1), spy_fn, range(20)
+            TrialPool(), spy_fn, range(20)
         )
         assert out == [square(i) for i in range(20)]
         assert calls == []
@@ -446,33 +281,33 @@ class TestResumableCampaign:
     def test_fingerprint_mismatch_raises(self, tmp_path):
         store = CheckpointStore(tmp_path / "c.ckpt")
         ResumableCampaign(store, fingerprint=self.FP).map(
-            TrialPool(1), square, range(20)
+            TrialPool(), square, range(20)
         )
         other = dict(self.FP, n=21)
         with pytest.raises(CheckpointMismatch):
             ResumableCampaign(store, fingerprint=other).map(
-                TrialPool(1), square, range(20)
+                TrialPool(), square, range(20)
             )
 
     def test_total_mismatch_raises(self, tmp_path):
         store = CheckpointStore(tmp_path / "c.ckpt")
         ResumableCampaign(store, fingerprint=self.FP).map(
-            TrialPool(1), square, range(20)
+            TrialPool(), square, range(20)
         )
         with pytest.raises(CheckpointMismatch):
             ResumableCampaign(store, fingerprint=self.FP).map(
-                TrialPool(1), square, range(10)
+                TrialPool(), square, range(10)
             )
 
     def test_resume_false_clears_and_restarts(self, tmp_path):
         store = CheckpointStore(tmp_path / "c.ckpt")
         first = ResumableCampaign(store, fingerprint=self.FP, interval=4)
         with pytest.raises(KeyboardInterrupt):
-            first.map(_KillAfter(TrialPool(1), 1), square, range(20))
+            first.map(_KillAfter(TrialPool(), 1), square, range(20))
         fresh = ResumableCampaign(
             store, fingerprint=self.FP, interval=4, resume=False
         )
-        out = fresh.map(TrialPool(1), square, range(20))
+        out = fresh.map(TrialPool(), square, range(20))
         assert out == [square(i) for i in range(20)]
         assert fresh.last_resumed == 0
 
@@ -483,7 +318,7 @@ class TestResumableCampaign:
             def trial(_i):
                 return float(rng.random())
 
-            pool = TrialPool(1)
+            pool = TrialPool()
             if kill_after is not None:
                 pool = _KillAfter(pool, kill_after)
             return campaign.map(pool, trial, range(12))
@@ -528,7 +363,7 @@ def _mkcore(seed=31):
 class TestExperimentResume:
     def test_find_block_checkpoint_equals_plain_and_resumes(self, tmp_path):
         spy = Process("spy")
-        kwargs = dict(max_candidates=24, workers=1)
+        kwargs = dict(max_candidates=24)
         core_a = _mkcore()
         plain = find_block(core_a, spy, 0x400, DecodedState.ST, **kwargs)
         core_b = _mkcore()
@@ -551,13 +386,12 @@ class TestExperimentResume:
         spy = Process("spy")
         find_block(
             _mkcore(), spy, 0x400, DecodedState.ST,
-            max_candidates=24, workers=1, checkpoint=tmp_path / "fb.ckpt",
+            max_candidates=24, checkpoint=tmp_path / "fb.ckpt",
         )
         with pytest.raises(CheckpointMismatch):
             find_block(
                 _mkcore(), spy, 0x404, DecodedState.ST,
-                max_candidates=24, workers=1,
-                checkpoint=tmp_path / "fb.ckpt",
+                max_candidates=24, checkpoint=tmp_path / "fb.ckpt",
             )
 
     def test_stability_experiment_kill_and_resume(self, tmp_path):
@@ -566,7 +400,7 @@ class TestExperimentResume:
 
         kwargs = dict(
             n_blocks=9, block_branches=400, repetitions=15,
-            backend="process", pool=TrialPool(1),
+            backend="process",
         )
         ref = stability_experiment(factory, 0x400, **kwargs)
         store = CheckpointStore(tmp_path / "st.ckpt")
@@ -623,54 +457,31 @@ class TestExperimentResume:
         rng = np.random.default_rng(8)
         payloads = [rng.integers(0, 2, 30).tolist() for _ in range(6)]
         ref_channel = build_channel()
-        ref = ref_channel.trial_sweep(payloads, workers=1, seed=0)
+        ref = ref_channel.trial_sweep(payloads, seed=0)
         store = CheckpointStore(tmp_path / "cov.ckpt")
         killed = build_channel()
+        transmit = killed.transmit
+        sent = []
+
+        def dying_transmit(bits):
+            # Dies (like SIGKILL) on the fifth message: two batches of
+            # two are checkpointed by then.
+            if len(sent) == 4:
+                raise KeyboardInterrupt("simulated kill")
+            sent.append(bits)
+            return transmit(bits)
+
+        killed.transmit = dying_transmit
         with pytest.raises(KeyboardInterrupt):
             killed.trial_sweep(
                 payloads, seed=0, checkpoint=store, checkpoint_interval=2,
-                pool=_KillAfter(TrialPool(1), 2),
             )
         resumed_channel = build_channel()
         resumed = resumed_channel.trial_sweep(
-            payloads, workers=1, seed=0, checkpoint=store,
-            checkpoint_interval=2,
+            payloads, seed=0, checkpoint=store, checkpoint_interval=2,
         )
         assert resumed == ref
         assert resumed_channel.last_sweep_cycles == ref_channel.last_sweep_cycles
-
-
-# ---------------------------------------------------------------------------
-# Fault-injected campaigns end-to-end (chaos meets checkpointing)
-
-
-@needs_fork
-class TestChaosCampaign:
-    def test_faulty_pool_with_checkpoints_matches_clean_run(self, tmp_path):
-        def factory():
-            return PhysicalCore(haswell().scaled(16), seed=7)
-
-        kwargs = dict(
-            n_blocks=8, block_branches=400, repetitions=15
-        )
-        ref = stability_experiment(
-            factory, 0x400, backend="process", pool=TrialPool(1), **kwargs
-        )
-        injector = FaultInjector(
-            FaultSpec(crash_rate=0.3, corrupt_rate=0.2), seed=13
-        )
-        pool = TrialPool(
-            2,
-            chunk_size=1,
-            supervise=SuperviseConfig(backoff_base=0.01, backoff_cap=0.05),
-            fault_injector=injector,
-        )
-        chaotic = stability_experiment(
-            factory, 0x400, backend="process", pool=pool,
-            checkpoint=tmp_path / "chaos.ckpt", checkpoint_interval=3,
-            **kwargs
-        )
-        assert chaotic == ref
 
 
 # ---------------------------------------------------------------------------
@@ -728,17 +539,6 @@ class TestCliExitCodes:
         code = cli.main(self.CAMPAIGN)
         assert code == cli.EXIT_INTERRUPTED == 130
         assert "re-run the same command to resume" in capsys.readouterr().err
-
-    def test_retry_exhaustion_exit_code(self, monkeypatch, capsys):
-        import repro.cli as cli
-
-        def exhausted(args):
-            raise RetryExhaustedError(3, 4, "crash")
-
-        monkeypatch.setitem(cli._COMMANDS, "campaign", exhausted)
-        code = cli.main(self.CAMPAIGN)
-        assert code == cli.EXIT_RETRY_EXHAUSTED == 5
-        assert "chunk 3" in capsys.readouterr().err
 
     def test_campaign_runs_the_shared_manycore_engine(self, capsys):
         """``repro campaign`` prints the per-trial reference's digest, and

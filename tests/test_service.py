@@ -18,6 +18,7 @@ import sys
 import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,7 +40,6 @@ from repro.cpu.process import Process
 from repro.obs import trace as obs
 from repro.obs.http import CONTENT_TYPE, MetricsServer
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel import TrialPool
 from repro.ioutil import canonical_json
 from repro.obs import resilience_event_counts
 from repro.resilience.checkpoint import (
@@ -62,6 +62,7 @@ from repro.service import (
     serve,
     submit_job,
 )
+from repro.service.aggregate import xor_digests
 from repro.service.campaign import NOISE_PRESETS, _stability_trial
 from repro.store import ContentStore
 
@@ -117,6 +118,24 @@ class TestAccumulators:
         with pytest.raises(ValueError, match="different edges"):
             a.merge(HistogramSketch(edges=(0.5, 1.0)))
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (bytes(32), bytes(32)),
+            (bytes(range(32)), bytes(32)),
+            (bytes(range(32)), bytes(range(31, -1, -1))),
+            (b"\xff" * 32, bytes(range(0, 256, 8))),
+            (b"\x80" + bytes(30) + b"\x01", b"\x01" + bytes(30) + b"\x80"),
+        ],
+    )
+    def test_xor_digests_equals_bytewise_xor(self, a, b):
+        """The multiset-digest combine is the per-byte XOR, leading zero
+        bytes and both ends of the digest included."""
+        expected = bytes(x ^ y for x, y in zip(a, b))
+        assert xor_digests(a, b) == expected
+        assert len(xor_digests(a, b)) == 32
+        assert xor_digests(xor_digests(a, b), b) == a
+
     def test_aggregate_state_round_trip_preserves_digest(self):
         spec = small_spec()
         agg = CampaignAggregate()
@@ -139,7 +158,7 @@ class TestSpec:
     def test_scheduling_knobs_do_not_shape_content(self):
         base = small_spec()
         assert (
-            base.with_shards(5).content_key() == base.content_key()
+            replace(base, shards=5).content_key() == base.content_key()
         )
         other_tenant = small_spec(tenant="acme")
         assert other_tenant.content_key() == base.content_key()
@@ -182,13 +201,6 @@ class TestShardInvariance:
         assert len(record["rng_digest"]) == 64
         # Pure function of (spec, index): bit-for-bit reproducible.
         assert run_trial(spec, 3) == record
-
-    def test_forked_map_reduce_matches_serial(self):
-        spec = small_spec()
-        serial = run_campaign(spec, n_shards=1)
-        pool = TrialPool(2, chunk_size=2)
-        forked = run_campaign(spec, n_shards=1, pool=pool)
-        assert forked.digest() == serial.digest()
 
 
 class TestTrialEngineDifferential:
@@ -288,13 +300,13 @@ class TestCampaignStore:
         is still served whole, from disk."""
         spec = small_spec()
         store = ContentStore(tmp_path / "store")
-        cold = CampaignService(workers=1, store=store)
+        cold = CampaignService(store=store)
         cid = cold.submit(spec)
         cold.run_until_complete()
         assert not [k for k in store._memory if k.startswith("shard_result")]
         assert store.stats_dict()["puts"] == spec.shards
         ran = []
-        warm = CampaignService(workers=1, store=store, pre_trial=ran.append)
+        warm = CampaignService(store=store, pre_trial=ran.append)
         assert warm.submit(spec) == cid
         state = warm.campaign(cid)
         assert ran == []
@@ -321,7 +333,7 @@ class TestCampaignStore:
 
 class TestCampaignService:
     def test_two_tenants_fair_share(self):
-        service = CampaignService(workers=1)
+        service = CampaignService()
         a = service.submit(small_spec(tenant="alpha", shards=4))
         b = service.submit(
             small_spec(tenant="beta", name="b", seed=11, shards=2)
@@ -338,7 +350,7 @@ class TestCampaignService:
 
     def test_result_matches_plain_run(self):
         spec = small_spec(shards=3)
-        service = CampaignService(workers=1)
+        service = CampaignService()
         cid = service.submit(spec)
         result = service.run_until_complete()[cid]
         assert result["digest"] == run_campaign(spec, n_shards=1).digest()
@@ -346,20 +358,20 @@ class TestCampaignService:
         assert result["tenant"] == "default"
 
     def test_submit_is_idempotent(self):
-        service = CampaignService(workers=1)
+        service = CampaignService()
         spec = small_spec()
         assert service.submit(spec) == service.submit(spec)
         assert len(service) == 1
 
     def test_checkpoint_resume_after_partial_run(self, tmp_path):
         spec = small_spec(shards=4)
-        first = CampaignService(workers=1, checkpoint_dir=tmp_path / "ck")
+        first = CampaignService(checkpoint_dir=tmp_path / "ck")
         cid = first.submit(spec)
         first.run_wave()  # one shard done, checkpointed
         done_before = len(first.campaign(cid).done)
         assert done_before == 1
 
-        second = CampaignService(workers=1, checkpoint_dir=tmp_path / "ck")
+        second = CampaignService(checkpoint_dir=tmp_path / "ck")
         assert second.submit(spec) == cid
         state = second.campaign(cid)
         assert state.resumed_shards == done_before
@@ -369,25 +381,25 @@ class TestCampaignService:
 
     def test_resume_rejects_changed_shard_layout(self, tmp_path):
         spec = small_spec(shards=2)
-        first = CampaignService(workers=1, checkpoint_dir=tmp_path / "ck")
+        first = CampaignService(checkpoint_dir=tmp_path / "ck")
         first.submit(spec)
         first.run_wave()
-        second = CampaignService(workers=1, checkpoint_dir=tmp_path / "ck")
+        second = CampaignService(checkpoint_dir=tmp_path / "ck")
         with pytest.raises(CheckpointMismatch):
-            second.submit(spec.with_shards(3))
+            second.submit(replace(spec, shards=3))
         # resume=False clears the stale checkpoint and starts over.
-        third = CampaignService(workers=1, checkpoint_dir=tmp_path / "ck")
-        cid = third.submit(spec.with_shards(3), resume=False)
+        third = CampaignService(checkpoint_dir=tmp_path / "ck")
+        cid = third.submit(replace(spec, shards=3), resume=False)
         assert third.campaign(cid).resumed_shards == 0
 
     def test_fully_cached_campaign_completes_at_submit(self, tmp_path):
         spec = small_spec(shards=2)
         store = ContentStore(tmp_path / "store")
-        cold = CampaignService(workers=1, store=store)
+        cold = CampaignService(store=store)
         cid = cold.submit(spec)
         reference = cold.run_until_complete()[cid]
 
-        served = CampaignService(workers=1, store=store)
+        served = CampaignService(store=store)
         assert served.submit(spec) == cid
         state = served.campaign(cid)
         assert state.complete
@@ -435,7 +447,7 @@ class TestSpool:
         submit_job(root, spec_a)
         submit_job(root, spec_b)
         logs = []
-        assert serve(root, workers=1, once=True, log=logs.append) == 0
+        assert serve(root, once=True, log=logs.append) == 0
         results = sorted((root / "results").glob("*.json"))
         assert len(results) == 2
         by_name = {
@@ -463,7 +475,7 @@ class TestSpool:
         (root / "checkpoints").mkdir(exist_ok=True)
         for ck in (root / "checkpoints").glob("*"):
             ck.unlink()
-        assert serve(root, workers=1, once=True, log=logs.append) == 0
+        assert serve(root, once=True, log=logs.append) == 0
         rerun = json.loads(
             (root / "results" / results[0].name).read_text()
         )
@@ -506,7 +518,7 @@ class TestShardLog:
     def _partial(self, tmp_path, spec, waves, store=None):
         """A service that ran ``waves`` one-shard waves, and its log."""
         service = CampaignService(
-            workers=1, store=store, checkpoint_dir=tmp_path / "ck"
+            store=store, checkpoint_dir=tmp_path / "ck"
         )
         cid = service.submit(spec)
         for _ in range(waves):
@@ -515,7 +527,7 @@ class TestShardLog:
 
     def _resume(self, tmp_path, spec, store=None):
         service = CampaignService(
-            workers=1, store=store, checkpoint_dir=tmp_path / "ck"
+            store=store, checkpoint_dir=tmp_path / "ck"
         )
         cid = service.submit(spec)
         state = service.campaign(cid)
@@ -528,7 +540,7 @@ class TestShardLog:
         spec = small_spec(shards=4)
         store = ContentStore(tmp_path / "store")
         service = CampaignService(
-            workers=1, store=store, checkpoint_dir=tmp_path / "ck"
+            store=store, checkpoint_dir=tmp_path / "ck"
         )
         cid = service.submit(spec)
         calls = count_fsyncs(monkeypatch)
@@ -587,7 +599,7 @@ class TestShardLog:
 
     def test_log_grows_by_one_record_per_shard(self, tmp_path):
         spec = small_spec(shards=4)
-        service = CampaignService(workers=1, checkpoint_dir=tmp_path / "ck")
+        service = CampaignService(checkpoint_dir=tmp_path / "ck")
         cid = service.submit(spec)
         state = service.campaign(cid)
         path = tmp_path / "ck" / f"{cid}.ckpt"
@@ -614,7 +626,7 @@ class TestShardLog:
         data = path.read_bytes()
         path.write_bytes(data[:-7])
         before = resilience_event_counts().get("checkpoint_corrupt", 0)
-        service = CampaignService(workers=1, checkpoint_dir=tmp_path / "ck")
+        service = CampaignService(checkpoint_dir=tmp_path / "ck")
         cid = service.submit(spec)
         assert service.campaign(cid).resumed_shards == 2
         assert resilience_event_counts()["checkpoint_corrupt"] == before + 1
@@ -624,7 +636,7 @@ class TestShardLog:
         result = service.run_until_complete()[cid]
         assert result["digest"] == run_campaign(spec, n_shards=1).digest()
         # The finished log is whole: a fresh load sees all four shards.
-        again = CampaignService(workers=1, checkpoint_dir=tmp_path / "ck")
+        again = CampaignService(checkpoint_dir=tmp_path / "ck")
         assert again.campaign(again.submit(spec)).resumed_shards == 4
         assert resilience_event_counts()["checkpoint_corrupt"] == before + 1
 
@@ -632,13 +644,13 @@ class TestShardLog:
         spec = small_spec(shards=4)
         _, path = self._partial(tmp_path, spec, waves=1)
         path.write_bytes(path.read_bytes()[:-7])
-        service = CampaignService(workers=1, checkpoint_dir=tmp_path / "ck")
+        service = CampaignService(checkpoint_dir=tmp_path / "ck")
         cid = service.submit(spec)
         assert service.campaign(cid).resumed_shards == 0
         assert not path.exists()  # no shard is durable, so no log
         result = service.run_until_complete()[cid]
         assert result["digest"] == run_campaign(spec, n_shards=1).digest()
-        again = CampaignService(workers=1, checkpoint_dir=tmp_path / "ck")
+        again = CampaignService(checkpoint_dir=tmp_path / "ck")
         assert again.campaign(again.submit(spec)).resumed_shards == 4
 
     def test_bit_flipped_middle_record_is_skipped(self, tmp_path):
@@ -695,7 +707,7 @@ class TestServiceKillResume:
     def _serve_cmd(self, root: Path, delay: float) -> list:
         cmd = [
             sys.executable, "-m", "repro", "serve",
-            "--root", str(root), "--once", "--workers", "2",
+            "--root", str(root), "--once",
         ]
         if delay:
             cmd += ["--trial-delay", str(delay)]

@@ -202,6 +202,11 @@ def shard_digest(table, campaign_id: str, shard_index: int):
     return table._shards[(campaign_id, shard_index)].digest
 
 
+def shard_state(table, campaign_id: str, shard_index: int) -> str:
+    """One shard's lease state in ``table``."""
+    return table._shards[(campaign_id, shard_index)].state
+
+
 class TestLeaseTable:
     def table(self, **kw) -> tuple:
         clock = FakeClock()
@@ -215,9 +220,9 @@ class TestLeaseTable:
         lease = table.claim("w1", ("c1", 0))
         assert (lease.campaign_id, lease.shard_index) == ("c1", 0)
         assert lease.attempt == 1
-        assert table.shard_state("c1", 0) == LEASED
+        assert shard_state(table, "c1", 0) == LEASED
         assert table.complete("c1", 0, "d0", worker="w1") == "accepted"
-        assert table.shard_state("c1", 0) == DONE
+        assert shard_state(table, "c1", 0) == DONE
         assert table.state_counts() == {
             PENDING: 2, LEASED: 0, DONE: 1, FAILED: 0,
         }
@@ -231,8 +236,8 @@ class TestLeaseTable:
         clock.advance(15)  # lost: 35s unrenewed; kept: 15s since renewal
         expired = table.expire()
         assert expired == [("c1", lost.shard_index)]
-        assert table.shard_state("c1", lost.shard_index) == PENDING
-        assert table.shard_state("c1", kept.shard_index) == LEASED
+        assert shard_state(table, "c1", lost.shard_index) == PENDING
+        assert shard_state(table, "c1", kept.shard_index) == LEASED
         assert obs.resilience_event_counts().get("lease_expired") == 1
         # The re-claim is attempt 2, and the stale lease id is dead.
         again = table.claim("w3", ("c1", 1))
@@ -246,7 +251,7 @@ class TestLeaseTable:
             assert table.claim("w1", ("c1", 0)) is not None
             clock.advance(31)
             table.expire()
-        assert table.shard_state("c1", 0) == FAILED
+        assert shard_state(table, "c1", 0) == FAILED
         assert table.claim("w1", ("c1", 0)) is None
         assert table.has_failed()
         assert obs.resilience_event_counts().get("lease_exhausted") == 1
@@ -287,7 +292,7 @@ class TestLeaseTable:
     def test_pre_completed_registration(self):
         table, _ = self.table()
         table.add_campaign("c2", 2, done=[(0, "d0")])
-        assert table.shard_state("c2", 0) == DONE
+        assert shard_state(table, "c2", 0) == DONE
         assert table.pending_keys() == [
             ("c1", 0), ("c1", 1), ("c1", 2), ("c2", 1),
         ]
@@ -359,6 +364,35 @@ class TestDistributedCampaign:
         assert coord2.submit(spec) == spec.campaign_id()
         assert coord2.drained()
 
+    @pytest.mark.parametrize("n_workers", [1, 2, 4])
+    def test_worker_threads_drain_to_run_campaign_digest(
+        self, coordinator, tmp_path, n_workers
+    ):
+        """Leased workers are the only process fan-out, so the digest
+        must not depend on how many of them drain one coordinator."""
+        _, server = coordinator
+        spec = small_spec(n_blocks=8, shards=4)
+        reference = run_campaign(spec).digest()
+        TransportClient(server.url).call("submit", {"spec": spec.to_dict()})
+        codes = {}
+
+        def worker(n: int) -> None:
+            codes[n] = run_worker(
+                server.url, worker_id=f"w{n}", once=True,
+                poll_seconds=0.02, log=quiet,
+            )
+
+        threads = [
+            threading.Thread(target=worker, args=(n,))
+            for n in range(n_workers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert codes == {n: 0 for n in range(n_workers)}
+        assert result_digest(tmp_path, spec) == reference
+
     def test_accepted_upload_publishes_to_disk_only(
         self, coordinator, tmp_path
     ):
@@ -372,7 +406,7 @@ class TestDistributedCampaign:
         store = coord.store
         assert not [k for k in store._memory if k.startswith("shard_result")]
         ran = []
-        service = CampaignService(workers=1, store=store, pre_trial=ran.append)
+        service = CampaignService(store=store, pre_trial=ran.append)
         state = service.campaign(service.submit(spec))
         assert ran == []
         assert state.cached_shards == spec.shards == len(state.shards)
@@ -410,7 +444,7 @@ class TestDistributedCampaign:
 
         if first == "service":
             service = CampaignService(
-                workers=1, store=None, checkpoint_dir=checkpoints
+                store=None, checkpoint_dir=checkpoints
             )
             cid = service.submit(spec)
             assert service.run_wave() == service.run_wave() == 1
@@ -429,7 +463,6 @@ class TestDistributedCampaign:
             finished = {lease_out(coord), lease_out(coord)}
             trials = []
             service = CampaignService(
-                workers=1,
                 store=None,
                 checkpoint_dir=checkpoints,
                 pre_trial=trials.append,

@@ -97,7 +97,8 @@ class TestDecoderVictim:
         image = encode_image(rng.uniform(0, 255, (16, 24)))
         victim = JpegDecoderVictim(image)
         blocks = image.block_grid[0] * image.block_grid[1]
-        assert victim.steps_remaining() == blocks * victim.branches_per_block
+        # One zero-check branch per row and per column of each block.
+        assert victim.steps_remaining() == blocks * 2 * BLOCK
 
     def test_row_branch_directions_equal_zero_map(self, rng):
         """The leak: row-check branch direction == row non-zero."""
