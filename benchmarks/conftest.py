@@ -18,8 +18,9 @@ Every emitted result also gets a ``results/<name>.manifest.json``
 provenance record (see ``benchmarks/_common.py``).
 
 Long runs are crash-safe: each campaign-shaped bench checkpoints its
-progress under ``benchmarks/.checkpoints/`` (atomic, digest-verified —
-see :mod:`repro.resilience.checkpoint`), and re-running with
+progress under ``benchmarks/.checkpoints/`` (an append-only log of
+digest-checked records — see :mod:`repro.resilience.checkpoint`), and
+re-running with
 ``pytest benchmarks/ --resume`` picks up a killed run where it stopped,
 producing bit-identical results.  Without ``--resume`` any stale
 checkpoints are cleared first, so default runs stay fresh.
@@ -36,8 +37,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from _common import write_result  # noqa: E402
-
-from repro.resilience.checkpoint import CheckpointStore  # noqa: E402
 
 _EMITTED: List[Tuple[str, str]] = []
 
@@ -74,8 +73,8 @@ def campaign_checkpoint(request):
 
     def factory(name: str) -> dict:
         CHECKPOINTS_DIR.mkdir(exist_ok=True)
-        store = CheckpointStore(CHECKPOINTS_DIR / f"{name}.ckpt")
-        return {"checkpoint": store, "resume": resume}
+        path = CHECKPOINTS_DIR / f"{name}.ckpt"
+        return {"checkpoint": path, "resume": resume}
 
     return factory
 

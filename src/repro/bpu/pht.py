@@ -91,7 +91,13 @@ class PatternHistoryTable:
         self.levels[self._check(index)] = self.fsm.level_for(state)
 
     def set_level(self, index: int, level: int) -> None:
-        """Force entry ``index`` to a raw internal level."""
+        """Force entry ``index`` to a raw internal level.
+
+        Only tests call it.  It stays beside :meth:`set_state` as the
+        checked writer of what :meth:`level` reads: the one way to place
+        an entry on a hidden level no :class:`State` names (the inner
+        levels of a wide saturating FSM).
+        """
         if not 0 <= level < self.fsm.n_levels:
             raise ValueError(f"level {level} out of range")
         self.levels[self._check(index)] = level

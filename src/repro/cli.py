@@ -45,10 +45,11 @@ __all__ = [
 ]
 
 #: Exit codes distinguishing the long-run failure modes (MODELING.md §10):
-#: user abort (Ctrl-C — progress is checkpointed, re-run to resume),
-#: unrecoverable checkpoint corruption/mismatch (and a worker's
-#: quarantined upload), and a worker whose coordinator stayed
-#: unreachable through every transport retry.
+#: user abort (Ctrl-C — progress is checkpointed, re-run to resume), a
+#: checkpoint of another campaign (and a worker's quarantined upload),
+#: and a worker whose coordinator stayed unreachable through every
+#: transport retry.  A corrupt checkpoint is no failure: it is
+#: quarantined and the run starts afresh.
 EXIT_INTERRUPTED = 130
 EXIT_CHECKPOINT_CORRUPT = 4
 EXIT_RETRY_EXHAUSTED = 5
@@ -786,14 +787,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     Long-run failure modes map to distinct exit codes so harnesses (and
     the CI chaos-smoke job) can tell them apart: Ctrl-C returns
     :data:`EXIT_INTERRUPTED` (checkpointed progress survives — re-run
-    the same command to resume) and an unrecoverable or mismatched
-    checkpoint returns :data:`EXIT_CHECKPOINT_CORRUPT`.
+    the same command to resume) and a mismatched checkpoint returns
+    :data:`EXIT_CHECKPOINT_CORRUPT`.
     ``repro worker`` maps its own terminal failures (see
     :func:`_cmd_worker`): a quarantined upload to
     :data:`EXIT_CHECKPOINT_CORRUPT` and an unreachable coordinator to
     :data:`EXIT_RETRY_EXHAUSTED`.
     """
-    from repro.resilience.checkpoint import CheckpointError
+    from repro.resilience.checkpoint import CheckpointMismatch
 
     args = build_parser().parse_args(argv)
     try:
@@ -805,7 +806,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return EXIT_INTERRUPTED
-    except CheckpointError as exc:
+    except CheckpointMismatch as exc:
         print(f"repro: checkpoint error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT_CORRUPT
 

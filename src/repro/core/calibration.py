@@ -42,10 +42,10 @@ position it leaves are the same with or without a checkpoint.
 :func:`stability_experiment` runs on the manycore engine
 (:mod:`repro.core.manycore`), with :func:`reference_trial` as its
 per-trial reference.  Both searches accept
-``checkpoint=`` (a path or :class:`repro.resilience.CheckpointStore`):
-progress then persists through crash-safe atomic checkpoints and a
-killed campaign resumes bit-identically (see
-:mod:`repro.resilience.checkpoint` and MODELING.md §10).
+``checkpoint=`` (a file path): progress then persists as an append-only
+:class:`~repro.resilience.ShardLog` and a killed campaign resumes
+bit-identically (see :mod:`repro.resilience.checkpoint` and MODELING.md
+§10).
 """
 
 from __future__ import annotations
@@ -73,11 +73,7 @@ from repro.cpu.core import PhysicalCore
 from repro.cpu.process import Process
 from repro.obs import trace as obs
 from repro.parallel import TrialPool, spawn_seeds
-from repro.resilience.checkpoint import (
-    ResumableCampaign,
-    as_store,
-    verify_fingerprint,
-)
+from repro.resilience.checkpoint import ResumableCampaign, ShardLog
 from repro.system.noise import (
     NOISE_REGION,
     NoiseDraw,
@@ -155,6 +151,21 @@ class BlockAssessment:
         if not self.stable:
             return DecodedState.UNKNOWN
         return decode_state(fsm, self.tt_pattern, self.nn_pattern)
+
+    def to_state(self) -> Dict[str, object]:
+        """Plain-data form for checkpoint logs (floats round-trip
+        exactly through JSON)."""
+        return {
+            "seed": int(self.seed),
+            "tt_pattern": self.tt_pattern,
+            "tt_frequency": float(self.tt_frequency),
+            "nn_pattern": self.nn_pattern,
+            "nn_frequency": float(self.nn_frequency),
+        }
+
+    @classmethod
+    def from_state(cls, state: Dict[str, object]) -> "BlockAssessment":
+        return cls(**state)
 
 
 def _dominant_counts(counts: Dict[str, int], total: int) -> Tuple[str, float]:
@@ -399,12 +410,13 @@ def find_block(
     advances mitigation state (rekey clocks, partition bookkeeping) of
     the caller's core.
 
-    With ``checkpoint`` given (a path or
-    :class:`~repro.resilience.CheckpointStore`), the search becomes
-    crash-safe and resumable: the entropy draw and the index reached are
-    persisted after every :data:`CHECKPOINT_WAVE` candidates, so a
-    killed search re-run with the same arguments (``resume=True``) skips
-    already-cleared candidates and returns the identical block.
+    With ``checkpoint`` given (a file path), the search becomes
+    crash-safe and resumable: a :class:`~repro.resilience.ShardLog`
+    record of the entropy draw, the index reached and the winner (if
+    any) is appended after every :data:`CHECKPOINT_WAVE` candidates and
+    at the end, and the last record wins, so a killed search re-run with
+    the same arguments (``resume=True``) skips already-cleared
+    candidates and returns the identical block.
 
     Raises :class:`CalibrationError` after ``max_candidates`` failures.
     """
@@ -442,13 +454,13 @@ def find_block(
         "noise": repr(noise),
         "seed_start": seed_start,
     }
-    store = as_store(checkpoint) if checkpoint is not None else None
-    state = None
-    if store is not None:
-        if not resume:
-            store.clear()
+    log = ShardLog(checkpoint, fingerprint) if checkpoint is not None else None
+    records = {}
+    if log is not None:
+        if resume:
+            records = log.load()
         else:
-            state = verify_fingerprint(store, store.load(), fingerprint)
+            log.clear()
     # The entropy draw always happens (the caller's stream position must
     # not depend on whether a checkpoint existed); a resumed search then
     # overrides it with the checkpointed value so its per-candidate
@@ -456,21 +468,21 @@ def find_block(
     entropy_rng = rng if rng is not None else core.rng
     entropy = int(entropy_rng.integers(np.iinfo(np.int64).max))
     next_index = 0
-    if state is not None:
-        entropy = state["entropy"]
-        next_index = state["next_index"]
-        if state.get("complete"):
-            winner_seed = state.get("winner_seed")
-            if winner_seed is None:
-                raise CalibrationError(
-                    f"no stable block for {desired_state} at "
-                    f"{target_address:#x} in {max_candidates} candidates "
-                    f"(checkpointed exhaustion)"
-                )
+    if records:
+        next_index = max(records)
+        entropy = records[next_index]["entropy"]
+        winner_seed = records[next_index]["winner_seed"]
+        if winner_seed is not None:
             block = RandomizationBlock.generate(
                 winner_seed, n_branches=block_branches
             )
             return _finish(block.compile(core, spy))
+        if next_index >= max_candidates:
+            raise CalibrationError(
+                f"no stable block for {desired_state} at "
+                f"{target_address:#x} in {max_candidates} candidates "
+                f"(checkpointed exhaustion)"
+            )
     children = spawn_seeds(entropy, max_candidates)
 
     def trial(index: int) -> Optional[CompiledBlock]:
@@ -500,30 +512,23 @@ def find_block(
             return compiled
         return None
 
-    def save(index: int, complete: bool, winner_seed=None) -> None:
-        if store is not None:
-            store.save(
-                {
-                    "fingerprint": fingerprint,
-                    "entropy": entropy,
-                    "next_index": index,
-                    "complete": complete,
-                    "winner_seed": winner_seed,
-                }
-            )
+    def save(next_index: int, winner_seed: Optional[int] = None) -> None:
+        if log is not None:
+            record = {"entropy": entropy, "winner_seed": winner_seed}
+            log.append([(next_index, record)])
 
-    if store is not None and state is None:
-        save(0, False)  # pin the entropy before any candidate runs
+    if not records:
+        save(0)  # pin the entropy before any candidate runs
     winner = None
     for index in range(next_index, max_candidates):
         winner = trial(index)
         if winner is not None:
-            save(index, True, winner.block.seed)
+            save(index, winner.block.seed)
             break
         if (index + 1) % CHECKPOINT_WAVE == 0:
-            save(index + 1, False)
+            save(index + 1)
     else:
-        save(max_candidates, True)
+        save(max_candidates)
     if winner is None:
         raise CalibrationError(
             f"no stable block for {desired_state} at {target_address:#x} "
@@ -582,12 +587,11 @@ def stability_experiment(
     the arguments, whichever engine computes it.
 
     Because every trial is a pure function of its block seed, the sweep
-    is also trivially resumable: ``checkpoint`` (a path or
-    :class:`~repro.resilience.CheckpointStore`) persists results every
-    ``checkpoint_interval`` trials through
-    :class:`~repro.resilience.ResumableCampaign`, and a killed run
-    re-invoked with the same arguments returns the bit-identical list
-    while re-running only uncheckpointed trials.  ``fingerprint_extra``
+    is also trivially resumable: ``checkpoint`` (a file path) appends
+    each assessment's ``to_state()`` every ``checkpoint_interval``
+    trials through :class:`~repro.resilience.ResumableCampaign`, and a
+    killed run re-invoked with the same arguments returns the
+    bit-identical list while re-running only uncheckpointed trials.  ``fingerprint_extra``
     folds caller-side identity (the core factory's preset and seed,
     which this function cannot see inside the closure) into the
     checkpoint fingerprint so a parameter change is a
@@ -657,5 +661,6 @@ def stability_experiment(
         fingerprint=fingerprint,
         interval=checkpoint_interval,
         resume=resume,
+        result_type=BlockAssessment,
     )
     return campaign.map(trial_pool, trial, payloads)

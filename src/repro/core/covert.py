@@ -354,12 +354,12 @@ class CovertChannel:
         throughput accounting).
 
         Each trial is a pure function of its payload index, so the sweep
-        is resumable: ``checkpoint`` (a path or
-        :class:`~repro.resilience.CheckpointStore`) persists received
-        messages every ``checkpoint_interval`` trials, and a killed
-        sweep re-run with the same payloads and seed returns the
-        bit-identical result while re-transmitting only uncheckpointed
-        messages.
+        is resumable: ``checkpoint`` (a file path) appends each trial's
+        ``[received, cycles]`` pair as a JSON list to a
+        :class:`~repro.resilience.ShardLog` every
+        ``checkpoint_interval`` trials, and a killed sweep re-run with
+        the same payloads and seed returns the bit-identical result
+        while re-transmitting only uncheckpointed messages.
         """
         payloads = [[int(b) for b in payload] for payload in payloads]
         if not payloads:

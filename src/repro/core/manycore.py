@@ -125,6 +125,8 @@ def group_batch_stats() -> Dict[str, int]:
 
 
 def reset_group_batch_stats() -> None:
+    """Zero the dispatch counters.  Only tests call it: it is their
+    isolation hook, and it lives here because the counters do."""
     for key in _GROUP_STATS:
         _GROUP_STATS[key] = 0
 

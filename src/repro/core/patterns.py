@@ -50,7 +50,12 @@ class ProbeResult:
 
     @staticmethod
     def from_pattern(pattern: str) -> "ProbeResult":
-        """Parse a two-letter pattern string."""
+        """Parse a two-letter pattern string.
+
+        Only tests call it.  It stays as the checked inverse of
+        :attr:`pattern`, the parser of the paper's notation that the
+        rendering is tested against.
+        """
         if len(pattern) != 2 or any(c not in "MH" for c in pattern):
             raise ValueError(f"bad probe pattern {pattern!r}")
         return ProbeResult(pattern[0] == "H", pattern[1] == "H")

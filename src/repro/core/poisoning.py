@@ -66,16 +66,6 @@ class PoisoningResult:
     baseline_misprediction_rate: float
     poisoned_misprediction_rate: float
 
-    @property
-    def amplification(self) -> float:
-        """How much poisoning inflated the victim's misprediction rate."""
-        if self.baseline_misprediction_rate == 0:
-            return float("inf") if self.poisoned_misprediction_rate else 1.0
-        return (
-            self.poisoned_misprediction_rate
-            / self.baseline_misprediction_rate
-        )
-
 
 def poisoning_experiment(
     core: PhysicalCore,

@@ -101,7 +101,12 @@ _compile_cache_stats: Dict[str, int] = {"hits": 0, "misses": 0}
 
 
 def clear_compile_cache() -> None:
-    """Empty the process-wide compiled-block cache and its statistics."""
+    """Empty the process-wide compiled-block cache and its statistics.
+
+    Only tests call it: it is their isolation hook (a test that counts
+    compiles starts from a cold cache), and it lives here because the
+    cache does.
+    """
     _compile_cache.clear()
     for stat in _compile_cache_stats:
         _compile_cache_stats[stat] = 0
@@ -471,8 +476,3 @@ class CompiledBlock:
         """
         index = core.predictor.bimodal.index(address, self.key, self.partition)
         return self.bimodal_map[index].copy()
-
-    def pins_entry(self, core: PhysicalCore, address: int) -> bool:
-        """Whether the block pins the bimodal entry behind ``address``."""
-        row = self.target_entry_map(core, address)
-        return bool((row == row[0]).all())

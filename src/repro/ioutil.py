@@ -28,10 +28,11 @@ file a power cut tears reads as a counted miss, not as lost work.
 
 The same modules share one record frame, ``MAGIC + sha256 hex + "\n"
 + payload`` (:func:`frame` / :func:`unframe`): the content store's
-entries and the wire bodies each put their own codec inside it, so a
-torn or bit-flipped record fails the digest check instead of decoding
-into something else.  :func:`canonical_json` is the one byte-encoding
-of plain data that the wire bodies and the shard logs digest.
+entries and the wire bodies put canonical JSON inside it, so a torn or
+bit-flipped record fails the digest check instead of decoding into
+something else.  :func:`canonical_json` is the one byte-encoding of
+plain data that the store, the wire bodies and the checkpoint logs
+digest.
 
 No repro imports — this module sits below ``repro.obs`` and
 ``repro.resilience`` so both (and the benchmark harness) can use it

@@ -320,14 +320,15 @@ def reset_scalar_fallbacks() -> None:
 
 # -- resilience-event accounting ---------------------------------------------
 #
-# The supervised trial pool and the checkpoint store recover from worker
-# crashes, hangs, corrupted result frames and torn checkpoint files
-# without changing experiment results — which makes the *recovery itself*
-# the only observable.  A campaign silently limping along on retries or
-# serial degradation is a health problem the operator must be able to
-# see, so every recovery action is always counted here (tracing on or
-# off), and additionally emits a warning-level "resilience" trace event
-# plus a labelled metrics counter when observability is enabled.
+# The lease table, the transport, the content store and the checkpoint
+# logs recover from worker crashes, lost or torn messages and torn or
+# foreign files without changing experiment results — which makes the
+# *recovery itself* the only observable.  A campaign silently limping
+# along on retries or degraded paths is a health problem the operator
+# must be able to see, so every recovery action is always counted here
+# (tracing on or off), and additionally emits a warning-level
+# "resilience" trace event plus a labelled metrics counter when
+# observability is enabled.
 
 _RESILIENCE_EVENTS: Dict[str, int] = {}
 
@@ -335,8 +336,8 @@ _RESILIENCE_EVENTS: Dict[str, int] = {}
 def record_resilience_event(kind: str, detail: str = "", n: int = 1) -> None:
     """Record ``n`` fault-recovery actions of ``kind``.
 
-    Kinds in use: ``checkpoint_rollback``, ``checkpoint_corrupt`` (a
-    shard-log record or file that failed its check),
+    Kinds in use: ``checkpoint_corrupt`` (a checkpoint-log record or
+    file that failed its check),
     ``campaign_resume``, ``store_corrupt``, ``spool_corrupt``, the
     lease table's ``lease_expired``/``lease_exhausted``/
     ``lease_digest_mismatch``/``upload_digest_invalid``, and the

@@ -8,13 +8,12 @@ many workers; this subsystem makes every failure mode along the way both
   fault-injection harness that drops, delays, duplicates and truncates
   :mod:`repro.service.transport` requests as a pure function of a seed,
   so chaos storms against the lease protocol are reproducible;
-* :mod:`repro.resilience.checkpoint` — atomic (temp + fsync + rename)
-  SHA-256-verified campaign checkpoints with automatic rollback to the
-  last good generation, and :class:`ResumableCampaign`, the
+* :mod:`repro.resilience.checkpoint` — :class:`ShardLog`, the one
+  checkpoint format: an append-only log of canonical-JSON records, each
+  behind its own SHA-256 (one fsync'd append per finished shard, trial
+  batch or search wave), and :class:`ResumableCampaign`, the
   checkpointed ``pool.map`` behind ``--resume`` on the benches and the
-  ``repro campaign`` CLI; and :class:`ShardLog`, the campaign
-  service's append-only shard log (one fsync'd, digested record per
-  finished shard);
+  ``repro campaign`` CLI;
 * worker crashes and hangs are absorbed by the lease table
   (:mod:`repro.service.leases`: expiry, requeue, upload digest checks,
   quarantine), which the faults here and SIGKILLed ``repro worker``
@@ -24,14 +23,10 @@ See MODELING.md §10 for the fault taxonomy and determinism guarantees.
 """
 
 from repro.resilience.checkpoint import (
-    CheckpointCorruption,
-    CheckpointError,
     CheckpointMismatch,
-    CheckpointStore,
     ResumableCampaign,
     ShardLog,
     rng_state_digest,
-    verify_fingerprint,
 )
 from repro.resilience.faults import (
     NetworkFaultInjector,
@@ -39,14 +34,10 @@ from repro.resilience.faults import (
 )
 
 __all__ = [
-    "CheckpointCorruption",
-    "CheckpointError",
     "CheckpointMismatch",
-    "CheckpointStore",
     "NetworkFaultInjector",
     "NetworkFaultSpec",
     "ResumableCampaign",
     "ShardLog",
     "rng_state_digest",
-    "verify_fingerprint",
 ]

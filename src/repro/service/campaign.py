@@ -22,7 +22,9 @@ Shard results are content-addressed: :func:`shard_store_key` derives a
 :mod:`repro.store` key from the result-shaping spec fields plus the
 index range, so a re-submitted campaign — or a different tenant's
 identical one — is served from the store without dispatching a single
-trial.
+trial.  The store holds each aggregate's ``to_state()``;
+:func:`stored_shard` turns an entry back into an aggregate, or into a
+miss when it does not decode.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ __all__ = [
     "run_shard",
     "run_trial",
     "shard_store_key",
+    "stored_shard",
 ]
 
 #: Noise environments a spec may name (plain strings keep specs JSON).
@@ -220,6 +223,24 @@ def shard_store_key(spec: CampaignSpec, lo: int, hi: int) -> str:
     return store_key("shard_result", lo=lo, hi=hi, **spec.key_parts())
 
 
+def stored_shard(
+    store: ContentStore, key: str, aggregate_cls: type
+) -> Optional[Any]:
+    """The shard aggregate ``store`` holds under ``key``, or ``None``.
+
+    An entry that does not decode as ``aggregate_cls`` (a state an
+    older schema wrote) is a miss like an absent one: the shard is
+    recomputed and its put overwrites the entry.
+    """
+    found, state = store.get(key)
+    if not found:
+        return None
+    try:
+        return aggregate_cls.from_state(state)
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return None
+
+
 def run_trial(
     spec: CampaignSpec,
     index: int,
@@ -315,14 +336,13 @@ def run_campaign(
     parts: List[Any] = []
     for lo, hi in plan_shards(spec, n_shards):
         key = shard_store_key(spec, lo, hi)
+        part = None
         if store is not None:
-            found, value = store.get(key)
-            if found and isinstance(value, aggregate_cls):
-                parts.append(value)
-                continue
-        part = run_shard(spec, lo, hi, pre_trial=pre_trial)
-        if store is not None:
-            store.put(key, part)
+            part = stored_shard(store, key, aggregate_cls)
+        if part is None:
+            part = run_shard(spec, lo, hi, pre_trial=pre_trial)
+            if store is not None:
+                store.put(key, part.to_state())
         parts.append(part)
     return aggregate_cls.merged(parts)
 

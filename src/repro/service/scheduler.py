@@ -30,6 +30,7 @@ from repro.service.campaign import (
     plan_shards,
     run_shard,
     shard_store_key,
+    stored_shard,
 )
 from repro.store import ContentStore
 
@@ -101,11 +102,14 @@ def campaign_checkpoint(
     )
 
 
-def save_campaign(state: "CampaignState", shards: Iterable[int]) -> None:
-    """Durably append the just-finished ``shards`` of ``state`` to its
-    shard log (one fsync'd write; a no-op without a log)."""
+def save_campaign(
+    state: "CampaignState", shards: Iterable[Tuple[int, Dict[str, Any]]]
+) -> None:
+    """Durably append the just-finished ``(shard index, to_state())``
+    pairs of ``state`` to its shard log (one fsync'd write; a no-op
+    without a log)."""
     if state.log is not None:
-        state.log.append((i, state.done[i].to_state()) for i in shards)
+        state.log.append(shards)
 
 
 class CampaignBook:
@@ -183,10 +187,14 @@ class CampaignBook:
         if self.store is not None:
             for i in state.pending():
                 lo, hi = state.shards[i]
-                found, value = self.store.get(shard_store_key(spec, lo, hi))
-                if found and isinstance(value, state.aggregate_cls):
-                    state.done[i] = value
-                    cached.append(i)
+                aggregate = stored_shard(
+                    self.store,
+                    shard_store_key(spec, lo, hi),
+                    state.aggregate_cls,
+                )
+                if aggregate is not None:
+                    state.done[i] = aggregate
+                    cached.append((i, aggregate.to_state()))
         state.cached_shards = len(cached)
         self.campaigns[state.campaign_id] = state
         if cached:
@@ -207,22 +215,23 @@ class CampaignBook:
     def finish(self, triples: Iterable[Tuple[str, int, Any]]) -> None:
         """Record finished ``(campaign, shard, aggregate)`` triples.
 
-        Each aggregate goes to the store's disk tier only (the campaign
-        state already holds it, and a later read still fills the memory
-        tier); then every touched campaign appends its new shards to its
-        shard log in one fsync'd write, so they are durable when this
-        returns.
+        Each aggregate's ``to_state()``, taken once, goes to the store's
+        disk tier only (the campaign state already holds the aggregate,
+        and a later read still fills the memory tier) and to the shard
+        log: every touched campaign appends its new shards in one
+        fsync'd write, so they are durable when this returns.
         """
-        touched: Dict[str, List[int]] = {}
+        touched: Dict[str, List[Tuple[int, Dict[str, Any]]]] = {}
         for cid, shard_index, aggregate in triples:
             state = self.campaigns[cid]
             state.done[shard_index] = aggregate
-            touched.setdefault(cid, []).append(shard_index)
+            agg_state = aggregate.to_state()
+            touched.setdefault(cid, []).append((shard_index, agg_state))
             if self.store is not None:
                 lo, hi = state.shards[shard_index]
                 self.store.put(
                     shard_store_key(state.spec, lo, hi),
-                    aggregate,
+                    agg_state,
                     memory=False,
                 )
         for cid in sorted(touched):

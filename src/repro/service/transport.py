@@ -6,7 +6,7 @@ carry the lease protocol safely:
 
 * **framing** — every request and response body is
   ``REPRO-WIRE-1\\n<sha256 hex>\\n<canonical JSON>``, the same
-  digest-before-payload discipline as the content store's pickles
+  digest-before-payload frame as the content store's entries
   (:mod:`repro.store`).  A truncated or bit-flipped body fails
   :func:`unframe_payload` and reads as *no* message, never as a
   different message — the property every torn-write recovery below
@@ -36,10 +36,10 @@ carry the lease protocol safely:
   (framed JSON) and ``GET /metrics`` (Prometheus text from the live
   registry, so one port serves both protocol and scrape).
 
-The transport carries *state dictionaries*, never pickles: shard
-aggregates cross the wire as their JSON-safe ``to_state()`` form and
-are rebuilt with ``from_state`` on the coordinator — no remote peer can
-make this process unpickle anything.
+The transport carries *state dictionaries*, as the store and the shard
+logs persist them: shard aggregates cross the wire as their JSON-safe
+``to_state()`` form and are rebuilt with ``from_state`` on the
+coordinator — no remote peer can make this process run code it sent.
 
 See MODELING.md §15 for the protocol and failure matrix.
 """

@@ -7,8 +7,8 @@ coordinator therefore publish every finished shard aggregate to a
 so a resubmitted campaign — by the same or another tenant, in this
 process or after a restart — is served without running a trial:
 
-* **memory tier** — a bounded LRU of deserialised objects (cheap repeat
-  hits within one process);
+* **memory tier** — a bounded LRU of decoded values (cheap repeat hits
+  within one process);
 * **disk tier** — one file per key under a root directory, written
   through a temp file and ``os.replace`` (:func:`repro.ioutil.
   replace_bytes`) and framed with a SHA-256 digest so a torn or
@@ -25,8 +25,11 @@ shard log (:class:`repro.resilience.checkpoint.ShardLog`).
 
 Keys are ``blake2b`` hexdigests derived by :func:`store_key` from a
 *kind* tag plus canonical key parts, so two campaigns (or two users)
-asking for the same artifact share one entry.  Values are pickled with
-a pinned protocol.
+asking for the same artifact share one entry.  Values are plain data
+(a shard aggregate's ``to_state()``), stored as canonical JSON
+(:func:`repro.ioutil.canonical_json`): a read never runs code, and an
+entry whose schema a code change outdated fails the caller's
+``from_state`` instead of decoding into a stale object.
 
 Eviction is by size budget: when the disk tier exceeds ``max_bytes``,
 least-recently-*used* files go first (hits bump the file mtime).  All
@@ -39,22 +42,20 @@ kind on the ``/metrics`` endpoint.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
-import pickle
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
-from repro.ioutil import frame, replace_bytes, unframe
+from repro.ioutil import canonical_json, frame, replace_bytes, unframe
 from repro.obs import trace as obs
 
 __all__ = ["ContentStore", "StoreStats", "store_key"]
 
-#: File magic; bump when the value framing changes.
-_MAGIC = b"REPRO-STORE-1\n"
-
-#: Pickle protocol pinned for stable bytes across interpreter minors.
-_PICKLE_PROTOCOL = 4
+#: File magic; bump when the value encoding changes (``-1`` held
+#: pickles, which now read as corrupt entries).
+_MAGIC = b"REPRO-STORE-2\n"
 
 #: Default disk budget: 512 MiB holds thousands of shard results.
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
@@ -163,6 +164,9 @@ class ContentStore:
     # -- internals ----------------------------------------------------------
 
     def _path(self, key: str) -> Path:
+        # The suffix predates the JSON codec.  Keeping it means an entry
+        # an older release wrote under the same key is read, counted as
+        # corrupt and removed, rather than left outside the eviction scan.
         return self.root / f"{key}.pkl"
 
     @staticmethod
@@ -186,8 +190,8 @@ class ContentStore:
             return False, None
         self.stats.bytes_read += len(data)
         try:
-            value = pickle.loads(unframe(_MAGIC, data))
-        except Exception:
+            value = json.loads(unframe(_MAGIC, data))
+        except ValueError:
             pass
         else:
             # A hit is a "use": bump mtime so the LRU eviction order
@@ -197,8 +201,8 @@ class ContentStore:
             except OSError:
                 pass
             return True, value
-        # Torn, bit-flipped or unpicklable: a content-addressed artifact
-        # is always recomputable, so drop it and report a miss.
+        # Torn, bit-flipped or of another format: a content-addressed
+        # artifact is always recomputable, so drop it and report a miss.
         self.stats.corrupt += 1
         obs.record_resilience_event("store_corrupt", detail=key)
         try:
@@ -227,8 +231,8 @@ class ContentStore:
         return False, None
 
     def put(self, key: str, value: Any, *, memory: bool = True) -> None:
-        """Write ``value`` under ``key`` (atomic, not fsync'd; last whole
-        write wins).
+        """Write the plain-data ``value`` under ``key`` (atomic, not
+        fsync'd; last whole write wins).
 
         ``memory=False`` writes the disk tier only — for publishers that
         already hold the value themselves: the service's campaign book
@@ -236,7 +240,7 @@ class ContentStore:
         copy would only pin it for the store's lifetime.
         A later :meth:`get` still fills the memory tier.
         """
-        data = frame(_MAGIC, pickle.dumps(value, protocol=_PICKLE_PROTOCOL))
+        data = frame(_MAGIC, canonical_json(value).encode("utf-8"))
         replace_bytes(self._path(key), data)
         self.stats.puts += 1
         self.stats.bytes_written += len(data)

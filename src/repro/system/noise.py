@@ -28,7 +28,6 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from repro.cpu.core import PhysicalCore
-from repro.cpu.process import Process
 
 __all__ = [
     "NoiseModel",
@@ -41,7 +40,6 @@ __all__ = [
     "pcg64_stream",
     "apply_noise_draw",
     "inject_noise",
-    "run_workload_noise",
     "apply_fsm_steps",
 ]
 
@@ -153,23 +151,6 @@ def apply_fsm_steps(
         idx = sorted_idx[mask]
         out = sorted_out[mask]
         levels[idx] = step_table[out, levels[idx]]
-
-
-def run_workload_noise(core: PhysicalCore, workload, n: int) -> None:
-    """Exact-path noise: execute ``n`` branches of a structured workload.
-
-    Uniform-random noise (:func:`inject_noise`) is the fast default, but
-    real co-runners execute *structured* control flow
-    (:mod:`repro.workloads`): loops train entries to strong states,
-    biased checks park entries on one side.  This helper runs such a
-    co-runner exactly; the structured-vs-uniform comparison lives in
-    ``tests/test_noise.py``.
-    """
-    process = Process("noise-workload")
-    stream = workload.branches()
-    for _ in range(n):
-        address, taken = next(stream)
-        core.execute_branch(process, address, taken)
 
 
 @dataclass(frozen=True)

@@ -65,10 +65,6 @@ class JpegImage:
         """
         return (self.blocks == 0).all(axis=3)
 
-    def nonzero_counts(self) -> np.ndarray:
-        """Per-block count of non-zero coefficients ("complexity")."""
-        return (self.blocks != 0).sum(axis=(2, 3))
-
 
 def encode_image(
     pixels: np.ndarray, qtable: np.ndarray = STANDARD_LUMINANCE_QTABLE

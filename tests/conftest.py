@@ -25,6 +25,13 @@ TEST_SCALE = 16
 SMALL_BLOCK = 8_000
 
 
+def pins_entry(compiled, core: PhysicalCore, address: int) -> bool:
+    """Whether ``compiled`` pins the bimodal entry behind ``address``: its
+    post-block level does not depend on the level before it."""
+    row = compiled.target_entry_map(core, address)
+    return bool((row == row[0]).all())
+
+
 def scalar_stability(
     core_factory,
     target_address,

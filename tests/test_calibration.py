@@ -16,6 +16,7 @@ from repro.core.patterns import DecodedState
 from repro.core.randomizer import RandomizationBlock
 from repro.cpu import PhysicalCore, Process
 from repro.system.noise import NoiseModel
+from tests.conftest import pins_entry
 
 ADDRESS = 0x30_0006D
 BLOCK_N = 8000
@@ -101,7 +102,7 @@ class TestFindBlock:
                 max_candidates=300,
                 noise=NoiseModel.silent(),
             )
-            assert compiled.pins_entry(core, ADDRESS)
+            assert pins_entry(compiled, core, ADDRESS)
             row = compiled.target_entry_map(core, ADDRESS)
             fsm = core.predictor.bimodal.pht.fsm
             assert fsm.public_state(int(row[0])).name == desired.value

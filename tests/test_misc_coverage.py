@@ -10,8 +10,17 @@ from repro.bpu.partition import Partition
 from repro.bpu.pht import PatternHistoryTable
 from repro.bpu.fsm import State, textbook_2bit_fsm
 from repro.cpu import PhysicalCore, Process
-from repro.system.noise import run_workload_noise
 from repro.workloads import BiasedWorkload, MixedWorkload
+
+
+def run_workload_noise(core, workload, n: int) -> None:
+    """Exact-path noise: execute ``n`` branches of a structured workload
+    (:mod:`repro.workloads`) as a co-runner process."""
+    process = Process("noise-workload")
+    stream = workload.branches()
+    for _ in range(n):
+        address, taken = next(stream)
+        core.execute_branch(process, address, taken)
 
 
 @pytest.fixture

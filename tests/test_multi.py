@@ -8,6 +8,7 @@ from repro.core.calibration import CalibrationError
 from repro.core.multi import MultiBranchScope
 from repro.cpu import PhysicalCore, Process
 from repro.system.scheduler import NoiseSetting
+from tests.conftest import pins_entry
 
 ADDRESSES = [0x30_0006D, 0x40_1100, 0x40_A210]
 SMALL_BLOCK = 8000
@@ -31,7 +32,7 @@ class TestCalibration:
         )
         compiled = scope.calibrate()
         for address in ADDRESSES:
-            assert compiled.pins_entry(core, address)
+            assert pins_entry(compiled, core, address)
 
     def test_every_plan_decodable(self, core, spy):
         scope = MultiBranchScope(

@@ -6,6 +6,7 @@ import pytest
 from repro.bpu import haswell, skylake
 from repro.cpu import PhysicalCore, Process
 from repro.core.randomizer import RandomizationBlock
+from tests.conftest import pins_entry
 
 BLOCK_N = 6000
 
@@ -168,17 +169,15 @@ class TestCompiledBlock:
             assert (row == compiled.target_entry_map(core, address)).all()
 
     def test_pins_entry_detects_constant_rows(self, core, spy, block):
+        """On every entry, the compiled block's pin verdict equals the
+        analytical one ``find_block`` screens candidates with."""
         compiled = block.compile(core, spy)
         n = core.predictor.bimodal.pht.n_entries
-        pinned = [
-            compiled.pins_entry(core, a) for a in range(0x400000, 0x400000 + n)
-        ]
-        rows = [
-            compiled.target_entry_map(core, a)
-            for a in range(0x400000, 0x400000 + n)
-        ]
-        for flag, row in zip(pinned, rows):
-            assert flag == bool((row == row[0]).all())
+        for address in range(0x400000, 0x400000 + n):
+            row = block.entry_fold(core, spy, address)
+            assert pins_entry(compiled, core, address) == bool(
+                (row == row[0]).all()
+            )
 
     def test_apply_forces_victim_branch_cold(self, core, spy, block):
         """After the block, a previously-seen branch is new again (§5.2)."""

@@ -2,30 +2,36 @@
 
 Every recovery assertion is *bit-identical results*, not mere survival:
 a SIGKILL'd campaign must resume to exactly the uninterrupted run's
-output, a corrupted checkpoint must roll back to the last good
-generation.  Transport faults against the lease protocol are stormed in
-``tests/test_transport.py``.
+output, and a torn, bit-flipped or foreign checkpoint must cost at most
+the records that fail their checks.  Transport faults against the lease
+protocol are stormed in ``tests/test_transport.py``.
 """
 
+import hashlib
+import json
 import pickle
 
 import numpy as np
 import pytest
 
 from repro.bpu import haswell
-from repro.core.calibration import find_block, stability_experiment
+from repro.core.calibration import (
+    CHECKPOINT_WAVE,
+    find_block,
+    stability_experiment,
+)
 from repro.core.covert import CovertChannel, CovertConfig
 from repro.core.patterns import DecodedState
 from repro.cpu import PhysicalCore, Process
 from repro.obs import reset_resilience_events, resilience_event_counts
 from repro.parallel import TrialPool
 from repro.resilience import (
-    CheckpointCorruption,
     CheckpointMismatch,
-    CheckpointStore,
     ResumableCampaign,
+    ShardLog,
     rng_state_digest,
 )
+from repro.resilience.checkpoint import SHARD_LOG_MAGIC
 from repro.service.transport import (
     BACKOFF_BASE,
     BACKOFF_CAP,
@@ -107,81 +113,91 @@ class TestBackoff:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint store
+# Checkpoint logs written by the last release
 
 
-class TestCheckpointStore:
-    def test_save_load_round_trip(self, tmp_path):
-        store = CheckpointStore(tmp_path / "c.ckpt")
-        assert store.load() is None
-        state = {"fingerprint": {"x": 1}, "results": {0: [1, 2]}}
-        store.save(state)
-        assert store.load() == state
+def write_parent_checkpoint(path, state) -> None:
+    """Write ``state`` as the last release's checkpoint did:
+    ``REPRO-CKPT-1\\n``, the SHA-256 hex of a protocol-4 pickle, a
+    newline, then the pickle."""
+    payload = pickle.dumps(state, protocol=4)
+    path.write_bytes(
+        b"REPRO-CKPT-1\n"
+        + hashlib.sha256(payload).hexdigest().encode("ascii")
+        + b"\n"
+        + payload
+    )
 
-    def test_two_generations_and_rollback_on_corruption(self, tmp_path):
-        store = CheckpointStore(tmp_path / "c.ckpt")
-        store.save({"gen": 1})
-        store.save({"gen": 2})
-        assert store.previous_path.exists()
-        corrupt_file(store.path, seed=5)
-        assert store.load() == {"gen": 1}
-        # The torn file is quarantined for forensics, and the event is
-        # on the always-on counters.
-        assert store.corrupt_path.exists()
-        assert resilience_event_counts().get("checkpoint_rollback", 0) == 1
-        # The promoted generation is now current: saving continues.
-        store.save({"gen": 3})
-        assert store.load() == {"gen": 3}
 
-    def test_both_generations_corrupt_raises(self, tmp_path):
-        store = CheckpointStore(tmp_path / "c.ckpt")
-        store.save({"gen": 1})
-        store.save({"gen": 2})
-        corrupt_file(store.path, seed=5)
-        corrupt_file(store.previous_path, seed=6)
-        with pytest.raises(CheckpointCorruption):
-            store.load()
+class TestCheckpointLog:
+    """The one checkpoint format, below its writers: records round-trip,
+    the layout is pinned, and a torn or foreign file costs only what
+    fails its checks."""
 
-    def test_truncated_file_rolls_back(self, tmp_path):
-        store = CheckpointStore(tmp_path / "c.ckpt")
-        store.save({"gen": 1})
-        store.save({"gen": 2})
-        data = store.path.read_bytes()
-        store.path.write_bytes(data[: len(data) // 2])
-        assert store.load() == {"gen": 1}
+    FP = {"experiment": "unit"}
 
-    def test_foreign_file_detected(self, tmp_path):
-        store = CheckpointStore(tmp_path / "c.ckpt")
-        store.path.write_bytes(b"not a checkpoint at all")
-        with pytest.raises(CheckpointCorruption, match="bad magic"):
-            store.load()
+    def test_append_load_round_trip(self, tmp_path):
+        log = ShardLog(tmp_path / "c.ckpt", self.FP)
+        assert log.load() == {}
+        log.append([(0, {"n": 1}), (1, [2, 3])])
+        log.append([(0, {"n": 4})])  # a later record of an index wins
+        assert ShardLog(tmp_path / "c.ckpt", self.FP).load() == {
+            0: {"n": 4}, 1: [2, 3],
+        }
 
-    def test_hand_built_checkpoint_reads_as_a_state(self, tmp_path):
-        """The file layout is pinned: ``REPRO-CKPT-1\\n``, the SHA-256 hex
-        of the pickle, a newline, then the protocol-4 pickle."""
-        import hashlib
+    def test_hand_built_log_reads_as_records(self, tmp_path):
+        """The file layout is pinned: ``REPRO-SHARDS-1\\n``, then one line
+        per record, each the SHA-256 hex of its canonical JSON, a space
+        and the JSON; the header record holds the fingerprint."""
 
-        state = {"fingerprint": {"x": 1}, "done": {0: {"n": 3}}}
-        payload = pickle.dumps(state, protocol=4)
+        def line(obj):
+            text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            return f"{digest} {text}\n".encode()
+
         data = (
-            b"REPRO-CKPT-1\n"
-            + hashlib.sha256(payload).hexdigest().encode("ascii")
-            + b"\n"
-            + payload
+            b"REPRO-SHARDS-1\n"
+            + line({"fingerprint": self.FP})
+            + line({"shard": 3, "state": {"x": 0.1}})
         )
-        store = CheckpointStore(tmp_path / "c.ckpt")
-        store.path.write_bytes(data)
-        assert store.load() == state
-        store.save(state)
-        assert store.path.read_bytes() == data
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(data)
+        assert ShardLog(path, self.FP).load() == {3: {"x": 0.1}}
+        path.unlink()
+        log = ShardLog(path, self.FP)
+        log.load()
+        log.append([(3, {"x": 0.1})])
+        assert path.read_bytes() == data
 
-    def test_clear_removes_all_generations(self, tmp_path):
-        store = CheckpointStore(tmp_path / "c.ckpt")
-        store.save({"gen": 1})
-        store.save({"gen": 2})
-        store.clear()
-        assert not store.exists()
-        assert store.load() is None
+    def test_truncated_file_keeps_whole_records(self, tmp_path):
+        log = ShardLog(tmp_path / "c.ckpt", self.FP)
+        log.load()
+        log.append([(i, i) for i in range(4)])
+        data = log.path.read_bytes()
+        log.path.write_bytes(data[: len(data) - 30])
+        assert ShardLog(log.path, self.FP).load() == {0: 0, 1: 1, 2: 2}
+        assert resilience_event_counts()["checkpoint_corrupt"] == 1
+
+    def test_foreign_file_is_quarantined(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(b"not a checkpoint at all")
+        log = ShardLog(path, self.FP)
+        assert log.load() == {}
+        assert not path.exists()
+        assert log.corrupt_path.read_bytes() == b"not a checkpoint at all"
+        assert resilience_event_counts()["checkpoint_corrupt"] == 1
+        log.append([(0, 1)])  # the run starts a fresh log
+        assert ShardLog(path, self.FP).load() == {0: 1}
+
+    def test_clear_removes_log_and_quarantine(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(b"junk")
+        log = ShardLog(path, self.FP)
+        log.load()
+        log.append([(0, 1)])
+        log.clear()
+        assert not path.exists() and not log.corrupt_path.exists()
+        assert log.load() == {}
 
 
 class TestRngStateDigest:
@@ -251,7 +267,7 @@ class TestResumableCampaign:
         assert campaign.last_resumed == 0
 
     def test_killed_campaign_resumes_bit_identically(self, tmp_path):
-        store = CheckpointStore(tmp_path / "c.ckpt")
+        store = tmp_path / "c.ckpt"
         first = ResumableCampaign(store, fingerprint=self.FP, interval=4)
         with pytest.raises(KeyboardInterrupt):
             first.map(_KillAfter(TrialPool(), 2), square, range(20))
@@ -262,7 +278,7 @@ class TestResumableCampaign:
         assert resilience_event_counts().get("campaign_resume", 0) >= 1
 
     def test_completed_campaign_short_circuits(self, tmp_path):
-        store = CheckpointStore(tmp_path / "c.ckpt")
+        store = tmp_path / "c.ckpt"
         ResumableCampaign(store, fingerprint=self.FP, interval=5).map(
             TrialPool(), square, range(20)
         )
@@ -279,7 +295,7 @@ class TestResumableCampaign:
         assert calls == []
 
     def test_fingerprint_mismatch_raises(self, tmp_path):
-        store = CheckpointStore(tmp_path / "c.ckpt")
+        store = tmp_path / "c.ckpt"
         ResumableCampaign(store, fingerprint=self.FP).map(
             TrialPool(), square, range(20)
         )
@@ -290,7 +306,7 @@ class TestResumableCampaign:
             )
 
     def test_total_mismatch_raises(self, tmp_path):
-        store = CheckpointStore(tmp_path / "c.ckpt")
+        store = tmp_path / "c.ckpt"
         ResumableCampaign(store, fingerprint=self.FP).map(
             TrialPool(), square, range(20)
         )
@@ -300,7 +316,7 @@ class TestResumableCampaign:
             )
 
     def test_resume_false_clears_and_restarts(self, tmp_path):
-        store = CheckpointStore(tmp_path / "c.ckpt")
+        store = tmp_path / "c.ckpt"
         first = ResumableCampaign(store, fingerprint=self.FP, interval=4)
         with pytest.raises(KeyboardInterrupt):
             first.map(_KillAfter(TrialPool(), 1), square, range(20))
@@ -311,45 +327,70 @@ class TestResumableCampaign:
         assert out == [square(i) for i in range(20)]
         assert fresh.last_resumed == 0
 
-    def test_rng_stream_position_survives_the_kill(self, tmp_path):
-        """Serial campaigns chaining draws resume mid-stream exactly."""
-
-        def run(campaign, rng, kill_after=None):
-            def trial(_i):
-                return float(rng.random())
-
-            pool = TrialPool()
-            if kill_after is not None:
-                pool = _KillAfter(pool, kill_after)
-            return campaign.map(pool, trial, range(12))
-
-        fp = {"experiment": "rng-chain"}
-        ref_rng = np.random.default_rng(9)
-        ref = run(
-            ResumableCampaign(
-                tmp_path / "a.ckpt", fingerprint=fp, interval=3, rng=ref_rng
-            ),
-            ref_rng,
-        )
-        store = CheckpointStore(tmp_path / "b.ckpt")
-        killed_rng = np.random.default_rng(9)
+    def _killed(self, path, batches):
+        """The log a campaign leaves when killed after ``batches``."""
+        campaign = ResumableCampaign(path, fingerprint=self.FP, interval=4)
         with pytest.raises(KeyboardInterrupt):
-            run(
-                ResumableCampaign(
-                    store, fingerprint=fp, interval=3, rng=killed_rng
-                ),
-                killed_rng,
-                kill_after=2,
-            )
-        resumed_rng = np.random.default_rng(9)  # cold process restart
-        out = run(
-            ResumableCampaign(
-                store, fingerprint=fp, interval=3, rng=resumed_rng
-            ),
-            resumed_rng,
-        )
-        assert out == ref
-        assert rng_state_digest(resumed_rng) == rng_state_digest(ref_rng)
+            campaign.map(_KillAfter(TrialPool(), batches), square, range(20))
+        return path.read_bytes()
+
+    def test_one_record_per_trial_one_append_per_batch(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        data = self._killed(path, 2)
+        lines = data.split(b"\n")
+        assert lines[0] + b"\n" == SHARD_LOG_MAGIC
+        header = json.loads(lines[1][65:])
+        assert header == {
+            "fingerprint": {"campaign": self.FP, "trials": 20}
+        }
+        records = [json.loads(line[65:]) for line in lines[2:] if line]
+        assert records == [{"shard": i, "state": i * i} for i in range(8)]
+
+    def test_torn_tail_costs_one_trial(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        data = self._killed(path, 2)
+        path.write_bytes(data[:-7])
+        campaign = ResumableCampaign(path, fingerprint=self.FP, interval=4)
+        out = campaign.map(TrialPool(), square, range(20))
+        assert out == [square(i) for i in range(20)]
+        assert campaign.last_resumed == 7
+        assert resilience_event_counts()["checkpoint_corrupt"] == 1
+
+    def test_bit_flipped_record_is_skipped(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        data = bytearray(self._killed(path, 2))
+        lines = bytes(data).split(b"\n")
+        # Magic, header, eight trial records: flip a byte of the third.
+        data[sum(len(line) + 1 for line in lines[:4]) + 70] ^= 0x01
+        path.write_bytes(bytes(data))
+        calls = []
+
+        def spy_fn(x):
+            calls.append(x)
+            return square(x)
+
+        campaign = ResumableCampaign(path, fingerprint=self.FP, interval=4)
+        out = campaign.map(TrialPool(), spy_fn, range(20))
+        assert out == [square(i) for i in range(20)]
+        assert campaign.last_resumed == 7
+        assert calls == [2] + list(range(8, 20))
+        assert resilience_event_counts()["checkpoint_corrupt"] == 1
+
+    def test_parent_checkpoint_is_quarantined(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        write_parent_checkpoint(path, {
+            "fingerprint": self.FP,
+            "results": {i: square(i) for i in range(8)},
+            "total": 20,
+            "complete": False,
+        })
+        campaign = ResumableCampaign(path, fingerprint=self.FP, interval=4)
+        out = campaign.map(TrialPool(), square, range(20))
+        assert out == [square(i) for i in range(20)]
+        assert campaign.last_resumed == 0
+        assert path.with_name("c.ckpt.corrupt").exists()
+        assert path.read_bytes().startswith(SHARD_LOG_MAGIC)
+        assert resilience_event_counts()["checkpoint_corrupt"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +435,76 @@ class TestExperimentResume:
                 max_candidates=24, checkpoint=tmp_path / "fb.ckpt",
             )
 
+    def test_find_block_killed_mid_search_resumes(self, tmp_path, monkeypatch):
+        import repro.core.calibration as calibration
+
+        spy = Process("spy")
+        kwargs = dict(max_candidates=24)
+        plain = find_block(_mkcore(), spy, 0x400, DecodedState.ST, **kwargs)
+        assert plain.block.seed > CHECKPOINT_WAVE
+
+        def dying_assess(*args, **kw):
+            # Dies (like SIGKILL) at the first candidate that passes the
+            # analytical check: the winner, past the first wave.
+            raise KeyboardInterrupt("simulated kill")
+
+        path = tmp_path / "fb.ckpt"
+        with monkeypatch.context() as patch:
+            patch.setattr(calibration, "assess_block_batch", dying_assess)
+            with pytest.raises(KeyboardInterrupt):
+                find_block(
+                    _mkcore(), spy, 0x400, DecodedState.ST,
+                    checkpoint=path, **kwargs
+                )
+        # The entropy pin and the first wave's record.
+        assert path.read_bytes().count(b"\n") == 4
+        resumed = find_block(
+            _mkcore(), spy, 0x400, DecodedState.ST, checkpoint=path, **kwargs
+        )
+        assert resumed.block.seed == plain.block.seed
+
+    def test_parent_checkpoints_are_quarantined(self, tmp_path):
+        """A checkpoint the last release wrote at a ``find_block``,
+        ``stability_experiment`` or ``trial_sweep`` path is moved aside
+        as ``<path>.corrupt``, and the run returns the uninterrupted
+        result."""
+        spy = Process("spy")
+        plain = find_block(
+            _mkcore(), spy, 0x400, DecodedState.ST, max_candidates=24
+        )
+        fb = tmp_path / "fb.ckpt"
+        write_parent_checkpoint(fb, {"entropy": 1, "next_index": 0})
+        found = find_block(
+            _mkcore(), spy, 0x400, DecodedState.ST, max_candidates=24,
+            checkpoint=fb,
+        )
+        assert found.block.seed == plain.block.seed
+
+        def factory():
+            return PhysicalCore(haswell().scaled(16), seed=7)
+
+        kwargs = dict(n_blocks=4, block_branches=400, repetitions=10)
+        ref = stability_experiment(factory, 0x400, **kwargs)
+        st = tmp_path / "st.ckpt"
+        write_parent_checkpoint(st, {"results": {0: ref[0]}, "total": 4})
+        assert stability_experiment(
+            factory, 0x400, checkpoint=st, **kwargs
+        ) == ref
+
+        channel = CovertChannel.for_processes(
+            _mkcore(20), Process("victim"), Process("spy"),
+            config=CovertConfig(block_branches=8000),
+        )
+        payloads = [[1, 0, 1, 1], [0, 0, 1, 0]]
+        sweep = channel.trial_sweep(payloads)
+        cov = tmp_path / "cov.ckpt"
+        write_parent_checkpoint(cov, {"results": {0: ([0] * 4, 0)}})
+        assert channel.trial_sweep(payloads, checkpoint=cov) == sweep
+        for path in (fb, st, cov):
+            assert path.with_name(path.name + ".corrupt").exists()
+            assert path.read_bytes().startswith(SHARD_LOG_MAGIC)
+        assert resilience_event_counts()["checkpoint_corrupt"] == 3
+
     def test_stability_experiment_kill_and_resume(self, tmp_path):
         def factory():
             return PhysicalCore(haswell().scaled(16), seed=7)
@@ -403,7 +514,7 @@ class TestExperimentResume:
             backend="process",
         )
         ref = stability_experiment(factory, 0x400, **kwargs)
-        store = CheckpointStore(tmp_path / "st.ckpt")
+        store = tmp_path / "st.ckpt"
 
         count = {"n": 0}
 
@@ -432,7 +543,7 @@ class TestExperimentResume:
         kwargs = dict(
             n_blocks=6, block_branches=400, repetitions=10, backend="process"
         )
-        store = CheckpointStore(tmp_path / "st.ckpt")
+        store = tmp_path / "st.ckpt"
         stability_experiment(
             factory, 0x400, checkpoint=store,
             fingerprint_extra={"core_seed": 7}, **kwargs
@@ -458,7 +569,7 @@ class TestExperimentResume:
         payloads = [rng.integers(0, 2, 30).tolist() for _ in range(6)]
         ref_channel = build_channel()
         ref = ref_channel.trial_sweep(payloads, seed=0)
-        store = CheckpointStore(tmp_path / "cov.ckpt")
+        store = tmp_path / "cov.ckpt"
         killed = build_channel()
         transmit = killed.transmit
         sent = []
@@ -502,14 +613,19 @@ class TestCliExitCodes:
         assert "result digest" in capsys.readouterr().out
 
     def test_corrupt_checkpoint_exit_code(self, tmp_path, capsys):
-        from repro.cli import EXIT_CHECKPOINT_CORRUPT, main
+        """A corrupt checkpoint is quarantined; the run exits 0 with the
+        uninterrupted digest."""
+        from repro.cli import main
 
+        assert main(self.CAMPAIGN) == 0
+        reference = capsys.readouterr().out.splitlines()[-1]
         ckpt = tmp_path / "c"
         ckpt.write_bytes(b"garbage")
-        (tmp_path / "c.prev").write_bytes(b"garbage")
         code = main(self.CAMPAIGN + ["--checkpoint", str(ckpt)])
-        assert code == EXIT_CHECKPOINT_CORRUPT == 4
-        assert "checkpoint error" in capsys.readouterr().err
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-1] == reference
+        assert reference.startswith("result digest")
+        assert (tmp_path / "c.corrupt").read_bytes() == b"garbage"
 
     def test_mismatched_checkpoint_exit_code(self, tmp_path, capsys):
         from repro.cli import EXIT_CHECKPOINT_CORRUPT, main
@@ -517,7 +633,8 @@ class TestCliExitCodes:
         ckpt = str(tmp_path / "c")
         assert main(self.CAMPAIGN + ["--checkpoint", ckpt]) == 0
         code = main(self.CAMPAIGN + ["--checkpoint", ckpt, "--seed", "99"])
-        assert code == EXIT_CHECKPOINT_CORRUPT
+        assert code == EXIT_CHECKPOINT_CORRUPT == 4
+        assert "checkpoint error" in capsys.readouterr().err
 
     def test_fresh_clears_mismatched_checkpoint(self, tmp_path):
         from repro.cli import main

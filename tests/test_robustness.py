@@ -27,6 +27,7 @@ from repro.mitigations import (
 from repro.system.noise import NoiseModel, inject_noise
 from repro.system.scheduler import NoiseSetting
 from repro.victims import SecretBitArrayVictim
+from tests.conftest import pins_entry
 
 SMALL_BLOCK = 8000
 
@@ -86,7 +87,7 @@ class TestHostileInitialState:
             block_branches=SMALL_BLOCK,
             repetitions=10,
         )
-        assert compiled.pins_entry(core, 0x30_0006D)
+        assert pins_entry(compiled, core, 0x30_0006D)
 
     def test_attack_after_heavy_prior_activity(self):
         core = PhysicalCore(haswell().scaled(16), seed=134)

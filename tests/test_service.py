@@ -10,8 +10,10 @@ restarted service converges to the uninterrupted reference digest.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -45,7 +47,6 @@ from repro.obs import resilience_event_counts
 from repro.resilience.checkpoint import (
     SHARD_LOG_MAGIC,
     CheckpointMismatch,
-    CheckpointStore,
     ShardLog,
     rng_state_digest,
 )
@@ -674,14 +675,19 @@ class TestShardLog:
         spec = small_spec(shards=4)
         store = ContentStore(tmp_path / "store")
         first, path = self._partial(tmp_path, spec, waves=2, store=store)
-        # What an earlier release wrote at this path: a framed pickle.
-        path.unlink()
-        CheckpointStore(path).save({
+        # What an earlier release wrote at this path: ``REPRO-CKPT-1``,
+        # the SHA-256 hex of a protocol-4 pickle, a newline, the pickle.
+        payload = pickle.dumps({
             "fingerprint": spec.fingerprint(),
             "done": {i: agg.to_state() for i, agg in first.done.items()},
             "complete": False,
-        })
-        assert path.read_bytes().startswith(b"REPRO-CKPT-1\n")
+        }, protocol=4)
+        path.write_bytes(
+            b"REPRO-CKPT-1\n"
+            + hashlib.sha256(payload).hexdigest().encode("ascii")
+            + b"\n"
+            + payload
+        )
         before = resilience_event_counts().get("checkpoint_corrupt", 0)
         state, result = self._resume(tmp_path, spec, store=store)
         assert resilience_event_counts()["checkpoint_corrupt"] == before + 1

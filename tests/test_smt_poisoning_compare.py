@@ -86,7 +86,10 @@ class TestPoisoning:
         )
         assert result.baseline_misprediction_rate < 0.05
         assert result.poisoned_misprediction_rate > 0.9
-        assert result.amplification > 10
+        # Poisoning inflates the victim's misprediction rate over 10x.
+        assert result.poisoned_misprediction_rate > (
+            10 * result.baseline_misprediction_rate
+        )
 
     def test_skylake_strength_must_cover_levels(self):
         """The 5-level Skylake counter needs >= 5 pushes to pin from any

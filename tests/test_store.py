@@ -13,6 +13,7 @@ import pickle
 
 import pytest
 
+from repro.obs import resilience_event_counts
 from repro.store import ContentStore, store_key
 
 
@@ -50,12 +51,12 @@ class TestStoreKey:
 
 class TestContentStore:
     def test_hand_built_entry_reads_as_a_hit(self, tmp_path):
-        """The on-disk layout is pinned: ``REPRO-STORE-1\\n``, the SHA-256
-        hex of the pickle, a newline, then the protocol-4 pickle."""
+        """The on-disk layout is pinned: ``REPRO-STORE-2\\n``, the SHA-256
+        hex of the canonical JSON, a newline, then the JSON."""
         key = store_key("unit", n=0)
-        payload = pickle.dumps({"answer": 42}, protocol=4)
+        payload = b'{"answer":42,"ratio":0.1}'
         data = (
-            b"REPRO-STORE-1\n"
+            b"REPRO-STORE-2\n"
             + hashlib.sha256(payload).hexdigest().encode("ascii")
             + b"\n"
             + payload
@@ -63,11 +64,32 @@ class TestContentStore:
         (tmp_path / "store").mkdir()
         (tmp_path / "store" / f"{key}.pkl").write_bytes(data)
         fresh = ContentStore(tmp_path / "store")
-        assert fresh.get(key) == (True, {"answer": 42})
+        assert fresh.get(key) == (True, {"answer": 42, "ratio": 0.1})
         assert fresh.stats_dict()["disk_hits"] == 1
         # A put writes the same bytes back.
-        fresh.put(key, {"answer": 42})
+        fresh.put(key, {"ratio": 0.1, "answer": 42})
         assert (tmp_path / "store" / f"{key}.pkl").read_bytes() == data
+
+    def test_parent_pickle_entry_reads_as_a_corrupt_miss(self, tmp_path):
+        """An entry the last release wrote (``REPRO-STORE-1``, then a
+        digested protocol-4 pickle) is never unpickled: it is a counted
+        corrupt miss, and it is removed."""
+        key = store_key("unit", n=0)
+        payload = pickle.dumps({"answer": 42}, protocol=4)
+        path = tmp_path / "store" / f"{key}.pkl"
+        path.parent.mkdir()
+        path.write_bytes(
+            b"REPRO-STORE-1\n"
+            + hashlib.sha256(payload).hexdigest().encode("ascii")
+            + b"\n"
+            + payload
+        )
+        store = ContentStore(tmp_path / "store")
+        assert store.get(key) == (False, None)
+        assert not path.exists()
+        stats = store.stats_dict()
+        assert stats["corrupt"] == 1 and stats["misses"] == 1
+        assert resilience_event_counts()["store_corrupt"] >= 1
 
     def test_miss_then_put_then_memory_hit(self, store):
         key = store_key("unit", n=1)
@@ -108,7 +130,7 @@ class TestContentStore:
     def test_contains_and_total_bytes(self, store):
         key = store_key("unit", n=4)
         assert not store.contains(key)
-        store.put(key, b"payload")
+        store.put(key, "payload")
         assert store.contains(key)
         assert store.total_bytes() > 0
 
@@ -133,10 +155,10 @@ class TestContentStore:
 
     def test_eviction_to_byte_budget(self, tmp_path):
         store = ContentStore(tmp_path / "s", max_bytes=1)
-        blob = os.urandom(512)
+        blob = os.urandom(512).hex()
         keys = [store_key("unit", n=i, blob=i) for i in range(4)]
         for i, key in enumerate(keys):
-            store.put(key, blob + bytes([i]))
+            store.put(key, [blob, i])
         # Budget of one byte: every put immediately evicts down to at
         # most one resident file (the newest, which alone exceeds it).
         assert store.stats_dict()["evictions"] >= 3
@@ -196,12 +218,12 @@ class TestDiskBound:
 
     def test_bound_past_budget_scans_and_evicts(self, tmp_path, monkeypatch):
         store = ContentStore(tmp_path / "s")
-        store.put(store_key("unit", n=0), os.urandom(512))
+        store.put(store_key("unit", n=0), os.urandom(512).hex())
         store.max_bytes = store.total_bytes() * 5 // 2
         listings = self._count_listings(monkeypatch)
-        store.put(store_key("unit", n=1), os.urandom(512))
+        store.put(store_key("unit", n=1), os.urandom(512).hex())
         assert listings == []  # two files fit the budget
-        store.put(store_key("unit", n=2), os.urandom(512))
+        store.put(store_key("unit", n=2), os.urandom(512).hex())
         assert len(listings) == 1  # three do not: scan, evict the oldest
         assert store.stats_dict()["evictions"] == 1
         assert store.total_bytes() <= store.max_bytes
@@ -210,7 +232,7 @@ class TestDiskBound:
         store = ContentStore(tmp_path / "s")
         key = store_key("unit", n=0)
         for _ in range(3):
-            store.put(key, os.urandom(512))
+            store.put(key, os.urandom(512).hex())
         assert store.total_bytes() <= store._disk_bound
 
     def test_clear_resets_the_bound(self, store, monkeypatch):

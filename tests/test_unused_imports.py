@@ -6,6 +6,11 @@ anywhere (including inside a string annotation) or lists it in
 ``__all__``.  ``__init__.py`` files are skipped (their imports are the
 package's re-exports), and an import line marked ``# noqa: F401`` is
 deliberate (an import made for its side effect or its failure).
+
+The same walk keeps the object codecs out of the package: nothing under
+``src/`` may import ``pickle``, ``marshal`` or ``shelve``.  Everything
+the repro persists or sends is plain data in canonical JSON, so no
+read runs code a file or a peer supplied.
 """
 
 import ast
@@ -18,6 +23,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: Directories the gate covers.
 SCANNED = ("src", "tests", "benchmarks", "examples", "perfbench")
+
+#: Modules no file under ``src/`` may import.
+OBJECT_CODECS = frozenset({"pickle", "marshal", "shelve"})
 
 _NOQA = re.compile(r"#\s*noqa(?::[^#]*\bF401\b|\s*$|\s*\()")
 
@@ -84,6 +92,25 @@ def unused_imports(path: Path):
     return found
 
 
+def codec_imports(path: Path):
+    """``(line, module)`` of every import of an :data:`OBJECT_CODECS`
+    module in one file, ``noqa`` or not."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        found.extend(
+            (node.lineno, name)
+            for name in names
+            if name.split(".")[0] in OBJECT_CODECS
+        )
+    return found
+
+
 def _modules():
     for directory in SCANNED:
         for path in sorted((ROOT / directory).rglob("*.py")):
@@ -98,6 +125,15 @@ def test_no_unused_imports(directory):
         for path in _modules()
         if path.relative_to(ROOT).parts[0] == directory
         for line, name in unused_imports(path)
+    ]
+    assert offenders == []
+
+
+def test_no_object_codec_in_src():
+    offenders = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line, name in codec_imports(path)
     ]
     assert offenders == []
 
@@ -127,3 +163,16 @@ class TestTheGate:
 
     def test_dotted_import_binds_its_head(self, tmp_path):
         assert self._check(tmp_path, "import os.path\nos.sep\n") == []
+
+    def test_flags_every_object_codec_import(self, tmp_path):
+        path = tmp_path / "mod.py"
+        path.write_text(
+            "import json\n"
+            "import pickle  # noqa: F401\n"
+            "from marshal import loads\n"
+            "import shelve as db\n"
+            "from .pickle import x\n"
+        )
+        assert codec_imports(path) == [
+            (2, "pickle"), (3, "marshal"), (4, "shelve"),
+        ]

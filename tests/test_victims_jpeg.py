@@ -89,7 +89,8 @@ class TestCodec:
     def test_nonzero_counts_track_complexity(self, rng):
         flat = encode_image(np.full((8, 8), 99.0))
         busy = encode_image(rng.uniform(0, 255, (8, 8)))
-        assert busy.nonzero_counts().sum() > flat.nonzero_counts().sum()
+        # Non-zero coefficients over all blocks: the image's "complexity".
+        assert (busy.blocks != 0).sum() > (flat.blocks != 0).sum()
 
 
 class TestDecoderVictim:
