@@ -64,12 +64,3 @@ class ChannelEstimate:
     def corrected_bits_per_second(self) -> float:
         """Error-free information rate after ideal coding."""
         return self.raw_bits_per_second * self.capacity_per_use
-
-    def describe(self) -> str:
-        """One-line human summary."""
-        return (
-            f"error {self.error_rate:.2%}, "
-            f"{self.raw_bits_per_second:,.0f} bit/s raw, "
-            f"{self.corrected_bits_per_second:,.0f} bit/s corrected "
-            f"(capacity {self.capacity_per_use:.3f} bit/use)"
-        )

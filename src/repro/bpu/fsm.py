@@ -71,16 +71,6 @@ class State(enum.IntEnum):
     WT = 2  #: weakly taken
     ST = 3  #: strongly taken
 
-    @property
-    def predicts_taken(self) -> bool:
-        """Whether a branch in this state is predicted taken."""
-        return self in (State.WT, State.ST)
-
-    @property
-    def is_strong(self) -> bool:
-        """Whether this is one of the two saturated ("strong") states."""
-        return self in (State.SN, State.ST)
-
 
 @dataclass(frozen=True)
 class FSMSpec:

@@ -27,7 +27,6 @@ from typing import Optional
 from repro.bpu.bimodal import BimodalPredictor
 from repro.bpu.bit import BranchIdentificationTable
 from repro.bpu.btb import BranchTargetBuffer
-from repro.bpu.fsm import State
 from repro.bpu.ghr import GlobalHistoryRegister
 from repro.bpu.gshare import GSharePredictor
 from repro.bpu.pht import PatternHistoryTable
@@ -224,12 +223,6 @@ class HybridPredictor:
         prediction = self.predict(address, key, partition)
         self.update(address, taken, prediction, target=target)
         return prediction
-
-    # -- introspection (simulator-level, not attacker-visible) --------------
-
-    def bimodal_state(self, address: int, key: int = 0, partition=None) -> State:
-        """Architectural state of the bimodal PHT entry for ``address``."""
-        return self.bimodal.pht.state(self.bimodal.index(address, key, partition))
 
     # -- checkpointing --------------------------------------------------------
 

@@ -198,8 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help=(
-            "run the sharded multi-tenant campaign service over a spool "
-            "directory (submit jobs with `repro submit`)"
+            "run the campaign coordinator over a spool directory "
+            "(submit jobs with `repro submit`): it leases shards over "
+            "HTTP, to one worker thread of its own or, with --port, to "
+            "`repro worker` processes; /status and /metrics are served "
+            "on the same port"
         ),
     )
     serve.add_argument(
@@ -221,14 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="spool poll interval when idle",
     )
     serve.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve Prometheus text on http://127.0.0.1:PORT/metrics "
-        "(0 picks a free port)",
-    )
-    serve.add_argument(
         "--store-bytes",
         type=int,
         default=None,
@@ -240,7 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         metavar="SECONDS",
-        help="sleep per trial (chaos/CI hook: makes mid-run kills easy)",
+        help=(
+            "sleep per trial of the local worker (chaos/CI hook: makes "
+            "mid-run kills easy; no effect with --port)"
+        ),
     )
     serve.add_argument(
         "--port",
@@ -248,10 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PORT",
         help=(
-            "coordinator mode: serve the shard-lease protocol on this "
-            "port (0 picks a free one; the URL lands in "
-            "root/coordinator.json) and let `repro worker --connect` "
-            "processes run the trials instead of this process"
+            "serve on this port (0 picks a free one) and start no local "
+            "worker: `repro worker --connect` processes run the trials. "
+            "Without it the port is ephemeral and one worker thread in "
+            "this process runs them. The URL lands in "
+            "root/coordinator.json either way"
         ),
     )
     serve.add_argument(
@@ -260,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=30.0,
         metavar="SECONDS",
         help=(
-            "coordinator mode: how long a claimed shard may go without "
-            "a renewal before it is requeued to another worker"
+            "how long a claimed shard may go without a renewal before "
+            "it is requeued to another worker"
         ),
     )
 
@@ -269,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         "worker",
         help=(
             "pull-based campaign worker: claim shard leases from a "
-            "`repro serve --port` coordinator, run them, upload exact "
+            "`repro serve` coordinator, run them, upload exact "
             "aggregates (safe to SIGKILL at any instant)"
         ),
     )
@@ -278,15 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="URL",
         help="coordinator base URL, e.g. http://127.0.0.1:8763",
-    )
-    worker.add_argument(
-        "--root",
-        default=None,
-        metavar="DIR",
-        help=(
-            "local spool to drain (in-process) if the coordinator "
-            "stays unreachable — graceful degradation instead of exit 5"
-        ),
     )
     worker.add_argument(
         "--once",
@@ -323,7 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     submit = sub.add_parser(
         "submit",
-        help="queue a stability campaign for a running `repro serve`",
+        help=(
+            "queue a stability campaign in a spool directory for "
+            "`repro serve` (picked up by a running one, too)"
+        ),
     )
     submit.add_argument(
         "--root", required=True, metavar="DIR", help="service root directory"
@@ -669,27 +662,18 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    # --port runs the lease coordinator instead of local trials; there
-    # --trial-delay does not apply (workers bring their own), and the
-    # coordinator's own port serves /metrics.
-    if args.port is not None:
-        from repro.service.coordinator import run_coordinator
+    # One server: without --port the coordinator runs its own worker
+    # thread over loopback HTTP; with --port, `repro worker` processes
+    # do the work and --trial-delay does not apply.
+    from repro.service.coordinator import run_coordinator
 
-        return run_coordinator(
-            args.root,
-            port=args.port,
-            once=args.once,
-            poll_seconds=args.poll,
-            lease_seconds=args.lease_seconds,
-            store_bytes=args.store_bytes,
-        )
-    from repro.service import serve
-
-    return serve(
+    return run_coordinator(
         args.root,
+        port=0 if args.port is None else args.port,
+        local_worker=args.port is None,
         once=args.once,
         poll_seconds=args.poll,
-        metrics_port=args.metrics_port,
+        lease_seconds=args.lease_seconds,
         store_bytes=args.store_bytes,
         trial_delay=args.trial_delay,
     )
@@ -712,7 +696,6 @@ def _cmd_worker(args) -> int:
         return run_worker(
             args.connect,
             worker_id=args.worker_id,
-            root=args.root,
             once=args.once,
             poll_seconds=args.poll,
             retries=args.retries,

@@ -212,12 +212,8 @@ class TrialPlan:
     #: The noise's gshare index range (the core's gshare PHT size); its
     #: addresses span ``NOISE_REGION``.
     n_gshare: int
-    #: Memo holding the plan's numpy noise draw once made; a pickled
-    #: plan drops it and draws again on demand.
+    #: Memo holding the plan's numpy noise draw once made.
     memo: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __getstate__(self) -> dict:
-        return {**self.__dict__, "memo": {}}
 
     @property
     def repetitions(self) -> int:

@@ -129,6 +129,11 @@ def read_entry_state(
     because probing is destructive.  Microarchitectural state is
     checkpointed/restored around the whole measurement so the caller's
     context is undisturbed.
+
+    Only tests call it, and it is kept on purpose: it is the one-entry
+    form of the §6.3 scan that MODELING.md §6 and §7 describe and time,
+    and ``tests/test_prime_probe.py`` pins its decode against the
+    known state of every entry it primes.
     """
     fsm = core.predictor.bimodal.pht.fsm
     checkpoint = core.checkpoint()

@@ -462,17 +462,3 @@ class CompiledBlock:
         counters.increment(CounterKind.BRANCHES, len(self.block))
         counters.increment(CounterKind.BRANCH_MISSES, self.mispredictions)
         counters.increment(CounterKind.CYCLES, self.cycles)
-
-    def target_entry_map(
-        self, core: PhysicalCore, address: int
-    ) -> np.ndarray:
-        """Transition-map row for the bimodal entry ``address`` maps to.
-
-        Introspection helper for tests/calibration diagnostics: element
-        ``i`` gives the final level if the entry started at level ``i``.
-        A constant row means the block *pins* the entry — its post-block
-        state is independent of history, the property the §6.2
-        calibration search selects for.
-        """
-        index = core.predictor.bimodal.index(address, self.key, self.partition)
-        return self.bimodal_map[index].copy()

@@ -9,7 +9,8 @@ parts:
   zero-overhead disabled path (hot layers gate on a single
   ``obs.TRACER is not None`` test);
 * :mod:`repro.obs.metrics` — labelled counters/gauges/histograms with
-  snapshot/diff and a text renderer;
+  snapshot/diff and a text renderer (scraped from ``repro serve``'s
+  ``/metrics``);
 * :mod:`repro.obs.manifest` — :class:`~repro.obs.manifest.RunManifest`
   provenance records (preset, seeds, env knobs, git SHA, wall time,
   result digests) written next to every benchmark result;
@@ -36,7 +37,6 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.http import MetricsServer
 from repro.obs.manifest import RunManifest, git_revision, sha256_text
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import (
@@ -61,7 +61,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricsServer",
     "RunManifest",
     "TraceEvent",
     "Tracer",

@@ -341,8 +341,7 @@ def record_resilience_event(kind: str, detail: str = "", n: int = 1) -> None:
     ``campaign_resume``, ``store_corrupt``, ``spool_corrupt``, the
     lease table's ``lease_expired``/``lease_exhausted``/
     ``lease_digest_mismatch``/``upload_digest_invalid``, and the
-    transport's ``transport_retry``/``wire_reject``/
-    ``worker_degrade_local``.
+    transport's ``transport_retry``/``wire_reject``.
     """
     _RESILIENCE_EVENTS[kind] = _RESILIENCE_EVENTS.get(kind, 0) + n
     tracer = TRACER

@@ -20,24 +20,24 @@ trials over processes, on one host or many:
   run however the campaign was split; plus the record-preserving
   :class:`RecordListAggregate` for workloads whose consumers need raw
   per-trial records back (the fuzzer's inference step);
-* :mod:`repro.service.scheduler` — :class:`CampaignBook`, the one
-  campaign record both schedulers share (registry, per-tenant fair
-  share, submit-time recovery from checkpoint and
-  :class:`~repro.store.ContentStore`, the finished-shard record), and
-  :class:`CampaignService`, which runs the book's campaigns in
-  process, one fair-share shard per wave;
-* :mod:`repro.service.server` — the spool-directory front end behind
+* :mod:`repro.service.scheduler` — :class:`CampaignBook`, the
+  campaign record (registry, per-tenant fair share, submit-time
+  recovery from checkpoint and :class:`~repro.store.ContentStore`, the
+  finished-shard record), and :class:`CampaignService`, which runs a
+  book's campaigns in process, one fair-share shard per wave (what
+  ``run_fuzz`` runs on);
+* :mod:`repro.service.server` — the spool-directory files behind
   ``repro serve`` / ``repro submit``;
 * :mod:`repro.service.transport` / :mod:`repro.service.leases` /
   :mod:`repro.service.coordinator` / :mod:`repro.service.worker` — the
-  multi-host layer: SHA-256-framed JSON over stdlib HTTP, a
+  one server: SHA-256-framed JSON over stdlib HTTP, a
   deadline-and-retry lease table with idempotent completion, the
-  ``repro serve --port`` coordinator (leasing from the same book), and
-  the pull-based ``repro worker --connect`` client.  N local processes
-  are ``repro serve --port 0`` plus N ``repro worker --connect``.  The
-  merged digest is bit-identical whether a campaign ran single-host,
-  across N workers, or through worker SIGKILLs and network fault
-  storms.
+  coordinator every ``repro serve`` runs (leasing from a book), and
+  the pull-based worker.  ``repro serve`` alone runs one worker thread
+  over loopback HTTP; N processes are ``repro serve --port 0`` plus N
+  ``repro worker --connect``.  The merged digest is bit-identical
+  whether a campaign ran in one process, across N workers, or through
+  worker SIGKILLs and network fault storms.
 
 See MODELING.md §13 for the architecture and the sharding determinism
 contract, §14 for the fuzz workload riding on it, and §15 for the
@@ -61,7 +61,7 @@ from repro.service.campaign import (
 from repro.service.coordinator import Coordinator, run_coordinator
 from repro.service.leases import Lease, LeaseTable
 from repro.service.scheduler import CampaignService
-from repro.service.server import pending_jobs, serve, submit_job
+from repro.service.server import pending_jobs, submit_job
 from repro.service.transport import (
     CoordinatorServer,
     CoordinatorUnreachable,
@@ -102,7 +102,6 @@ __all__ = [
     "run_shard",
     "run_trial",
     "run_worker",
-    "serve",
     "shard_store_key",
     "submit_job",
     "workload_names",

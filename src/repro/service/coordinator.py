@@ -1,17 +1,19 @@
-"""The multi-host coordinator: leased shard dispatch over the wire.
+"""The campaign coordinator behind ``repro serve``: leased shard dispatch.
 
-``repro serve --port N`` runs this instead of the in-process scheduler:
-the coordinator owns the service root (spool, results, checkpoints,
+The coordinator owns the service root (spool, results, checkpoints,
 content store) and the :class:`~repro.service.leases.LeaseTable`, and
-*workers own the compute* — pull-based ``repro worker --connect URL``
-processes claim shard leases, run the trials, and upload exact
-aggregates.  Nothing here executes a trial.
+*workers own the compute* — pull-based :func:`~repro.service.run_worker`
+loops claim shard leases over the HTTP transport, run the trials, and
+upload exact aggregates.  Nothing here executes a trial.  Without
+``--port``, ``repro serve`` starts one such worker in a thread of its
+own process, talking to the coordinator over loopback HTTP; with
+``--port``, ``repro worker --connect`` processes do the work.
 
 The robustness story is a layering of guarantees already proven
 one-host:
 
 * **durability** is the filesystem's, unchanged — job files, atomic
-  result writes, per-campaign PR 5 checkpoints, the content-addressed
+  result writes, per-campaign shard logs, the content-addressed
   store.  The lease table is deliberately *soft state*: a coordinator
   SIGKILL loses only the in-flight leases, and a restarted coordinator
   rebuilds every completed shard from checkpoints + store at
@@ -29,10 +31,12 @@ one-host:
 
 The campaign registry, fair share, submit-time recovery and the
 record of an accepted shard are the
-:class:`~repro.service.scheduler.CampaignBook`'s, shared with the
-in-process scheduler: a claim leases ``book.pick(pending keys)``.  This
-class keeps the lease table, upload verification and quarantine, and
-the spool and result files.
+:class:`~repro.service.scheduler.CampaignBook`'s: a claim leases
+``book.pick(pending keys)``.  A campaign leaves the book, and its
+shards retire from the lease table, once its result file is written:
+the result file is the completion marker, so a long-lived coordinator
+holds only the active campaigns.  This class keeps the lease table,
+upload verification and quarantine, and the spool and result files.
 
 See MODELING.md §15 for the protocol, state machine and failure matrix.
 """
@@ -62,6 +66,7 @@ from repro.service.transport import (
     CoordinatorServer,
     aggregate_state_digest,
 )
+from repro.service.worker import run_worker
 
 __all__ = ["Coordinator", "run_coordinator"]
 
@@ -132,16 +137,20 @@ class Coordinator:
     def submit(self, spec: CampaignSpec) -> str:
         """Register a campaign; idempotent per spec (same id, no-op).
 
-        Recovery happens in :meth:`CampaignBook.submit`: checkpointed
-        shards restore, store-held shards complete — both land in the
-        lease table as pre-completed with their canonical digests, so
-        workers are only ever offered the genuinely missing work.  The
-        spec is also (re)written to the spool, making a network
-        submission as durable as a local one.
+        A campaign whose result file exists is done: its id comes back
+        and nothing is registered or rewritten.  Otherwise recovery
+        happens in :meth:`CampaignBook.submit`: checkpointed shards
+        restore, store-held shards complete — both land in the lease
+        table as pre-completed with their canonical digests, so workers
+        are only ever offered the genuinely missing work.  The spec is
+        also (re)written to the spool, making a network submission as
+        durable as a local one.
         """
         with self.lock:
+            cid = spec.campaign_id()
+            if (self.dirs["results"] / f"{cid}.json").exists():
+                return cid
             state, new = self.book.submit(spec)
-            cid = state.campaign_id
             if not new:
                 return cid
             submit_job(self.dirs["root"], spec)
@@ -228,8 +237,7 @@ class Coordinator:
             agg_state = payload.get("state")
             claimed = str(payload.get("digest", ""))
             worker = str(payload.get("worker", ""))
-            state = self.book.campaigns.get(cid)
-            if state is None or not 0 <= shard_index < len(state.shards):
+            if not self.leases.knows(cid, shard_index):
                 return {"status": "unknown"}
             actual = aggregate_state_digest(agg_state)
             if actual != claimed:
@@ -247,6 +255,7 @@ class Coordinator:
                 self._quarantine(payload)
                 return {"status": "quarantined"}
             if verdict == "accepted":
+                state = self.book.campaigns[cid]
                 aggregate = state.aggregate_cls.from_state(agg_state)
                 self.book.finish([(cid, shard_index, aggregate)])
                 if state.complete:
@@ -269,8 +278,12 @@ class Coordinator:
         self.log(f"quarantined upload {name}")
 
     def _finish(self, state: CampaignState) -> None:
+        """Publish a complete campaign's result, then drop it from the
+        book and retire its shards (only their digests stay)."""
         result = state.result()
         write_result(self.dirs, state.campaign_id, result)
+        del self.book.campaigns[state.campaign_id]
+        self.leases.retire(state.campaign_id, len(state.shards))
         self.log(
             f"campaign {state.campaign_id} digest: {result['digest']}"
         )
@@ -284,11 +297,9 @@ class Coordinator:
             publish_lease_metrics(self.leases)
 
     def drained(self) -> bool:
-        """Every known campaign complete (a fresh root counts as drained)."""
+        """No campaign active (a fresh root counts as drained)."""
         with self.lock:
-            return all(
-                state.complete for state in self.book.campaigns.values()
-            )
+            return not self.book.campaigns
 
     def stuck(self) -> bool:
         """Some shard exhausted its attempts and nothing can finish it.
@@ -304,7 +315,8 @@ class Coordinator:
             return counts["pending"] == 0 and counts["leased"] == 0
 
     def status(self) -> Dict[str, Any]:
-        """The ``GET /status`` body: drain state, lease counts, campaigns."""
+        """The ``GET /status`` body: drain state, lease counts and the
+        active campaigns."""
         with self.lock:
             return {
                 "campaigns": {
@@ -312,7 +324,6 @@ class Coordinator:
                         "tenant": state.spec.tenant,
                         "shards": len(state.shards),
                         "done": len(state.done),
-                        "complete": state.complete,
                     }
                     for cid, state in self.book.campaigns.items()
                 },
@@ -337,21 +348,38 @@ def run_coordinator(
     max_attempts: int = 6,
     store_bytes: Optional[int] = None,
     linger_seconds: float = 2.0,
+    local_worker: bool = False,
+    trial_delay: float = 0.0,
     log=print,
 ) -> int:
     """Serve the lease protocol over a spool root until drained/forever.
 
     ``port=0`` binds an ephemeral port; the chosen URL is written
     atomically to ``root/coordinator.json`` so workers (and the CI
-    smoke) can discover it without parsing logs.  ``once`` exits 0 when
-    every campaign is complete — after ``linger_seconds`` of continuing
-    to answer ``/claim`` with ``complete: true``, so idle workers shut
-    down cleanly instead of hitting a dead socket — or 1 when the queue
-    is stuck (a shard exhausted ``max_attempts``).  Metrics collection
-    is always on: the protocol port doubles as the ``/metrics`` scrape
-    target.
+    smoke) can discover it without parsing logs.  Metrics collection
+    is on while this runs: the protocol port doubles as the
+    ``/metrics`` scrape target.
+
+    ``local_worker`` starts one :func:`~repro.service.run_worker`
+    thread against this coordinator's own URL (``repro serve`` without
+    ``--port``), sleeping ``trial_delay`` per trial — the chaos knob
+    that widens CI's kill window; it is excluded from every fingerprint
+    and store key.  The worker is joined before this returns, and an
+    exception it raises is raised here.
+
+    ``once`` exits 0 when every campaign is complete — with a local
+    worker, when that worker has seen the drain; otherwise after
+    ``linger_seconds`` of continuing to answer ``/claim`` with
+    ``complete: true``, so idle workers shut down cleanly instead of
+    hitting a dead socket — or 1 when the queue is stuck (a shard
+    exhausted ``max_attempts``).
     """
-    if obs.TRACER is None or obs.TRACER.metrics is None:
+    # Imported here, not at module level: importing the service (as the
+    # workers and benchmarks do) should not pay for it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    previous_tracer = obs.TRACER
+    if previous_tracer is None or previous_tracer.metrics is None:
         obs.enable_tracing(collect_metrics=True)
     coordinator = Coordinator(
         root,
@@ -361,6 +389,10 @@ def run_coordinator(
         log=log,
     )
     server = CoordinatorServer(coordinator, port=port, host=host)
+    pool = (
+        ThreadPoolExecutor(1, "repro-local-worker") if local_worker else None
+    )
+    worker = None
     try:
         atomic_write_text(
             coordinator.dirs["root"] / "coordinator.json",
@@ -370,22 +402,40 @@ def run_coordinator(
             + "\n",
         )
         log(f"coordinator listening on {server.url}")
+        coordinator.scan_spool()
+        if pool is not None:
+            # Started after the first spool scan, so a --once worker
+            # never mistakes a fresh book for a drained one.
+            worker = pool.submit(
+                run_worker,
+                server.url,
+                once=once,
+                poll_seconds=poll_seconds,
+                trial_delay=trial_delay,
+                log=log,
+            )
         while True:
-            coordinator.scan_spool()
             coordinator.tick()
-            if once:
-                if coordinator.stuck():
-                    log("coordinator: queue stuck (attempts exhausted)")
-                    return 1
-                if coordinator.drained():
+            if worker is not None and worker.done():
+                break  # drained (a --once worker) or raised
+            if once and coordinator.stuck():
+                log("coordinator: queue stuck (attempts exhausted)")
+                return 1
+            if once and coordinator.drained():
+                if worker is None:
                     # Keep answering complete:true long enough for the
                     # last idle worker to poll once more and exit 0.
-                    deadline = time.monotonic() + linger_seconds
-                    while time.monotonic() < deadline:
-                        time.sleep(min(0.1, poll_seconds))
-                    log("coordinator: drained")
-                    return 0
+                    time.sleep(linger_seconds)
+                break
             time.sleep(poll_seconds)
+            coordinator.scan_spool()
+        # The local worker exits on its next claim, which says drained.
+        code = worker.result() if worker is not None else 0
+        log("coordinator: drained")
+        return code
     finally:
         coordinator.write_store_stats()
         server.close()
+        if pool is not None:
+            pool.shutdown(wait=True)
+        obs.TRACER = previous_tracer

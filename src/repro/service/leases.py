@@ -33,7 +33,10 @@ Invariants the table enforces:
   makes this check possible at all);
 * **late completion heals** — a shard whose lease expired (or that
   already failed) still accepts a valid completion: the work is a pure
-  function of the spec, so a straggler's answer is as good as anyone's.
+  function of the spec, so a straggler's answer is as good as anyone's;
+* **finished campaigns retire** — :meth:`~LeaseTable.retire` keeps only
+  their shards' digests, outside everything the claim path scans, so a
+  claim costs the same after a thousand campaigns as after one.
 
 The table also keeps a per-worker last-heartbeat ledger (claims,
 renewals and completions all count), published together with the
@@ -117,9 +120,14 @@ class LeaseTable:
         self.lease_seconds = float(lease_seconds)
         self.max_attempts = int(max_attempts)
         self.clock = clock
-        #: Insertion-ordered shard registry (dicts preserve order).
+        #: Insertion-ordered registry of the shards of every campaign
+        #: not yet retired (dicts preserve order).
         self._shards: Dict[ShardKey, _Shard] = {}
+        #: Live lease id -> its shard: all :meth:`expire` walks.
         self._leases: Dict[str, ShardKey] = {}
+        #: Recorded digests of retired campaigns' shards, out of every
+        #: scan but still judging a late completion (:meth:`complete`).
+        self._retired: Dict[ShardKey, str] = {}
         self._lease_counter = 0
         #: worker -> wall time of its last sign of life.
         self._heartbeats: Dict[str, float] = {}
@@ -135,13 +143,23 @@ class LeaseTable:
     ) -> None:
         """Register a campaign's shards; ``done`` pre-completes
         ``(shard_index, digest)`` pairs recovered from a checkpoint or
-        served from the store.  Idempotent per campaign."""
+        served from the store.  Idempotent per campaign; registering a
+        retired campaign again forgets its retired digests."""
         for index in range(n_shards):
+            self._retired.pop((campaign_id, index), None)
             self._shards.setdefault((campaign_id, index), _Shard())
         for index, digest in done:
             shard = self._shards[(campaign_id, index)]
             shard.state = DONE
             shard.digest = digest
+
+    def retire(self, campaign_id: str, n_shards: int) -> None:
+        """Move a finished campaign (every shard done) out of the
+        registry the claim path scans, keeping each shard's digest so a
+        late upload is still a ``duplicate`` or a ``mismatch``."""
+        for index in range(n_shards):
+            key = (campaign_id, index)
+            self._retired[key] = self._shards.pop(key).digest
 
     # -- internals -----------------------------------------------------------
 
@@ -161,15 +179,17 @@ class LeaseTable:
 
         Returns the requeued/failed shard keys.  Called by the
         coordinator before every claim and on every tick, so expiry
-        needs no background thread.
+        needs no background thread; it walks the live leases only, so
+        its cost does not grow with the shards already done.
         """
         now = self.clock()
-        expired: List[ShardKey] = []
-        for key, shard in self._shards.items():
-            if shard.state != LEASED or shard.lease is None:
-                continue
-            if shard.lease.deadline > now:
-                continue
+        expired: List[ShardKey] = [
+            key
+            for key in self._leases.values()
+            if self._shards[key].lease.deadline <= now
+        ]
+        for key in expired:
+            shard = self._shards[key]
             lease = shard.lease
             self._release(shard)
             if shard.attempts >= self.max_attempts:
@@ -189,7 +209,6 @@ class LeaseTable:
                         f"attempt={lease.attempt}"
                     ),
                 )
-            expired.append(key)
         return expired
 
     def claim(self, worker: str, key: ShardKey) -> Optional[Lease]:
@@ -251,23 +270,26 @@ class LeaseTable:
         * ``"accepted"`` — first completion (including a late one from
           an expired lease, or a recovery of a ``failed`` shard);
         * ``"duplicate"`` — already done with a byte-identical digest
-          (idempotent no-op);
+          (idempotent no-op), retired campaigns included;
         * ``"mismatch"`` — already done with a *different* digest; the
           caller must quarantine the new payload, not merge it;
         * ``"unknown"`` — no such shard.
         """
         self._touch(worker)
-        shard = self._shards.get((campaign_id, shard_index))
-        if shard is None:
-            return "unknown"
-        if shard.state == DONE:
-            if shard.digest == digest:
+        key = (campaign_id, shard_index)
+        shard = self._shards.get(key)
+        # A shard's digest is set exactly when it is done.
+        recorded = self._retired.get(key) if shard is None else shard.digest
+        if recorded is not None:
+            if recorded == digest:
                 return "duplicate"
             obs.record_resilience_event(
                 "lease_digest_mismatch",
                 detail=f"{campaign_id}#{shard_index} worker={worker}",
             )
             return "mismatch"
+        if shard is None:
+            return "unknown"
         self._release(shard)
         shard.state = DONE
         shard.digest = digest
@@ -282,8 +304,15 @@ class LeaseTable:
             if shard.state == PENDING
         ]
 
+    def knows(self, campaign_id: str, shard_index: int) -> bool:
+        """Whether the shard is registered, retired or not."""
+        key = (campaign_id, shard_index)
+        return key in self._shards or key in self._retired
+
     def state_counts(self) -> Dict[str, int]:
+        """Shards by state; ``done`` counts retired campaigns' too."""
         counts = {state: 0 for state in STATES}
+        counts[DONE] = len(self._retired)
         for shard in self._shards.values():
             counts[shard.state] += 1
         return counts
@@ -293,9 +322,6 @@ class LeaseTable:
 
     def has_failed(self) -> bool:
         return any(s.state == FAILED for s in self._shards.values())
-
-    def __len__(self) -> int:
-        return len(self._shards)
 
 
 def publish_lease_metrics(table: LeaseTable) -> None:

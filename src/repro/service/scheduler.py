@@ -1,7 +1,7 @@
 """The campaign book and the in-process wave scheduler.
 
-:class:`CampaignBook` is the one record of submitted campaigns that
-both schedulers share: the registry, the least-dispatched fair-share
+:class:`CampaignBook` is the record of submitted campaigns that both
+schedulers keep: the registry, the least-dispatched fair-share
 ledger (:meth:`~CampaignBook.pick`), submit-time recovery (load the
 shard log, then serve pending shards from the
 :class:`~repro.store.ContentStore`) and the record of a finished shard
@@ -10,12 +10,13 @@ shard log, then serve pending shards from the
 
 :class:`CampaignService` drives the book's campaigns in process, one
 fair-share *wave* at a time: each wave runs the one shard
-:meth:`CampaignBook.pick` chooses, then records it.  A SIGKILL costs at
-most the shard in flight, and each campaign resumes independently.
-Spreading shards over processes is the leased
-:class:`~repro.service.coordinator.Coordinator`'s job; it keeps the
-same book, so a campaign checkpointed by one scheduler finishes under
-the other.
+:meth:`CampaignBook.pick` chooses, then records it; the fuzzer drives
+its generations this way.  A SIGKILL costs at most the shard in flight,
+and each campaign resumes independently.  ``repro serve`` is the leased
+:class:`~repro.service.coordinator.Coordinator`; it keeps the same kind
+of book, so a campaign checkpointed by one scheduler finishes under
+the other, and it drops each campaign from its book once the result
+is written.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
-"""Spool-directory front end: ``repro serve`` / ``repro submit``.
+"""Spool-directory files behind ``repro serve`` / ``repro submit``.
 
-The service's wire protocol is the filesystem — the one transport that
-is kill-proof, inspectable with ``ls``, and already crash-safe through
-:mod:`repro.ioutil`.  A service *root* directory holds::
+The service's durable interface is the filesystem — the one transport
+that is kill-proof, inspectable with ``ls``, and already crash-safe
+through :mod:`repro.ioutil`.  A service *root* directory holds::
 
     root/
       jobs/         <campaign_id>.json   — submitted specs (atomic writes)
@@ -13,33 +13,30 @@ is kill-proof, inspectable with ``ls``, and already crash-safe through
       store/        ...                  — content-addressed shard results
                                            (a recomputable cache, no fsync)
       store-stats.json                   — store traffic snapshot (artifact)
+      coordinator.json                   — the serving coordinator's URL
 
-``repro submit`` drops a spec into ``jobs/``; ``repro serve`` polls the
-spool, submits every job whose result does not exist yet to a
-:class:`~repro.service.CampaignService`, runs the fleet to completion,
-and writes results atomically.  Job files are never deleted — *a result
-file existing* is the completion marker — so a SIGKILL at any instant
+``repro submit`` drops a spec into ``jobs/``; ``repro serve`` runs the
+:mod:`~repro.service.coordinator`, which registers every job whose
+result does not exist yet, leases its shards to workers and writes
+results atomically.  Job files are never deleted — *a result file
+existing* is the completion marker — so a SIGKILL at any instant
 leaves either (job, no result): resubmitted and resumed from its
-checkpoint on restart; or (job, result): done.  ``--once`` drains the
-spool and exits (the CI smoke mode); otherwise the loop polls forever.
+checkpoint on restart; or (job, result): done.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Union
 
 from repro import store as repro_store
 from repro.ioutil import atomic_write_text
 from repro.obs import trace as obs
 from repro.service.campaign import CampaignSpec
-from repro.service.scheduler import CampaignService
 
 __all__ = [
     "pending_jobs",
-    "serve",
     "service_dirs",
     "submit_job",
     "write_result",
@@ -134,86 +131,3 @@ def write_store_stats(
         dirs["root"] / "store-stats.json",
         json.dumps(stats, sort_keys=True, indent=2) + "\n",
     )
-
-
-def serve(
-    root: Union[str, Path],
-    *,
-    once: bool = False,
-    poll_seconds: float = 0.5,
-    metrics_port: Optional[int] = None,
-    store_bytes: Optional[int] = None,
-    trial_delay: float = 0.0,
-    log=print,
-) -> int:
-    """Run the campaign service over a spool directory.
-
-    Drains ``root/jobs`` batch by batch: each batch of pending jobs is
-    submitted to a fresh :class:`CampaignService` sharing the root's
-    persistent store and checkpoint directory, run to completion, and
-    its results written.  ``once`` exits when the spool is empty
-    (returns 0); otherwise the loop polls forever.  ``metrics_port``
-    starts the :mod:`repro.obs.http` endpoint (port 0 picks a free
-    port) and enables metrics collection for the process.
-
-    ``trial_delay`` sleeps inside every trial — the chaos knob the CI
-    SIGKILL smoke uses to widen the kill window; it is excluded from
-    every fingerprint and store key, so a delayed-then-killed campaign
-    resumes to the undelayed reference digest.
-    """
-    dirs = service_dirs(root)
-    store = repro_store.ContentStore(
-        dirs["store"],
-        max_bytes=(
-            store_bytes if store_bytes is not None
-            else repro_store.DEFAULT_MAX_BYTES
-        ),
-    )
-
-    metrics_server = None
-    if metrics_port is not None:
-        from repro.obs import trace as obs_trace
-        from repro.obs.http import MetricsServer
-
-        if obs_trace.TRACER is None or obs_trace.TRACER.metrics is None:
-            obs_trace.enable_tracing(collect_metrics=True)
-        metrics_server = MetricsServer(port=metrics_port)
-        log(f"serving metrics on http://127.0.0.1:{metrics_server.port}/metrics")
-
-    pre_trial = None
-    if trial_delay > 0:
-
-        def pre_trial(index: int) -> None:
-            time.sleep(trial_delay)
-
-    try:
-        while True:
-            specs = pending_jobs(root, log=log)
-            if not specs:
-                if once:
-                    break
-                time.sleep(poll_seconds)
-                continue
-            service = CampaignService(
-                store=store,
-                checkpoint_dir=dirs["checkpoints"],
-                pre_trial=pre_trial,
-            )
-            for spec in specs:
-                cid = service.submit(spec)
-                state = service.campaign(cid)
-                log(
-                    f"campaign {cid} tenant={spec.tenant} "
-                    f"shards={len(state.shards)} "
-                    f"resumed={state.resumed_shards} "
-                    f"cached={state.cached_shards}"
-                )
-            for cid, result in service.run_until_complete().items():
-                write_result(dirs, cid, result)
-                log(f"campaign {cid} digest: {result['digest']}")
-            write_store_stats(dirs, store)
-    finally:
-        write_store_stats(dirs, store)
-        if metrics_server is not None:
-            metrics_server.close()
-    return 0

@@ -21,20 +21,20 @@ carry the lease protocol safely:
   an exponential-backoff-plus-deterministic-jitter schedule
   (:func:`backoff_delay`), counts
   each retry on the always-on ``transport_retry`` resilience counter,
-  and surfaces exhaustion as :exc:`CoordinatorUnreachable` so the
-  worker can degrade to its local spool;
+  and surfaces exhaustion as :exc:`CoordinatorUnreachable`, the
+  worker's terminal exit 5;
 * **chaos hooks** — an optional
   :class:`~repro.resilience.NetworkFaultInjector` sits *inside* the
   client: each logical request gets a stable fault key
   (``endpoint#<per-endpoint sequence>``) and each attempt of it draws
   its own deterministic fate (drop / drop-response / delay / duplicate
   / truncate), so the chaos suite storms the protocol reproducibly;
-* **server** — :class:`CoordinatorServer` is the
-  :mod:`repro.obs.http` ThreadingHTTPServer pattern with POST
-  endpoints (``/submit``, ``/claim``, ``/renew``, ``/upload``)
-  dispatched to a coordinator's ``handle()``, plus ``GET /status``
-  (framed JSON) and ``GET /metrics`` (Prometheus text from the live
-  registry, so one port serves both protocol and scrape).
+* **server** — :class:`CoordinatorServer`, the one HTTP server in the
+  package: a ThreadingHTTPServer with POST endpoints (``/submit``,
+  ``/claim``, ``/renew``, ``/upload``) dispatched to a coordinator's
+  ``handle()``, plus ``GET /status`` (framed JSON) and ``GET /metrics``
+  (Prometheus text from the live registry, so one port serves both
+  protocol and scrape).
 
 The transport carries *state dictionaries*, as the store and the shard
 logs persist them: shard aggregates cross the wire as their JSON-safe
@@ -59,13 +59,13 @@ import numpy as np
 
 from repro.ioutil import canonical_json, frame, unframe
 from repro.obs import trace as obs
-from repro.obs.http import CONTENT_TYPE as METRICS_CONTENT_TYPE
 from repro.resilience import faults as fault_mod
 
 __all__ = [
     "CoordinatorServer",
     "CoordinatorUnreachable",
     "LeaseQuarantinedError",
+    "METRICS_CONTENT_TYPE",
     "TransportClient",
     "TransportError",
     "WIRE_MAGIC",
@@ -247,11 +247,14 @@ class TransportClient:
             raise TransportError(f"/{endpoint}: {exc}") from exc
 
 
+#: Prometheus text exposition content type (``GET /metrics``).
+METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+
 class CoordinatorServer:
     """Background HTTP front end for one coordinator.
 
-    The :class:`~repro.obs.http.MetricsServer` pattern: a
-    ``ThreadingHTTPServer`` on a daemon thread, ``port=0`` for an
+    A ``ThreadingHTTPServer`` on a daemon thread, ``port=0`` for an
     ephemeral port, request logging suppressed.  POST bodies are
     unframed (400 on a torn frame — the client retries), dispatched to
     ``coordinator.handle(endpoint, payload)`` under the coordinator's
@@ -297,7 +300,7 @@ class CoordinatorServer:
                     response = coord.handle(endpoint, payload)
                 except Exception as exc:  # noqa: BLE001 - wire boundary
                     # A handler bug must not kill the server thread;
-                    # 500 lets the worker retry or degrade.
+                    # 500 lets the worker retry.
                     self.send_error(500, f"{type(exc).__name__}: {exc}")
                     return
                 self._reply(

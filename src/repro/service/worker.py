@@ -17,18 +17,16 @@ What the worker *does* own:
   is best-effort: a failed renewal just means the shard may be
   re-dispatched, and idempotent completion makes the duplicate
   harmless;
-* **degradation** — when the coordinator is unreachable past the
-  transport's retries, a worker given ``--root`` falls back to
-  draining that local spool with the in-process service (counted as a
-  ``worker_degrade_local`` resilience event): the fleet losing its
-  coordinator degrades to N independent single-host services, not to
-  idleness;
 * **terminal verdicts** — a quarantined upload raises
   :exc:`~repro.service.transport.LeaseQuarantinedError` (CLI exit 4:
   this worker computed a different answer than the recorded one, which
   for exact arithmetic means *this worker is broken*); retry
-  exhaustion without a fallback root surfaces as
-  :exc:`~repro.service.transport.CoordinatorUnreachable` (CLI exit 5).
+  exhaustion surfaces as
+  :exc:`~repro.service.transport.CoordinatorUnreachable` (CLI exit 5),
+  except for a ``--once`` worker whose coordinator drained and left.
+
+``repro serve`` without ``--port`` runs one of these in a thread,
+against its own coordinator over loopback HTTP.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ import socket
 import time
 from typing import Any, Callable, Dict, Optional
 
-from repro.obs import trace as obs
 from repro.service.campaign import CampaignSpec, run_shard
 from repro.service.transport import (
     CoordinatorUnreachable,
@@ -95,7 +92,6 @@ def run_worker(
     connect: str,
     *,
     worker_id: Optional[str] = None,
-    root=None,
     once: bool = False,
     poll_seconds: float = 0.5,
     retries: int = 5,
@@ -143,18 +139,7 @@ def run_worker(
                 time.sleep(poll_seconds)
                 continue
             _run_one(client, me, work, trial_delay, log)
-    except CoordinatorUnreachable as exc:
-        if root is not None:
-            log(
-                f"worker {me}: coordinator unreachable ({exc}); "
-                f"degrading to local spool {root}"
-            )
-            obs.record_resilience_event(
-                "worker_degrade_local", detail=str(exc)
-            )
-            from repro.service.server import serve
-
-            return serve(root, once=True, trial_delay=trial_delay, log=log)
+    except CoordinatorUnreachable:
         if once and had_contact:
             # The coordinator drained and left between our polls — the
             # fleet's normal end-of-campaign shutdown order.

@@ -25,7 +25,7 @@ from typing import Callable, Generator, Iterator, List, Optional, Union
 from repro.cpu.core import BranchExecution, PhysicalCore
 from repro.cpu.process import Process
 
-__all__ = ["BranchOp", "Yield", "Program", "SliceScheduler", "program_from_branches"]
+__all__ = ["BranchOp", "Yield", "Program", "SliceScheduler"]
 
 
 @dataclass(frozen=True)
@@ -94,18 +94,6 @@ class Program:
             self.executions.append(record)
             executed += 1
         return executed
-
-
-def program_from_branches(
-    process: Process, branches
-) -> Program:
-    """Wrap a plain iterable of ``(address, taken)`` pairs as a Program."""
-
-    def body(_program: Program):
-        for address, taken in branches:
-            yield BranchOp(address, taken)
-
-    return Program(process, body)
 
 
 class SliceScheduler:

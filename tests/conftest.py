@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.bpu import haswell, sandy_bridge, skylake
+from repro.bpu.fsm import State
 from repro.bpu.presets import PredictorConfig
 from repro.core.calibration import assess_block, draw_trial_plan
 from repro.core.randomizer import RandomizationBlock
@@ -25,10 +26,27 @@ TEST_SCALE = 16
 SMALL_BLOCK = 8_000
 
 
+def bimodal_state(predictor, address: int) -> State:
+    """Architectural state of the bimodal PHT entry behind ``address``
+    (simulator ground truth, not attacker-visible)."""
+    bimodal = predictor.bimodal
+    return bimodal.pht.state(bimodal.index(address))
+
+
+def target_entry_map(compiled, core: PhysicalCore, address: int) -> np.ndarray:
+    """Transition-map row of the bimodal entry ``address`` maps to:
+    element ``i`` is the entry's level after ``compiled`` runs from
+    level ``i``."""
+    index = core.predictor.bimodal.index(
+        address, compiled.key, compiled.partition
+    )
+    return compiled.bimodal_map[index]
+
+
 def pins_entry(compiled, core: PhysicalCore, address: int) -> bool:
     """Whether ``compiled`` pins the bimodal entry behind ``address``: its
     post-block level does not depend on the level before it."""
-    row = compiled.target_entry_map(core, address)
+    row = target_entry_map(compiled, core, address)
     return bool((row == row[0]).all())
 
 

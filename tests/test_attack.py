@@ -9,6 +9,7 @@ from repro.core.attack import BranchScope
 from repro.cpu import PhysicalCore, Process
 from repro.system.scheduler import NoiseSetting
 from repro.victims import SecretBitArrayVictim
+from tests.conftest import target_entry_map
 
 SMALL_BLOCK = 8000
 
@@ -77,7 +78,7 @@ class TestCalibration:
     def test_calibrated_block_pins_working_state(self):
         core, victim, attack = make_attack()
         compiled = attack.calibrate()
-        row = compiled.target_entry_map(core, attack.address)
+        row = target_entry_map(compiled, core, attack.address)
         fsm = core.predictor.bimodal.pht.fsm
         assert (row == row[0]).all()
         assert fsm.public_state(int(row[0])) is State.SN

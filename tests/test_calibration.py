@@ -16,7 +16,7 @@ from repro.core.patterns import DecodedState
 from repro.core.randomizer import RandomizationBlock
 from repro.cpu import PhysicalCore, Process
 from repro.system.noise import NoiseModel
-from tests.conftest import pins_entry
+from tests.conftest import pins_entry, target_entry_map
 
 ADDRESS = 0x30_0006D
 BLOCK_N = 8000
@@ -103,7 +103,7 @@ class TestFindBlock:
                 noise=NoiseModel.silent(),
             )
             assert pins_entry(compiled, core, ADDRESS)
-            row = compiled.target_entry_map(core, ADDRESS)
+            row = target_entry_map(compiled, core, ADDRESS)
             fsm = core.predictor.bimodal.pht.fsm
             assert fsm.public_state(int(row[0])).name == desired.value
 

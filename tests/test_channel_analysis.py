@@ -60,8 +60,13 @@ class TestChannelEstimate:
         assert noisy.raw_bits_per_second == clean.raw_bits_per_second
 
     def test_describe(self):
-        text = ChannelEstimate(0.01, 5e5).describe()
-        assert "bit/s" in text and "1.00%" in text
+        """The three figures that describe an estimate agree."""
+        estimate = ChannelEstimate(0.01, 5e5)
+        assert estimate.raw_bits_per_second == 4000.0  # 2 GHz / 5e5
+        assert estimate.capacity_per_use == bsc_capacity(0.01)
+        assert estimate.corrected_bits_per_second == pytest.approx(
+            4000.0 * bsc_capacity(0.01)
+        )
 
     def test_invalid_cycles(self):
         with pytest.raises(ValueError):

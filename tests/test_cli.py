@@ -58,7 +58,7 @@ class TestParser:
             ["worker", "--connect", "http://127.0.0.1:8763"]
         )
         assert args.connect == "http://127.0.0.1:8763"
-        assert args.root is None
+        assert not hasattr(args, "root")  # no local-spool fallback
         assert args.once is False
         assert args.retries == 5
         assert args.worker_id is None

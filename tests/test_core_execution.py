@@ -11,6 +11,7 @@ from repro.mitigations import (
     StaticPredictionForSensitiveBranches,
     StochasticFSM,
 )
+from tests.conftest import bimodal_state
 
 
 @pytest.fixture
@@ -106,11 +107,11 @@ class TestCheckpoint:
     def test_restore_recovers_predictor_and_clock(self, core, process):
         core.execute_branch(process, 0x1, True)
         checkpoint = core.checkpoint()
-        state_before = core.predictor.bimodal_state(0x1)
+        state_before = bimodal_state(core.predictor, 0x1)
         for _ in range(5):
             core.execute_branch(process, 0x1, False)
         core.restore(checkpoint)
-        assert core.predictor.bimodal_state(0x1) is state_before
+        assert bimodal_state(core.predictor, 0x1) is state_before
         assert core.clock.now == checkpoint["clock"]
 
     def test_restore_recovers_counters(self, core, process):
@@ -133,12 +134,12 @@ class TestMitigationHooks:
         core.install_mitigation(StaticPredictionForSensitiveBranches())
         address = 0x400100
         process.protect_branch(address)
-        state_before = core.predictor.bimodal_state(address)
+        state_before = bimodal_state(core.predictor, address)
         record = core.execute_branch(process, address, True)
         assert record.static
         assert record.prediction is None
         assert not record.predicted_taken  # static not-taken
-        assert core.predictor.bimodal_state(address) is state_before
+        assert bimodal_state(core.predictor, address) is state_before
         assert not core.predictor.bit.contains(address)
 
     def test_static_prediction_only_for_marked_branches(self, core, process):
@@ -167,5 +168,5 @@ class TestMitigationHooks:
             core.predictor.bimodal.pht.set_state(idx, State.WN)
             for _ in range(4):
                 core.execute_branch(process, address, True)
-            outcomes.append(core.predictor.bimodal_state(address))
+            outcomes.append(bimodal_state(core.predictor, address))
         assert any(state is not State.ST for state in outcomes)

@@ -15,6 +15,11 @@ from repro.core.patterns import expected_probe_pattern
 
 ALL_FSMS = [textbook_2bit_fsm, skylake_fsm]
 
+#: The paper's Figure 3: the states predicting taken, and the two
+#: saturated ("strong") ones.
+TAKEN_STATES = (State.WT, State.ST)
+STRONG_STATES = (State.SN, State.ST)
+
 
 def run(fsm: FSMSpec, level: int, outcomes: str) -> int:
     for ch in outcomes:
@@ -24,16 +29,21 @@ def run(fsm: FSMSpec, level: int, outcomes: str) -> int:
 
 class TestStateEnum:
     def test_taken_states_predict_taken(self):
-        assert State.ST.predicts_taken
-        assert State.WT.predicts_taken
-        assert not State.WN.predicts_taken
-        assert not State.SN.predicts_taken
+        for factory in ALL_FSMS:
+            fsm = factory()
+            for level in range(fsm.n_levels):
+                assert fsm.predicts(level) == (
+                    fsm.public_state(level) in TAKEN_STATES
+                )
 
     def test_strong_states(self):
-        assert State.ST.is_strong
-        assert State.SN.is_strong
-        assert not State.WT.is_strong
-        assert not State.WN.is_strong
+        for factory in ALL_FSMS:
+            fsm = factory()
+            saturated = {fsm.saturate(True), fsm.saturate(False)}
+            for level in range(fsm.n_levels):
+                assert (level in saturated) == (
+                    fsm.public_state(level) in STRONG_STATES
+                )
 
     def test_values_are_ordered(self):
         assert State.SN < State.WN < State.WT < State.ST
@@ -175,7 +185,9 @@ class TestFSMProperties:
     def test_prediction_matches_public_state(self, factory, data):
         fsm = factory()
         level = data.draw(st.integers(0, fsm.n_levels - 1))
-        assert fsm.predicts(level) == fsm.public_state(level).predicts_taken
+        assert fsm.predicts(level) == (
+            fsm.public_state(level) in TAKEN_STATES
+        )
 
     @given(data=st.data())
     def test_vectorised_step_matches_scalar(self, factory, data):

@@ -6,6 +6,7 @@ import pytest
 from repro.bpu import Component, haswell, skylake
 from repro.bpu.fsm import State
 from repro.bpu.partition import Partition
+from tests.conftest import bimodal_state
 
 
 @pytest.fixture
@@ -42,16 +43,16 @@ class TestColdBranchRule:
 class TestTraining:
     def test_execute_updates_bimodal_entry(self, predictor):
         address = 0x400200
-        before = predictor.bimodal_state(address)
+        before = bimodal_state(predictor, address)
         predictor.execute(address, True)
-        after = predictor.bimodal_state(address)
+        after = bimodal_state(predictor, address)
         assert after >= before
 
     def test_saturating_training(self, predictor):
         address = 0x400200
         for _ in range(4):
             predictor.execute(address, True)
-        assert predictor.bimodal_state(address) is State.ST
+        assert bimodal_state(predictor, address) is State.ST
 
     def test_ghr_records_outcomes(self, predictor):
         predictor.execute(0x1, True)

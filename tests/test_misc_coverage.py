@@ -81,7 +81,7 @@ class TestWorkloadNoise:
             pht.state((0x61_0000 + 4 * i) % pht.n_entries)
             for i in range(16)
         }
-        strong = {s for s in touched if s.is_strong}
+        strong = touched & {State.SN, State.ST}
         assert len(strong) >= len(touched) // 2
 
 

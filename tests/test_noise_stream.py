@@ -15,11 +15,8 @@ the numpy reference (which draws with ``draw_noise`` itself):
   paths of the C pass, with and without rejected nudges;
 * the structure the manycore engine builds, on all six presets under
   isolated and noisy noise;
-* the lazy ``plan.bulk``: equal to the eager draw, drawn once, and
-  dropped (then redrawn) across pickling.
+* the lazy ``plan.bulk``: equal to the eager draw and drawn once.
 """
-
-import pickle
 
 import numpy as np
 import pytest
@@ -315,14 +312,6 @@ class TestLazyBulk:
         shared.plan.bulk
         shared.plan.bulk
         assert calls == [shared.plan.n_noise]
-
-    def test_bulk_survives_pickling(self):
-        plan, bulk = self._plan()
-        plan.bulk
-        clone = pickle.loads(pickle.dumps(plan))
-        assert clone.memo == {}
-        assert self._equal(clone.bulk, bulk)
-        assert np.array_equal(clone.offsets, plan.offsets)
 
     def test_non_pcg64_generator_refused(self):
         core = PhysicalCore(PRESETS["haswell"](), seed=4)

@@ -10,6 +10,7 @@ from repro.bpu.presets import (
     oryon_like,
     tage_like,
 )
+from tests.conftest import bimodal_state
 
 
 class TestPresetCatalog:
@@ -86,14 +87,14 @@ class TestBuild:
         config = haswell()
         a, b = config.build(), config.build()
         a.execute(0x100, True)
-        assert b.bimodal_state(0x100) is State.WN
+        assert bimodal_state(b, 0x100) is State.WN
 
     def test_initial_state_applied(self):
         from dataclasses import replace
 
         config = replace(haswell(), initial_state=State.ST)
         predictor = config.build()
-        assert predictor.bimodal_state(0x1234) is State.ST
+        assert bimodal_state(predictor, 0x1234) is State.ST
 
 
 class TestScaled:

@@ -13,6 +13,7 @@ from repro.core.prime_probe import (
     read_entry_state,
 )
 from repro.cpu import PhysicalCore, Process
+from tests.conftest import bimodal_state
 
 
 @pytest.fixture
@@ -43,7 +44,7 @@ class TestPrimeSequences:
     def test_prime_direct_sets_entry(self, core, spy):
         for state in (State.ST, State.SN, State.WN, State.WT):
             prime_direct(core, spy, ADDRESS, state)
-            assert core.predictor.bimodal_state(ADDRESS) is state
+            assert bimodal_state(core.predictor, ADDRESS) is state
 
 
 class TestProbePair:

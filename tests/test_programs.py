@@ -11,13 +11,17 @@ from repro.core.patterns import DecodedState
 from repro.cpu import PhysicalCore, Process
 from repro.cpu.counters import CounterKind
 from repro.mitigations import BtbFlushOnContextSwitch
-from repro.system.programs import (
-    BranchOp,
-    Program,
-    SliceScheduler,
-    Yield,
-    program_from_branches,
-)
+from repro.system.programs import BranchOp, Program, SliceScheduler, Yield
+
+
+def program_from_branches(process: Process, branches) -> Program:
+    """Wrap a plain iterable of ``(address, taken)`` pairs as a Program."""
+
+    def body(_program: Program):
+        for address, taken in branches:
+            yield BranchOp(address, taken)
+
+    return Program(process, body)
 
 
 @pytest.fixture

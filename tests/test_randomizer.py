@@ -6,7 +6,7 @@ import pytest
 from repro.bpu import haswell, skylake
 from repro.cpu import PhysicalCore, Process
 from repro.core.randomizer import RandomizationBlock
-from tests.conftest import pins_entry
+from tests.conftest import pins_entry, target_entry_map
 
 BLOCK_N = 6000
 
@@ -166,7 +166,7 @@ class TestCompiledBlock:
         compiled = block.compile(core, spy)
         for address in (0x30_0006D, 0x12345, 0x0):
             row = block.entry_fold(core, spy, address)
-            assert (row == compiled.target_entry_map(core, address)).all()
+            assert (row == target_entry_map(compiled, core, address)).all()
 
     def test_pins_entry_detects_constant_rows(self, core, spy, block):
         """On every entry, the compiled block's pin verdict equals the

@@ -1,4 +1,4 @@
-"""Tests for ``repro.service`` — sharded campaigns, scheduler, spool, HTTP.
+"""Tests for ``repro.service`` — sharded campaigns, scheduler, spool, serve.
 
 The load-bearing property is **shard invariance**: a campaign split into
 any number of shards digests bit-identically to the unsharded run (RNG
@@ -17,6 +17,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -40,10 +41,9 @@ from repro.core.randomizer import (
 )
 from repro.cpu.process import Process
 from repro.obs import trace as obs
-from repro.obs.http import CONTENT_TYPE, MetricsServer
-from repro.obs.metrics import MetricsRegistry
 from repro.ioutil import canonical_json
 from repro.obs import resilience_event_counts
+from repro.obs.metrics import MetricsRegistry
 from repro.resilience.checkpoint import (
     SHARD_LOG_MAGIC,
     CheckpointMismatch,
@@ -59,12 +59,14 @@ from repro.service import (
     pending_jobs,
     plan_shards,
     run_campaign,
+    run_coordinator,
     run_trial,
-    serve,
     submit_job,
 )
 from repro.service.aggregate import xor_digests
 from repro.service.campaign import NOISE_PRESETS, _stability_trial
+from repro.service.coordinator import Coordinator
+from repro.service.transport import METRICS_CONTENT_TYPE, CoordinatorServer
 from repro.store import ContentStore
 
 #: Small-but-nondegenerate campaign used throughout (7 trials so the
@@ -409,25 +411,29 @@ class TestCampaignService:
 
 
 class TestMetricsServer:
-    def test_serves_prometheus_text(self):
+    """The coordinator's serve port is the scrape port: ``/metrics``
+    renders the live registry as Prometheus text, other GETs are 404."""
+
+    def test_serves_prometheus_text(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter(
             "repro_test_total", "test counter", labels=("kind",)
         ).inc(kind="unit")
-        with MetricsServer(port=0, registry=registry) as server:
-            url = f"http://127.0.0.1:{server.port}/metrics"
-            with urllib.request.urlopen(url, timeout=5) as response:
+        coord = Coordinator(tmp_path, log=lambda *args: None)
+        with obs.tracing(metrics=registry), CoordinatorServer(coord) as server:
+            with urllib.request.urlopen(
+                f"{server.url}/metrics", timeout=5
+            ) as response:
                 body = response.read().decode("utf-8")
-                assert response.headers["Content-Type"] == CONTENT_TYPE
+                assert response.headers["Content-Type"] == METRICS_CONTENT_TYPE
         assert "repro_test_total" in body
         assert 'kind="unit"' in body
 
-    def test_other_paths_404(self):
-        with MetricsServer(port=0, registry=MetricsRegistry()) as server:
+    def test_other_paths_404(self, tmp_path):
+        coord = Coordinator(tmp_path, log=lambda *args: None)
+        with CoordinatorServer(coord) as server:
             with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(
-                    f"http://127.0.0.1:{server.port}/other", timeout=5
-                )
+                urllib.request.urlopen(f"{server.url}/other", timeout=5)
             assert err.value.code == 404
 
 
@@ -442,22 +448,39 @@ class TestSpool:
         assert pending_jobs(tmp_path) == [spec]
 
     def test_serve_once_drains_and_writes_results(self, tmp_path):
+        """``repro serve --once`` without ``--port``: the coordinator and
+        its own worker thread drain two tenants to the ``run_campaign``
+        digests, and nothing they started outlives the call."""
         root = tmp_path / "svc"
         spec_a = small_spec(name="a", tenant="alpha", shards=2)
         spec_b = small_spec(name="b", tenant="beta", seed=11, shards=2)
         submit_job(root, spec_a)
         submit_job(root, spec_b)
         logs = []
-        assert serve(root, once=True, log=logs.append) == 0
+        threads = set(threading.enumerate())
+        tracer = obs.TRACER
+        assert run_coordinator(
+            root, once=True, local_worker=True, poll_seconds=0.05,
+            log=logs.append,
+        ) == 0
+        deadline = time.time() + 10
+        while set(threading.enumerate()) - threads and time.time() < deadline:
+            time.sleep(0.02)
+        assert set(threading.enumerate()) <= threads
+        assert obs.TRACER is tracer  # metrics collection ended with it
+        url = json.loads((root / "coordinator.json").read_text())["url"]
+        assert url.startswith("http://127.0.0.1:")
         results = sorted((root / "results").glob("*.json"))
         assert len(results) == 2
         by_name = {
             json.loads(p.read_text())["name"]: json.loads(p.read_text())
             for p in results
         }
-        assert by_name["a"]["digest"] == run_campaign(
-            spec_a, n_shards=1
-        ).digest()
+        for spec in (spec_a, spec_b):
+            assert by_name[spec.name]["digest"] == run_campaign(
+                spec, n_shards=1
+            ).digest()
+        assert sum("digest:" in line for line in logs) == 2
         stats = json.loads((root / "store-stats.json").read_text())
         # The store holds shard results only: two campaigns x two shards.
         stored = sorted(p.name for p in (root / "store").iterdir())
@@ -473,15 +496,47 @@ class TestSpool:
         # Warm restart over the same root: all shards come from the store.
         for path in results:
             path.unlink()
-        (root / "checkpoints").mkdir(exist_ok=True)
         for ck in (root / "checkpoints").glob("*"):
             ck.unlink()
-        assert serve(root, once=True, log=logs.append) == 0
+        assert run_coordinator(
+            root, once=True, local_worker=True, poll_seconds=0.05,
+            log=logs.append,
+        ) == 0
         rerun = json.loads(
             (root / "results" / results[0].name).read_text()
         )
         assert rerun["cached_shards"] == rerun["shards"]
         assert rerun["digest"] == by_name[rerun["name"]]["digest"]
+
+    @pytest.mark.parametrize("once", [True, False])
+    def test_failing_local_worker_fails_serve(
+        self, tmp_path, monkeypatch, once
+    ):
+        """An exception in the local worker ends ``repro serve`` with
+        that exception, in ``--once`` and in serve-forever mode."""
+        from repro.service import worker as worker_module
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("shard exploded")
+
+        monkeypatch.setattr(worker_module, "run_shard", broken)
+        submit_job(tmp_path, small_spec())
+        outcome = []
+
+        def serve() -> None:
+            try:
+                run_coordinator(
+                    tmp_path, once=once, local_worker=True,
+                    poll_seconds=0.05, log=lambda *a: None,
+                )
+            except RuntimeError as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "serve hung on a failed worker"
+        assert [str(exc) for exc in outcome] == ["shard exploded"]
 
 
 def count_fsyncs(monkeypatch) -> list:
@@ -569,7 +624,6 @@ class TestShardLog:
 
     def test_one_fsync_per_accepted_upload(self, tmp_path, monkeypatch):
         from repro.service.campaign import run_shard
-        from repro.service.coordinator import Coordinator
         from repro.service.transport import aggregate_state_digest
 
         spec = small_spec(shards=4)

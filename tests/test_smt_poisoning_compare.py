@@ -15,6 +15,7 @@ from repro.cpu import PhysicalCore, Process
 from repro.system.noise import NoiseModel
 from repro.system.scheduler import AttackScheduler, NoiseSetting
 from repro.victims.compare import EarlyExitComparatorVictim, crack_secret
+from tests.conftest import bimodal_state
 
 
 class TestSMTCovertChannel:
@@ -68,9 +69,9 @@ class TestPoisoning:
         attacker = Process("attacker")
         address = 0x30_0006D
         poison_branch(core, attacker, address, True)
-        assert core.predictor.bimodal_state(address) is State.ST
+        assert bimodal_state(core.predictor, address) is State.ST
         poison_branch(core, attacker, address, False)
-        assert core.predictor.bimodal_state(address) is State.SN
+        assert bimodal_state(core.predictor, address) is State.SN
 
     @pytest.mark.parametrize("direction", [True, False])
     def test_poisoning_forces_mispredictions(self, direction):

@@ -22,6 +22,7 @@ from repro.bpu.pht import PatternHistoryTable
 from repro.cpu import CounterKind, PhysicalCore, Process
 from repro.mitigations import BpuPartitioning
 from repro.mitigations.base import Mitigation
+from tests.conftest import bimodal_state
 
 
 @pytest.fixture
@@ -104,7 +105,7 @@ class TestSingleTrainingPath:
         address = 0x400200
         record = core.execute_branch(spy, address, True)
         # PHT trained with the corrupted (not-taken) outcome: WN -> SN.
-        assert core.predictor.bimodal_state(address) is State.SN
+        assert bimodal_state(core.predictor, address) is State.SN
         # Architectural side still saw the true outcome.
         assert core.predictor.ghr.value & 1 == 1
         assert record.taken is True
@@ -114,7 +115,7 @@ class TestSingleTrainingPath:
         spy = Process("spy")
         address = 0x400300
         core.execute_branch(spy, address, True)
-        assert core.predictor.bimodal_state(address) is State.WT
+        assert bimodal_state(core.predictor, address) is State.WT
 
 
 class TestRestoreRollback:

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -52,6 +53,7 @@ from repro.service.transport import (
     CoordinatorServer,
     CoordinatorUnreachable,
     LeaseQuarantinedError,
+    METRICS_CONTENT_TYPE,
     TransportClient,
     WIRE_MAGIC,
     WireError,
@@ -322,6 +324,45 @@ class TestLeaseTable:
         assert "repro_service_queue_depth 2" in text
         assert 'repro_service_worker_last_heartbeat{worker="w1"}' in text
 
+    def test_claim_path_skips_done_shards(self):
+        """With 1,000 done shards registered — 496 of them retired —
+        expiry still requeues and then fails, walking the live leases
+        only, and a retired shard still judges a late completion."""
+        table, clock = self.table(max_attempts=2)
+        for n in range(125):
+            table.add_campaign(
+                f"old{n}", 8, done=[(i, f"d{n}.{i}") for i in range(8)]
+            )
+            if n % 2:
+                table.retire(f"old{n}", 8)
+        assert table.state_counts()[DONE] == 1000
+        assert len(table._shards) == 3 + 63 * 8  # even n stay registered
+
+        class Unscannable(dict):
+            def _refuse(self, *args):
+                raise AssertionError("expire scanned the shard registry")
+
+            __iter__ = items = values = keys = _refuse
+
+        registry = table._shards  # claim and expire only look up
+        table._shards = Unscannable(registry)
+        for state in (PENDING, FAILED):
+            table.claim("w1", ("c1", 0))
+            clock.advance(31)
+            assert table.expire() == [("c1", 0)]
+            assert shard_state(table, "c1", 0) == state
+        table._shards = registry
+        assert table.pending_keys() == [("c1", 1), ("c1", 2)]
+        assert table.has_failed()
+        assert obs.resilience_event_counts()["lease_exhausted"] == 1
+        assert table.knows("old1", 7) and not table.knows("old1", 8)
+        assert table.complete("old1", 3, "d1.3") == "duplicate"
+        assert table.complete("old1", 3, "other") == "mismatch"
+        assert table.complete("old0", 3, "d0.3") == "duplicate"
+        # Registered again, a retired campaign starts from its shards.
+        table.add_campaign("old1", 8)
+        assert table.complete("old1", 3, "other") == "accepted"
+
     def test_validation(self):
         with pytest.raises(ValueError):
             LeaseTable(lease_seconds=0)
@@ -348,6 +389,31 @@ def result_digest(root: Path, spec: CampaignSpec) -> str:
     return json.loads(path.read_text())["digest"]
 
 
+def upload_of(work, worker: str = "w") -> dict:
+    """The honest upload of one claimed shard."""
+    from repro.service.campaign import run_shard
+
+    spec = CampaignSpec.from_dict(work["spec"])
+    state = run_shard(spec, work["lo"], work["hi"]).to_state()
+    return {
+        "campaign": work["campaign"],
+        "shard": work["shard"],
+        "lease_id": work["lease_id"],
+        "worker": worker,
+        "state": state,
+        "digest": aggregate_state_digest(state),
+    }
+
+
+def drain(coord: Coordinator) -> None:
+    """Claim, run and upload shards in process until none is left."""
+    while True:
+        work = coord.claim("w")["work"]
+        if work is None:
+            return
+        assert coord.upload(upload_of(work))["status"] == "accepted"
+
+
 class TestDistributedCampaign:
     def test_single_worker_matches_single_host_digest(
         self, coordinator, tmp_path
@@ -358,11 +424,14 @@ class TestDistributedCampaign:
         TransportClient(server.url).call("submit", {"spec": spec.to_dict()})
         assert run_worker(server.url, once=True, log=quiet) == 0
         assert result_digest(tmp_path, spec) == reference
-        # The result came through checkpoints + store too: a fresh
-        # coordinator over the same root completes it at submit time.
+        # The result came through checkpoints + store too: with the
+        # result file gone, a fresh coordinator over the same root
+        # completes the campaign at submit time.
+        (tmp_path / "results" / f"{spec.campaign_id()}.json").unlink()
         coord2 = Coordinator(tmp_path, log=quiet)
         assert coord2.submit(spec) == spec.campaign_id()
         assert coord2.drained()
+        assert result_digest(tmp_path, spec) == reference
 
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
     def test_worker_threads_drain_to_run_campaign_digest(
@@ -419,8 +488,6 @@ class TestDistributedCampaign:
         """A campaign checkpointed by one scheduler resumes under the
         other over the same root.  The service runs without a store, so
         the checkpoint, not the store, carries the finished shards."""
-        from repro.service.campaign import run_shard
-
         spec = small_spec(n_blocks=8, shards=4, seed=5)
         checkpoints = service_dirs(tmp_path)["checkpoints"]
 
@@ -429,17 +496,7 @@ class TestDistributedCampaign:
             work = coord.claim("w")["work"]
             if work is None:
                 return None
-            agg_state = run_shard(spec, work["lo"], work["hi"]).to_state()
-            reply = coord.upload(
-                {
-                    "campaign": work["campaign"],
-                    "shard": work["shard"],
-                    "worker": "w",
-                    "state": agg_state,
-                    "digest": aggregate_state_digest(agg_state),
-                }
-            )
-            assert reply["status"] == "accepted"
+            assert coord.upload(upload_of(work))["status"] == "accepted"
             return work["shard"]
 
         if first == "service":
@@ -551,20 +608,11 @@ class TestDistributedCampaign:
         spec = small_spec(shards=1)
         client = TransportClient(server.url)
         client.call("submit", {"spec": spec.to_dict()})
-        work = client.call("claim", {"worker": "w"})["work"]
-        from repro.service.campaign import run_shard
-
-        agg = run_shard(spec, work["lo"], work["hi"])
-        state = agg.to_state()
-        upload = {
-            "campaign": work["campaign"],
-            "shard": work["shard"],
-            "lease_id": work["lease_id"],
-            "worker": "w",
-            "state": state,
-            "digest": aggregate_state_digest(state),
-        }
+        upload = upload_of(client.call("claim", {"worker": "w"})["work"])
         assert client.call("upload", upload)["status"] == "accepted"
+        # The one shard finished the campaign: it left the book, and
+        # its retired digest judges the late copy.
+        assert coord.book.campaigns == {}
         assert client.call("upload", upload)["status"] == "duplicate"
         assert result_digest(tmp_path, spec) == run_campaign(spec).digest()
 
@@ -574,21 +622,11 @@ class TestDistributedCampaign:
         client = TransportClient(server.url)
         client.call("submit", {"spec": spec.to_dict()})
         work = client.call("claim", {"worker": "good"})["work"]
-        from repro.service.campaign import run_shard
-
-        agg = run_shard(spec, work["lo"], work["hi"])
-        state = agg.to_state()
-        good = {
-            "campaign": work["campaign"],
-            "shard": work["shard"],
-            "lease_id": work["lease_id"],
-            "worker": "good",
-            "state": state,
-            "digest": aggregate_state_digest(state),
-        }
+        good = upload_of(work, "good")
         assert client.call("upload", good)["status"] == "accepted"
+        assert coord.book.campaigns == {}  # finished, as above
         # A broken worker recomputed the shard to a different answer.
-        evil_state = json.loads(json.dumps(state))
+        evil_state = json.loads(json.dumps(good["state"]))
         evil_state["n_trials"] = 9999
         evil = dict(
             good,
@@ -710,11 +748,12 @@ class TestDistributedCampaign:
             )
             assert status["leases"][LEASED] == 1
             assert status["campaigns"][spec.campaign_id()]["shards"] == 3
-            metrics = (
-                urllib.request.urlopen(f"{server.url}/metrics")
-                .read()
-                .decode()
-            )
+            with urllib.request.urlopen(f"{server.url}/metrics") as reply:
+                assert reply.headers["Content-Type"] == METRICS_CONTENT_TYPE
+                metrics = reply.read().decode()
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(f"{server.url}/other")
+            assert err.value.code == 404
         assert 'repro_service_leases{state="leased"} 1' in metrics
         assert "repro_service_queue_depth 2" in metrics
         assert 'repro_service_worker_last_heartbeat{worker="w1"}' in metrics
@@ -742,22 +781,53 @@ class TestDistributedCampaign:
         with pytest.raises(CoordinatorUnreachable):
             client.call("claim", {"worker": "w"})
 
-    def test_worker_degrades_to_local_spool(self, tmp_path):
-        spec = small_spec()
-        reference = run_campaign(spec).digest()
-        submit_job(tmp_path, spec)
-        code = run_worker(
-            "http://127.0.0.1:9",
-            root=tmp_path,
-            retries=0,
-            once=True,
-            log=quiet,
+
+class TestBoundedBook:
+    """A campaign leaves the coordinator's book once its result file is
+    written; the file and its shards' digests are what stay."""
+
+    def test_drained_campaigns_leave_the_book(self, tmp_path):
+        coord = Coordinator(tmp_path, log=quiet)
+        specs = [
+            small_spec(seed=seed, n_blocks=2, shards=2)
+            for seed in range(50)
+        ]
+        for spec in specs:
+            coord.submit(spec)
+        assert len(coord.book.campaigns) == 50
+        drain(coord)
+        assert coord.drained()
+        assert len(coord.book.campaigns) == 0
+        assert coord.status()["campaigns"] == {}
+        assert coord.leases.state_counts()[DONE] == 100
+        assert coord.leases.pending_keys() == []
+        for spec in specs:
+            assert (
+                tmp_path / "results" / f"{spec.campaign_id()}.json"
+            ).exists()
+        assert result_digest(tmp_path, specs[7]) == (
+            run_campaign(specs[7]).digest()
         )
-        assert code == 0
-        assert result_digest(tmp_path, spec) == reference
-        assert (
-            obs.resilience_event_counts()["worker_degrade_local"] == 1
-        )
+
+    def test_resubmitting_a_finished_campaign_changes_nothing(
+        self, coordinator, tmp_path
+    ):
+        coord, server = coordinator
+        spec = small_spec(shards=2)
+        client = TransportClient(server.url)
+        client.call("submit", {"spec": spec.to_dict()})
+        drain(coord)
+        path = tmp_path / "results" / f"{spec.campaign_id()}.json"
+        before = path.read_bytes()
+        reply = client.call("submit", {"spec": spec.to_dict()})
+        assert reply["campaign"] == spec.campaign_id()
+        assert coord.book.campaigns == {}
+        assert coord.claim("w")["work"] is None
+        # A restarted coordinator over the same root leaves it too.
+        restarted = Coordinator(tmp_path, log=quiet)
+        assert restarted.submit(spec) == spec.campaign_id()
+        assert restarted.book.campaigns == {}
+        assert path.read_bytes() == before
 
 
 # -- spool hardening ----------------------------------------------------------
@@ -811,7 +881,9 @@ class TestWorkerCli:
         assert args.port == 0
         assert args.lease_seconds == 5.0
 
-    def test_serve_port_runs_the_coordinator(self, monkeypatch, tmp_path):
+    @staticmethod
+    def serve_calls(monkeypatch, argv) -> list:
+        """``repro serve`` ``argv``'s calls of ``run_coordinator``."""
         from repro.cli import main
         from repro.service import coordinator as coordinator_module
 
@@ -824,19 +896,33 @@ class TestWorkerCli:
         monkeypatch.setattr(
             coordinator_module, "run_coordinator", fake_run_coordinator
         )
+        assert main(["serve", *argv]) == 0
+        return calls
+
+    def test_serve_port_runs_the_coordinator(self, monkeypatch, tmp_path):
         root = str(tmp_path)
-        code = main(
-            [
-                "serve", "--root", root, "--once",
-                "--port", "0", "--lease-seconds", "5",
-            ]
+        calls = self.serve_calls(
+            monkeypatch,
+            ["--root", root, "--once", "--port", "0", "--lease-seconds", "5"],
         )
-        assert code == 0
         assert len(calls) == 1
         assert calls[0][0] == root
         assert calls[0][1]["port"] == 0
         assert calls[0][1]["lease_seconds"] == 5.0
         assert calls[0][1]["once"] is True
+        assert calls[0][1]["local_worker"] is False
+
+    def test_serve_without_port_runs_its_own_worker(
+        self, monkeypatch, tmp_path
+    ):
+        calls = self.serve_calls(
+            monkeypatch,
+            ["--root", str(tmp_path), "--once", "--trial-delay", "0.5"],
+        )
+        assert len(calls) == 1
+        assert calls[0][1]["port"] == 0
+        assert calls[0][1]["local_worker"] is True
+        assert calls[0][1]["trial_delay"] == 0.5
 
     def test_unreachable_maps_to_exit_5(self):
         from repro.cli import EXIT_RETRY_EXHAUSTED, main
